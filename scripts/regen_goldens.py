@@ -20,12 +20,16 @@ Usage::
 
 ``--check`` regenerates every golden in memory and byte-compares it against
 the committed file — the CI gate that a behaviour-changing PR cannot forget
-to refresh (or deliberately bless) its goldens.
+to refresh (or deliberately bless) its goldens.  A stale golden prints the
+head of its unified diff, so a broken bit-identity points at the counter or
+histogram that moved rather than just at the file.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -85,6 +89,17 @@ def generators() -> Dict[Path, Callable[[], str]]:
     return table
 
 
+def diff_head(committed: str, regenerated: str, rel: str, limit: int = 20) -> str:
+    """The first ``limit`` lines of ``committed -> regenerated`` as a unified diff."""
+    diff = difflib.unified_diff(
+        committed.splitlines(keepends=True),
+        regenerated.splitlines(keepends=True),
+        fromfile=f"{rel} (committed)",
+        tofile=f"{rel} (regenerated)",
+    )
+    return "".join(itertools.islice(diff, limit))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -103,6 +118,7 @@ def main(argv=None) -> int:
             if committed != content:
                 state = "missing" if committed is None else "stale"
                 print(f"{state}: {rel}")
+                print(diff_head(committed or "", content, str(rel)), end="")
                 stale.append(rel)
             else:
                 print(f"ok: {rel}")

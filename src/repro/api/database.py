@@ -42,6 +42,7 @@ from ..query.executor import ClusterQueryExecutor, QuerySpec
 from ..control.autopilot import Autopilot
 from ..rebalance.operation import FaultInjector
 from ..rebalance.recovery import RebalanceRecoveryManager, RecoveryOutcome
+from ..sim import drain
 from .dataset import Dataset
 from .registry import resolve_strategy
 
@@ -257,25 +258,17 @@ class Database:
         out (the autopilot uses it so scheduled crashes target explicit
         rebalances, not policy-triggered ones).
         """
-        self._check_open()
-        chosen = [value for value in (target_nodes, add, remove) if value is not None]
-        if len(chosen) != 1:
-            raise ConfigError("pass exactly one of target_nodes=, add=, remove=")
-        if target_nodes is None:
-            target_nodes = self.num_nodes + (add or 0) - (remove or 0)
-        sites = list(fault_sites) if fault_sites else []
-        chaos = self._cluster.chaos
-        if chaos is not None and arm_chaos:
-            sites.extend(chaos.due_crash_sites())
-        injector = FaultInjector(sites) if sites else None
-        try:
-            return self._cluster.rebalance_to(
-                target_nodes, concurrent_rows=concurrent_rows, fault_injector=injector
+        return drain(
+            self.rebalance_steps(
+                target_nodes,
+                add=add,
+                remove=remove,
+                concurrent_rows=concurrent_rows,
+                fault_sites=fault_sites,
+                arm_chaos=arm_chaos,
+                _phase_priced=True,
             )
-        except FaultInjected as fault:
-            if chaos is not None:
-                chaos.on_fault(fault.site)
-            raise
+        )
 
     def rebalance_steps(
         self,
@@ -286,15 +279,17 @@ class Database:
         concurrent_rows: Optional[Mapping[str, Sequence[Mapping[str, Any]]]] = None,
         fault_sites: Optional[Iterable[str]] = None,
         arm_chaos: bool = True,
+        _phase_priced: bool = False,
     ) -> "Generator[Any, None, ClusterRebalanceReport]":
-        """Generator twin of :meth:`rebalance` for the event scheduler.
+        """:meth:`rebalance` as a protocol generator, for the event scheduler.
 
-        Resolves its target size, chaos crash sites, and fault injector with
-        exactly the same logic as :meth:`rebalance`, then yields every
+        Takes the same arguments and yields every
         :class:`~repro.sim.SimSegment` of the protocol so an
         :class:`~repro.sim.EventScheduler` actor can interleave foreground
         traffic inside the movement windows.  The generator's return value is
         the same :class:`~repro.cluster.reports.ClusterRebalanceReport`.
+        :meth:`rebalance` is this generator drained in place, with the private
+        ``_phase_priced`` keyword keeping its per-phase data-movement pricing.
         """
         self._check_open()
         chosen = [value for value in (target_nodes, add, remove) if value is not None]
@@ -309,7 +304,10 @@ class Database:
         injector = FaultInjector(sites) if sites else None
         try:
             report = yield from self._cluster.rebalance_to_steps(
-                target_nodes, concurrent_rows=concurrent_rows, fault_injector=injector
+                target_nodes,
+                concurrent_rows=concurrent_rows,
+                fault_injector=injector,
+                _phase_priced=_phase_priced,
             )
         except FaultInjected as fault:
             if chaos is not None:

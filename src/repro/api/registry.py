@@ -40,7 +40,9 @@ def resolve_strategy(
     ``None`` passes through (the cluster then defaults to DynaHash-style
     directory routing and requires a strategy before any resize).  A string is
     looked up in the registry, forwarding ``kwargs`` to the factory.  Anything
-    else must already look like a strategy (have ``rebalance_cluster``).
+    else must already look like a strategy: have the ``rebalance_cluster_steps``
+    generator, the one hook the cluster calls for every resize (drained for
+    run-to-completion, stepped under an event scheduler).
     """
     if strategy is None:
         if kwargs:
@@ -50,9 +52,23 @@ def resolve_strategy(
         return strategy_by_name(strategy, **kwargs)
     if kwargs:
         raise ConfigError("strategy options are only valid with a strategy name")
-    if not hasattr(strategy, "rebalance_cluster"):
+    if not hasattr(strategy, "rebalance_cluster_steps"):
         raise ConfigError(
-            f"{strategy!r} is not a rebalancing strategy (missing rebalance_cluster); "
-            f"pass an instance or one of: {', '.join(available_strategies())}"
+            f"{strategy!r} is not a rebalancing strategy (missing the "
+            "rebalance_cluster_steps generator); pass an instance or one of: "
+            f"{', '.join(available_strategies())}"
+        )
+    # A run-to-completion override more derived than the generator it is
+    # drained from would never be called: reject it here, not mid-run.
+    mro = type(strategy).__mro__
+
+    def defined_at(name: str) -> int:
+        return next((depth for depth, cls in enumerate(mro) if name in vars(cls)), len(mro))
+
+    if defined_at("rebalance_cluster") < defined_at("rebalance_cluster_steps"):
+        raise ConfigError(
+            f"{strategy!r} overrides rebalance_cluster, which the cluster never calls; "
+            "override the rebalance_cluster_steps generator instead "
+            "(rebalance_cluster is that generator drained)"
         )
     return strategy

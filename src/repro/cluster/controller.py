@@ -30,6 +30,7 @@ from ..common.hashutil import hash_key
 from ..hashing.bucket_id import ROOT_BUCKET, BucketId
 from ..hashing.extendible import GlobalDirectory
 from ..lsm.wal import WriteAheadLog
+from ..sim import drain
 from .cost_model import CostModel
 from .dataset import DatasetSpec, SecondaryIndexSpec
 from .feed import DataFeed, RoutingSnapshot
@@ -378,53 +379,30 @@ class SimulatedCluster:
         concurrent_rows: Optional[Mapping[str, Any]] = None,
         fault_injector: Optional[object] = None,
     ) -> "ClusterRebalanceReport":
-        """Resize the cluster to ``target_nodes`` using the configured strategy."""
-        if target_nodes < 1:
-            raise ConfigError("target_nodes must be at least 1")
-        if self.strategy is None:
-            raise ClusterError(
-                "no rebalancing strategy configured; pass one to SimulatedCluster(strategy=...)"
-            )
-        self.events.emit(
-            "rebalance.start",
-            strategy=getattr(self.strategy, "name", type(self.strategy).__name__),
-            old_nodes=self.num_nodes,
-            target_nodes=target_nodes,
+        """Resize the cluster to ``target_nodes`` using the configured strategy.
+
+        This is :meth:`rebalance_to_steps` drained in place.
+        """
+        steps = self.rebalance_to_steps(
+            target_nodes, concurrent_rows, fault_injector, _phase_priced=True
         )
-        try:
-            report = self.strategy.rebalance_cluster(
-                self,
-                target_nodes,
-                concurrent_rows=concurrent_rows,
-                fault_injector=fault_injector,
-            )
-        except Exception as error:
-            self.events.emit(
-                "rebalance.error", target_nodes=target_nodes, error=repr(error)
-            )
-            raise
-        self.events.emit(
-            "rebalance.complete",
-            strategy=report.strategy,
-            old_nodes=report.old_nodes,
-            new_nodes=report.new_nodes,
-            committed=report.committed,
-            report=report,
-        )
-        return report
+        return drain(steps)
 
     def rebalance_to_steps(
         self,
         target_nodes: int,
         concurrent_rows: Optional[Mapping[str, Any]] = None,
         fault_injector: Optional[object] = None,
+        *,
+        _phase_priced: bool = False,
     ) -> "Generator[Any, None, ClusterRebalanceReport]":
-        """Generator twin of :meth:`rebalance_to` for the event scheduler.
+        """Resize the cluster to ``target_nodes`` as a protocol generator.
 
-        Emits the same ``rebalance.start`` / ``rebalance.error`` /
-        ``rebalance.complete`` events; between them it yields every
-        :class:`~repro.sim.SimSegment` the strategy produces, so the consuming
-        actor can interleave foreground work inside the movement windows.
+        Emits ``rebalance.start``, yields every :class:`~repro.sim.SimSegment`
+        the strategy's ``rebalance_cluster_steps`` produces — so a consuming
+        actor can interleave foreground work inside the movement windows —
+        and closes with ``rebalance.complete`` (``rebalance.error`` when the
+        strategy raised).  ``_phase_priced`` is handed down unchanged.
         """
         if target_nodes < 1:
             raise ConfigError("target_nodes must be at least 1")
@@ -444,6 +422,7 @@ class SimulatedCluster:
                 target_nodes,
                 concurrent_rows=concurrent_rows,
                 fault_injector=fault_injector,
+                _phase_priced=_phase_priced,
             )
         except Exception as error:
             self.events.emit(

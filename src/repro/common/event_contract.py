@@ -136,14 +136,15 @@ EVENT_FAMILIES: Tuple[EventFamily, ...] = (
             "cluster-level bracket (`rebalance.start` / `rebalance.complete`) "
             "flips the metrics phase between `steady` and `rebalance`, and "
             "every per-dataset operation reports its phases, commit point, "
-            "and outcome. `rebalance.phase` is the hook the workload driver "
-            "uses to run reads genuinely mid-rebalance."
+            "and outcome. The same events, in the same order, come from a "
+            "run-to-completion resize and from one stepped on the event "
+            "scheduler: both run the one protocol generator."
         ),
         events=(
             EventSpec(
                 "rebalance.start",
                 required=("strategy", "old_nodes", "target_nodes"),
-                description="`rebalance_to` began; flips the metrics phase to `rebalance`",
+                description="`rebalance_to_steps` began; flips the metrics phase to `rebalance`",
             ),
             EventSpec(
                 "rebalance.dataset.start",

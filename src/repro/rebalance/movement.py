@@ -15,7 +15,7 @@ into per-node simulated time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, TYPE_CHECKING
+from typing import Dict, List, Mapping, NamedTuple, TYPE_CHECKING
 
 from ..cluster.partition import StoragePartition
 from ..lsm.entry import Entry
@@ -71,6 +71,16 @@ class MovementWork:
         )
 
 
+class MovedBucket(NamedTuple):
+    """What moving one bucket physically did — the input of per-bucket pricing."""
+
+    records: int
+    #: Bytes read off the source partition's disk (the bucket's snapshot).
+    scanned_bytes: int
+    #: Bytes of records shipped to, and bulk-loaded at, the destination.
+    payload_bytes: int
+
+
 class DataMover:
     """Executes the data movement phase for one dataset."""
 
@@ -78,24 +88,21 @@ class DataMover:
         self.runtime = runtime
         self.partition_nodes = dict(partition_nodes)
         self.work = MovementWork()
-        #: Snapshots taken per move, released after the move completes.
-        self._snapshots: List[List] = []
 
     def partition(self, partition_id: int) -> StoragePartition:
         return self.runtime.partitions[partition_id]
 
-    def move_bucket(self, move: BucketMove) -> int:
-        """Move one bucket's snapshot; returns the number of records moved."""
+    def move_bucket(self, move: BucketMove) -> MovedBucket:
+        """Move one bucket's snapshot; returns what the move amounted to."""
         destination = self.partition(move.destination_partition)
         if move.source_partition is None:
             # A bucket with no current home (can only happen if a partition
             # disappeared without a clean decommission); nothing to scan.
             destination.receive_bucket(move.bucket, [])
             self.work.buckets_moved += 1
-            return 0
+            return MovedBucket(0, 0, 0)
         source = self.partition(move.source_partition)
         snapshot = source.snapshot_bucket(move.bucket)
-        self._snapshots.append(snapshot)
         entries: List[Entry] = source.scan_bucket_snapshot(snapshot)
         payload_bytes = sum(entry.size_bytes for entry in entries)
         scanned_bytes = sum(
@@ -116,11 +123,4 @@ class DataMover:
         self.work.buckets_moved += 1
 
         source.release_bucket_snapshot(snapshot)
-        self._snapshots.remove(snapshot)
-        return len(entries)
-
-    def move_all(self, moves: List[BucketMove]) -> MovementWork:
-        """Move every bucket in the plan (the paper moves them together)."""
-        for move in moves:
-            self.move_bucket(move)
-        return self.work
+        return MovedBucket(len(entries), scanned_bytes, payload_bytes)

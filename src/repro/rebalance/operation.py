@@ -44,10 +44,10 @@ from ..hashing.extendible import GlobalDirectory
 from ..lsm.entry import estimate_value_size
 from ..lsm.wal import LogRecordType
 from ..cluster.reports import RebalanceReport
-from ..sim import SimSegment
+from ..sim import SimSegment, drain
 from .concurrency import LogReplicator
-from .movement import DataMover
-from .plan import RebalancePlan, compute_balanced_directory
+from .movement import DataMover, MovedBucket, MovementWork
+from .plan import BucketMove, RebalancePlan, compute_balanced_directory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.controller import DatasetRuntime, SimulatedCluster
@@ -111,17 +111,11 @@ def deserialize_assignments(payload: Mapping[str, Any]) -> GlobalDirectory:
     return GlobalDirectory(assignments)
 
 
-def deserialize_moves(payload: Mapping[str, Any]) -> List[Dict[str, Any]]:
-    moves = []
-    for prefix, depth, source, destination in payload.get("moves", []):
-        moves.append(
-            {
-                "bucket": BucketId(prefix, depth),
-                "source": None if source < 0 else source,
-                "destination": destination,
-            }
-        )
-    return moves
+def deserialize_moves(payload: Mapping[str, Any]) -> List[BucketMove]:
+    return [
+        BucketMove(BucketId(prefix, depth), None if source < 0 else source, destination)
+        for prefix, depth, source, destination in payload.get("moves", [])
+    ]
 
 
 @dataclass
@@ -156,7 +150,6 @@ class RebalanceOperation:
             )
         self.target_partitions = list(target_partitions)
         self.strategy_name = strategy_name
-        self.explicit_plan = plan
         self.faults = fault_injector or FaultInjector()
         self.rebalance_id = cluster.next_rebalance_id()
         self.plan: Optional[RebalancePlan] = plan
@@ -181,9 +174,6 @@ class RebalanceOperation:
             nodes[pid] = self.cluster.node_of_partition(pid).node_id
         return nodes
 
-    def _nodes_of(self, partition_ids: Iterable[int]) -> List[str]:
-        return sorted({self._partition_nodes()[pid] for pid in partition_ids})
-
     def _target_node_count(self) -> int:
         return len({self._partition_nodes()[pid] for pid in self.target_partitions})
 
@@ -192,9 +182,34 @@ class RebalanceOperation:
     def run(self, concurrent: Optional[ConcurrentWriteLoad] = None) -> RebalanceReport:
         """Execute the full rebalance; returns a committed or aborted report.
 
+        This is :meth:`run_steps` drained in place, priced per phase.
+
         Raises :class:`FaultInjected` when an injected fault models a crash
         that the running operation cannot resolve (the recovery manager must
         then be invoked, exactly like a restarted CC/NC would).
+        """
+        return drain(self.run_steps(concurrent, _phase_priced=True))
+
+    def run_steps(
+        self, concurrent: Optional[ConcurrentWriteLoad] = None, *, _phase_priced: bool = False
+    ) -> Generator[SimSegment, None, RebalanceReport]:
+        """The protocol as a generator — its one implementation.
+
+        Each ``yield`` hands a :class:`~repro.sim.SimSegment` back to the
+        consumer: the initialization cost, then one segment per bucket move
+        (plus a trailing concurrent-write segment), then finalization.
+        Protocol state mutates *between* yields, so a scheduler can interleave
+        other actors — foreground reads, another dataset's movement — inside
+        the data-movement window while the source partitions still serve the
+        old directory.  The committed or aborted
+        :class:`~repro.cluster.reports.RebalanceReport` is the generator's
+        return value, with ``simulated_seconds`` equal to the sum of the
+        yielded segments (so the metrics registry's overlap reconciliation at
+        ``rebalance.complete`` is a no-op under a scheduler).
+
+        ``_phase_priced`` is private to the drained run-to-completion chain:
+        it swaps the data movement pricing (see
+        :meth:`_data_movement_segments`) and nothing else.
         """
         report = RebalanceReport(
             strategy=self.strategy_name,
@@ -208,10 +223,19 @@ class RebalanceOperation:
         try:
             init_seconds = self._initialization_phase(report)
             self._emit("rebalance.phase", phase="initialization", seconds=init_seconds)
-            move_seconds = self._data_movement_phase(report, concurrent)
+            yield SimSegment("initialization", init_seconds)
+            move_seconds = yield from self._data_movement_segments(
+                report, concurrent, _phase_priced
+            )
             self._emit("rebalance.phase", phase="data_movement", seconds=move_seconds)
+            if _phase_priced:
+                # One phase-wide window, opened *after* the phase event: that
+                # is where the legacy driver runs the reads it holds back until
+                # the movement is over (the sources serve until the commit).
+                yield SimSegment("data_movement", move_seconds)
             final_seconds = self._finalization_phase(report)
             self._emit("rebalance.phase", phase="finalization", seconds=final_seconds)
+            yield SimSegment("finalization", final_seconds)
         except RebalanceAborted as aborted:
             abort_seconds = self._abort(str(aborted))
             report.abort_reason = str(aborted)
@@ -251,20 +275,17 @@ class RebalanceOperation:
         refreshed = GlobalDirectory.from_local_directories(local_directories)
         self.runtime.global_directory = refreshed
 
-        if self.explicit_plan is None:
-            partition_nodes = self._partition_nodes()
+        partition_nodes = self._partition_nodes()
+        if self.plan is None:  # no caller-supplied plan: run Algorithm 2
             self.plan = compute_balanced_directory(
                 refreshed, self.target_partitions, partition_nodes
             )
-        else:
-            self.plan = self.explicit_plan
         report.buckets_moved = self.plan.moved_buckets
 
         # Flush the memory components of every moving bucket: the flush time
         # is the rebalance start time and the resulting components are the
         # immutable snapshot (Section V-A).
         flush_bytes_by_node: Dict[str, float] = {}
-        partition_nodes = self._partition_nodes()
         for move in self.plan.moves:
             if move.source_partition is None:
                 continue
@@ -291,15 +312,38 @@ class RebalanceOperation:
 
     # -- data movement -------------------------------------------------------
 
-    def _data_movement_phase(
-        self, report: RebalanceReport, concurrent: Optional[ConcurrentWriteLoad]
-    ) -> float:
+    def _data_movement_segments(
+        self,
+        report: RebalanceReport,
+        concurrent: Optional[ConcurrentWriteLoad],
+        phase_priced: bool,
+    ) -> Generator[SimSegment, None, float]:
+        """The data-movement phase, bucket by bucket; returns its seconds.
+
+        Concurrent writes are woven between the moves so the replicated
+        records land while the movement is in flight, as they would online.
+        Time is charged by one of two pricings, both pinned by goldens:
+
+        * per bucket (the default) — each ``"move"`` segment prices that
+          bucket's scan + ship + load + index rebuild on the nodes it touched,
+          and a trailing ``"concurrent_writes"`` segment prices the
+          replication overhead.  Chaos scaling applies per segment, so a
+          straggler window that opens mid-movement only slows the buckets
+          moved while it is active.
+        * per phase (``phase_priced``) — nodes work in parallel and the
+          slowest one's total sets the phase time, priced once after the
+          loop.  Per-bucket prices are *skipped* here, not computed and
+          dropped: pricing consults the chaos engine, whose windows announce
+          on first effect, so a dropped price would still move ``chaos.*``
+          events.
+        """
         assert self.plan is not None
         cost = self.cluster.cost
         partition_nodes = self._partition_nodes()
         mover = DataMover(self.runtime, partition_nodes)
         replicator = LogReplicator(self.runtime, self.plan, partition_nodes)
-        self._replicator = replicator
+        work = mover.work
+        chaos = getattr(self.cluster, "chaos", None)
 
         moves = list(self.plan.moves)
         # Open the log-replication channel for every moving bucket before any
@@ -308,45 +352,55 @@ class RebalanceOperation:
         for move in moves:
             self.runtime.partitions[move.destination_partition].receive_bucket(move.bucket, [])
         concurrent_rows = list(concurrent.rows) if concurrent is not None else []
-        # Interleave concurrent writes with bucket moves so the replicated
-        # records land while the movement is in flight, as they would online.
         writes_per_move = (
             max(1, len(concurrent_rows) // max(1, len(moves))) if concurrent_rows else 0
         )
-
-        def concurrent_write(row: Mapping[str, Any]) -> None:
-            self._concurrent_write(replicator, row)
 
         # Per-move tracing feed: probed once per phase, so untraced runs pay
         # one cached dict hit for the whole movement loop.
         bus = getattr(self.cluster, "events", None)
         trace_moves = bus is not None and bus.has_subscribers("rebalance.bucket_move")
 
+        per_node_totals: Dict[str, float] = {}
+
+        def charged(per_node: Dict[str, float]) -> float:
+            """Chaos-scale one window's node seconds, fold them into the
+            report totals, and return the slowest node's share."""
+            if chaos is not None:
+                per_node = dict(chaos.scale_node_seconds(per_node))
+            for node, seconds in per_node.items():
+                per_node_totals[node] = per_node_totals.get(node, 0.0) + seconds
+            return cost.slowest(per_node)
+
+        move_seconds = 0.0
         row_iter = iter(concurrent_rows)
-        for move in moves:
+        for index, move in enumerate(moves):
             self.faults.fire("nc_fail_before_prepare")
+            moved = mover.move_bucket(move)
             if trace_moves:
-                loaded_before = mover.work.total_loaded_bytes
-                moved_records = mover.move_bucket(move)
                 self._emit(
                     "rebalance.bucket_move",
                     bucket=move.bucket.label,
                     source=move.source_partition,
                     destination=move.destination_partition,
-                    records=moved_records,
-                    payload_bytes=mover.work.total_loaded_bytes - loaded_before,
+                    records=moved.records,
+                    payload_bytes=moved.payload_bytes,
                 )
-            else:
-                mover.move_bucket(move)
             for _ in range(writes_per_move):
                 row = next(row_iter, None)
                 if row is None:
                     break
-                concurrent_write(row)
+                self._concurrent_write(replicator, row)
+            if not phase_priced:
+                per_node = self._bucket_node_seconds(move, moved, partition_nodes)
+                segment = SimSegment(
+                    "move", charged(per_node) + cost.rpc_time(2), remaining=len(moves) - index - 1
+                )
+                move_seconds += segment.seconds
+                yield segment
         for row in row_iter:
-            concurrent_write(row)
+            self._concurrent_write(replicator, row)
 
-        work = mover.work
         report.records_moved = work.records_moved
         report.bytes_scanned = work.total_scanned_bytes
         report.bytes_shipped = work.total_shipped_bytes
@@ -354,10 +408,72 @@ class RebalanceOperation:
         report.concurrent_writes_applied = replicator.stats.concurrent_writes
         report.replicated_log_records = replicator.stats.replicated_records
 
-        # Per-node time: source scan + outbound network, destination load +
-        # inbound network, all partitions of a node working in parallel but
-        # sharing its network link; plus the cost of applying concurrent
-        # writes (they contend with the movement on the same nodes).
+        if phase_priced:
+            closing = self._phase_node_seconds(work, replicator, partition_nodes)
+        else:
+            # Trailing window: the CPU/network of applying the concurrent
+            # writes (they contend with the movement on the same nodes).
+            closing = {}
+            if replicator.stats.concurrent_writes:
+                involved = sorted(
+                    {
+                        partition_nodes[m.source_partition]
+                        for m in moves
+                        if m.source_partition is not None
+                    }
+                    | {partition_nodes[m.destination_partition] for m in moves}
+                ) or sorted(set(partition_nodes.values()))
+                parse_seconds = cost.parse_time(replicator.stats.concurrent_writes)
+                for node in involved:
+                    closing[node] = closing.get(node, 0.0) + parse_seconds / max(1, len(involved))
+                # Replication traffic shares the destination links.
+                replication_network = cost.network_time(replicator.stats.replicated_bytes)
+                received_nodes = sorted(work.received_bytes_by_node)
+                for node in received_nodes:
+                    closing[node] = closing.get(node, 0.0) + replication_network / max(
+                        1, len(received_nodes)
+                    )
+        # Either pricing closes the phase with one round trip to every node.
+        closing_seconds = charged(closing) + cost.rpc_time(self.cluster.num_nodes)
+        report.per_node_seconds = dict(per_node_totals)
+        if not phase_priced:
+            yield SimSegment("concurrent_writes", closing_seconds)
+        return move_seconds + closing_seconds
+
+    def _concurrent_write(self, replicator: LogReplicator, row: Mapping[str, Any]) -> None:
+        """Apply one concurrent write through the replication channel.
+
+        Publishes the per-write latency a client would observe mid-rehash:
+        the write is parsed and applied at its source, then its log record
+        crosses the network twice (ship + replication ack) before the extra
+        destination round trip acknowledges it — which is why writes are
+        slower while a rebalance is in flight (Figure 7c).
+        """
+        cost = self.cluster.cost
+        replicator.write(row)
+        row_bytes = estimate_value_size(dict(row))
+        self._emit(
+            "op.update",
+            latency_seconds=(
+                cost.parse_time(1)
+                + cost.network_time(2 * row_bytes)
+                + cost.rpc_time(3)
+            ),
+            records=1,
+            concurrent=True,
+        )
+
+    def _phase_node_seconds(
+        self, work: MovementWork, replicator: LogReplicator, partition_nodes: Mapping[int, str]
+    ) -> Dict[str, float]:
+        """Per-phase pricing: every node's total work for the whole movement.
+
+        Source scan + outbound network, destination load + inbound network,
+        all partitions of a node working in parallel but sharing its network
+        link; plus the cost of applying concurrent writes (they contend with
+        the movement on the same nodes).
+        """
+        cost = self.cluster.cost
         per_node: Dict[str, float] = {}
 
         def add(node: str, seconds: float) -> None:
@@ -383,230 +499,28 @@ class RebalanceOperation:
             # Replication traffic shares the destination links.
             for node, num_bytes in work.received_bytes_by_node.items():
                 add(node, replication_network / max(1, len(work.received_bytes_by_node)))
+        return per_node
 
-        chaos = getattr(self.cluster, "chaos", None)
-        if chaos is not None:
-            per_node = dict(chaos.scale_node_seconds(per_node))
-        report.per_node_seconds = dict(per_node)
-        return cost.slowest(per_node) + cost.rpc_time(self.cluster.num_nodes)
-
-    def _concurrent_write(self, replicator: LogReplicator, row: Mapping[str, Any]) -> None:
-        """Apply one concurrent write through the replication channel.
-
-        Publishes the per-write latency a client would observe mid-rehash:
-        the write is parsed and applied at its source, then its log record
-        crosses the network twice (ship + replication ack) before the extra
-        destination round trip acknowledges it — which is why writes are
-        slower while a rebalance is in flight (Figure 7c).
-        """
+    def _bucket_node_seconds(
+        self, move: BucketMove, moved: MovedBucket, partition_nodes: Mapping[int, str]
+    ) -> Dict[str, float]:
+        """Per-bucket pricing: what one move cost the (at most two) nodes it touched."""
         cost = self.cluster.cost
-        replicator.write(row)
-        row_bytes = estimate_value_size(dict(row))
-        self._emit(
-            "op.update",
-            latency_seconds=(
-                cost.parse_time(1)
-                + cost.network_time(2 * row_bytes)
-                + cost.rpc_time(3)
-            ),
-            records=1,
-            concurrent=True,
+        source = move.source_partition  # None for a bucket with no current home
+        source_node = None if source is None else partition_nodes[source]
+        destination_node = partition_nodes[move.destination_partition]
+        per_node: Dict[str, float] = {}
+        if source_node is not None:
+            per_node[source_node] = cost.disk_read_time(moved.scanned_bytes)
+        per_node[destination_node] = per_node.get(destination_node, 0.0) + (
+            cost.disk_write_time(moved.payload_bytes) + cost.compare_time(moved.records)
         )
-
-    # -- interleaved execution (repro.sim) ------------------------------------
-
-    def run_steps(
-        self, concurrent: Optional[ConcurrentWriteLoad] = None
-    ) -> Generator[SimSegment, None, RebalanceReport]:
-        """Generator twin of :meth:`run` for the discrete-event engine.
-
-        Each ``yield`` hands a :class:`~repro.sim.SimSegment` back to the
-        consuming actor: the initialization cost, then one segment per bucket
-        move (plus a trailing concurrent-write segment), then finalization.
-        Protocol state mutates *between* yields, so a scheduler can interleave
-        other actors — foreground reads, another dataset's movement — inside
-        the data-movement window while the source partitions still serve the
-        old directory.  The event sequence (names and payloads) matches
-        :meth:`run` exactly; only clock positions differ.  The committed or
-        aborted :class:`~repro.cluster.reports.RebalanceReport` is the
-        generator's return value, with ``simulated_seconds`` equal to the sum
-        of the yielded segments (so the metrics registry's overlap
-        reconciliation at ``rebalance.complete`` is a no-op).
-        """
-        report = RebalanceReport(
-            strategy=self.strategy_name,
-            dataset=self.dataset_name,
-            old_nodes=self.old_nodes,
-            new_nodes=self._target_node_count(),
-            committed=False,
-            simulated_seconds=0.0,
-        )
-        self._emit("rebalance.dataset.start", strategy=self.strategy_name)
-        try:
-            init_seconds = self._initialization_phase(report)
-            self._emit("rebalance.phase", phase="initialization", seconds=init_seconds)
-            yield SimSegment("initialization", init_seconds)
-            move_seconds = 0.0
-            for segment in self._data_movement_segments(report, concurrent):
-                move_seconds += segment.seconds
-                yield segment
-            self._emit("rebalance.phase", phase="data_movement", seconds=move_seconds)
-            final_seconds = self._finalization_phase(report)
-            self._emit("rebalance.phase", phase="finalization", seconds=final_seconds)
-            yield SimSegment("finalization", final_seconds)
-        except RebalanceAborted as aborted:
-            abort_seconds = self._abort(str(aborted))
-            report.abort_reason = str(aborted)
-            report.phase_seconds["abort"] = abort_seconds
-            report.simulated_seconds = sum(report.phase_seconds.values())
-            self._emit("rebalance.abort", reason=str(aborted))
-            self._emit("rebalance.dataset.complete", committed=False, report=report)
-            return report
-        report.committed = True
-        report.phase_seconds.update(
-            initialization=init_seconds, data_movement=move_seconds, finalization=final_seconds
-        )
-        report.simulated_seconds = init_seconds + move_seconds + final_seconds
-        self._emit("rebalance.dataset.complete", committed=True, report=report)
-        return report
-
-    def _data_movement_segments(
-        self, report: RebalanceReport, concurrent: Optional[ConcurrentWriteLoad]
-    ) -> Generator[SimSegment, None, None]:
-        """The data-movement phase sliced bucket-by-bucket.
-
-        Performs the same state mutations as :meth:`_data_movement_phase`
-        (same move order, same concurrent-write weaving, same events) but
-        charges time per bucket: each ``"move"`` segment prices that bucket's
-        scan + ship + load + index rebuild on the nodes it touched, and a
-        trailing ``"concurrent_writes"`` segment prices the replication
-        overhead that legacy accounting spreads over the whole phase.  Chaos
-        window scaling applies per segment, so a straggler window that opens
-        mid-movement only slows the buckets moved while it is active.
-        """
-        assert self.plan is not None
-        cost = self.cluster.cost
-        partition_nodes = self._partition_nodes()
-        mover = DataMover(self.runtime, partition_nodes)
-        replicator = LogReplicator(self.runtime, self.plan, partition_nodes)
-        self._replicator = replicator
-        work = mover.work
-        chaos = getattr(self.cluster, "chaos", None)
-
-        moves = list(self.plan.moves)
-        # Open the log-replication channel for every moving bucket before any
-        # data moves: concurrent writes may target a bucket whose scan has not
-        # started yet, and their replicated records must not be lost.
-        for move in moves:
-            self.runtime.partitions[move.destination_partition].receive_bucket(move.bucket, [])
-        concurrent_rows = list(concurrent.rows) if concurrent is not None else []
-        writes_per_move = (
-            max(1, len(concurrent_rows) // max(1, len(moves))) if concurrent_rows else 0
-        )
-
-        bus = getattr(self.cluster, "events", None)
-        trace_moves = bus is not None and bus.has_subscribers("rebalance.bucket_move")
-
-        per_node_totals: Dict[str, float] = {}
-
-        def charged(per_node: Dict[str, float]) -> Dict[str, float]:
-            """Chaos-scale one segment's node seconds and fold into the report totals."""
-            if chaos is not None:
-                per_node = dict(chaos.scale_node_seconds(per_node))
-            for node, seconds in per_node.items():
-                per_node_totals[node] = per_node_totals.get(node, 0.0) + seconds
-            return per_node
-
-        row_iter = iter(concurrent_rows)
-        for index, move in enumerate(moves):
-            self.faults.fire("nc_fail_before_prepare")
-            source = move.source_partition
-            destination = move.destination_partition
-            source_node = partition_nodes[source] if source is not None else None
-            destination_node = partition_nodes[destination]
-            scanned_before = (
-                work.scanned_bytes_by_partition.get(source, 0) if source is not None else 0
-            )
-            loaded_before = work.loaded_bytes_by_partition.get(destination, 0)
-            shipped_before = (
-                work.shipped_bytes_by_node.get(source_node, 0) if source_node is not None else 0
-            )
-            received_before = work.received_bytes_by_node.get(destination_node, 0)
-            total_loaded_before = work.total_loaded_bytes
-            moved_records = mover.move_bucket(move)
-            if trace_moves:
-                self._emit(
-                    "rebalance.bucket_move",
-                    bucket=move.bucket.label,
-                    source=source,
-                    destination=destination,
-                    records=moved_records,
-                    payload_bytes=work.total_loaded_bytes - total_loaded_before,
-                )
-            for _ in range(writes_per_move):
-                row = next(row_iter, None)
-                if row is None:
-                    break
-                self._concurrent_write(replicator, row)
-            per_node: Dict[str, float] = {}
-            if source is not None and source_node is not None:
-                per_node[source_node] = cost.disk_read_time(
-                    work.scanned_bytes_by_partition.get(source, 0) - scanned_before
-                )
-            per_node[destination_node] = per_node.get(destination_node, 0.0) + (
-                cost.disk_write_time(
-                    work.loaded_bytes_by_partition.get(destination, 0) - loaded_before
-                )
-                + cost.compare_time(moved_records)
-            )
-            if source_node is not None and source_node != destination_node:
-                per_node[source_node] += cost.network_time(
-                    work.shipped_bytes_by_node.get(source_node, 0) - shipped_before
-                )
-                per_node[destination_node] += cost.network_time(
-                    work.received_bytes_by_node.get(destination_node, 0) - received_before
-                )
-            yield SimSegment(
-                "move",
-                cost.slowest(charged(per_node)) + cost.rpc_time(2),
-                remaining=len(moves) - index - 1,
-            )
-        for row in row_iter:
-            self._concurrent_write(replicator, row)
-
-        report.records_moved = work.records_moved
-        report.bytes_scanned = work.total_scanned_bytes
-        report.bytes_shipped = work.total_shipped_bytes
-        report.bytes_loaded = work.total_loaded_bytes
-        report.concurrent_writes_applied = replicator.stats.concurrent_writes
-        report.replicated_log_records = replicator.stats.replicated_records
-
-        # Trailing segment: the CPU/network of applying the concurrent writes
-        # (they contend with the movement on the same nodes) plus the phase's
-        # closing round trip.
-        trailing: Dict[str, float] = {}
-        if replicator.stats.concurrent_writes:
-            involved = sorted(
-                {
-                    partition_nodes[m.source_partition]
-                    for m in moves
-                    if m.source_partition is not None
-                }
-                | {partition_nodes[m.destination_partition] for m in moves}
-            ) or sorted(set(partition_nodes.values()))
-            parse_seconds = cost.parse_time(replicator.stats.concurrent_writes)
-            for node in involved:
-                trailing[node] = trailing.get(node, 0.0) + parse_seconds / max(1, len(involved))
-            # Replication traffic shares the destination links.
-            replication_network = cost.network_time(replicator.stats.replicated_bytes)
-            received_nodes = sorted(work.received_bytes_by_node)
-            for node in received_nodes:
-                trailing[node] = trailing.get(node, 0.0) + replication_network / max(
-                    1, len(received_nodes)
-                )
-        trailing_seconds = cost.slowest(charged(trailing)) + cost.rpc_time(self.cluster.num_nodes)
-        report.per_node_seconds = dict(per_node_totals)
-        yield SimSegment("concurrent_writes", trailing_seconds)
+        if source_node is not None and source_node != destination_node:
+            # The payload crosses the source's outbound and the destination's
+            # inbound link; a same-node move never touches the network.
+            per_node[source_node] += cost.network_time(moved.payload_bytes)
+            per_node[destination_node] += cost.network_time(moved.payload_bytes)
+        return per_node
 
     # -- finalization ---------------------------------------------------------
 
@@ -622,20 +536,12 @@ class RebalanceOperation:
         for partition in self.runtime.partitions.values():
             partition.block()
         prepare_flush_by_node: Dict[str, float] = {}
-        try:
-            self.faults.fire("cc_fail_before_commit")
-            for pid, partition in self.runtime.partitions.items():
-                self.faults.fire("nc_fail_after_prepare")
-                flushed = partition.prepare_rebalance()
-                node = partition_nodes[pid]
-                prepare_flush_by_node[node] = prepare_flush_by_node.get(node, 0) + flushed
-        except FaultInjected as fault:
-            if fault.site == "nc_fail_after_prepare":
-                # Case 2's *abort* variant is exercised by aborting here when
-                # the recovering NC is told the operation did not commit; the
-                # commit variant is reached via cc_fail_after_commit.
-                raise
-            raise
+        self.faults.fire("cc_fail_before_commit")
+        for pid, partition in self.runtime.partitions.items():
+            self.faults.fire("nc_fail_after_prepare")
+            flushed = partition.prepare_rebalance()
+            node = partition_nodes[pid]
+            prepare_flush_by_node[node] = prepare_flush_by_node.get(node, 0) + flushed
 
         prepare_seconds_by_node = {
             node: cost.disk_write_time(b) for node, b in prepare_flush_by_node.items()
@@ -704,7 +610,7 @@ class RebalanceOperation:
 
 
 def apply_commit_to_runtime(
-    runtime: "DatasetRuntime", new_directory: GlobalDirectory, moves: Sequence[Any]
+    runtime: "DatasetRuntime", new_directory: GlobalDirectory, moves: Sequence[BucketMove]
 ) -> None:
     """The NC/CC commit tasks, shared between the live path and recovery.
 
@@ -715,16 +621,11 @@ def apply_commit_to_runtime(
     for partition in runtime.partitions.values():
         partition.install_received_buckets()
     for move in moves:
-        source = getattr(move, "source_partition", None)
-        bucket = getattr(move, "bucket", None)
-        if bucket is None and isinstance(move, dict):
-            bucket = move["bucket"]
-            source = move["source"]
-        if source is None:
+        if move.source_partition is None:
             continue
-        partition = runtime.partitions.get(source)
+        partition = runtime.partitions.get(move.source_partition)
         if partition is not None:
-            partition.cleanup_moved_bucket(bucket)
+            partition.cleanup_moved_bucket(move.bucket)
     runtime.global_directory = new_directory.copy()
     for partition in runtime.partitions.values():
         partition.unblock()

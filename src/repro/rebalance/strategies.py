@@ -31,14 +31,14 @@ from typing import (
 
 from ..common.config import BucketingConfig
 from ..common.errors import ConfigError
-from ..common.hashutil import hash64
+from ..common.hashutil import hash64, hash_key
 from ..hashing.bucket_id import ROOT_BUCKET
 from ..hashing.consistent import ConsistentHashRing
 from ..hashing.extendible import GlobalDirectory
 from ..hashing.static_bucket import static_buckets, static_directory
 from ..cluster.partition import StoragePartition
 from ..cluster.reports import ClusterRebalanceReport, RebalanceReport
-from ..sim import SimSegment
+from ..sim import SimSegment, drain
 from .operation import ConcurrentWriteLoad, FaultInjector, RebalanceOperation
 from .plan import RebalancePlan, plan_from_directories
 
@@ -78,43 +78,15 @@ class RebalancingStrategy:
         concurrent_rows: Optional[Mapping[str, Sequence[Mapping[str, Any]]]] = None,
         fault_injector: Optional[FaultInjector] = None,
     ) -> ClusterRebalanceReport:
-        """Resize the cluster to ``target_nodes``, rebalancing every dataset."""
-        old_nodes = cluster.num_nodes
-        if target_nodes == old_nodes and not cluster.dataset_names():
-            return ClusterRebalanceReport(self.name, old_nodes, target_nodes, 0.0)
-        if target_nodes > old_nodes:
-            cluster.provision_nodes(target_nodes)
-        target_partitions = [
-            pid
-            for node in cluster.nodes[:target_nodes]
-            for pid in node.partition_ids
-        ]
-        dataset_reports: List[RebalanceReport] = []
-        all_committed = True
-        for dataset_name in cluster.dataset_names():
-            load = None
-            if concurrent_rows and dataset_name in concurrent_rows:
-                load = ConcurrentWriteLoad(rows=concurrent_rows[dataset_name])
-            operation = RebalanceOperation(
-                cluster,
-                dataset_name,
-                target_partitions,
-                strategy_name=self.name,
-                plan=self.plan_for(cluster, dataset_name, target_partitions),
-                fault_injector=fault_injector or FaultInjector(),
-            )
-            report = operation.run(concurrent=load)
-            dataset_reports.append(report)
-            all_committed = all_committed and report.committed
-        if target_nodes < old_nodes and all_committed:
-            cluster.decommission_nodes(target_nodes)
-        return ClusterRebalanceReport(
-            strategy=self.name,
-            old_nodes=old_nodes,
-            new_nodes=cluster.num_nodes,
-            simulated_seconds=sum(report.simulated_seconds for report in dataset_reports),
-            dataset_reports=dataset_reports,
+        """Resize the cluster to ``target_nodes``, rebalancing every dataset.
+
+        This is :meth:`rebalance_cluster_steps` drained in place — override
+        that generator, not this method.
+        """
+        steps = self.rebalance_cluster_steps(
+            cluster, target_nodes, concurrent_rows, fault_injector, _phase_priced=True
         )
+        return drain(steps)
 
     def rebalance_cluster_steps(
         self,
@@ -122,15 +94,17 @@ class RebalancingStrategy:
         target_nodes: int,
         concurrent_rows: Optional[Mapping[str, Sequence[Mapping[str, Any]]]] = None,
         fault_injector: Optional[FaultInjector] = None,
+        *,
+        _phase_priced: bool = False,
     ) -> "Generator[SimSegment, None, ClusterRebalanceReport]":
-        """Generator twin of :meth:`rebalance_cluster` for the event scheduler.
+        """Resize the cluster to ``target_nodes`` as a protocol generator.
 
-        Delegates each dataset to
-        :meth:`~repro.rebalance.operation.RebalanceOperation.run_steps`, so
-        the consuming actor sees every bucket move as its own
-        :class:`~repro.sim.SimSegment` and other actors can interleave inside
-        the movement windows.  Provision/decommission bookkeeping and the
-        returned report are identical to the run-to-completion path.
+        The single override point for how a strategy rebalances: the cluster
+        calls it both under an event scheduler and, drained, for
+        run-to-completion resizes.  The base implementation runs
+        :meth:`~repro.rebalance.operation.RebalanceOperation.run_steps` per
+        dataset.  Overrides must accept the private ``_phase_priced`` keyword
+        and hand it on to whatever they delegate to.
         """
         old_nodes = cluster.num_nodes
         if target_nodes == old_nodes and not cluster.dataset_names():
@@ -156,7 +130,7 @@ class RebalancingStrategy:
                 plan=self.plan_for(cluster, dataset_name, target_partitions),
                 fault_injector=fault_injector or FaultInjector(),
             )
-            report = yield from operation.run_steps(concurrent=load)
+            report = yield from operation.run_steps(concurrent=load, _phase_priced=_phase_priced)
             dataset_reports.append(report)
             all_committed = all_committed and report.committed
         if target_nodes < old_nodes and all_committed:
@@ -195,11 +169,6 @@ class DynaHashStrategy(RebalancingStrategy):
         if self.max_bucket_bytes is not None:
             config = replace(config, max_bucket_bytes=self.max_bucket_bytes)
         return config
-
-    def initial_directory(
-        self, total_partitions: int, bucketing: BucketingConfig
-    ) -> GlobalDirectory:
-        return GlobalDirectory.initial(total_partitions, bucketing.initial_buckets_per_partition)
 
 
 class StaticHashStrategy(RebalancingStrategy):
@@ -286,13 +255,21 @@ class GlobalHashingStrategy(RebalancingStrategy):
         # which is a single never-splitting root bucket in our storage layer.
         return replace(base, static=True, initial_buckets_per_partition=1)
 
-    def rebalance_cluster(
+    def rebalance_cluster_steps(
         self,
         cluster: "SimulatedCluster",
         target_nodes: int,
         concurrent_rows: Optional[Mapping[str, Sequence[Mapping[str, Any]]]] = None,
         fault_injector: Optional[FaultInjector] = None,
-    ) -> ClusterRebalanceReport:
+        *,
+        _phase_priced: bool = False,
+    ) -> "Generator[SimSegment, None, ClusterRebalanceReport]":
+        """Rebuild every dataset offline, then yield the one window it took.
+
+        The baseline recreates every dataset in one shot — there is no
+        bucket-by-bucket protocol to slice (or for ``_phase_priced`` to
+        price), so consumers get a single ``offline_rebuild`` segment.
+        """
         if fault_injector is not None and fault_injector:
             raise ConfigError(
                 "the Hashing baseline rebuilds datasets offline and has no "
@@ -310,36 +287,17 @@ class GlobalHashingStrategy(RebalancingStrategy):
             dataset_reports.append(
                 self._rebalance_dataset(cluster, dataset_name, target_partitions, rows)
             )
-        cluster.decommission_nodes(target_nodes) if target_nodes < old_nodes else None
-        return ClusterRebalanceReport(
+        if target_nodes < old_nodes:
+            cluster.decommission_nodes(target_nodes)
+        cluster_report = ClusterRebalanceReport(
             strategy=self.name,
             old_nodes=old_nodes,
             new_nodes=cluster.num_nodes,
             simulated_seconds=sum(report.simulated_seconds for report in dataset_reports),
             dataset_reports=dataset_reports,
         )
-
-    def rebalance_cluster_steps(
-        self,
-        cluster: "SimulatedCluster",
-        target_nodes: int,
-        concurrent_rows: Optional[Mapping[str, Sequence[Mapping[str, Any]]]] = None,
-        fault_injector: Optional[FaultInjector] = None,
-    ) -> "Generator[SimSegment, None, ClusterRebalanceReport]":
-        """Coarse fallback: the offline rebuild has no interleaving points.
-
-        The baseline recreates every dataset in one shot (there is no
-        bucket-by-bucket protocol to slice), so the interleaved engine gets a
-        single ``offline_rebuild`` segment spanning the whole rebuild.
-        """
-        report = self.rebalance_cluster(
-            cluster,
-            target_nodes,
-            concurrent_rows=concurrent_rows,
-            fault_injector=fault_injector,
-        )
-        yield SimSegment("offline_rebuild", report.simulated_seconds)
-        return report
+        yield SimSegment("offline_rebuild", cluster_report.simulated_seconds)
+        return cluster_report
 
     def _rebalance_dataset(
         self,
@@ -389,7 +347,7 @@ class GlobalHashingStrategy(RebalancingStrategy):
             for entry in partition.scan_primary():
                 record = entry.value
                 key = entry.key
-                new_pid = target_partitions[hash_key_of(key) % num_new]
+                new_pid = target_partitions[hash_key(key) % num_new]
                 new_partitions[new_pid].insert(record, log=False)
                 new_node = cluster.node_of_partition(new_pid).node_id
                 loaded_records_by_partition[new_pid] = (
@@ -405,7 +363,7 @@ class GlobalHashingStrategy(RebalancingStrategy):
         # nothing in our model; it simply redoes them).
         for row in concurrent_rows:
             key = runtime.spec.primary_key_of(row)
-            new_pid = target_partitions[hash_key_of(key) % num_new]
+            new_pid = target_partitions[hash_key(key) % num_new]
             new_partitions[new_pid].insert(row, log=False)
             loaded_records_by_partition[new_pid] = loaded_records_by_partition.get(new_pid, 0) + 1
             records_moved += 1
@@ -470,13 +428,6 @@ class GlobalHashingStrategy(RebalancingStrategy):
         )
         report.phase_seconds = {"data_movement": report.simulated_seconds}
         return report
-
-
-def hash_key_of(key: Any) -> int:
-    """Hash a primary key for modulo partitioning (shared with the feed path)."""
-    from ..common.hashutil import hash_key
-
-    return hash_key(key)
 
 
 #: canonical name -> strategy factory.

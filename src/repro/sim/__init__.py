@@ -17,6 +17,7 @@ from .scheduler import (
     EventScheduler,
     SimSchedulerError,
     SimSegment,
+    drain,
     stream_rng,
 )
 
@@ -25,5 +26,6 @@ __all__ = [
     "EventScheduler",
     "SimSchedulerError",
     "SimSegment",
+    "drain",
     "stream_rng",
 ]

@@ -47,11 +47,13 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple, TypeVar
 
 from ..common.clock import SimulatedClock
 
-__all__ = ["Actor", "EventScheduler", "SimSchedulerError", "SimSegment", "stream_rng"]
+__all__ = ["Actor", "EventScheduler", "SimSchedulerError", "SimSegment", "drain", "stream_rng"]
+
+_T = TypeVar("_T")
 
 
 class SimSchedulerError(RuntimeError):
@@ -84,6 +86,20 @@ class SimSegment:
     kind: str
     seconds: float
     remaining: int = 0
+
+
+def drain(gen: "Generator[Any, Any, _T]") -> _T:
+    """Run a protocol generator to completion and return its ``return`` value.
+
+    Run-to-completion for the same generators the scheduler dispatches as
+    actors: yielded segments are discarded and no clock is touched, so the
+    caller stays the only thing charging simulated time.
+    """
+    try:
+        while True:
+            next(gen)
+    except StopIteration as done:
+        return done.value
 
 
 class Actor:

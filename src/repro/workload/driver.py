@@ -27,22 +27,25 @@ resize, respecting the paper's Section V-A concurrency control:
   movement would be lost when the moved bucket is cleaned up at commit.
   Deletes drawn during a rebalance phase are downgraded to upserts because
   the replication channel carries upserting log records only.
-* *Reads and scans* execute inside ``rebalance.phase`` event callbacks, i.e.
-  genuinely **while** the operation is between protocol phases: the old
-  directory is still live and the source partitions still serve every moved
-  bucket until the commit point, exactly as the protocol promises.
+* *Reads and scans* execute genuinely **while** the operation is between
+  protocol steps: the old directory is still live and the source partitions
+  still serve every moved bucket until the commit point, exactly as the
+  protocol promises.
 
-When the driver is handed an :class:`~repro.sim.EventScheduler`
-(``scheduler=``, what ``concurrency = "interleaved"`` in a scenario spec
-selects), the rebalance phase runs as a scheduler actor instead: the protocol
-is consumed segment by segment through :meth:`Database.rebalance_steps`, and
-the foreground reads/scans are paced evenly across the bucket-move windows —
-every move yields the clock back to the driver, not just the two legacy
-callback points.  Both engines draw the phase plan from the same RNG in the
-same order (see :meth:`WorkloadDriver._draw_rebalance_plan`), so interleaving
-changes *when* ops execute but never *which* ops — final dataset contents and
-per-verb counts are engine-independent, which the differential test harness
-pins.
+One runner (:meth:`WorkloadDriver._run_rebalance_phase`) serves both engines:
+it consumes the protocol segment by segment through
+:meth:`Database.rebalance_steps` and after each segment runs the quota of
+queued reads/scans that kind of window is granted.  Without a scheduler the
+generator is drained inline — the clock does not move between segments, and
+the reads land half after initialization and the rest after data movement.
+Handed an :class:`~repro.sim.EventScheduler` (``scheduler=``, what
+``concurrency = "interleaved"`` in a scenario spec selects), the same
+generator is spawned as an actor and every bucket move yields the clock back
+to the driver, which paces the reads evenly across the move windows.  Both
+engines draw the phase plan from the same RNG in the same order (see
+:meth:`WorkloadDriver._draw_rebalance_plan`), so interleaving changes *when*
+ops execute but never *which* ops — final dataset contents and per-verb counts
+are engine-independent, which the differential test harness pins.
 
 Autopilot
 ---------
@@ -61,6 +64,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING, Union
 
 from ..metrics import MetricsSnapshot, PHASE_REBALANCE, PHASE_STEADY
+from ..sim import drain
 from .keygen import (
     DISTRIBUTIONS,
     KeyGenerator,
@@ -230,8 +234,9 @@ class WorkloadDriver:
             raise ValueError("pass either a WorkloadSpec or keyword overrides, not both")
         self.db = db
         #: When set, rebalance phases run interleaved on this event scheduler
-        #: (the ``concurrency = "interleaved"`` engine); None keeps the legacy
-        #: run-to-completion path, bit-identical to pre-scheduler recordings.
+        #: (the ``concurrency = "interleaved"`` engine); None drains the same
+        #: protocol generator inline — the legacy run-to-completion schedule,
+        #: bit-identical to pre-scheduler recordings.
         self.scheduler = scheduler
         self.spec = spec or WorkloadSpec(**spec_overrides)
         #: Every stochastic choice (op draws, key draws, batch jitter) comes
@@ -638,10 +643,31 @@ class WorkloadDriver:
                 if record is not None:
                     result.reads_found += 1
 
+    def _foreground_quota(self, segment: Any, pending: int) -> int:
+        """How many queued foreground ops run in the window ``segment`` opened.
+
+        Every window granted is genuinely mid-rebalance: the directory swap
+        and bucket cleanup happen at commit, so the sources still serve
+        (finalization yields after the commit and gets nothing).  Interleaved
+        runs spread the ops evenly over the bucket moves; legacy runs see the
+        movement as one window, so half the ops run before it and half after.
+        """
+        kind = getattr(segment, "kind", None)
+        if kind == "move":
+            return -(-pending // (segment.remaining + 1))
+        if kind in ("concurrent_writes", "data_movement"):
+            return pending
+        if kind == "initialization" and self.scheduler is None:
+            return (pending + 1) // 2
+        return 0
+
     def _run_rebalance_phase(self, phase: Phase) -> PhaseResult:
+        """One rebalance phase: the protocol generator plus foreground windows.
+
+        Strategies that open no window (the offline ``Hashing`` baseline,
+        aborted runs) fall through to the post-protocol drain.
+        """
         assert phase.rebalance is not None
-        if self.scheduler is not None:
-            return self._run_rebalance_phase_interleaved(phase)
         mix = make_mix(phase.mix) if phase.mix is not None else self._mix
         keys = self._phase_keys(phase)
         result = PhaseResult(name=phase.name)
@@ -649,82 +675,31 @@ class WorkloadDriver:
         write_rows, foreground = self._draw_rebalance_plan(phase, mix, keys, result)
         pending = list(foreground)
 
-        def on_protocol_phase(event: Any) -> None:
-            # Run half the foreground ops after initialization and the rest
-            # after data movement — both points are genuinely mid-rebalance
-            # (the directory swap and bucket cleanup happen at commit, so the
-            # sources still serve; finalization fires after the commit).
-            if event.get("phase") == "initialization":
-                self._run_rebalance_foreground(pending, (len(pending) + 1) // 2, result)
-            elif event.get("phase") == "data_movement":
-                self._run_rebalance_foreground(pending, len(pending), result)
-
-        subscription = self.db.on("rebalance.phase", on_protocol_phase)
-        try:
+        def protocol() -> Any:
             # Phase-scheduled rebalances are exempt from chaos crash plans
             # (like autopilot ones): scheduled kills target the scenario's
             # explicit rebalance steps, which can pair with a recover step.
-            result.rebalance_report = self.db.rebalance(
+            result.rebalance_report = yield from self.db.rebalance_steps(
                 **dict(phase.rebalance),
                 concurrent_rows={self.spec.dataset: write_rows} if write_rows else None,
                 arm_chaos=False,
+                _phase_priced=self.scheduler is None,
             )
-        finally:
-            subscription.cancel()
-        # Foreground ops the protocol produced no window for (e.g. a strategy
-        # that emits no phase events) still execute, tagged with the phase the
-        # registry is in by then.
-        self._run_rebalance_foreground(pending, len(pending), result)
-        return result
-
-    def _run_rebalance_phase_interleaved(self, phase: Phase) -> PhaseResult:
-        """The rebalance phase as an event-scheduler actor.
-
-        The protocol is consumed segment by segment through
-        :meth:`~repro.api.database.Database.rebalance_steps`; after each
-        bucket-move window the actor runs an even quota of the queued
-        foreground reads/scans (``ceil(pending / (remaining_moves + 1))``),
-        and drains the rest inside the trailing concurrent-writes window —
-        the last interleavable point before the commit swaps the directory.
-        Strategies with no interleavable windows (the offline ``Hashing``
-        baseline, aborted runs) fall through to the post-protocol drain,
-        mirroring the legacy no-phase-events path.
-        """
-        assert phase.rebalance is not None and self.scheduler is not None
-        mix = make_mix(phase.mix) if phase.mix is not None else self._mix
-        keys = self._phase_keys(phase)
-        result = PhaseResult(name=phase.name)
-        self._flush_inserts()
-        write_rows, foreground = self._draw_rebalance_plan(phase, mix, keys, result)
-        pending = list(foreground)
-        scheduler = self.scheduler
 
         def rebalance_actor() -> Any:
-            steps = self.db.rebalance_steps(
-                **dict(phase.rebalance),
-                concurrent_rows={self.spec.dataset: write_rows} if write_rows else None,
-                arm_chaos=False,
-            )
-            try:
-                segment = next(steps)
-                while True:
-                    # Charge the protocol segment to the shared timeline; the
-                    # scheduler re-dispatches this actor once the clock
-                    # reaches the end of the window.
-                    yield segment
-                    kind = getattr(segment, "kind", None)
-                    if kind == "move" and pending:
-                        windows = getattr(segment, "remaining", 0) + 1
-                        quota = -(-len(pending) // windows)
-                        self._run_rebalance_foreground(pending, quota, result)
-                    elif kind == "concurrent_writes":
-                        self._run_rebalance_foreground(pending, len(pending), result)
-                    segment = next(steps)
-            except StopIteration as done:
-                result.rebalance_report = done.value
+            for segment in protocol():
+                # Under a scheduler this charges the segment to the shared
+                # timeline and resumes at the end of the window; drained, it
+                # is a no-op.
+                yield segment
+                quota = self._foreground_quota(segment, len(pending))
+                self._run_rebalance_foreground(pending, quota, result)
 
-        scheduler.spawn(f"rebalance:{phase.name}", rebalance_actor())
-        scheduler.run()
+        if self.scheduler is not None:
+            self.scheduler.spawn(f"rebalance:{phase.name}", rebalance_actor())
+            self.scheduler.run()
+        else:
+            drain(rebalance_actor())
         # Foreground ops the protocol produced no window for still execute,
         # tagged with the phase the registry is in by then.
         self._run_rebalance_foreground(pending, len(pending), result)

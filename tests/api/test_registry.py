@@ -82,6 +82,39 @@ class TestResolveStrategy:
         with pytest.raises(ConfigError):
             resolve_strategy(object())
 
+    def test_run_to_completion_only_strategies_rejected_up_front(self):
+        """The cluster only ever calls the ``rebalance_cluster_steps`` generator
+        (drained for run-to-completion), so a strategy that supplies just
+        ``rebalance_cluster`` must fail at resolution, naming the hook —
+        not with an AttributeError mid-run, and not by being silently bypassed."""
+
+        class DuckTyped:
+            def rebalance_cluster(self, cluster, target_nodes, **kwargs):
+                raise AssertionError("never called")
+
+        class LegacyOverride(DynaHashStrategy):
+            def rebalance_cluster(self, cluster, target_nodes, **kwargs):
+                raise AssertionError("never called")
+
+        for strategy in (DuckTyped(), LegacyOverride()):
+            with pytest.raises(ConfigError, match="rebalance_cluster_steps"):
+                resolve_strategy(strategy)
+
+    def test_generator_overrides_accepted(self):
+        class StepsOnly(DynaHashStrategy):
+            def rebalance_cluster_steps(self, cluster, target_nodes, **kwargs):
+                return (yield from super().rebalance_cluster_steps(cluster, target_nodes, **kwargs))
+
+        class Both(DynaHashStrategy):
+            def rebalance_cluster_steps(self, cluster, target_nodes, **kwargs):
+                return (yield from super().rebalance_cluster_steps(cluster, target_nodes, **kwargs))
+
+            def rebalance_cluster(self, cluster, target_nodes, **kwargs):
+                return super().rebalance_cluster(cluster, target_nodes, **kwargs)
+
+        for strategy in (StepsOnly(), Both(), GlobalHashingStrategy()):
+            assert resolve_strategy(strategy) is strategy
+
 
 class TestCustomRegistration:
     def test_register_and_resolve_custom_strategy(self):

@@ -58,3 +58,15 @@ def test_regen_goldens_covers_the_entire_inventory():
     assert not missing, (
         f"goldens scripts/regen_goldens.py cannot regenerate: {sorted(missing)}"
     )
+
+
+def test_stale_goldens_report_the_head_of_their_diff():
+    module = _load_regen_module()
+    committed = "".join(f'"counter_{i}": {i},\n' for i in range(200))
+    regenerated = committed.replace('"counter_7": 7,', '"counter_7": 8,')
+    head = module.diff_head(committed, regenerated, "tests/x.json")
+    assert '-"counter_7": 7,' in head and '+"counter_7": 8,' in head
+    assert "tests/x.json (committed)" in head
+    # Capped: a wholesale rewrite prints only the head.
+    rewritten = module.diff_head(committed, committed.replace("counter", "gauge"), "tests/x.json")
+    assert len(rewritten.splitlines()) == 20

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.clock import SimulatedClock
-from repro.sim import Actor, EventScheduler, SimSchedulerError, SimSegment, stream_rng
+from repro.sim import Actor, EventScheduler, SimSchedulerError, SimSegment, drain, stream_rng
 
 # Non-negative, finite simulated durations.  Bounded so sums stay exact
 # enough for monotonicity comparisons.
@@ -210,6 +210,42 @@ class TestYieldProtocol:
         assert isinstance(actor, Actor)
         scheduler.run()
         assert actor.finished and actor.result == "done"
+
+
+class TestDrainHelper:
+    """``drain(gen)``: run-to-completion of a protocol generator, off the clock."""
+
+    def test_returns_the_generators_return_value(self):
+        assert drain(scripted_actor([1.0, SimSegment("move", 2.0), None])) == 3
+        assert drain(scripted_actor([])) == 0
+
+    def test_exceptions_propagate_from_the_point_they_were_raised(self):
+        reached = []
+
+        def worker():
+            reached.append("first")
+            yield 1.0
+            reached.append("second")
+            raise ValueError("boom")
+            yield 2.0  # pragma: no cover - unreachable
+
+        with pytest.raises(ValueError, match="boom"):
+            drain(worker())
+        assert reached == ["first", "second"]
+
+    def test_never_touches_a_clock(self):
+        scheduler = EventScheduler()
+        scheduler.clock.advance(5.0)
+
+        def worker():
+            yield SimSegment("move", 2.5)
+            yield 1.5
+            return scheduler.clock.now
+
+        # Segments are discarded, not charged: the same generator spawned on
+        # the scheduler would have advanced the clock by 4 seconds.
+        assert drain(worker()) == 5.0
+        assert scheduler.clock.now == 5.0 and scheduler.pending == 0
 
 
 class TestStreamRng:
