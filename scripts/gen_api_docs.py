@@ -4,7 +4,11 @@
 The reference is *derived*, never hand-edited: every symbol in
 ``repro.api.__all__`` and ``repro.scenario.__all__`` gets a section built
 from its signature and docstring, so the docs cannot list a symbol that no
-longer exists, and a new public symbol without a docs entry fails CI.
+longer exists, and a new public symbol without a docs entry fails CI.  The
+``repro.scenario`` page also carries the *spec key reference*: one row per key
+a scenario document may carry, rendered from the same field declarations the
+validator walks (``repro.scenario.spec``), so the table cannot drift from what
+``ScenarioSpec.from_mapping`` accepts.
 
 Usage::
 
@@ -85,7 +89,13 @@ def _docstring_block(obj: object) -> List[str]:
 
 def _public_methods(cls: type) -> List[str]:
     lines: List[str] = []
-    for method_name, member in sorted(vars(cls).items()):
+    # A private base class has no entry of its own, so what it gives the
+    # class (every spec section's from_mapping/to_mapping) is listed here.
+    members = {}
+    for base in reversed(cls.__mro__):
+        if base is cls or base.__name__.startswith("_"):
+            members.update(vars(base))
+    for method_name, member in sorted(members.items()):
         if method_name.startswith("_"):
             continue
         if isinstance(member, property):
@@ -169,6 +179,55 @@ def render_module(module_name: str) -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
+def _spec_key_rows(keys, path: str):
+    """``(section path, key, declaration)`` for ``keys`` and everything nested
+    under them, in canonical order; array sections are written ``path[]``."""
+    from repro.scenario.spec import _keys
+
+    for name, key in keys.items():
+        yield path, name, key
+        child = f"{path}.{name}" if path else name
+        if key.kind.keys is not None:
+            yield from _spec_key_rows(key.kind.keys, child)
+        for cls in key.kind.classes:
+            tag = "[]" if key.kind.many else ""
+            if len(key.kind.classes) > 1:
+                tag += f' (kind = "{cls.kind}")'
+            yield from _spec_key_rows(_keys(cls), child + tag)
+
+
+def render_spec_keys() -> str:
+    """The "Spec key reference" table appended to the ``repro.scenario`` page."""
+    from repro.scenario import ScenarioSpec
+
+    header, body = ScenarioSpec._header_and_body()
+    rows = [*_spec_key_rows(header, "scenario"), *_spec_key_rows(body, "")]
+    lines = [
+        "## Spec key reference",
+        "",
+        f"{len(rows)} keys, from the field declarations in `repro.scenario.spec` — the "
+        "same ones `ScenarioSpec.from_mapping` validates against.  A key with no "
+        "default is required; `[]` marks an array of tables (`[[...]]` in TOML); "
+        "a `[[steps]]` entry has the keys of its `kind` (`recover` has none).",
+        "",
+        "| section | key | type | default | required | allowed values |",
+        "|---|---|---|---|---|---|",
+    ]
+    for path, name, key in rows:
+        if key.required:
+            default = ""
+        elif key.kind.classes or key.default is None:
+            default = "—"
+        else:
+            default = f"`{key.kind.emit(key.default)!r}`"
+        allowed = ", ".join(f"`{choice}`" for choice in key.kind.allowed())
+        lines.append(
+            f"| `{path or '(top level)'}` | `{name}` | {key.kind.label} | {default} "
+            f"| {'yes' if key.required else ''} | {allowed} |"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def render_index() -> str:
     lines = [
         "# API reference",
@@ -193,6 +252,7 @@ def render_index() -> str:
 def generate() -> Dict[str, str]:
     """filename -> content for every page the reference consists of."""
     pages = {f"{module_name}.md": render_module(module_name) for module_name in MODULES}
+    pages["repro.scenario.md"] += "\n" + render_spec_keys()
     pages["index.md"] = render_index()
     return pages
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import ast
 import re
+import tomllib
 from typing import FrozenSet, List, Optional, Set, Tuple
 
 from .context import FileContext
@@ -165,11 +166,9 @@ def _key_line(text: str, key: str, value: str) -> int:
 
 def check_toml(relpath: str, text: str) -> List[Violation]:
     """Validate strategy/policy keys of one committed scenario spec."""
-    from ..scenario._toml import TOMLParseError, parse_toml
-
     try:
-        document = parse_toml(text)
-    except TOMLParseError:
+        document = tomllib.loads(text)
+    except tomllib.TOMLDecodeError:
         return []  # not a scenario spec (or covered by the spec test suite)
     found: List[Violation] = []
     cluster = document.get("cluster")

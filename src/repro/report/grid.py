@@ -80,9 +80,9 @@ def parse_axis_arg(argument: str) -> Axis:
         raise ScenarioSpecError(f"--axis {argument!r}: an axis needs at least one value")
     where = f"--axis {name}"
     SweepSection.validate_axis_name(name, where)
-    # Reuse the section's registry-backed value checks (strategies, seeds,
-    # policies) so a typo'd CLI value fails before any cell runs.
-    SweepSection(axes=((name, values),))._validate_values()
+    # Reuse the section's alias-axis value checks (each value must parse as
+    # the key the alias names) so a typo'd CLI value fails before any cell runs.
+    SweepSection(axes=((name, values),))._validate("sweep")
     return name, values
 
 

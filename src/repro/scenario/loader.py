@@ -11,10 +11,10 @@ traceback.
 from __future__ import annotations
 
 import json
+import tomllib
 from pathlib import Path
 from typing import Any, Dict, Union
 
-from ._toml import TOMLParseError, parse_toml
 from .spec import ScenarioSpec, ScenarioSpecError
 
 __all__ = ["load_scenario", "parse_scenario"]
@@ -24,8 +24,8 @@ def parse_scenario(text: str, format: str = "toml", source: str = "<string>") ->
     """Parse scenario ``text`` in the given format (``"toml"`` or ``"json"``)."""
     if format == "toml":
         try:
-            document: Dict[str, Any] = parse_toml(text)
-        except TOMLParseError as exc:
+            document: Dict[str, Any] = tomllib.loads(text)
+        except tomllib.TOMLDecodeError as exc:
             raise ScenarioSpecError(f"{source}: invalid TOML: {exc}") from exc
     elif format == "json":
         try:

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from .spec import QueryStep, RebalanceStep, RecoverStep, ScenarioSpec
+from ..common.errors import ConfigError, UnknownDatasetError
+from .spec import QueryStep, RebalanceStep, RecoverStep, ScenarioSpec, ScenarioSpecError
 
 __all__ = ["CheckResult", "ScenarioResult", "StepOutcome", "run_scenario"]
 
@@ -216,8 +217,7 @@ def run_scenario(
     from ..api import Database, FaultInjected, WorkloadDriver, load_tpch
     from ..api import SecondaryIndexSpec as APISecondaryIndexSpec
     from ..sim import EventScheduler
-    from ..tpch.queries import q1_plan, q3_plan, q6_plan
-    from ..tpch.workload import DEFAULT_TABLES
+    from ..tpch import DEFAULT_TABLES, REAL_PLANS
 
     spec = spec.with_overrides(seed=seed, strategy=strategy, concurrency=concurrency)
     config = spec.cluster.build_config()
@@ -315,7 +315,14 @@ def run_scenario(
                 else None
             )
             driver = WorkloadDriver(db, spec.workload.build_spec(), scheduler=scheduler)
-            report = driver.run()
+            try:
+                report = driver.run()
+            except ConfigError as exc:
+                # What a validated workload can still get wrong depends on the
+                # live cluster: the phase-scheduled resize (at most one).
+                resizing = [i for i, p in enumerate(spec.workload.phases) if p.rebalance]
+                where = f"workload.phases[{resizing[0]}]" if resizing else "workload"
+                raise ScenarioSpecError(f"{where}: {exc}") from exc
             result.workload_summary = report.summary()
             result.total_ops = report.total_ops
             result.simulated_seconds = report.simulated_seconds
@@ -325,24 +332,21 @@ def run_scenario(
 
         counts_before_steps = {name: db[name].count() for name in db.dataset_names()}
 
-        plans = {"q1": q1_plan, "q3": q3_plan, "q6": q6_plan}
         query_results: Dict[str, List[Any]] = {}
         rebalance_seen = False
         queries_before_rebalance: Dict[str, Any] = {}
         queries_after_rebalance: Dict[str, Any] = {}
-        for step in spec.steps:
+        for position, step in enumerate(spec.steps):
             if isinstance(step, RebalanceStep):
-                kwargs: Dict[str, Any] = {}
-                if step.add is not None:
-                    kwargs["add"] = step.add
-                if step.remove is not None:
-                    kwargs["remove"] = step.remove
-                if step.target_nodes is not None:
-                    kwargs["target_nodes"] = step.target_nodes
+                kwargs: Dict[str, Any] = step.resize_kwargs()
                 if step.fault_sites:
                     kwargs["fault_sites"] = list(step.fault_sites)
                 try:
                     report = db.rebalance(**kwargs)
+                except ConfigError as exc:
+                    # Whether a resize fits depends on the live cluster size
+                    # (``remove = 10`` on 4 nodes): a spec error, located.
+                    raise ScenarioSpecError(f"steps[{position}]: {exc}") from exc
                 except FaultInjected as fault:
                     if step.expect_fault:
                         result.step_outcomes.append(
@@ -403,7 +407,11 @@ def run_scenario(
                     if recovered is not None:
                         result.recovery_seconds = recovered
             elif isinstance(step, QueryStep):
-                answer, report = db.execute(step.plan, plans[step.plan]())
+                try:
+                    answer, report = db.execute(step.plan, REAL_PLANS[step.plan]())
+                except UnknownDatasetError as exc:
+                    # The plan reads a table ``tpch.tables`` left out.
+                    raise ScenarioSpecError(f"steps[{position}]: {exc}") from exc
                 query_results.setdefault(step.plan, []).append(answer)
                 target = queries_after_rebalance if rebalance_seen else queries_before_rebalance
                 target.setdefault(step.plan, answer)

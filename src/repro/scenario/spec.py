@@ -10,6 +10,16 @@ the existing :class:`~repro.api.Database` / :class:`~repro.api.WorkloadDriver`
 / :class:`~repro.api.Autopilot` APIs, so a spec file is exactly as powerful —
 and exactly as deterministic — as the Python it replaces.
 
+One declaration per key
+-----------------------
+Every key a document may carry is declared once, as a dataclass field of its
+section built with :func:`_key`: a *kind* (how the value is read, bounded,
+resolved against a live registry and written back), a default (none = the key
+is required) and whether the canonical form always emits it.  One generic
+walk (:func:`_parse_keys` / :func:`_emit_keys`) serves every section, the
+sweep's alias axes and the key reference in ``docs/api/repro.scenario.md``;
+rules spanning several keys stay code, in the section's ``_validate`` hook.
+
 Validation philosophy
 ---------------------
 Specs are parsed *strictly*: unknown sections and unknown keys are errors
@@ -28,15 +38,27 @@ file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING, Union
+import dataclasses
+import functools
+from dataclasses import MISSING, dataclass, replace
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type, TypeVar
+from typing import Union
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..chaos import CrashPlan, LoadWindow, PartitionWindow, RetryPolicy, StragglerWindow
-
+from ..api.registry import available_strategies, strategy_by_name
+from ..chaos import CrashPlan, LoadWindow, PartitionWindow, RetryPolicy, StragglerWindow
 from ..common.config import BucketingConfig, ClusterConfig, CostModelConfig, LSMConfig
 from ..common.errors import ConfigError
 from ..common.units import GIB, KIB, MIB
+from ..control import available_policies, resolve_policy
+from ..metrics import PHASE_REBALANCE, PHASE_STEADY
+from ..rebalance.operation import FAULT_SITES
+from ..tpch import REAL_PLANS, TABLES_BY_NAME
+from ..workload.driver import WorkloadSpec
+from ..workload.keygen import DISTRIBUTIONS
+from ..workload.mixes import OPERATIONS, YCSB_MIXES, OperationMix
+from ..workload.schedule import Phase, Schedule
+
+_S = TypeVar("_S")
 
 __all__ = [
     "AutopilotSection",
@@ -93,7 +115,7 @@ def parse_bytes(value: Any, where: str = "value") -> int:
                 number = text[: len(text) - len(unit)].strip()
                 try:
                     return int(float(number) * _BYTE_UNITS[unit])
-                except ValueError:
+                except (ValueError, OverflowError):
                     break
         try:
             return int(text)
@@ -110,66 +132,298 @@ def _require_mapping(value: Any, where: str) -> Mapping[str, Any]:
     return value
 
 
-def _check_keys(
-    mapping: Mapping[str, Any],
-    where: str,
-    allowed: Sequence[str],
-    required: Sequence[str] = (),
-) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ScenarioSpecError(
-            f"{where}: unknown key(s) {unknown}; allowed keys: {sorted(allowed)}"
-        )
-    missing = sorted(set(required) - set(mapping))
-    if missing:
-        raise ScenarioSpecError(f"{where}: missing required key(s) {missing}")
+# ---------------------------------------------------------------------------
+# key kinds: how one key's value is read, checked and written back
+# ---------------------------------------------------------------------------
 
 
-def _get_typed(
-    mapping: Mapping[str, Any],
-    key: str,
-    types: "type | Tuple[type, ...]",
-    where: str,
-    default: Any = None,
-) -> Any:
-    if key not in mapping:
-        return default
-    value = mapping[key]
-    if isinstance(value, bool) and bool not in (
-        types if isinstance(types, tuple) else (types,)
-    ):
-        raise ScenarioSpecError(
-            f"{where}.{key}: expected {_type_names(types)}, got a boolean"
-        )
-    if not isinstance(value, types):
-        raise ScenarioSpecError(
-            f"{where}.{key}: expected {_type_names(types)}, got {type(value).__name__}"
-        )
+def _as_is(value: Any, where: str = "") -> Any:
     return value
 
 
-def _type_names(types: "type | Tuple[type, ...]") -> str:
-    if isinstance(types, tuple):
-        return " or ".join(t.__name__ for t in types)
-    return types.__name__
+@dataclass(frozen=True)
+class _Kind:
+    """How one spec key is parsed from a document and emitted back."""
+
+    #: The "type" column of the generated key reference.
+    label: str = "value"
+    parse: Callable[[Any, str], Any] = _as_is
+    emit: Callable[[Any], Any] = _as_is
+    #: Registry names for the reference's "allowed values" column, read live.
+    allowed: Callable[[], Sequence[str]] = tuple
+    #: The declared keys of a table kind.
+    keys: Optional[Mapping[str, "_Key"]] = None
+    #: The section class(es) of a nested table or (``many``) an array of them.
+    classes: Tuple[type, ...] = ()
+    many: bool = False
 
 
-def _string_tuple(value: Any, where: str) -> Tuple[str, ...]:
-    if isinstance(value, str):
-        return (value,)
-    if isinstance(value, Sequence) and all(isinstance(item, str) for item in value):
+def _scalar(
+    *types: type,
+    minimum: Optional[float] = None,
+    positive: bool = False,
+    complaint: str = "",
+    nonempty: bool = False,
+) -> _Kind:
+    """An int / number / str / bool (a bool never passes for an int),
+    optionally bounded below; ``complaint`` replaces the type/bound wording
+    (``"seeds must be integers"``)."""
+    name = "number" if float in types else types[0].__name__
+    bound = "positive" if positive else f"at least {minimum:g}" if minimum else "non-negative"
+
+    def parse(value: Any, where: str) -> Any:
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            got = "a boolean" if isinstance(value, bool) else type(value).__name__
+            problem = f"expected {' or '.join(t.__name__ for t in types)}, got {got}"
+        elif (positive and value <= 0) or (minimum is not None and value < minimum):
+            problem = f"must be {bound}, got {value!r}"
+        elif nonempty and not value:
+            problem = "must not be empty"
+        else:
+            return float(value) if float in types else value
+        raise ScenarioSpecError(
+            f"{where}: " + (f"{complaint}, got {value!r}" if complaint else problem)
+        )
+
+    return _Kind(f"{name}, {bound}" if positive or minimum is not None else name, parse)
+
+
+_ANY = _Kind()
+_STR = _scalar(str)
+_INT = _scalar(int)
+_BOOL = _scalar(bool)
+_POSITIVE_INT = _scalar(int, minimum=1)
+_SECONDS = _scalar(int, float, minimum=0)
+_POSITIVE = _scalar(int, float, positive=True)
+_BYTES = _Kind('byte size (int or "32 KiB")', parse_bytes)
+
+
+def _choice(
+    message: str,
+    choices: Callable[[], Sequence[str]],
+    accepts: Optional[Callable[[str], bool]] = None,
+) -> _Kind:
+    """A string resolved against a registry that is read when a spec is parsed."""
+
+    def parse(value: Any, where: str) -> str:
+        _STR.parse(value, where)
+        if not (accepts(value) if accepts else value in choices()):
+            raise ScenarioSpecError(
+                f"{where}: " + message.format(value=value, choices=", ".join(choices()))
+            )
+        return value
+
+    return _Kind("str", parse, allowed=choices)
+
+
+def _strings(
+    message: str = "",
+    choices: Callable[[], Sequence[str]] = tuple,
+    scalar_if_single: bool = False,
+    nonempty: bool = False,
+) -> _Kind:
+    """A string or a list of strings, kept as a tuple; with ``message``, each
+    must be one of the registry names ``choices()``."""
+
+    def parse(value: Any, where: str) -> Tuple[str, ...]:
+        if isinstance(value, str):
+            value = (value,)
+        if not isinstance(value, Sequence) or not all(isinstance(item, str) for item in value):
+            raise ScenarioSpecError(f"{where}: expected a string or a list of strings")
+        if nonempty and not value:
+            raise ScenarioSpecError(f"{where}: must not be empty")
+        unknown = sorted(set(value) - set(choices())) if message else []
+        if unknown:
+            raise ScenarioSpecError(
+                f"{where}: " + message.format(unknown=unknown, choices=", ".join(choices()))
+            )
         return tuple(value)
-    raise ScenarioSpecError(f"{where}: expected a string or a list of strings")
+
+    def emit(value: Tuple[str, ...]) -> Any:
+        return value[0] if scalar_if_single and len(value) == 1 else list(value)
+
+    return _Kind("str or list of str", parse, emit, allowed=choices)
 
 
-def _drop_defaults(mapping: Dict[str, Any]) -> Dict[str, Any]:
-    """Canonical form: keys whose value is None or empty are omitted."""
-    return {
-        key: value
-        for key, value in mapping.items()
-        if value is not None and value != {} and value != [] and value != ()
+def _free_table(bytes_suffix: str = "") -> _Kind:
+    """A table whose keys belong to someone else (a strategy or policy
+    factory); only byte sizes under ``*bytes_suffix`` keys are resolved."""
+
+    def parse(value: Any, where: str) -> Dict[str, Any]:
+        table = dict(_require_mapping(value, where))
+        for key, item in table.items():
+            if bytes_suffix and str(key).endswith(bytes_suffix):
+                table[key] = parse_bytes(item, f"{where}.{key}")
+        return table
+
+    return _Kind("table", parse, dict)
+
+
+def _table(keys: "Mapping[str, _Key]", echo: bool = False) -> _Kind:
+    """A table of declared keys kept as a plain dict.  ``echo`` keeps it as
+    written (byte sizes stay ``"32 KiB"`` in the canonical form, mix weights
+    keep their int/float spelling); its consumer resolves it with
+    :func:`_parse_keys` again."""
+
+    def parse(value: Any, where: str) -> Dict[str, Any]:
+        resolved = _parse_keys(keys, _require_mapping(value, where), where)
+        return dict(value) if echo else resolved
+
+    return _Kind("table", parse, dict, keys=keys)
+
+
+def _nested(cls: type) -> _Kind:
+    """A sub-table that validates into the section class ``cls``."""
+    return _Kind("table", functools.partial(_parse_section, cls), _emit_section, classes=(cls,))
+
+
+def _array(*classes: type) -> _Kind:
+    """An array of tables; several classes means a union tagged by ``kind``."""
+    by_kind = {getattr(cls, "kind", None): cls for cls in classes}
+    tag = _choice(
+        "unknown step kind {value!r}; available kinds: {choices}", lambda: sorted(by_kind)
+    )
+
+    def class_of(entry: Any, where: str) -> type:
+        if len(classes) == 1:
+            return classes[0]
+        if "kind" not in _require_mapping(entry, where):
+            raise ScenarioSpecError(f"{where}: missing required key(s) ['kind']")
+        return by_kind[tag.parse(entry["kind"], f"{where}.kind")]
+
+    def parse(value: Any, where: str) -> Tuple[Any, ...]:
+        if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+            hint = "" if "[" in where else f" ([[{where}]])"
+            raise ScenarioSpecError(f"{where}: expected an array of tables{hint}")
+        return tuple(
+            _parse_section(class_of(entry, f"{where}[{position}]"), entry, f"{where}[{position}]")
+            for position, entry in enumerate(value)
+        )
+
+    def emit(value: Tuple[Any, ...]) -> List[Dict[str, Any]]:
+        return [_emit_section(entry) for entry in value]
+
+    return _Kind("array of tables", parse, emit, classes=classes, many=True)
+
+
+# ---------------------------------------------------------------------------
+# the one generic walk: declarations -> parsed values -> canonical mapping
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One key's declaration: its kind plus how the canonical form treats it."""
+
+    kind: _Kind
+    #: The dataclass field's default; MISSING makes the key required.
+    default: Any
+    #: Emitted even when it equals the default (required keys always are).
+    always: bool = False
+    #: Lives in the ``[scenario]`` header table rather than at the top level.
+    header: bool = False
+
+    @property
+    def required(self) -> bool:
+        return self.default is MISSING
+
+
+def _key(kind: _Kind, default: Any = MISSING, *, factory: Any = MISSING, **treatment: bool) -> Any:
+    """A section dataclass field that is also a spec key (see the module docstring)."""
+    key = _Key(kind, default if factory is MISSING else factory(), **treatment)
+    return dataclasses.field(default=default, default_factory=factory, metadata={"key": key})
+
+
+def _field_keys(
+    cls: type, kinds: "Mapping[str, _Kind] | Callable[[str], _Kind]"
+) -> Dict[str, _Key]:
+    """Keys for a record class declared elsewhere (a config, a chaos window):
+    defaults come from its dataclass fields, kinds and canonical order from
+    ``kinds`` — a ``name -> kind`` table, or a rule applied to every field."""
+    defaults = {field.name: field.default for field in dataclasses.fields(cls)}
+    if callable(kinds):
+        kinds = {name: kinds(name) for name in defaults}
+    return {name: _Key(kind, defaults[name]) for name, kind in kinds.items()}
+
+
+@functools.cache
+def _keys(cls: type) -> Mapping[str, _Key]:
+    """Every key of section ``cls``, in canonical (emission) order."""
+    return _RECORD_KEYS.get(cls) or {
+        field.name: field.metadata["key"]
+        for field in dataclasses.fields(cls)
+        if "key" in field.metadata
     }
+
+
+def _parse_keys(
+    keys: Mapping[str, _Key], mapping: Mapping[str, Any], where: str, extra: Sequence[str] = ()
+) -> Dict[str, Any]:
+    """Validate ``mapping`` against ``keys``; parsed values of the keys it gives.
+
+    ``where`` is the section path every error starts with (empty for the
+    document's top level); ``extra`` names keys that are allowed but owned by
+    the caller (a step's ``kind`` tag, the ``[scenario]`` header).
+    """
+    label, allowed = where or "scenario document", (*extra, *keys)
+    unknown = sorted(set(mapping) - set(allowed))
+    if unknown:
+        raise ScenarioSpecError(
+            f"{label}: unknown key(s) {unknown}; allowed keys: {sorted(allowed)}"
+        )
+    missing = sorted(name for name, key in keys.items() if key.required and name not in mapping)
+    if missing:
+        raise ScenarioSpecError(f"{label}: missing required key(s) {missing}")
+    prefix = f"{where}." if where else ""
+    return {
+        name: key.kind.parse(mapping[name], prefix + name)
+        for name, key in keys.items()
+        if name in mapping
+    }
+
+
+def _emit_keys(keys: Mapping[str, _Key], section: Any) -> Dict[str, Any]:
+    """Canonical form: a key is written when required, declared ``always``,
+    or different from its default."""
+    return {
+        name: key.kind.emit(getattr(section, name))
+        for name, key in keys.items()
+        if key.always or key.required or getattr(section, name) != key.default
+    }
+
+
+def _parse_section(cls: Type[_S], mapping: Any, where: str) -> _S:
+    tag = ("kind",) if hasattr(cls, "kind") else ()
+    section = cls(**_parse_keys(_keys(cls), _require_mapping(mapping, where), where, tag))
+    if isinstance(section, _Section):
+        section._validate(where)
+    return section
+
+
+def _emit_section(section: Any) -> Dict[str, Any]:
+    tag = {"kind": section.kind} if hasattr(section, "kind") else {}
+    return {**tag, **_emit_keys(_keys(type(section)), section)}
+
+
+class _Section:
+    """What every section shares: the generic walk behind its entry points."""
+
+    @classmethod
+    def from_mapping(cls: Type[_S], mapping: Mapping[str, Any], where: Optional[str] = None) -> _S:
+        """Validate ``mapping``, the table a document gives at path ``where``.
+
+        ``where`` prefixes every error and defaults to the section's name
+        (``ClusterSection`` -> ``cluster``)."""
+        if where is None:
+            where = cls.__name__.removesuffix("Section").lower()
+        return _parse_section(cls, mapping, where)
+
+    def to_mapping(self) -> Dict[str, Any]:
+        """The section's canonical, JSON-serialisable form."""
+        return _emit_section(self)
+
+    def _validate(self, where: str) -> None:
+        """Rules spanning several keys of the section; raise ScenarioSpecError."""
 
 
 # ---------------------------------------------------------------------------
@@ -177,57 +431,54 @@ def _drop_defaults(mapping: Dict[str, Any]) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
+def _config_table(config_cls: type) -> _Kind:
+    """``[cluster.lsm]`` & co.: the keys are the config dataclass's fields."""
+
+    def kind_of(name: str) -> _Kind:
+        return _BYTES if name.endswith(("_bytes", "_bytes_per_sec")) else _ANY
+
+    return _table(_field_keys(config_cls, kind_of), echo=True)
+
+
+def _strategy_is_registered(name: str) -> bool:
+    try:
+        strategy_by_name(name)
+    except ConfigError:
+        return False
+    except TypeError:
+        pass  # registered; its factory needs the section's strategy_options
+    return True
+
+
+_LSM = _config_table(LSMConfig)
+_BUCKETING = _config_table(BucketingConfig)
+_COST = _config_table(CostModelConfig)
+_STRATEGY = _choice(
+    "unknown strategy {value!r} (registered strategies: {choices})",
+    available_strategies,
+    _strategy_is_registered,
+)
+
+
 @dataclass(frozen=True)
-class ClusterSection:
+class ClusterSection(_Section):
     """``[cluster]``: the :class:`~repro.api.ClusterConfig` to build."""
 
-    nodes: int = 4
-    partitions_per_node: int = 2
-    seed: Optional[int] = None
-    strategy: str = "dynahash"
-    strategy_options: Mapping[str, Any] = field(default_factory=dict)
-    workload_scale: float = 1.0
-    lsm: Mapping[str, Any] = field(default_factory=dict)
-    bucketing: Mapping[str, Any] = field(default_factory=dict)
-    cost: Mapping[str, Any] = field(default_factory=dict)
+    nodes: int = _key(_INT, 4, always=True)
+    partitions_per_node: int = _key(_INT, 2, always=True)
+    seed: Optional[int] = _key(_scalar(int, complaint="seeds must be integers"), None)
+    strategy: str = _key(_STRATEGY, "dynahash", always=True)
+    strategy_options: Mapping[str, Any] = _key(_free_table(), factory=dict)
+    workload_scale: float = _key(_POSITIVE, 1.0)
+    lsm: Mapping[str, Any] = _key(_LSM, factory=dict)
+    bucketing: Mapping[str, Any] = _key(_BUCKETING, factory=dict)
+    cost: Mapping[str, Any] = _key(_COST, factory=dict)
 
-    _KEYS = (
-        "nodes",
-        "partitions_per_node",
-        "seed",
-        "strategy",
-        "strategy_options",
-        "workload_scale",
-        "lsm",
-        "bucketing",
-        "cost",
-    )
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any], where: str = "cluster") -> "ClusterSection":
-        _check_keys(mapping, where, cls._KEYS)
-        section = cls(
-            nodes=_get_typed(mapping, "nodes", int, where, 4),
-            partitions_per_node=_get_typed(mapping, "partitions_per_node", int, where, 2),
-            seed=_get_typed(mapping, "seed", int, where),
-            strategy=_get_typed(mapping, "strategy", str, where, "dynahash"),
-            strategy_options=dict(
-                _require_mapping(mapping.get("strategy_options", {}), f"{where}.strategy_options")
-            ),
-            workload_scale=float(
-                _get_typed(mapping, "workload_scale", (int, float), where, 1.0)
-            ),
-            lsm=dict(_require_mapping(mapping.get("lsm", {}), f"{where}.lsm")),
-            bucketing=dict(_require_mapping(mapping.get("bucketing", {}), f"{where}.bucketing")),
-            cost=dict(_require_mapping(mapping.get("cost", {}), f"{where}.cost")),
-        )
-        section.build_config()  # validate eagerly so errors carry the section path
-        return section
+    def _validate(self, where: str) -> None:
+        self.build_config()  # validate eagerly so errors carry the section path
 
     def build_config(self, seed_override: Optional[int] = None) -> ClusterConfig:
         """Compile this section into a :class:`~repro.api.ClusterConfig`."""
-        from ..api.registry import available_strategies, strategy_by_name
-
         try:  # resolves aliases and validates the factory options at spec time
             strategy_by_name(self.strategy, **dict(self.strategy_options))
         except (ConfigError, TypeError) as exc:
@@ -237,353 +488,184 @@ class ClusterSection:
                 f"(registered strategies: {', '.join(available_strategies())})"
             ) from exc
         try:
-            lsm = LSMConfig(**self._bytes_aware("cluster.lsm", LSMConfig, self.lsm))
-            bucketing = BucketingConfig(
-                **self._bytes_aware("cluster.bucketing", BucketingConfig, self.bucketing)
-            )
-            cost = CostModelConfig(
-                **self._bytes_aware("cluster.cost", CostModelConfig, self.cost)
-            )
             seed = seed_override if seed_override is not None else self.seed
-            kwargs: Dict[str, Any] = {}
-            if seed is not None:
-                kwargs["seed"] = seed
             return ClusterConfig(
                 num_nodes=self.nodes,
                 partitions_per_node=self.partitions_per_node,
-                lsm=lsm,
-                bucketing=bucketing,
-                cost=cost,
+                lsm=LSMConfig(**_parse_keys(_LSM.keys, self.lsm, "cluster.lsm")),
+                bucketing=BucketingConfig(
+                    **_parse_keys(_BUCKETING.keys, self.bucketing, "cluster.bucketing")
+                ),
+                cost=CostModelConfig(**_parse_keys(_COST.keys, self.cost, "cluster.cost")),
                 strategy=self.strategy,
-                **kwargs,
+                **({} if seed is None else {"seed": seed}),
             )
         except ScenarioSpecError:
             raise
         except (ConfigError, TypeError) as exc:
             raise ScenarioSpecError(f"cluster: {exc}") from exc
 
-    @staticmethod
-    def _bytes_aware(where: str, config_cls: type, mapping: Mapping[str, Any]) -> Dict[str, Any]:
-        fields_allowed = tuple(config_cls.__dataclass_fields__)
-        _check_keys(mapping, where, fields_allowed)
-        resolved: Dict[str, Any] = {}
-        for key, value in mapping.items():
-            if key.endswith("_bytes") or key.endswith("_bytes_per_sec"):
-                resolved[key] = parse_bytes(value, f"{where}.{key}")
-            else:
-                resolved[key] = value
-        return resolved
-
-    def to_mapping(self) -> Dict[str, Any]:
-        return _drop_defaults(
-            {
-                "nodes": self.nodes,
-                "partitions_per_node": self.partitions_per_node,
-                "seed": self.seed,
-                "strategy": self.strategy,
-                "strategy_options": dict(self.strategy_options),
-                "workload_scale": self.workload_scale if self.workload_scale != 1.0 else None,
-                "lsm": dict(self.lsm),
-                "bucketing": dict(self.bucketing),
-                "cost": dict(self.cost),
-            }
-        )
-
 
 @dataclass(frozen=True)
-class SecondaryIndexSection:
+class SecondaryIndexSection(_Section):
     """One entry of ``[[datasets.secondary_indexes]]``."""
 
-    name: str
-    fields: Tuple[str, ...]
-    included_fields: Tuple[str, ...] = ()
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any], where: str) -> "SecondaryIndexSection":
-        _check_keys(mapping, where, ("name", "fields", "included_fields"), ("name", "fields"))
-        return cls(
-            name=_get_typed(mapping, "name", str, where),
-            fields=_string_tuple(mapping["fields"], f"{where}.fields"),
-            included_fields=_string_tuple(
-                mapping.get("included_fields", ()), f"{where}.included_fields"
-            ),
-        )
-
-    def to_mapping(self) -> Dict[str, Any]:
-        return _drop_defaults(
-            {
-                "name": self.name,
-                "fields": list(self.fields),
-                "included_fields": list(self.included_fields),
-            }
-        )
+    name: str = _key(_STR)
+    fields: Tuple[str, ...] = _key(_strings(nonempty=True))
+    included_fields: Tuple[str, ...] = _key(_strings(), ())
 
 
 @dataclass(frozen=True)
-class DatasetSection:
+class DatasetSection(_Section):
     """``[[datasets]]``: a dataset created before traffic starts."""
 
-    name: str
-    primary_key: Tuple[str, ...] = ("k",)
-    secondary_indexes: Tuple[SecondaryIndexSection, ...] = ()
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any], where: str) -> "DatasetSection":
-        _check_keys(mapping, where, ("name", "primary_key", "secondary_indexes"), ("name",))
-        indexes = mapping.get("secondary_indexes", [])
-        if not isinstance(indexes, Sequence) or isinstance(indexes, str):
-            raise ScenarioSpecError(f"{where}.secondary_indexes: expected an array of tables")
-        return cls(
-            name=_get_typed(mapping, "name", str, where),
-            primary_key=_string_tuple(mapping.get("primary_key", "k"), f"{where}.primary_key"),
-            secondary_indexes=tuple(
-                SecondaryIndexSection.from_mapping(
-                    _require_mapping(index, f"{where}.secondary_indexes[{position}]"),
-                    f"{where}.secondary_indexes[{position}]",
-                )
-                for position, index in enumerate(indexes)
-            ),
-        )
-
-    def to_mapping(self) -> Dict[str, Any]:
-        return _drop_defaults(
-            {
-                "name": self.name,
-                "primary_key": list(self.primary_key)
-                if len(self.primary_key) > 1
-                else self.primary_key[0],
-                "secondary_indexes": [index.to_mapping() for index in self.secondary_indexes],
-            }
-        )
+    name: str = _key(_STR)
+    primary_key: Tuple[str, ...] = _key(
+        _strings(scalar_if_single=True, nonempty=True), ("k",), always=True
+    )
+    secondary_indexes: Tuple[SecondaryIndexSection, ...] = _key(_array(SecondaryIndexSection), ())
 
 
 @dataclass(frozen=True)
-class TPCHSection:
+class TPCHSection(_Section):
     """``[tpch]``: load the paper's TPC-H subset before traffic starts."""
 
-    scale_factor: float = 0.001
-    tables: Tuple[str, ...] = ()
-    batch_size: int = 2000
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any], where: str = "tpch") -> "TPCHSection":
-        _check_keys(mapping, where, ("scale_factor", "tables", "batch_size"))
-        scale_factor = float(_get_typed(mapping, "scale_factor", (int, float), where, 0.001))
-        if scale_factor <= 0:
-            raise ScenarioSpecError(f"{where}.scale_factor: must be positive")
-        return cls(
-            scale_factor=scale_factor,
-            tables=_string_tuple(mapping.get("tables", ()), f"{where}.tables"),
-            batch_size=_get_typed(mapping, "batch_size", int, where, 2000),
-        )
-
-    def to_mapping(self) -> Dict[str, Any]:
-        return _drop_defaults(
-            {
-                "scale_factor": self.scale_factor,
-                "tables": list(self.tables),
-                "batch_size": self.batch_size if self.batch_size != 2000 else None,
-            }
-        )
+    scale_factor: float = _key(_POSITIVE, 0.001, always=True)
+    tables: Tuple[str, ...] = _key(
+        _strings("unknown table(s) {unknown}; TPC-H tables: {choices}", TABLES_BY_NAME.keys), ()
+    )
+    batch_size: int = _key(_POSITIVE_INT, 2000)
 
 
-def _mix_from_value(value: Any, where: str) -> Union[str, Mapping[str, Any], None]:
-    """A mix is a YCSB preset name or an inline weight table; validated here."""
-    if value is None:
-        return None
-    if isinstance(value, str):
-        from ..workload.mixes import YCSB_MIXES
+def _mix() -> _Kind:
+    """A YCSB preset name, or an inline weight table kept as written."""
+    preset = _choice(
+        "unknown operation mix {value!r}; YCSB presets: {choices}, "
+        "or give an inline table like {{read = 0.3, insert = 0.7}}",
+        lambda: sorted(YCSB_MIXES),
+        lambda value: value.upper() in YCSB_MIXES,
+    )
+    weight = _scalar(int, float, minimum=0, complaint="weights must be non-negative numbers")
+    table = _table(
+        _field_keys(OperationMix, lambda name: weight if name in OPERATIONS else _STR), echo=True
+    )
 
-        if value.upper() not in YCSB_MIXES:
-            raise ScenarioSpecError(
-                f"{where}: unknown operation mix {value!r}; "
-                f"YCSB presets: {', '.join(sorted(YCSB_MIXES))}, "
-                "or give an inline table like {read = 0.3, insert = 0.7}"
-            )
-        return value
-    mapping = _require_mapping(value, where)
-    _check_keys(mapping, where, ("name", "read", "insert", "update", "delete", "scan"))
-    weights = {k: v for k, v in mapping.items() if k != "name"}
-    if not weights:
-        raise ScenarioSpecError(f"{where}: an inline mix needs at least one weight")
-    for key, weight in weights.items():
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)) or weight < 0:
-            raise ScenarioSpecError(f"{where}.{key}: weights must be non-negative numbers")
-    return dict(mapping)
+    def parse(value: Any, where: str) -> Union[str, Dict[str, Any]]:
+        if isinstance(value, str):
+            return preset.parse(value, where)
+        weights = table.parse(value, where)
+        if not set(weights) & set(OPERATIONS):
+            raise ScenarioSpecError(f"{where}: an inline mix needs at least one weight")
+        return weights
+
+    def emit(value: Union[str, Mapping[str, Any]]) -> Any:
+        return value if isinstance(value, str) else dict(value)
+
+    return _Kind("str or table", parse, emit, preset.allowed, table.keys)
 
 
 def _build_mix(value: Union[str, Mapping[str, Any], None]) -> Any:
-    from ..workload.mixes import OperationMix
+    return value if value is None or isinstance(value, str) else OperationMix(**value)
 
-    if value is None or isinstance(value, str):
-        return value
-    return OperationMix(**value)
+
+_MIX = _mix()
+_DISTRIBUTION = _choice(
+    "unknown key distribution {value!r}; choose from {choices}",
+    lambda: sorted(DISTRIBUTIONS),
+    lambda value: value.lower() in DISTRIBUTIONS,
+)
 
 
 @dataclass(frozen=True)
-class WorkloadPhaseSpec:
+class _Resize(_Section):
+    """Exactly one of add / remove / target_nodes — the keyword arguments of
+    :meth:`repro.api.Database.rebalance` that a phase's ``rebalance`` table
+    and a rebalance step both carry."""
+
+    add: Optional[int] = _key(_POSITIVE_INT, None)
+    remove: Optional[int] = _key(_POSITIVE_INT, None)
+    target_nodes: Optional[int] = _key(_POSITIVE_INT, None)
+
+    def resize_kwargs(self) -> Dict[str, int]:
+        """The chosen resize as ``Database.rebalance`` keyword arguments."""
+        return {
+            field.name: getattr(self, field.name)
+            for field in dataclasses.fields(_Resize)
+            if getattr(self, field.name) is not None
+        }
+
+    def _validate(self, where: str) -> None:
+        if len(self.resize_kwargs()) != 1:
+            raise ScenarioSpecError(f"{where}: give exactly one of add/remove/target_nodes")
+
+
+@dataclass(frozen=True)
+class WorkloadPhaseSpec(_Section):
     """``[[workload.phases]]``: one leg of the phased schedule."""
 
-    name: str
-    ops: int
-    mix: Union[str, Mapping[str, Any], None] = None
-    keys: Optional[str] = None
-    rebalance: Optional[Mapping[str, int]] = None
-    max_seconds: Optional[float] = None
+    name: str = _key(_STR)
+    ops: int = _key(_INT)
+    mix: Union[str, Mapping[str, Any], None] = _key(_MIX, None)
+    keys: Optional[str] = _key(_DISTRIBUTION, None)
+    rebalance: Optional[_Resize] = _key(_nested(_Resize), None)
+    max_seconds: Optional[float] = _key(_scalar(int, float), None)
 
-    _KEYS = ("name", "ops", "mix", "keys", "rebalance", "max_seconds")
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any], where: str) -> "WorkloadPhaseSpec":
-        _check_keys(mapping, where, cls._KEYS, ("name", "ops"))
-        keys = _get_typed(mapping, "keys", str, where)
-        if keys is not None:
-            _validate_distribution(keys, f"{where}.keys")
-        rebalance = mapping.get("rebalance")
-        if rebalance is not None:
-            rebalance = dict(_require_mapping(rebalance, f"{where}.rebalance"))
-            _check_keys(rebalance, f"{where}.rebalance", ("add", "remove", "target_nodes"))
-            if len(rebalance) != 1:
-                raise ScenarioSpecError(
-                    f"{where}.rebalance: give exactly one of add/remove/target_nodes"
-                )
-        max_seconds = _get_typed(mapping, "max_seconds", (int, float), where)
-        return cls(
-            name=_get_typed(mapping, "name", str, where),
-            ops=_get_typed(mapping, "ops", int, where),
-            mix=_mix_from_value(mapping.get("mix"), f"{where}.mix"),
-            keys=keys,
-            rebalance=rebalance,
-            max_seconds=float(max_seconds) if max_seconds is not None else None,
-        )
-
-    def to_mapping(self) -> Dict[str, Any]:
-        return _drop_defaults(
-            {
-                "name": self.name,
-                "ops": self.ops,
-                "mix": dict(self.mix) if isinstance(self.mix, Mapping) else self.mix,
-                "keys": self.keys,
-                "rebalance": dict(self.rebalance) if self.rebalance else None,
-                "max_seconds": self.max_seconds,
-            }
-        )
-
-
-def _validate_distribution(name: str, where: str) -> None:
-    from ..workload.keygen import DISTRIBUTIONS
-
-    if name.lower() not in DISTRIBUTIONS:
-        raise ScenarioSpecError(
-            f"{where}: unknown key distribution {name!r}; "
-            f"choose from {', '.join(sorted(DISTRIBUTIONS))}"
-        )
+    def build_phase(self) -> Phase:
+        """Compile into the driver's :class:`~repro.workload.schedule.Phase`."""
+        values = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+        values["mix"] = _build_mix(self.mix)
+        values["rebalance"] = self.rebalance.resize_kwargs() if self.rebalance else None
+        return Phase(**values)
 
 
 @dataclass(frozen=True)
-class WorkloadSection:
+class WorkloadSection(_Section):
     """``[workload]``: the phased YCSB-style traffic to drive."""
 
-    dataset: str = "traffic"
-    primary_key: str = "k"
-    initial_records: int = 1000
-    payload_bytes: int = 64
-    mix: Union[str, Mapping[str, Any]] = "B"
-    keys: str = "zipfian"
-    phases: Tuple[WorkloadPhaseSpec, ...] = ()
-    default_ops: int = 1000
-    batch_size: int = 32
-    batch_jitter: float = 0.25
-    scan_span: int = 16
-    batch_ops: Optional[bool] = None
-    op_chunk: int = 256
+    dataset: str = _key(_scalar(str, nonempty=True), "traffic")
+    primary_key: str = _key(_STR, "k")
+    initial_records: int = _key(_INT, 1000)
+    payload_bytes: int = _key(_BYTES, 64)
+    keys: str = _key(_DISTRIBUTION, "zipfian")
+    default_ops: int = _key(_INT, 1000)
+    batch_size: int = _key(_INT, 32)
+    batch_jitter: float = _key(_scalar(int, float), 0.25)
+    scan_span: int = _key(_INT, 16)
+    batch_ops: Optional[bool] = _key(_BOOL, None)
+    op_chunk: int = _key(_INT, 256)
+    mix: Union[str, Mapping[str, Any]] = _key(_MIX, "B")
+    phases: Tuple[WorkloadPhaseSpec, ...] = _key(_array(WorkloadPhaseSpec), ())
 
-    _KEYS = (
-        "dataset",
-        "primary_key",
-        "initial_records",
-        "payload_bytes",
-        "mix",
-        "keys",
-        "phases",
-        "default_ops",
-        "batch_size",
-        "batch_jitter",
-        "scan_span",
-        "batch_ops",
-        "op_chunk",
-    )
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any], where: str = "workload") -> "WorkloadSection":
-        _check_keys(mapping, where, cls._KEYS)
-        phases_raw = mapping.get("phases", [])
-        if not isinstance(phases_raw, Sequence) or isinstance(phases_raw, str):
-            raise ScenarioSpecError(f"{where}.phases: expected an array of tables")
-        phases = tuple(
-            WorkloadPhaseSpec.from_mapping(
-                _require_mapping(phase, f"{where}.phases[{position}]"),
-                f"{where}.phases[{position}]",
+    def _validate(self, where: str) -> None:
+        """Schedule-level sanity: unique names, some traffic, sane rebalance count."""
+        names = [phase.name for phase in self.phases]
+        duplicates = sorted({name for name in names if names.count(name) > 1})
+        if duplicates:
+            raise ScenarioSpecError(
+                f"{where}.phases: phase names must be unique (duplicated: {duplicates}); "
+                "rename the repeated phases — reports and metrics are keyed by phase name"
             )
-            for position, phase in enumerate(phases_raw)
-        )
-        _validate_phase_ordering(phases, where)
-        keys = _get_typed(mapping, "keys", str, where, "zipfian")
-        _validate_distribution(keys, f"{where}.keys")
-        section = cls(
-            dataset=_get_typed(mapping, "dataset", str, where, "traffic"),
-            primary_key=_get_typed(mapping, "primary_key", str, where, "k"),
-            initial_records=_get_typed(mapping, "initial_records", int, where, 1000),
-            payload_bytes=parse_bytes(mapping.get("payload_bytes", 64), f"{where}.payload_bytes"),
-            mix=_mix_from_value(mapping.get("mix", "B"), f"{where}.mix"),
-            keys=keys,
-            phases=phases,
-            default_ops=_get_typed(mapping, "default_ops", int, where, 1000),
-            batch_size=_get_typed(mapping, "batch_size", int, where, 32),
-            batch_jitter=float(_get_typed(mapping, "batch_jitter", (int, float), where, 0.25)),
-            scan_span=_get_typed(mapping, "scan_span", int, where, 16),
-            batch_ops=_get_typed(mapping, "batch_ops", bool, where),
-            op_chunk=_get_typed(mapping, "op_chunk", int, where, 256),
-        )
-        section.build_spec()  # validate the numeric ranges eagerly
-        return section
+        if self.phases and all(phase.ops == 0 for phase in self.phases):
+            raise ScenarioSpecError(
+                f"{where}.phases: every phase has ops = 0, the schedule drives no traffic; "
+                "give at least one phase a positive op count"
+            )
+        rebalancing = [phase.name for phase in self.rebalance_phases]
+        if len(rebalancing) > 1:
+            raise ScenarioSpecError(
+                f"{where}.phases: at most one phase may carry a rebalance "
+                f"(got {rebalancing}); split the scenario or use [[steps]] for "
+                "additional resizes after the workload"
+            )
+        self.build_spec()  # validate the numeric ranges eagerly
 
-    def build_spec(self) -> Any:
+    def build_spec(self) -> WorkloadSpec:
         """Compile into a :class:`~repro.api.WorkloadSpec` (with schedule)."""
-        from ..workload.driver import WorkloadSpec
-        from ..workload.schedule import Phase, Schedule
-
+        values = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
         try:
-            schedule = None
-            if self.phases:
-                schedule = Schedule(
-                    tuple(
-                        Phase(
-                            name=phase.name,
-                            ops=phase.ops,
-                            mix=_build_mix(phase.mix),
-                            keys=phase.keys,
-                            rebalance=dict(phase.rebalance) if phase.rebalance else None,
-                            max_seconds=phase.max_seconds,
-                        )
-                        for phase in self.phases
-                    )
-                )
-            return WorkloadSpec(
-                dataset=self.dataset,
-                primary_key=self.primary_key,
-                initial_records=self.initial_records,
-                payload_bytes=self.payload_bytes,
-                mix=_build_mix(self.mix),
-                keys=self.keys,
-                schedule=schedule,
-                default_ops=self.default_ops,
-                batch_size=self.batch_size,
-                batch_jitter=self.batch_jitter,
-                scan_span=self.scan_span,
-                batch_ops=self.batch_ops,
-                op_chunk=self.op_chunk,
-            )
+            values["mix"] = _build_mix(self.mix)
+            phases = tuple(phase.build_phase() for phase in values.pop("phases"))
+            return WorkloadSpec(schedule=Schedule(phases) if phases else None, **values)
         except ValueError as exc:
             raise ScenarioSpecError(f"workload: {exc}") from exc
 
@@ -591,135 +673,34 @@ class WorkloadSection:
     def rebalance_phases(self) -> Tuple[WorkloadPhaseSpec, ...]:
         return tuple(phase for phase in self.phases if phase.rebalance is not None)
 
-    def to_mapping(self) -> Dict[str, Any]:
-        defaults = WorkloadSection()
-        mapping: Dict[str, Any] = {}
-        for key in (
-            "dataset",
-            "primary_key",
-            "initial_records",
-            "payload_bytes",
-            "keys",
-            "default_ops",
-            "batch_size",
-            "batch_jitter",
-            "scan_span",
-            "batch_ops",
-            "op_chunk",
-        ):
-            value = getattr(self, key)
-            if value != getattr(defaults, key):
-                mapping[key] = value
-        if self.mix != defaults.mix:
-            mapping["mix"] = dict(self.mix) if isinstance(self.mix, Mapping) else self.mix
-        if self.phases:
-            mapping["phases"] = [phase.to_mapping() for phase in self.phases]
-        return mapping
-
-
-def _validate_phase_ordering(phases: Sequence[WorkloadPhaseSpec], where: str) -> None:
-    """Schedule-level sanity: unique names, some traffic, sane rebalance count."""
-    names = [phase.name for phase in phases]
-    duplicates = sorted({name for name in names if names.count(name) > 1})
-    if duplicates:
-        raise ScenarioSpecError(
-            f"{where}.phases: phase names must be unique (duplicated: {duplicates}); "
-            "rename the repeated phases — reports and metrics are keyed by phase name"
-        )
-    if phases and all(phase.ops == 0 for phase in phases):
-        raise ScenarioSpecError(
-            f"{where}.phases: every phase has ops = 0, the schedule drives no traffic; "
-            "give at least one phase a positive op count"
-        )
-    rebalancing = [phase.name for phase in phases if phase.rebalance is not None]
-    if len(rebalancing) > 1:
-        raise ScenarioSpecError(
-            f"{where}.phases: at most one phase may carry a rebalance "
-            f"(got {rebalancing}); split the scenario or use [[steps]] for "
-            "additional resizes after the workload"
-        )
-
 
 @dataclass(frozen=True)
-class AutopilotSection:
+class AutopilotSection(_Section):
     """``[autopilot]``: the control loop attached before traffic starts."""
 
-    policy: str = "threshold"
-    options: Mapping[str, Any] = field(default_factory=dict)
-    check_every_ops: int = 50
-    cooldown_seconds: float = 0.0
-    hysteresis: int = 1
-    dry_run: bool = False
-    max_rebalances: Optional[int] = None
-
-    _KEYS = (
-        "policy",
-        "options",
-        "check_every_ops",
-        "cooldown_seconds",
-        "hysteresis",
-        "dry_run",
-        "max_rebalances",
+    policy: str = _key(
+        _choice("unknown policy {value!r} (registered policies: {choices})", available_policies),
+        "threshold",
+        always=True,
     )
+    options: Mapping[str, Any] = _key(_free_table(bytes_suffix="_bytes"), factory=dict)
+    check_every_ops: int = _key(_POSITIVE_INT, 50)
+    cooldown_seconds: float = _key(_SECONDS, 0.0)
+    hysteresis: int = _key(_POSITIVE_INT, 1)
+    dry_run: bool = _key(_BOOL, False)
+    max_rebalances: Optional[int] = _key(_INT, None)
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any], where: str = "autopilot") -> "AutopilotSection":
-        from ..control import available_policies
-
-        _check_keys(mapping, where, cls._KEYS)
-        policy = _get_typed(mapping, "policy", str, where, "threshold")
-        if policy not in available_policies():
-            raise ScenarioSpecError(
-                f"{where}.policy: unknown policy {policy!r}; "
-                f"registered policies: {', '.join(available_policies())}"
-            )
-        options = dict(_require_mapping(mapping.get("options", {}), f"{where}.options"))
-        for key, value in options.items():
-            if key.endswith("_bytes"):
-                options[key] = parse_bytes(value, f"{where}.options.{key}")
-        section = cls(
-            policy=policy,
-            options=options,
-            check_every_ops=_get_typed(mapping, "check_every_ops", int, where, 50),
-            cooldown_seconds=float(
-                _get_typed(mapping, "cooldown_seconds", (int, float), where, 0.0)
-            ),
-            hysteresis=_get_typed(mapping, "hysteresis", int, where, 1),
-            dry_run=_get_typed(mapping, "dry_run", bool, where, False),
-            max_rebalances=_get_typed(mapping, "max_rebalances", int, where),
-        )
-        if section.check_every_ops < 1:
-            raise ScenarioSpecError(f"{where}.check_every_ops: must be at least 1")
-        if section.cooldown_seconds < 0:
-            raise ScenarioSpecError(f"{where}.cooldown_seconds: must be non-negative")
-        if section.hysteresis < 1:
-            raise ScenarioSpecError(f"{where}.hysteresis: must be at least 1")
+    def _validate(self, where: str) -> None:
         try:  # conflicting/unknown policy options fail at spec time, not mid-run
-            from ..control import resolve_policy
-
-            resolve_policy(policy, **options)
-        except ScenarioSpecError:
-            raise
+            resolve_policy(self.policy, **self.options)
         except (ConfigError, TypeError) as exc:
             raise ScenarioSpecError(
-                f"{where}.options: policy {policy!r} rejected these options: {exc}"
+                f"{where}.options: policy {self.policy!r} rejected these options: {exc}"
             ) from exc
-        return section
-
-    def to_mapping(self) -> Dict[str, Any]:
-        defaults = AutopilotSection()
-        mapping: Dict[str, Any] = {"policy": self.policy}
-        if self.options:
-            mapping["options"] = dict(self.options)
-        for key in ("check_every_ops", "cooldown_seconds", "hysteresis", "dry_run", "max_rebalances"):
-            value = getattr(self, key)
-            if value != getattr(defaults, key):
-                mapping[key] = value
-        return mapping
 
 
 @dataclass(frozen=True)
-class TraceSection:
+class TraceSection(_Section):
     """``[trace]``: attach a tracing session (spans + timeline) to the run.
 
     Presence of the section enables tracing (``enabled = false`` keeps the
@@ -728,63 +709,37 @@ class TraceSection:
     ``replay``'s determinism diff.
     """
 
-    enabled: bool = True
+    # ``enabled`` is always emitted: the section's presence is what turns
+    # tracing on, so an all-defaults section must survive the round trip.
+    enabled: bool = _key(_BOOL, True, always=True)
     #: Simulated seconds between timeline gauge samples.
-    sample_interval_seconds: float = 0.25
-
-    _KEYS = ("enabled", "sample_interval_seconds")
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any], where: str = "trace") -> "TraceSection":
-        _check_keys(mapping, where, cls._KEYS)
-        section = cls(
-            enabled=_get_typed(mapping, "enabled", bool, where, True),
-            sample_interval_seconds=float(
-                _get_typed(mapping, "sample_interval_seconds", (int, float), where, 0.25)
-            ),
-        )
-        if section.sample_interval_seconds <= 0:
-            raise ScenarioSpecError(f"{where}.sample_interval_seconds: must be positive")
-        return section
-
-    def to_mapping(self) -> Dict[str, Any]:
-        # ``enabled`` is always emitted: the section's presence is what turns
-        # tracing on, so an all-defaults section must survive the round trip.
-        mapping: Dict[str, Any] = {"enabled": self.enabled}
-        if self.sample_interval_seconds != TraceSection().sample_interval_seconds:
-            mapping["sample_interval_seconds"] = self.sample_interval_seconds
-        return mapping
+    sample_interval_seconds: float = _key(_POSITIVE, 0.25)
 
 
-def _table_array(value: Any, where: str) -> "List[Mapping[str, Any]]":
-    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
-        raise ScenarioSpecError(f"{where}: expected an array of tables ([[{where}]])")
-    return [
-        _require_mapping(entry, f"{where}[{position}]")
-        for position, entry in enumerate(value)
-    ]
+_WINDOW = {"start": _SECONDS, "duration": _POSITIVE}
+_SITE = _choice("unknown site {value!r}; valid sites: {choices}", lambda: FAULT_SITES)
 
-
-def _chaos_seconds(
-    mapping: Mapping[str, Any],
-    key: str,
-    where: str,
-    default: Any = None,
-    minimum: float = 0.0,
-    exclusive: bool = False,
-) -> Any:
-    value = _get_typed(mapping, key, (int, float), where, default)
-    if value is None:
-        return None
-    value = float(value)
-    if value < minimum or (exclusive and value == minimum):
-        bound = "positive" if exclusive and minimum == 0.0 else f">= {minimum:g}"
-        raise ScenarioSpecError(f"{where}.{key}: must be {bound}, got {value!r}")
-    return value
+#: Keys of the chaos engine's own records, in canonical order.
+_RECORD_KEYS: Dict[type, Dict[str, _Key]] = {
+    StragglerWindow: _field_keys(
+        StragglerWindow, {"node": _STR, **_WINDOW, "multiplier": _scalar(int, float, minimum=1)}
+    ),
+    PartitionWindow: _field_keys(PartitionWindow, {**_WINDOW, "timeout_probability": _SECONDS}),
+    CrashPlan: _field_keys(CrashPlan, {"after_seconds": _SECONDS, "site": _SITE}),
+    LoadWindow: _field_keys(LoadWindow, {**_WINDOW, "factor": _POSITIVE}),
+    RetryPolicy: _field_keys(
+        RetryPolicy,
+        {
+            "max_attempts": _POSITIVE_INT,
+            "backoff_base_seconds": _POSITIVE,
+            "backoff_cap_seconds": _POSITIVE,
+        },
+    ),
+}
 
 
 @dataclass(frozen=True)
-class ChaosSection:
+class ChaosSection(_Section):
     """``[chaos]``: deterministic fault injection for the run.
 
     Presence of the section arms the chaos engine (``enabled = false`` keeps
@@ -809,257 +764,83 @@ class ChaosSection:
       exponential backoff) applied when a partition window forces retries.
     """
 
-    enabled: bool = True
-    stragglers: "Tuple[StragglerWindow, ...]" = ()
-    random_stragglers: int = 0
-    straggler_horizon_seconds: float = 10.0
-    partitions: "Tuple[PartitionWindow, ...]" = ()
-    crashes: "Tuple[CrashPlan, ...]" = ()
-    backpressure: "Tuple[LoadWindow, ...]" = ()
-    bursts: "Tuple[LoadWindow, ...]" = ()
-    retry: "Optional[RetryPolicy]" = None
+    # Like [trace], presence arms the engine, so ``enabled`` always survives
+    # the round trip.
+    enabled: bool = _key(_BOOL, True, always=True)
+    stragglers: Tuple[StragglerWindow, ...] = _key(_array(StragglerWindow), ())
+    random_stragglers: int = _key(_scalar(int, minimum=0), 0)
+    straggler_horizon_seconds: float = _key(_POSITIVE, 10.0)
+    partitions: Tuple[PartitionWindow, ...] = _key(_array(PartitionWindow), ())
+    crashes: Tuple[CrashPlan, ...] = _key(_array(CrashPlan), ())
+    backpressure: Tuple[LoadWindow, ...] = _key(_array(LoadWindow), ())
+    bursts: Tuple[LoadWindow, ...] = _key(_array(LoadWindow), ())
+    retry: Optional[RetryPolicy] = _key(_nested(RetryPolicy), None)
 
-    _KEYS = (
-        "enabled",
-        "stragglers",
-        "random_stragglers",
-        "straggler_horizon_seconds",
-        "partitions",
-        "crashes",
-        "backpressure",
-        "bursts",
-        "retry",
-    )
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any], where: str = "chaos") -> "ChaosSection":
-        from ..chaos import CrashPlan, LoadWindow, PartitionWindow, RetryPolicy, StragglerWindow
-        from ..rebalance.operation import FAULT_SITES
-
-        _check_keys(mapping, where, cls._KEYS)
-
-        stragglers = []
-        for position, entry in enumerate(
-            _table_array(mapping.get("stragglers", []), f"{where}.stragglers")
-        ):
-            entry_where = f"{where}.stragglers[{position}]"
-            _check_keys(
-                entry,
-                entry_where,
-                ("node", "start", "duration", "multiplier"),
-                ("start", "duration", "multiplier"),
-            )
-            node = _get_typed(entry, "node", str, entry_where)
-            multiplier = _chaos_seconds(entry, "multiplier", entry_where, minimum=1.0)
-            stragglers.append(
-                StragglerWindow(
-                    start=_chaos_seconds(entry, "start", entry_where),
-                    duration=_chaos_seconds(entry, "duration", entry_where, exclusive=True),
-                    multiplier=multiplier,
-                    node=node,
-                )
-            )
-
-        partitions = []
-        for position, entry in enumerate(
-            _table_array(mapping.get("partitions", []), f"{where}.partitions")
-        ):
-            entry_where = f"{where}.partitions[{position}]"
-            _check_keys(
-                entry,
-                entry_where,
-                ("start", "duration", "timeout_probability"),
-                ("start", "duration"),
-            )
-            timeout_probability = _chaos_seconds(
-                entry, "timeout_probability", entry_where, default=0.0
-            )
-            if timeout_probability >= 1.0:
+    def _validate(self, where: str) -> None:
+        for position, window in enumerate(self.partitions):
+            if window.timeout_probability >= 1.0:
                 raise ScenarioSpecError(
-                    f"{entry_where}.timeout_probability: must be below 1.0 "
+                    f"{where}.partitions[{position}].timeout_probability: must be below 1.0 "
                     "(a certain timeout would retry forever), got "
-                    f"{timeout_probability!r}"
+                    f"{window.timeout_probability!r}"
                 )
-            partitions.append(
-                PartitionWindow(
-                    start=_chaos_seconds(entry, "start", entry_where),
-                    duration=_chaos_seconds(entry, "duration", entry_where, exclusive=True),
-                    timeout_probability=timeout_probability,
-                )
+        retry = self.retry
+        if retry is not None and retry.backoff_cap_seconds < retry.backoff_base_seconds:
+            raise ScenarioSpecError(
+                f"{where}.retry.backoff_cap_seconds: cap {retry.backoff_cap_seconds!r} "
+                f"is below the base delay {retry.backoff_base_seconds!r}"
             )
-
-        crashes = []
-        for position, entry in enumerate(
-            _table_array(mapping.get("crashes", []), f"{where}.crashes")
-        ):
-            entry_where = f"{where}.crashes[{position}]"
-            _check_keys(entry, entry_where, ("after_seconds", "site"), ("after_seconds",))
-            site = _get_typed(entry, "site", str, entry_where)
-            if site is not None and site not in FAULT_SITES:
-                raise ScenarioSpecError(
-                    f"{entry_where}.site: unknown site {site!r}; "
-                    f"valid sites: {', '.join(FAULT_SITES)}"
-                )
-            crashes.append(
-                CrashPlan(
-                    after_seconds=_chaos_seconds(entry, "after_seconds", entry_where),
-                    site=site,
-                )
-            )
-
-        load_windows: Dict[str, "List[LoadWindow]"] = {"backpressure": [], "bursts": []}
-        for key, windows in load_windows.items():
-            for position, entry in enumerate(
-                _table_array(mapping.get(key, []), f"{where}.{key}")
-            ):
-                entry_where = f"{where}.{key}[{position}]"
-                _check_keys(
-                    entry,
-                    entry_where,
-                    ("start", "duration", "factor"),
-                    ("start", "duration", "factor"),
-                )
-                windows.append(
-                    LoadWindow(
-                        start=_chaos_seconds(entry, "start", entry_where),
-                        duration=_chaos_seconds(entry, "duration", entry_where, exclusive=True),
-                        factor=_chaos_seconds(entry, "factor", entry_where, exclusive=True),
-                    )
-                )
-
-        retry = None
-        if "retry" in mapping:
-            retry_raw = _require_mapping(mapping["retry"], f"{where}.retry")
-            retry_where = f"{where}.retry"
-            _check_keys(
-                retry_raw,
-                retry_where,
-                ("max_attempts", "backoff_base_seconds", "backoff_cap_seconds"),
-            )
-            max_attempts = _get_typed(retry_raw, "max_attempts", int, retry_where, 3)
-            if max_attempts < 1:
-                raise ScenarioSpecError(f"{retry_where}.max_attempts: must be at least 1")
-            base = _chaos_seconds(
-                retry_raw, "backoff_base_seconds", retry_where, default=0.001, exclusive=True
-            )
-            cap = _chaos_seconds(
-                retry_raw, "backoff_cap_seconds", retry_where, default=0.05, exclusive=True
-            )
-            if cap < base:
-                raise ScenarioSpecError(
-                    f"{retry_where}.backoff_cap_seconds: cap {cap!r} is below the "
-                    f"base delay {base!r}"
-                )
-            retry = RetryPolicy(
-                max_attempts=max_attempts,
-                backoff_base_seconds=base,
-                backoff_cap_seconds=cap,
-            )
-
-        random_stragglers = _get_typed(mapping, "random_stragglers", int, where, 0)
-        if random_stragglers < 0:
-            raise ScenarioSpecError(f"{where}.random_stragglers: must be non-negative")
-        horizon = _chaos_seconds(
-            mapping, "straggler_horizon_seconds", where, default=10.0, exclusive=True
-        )
-        section = cls(
-            enabled=_get_typed(mapping, "enabled", bool, where, True),
-            stragglers=tuple(stragglers),
-            random_stragglers=random_stragglers,
-            straggler_horizon_seconds=horizon,
-            partitions=tuple(partitions),
-            crashes=tuple(crashes),
-            backpressure=tuple(load_windows["backpressure"]),
-            bursts=tuple(load_windows["bursts"]),
-            retry=retry,
-        )
-        if section.enabled and not (
-            section.stragglers
-            or section.random_stragglers
-            or section.partitions
-            or section.crashes
-            or section.backpressure
-            or section.bursts
+        windows = [name for name, key in _keys(type(self)).items() if key.kind.many]
+        if self.enabled and not (
+            self.random_stragglers or any(getattr(self, name) for name in windows)
         ):
             raise ScenarioSpecError(
                 f"{where}: the section declares no faults — add stragglers, "
                 "partitions, crashes, backpressure, or bursts (or drop [chaos])"
             )
-        return section
 
     def engine_kwargs(self) -> Dict[str, Any]:
         """Keyword arguments for :meth:`repro.api.Database.enable_chaos`."""
-        kwargs: Dict[str, Any] = {
-            "stragglers": self.stragglers,
-            "random_stragglers": self.random_stragglers,
-            "straggler_horizon_seconds": self.straggler_horizon_seconds,
-            "partitions": self.partitions,
-            "crashes": self.crashes,
-            "backpressure": self.backpressure,
-            "bursts": self.bursts,
-        }
-        if self.retry is not None:
-            kwargs["retry"] = self.retry
+        kwargs = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+        del kwargs["enabled"]
+        if self.retry is None:
+            del kwargs["retry"]
         return kwargs
 
-    def to_mapping(self) -> Dict[str, Any]:
-        from ..chaos import RetryPolicy
 
-        # Like [trace], presence arms the engine, so ``enabled`` always
-        # survives the round trip.
-        mapping: Dict[str, Any] = {"enabled": self.enabled}
-        if self.stragglers:
-            mapping["stragglers"] = [
-                _drop_defaults(
-                    {
-                        "node": w.node,
-                        "start": w.start,
-                        "duration": w.duration,
-                        "multiplier": w.multiplier,
-                    }
+def _parse_axes(value: Any, where: str) -> Tuple[Tuple[str, Tuple[Any, ...]], ...]:
+    """``[sweep.axes]``: ``axis -> [values]``, kept as ordered pairs."""
+    axes: List[Tuple[str, Tuple[Any, ...]]] = []
+    for axis, values in _require_mapping(value, where).items():
+        axis_where = f"{where}.{axis}"
+        SweepSection.validate_axis_name(axis, axis_where)
+        if isinstance(values, (str, bytes)) or not isinstance(values, Sequence):
+            raise ScenarioSpecError(
+                f"{axis_where}: expected an array of values, got {type(values).__name__}"
+            )
+        if not values:
+            raise ScenarioSpecError(f"{axis_where}: an axis needs at least one value")
+        for position, item in enumerate(values):
+            if not isinstance(item, (str, int, float, bool)):
+                raise ScenarioSpecError(
+                    f"{axis_where}[{position}]: axis values must be scalars "
+                    f"(string/int/float/bool), got {type(item).__name__}"
                 )
-                for w in self.stragglers
-            ]
-        if self.random_stragglers:
-            mapping["random_stragglers"] = self.random_stragglers
-        if self.straggler_horizon_seconds != ChaosSection().straggler_horizon_seconds:
-            mapping["straggler_horizon_seconds"] = self.straggler_horizon_seconds
-        if self.partitions:
-            mapping["partitions"] = [
-                _drop_defaults(
-                    {
-                        "start": w.start,
-                        "duration": w.duration,
-                        "timeout_probability": w.timeout_probability or None,
-                    }
-                )
-                for w in self.partitions
-            ]
-        if self.crashes:
-            mapping["crashes"] = [
-                _drop_defaults({"after_seconds": plan.after_seconds, "site": plan.site})
-                for plan in self.crashes
-            ]
-        for key in ("backpressure", "bursts"):
-            windows = getattr(self, key)
-            if windows:
-                mapping[key] = [
-                    {"start": w.start, "duration": w.duration, "factor": w.factor}
-                    for w in windows
-                ]
-        if self.retry is not None:
-            defaults = RetryPolicy()
-            retry_mapping = {
-                field_name: getattr(self.retry, field_name)
-                for field_name in ("max_attempts", "backoff_base_seconds", "backoff_cap_seconds")
-                if getattr(self.retry, field_name) != getattr(defaults, field_name)
-            }
-            mapping["retry"] = retry_mapping
-        return mapping
+        if len(set(map(repr, values))) != len(values):
+            raise ScenarioSpecError(f"{axis_where}: axis values must be unique")
+        axes.append((axis, tuple(values)))
+    return tuple(axes)
+
+
+_AXES = _Kind(
+    "table of axis = [values]",
+    _parse_axes,
+    lambda axes: {axis: list(values) for axis, values in axes},
+)
 
 
 @dataclass(frozen=True)
-class SweepSection:
+class SweepSection(_Section):
     """``[sweep]``: a parameter grid for ``python -m repro sweep``.
 
     Each key of ``[sweep.axes]`` is an *axis*: a shorthand alias
@@ -1078,11 +859,9 @@ class SweepSection:
     """
 
     #: Ordered ``(axis, values)`` pairs — the declared grid.
-    axes: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
+    axes: Tuple[Tuple[str, Tuple[Any, ...]], ...] = _key(_AXES, ())
     #: Default worker-process count for the executor (CLI ``--jobs`` wins).
-    jobs: int = 1
-
-    _KEYS = ("axes", "jobs")
+    jobs: int = _key(_POSITIVE_INT, 1)
 
     #: Shorthand axis names -> dotted canonical-mapping paths.
     AXIS_ALIASES = {
@@ -1093,101 +872,34 @@ class SweepSection:
         "policy": "autopilot.policy",
     }
 
-    #: Sections a dotted axis path may start with.
-    _PATH_ROOTS = (
-        "cluster",
-        "workload",
-        "autopilot",
-        "tpch",
-        "trace",
-        "chaos",
-        "steps",
-        "checks",
-        "datasets",
-    )
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any], where: str = "sweep") -> "SweepSection":
-        _check_keys(mapping, where, cls._KEYS)
-        axes_raw = _require_mapping(mapping.get("axes", {}), f"{where}.axes")
-        axes: List[Tuple[str, Tuple[Any, ...]]] = []
-        for axis, values in axes_raw.items():
-            axis_where = f"{where}.axes.{axis}"
-            cls.validate_axis_name(axis, axis_where)
-            if isinstance(values, (str, bytes)) or not isinstance(values, Sequence):
-                raise ScenarioSpecError(
-                    f"{axis_where}: expected an array of values, got {type(values).__name__}"
-                )
-            if not values:
-                raise ScenarioSpecError(f"{axis_where}: an axis needs at least one value")
-            for position, value in enumerate(values):
-                if not isinstance(value, (str, int, float, bool)):
-                    raise ScenarioSpecError(
-                        f"{axis_where}[{position}]: axis values must be scalars "
-                        f"(string/int/float/bool), got {type(value).__name__}"
-                    )
-            if len(set(map(repr, values))) != len(values):
-                raise ScenarioSpecError(f"{axis_where}: axis values must be unique")
-            axes.append((axis, tuple(values)))
-        jobs = _get_typed(mapping, "jobs", int, where, 1)
-        if jobs < 1:
-            raise ScenarioSpecError(f"{where}.jobs: must be at least 1")
-        section = cls(axes=tuple(axes), jobs=jobs)
-        section._validate_values()
-        return section
-
     @classmethod
     def validate_axis_name(cls, axis: str, where: str) -> str:
         """Resolve ``axis`` to its dotted path; raises on unknown names."""
         if axis in cls.AXIS_ALIASES:
             return cls.AXIS_ALIASES[axis]
-        root = axis.split(".", 1)[0]
-        if "." in axis and root in cls._PATH_ROOTS:
+        # A dotted path may start with any top-level section but this one.
+        roots = [
+            name
+            for name, key in _keys(ScenarioSpec).items()
+            if not key.header and key.kind.classes != (cls,)
+        ]
+        if "." in axis and axis.split(".", 1)[0] in roots:
             return axis
         raise ScenarioSpecError(
             f"{where}: unknown axis {axis!r}; use an alias "
             f"({', '.join(sorted(cls.AXIS_ALIASES))}) or a dotted spec path "
-            f"starting with one of: {', '.join(cls._PATH_ROOTS)}"
+            f"starting with one of: {', '.join(roots)}"
         )
 
-    def _validate_values(self) -> None:
-        """Registry-backed eager checks for the common axes."""
+    def _validate(self, where: str) -> None:
+        """Alias axes take their values' kind from the key they alias, so a
+        bad value fails here with the axis path, not once per cell."""
         for axis, values in self.axes:
-            path = self.validate_axis_name(axis, f"sweep.axes.{axis}")
-            if path == "cluster.strategy":
-                from ..api.registry import available_strategies, strategy_by_name
-
+            if axis in self.AXIS_ALIASES:
+                section, name = self.AXIS_ALIASES[axis].split(".")
+                kind = _keys(_keys(ScenarioSpec)[section].kind.classes[0])[name].kind
                 for value in values:
-                    try:
-                        strategy_by_name(str(value))
-                    except ConfigError as exc:
-                        raise ScenarioSpecError(
-                            f"sweep.axes.{axis}: unknown strategy {value!r} "
-                            f"(registered strategies: {', '.join(available_strategies())})"
-                        ) from exc
-            elif path == "cluster.seed":
-                for value in values:
-                    if isinstance(value, bool) or not isinstance(value, int):
-                        raise ScenarioSpecError(
-                            f"sweep.axes.{axis}: seeds must be integers, got {value!r}"
-                        )
-            elif path == "autopilot.policy":
-                from ..control import available_policies
-
-                for value in values:
-                    if value not in available_policies():
-                        raise ScenarioSpecError(
-                            f"sweep.axes.{axis}: unknown policy {value!r} "
-                            f"(registered policies: {', '.join(available_policies())})"
-                        )
-
-    def to_mapping(self) -> Dict[str, Any]:
-        mapping: Dict[str, Any] = {}
-        if self.axes:
-            mapping["axes"] = {axis: list(values) for axis, values in self.axes}
-        if self.jobs != 1:
-            mapping["jobs"] = self.jobs
-        return mapping
+                    kind.parse(value, f"{where}.axes.{axis}")
 
 
 # ---------------------------------------------------------------------------
@@ -1196,352 +908,154 @@ class SweepSection:
 
 
 @dataclass(frozen=True)
-class RebalanceStep:
+class RebalanceStep(_Resize):
     """``{kind = "rebalance"}``: an explicit resize after the workload."""
 
-    add: Optional[int] = None
-    remove: Optional[int] = None
-    target_nodes: Optional[int] = None
-    fault_sites: Tuple[str, ...] = ()
-    expect_fault: bool = False
+    fault_sites: Tuple[str, ...] = _key(
+        _strings("unknown site(s) {unknown}; valid sites: {choices}", lambda: FAULT_SITES), ()
+    )
+    expect_fault: bool = _key(_BOOL, False)
 
     kind = "rebalance"
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any], where: str) -> "RebalanceStep":
-        _check_keys(
-            mapping,
-            where,
-            ("kind", "add", "remove", "target_nodes", "fault_sites", "expect_fault"),
-        )
-        step = cls(
-            add=_get_typed(mapping, "add", int, where),
-            remove=_get_typed(mapping, "remove", int, where),
-            target_nodes=_get_typed(mapping, "target_nodes", int, where),
-            fault_sites=_string_tuple(mapping.get("fault_sites", ()), f"{where}.fault_sites"),
-            expect_fault=_get_typed(mapping, "expect_fault", bool, where, False),
-        )
-        chosen = [v for v in (step.add, step.remove, step.target_nodes) if v is not None]
-        if len(chosen) != 1:
-            raise ScenarioSpecError(
-                f"{where}: a rebalance step needs exactly one of add/remove/target_nodes"
-            )
-        if step.expect_fault and not step.fault_sites:
+    def _validate(self, where: str) -> None:
+        super()._validate(where)
+        if self.expect_fault and not self.fault_sites:
             raise ScenarioSpecError(
                 f"{where}: expect_fault = true needs fault_sites naming the "
                 "protocol site(s) to crash at (see repro.api.FAULT_SITES)"
             )
-        if step.fault_sites and not step.expect_fault:
+        if self.fault_sites and not self.expect_fault:
             raise ScenarioSpecError(
                 f"{where}: fault_sites without expect_fault = true would crash "
                 "the run when the injected fault fires; add expect_fault = true "
                 "(and a recover step) or drop fault_sites"
             )
-        if step.fault_sites:
-            from ..rebalance.operation import FAULT_SITES
-
-            unknown = sorted(set(step.fault_sites) - set(FAULT_SITES))
-            if unknown:
-                raise ScenarioSpecError(
-                    f"{where}.fault_sites: unknown site(s) {unknown}; "
-                    f"valid sites: {', '.join(FAULT_SITES)}"
-                )
-        return step
-
-    def to_mapping(self) -> Dict[str, Any]:
-        return _drop_defaults(
-            {
-                "kind": "rebalance",
-                "add": self.add,
-                "remove": self.remove,
-                "target_nodes": self.target_nodes,
-                "fault_sites": list(self.fault_sites),
-                "expect_fault": self.expect_fault or None,
-            }
-        )
 
 
 @dataclass(frozen=True)
-class RecoverStep:
+class RecoverStep(_Section):
     """``{kind = "recover"}``: run rebalance recovery (Section V-D)."""
 
     kind = "recover"
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any], where: str) -> "RecoverStep":
-        _check_keys(mapping, where, ("kind",))
-        return cls()
-
-    def to_mapping(self) -> Dict[str, Any]:
-        return {"kind": "recover"}
-
 
 @dataclass(frozen=True)
-class QueryStep:
+class QueryStep(_Section):
     """``{kind = "query", plan = "q1"}``: run a named TPC-H plan."""
 
-    plan: str = "q1"
+    plan: str = _key(_choice("unknown query plan {value!r}; available: {choices}", REAL_PLANS.keys))
 
     kind = "query"
 
-    _PLANS = ("q1", "q3", "q6")
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any], where: str) -> "QueryStep":
-        _check_keys(mapping, where, ("kind", "plan"), ("plan",))
-        plan = _get_typed(mapping, "plan", str, where)
-        if plan not in cls._PLANS:
-            raise ScenarioSpecError(
-                f"{where}.plan: unknown query plan {plan!r}; available: {', '.join(cls._PLANS)}"
-            )
-        return cls(plan=plan)
-
-    def to_mapping(self) -> Dict[str, Any]:
-        return {"kind": "query", "plan": self.plan}
-
 
 Step = Union[RebalanceStep, RecoverStep, QueryStep]
-
-_STEP_KINDS = {
-    "rebalance": RebalanceStep,
-    "recover": RecoverStep,
-    "query": QueryStep,
-}
-
-
-def _step_from_mapping(mapping: Mapping[str, Any], where: str) -> Step:
-    kind = mapping.get("kind")
-    if kind not in _STEP_KINDS:
-        raise ScenarioSpecError(
-            f"{where}.kind: unknown step kind {kind!r}; "
-            f"available kinds: {', '.join(sorted(_STEP_KINDS))}"
-        )
-    return _STEP_KINDS[kind].from_mapping(mapping, where)
 
 
 # ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
 
+_BUDGET_MS = _scalar(int, float, positive=True, complaint="budgets are positive milliseconds")
+
 
 @dataclass(frozen=True)
-class ChecksSection:
+class ChecksSection(_Section):
     """``[checks]``: assertions the run must satisfy (CLI exit status)."""
 
-    min_autopilot_rebalances: Optional[int] = None
-    expect_nodes: Optional[int] = None
-    min_total_ops: Optional[int] = None
-    rebalance_write_p99_gte_steady: bool = False
-    datasets_unchanged_after_steps: bool = False
-    queries_identical_across_rebalance: bool = False
+    min_autopilot_rebalances: Optional[int] = _key(_INT, None)
+    expect_nodes: Optional[int] = _key(_INT, None)
+    min_total_ops: Optional[int] = _key(_INT, None)
+    rebalance_write_p99_gte_steady: bool = _key(_BOOL, False)
+    datasets_unchanged_after_steps: bool = _key(_BOOL, False)
+    queries_identical_across_rebalance: bool = _key(_BOOL, False)
+    #: Simulated-seconds budget from the last chaos-injected crash to the end
+    #: of the recovery pass that repaired it (trivially passes when no chaos
+    #: crash fired).
+    recovered_within_seconds: Optional[float] = _key(_POSITIVE, None)
+    #: Cap on ``retry.routing_miss / ops.total`` — how often a stale
+    #: directory view may land a lookup on a moved bucket.
+    max_routing_miss_rate: Optional[float] = _key(_scalar(int, float), None)
     #: Per-phase write-p99 SLO budgets in milliseconds, e.g.
     #: ``write_p99_budget_ms = {steady = 5.0, rebalance = 25.0}``.  One check
     #: per phase: the phase's write p99 must not exceed its budget (a phase
     #: that recorded no writes fails — a silent workload is not within SLO).
-    write_p99_budget_ms: Mapping[str, float] = field(default_factory=dict)
-    #: Simulated-seconds budget from the last chaos-injected crash to the end
-    #: of the recovery pass that repaired it (trivially passes when no chaos
-    #: crash fired).
-    recovered_within_seconds: Optional[float] = None
-    #: Cap on ``retry.routing_miss / ops.total`` — how often a stale
-    #: directory view may land a lookup on a moved bucket.
-    max_routing_miss_rate: Optional[float] = None
-
-    _KEYS = (
-        "min_autopilot_rebalances",
-        "expect_nodes",
-        "min_total_ops",
-        "rebalance_write_p99_gte_steady",
-        "datasets_unchanged_after_steps",
-        "queries_identical_across_rebalance",
-        "write_p99_budget_ms",
-        "recovered_within_seconds",
-        "max_routing_miss_rate",
+    write_p99_budget_ms: Mapping[str, float] = _key(
+        _table({phase: _Key(_BUDGET_MS, None) for phase in (PHASE_STEADY, PHASE_REBALANCE)}),
+        factory=dict,
     )
 
-    #: Phases a latency budget can be stated over.
-    _BUDGET_PHASES = ("steady", "rebalance")
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any], where: str = "checks") -> "ChecksSection":
-        _check_keys(mapping, where, cls._KEYS)
-        budgets_raw = _require_mapping(
-            mapping.get("write_p99_budget_ms", {}), f"{where}.write_p99_budget_ms"
-        )
-        _check_keys(budgets_raw, f"{where}.write_p99_budget_ms", cls._BUDGET_PHASES)
-        budgets: Dict[str, float] = {}
-        for phase, budget in budgets_raw.items():
-            if isinstance(budget, bool) or not isinstance(budget, (int, float)) or budget <= 0:
-                raise ScenarioSpecError(
-                    f"{where}.write_p99_budget_ms.{phase}: budgets are positive "
-                    f"milliseconds, got {budget!r}"
-                )
-            budgets[phase] = float(budget)
-        recovered_within = _get_typed(mapping, "recovered_within_seconds", (int, float), where)
-        if recovered_within is not None:
-            recovered_within = float(recovered_within)
-            if recovered_within <= 0:
-                raise ScenarioSpecError(f"{where}.recovered_within_seconds: must be positive")
-        miss_rate = _get_typed(mapping, "max_routing_miss_rate", (int, float), where)
-        if miss_rate is not None:
-            miss_rate = float(miss_rate)
-            if not 0.0 <= miss_rate <= 1.0:
-                raise ScenarioSpecError(
-                    f"{where}.max_routing_miss_rate: a rate must be within [0, 1]"
-                )
-        return cls(
-            min_autopilot_rebalances=_get_typed(mapping, "min_autopilot_rebalances", int, where),
-            expect_nodes=_get_typed(mapping, "expect_nodes", int, where),
-            min_total_ops=_get_typed(mapping, "min_total_ops", int, where),
-            rebalance_write_p99_gte_steady=_get_typed(
-                mapping, "rebalance_write_p99_gte_steady", bool, where, False
-            ),
-            datasets_unchanged_after_steps=_get_typed(
-                mapping, "datasets_unchanged_after_steps", bool, where, False
-            ),
-            queries_identical_across_rebalance=_get_typed(
-                mapping, "queries_identical_across_rebalance", bool, where, False
-            ),
-            write_p99_budget_ms=budgets,
-            recovered_within_seconds=recovered_within,
-            max_routing_miss_rate=miss_rate,
-        )
-
-    def to_mapping(self) -> Dict[str, Any]:
-        defaults = ChecksSection()
-        mapping = {
-            key: getattr(self, key)
-            for key in self._KEYS
-            if key != "write_p99_budget_ms" and getattr(self, key) != getattr(defaults, key)
-        }
-        if self.write_p99_budget_ms:
-            mapping["write_p99_budget_ms"] = dict(self.write_p99_budget_ms)
-        return mapping
+    def _validate(self, where: str) -> None:
+        rate = self.max_routing_miss_rate
+        if rate is not None and not 0.0 <= rate <= 1.0:
+            raise ScenarioSpecError(f"{where}.max_routing_miss_rate: a rate must be within [0, 1]")
 
 
 # ---------------------------------------------------------------------------
 # the scenario itself
 # ---------------------------------------------------------------------------
 
+#: The table of a document that carries the ``header`` keys.
+_HEADER = "scenario"
+
 #: Execution engines a scenario may select with ``scenario.concurrency``.
 CONCURRENCY_MODES = ("legacy", "interleaved")
-
-_TOP_LEVEL_KEYS = (
-    "scenario",
-    "cluster",
-    "datasets",
-    "tpch",
-    "workload",
-    "autopilot",
-    "trace",
-    "chaos",
-    "steps",
-    "checks",
-    "sweep",
-)
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One validated scenario document (see the module docstring)."""
 
-    name: str
-    description: str = ""
+    name: str = _key(_scalar(str, nonempty=True), header=True)
+    description: str = _key(_STR, "", header=True)
     #: Which execution engine runs the scenario: ``"legacy"`` (run to
     #: completion, bit-identical to pre-scheduler recordings) or
     #: ``"interleaved"`` (the :mod:`repro.sim` event scheduler — rebalance
     #: phases migrate bucket by bucket with foreground traffic paced inside
     #: the movement windows).  Embedded in recordings, so ``replay`` always
     #: re-runs the engine the recording was made with.
-    concurrency: str = "legacy"
-    cluster: ClusterSection = field(default_factory=ClusterSection)
-    datasets: Tuple[DatasetSection, ...] = ()
-    tpch: Optional[TPCHSection] = None
-    workload: Optional[WorkloadSection] = None
-    autopilot: Optional[AutopilotSection] = None
-    trace: Optional[TraceSection] = None
-    chaos: Optional[ChaosSection] = None
-    steps: Tuple[Step, ...] = ()
-    checks: ChecksSection = field(default_factory=ChecksSection)
-    sweep: Optional[SweepSection] = None
+    concurrency: str = _key(
+        _choice("unknown mode {value!r}; choose one of {choices}", lambda: CONCURRENCY_MODES),
+        "legacy",
+        header=True,
+    )
+    cluster: ClusterSection = _key(_nested(ClusterSection), factory=ClusterSection, always=True)
+    datasets: Tuple[DatasetSection, ...] = _key(_array(DatasetSection), ())
+    tpch: Optional[TPCHSection] = _key(_nested(TPCHSection), None)
+    workload: Optional[WorkloadSection] = _key(_nested(WorkloadSection), None)
+    autopilot: Optional[AutopilotSection] = _key(_nested(AutopilotSection), None)
+    trace: Optional[TraceSection] = _key(_nested(TraceSection), None)
+    chaos: Optional[ChaosSection] = _key(_nested(ChaosSection), None)
+    steps: Tuple[Step, ...] = _key(_array(RebalanceStep, RecoverStep, QueryStep), ())
+    checks: ChecksSection = _key(_nested(ChecksSection), factory=ChecksSection)
+    sweep: Optional[SweepSection] = _key(_nested(SweepSection), None)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Any]) -> "ScenarioSpec":
         """Validate a parsed document into a spec; raises
         :class:`ScenarioSpecError` with the offending section path."""
-        mapping = _require_mapping(mapping, "scenario document")
-        _check_keys(mapping, "scenario document", _TOP_LEVEL_KEYS, ("scenario",))
-        header = _require_mapping(mapping["scenario"], "scenario")
-        _check_keys(header, "scenario", ("name", "description", "concurrency"), ("name",))
-        name = _get_typed(header, "name", str, "scenario")
-        if not name:
-            raise ScenarioSpecError("scenario.name: must not be empty")
-        concurrency = _get_typed(header, "concurrency", str, "scenario", "legacy")
-        if concurrency not in CONCURRENCY_MODES:
-            raise ScenarioSpecError(
-                f"scenario.concurrency: unknown mode {concurrency!r}; "
-                f"choose one of {sorted(CONCURRENCY_MODES)}"
-            )
-
-        datasets_raw = mapping.get("datasets", [])
-        if not isinstance(datasets_raw, Sequence) or isinstance(datasets_raw, str):
-            raise ScenarioSpecError("datasets: expected an array of tables ([[datasets]])")
-        datasets = tuple(
-            DatasetSection.from_mapping(
-                _require_mapping(entry, f"datasets[{position}]"), f"datasets[{position}]"
-            )
-            for position, entry in enumerate(datasets_raw)
-        )
-        dataset_names = [dataset.name for dataset in datasets]
-        duplicate_datasets = sorted({n for n in dataset_names if dataset_names.count(n) > 1})
-        if duplicate_datasets:
-            raise ScenarioSpecError(f"datasets: duplicate dataset name(s) {duplicate_datasets}")
-
-        steps_raw = mapping.get("steps", [])
-        if not isinstance(steps_raw, Sequence) or isinstance(steps_raw, str):
-            raise ScenarioSpecError("steps: expected an array of tables ([[steps]])")
-        steps = tuple(
-            _step_from_mapping(
-                _require_mapping(entry, f"steps[{position}]"), f"steps[{position}]"
-            )
-            for position, entry in enumerate(steps_raw)
-        )
-
-        spec = cls(
-            name=name,
-            description=_get_typed(header, "description", str, "scenario", ""),
-            concurrency=concurrency,
-            cluster=ClusterSection.from_mapping(
-                _require_mapping(mapping.get("cluster", {}), "cluster")
-            ),
-            datasets=datasets,
-            tpch=TPCHSection.from_mapping(_require_mapping(mapping["tpch"], "tpch"))
-            if "tpch" in mapping
-            else None,
-            workload=WorkloadSection.from_mapping(
-                _require_mapping(mapping["workload"], "workload")
-            )
-            if "workload" in mapping
-            else None,
-            autopilot=AutopilotSection.from_mapping(
-                _require_mapping(mapping["autopilot"], "autopilot")
-            )
-            if "autopilot" in mapping
-            else None,
-            trace=TraceSection.from_mapping(_require_mapping(mapping["trace"], "trace"))
-            if "trace" in mapping
-            else None,
-            chaos=ChaosSection.from_mapping(_require_mapping(mapping["chaos"], "chaos"))
-            if "chaos" in mapping
-            else None,
-            steps=steps,
-            checks=ChecksSection.from_mapping(_require_mapping(mapping.get("checks", {}), "checks")),
-            sweep=SweepSection.from_mapping(_require_mapping(mapping["sweep"], "sweep"))
-            if "sweep" in mapping
-            else None,
-        )
+        document = _require_mapping(mapping, "scenario document")
+        header, body = cls._header_and_body()
+        if _HEADER not in document:
+            raise ScenarioSpecError(f"scenario document: missing required key(s) {[_HEADER]}")
+        values = _parse_keys(header, _require_mapping(document[_HEADER], _HEADER), _HEADER)
+        values.update(_parse_keys(body, document, "", extra=(_HEADER,)))
+        spec = cls(**values)
+        names = [dataset.name for dataset in spec.datasets]
+        duplicates = sorted({name for name in names if names.count(name) > 1})
+        if duplicates:
+            raise ScenarioSpecError(f"datasets: duplicate dataset name(s) {duplicates}")
         spec._validate_cross_section()
         return spec
+
+    @classmethod
+    def _header_and_body(cls) -> Tuple[Dict[str, _Key], Dict[str, _Key]]:
+        """The ``[scenario]`` table's keys, and the top-level sections."""
+        keys = _keys(cls)
+        return (
+            {name: key for name, key in keys.items() if key.header},
+            {name: key for name, key in keys.items() if not key.header},
+        )
 
     def _validate_cross_section(self) -> None:
         """Conflicts no single section can see."""
@@ -1663,38 +1177,8 @@ class ScenarioSpec:
     def to_mapping(self) -> Dict[str, Any]:
         """The canonical, JSON-serialisable form (round-trips through
         :meth:`from_mapping`; embedded in recordings for ``replay``)."""
-        mapping: Dict[str, Any] = {
-            "scenario": _drop_defaults(
-                {
-                    "name": self.name,
-                    "description": self.description or None,
-                    "concurrency": None if self.concurrency == "legacy" else self.concurrency,
-                }
-            )
-        }
-        cluster = self.cluster.to_mapping()
-        if cluster:
-            mapping["cluster"] = cluster
-        if self.datasets:
-            mapping["datasets"] = [dataset.to_mapping() for dataset in self.datasets]
-        if self.tpch is not None:
-            mapping["tpch"] = self.tpch.to_mapping()
-        if self.workload is not None:
-            mapping["workload"] = self.workload.to_mapping()
-        if self.autopilot is not None:
-            mapping["autopilot"] = self.autopilot.to_mapping()
-        if self.trace is not None:
-            mapping["trace"] = self.trace.to_mapping()
-        if self.chaos is not None:
-            mapping["chaos"] = self.chaos.to_mapping()
-        if self.steps:
-            mapping["steps"] = [step.to_mapping() for step in self.steps]
-        checks = self.checks.to_mapping()
-        if checks:
-            mapping["checks"] = checks
-        if self.sweep is not None:
-            mapping["sweep"] = self.sweep.to_mapping()
-        return mapping
+        header, body = self._header_and_body()
+        return {_HEADER: _emit_keys(header, self), **_emit_keys(body, self)}
 
     def with_overrides(
         self,
@@ -1708,11 +1192,7 @@ class ScenarioSpec:
         the strategy they were written for."""
         spec = self
         if concurrency is not None:
-            if concurrency not in CONCURRENCY_MODES:
-                raise ScenarioSpecError(
-                    f"scenario.concurrency: unknown mode {concurrency!r}; "
-                    f"choose one of {sorted(CONCURRENCY_MODES)}"
-                )
+            _keys(ScenarioSpec)["concurrency"].kind.parse(concurrency, "scenario.concurrency")
             spec = replace(spec, concurrency=concurrency)
         if seed is not None:
             spec = replace(spec, cluster=replace(spec.cluster, seed=seed))

@@ -75,6 +75,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'node'" in err
 
+    @pytest.mark.parametrize(
+        "steps, fragment",
+        [
+            ('[[steps]]\nkind = ["a"]\n', "steps[0].kind: expected str"),
+            ('[[steps]]\nkind = "rebalance"\nremove = 10\n', "steps[0]: target_nodes must be at least 1"),
+        ],
+        ids=["parse-time", "run-time"],
+    )
+    def test_malformed_steps_exit_two_without_a_traceback(self, tmp_path, capsys, steps, fragment):
+        path = tmp_path / "malformed.toml"
+        path.write_text(SPEC_TEXT + steps)
+        for command in (["run", str(path), "-q"], ["trace", str(path), "-q"], ["sweep", str(path),
+                        "--axis", "seed=1", "--out-dir", str(tmp_path / "cells"), "--quiet"]):
+            assert main(command) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and fragment in err and "Traceback" not in err
+
     def test_missing_spec_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.toml")]) == 2
         assert "not found" in capsys.readouterr().err
@@ -101,6 +118,17 @@ class TestRecordReplayInspect:
         assert main(["replay", str(recording)]) == 1
         out = capsys.readouterr().out
         assert "replay DIVERGED" in out and "counters[ops.total]" in out
+
+    def test_replay_of_a_spec_that_cannot_run_exits_two(self, spec_path, tmp_path, capsys):
+        recording = tmp_path / "run.json"
+        main(["run", str(spec_path), "-q", "--record", str(recording)])
+        document = json.loads(recording.read_text())
+        document["scenario"]["steps"] = [{"kind": "rebalance", "remove": 10}]
+        recording.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert main(["replay", str(recording)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: steps[0]: target_nodes") and "Traceback" not in err
 
     def test_inspect_prints_cluster_and_histograms(self, spec_path, tmp_path, capsys):
         recording = tmp_path / "run.json"

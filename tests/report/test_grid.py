@@ -60,6 +60,12 @@ class TestParseAxisArg:
         with pytest.raises(ScenarioSpecError, match="seeds must be integers"):
             parse_axis_arg("seed=1.5")
 
+    def test_alias_values_are_typed_by_the_key_they_alias(self):
+        with pytest.raises(ScenarioSpecError, match=r"sweep\.axes\.nodes: expected int, got str"):
+            parse_axis_arg("nodes=a")
+        with pytest.raises(ScenarioSpecError, match="unknown policy 'nosuch'"):
+            parse_axis_arg("policy=nosuch")
+
 
 class TestMergeAxes:
     def test_cli_axis_replaces_spec_axis_in_place(self):

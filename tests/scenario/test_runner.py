@@ -213,3 +213,40 @@ class TestStepsAndChecks:
         assert result.passed, [c.detail for c in result.checks]
         query_outcomes = [o for o in result.step_outcomes if o.kind == "query"]
         assert len(query_outcomes) == 2
+
+
+class TestRunTimeSpecErrors:
+    """What validation cannot see without the live cluster still ends in a
+    ScenarioSpecError naming the step or phase, never a bare ConfigError."""
+
+    def test_step_resize_that_does_not_fit_the_cluster(self):
+        from repro.scenario import ScenarioSpecError
+
+        spec = parse_scenario(STORM + '\n[[steps]]\nkind = "rebalance"\nremove = 10\n')
+        with pytest.raises(ScenarioSpecError, match=r"^steps\[0\]: target_nodes must be at least 1"):
+            run_scenario(spec)
+
+    def test_phase_resize_that_does_not_fit_the_cluster(self):
+        from repro.scenario import ScenarioSpecError
+
+        spec = parse_scenario(STORM.replace("{ add = 1 }", "{ remove = 10 }"))
+        with pytest.raises(ScenarioSpecError, match=r"^workload\.phases\[1\]: target_nodes must be"):
+            run_scenario(spec)
+
+    def test_query_plan_over_a_table_the_spec_left_out(self):
+        from repro.scenario import ScenarioSpecError
+
+        spec = parse_scenario(
+            """
+            [scenario]
+            name = "partial"
+            [tpch]
+            scale_factor = 0.0001
+            tables = ["orders"]
+            [[steps]]
+            kind = "query"
+            plan = "q3"
+            """
+        )
+        with pytest.raises(ScenarioSpecError, match=r"^steps\[0\]: dataset 'customer' does not exist"):
+            run_scenario(spec)

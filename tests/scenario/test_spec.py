@@ -512,3 +512,102 @@ class TestWriteP99BudgetSpec:
         text = MINIMAL + "[checks]\nwrite_p99_budget_ms = { steady = true }\n"
         with pytest.raises(ScenarioSpecError, match="positive milliseconds"):
             spec_from(text)
+
+
+class TestTypedFields:
+    """Every key carries its kind, so a wrong-typed or out-of-range value is a
+    located error at parse time — these all parsed (or crashed with a bare
+    TypeError) before the field declarations drove validation."""
+
+    PHASED = """
+    [scenario]
+    name = "x"
+    [workload]
+    [[workload.phases]]
+    name = "a"
+    ops = 5
+    rebalance = { %s }
+    """
+
+    def test_step_kind_must_be_a_string(self):
+        with pytest.raises(ScenarioSpecError, match=r"steps\[0\]\.kind: expected str, got list"):
+            ScenarioSpec.from_mapping(
+                {"scenario": {"name": "x"}, "steps": [{"kind": ["a"]}]}
+            )
+
+    def test_step_without_kind(self):
+        with pytest.raises(ScenarioSpecError, match=r"steps\[0\]: missing required.*kind"):
+            spec_from(MINIMAL + "\n[[steps]]\nadd = 1\n")
+
+    @pytest.mark.parametrize("key", ["add", "remove", "target_nodes"])
+    @pytest.mark.parametrize(
+        "value, problem",
+        [
+            ('"x"', "expected int, got str"),
+            ("true", "expected int, got a boolean"),
+            ("0", "must be at least 1"),
+            ("-1", "must be at least 1"),
+        ],
+    )
+    def test_resize_counts_are_positive_ints(self, key, value, problem):
+        where = rf"workload\.phases\[0\]\.rebalance\.{key}: {problem}"
+        with pytest.raises(ScenarioSpecError, match=where):
+            spec_from(self.PHASED % f"{key} = {value}")
+        with pytest.raises(ScenarioSpecError, match=rf"steps\[0\]\.{key}: {problem}"):
+            spec_from(MINIMAL + f'\n[[steps]]\nkind = "rebalance"\n{key} = {value}\n')
+
+    def test_tpch_tables_are_checked_against_the_schema(self):
+        text = '[scenario]\nname = "x"\n[tpch]\ntables = ["orders", "nope"]\n'
+        with pytest.raises(ScenarioSpecError, match=r"tpch\.tables: unknown table.*'nope'.*lineitem"):
+            spec_from(text)
+
+    def test_tpch_batch_size_must_be_positive(self):
+        with pytest.raises(ScenarioSpecError, match=r"tpch\.batch_size: must be at least 1"):
+            spec_from('[scenario]\nname = "x"\n[tpch]\nbatch_size = 0\n')
+
+    def test_workload_scale_must_be_positive(self):
+        text = '[scenario]\nname = "x"\n[cluster]\nworkload_scale = 0\n[workload]\n'
+        with pytest.raises(ScenarioSpecError, match=r"cluster\.workload_scale: must be positive"):
+            spec_from(text)
+
+    def test_workload_dataset_must_not_be_empty(self):
+        with pytest.raises(ScenarioSpecError, match=r"workload\.dataset: must not be empty"):
+            spec_from('[scenario]\nname = "x"\n[workload]\ndataset = ""\n')
+
+    def test_key_lists_must_not_be_empty(self):
+        text = '[scenario]\nname = "x"\n[[datasets]]\nname = "d"\nprimary_key = []\n'
+        with pytest.raises(ScenarioSpecError, match=r"datasets\[0\]\.primary_key: must not be empty"):
+            spec_from(text)
+        text = (
+            '[scenario]\nname = "x"\n[[datasets]]\nname = "d"\n'
+            '[[datasets.secondary_indexes]]\nname = "i"\nfields = []\n'
+        )
+        with pytest.raises(ScenarioSpecError, match=r"secondary_indexes\[0\]\.fields: must not be"):
+            spec_from(text)
+
+    def test_byte_size_overflow_is_a_spec_error(self):
+        with pytest.raises(ScenarioSpecError, match=r"workload\.payload_bytes: expected a byte size"):
+            spec_from('[scenario]\nname = "x"\n[workload]\npayload_bytes = "1e999 KiB"\n')
+
+    def test_alias_axis_values_take_the_type_of_the_key_they_alias(self):
+        with pytest.raises(ScenarioSpecError, match=r"sweep\.axes\.nodes: expected int, got str"):
+            spec_from(MINIMAL + '[sweep.axes]\nnodes = ["a"]\n')
+        with pytest.raises(ScenarioSpecError, match=r"sweep\.axes\.workload_scale: must be positive"):
+            spec_from(MINIMAL + "[sweep.axes]\nworkload_scale = [0]\n")
+        with pytest.raises(
+            ScenarioSpecError, match=r"sweep\.axes\.policy: unknown policy 'nosuch' \(registered"
+        ):
+            spec_from(MINIMAL + '[sweep.axes]\npolicy = ["nosuch"]\n')
+
+    def test_section_entry_points_share_the_generic_walk(self):
+        from repro.scenario import ClusterSection, RebalanceStep, WorkloadPhaseSpec
+
+        assert ClusterSection.from_mapping({"nodes": 3}).to_mapping()["nodes"] == 3
+        with pytest.raises(ScenarioSpecError, match=r"^cluster: unknown key.*'node'"):
+            ClusterSection.from_mapping({"node": 3})
+        step = RebalanceStep.from_mapping({"kind": "rebalance", "add": 1}, "steps[3]")
+        assert step.to_mapping() == {"kind": "rebalance", "add": 1}
+        phase = WorkloadPhaseSpec.from_mapping(
+            {"name": "p", "ops": 1, "rebalance": {"remove": 1}}, "workload.phases[0]"
+        )
+        assert phase.to_mapping()["rebalance"] == {"remove": 1}
