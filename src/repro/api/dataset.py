@@ -23,6 +23,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 from ..cluster.dataset import DatasetSpec
 from ..cluster.reports import IngestReport
 from ..common.errors import UnknownDatasetError
+from ..common.hashutil import hash_key
 from .query import QueryBuilder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -183,10 +184,11 @@ class Dataset:
         deleted = 0
         for key in keys:
             requested += 1
-            pid = runtime.partition_of_key(key)
+            hashed = hash_key(key)
+            pid = runtime.partition_of_key(key, hashed)
             partition = runtime.partitions[pid]
-            existing = partition.lookup(key)
-            partition.delete(key, record=existing)
+            existing = partition.lookup(key, hashed)
+            partition.delete(key, record=existing, hashed=hashed)
             if existing is not None:
                 deleted += 1
                 per_partition[pid] = per_partition.get(pid, 0) + 1
@@ -208,25 +210,11 @@ class Dataset:
 
     # ------------------------------------------------------------- read path
 
-    def get(self, key: Any) -> Optional[Dict[str, Any]]:
-        """Point lookup by primary key (routes via the current directory).
-
-        The emitted ``op.read`` latency charges the client/CC round trip plus
-        the per-component open overhead and disk pages the probe actually
-        touched (taken from the partition's storage-stats delta), so lookups
-        get slower as a bucket accumulates unmerged components.
-        """
-        runtime = self._runtime()
-        heat = self.database.cluster.heat
-        if heat is not None:
-            heat.record_read(self.name, key)
-        partition_id = runtime.partition_of_key(key)
-        partition = runtime.partitions[partition_id]
-        opened_before = partition.components_opened_total()
-        record = partition.lookup(key)
-        opened = partition.components_opened_total() - opened_before
+    def _probe_latency(self, opened: int) -> float:
+        """Client-observed seconds of one point read whose probe opened
+        ``opened`` disk components (before any chaos distortion)."""
         cost = self.database.cluster.cost
-        latency = (
+        return (
             cost.rpc_time(2)
             + cost.component_open_time(opened)
             # One page per component probed past the Bloom filters; charged
@@ -235,6 +223,25 @@ class Dataset:
             + (opened * self.database.config.lsm.page_bytes)
             / cost.config.disk_read_bytes_per_sec
         )
+
+    def get(self, key: Any) -> Optional[Dict[str, Any]]:
+        """Point lookup by primary key (routes via the current directory).
+
+        The key is hashed once, here; routing, the heat hook and the storage
+        probe all share that hash.  The emitted ``op.read`` latency charges
+        the client/CC round trip plus the per-component open overhead and disk
+        pages the probe actually touched (the count the partition reports for
+        the one bucket tree it searched), so lookups get slower as a bucket
+        accumulates unmerged components.
+        """
+        runtime = self._runtime()
+        hashed = hash_key(key)
+        heat = self.database.cluster.heat
+        if heat is not None:
+            heat.record_read(self.name, hashed)
+        partition = runtime.partitions[runtime.partition_of_key(key, hashed)]
+        record = partition.lookup(key, hashed)
+        latency = self._probe_latency(partition.last_lookup_opened)
         chaos = self.database.cluster.chaos
         if chaos is not None:
             # Burst windows stretch the client's service time; partition
@@ -248,40 +255,43 @@ class Dataset:
 
         The storage work, per-key cost accounting, and resulting telemetry
         are identical to looping :meth:`get` — each key's latency is computed
-        from its own probe's component-open delta — but session/runtime
-        resolution happens once and the samples travel as a single
-        ``op.batch`` event, which the metrics registry folds in with
+        from its own probe's component-open count — but session/runtime
+        resolution happens once, each distinct count is priced once, and the
+        samples travel as a single ``op.batch`` event, which the metrics
+        registry folds in with
         :meth:`~repro.metrics.MetricsRegistry.observe_op_batch`.  This is the
         read path of the batched workload driver.
         """
         runtime = self._runtime()
         partitions = runtime.partitions
-        partition_of_key = runtime.partition_of_key
-        cost = self.database.cluster.cost
-        rpc = cost.rpc_time(2)
-        component_open_time = cost.component_open_time
-        page_bytes = self.database.config.lsm.page_bytes
-        disk_rate = cost.config.disk_read_bytes_per_sec
+        # DatasetRuntime.partition_of_key, bound once per batch: the live
+        # directory's lookup_hash, or hash modulo partitions without one.
+        directory = runtime.global_directory if runtime.routing_mode == "directory" else None
+        lookup_hash = None if directory is None else directory.lookup_hash
         heat = self.database.cluster.heat
         chaos = self.database.cluster.chaos
+        # opened -> latency: the charge is a pure function of the count.
+        priced: Dict[int, float] = {}
         records: List[Optional[Dict[str, Any]]] = []
         latencies: List[float] = []
         for key in keys:
+            hashed = hash_key(key)
             if heat is not None:
-                heat.record_read(self.name, key)
-            partition = partitions[partition_of_key(key)]
-            opened_before = partition.components_opened_total()
-            record = partition.lookup(key)
-            opened = partition.components_opened_total() - opened_before
-            # Same float-operation order as get(): the batched and looped
-            # paths must produce bit-identical latency samples.
-            latency = rpc + component_open_time(opened) + (opened * page_bytes) / disk_rate
+                heat.record_read(self.name, hashed)
+            if lookup_hash is None:
+                partition = partitions[hashed % len(partitions)]
+            else:
+                partition = partitions[lookup_hash(hashed)[1]]
+            records.append(partition.lookup(key, hashed))
+            opened = partition.last_lookup_opened
+            latency = priced.get(opened)
+            if latency is None:
+                latency = priced[opened] = self._probe_latency(opened)
             if chaos is not None:
                 latency = latency * chaos.client_factor() + chaos.routing_penalty(
                     runtime, key
                 )
             latencies.append(latency)
-            records.append(record)
         self._emit_op_batch("read", latencies)
         return records
 

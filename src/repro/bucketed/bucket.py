@@ -51,8 +51,12 @@ class Bucket(ReferenceCounted):
     def hash_prefix(self) -> int:
         return self.bucket_id.prefix
 
-    def owns_key(self, key: Any) -> bool:
-        return self.bucket_id.contains_key(key)
+    def owns_key(self, key: Any, hashed: Optional[int] = None) -> bool:
+        """Whether ``key`` hashes into this bucket (``hashed`` is
+        ``hash_key(key)`` when the caller already routed on it)."""
+        if hashed is None:
+            return self.bucket_id.contains_key(key)
+        return self.bucket_id.contains_hash(hashed)
 
     # ------------------------------------------------------------- locking
 
@@ -74,7 +78,7 @@ class Bucket(ReferenceCounted):
     def _check_access(self) -> None:
         if self._locked:
             raise StorageError(f"bucket {self.bucket_id} is locked by a split")
-        if self.is_destroyed:
+        if self._destroyed:
             raise StorageError(f"bucket {self.bucket_id} has been reclaimed")
 
     # ------------------------------------------------------------- data path
@@ -85,9 +89,9 @@ class Bucket(ReferenceCounted):
             raise StorageError(f"key {key!r} does not belong to bucket {self.bucket_id}")
         return self.tree.insert(key, value)
 
-    def delete(self, key: Any) -> Entry:
+    def delete(self, key: Any, hashed: Optional[int] = None) -> Entry:
         self._check_access()
-        if not self.owns_key(key):
+        if not self.owns_key(key, hashed):
             raise StorageError(f"key {key!r} does not belong to bucket {self.bucket_id}")
         return self.tree.delete(key)
 
@@ -97,13 +101,13 @@ class Bucket(ReferenceCounted):
         self._check_access()
         return self.tree.apply_entry(entry)
 
-    def get(self, key: Any) -> Optional[Any]:
+    def get(self, key: Any, hashed: Optional[int] = None) -> Optional[Any]:
         self._check_access()
-        return self.tree.get(key)
+        return self.tree.get(key, hashed)
 
-    def get_entry(self, key: Any) -> Optional[Entry]:
+    def get_entry(self, key: Any, hashed: Optional[int] = None) -> Optional[Entry]:
         self._check_access()
-        return self.tree.get_entry(key)
+        return self.tree.get_entry(key, hashed)
 
     def scan(self, low: Any = None, high: Any = None) -> Iterator[Entry]:
         self._check_access()

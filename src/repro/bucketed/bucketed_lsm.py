@@ -12,7 +12,7 @@ configured maximum size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..common.config import BucketingConfig, LSMConfig
 from ..common.errors import BucketNotFoundError, StorageError
@@ -116,9 +116,13 @@ class BucketedLSMTree:
     def buckets(self) -> List[Bucket]:
         return [self._buckets[bucket_id] for bucket_id in self.directory.buckets]
 
-    def bucket_for_key(self, key: Any) -> Bucket:
-        bucket_id = self.directory.bucket_for_hash(hash_key(key))
-        return self._buckets[bucket_id]
+    def bucket_for_key(self, key: Any, hashed: Optional[int] = None) -> Bucket:
+        """The local bucket owning ``key``; ``hashed`` is ``hash_key(key)``
+        when the caller already has it (every data-path method below hashes a
+        key it was given no hash for once, and passes the hash down)."""
+        if hashed is None:
+            hashed = hash_key(key)
+        return self._buckets[self.directory.bucket_for_hash(hashed)]
 
     def owns_key(self, key: Any) -> bool:
         return self.directory.owns_key(key)
@@ -144,36 +148,54 @@ class BucketedLSMTree:
 
     upsert = insert
 
-    def delete(self, key: Any) -> Entry:
-        return self.bucket_for_key(key).delete(key)
+    def delete(self, key: Any, hashed: Optional[int] = None) -> Entry:
+        if hashed is None:
+            hashed = hash_key(key)
+        return self.bucket_for_key(key, hashed).delete(key, hashed)
 
     def apply_entry(self, entry: Entry) -> Entry:
         return self.bucket_for_key(entry.key).apply_entry(entry)
 
-    def get(self, key: Any) -> Optional[Any]:
+    def get(self, key: Any, hashed: Optional[int] = None) -> Optional[Any]:
         """Point lookup: only the owning bucket is searched (Section IV)."""
-        return self.bucket_for_key(key).get(key)
+        if hashed is None:
+            hashed = hash_key(key)
+        return self.bucket_for_key(key, hashed).get(key, hashed)
 
-    def lookup(self, key: Any) -> Optional[Any]:
+    def lookup(self, key: Any, hashed: Optional[int] = None) -> Tuple[Optional[Any], int]:
         """Point lookup that treats "bucket not local" as a miss.
 
-        Collapses the partition hot path's ``owns_key`` + ``get`` pair (three
-        key hashes) into a single hash and route: a stale-directory probe for
-        a moved bucket simply returns ``None``, exactly as the partition-level
-        lookup contract requires.
+        A stale-directory probe for a moved bucket simply finds nothing,
+        exactly as the partition-level lookup contract requires.  Returns
+        ``(value, opened)``: ``opened`` is the number of disk components the
+        probe opened, read off the one bucket tree it searched, which is what
+        the caller's latency charge needs (0 for a memory-component hit and
+        for a bucket that is not local).
         """
-        bucket_id = self.directory.try_bucket_for_hash(hash_key(key))
+        if hashed is None:
+            hashed = hash_key(key)
+        bucket_id = self.directory.try_bucket_for_hash(hashed)
         if bucket_id is None:
-            return None
+            return None, 0
         bucket = self._buckets[bucket_id]
         bucket._check_access()
-        return bucket.tree.get(key)
+        tree = bucket.tree
+        stats = tree.stats
+        opened_before = stats.components_opened
+        entry = tree.get_entry(key, hashed)
+        opened = stats.components_opened - opened_before
+        if entry is None or entry.tombstone:
+            return None, opened
+        return entry.value, opened
 
-    def get_entry(self, key: Any) -> Optional[Entry]:
-        return self.bucket_for_key(key).get_entry(key)
+    def get_entry(self, key: Any, hashed: Optional[int] = None) -> Optional[Entry]:
+        if hashed is None:
+            hashed = hash_key(key)
+        return self.bucket_for_key(key, hashed).get_entry(key, hashed)
 
     def __contains__(self, key: Any) -> bool:
-        return self.get_entry(key) is not None and not self.get_entry(key).tombstone
+        entry = self.get_entry(key)
+        return entry is not None and not entry.tombstone
 
     def __len__(self) -> int:
         return sum(1 for _ in self.scan())
@@ -340,12 +362,6 @@ class BucketedLSMTree:
         for bucket in self._buckets.values():
             total.add(bucket.tree.stats)
         return total
-
-    def components_opened_total(self) -> int:
-        """Sum of ``components_opened`` across buckets — the one stat the
-        point-lookup cost charge needs, without materialising a full
-        :class:`StorageStats` aggregate per probe."""
-        return sum(bucket.tree.stats.components_opened for bucket in self._buckets.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -61,18 +61,22 @@ class DatasetRuntime:
             return RoutingSnapshot("directory", directory=self.global_directory)
         return RoutingSnapshot("modulo", num_partitions=len(self.partitions))
 
-    def partition_of_key(self, key: Any) -> int:
+    def partition_of_key(self, key: Any, hashed: Optional[int] = None) -> int:
         """Route one key through the *live* directory.
 
         Point lookups route through the current state anyway, so unlike feeds
         and queries there is nothing to snapshot — going straight to the live
         directory skips the per-call directory copy a
         :meth:`routing_snapshot` would make (this is the hottest routing call
-        in the simulator).
+        in the simulator).  ``hashed`` is ``hash_key(key)`` when the caller
+        already has it: the `Dataset` verbs hash a key once and hand the same
+        hash to routing, the heat hook and the storage probe.
         """
+        if hashed is None:
+            hashed = hash_key(key)
         if self.routing_mode == "directory":
-            return self.global_directory.partition_of_key(key)
-        return hash_key(key) % len(self.partitions)
+            return self.global_directory.lookup_hash(hashed)[1]
+        return hashed % len(self.partitions)
 
     @property
     def total_size_bytes(self) -> int:
@@ -351,8 +355,9 @@ class SimulatedCluster:
         ``Dataset.get``.
         """
         runtime = self.dataset(dataset_name)
-        partition_id = runtime.partition_of_key(key)
-        return runtime.partitions[partition_id].lookup(key)
+        hashed = hash_key(key)
+        partition_id = runtime.partition_of_key(key, hashed)
+        return runtime.partitions[partition_id].lookup(key, hashed)
 
     def partitions_by_node(self, dataset_name: str) -> Dict[str, List[StoragePartition]]:
         """Dataset partitions grouped by node (what the query executor runs over)."""

@@ -22,6 +22,7 @@ from ..bucketed.bucket import Bucket
 from ..bucketed.bucketed_lsm import BucketedLSMTree, MaintenanceReport
 from ..common.config import BucketingConfig, LSMConfig
 from ..common.errors import StorageError
+from ..common.hashutil import hash_key
 from ..hashing.bucket_id import BucketId
 from ..lsm.entry import Entry
 from ..lsm.stats import StorageStats
@@ -93,6 +94,8 @@ class StoragePartition:
         self.pending_received: Dict[BucketId, PendingReceivedBucket] = {}
         #: True while the finalization phase blocks reads and writes.
         self.blocked = False
+        #: Disk components the most recent :meth:`lookup` opened.
+        self.last_lookup_opened = 0
 
     # -------------------------------------------------------------- helpers
 
@@ -115,17 +118,23 @@ class StoragePartition:
         record: Mapping[str, Any],
         log: bool = True,
         primary_key: Optional[Any] = None,
-    ) -> Any:
+        hashed: Optional[int] = None,
+    ) -> Dict[str, Any]:
         """Insert (or upsert) a record into every index of the partition.
 
-        ``primary_key`` lets callers that already extracted the key (the data
-        feed routes on it) skip a second extraction.
+        ``primary_key`` and ``hashed`` (its ``hash_key``) let callers that
+        already extracted and routed on the key skip a second extraction and
+        hash.  Returns the partition's own copy of the record — the one dict
+        every index and the WAL share — so a caller that forwards the write
+        (log replication) need not copy or size the row again.
         """
         self._check_not_blocked()
         if primary_key is None:
             primary_key = self.dataset.primary_key_of(record)
+        if hashed is None:
+            hashed = hash_key(primary_key)
         record_dict = dict(record)
-        self.primary.insert(primary_key, record_dict)
+        self.primary.insert_routed(primary_key, record_dict, hashed)
         self.primary_key_index.insert(primary_key, None)
         for spec in self.dataset.secondary_indexes:
             index = self.secondary_indexes[spec.name]
@@ -137,7 +146,7 @@ class StoragePartition:
                 self.partition_id,
                 {"key": primary_key, "value": record_dict},
             )
-        return primary_key
+        return record_dict
 
     def insert_many(
         self,
@@ -179,16 +188,27 @@ class StoragePartition:
             count += 1
         return count
 
-    def delete(self, primary_key: Any, record: Optional[Mapping[str, Any]] = None, log: bool = True) -> None:
+    def delete(
+        self,
+        primary_key: Any,
+        record: Optional[Mapping[str, Any]] = None,
+        log: bool = True,
+        hashed: Optional[int] = None,
+    ) -> None:
         """Delete a record by primary key.
 
         Secondary-index tombstones need the old secondary keys; AsterixDB
         reads the old record to produce them, and so do we when ``record`` is
-        not supplied.
+        not supplied.  ``hashed`` is ``hash_key(primary_key)`` when the caller
+        already routed on it.
         """
         self._check_not_blocked()
-        old_record = dict(record) if record is not None else self.primary.get(primary_key)
-        self.primary.delete(primary_key)
+        if hashed is None:
+            hashed = hash_key(primary_key)
+        old_record = (
+            dict(record) if record is not None else self.primary.get(primary_key, hashed)
+        )
+        self.primary.delete(primary_key, hashed)
         self.primary_key_index.delete(primary_key)
         if old_record is not None:
             for spec in self.dataset.secondary_indexes:
@@ -204,15 +224,22 @@ class StoragePartition:
 
     # ------------------------------------------------------------- read path
 
-    def lookup(self, primary_key: Any) -> Optional[Dict[str, Any]]:
+    def lookup(
+        self, primary_key: Any, hashed: Optional[int] = None
+    ) -> Optional[Dict[str, Any]]:
         """Point lookup by primary key (searches only the owning bucket).
 
         Keys whose bucket does not live on this partition return ``None``
         rather than raising: a query routed with a stale directory copy during
         a rebalance may probe the old location of a key that already moved.
+        ``hashed`` is ``hash_key(primary_key)`` when the caller already routed
+        on it.  The probe's disk-component count is left in
+        :attr:`last_lookup_opened` for the caller that prices the read.
         """
-        self._check_not_blocked()
-        return self.primary.lookup(primary_key)
+        if self.blocked:  # probed inline: this is the per-key read path
+            self._check_not_blocked()
+        record, self.last_lookup_opened = self.primary.lookup(primary_key, hashed)
+        return record
 
     def scan_primary(
         self, low: Any = None, high: Any = None, ordered: bool = False
@@ -286,17 +313,6 @@ class StoragePartition:
         total.add(self.primary_key_index.stats)
         for tree in self.secondary_indexes.values():
             total.add(tree.stats)
-        return total
-
-    def components_opened_total(self) -> int:
-        """``components_opened`` summed across every index — the only stat a
-        point lookup's cost charge reads, cheap enough to sample before and
-        after each probe (a full :meth:`stats_snapshot` pair per ``get`` was
-        the hottest line of the read path)."""
-        total = self.primary.components_opened_total()
-        total += self.primary_key_index.stats.components_opened
-        for tree in self.secondary_indexes.values():
-            total += tree.stats.components_opened
         return total
 
     def record_count(self) -> int:

@@ -50,6 +50,16 @@ def hash_key(key: Any) -> int:
     Supported key types are the ones the TPC-H substrate and examples use:
     integers, strings, bytes, floats, and tuples of those (composite keys).
     """
+    if type(key) is int:
+        # The exact-int case is nearly every key the simulator routes, so it
+        # skips the isinstance chain and the call into hash64: the same
+        # splitmix64 finalizer, inlined (equal to hash64(key) for any int,
+        # negative and wider-than-64-bit ones included).  hash64 itself stays
+        # as written: it is the calibration kernel of repro.bench.micro.
+        x = ((key & _MASK64) + 0x9E3779B97F4A7C15) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return x ^ (x >> 31)
     if isinstance(key, bool):
         # bool is an int subclass; hash it as its integer value explicitly so
         # True/1 collide intentionally rather than by accident.

@@ -9,9 +9,11 @@ faithful and testable.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Optional
 
 from ..common.hashutil import hash64, hash_key
+
+_H2_SALT = 0xA5A5A5A5A5A5A5A5
 
 
 class BloomFilter:
@@ -21,6 +23,12 @@ class BloomFilter:
     ``bits_per_key`` and ``num_hashes``.  A filter built with
     ``bits_per_key=0`` degenerates to "always maybe", which disables the
     optimization without special-casing callers.
+
+    Bit positions come from Kirsch-Mitzenmacher double hashing:
+    ``position_i = (h1 + i * h2) mod bits`` with ``h1 = hash_key(key)`` and
+    ``h2 = hash64(h1 ^ _H2_SALT) | 1``.  :meth:`build`, :meth:`add` and
+    :meth:`may_contain` each walk them in one loop, stepping by ``h2``
+    (Python ints do not wrap, so the running sum equals ``h1 + i * h2``).
     """
 
     __slots__ = ("_bits", "_num_bits", "_num_hashes", "_num_keys")
@@ -39,11 +47,26 @@ class BloomFilter:
     def build(
         cls, keys: Iterable[Any], bits_per_key: int = 10, num_hashes: int = 7
     ) -> "BloomFilter":
-        """Build a filter sized for ``keys`` and populate it."""
+        """Build a filter sized for ``keys`` and populate it.
+
+        Same bits as :meth:`add` per key, set in one loop: every flush, merge
+        and received bucket builds a filter over all of its keys.
+        """
         key_list = list(keys)
         bloom = cls(len(key_list), bits_per_key=bits_per_key, num_hashes=num_hashes)
+        bloom._num_keys = len(key_list)
+        num_bits = bloom._num_bits
+        if not num_bits:
+            return bloom
+        bits = bloom._bits
+        hashes = range(bloom._num_hashes)
         for key in key_list:
-            bloom.add(key)
+            position = hash_key(key)
+            step = hash64(position ^ _H2_SALT) | 1
+            for _ in hashes:
+                bit = position % num_bits
+                bits[bit >> 3] |= 1 << (bit & 7)
+                position += step
         return bloom
 
     @property
@@ -56,29 +79,38 @@ class BloomFilter:
         """Size of the underlying bit array (0 when disabled)."""
         return len(self._bits)
 
-    def _positions(self, key: Any) -> "Iterator[int]":
-        base = hash_key(key)
-        # Kirsch-Mitzenmacher double hashing: position_i = h1 + i * h2.
-        h1 = base
-        h2 = hash64(base ^ 0xA5A5A5A5A5A5A5A5) | 1
-        for i in range(self._num_hashes):
-            yield (h1 + i * h2) % self._num_bits
-
     def add(self, key: Any) -> None:
         """Insert ``key`` into the filter."""
         self._num_keys += 1
-        if not self._num_bits:
+        num_bits = self._num_bits
+        if not num_bits:
             return
-        for pos in self._positions(key):
-            self._bits[pos >> 3] |= 1 << (pos & 7)
+        position = hash_key(key)
+        step = hash64(position ^ _H2_SALT) | 1
+        bits = self._bits
+        for _ in range(self._num_hashes):
+            bit = position % num_bits
+            bits[bit >> 3] |= 1 << (bit & 7)
+            position += step
 
-    def may_contain(self, key: Any) -> bool:
-        """Return False only if ``key`` was definitely never added."""
-        if not self._num_bits:
+    def may_contain(self, key: Any, hashed: Optional[int] = None) -> bool:
+        """Return False only if ``key`` was definitely never added.
+
+        ``hashed`` is the key's ``hash_key`` when the caller already has it
+        (a point lookup hashes its key once for routing and every filter it
+        probes); without one the filter computes it.
+        """
+        num_bits = self._num_bits
+        if not num_bits:
             return True
-        for pos in self._positions(key):
-            if not self._bits[pos >> 3] & (1 << (pos & 7)):
+        position = hash_key(key) if hashed is None else hashed
+        step = hash64(position ^ _H2_SALT) | 1
+        bits = self._bits
+        for _ in range(self._num_hashes):
+            bit = position % num_bits
+            if not bits[bit >> 3] & (1 << (bit & 7)):
                 return False
+            position += step
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -182,12 +182,16 @@ class DiskComponent(ReferenceCounted):
     def max_key(self) -> Optional[Any]:
         return self._keys[-1] if self._keys else None
 
-    def may_contain(self, key: Any) -> bool:
-        """Bloom-filter check; False means the key is definitely absent."""
-        return self._bloom.may_contain(key)
+    def may_contain(self, key: Any, hashed: Optional[int] = None) -> bool:
+        """Bloom-filter check; False means the key is definitely absent.
 
-    def get(self, key: Any) -> Optional[Entry]:
-        """Point lookup inside this component."""
+        ``hashed`` is ``hash_key(key)`` when the caller already has it.
+        """
+        return self._bloom.may_contain(key, hashed)
+
+    def get(self, key: Any, hashed: Optional[int] = None) -> Optional[Entry]:
+        """Point lookup inside this component (``hashed`` is accepted so a
+        probe calls real and reference components alike; it is not needed)."""
         if self._destroyed:
             raise ComponentStateError("component already destroyed")
         return self._index.get(key)
@@ -231,6 +235,7 @@ class ReferenceDiskComponent(ReferenceCounted):
         self._target = target
         self.hash_prefix = low_bits(hash_prefix, depth)
         self.depth = depth
+        self._mask = (1 << depth) - 1
         # The reference pins its target so a concurrent merge/cleanup of the
         # parent bucket cannot reclaim it from under us.
         target.retain()
@@ -240,8 +245,12 @@ class ReferenceDiskComponent(ReferenceCounted):
     def target(self) -> DiskComponent:
         return self._target
 
-    def _matches(self, key: Any) -> bool:
-        return low_bits(hash_key(key), self.depth) == self.hash_prefix
+    def _matches(self, key: Any, hashed: Optional[int] = None) -> bool:
+        """True if ``key`` (whose ``hash_key`` is ``hashed``, when the caller
+        already has it) falls in this bucket's slice of the target."""
+        if hashed is None:
+            hashed = hash_key(key)
+        return hashed & self._mask == self.hash_prefix
 
     def __len__(self) -> int:
         return sum(1 for _ in self.entries())
@@ -261,16 +270,16 @@ class ReferenceDiskComponent(ReferenceCounted):
         """Bytes of the *target* component (what a scan must read through)."""
         return self._target.size_bytes
 
-    def may_contain(self, key: Any) -> bool:
-        if not self._matches(key):
-            return False
-        return self._target.may_contain(key)
+    def may_contain(self, key: Any, hashed: Optional[int] = None) -> bool:
+        if hashed is None:
+            hashed = hash_key(key)
+        return hashed & self._mask == self.hash_prefix and self._target.may_contain(key, hashed)
 
-    def get(self, key: Any) -> Optional[Entry]:
+    def get(self, key: Any, hashed: Optional[int] = None) -> Optional[Entry]:
         """Point lookup with the bucket-prefix filtering step."""
         if self.is_destroyed:
             raise ComponentStateError("component already destroyed")
-        if not self._matches(key):
+        if not self._matches(key, hashed):
             return None
         return self._target.get(key)
 

@@ -234,37 +234,48 @@ class LSMTree:
                 return True
         return False
 
-    def get(self, key: Any) -> Optional[Any]:
+    def get(self, key: Any, hashed: Optional[int] = None) -> Optional[Any]:
         """Point lookup: newest-to-oldest search, Bloom-filter skipping.
 
         Returns the value, or ``None`` if the key is absent or deleted.
         """
-        entry = self.get_entry(key)
+        entry = self.get_entry(key, hashed)
         if entry is None or entry.tombstone:
             return None
         return entry.value
 
-    def get_entry(self, key: Any) -> Optional[Entry]:
-        """Like :meth:`get` but returns the raw entry (tombstones included)."""
-        if self._is_invalidated(key):
+    def get_entry(self, key: Any, hashed: Optional[int] = None) -> Optional[Entry]:
+        """Like :meth:`get` but returns the raw entry (tombstones included).
+
+        ``hashed`` is ``hash_key(key)`` when the caller already routed on it;
+        every Bloom filter and reference component the probe reaches shares
+        it, and a probe answered by the memory component never needs it.
+        """
+        if self._invalid_buckets and self._is_invalidated(key):
             return None
-        mem_entry = self.memory.get(key)
-        if mem_entry is not None:
-            self.stats.records_read += 1
-            return mem_entry
-        for component in self._visible_components():
-            if not component.may_contain(key):
-                self.stats.bloom_negative_skips += 1
+        stats = self.stats
+        entry = self.memory.get(key)
+        if entry is not None:
+            stats.records_read += 1
+            return entry
+        components = self.disk_components
+        if not components:
+            return None
+        if hashed is None:
+            hashed = hash_key(key)
+        for component in components:
+            if not component.may_contain(key, hashed):
+                stats.bloom_negative_skips += 1
                 continue
             component.retain()
             try:
-                self.stats.components_opened += 1
-                entry = component.get(key)
+                stats.components_opened += 1
+                entry = component.get(key, hashed)
             finally:
                 component.release()
             if entry is not None:
-                self.stats.records_read += 1
-                self.stats.bytes_read += entry.size_bytes
+                stats.records_read += 1
+                stats.bytes_read += entry.size_bytes
                 return entry
         return None
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, TYPE_CHECKING
 
+from ..common.hashutil import hash_key
 from ..hashing.bucket_id import BucketId
 from ..lsm.entry import Entry, estimate_value_size
 from .plan import BucketMove, RebalancePlan
@@ -65,24 +66,30 @@ class LogReplicator:
         bucket, _partition = self.plan.old_directory.lookup_key(key)
         return self._moving.get(bucket)
 
-    def write(self, row: Mapping[str, Any]) -> None:
-        """Apply one concurrent insert during the rebalance.
+    def write(self, row: Mapping[str, Any]) -> int:
+        """Apply one concurrent insert during the rebalance; returns its size.
 
         The write is routed with the *old* directory (feeds hold an immutable
         copy, Section III), applied at its current partition, and — when its
         bucket is moving — replicated to the destination's pending bucket.
+        The key is extracted and hashed, and the row copied and sized, once:
+        the source partition's stored copy is what gets replicated, and the
+        returned byte size is what the caller prices the write with.
         """
         key = self.runtime.spec.primary_key_of(row)
-        bucket, source_partition = self.plan.old_directory.lookup_key(key)
-        self.runtime.partitions[source_partition].insert(row)
+        hashed = hash_key(key)
+        bucket, source_partition = self.plan.old_directory.lookup_hash(hashed)
+        record = self.runtime.partitions[source_partition].insert(
+            row, primary_key=key, hashed=hashed
+        )
+        size = estimate_value_size(record)
         self.stats.concurrent_writes += 1
         move = self._moving.get(bucket)
         if move is None:
-            return
-        entry = Entry(key=key, value=dict(row), seqnum=self._next_seqnum())
+            return size
+        entry = Entry(key=key, value=record, seqnum=self._next_seqnum())
         destination = self.runtime.partitions[move.destination_partition]
         destination.apply_replicated_write(move.bucket, entry)
-        size = estimate_value_size(dict(row))
         self.stats.replicated_records += 1
         self.stats.replicated_bytes += size
         route = (
@@ -90,11 +97,13 @@ class LogReplicator:
             f"{self.partition_nodes[move.destination_partition]}"
         )
         self.stats.bytes_by_route[route] = self.stats.bytes_by_route.get(route, 0) + size
+        return size
 
     def delete(self, key: Any) -> None:
         """Apply one concurrent delete during the rebalance (tombstone path)."""
-        bucket, source_partition = self.plan.old_directory.lookup_key(key)
-        self.runtime.partitions[source_partition].delete(key)
+        hashed = hash_key(key)
+        bucket, source_partition = self.plan.old_directory.lookup_hash(hashed)
+        self.runtime.partitions[source_partition].delete(key, hashed=hashed)
         self.stats.concurrent_writes += 1
         move = self._moving.get(bucket)
         if move is None:

@@ -41,7 +41,6 @@ from typing import (
 from ..common.errors import FaultInjected, RebalanceAborted, RebalanceError
 from ..hashing.bucket_id import BucketId
 from ..hashing.extendible import GlobalDirectory
-from ..lsm.entry import estimate_value_size
 from ..lsm.wal import LogRecordType
 from ..cluster.reports import RebalanceReport
 from ..sim import SimSegment, drain
@@ -450,8 +449,7 @@ class RebalanceOperation:
         slower while a rebalance is in flight (Figure 7c).
         """
         cost = self.cluster.cost
-        replicator.write(row)
-        row_bytes = estimate_value_size(dict(row))
+        row_bytes = replicator.write(row)
         self._emit(
             "op.update",
             latency_seconds=(

@@ -347,8 +347,9 @@ class GlobalHashingStrategy(RebalancingStrategy):
             for entry in partition.scan_primary():
                 record = entry.value
                 key = entry.key
-                new_pid = target_partitions[hash_key(key) % num_new]
-                new_partitions[new_pid].insert(record, log=False)
+                hashed = hash_key(key)
+                new_pid = target_partitions[hashed % num_new]
+                new_partitions[new_pid].insert(record, log=False, primary_key=key, hashed=hashed)
                 new_node = cluster.node_of_partition(new_pid).node_id
                 loaded_records_by_partition[new_pid] = (
                     loaded_records_by_partition.get(new_pid, 0) + 1
@@ -363,8 +364,9 @@ class GlobalHashingStrategy(RebalancingStrategy):
         # nothing in our model; it simply redoes them).
         for row in concurrent_rows:
             key = runtime.spec.primary_key_of(row)
-            new_pid = target_partitions[hash_key(key) % num_new]
-            new_partitions[new_pid].insert(row, log=False)
+            hashed = hash_key(key)
+            new_pid = target_partitions[hashed % num_new]
+            new_partitions[new_pid].insert(row, log=False, primary_key=key, hashed=hashed)
             loaded_records_by_partition[new_pid] = loaded_records_by_partition.get(new_pid, 0) + 1
             records_moved += 1
         for partition in new_partitions.values():

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..common.events import Event, Subscription
-from ..common.hashutil import hash_key
 from ..metrics import PHASE_REBALANCE, PHASE_STEADY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,9 +74,9 @@ class BucketHeat:
 
     # ------------------------------------------------------------- recording
 
-    def record_read(self, dataset: str, key: Any) -> None:
-        """Credit one read of ``key`` (called from the `Dataset` verbs)."""
-        self._record(self._reads, dataset, hash_key(key))
+    def record_read(self, dataset: str, hashed: int) -> None:
+        """Credit one point read by its already-computed key hash."""
+        self._record(self._reads, dataset, hashed)
 
     def record_write(self, dataset: str, hashed: int) -> None:
         """Credit one written row by its already-computed key hash."""

@@ -6,12 +6,14 @@ same registry state — the only difference is that samples travel as one
 ``op.batch`` event.
 """
 
-from repro.api import ClusterConfig, Database
+from repro.api import KIB, BucketingConfig, ClusterConfig, Database, LSMConfig
+from repro.lsm.component import DiskComponent, ReferenceDiskComponent
+from repro.lsm.stats import StorageStats
 
 
-def open_loaded(rows=300):
+def open_loaded(rows=300, strategy="dynahash"):
     db = Database(
-        ClusterConfig(num_nodes=3, partitions_per_node=2, strategy="dynahash")
+        ClusterConfig(num_nodes=3, partitions_per_node=2, strategy=strategy)
     )
     dataset = db.create_dataset("t", primary_key="k")
     dataset.insert([{"k": i, "v": f"value-{i}"} for i in range(rows)])
@@ -39,12 +41,157 @@ class TestGetMany:
         db_a.close()
         db_b.close()
 
+    def test_modulo_routed_dataset_matches_looped_get(self):
+        keys = [1, 5, 250, 9999, 42, 42]
+        db_a, ds_a = open_loaded(strategy="hashing")
+        assert db_a.cluster.dataset("t").routing_mode == "modulo"
+        looped = [ds_a.get(key) for key in keys]
+        db_b, ds_b = open_loaded(strategy="hashing")
+        assert ds_b.get_many(keys) == looped
+        assert [r and r["k"] for r in looped] == [1, 5, 250, None, 42, 42]
+        assert db_b.metrics.snapshot() == db_a.metrics.snapshot()
+        db_a.close()
+        db_b.close()
+
     def test_empty_batch_emits_nothing(self):
         db, dataset = open_loaded(10)
         before = db.metrics.snapshot()
         assert dataset.get_many([]) == []
         assert db.metrics.snapshot() == before
         db.close()
+
+
+def open_split():
+    """A dataset that has split: every bucket holds a flushed component on top
+    of two reference components, plus a live memory component."""
+    db = Database(
+        ClusterConfig(
+            num_nodes=2,
+            partitions_per_node=2,
+            strategy="dynahash",
+            lsm=LSMConfig(memory_component_bytes=32 * KIB),
+            bucketing=BucketingConfig(max_bucket_bytes=48 * KIB),
+        )
+    )
+    dataset = db.create_dataset("t", primary_key="k")
+    dataset.insert([{"k": i, "v": "x" * 64} for i in range(2800)], batch_size=32)
+    runtime = db.cluster.dataset("t")
+    for partition in runtime.partitions.values():
+        partition.primary.flush_all()
+    # Overwrites and fresh keys that stay in memory (no maintenance pass, so
+    # nothing merges the references away).
+    newer = [{"k": i, "v": "y" * 64} for i in list(range(0, 2800, 35)) + [5000, 5001]]
+    db.cluster.feed("t").ingest(newer, maintain=False)
+    for partition in runtime.partitions.values():
+        for bucket in partition.primary.buckets():
+            kinds = [type(component) for component in bucket.tree.disk_components]
+            assert kinds == [DiskComponent, ReferenceDiskComponent, ReferenceDiskComponent]
+            assert len(bucket.tree.memory) > 0
+    return db, dataset
+
+
+def storage_stats(db):
+    """StorageStats summed over every partition of dataset ``t``."""
+    total = StorageStats()
+    for partition in db.cluster.dataset("t").partitions.values():
+        total.add(partition.stats_snapshot())
+    return total
+
+
+def read_latencies(db):
+    """Collect every ``op.read`` latency sample, single or batched, in order."""
+    samples = []
+    db.on("op.read", lambda event: samples.append(event["latency_seconds"]))
+    db.on(
+        "op.batch",
+        lambda event: samples.extend(event["latencies"]) if event["op"] == "read" else None,
+    )
+    return samples
+
+
+#: Memory hits (35, 5000), flushed hits (2790), reference hits (3, 1234),
+#: misses (9999, -4), repeats, and a non-int miss.
+SPLIT_KEYS = [35, 3, 2790, 9999, 1234, 5000, 3, -4, 2799, 70, 1, "absent", 2451, 35]
+
+
+class TestSplitDatasetEquivalence:
+    """Looped ``get``, ``get_many`` and traced ``get_many`` are one read path."""
+
+    def run(self, how):
+        db, dataset = open_split()
+        if how == "traced":
+            db.start_trace()
+            assert db.cluster.heat is not None
+        samples = read_latencies(db)
+        before = storage_stats(db)
+        if how == "looped":
+            records = [dataset.get(key) for key in SPLIT_KEYS]
+        else:
+            records = dataset.get_many(SPLIT_KEYS)
+        delta = storage_stats(db).diff(before)
+        snapshot = db.metrics.snapshot()
+        heat = db.cluster.heat.read_heat() if how == "traced" else None
+        db.close()
+        return records, samples, delta, snapshot, heat
+
+    def test_records_latencies_and_storage_stats_are_identical(self):
+        looped = self.run("looped")
+        batched = self.run("batched")
+        traced = self.run("traced")
+        assert looped[:4] == batched[:4] == traced[:4]
+        records, samples, delta, _, heat = traced
+        assert [r and r["v"][0] for r in records] == [
+            "y", "x", "x", None, "x", "y", "x", None, "x", "y", "x", None, "x", "y",
+        ]
+        # Latencies are exact floats, and they differ with the probe's depth.
+        assert len(samples) == len(SPLIT_KEYS)
+        assert len(set(samples)) > 1
+        assert delta.records_read == sum(r is not None for r in records)
+        assert delta.components_opened > 0
+        assert delta.bloom_negative_skips > 0
+        # Every read heated the bucket that owns its key.
+        assert sum(count for _, _, count in heat) == len(SPLIT_KEYS)
+
+    def test_delete_matches_the_unhashed_partition_path(self):
+        keys = [35, 3, 2790, 9999, 3, 5000, -4]  # present, absent, repeated
+        db_a, ds_a = open_split()
+        before_a = storage_stats(db_a)
+        report = ds_a.delete(keys)
+        # The same verb spelled through the partition API with no hash handed
+        # down: each layer computes what it was not given.
+        db_b, ds_b = open_split()
+        before_b = storage_stats(db_b)
+        runtime = db_b.cluster.dataset("t")
+        deleted = 0
+        for key in keys:
+            partition = runtime.partitions[runtime.partition_of_key(key)]
+            existing = partition.lookup(key)
+            partition.delete(key, record=existing)
+            deleted += existing is not None
+        for partition in runtime.partitions.values():
+            partition.maintain()
+        assert (report.keys_requested, report.records_deleted) == (len(keys), deleted) == (7, 4)
+        assert storage_stats(db_a).diff(before_a) == storage_stats(db_b).diff(before_b)
+        assert ds_a.get_many(keys) == ds_b.get_many(keys) == [None] * len(keys)
+        assert ds_a.count() == ds_b.count() == 2802 - 4
+        db_a.close()
+        db_b.close()
+
+    def test_traced_delete_is_identical(self):
+        keys = [35, 9999, 2790, 35]
+        outcomes = []
+        for traced in (False, True):
+            db, dataset = open_split()
+            if traced:
+                db.start_trace()
+            samples = []
+            db.on("op.delete", lambda event, into=samples: into.append(event["latency_seconds"]))
+            before = storage_stats(db)
+            report = dataset.delete(keys)
+            outcomes.append((report, samples, storage_stats(db).diff(before)))
+            db.close()
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0].records_deleted == 2
 
 
 class TestUpsertEach:

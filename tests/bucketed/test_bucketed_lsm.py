@@ -78,6 +78,54 @@ class TestReadWrite:
         assert 7 not in tree
         assert len(tree) == 29
 
+    def test_contains_is_one_probe(self):
+        # Regression: ``key in tree`` probed twice and double-counted the
+        # read in the storage stats.
+        tree = make_tree()
+        for key in range(30):
+            tree.insert(key, "x" * 40)
+        tree.flush_all()
+        tree.delete(7)
+        for key, present in ((3, True), (7, False), (1000, False)):
+            by_contains = tree.aggregated_stats()
+            assert (key in tree) is present
+            by_contains = tree.aggregated_stats().diff(by_contains)
+            by_get_entry = tree.aggregated_stats()
+            tree.get_entry(key)
+            by_get_entry = tree.aggregated_stats().diff(by_get_entry)
+            assert by_contains == by_get_entry
+        # One flushed hit: one record, one component, that entry's bytes.
+        before = tree.aggregated_stats()
+        assert 3 in tree
+        delta = tree.aggregated_stats().diff(before)
+        assert (delta.records_read, delta.components_opened) == (1, 1)
+        assert delta.bytes_read == tree.get_entry(3).size_bytes
+
+    def test_lookup_reports_the_probes_component_opens(self):
+        tree = make_tree(initial_depth=1)
+        for key in range(40):
+            tree.insert(key, key)
+        tree.flush_all()
+        tree.insert(100, "memory")
+        assert tree.lookup(100) == ("memory", 0)
+        for key in (3, 100, 12345):
+            before = tree.aggregated_stats().components_opened
+            value, opened = tree.lookup(key)
+            assert opened == tree.aggregated_stats().components_opened - before
+            assert value == tree.get(key)
+        assert tree.lookup(3) == (3, 1)
+
+    def test_lookup_of_a_bucket_that_is_not_local_is_a_free_miss(self):
+        tree = make_tree(initial_depth=1)
+        for key in range(40):
+            tree.insert(key, key)
+        tree.flush_all()
+        moved = tree.bucket_for_key(3).bucket_id
+        tree.remove_bucket(moved)
+        before = tree.aggregated_stats()
+        assert tree.lookup(3) == (None, 0)
+        assert tree.aggregated_stats() == before
+
     def test_apply_entry_routes_by_key(self):
         tree = make_tree(initial_depth=1)
         tree.apply_entry(Entry(key=11, value="replicated", seqnum=77))

@@ -61,6 +61,39 @@ class TestHashKey:
     def test_hash_key_in_64_bit_range(self, key):
         assert 0 <= hash_key(key) < 2**64
 
+    # Routing, bucket membership and every Bloom filter are functions of these
+    # values: a change here silently re-homes every record.
+    @pytest.mark.parametrize(
+        "key, expected",
+        [
+            (0, 0xE220A8397B1DCDAF),
+            (1, 0x910A2DEC89025CC1),
+            (-1, 0xE4D971771B652C20),
+            (2**63, 0x481EC0A212A9F3DB),
+            (2**64 + 5, 0x63033B0CA389C35A),
+            (True, 0x910A2DEC89025CC1),
+            ("customer#000001", 0x689AC71D3FADA391),
+            (b"abc", 0xE71FA2190541574B),
+            (3.25, 0xF9B67EDA735C49D7),
+            ((1, "a"), 0xEDE0CB18B3C80CB4),
+        ],
+    )
+    def test_golden_vectors(self, key, expected):
+        assert hash_key(key) == expected
+
+    @given(st.integers())
+    def test_int_fast_path_is_hash64(self, key):
+        # Unbounded: negative and wider-than-64-bit ints take the same path.
+        assert hash_key(key) == hash64(key)
+
+    def test_int_subclasses_hash_as_their_value(self):
+        class Wrapped(int):
+            pass
+
+        assert hash_key(True) == hash64(1)
+        assert hash_key(False) == hash64(0)
+        assert hash_key(Wrapped(42)) == hash64(42)
+
 
 class TestLowBits:
     def test_depth_zero_is_always_zero(self):

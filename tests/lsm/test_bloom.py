@@ -4,7 +4,39 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.common.hashutil import hash64, hash_key
 from repro.lsm.bloom import BloomFilter
+
+
+def reference_positions(key, num_bits, num_hashes):
+    """Kirsch-Mitzenmacher double hashing, as the filter is specified."""
+    h1 = hash_key(key)
+    h2 = hash64(h1 ^ 0xA5A5A5A5A5A5A5A5) | 1
+    return [(h1 + i * h2) % num_bits for i in range(num_hashes)]
+
+
+def reference_filter(keys, bits_per_key, num_hashes):
+    """(bit array, membership test) built from the reference formula alone."""
+    num_bits = max(8, len(keys) * bits_per_key) if bits_per_key else 0
+    bits = bytearray((num_bits + 7) // 8)
+    for key in keys:
+        for pos in reference_positions(key, num_bits, num_hashes) if num_bits else ():
+            bits[pos >> 3] |= 1 << (pos & 7)
+
+    def may_contain(key):
+        return not num_bits or all(
+            bits[pos >> 3] & (1 << (pos & 7))
+            for pos in reference_positions(key, num_bits, num_hashes)
+        )
+
+    return bits, may_contain
+
+
+bloom_keys = st.one_of(
+    st.integers(),
+    st.text(max_size=12),
+    st.tuples(st.integers(), st.text(max_size=6)),
+)
 
 
 class TestBloomFilter:
@@ -50,3 +82,32 @@ class TestBloomFilter:
     def test_no_false_negatives_property(self, keys):
         bloom = BloomFilter.build(keys)
         assert all(bloom.may_contain(key) for key in keys)
+
+    @given(
+        keys=st.lists(bloom_keys, max_size=60, unique=True),
+        probes=st.lists(bloom_keys, max_size=60),
+        bits_per_key=st.sampled_from([0, 1, 3, 10]),
+        num_hashes=st.integers(min_value=0, max_value=9),
+    )
+    def test_matches_the_reference_formula(self, keys, probes, bits_per_key, num_hashes):
+        # Zero or one key at 1-3 bits per key lands on the 8-bit minimum;
+        # bits_per_key=0 is the disabled filter.
+        expected_bits, expected_may_contain = reference_filter(keys, bits_per_key, num_hashes)
+        built = BloomFilter.build(keys, bits_per_key=bits_per_key, num_hashes=num_hashes)
+        added = BloomFilter(len(keys), bits_per_key=bits_per_key, num_hashes=num_hashes)
+        for key in keys:
+            added.add(key)
+        assert built._bits == added._bits == expected_bits
+        assert built.num_keys == added.num_keys == len(keys)
+        for key in keys + probes:
+            expected = expected_may_contain(key)
+            assert built.may_contain(key) is expected
+            # The hash a point lookup carries down is the one the filter
+            # would compute itself.
+            assert built.may_contain(key, hash_key(key)) is expected
+
+    def test_eight_bit_minimum(self):
+        bloom = BloomFilter.build([7], bits_per_key=1, num_hashes=3)
+        assert bloom.size_bytes == 1
+        assert bloom._bits == reference_filter([7], 1, 3)[0]
+        assert bloom.may_contain(7)
