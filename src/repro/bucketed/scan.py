@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import heapq
 from enum import Enum
-from typing import Any, Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from ..lsm.entry import Entry
+from ..lsm.entry import Entry, sort_key
 
 
 class ScanMode(Enum):
@@ -34,12 +34,6 @@ class ScanMode(Enum):
 def choose_scan_mode(requires_primary_key_order: bool) -> ScanMode:
     """AsterixDB's optimization rule for bucketed primary-index scans."""
     return ScanMode.ORDERED if requires_primary_key_order else ScanMode.UNORDERED
-
-
-def _sort_key(key: Any) -> Tuple:
-    if isinstance(key, tuple):
-        return key
-    return (key,)
 
 
 def unordered_scan(bucket_scans: Sequence[Iterable[Entry]]) -> Iterator[Entry]:
@@ -62,13 +56,13 @@ def ordered_scan(bucket_scans: Sequence[Iterable[Entry]]) -> Iterator[Entry]:
     counter = 0
     for index, iterator in enumerate(iterators):
         for entry in iterator:
-            heapq.heappush(heap, (_sort_key(entry.key), index, counter, entry))
+            heapq.heappush(heap, (sort_key(entry.key), index, counter, entry))
             counter += 1
             break
     while heap:
         _, index, _, entry = heapq.heappop(heap)
         for next_entry in iterators[index]:
-            heapq.heappush(heap, (_sort_key(next_entry.key), index, counter, next_entry))
+            heapq.heappush(heap, (sort_key(next_entry.key), index, counter, next_entry))
             counter += 1
             break
         yield entry

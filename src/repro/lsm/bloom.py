@@ -45,12 +45,19 @@ class BloomFilter:
 
     @classmethod
     def build(
-        cls, keys: Iterable[Any], bits_per_key: int = 10, num_hashes: int = 7
+        cls,
+        keys: Iterable[Any],
+        bits_per_key: int = 10,
+        num_hashes: int = 7,
+        hashed: Optional[Iterable[int]] = None,
     ) -> "BloomFilter":
         """Build a filter sized for ``keys`` and populate it.
 
         Same bits as :meth:`add` per key, set in one loop: every flush, merge
-        and received bucket builds a filter over all of its keys.
+        and received bucket builds a filter over all of its keys.  ``hashed``
+        is ``hash_key`` of each key, in the same order, when the caller
+        already has them (a disk component keeps that column); without it the
+        filter hashes the keys itself.
         """
         key_list = list(keys)
         bloom = cls(len(key_list), bits_per_key=bits_per_key, num_hashes=num_hashes)
@@ -60,8 +67,7 @@ class BloomFilter:
             return bloom
         bits = bloom._bits
         hashes = range(bloom._num_hashes)
-        for key in key_list:
-            position = hash_key(key)
+        for position in map(hash_key, key_list) if hashed is None else hashed:
             step = hash64(position ^ _H2_SALT) | 1
             for _ in hashes:
                 bit = position % num_bits

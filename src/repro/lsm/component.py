@@ -21,12 +21,14 @@ reaches zero.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from array import array
+from bisect import bisect_left, bisect_right
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..common.errors import ComponentStateError
 from ..common.hashutil import hash_key, low_bits
 from .bloom import BloomFilter
-from .entry import Entry
+from .entry import Entry, sort_key
 
 _component_ids = itertools.count(1)
 
@@ -34,6 +36,15 @@ _component_ids = itertools.count(1)
 def next_component_id() -> int:
     """Return a process-wide unique component id (used for naming/debugging)."""
     return next(_component_ids)
+
+
+def _key_bounds(keys: Sequence[Any], low: Any, high: Any) -> Tuple[int, int]:
+    """``(start, stop)`` of the slice of ``keys`` (ordered by :func:`sort_key`)
+    with ``low <= key <= high``; ``None`` leaves that end open.  Bounds need
+    not have the keys' shape: ``2`` and ``(3, 9)`` both bound 2-tuples."""
+    start = 0 if low is None else bisect_left(keys, sort_key(low), key=sort_key)
+    stop = len(keys) if high is None else bisect_right(keys, sort_key(high), key=sort_key)
+    return start, stop
 
 
 class ReferenceCounted:
@@ -127,15 +138,14 @@ class MemoryComponent(ReferenceCounted):
 
     def sorted_entries(self) -> List[Entry]:
         """All entries ordered by key (what a flush writes out)."""
-        return [self._entries[key] for key in sorted(self._entries.keys())]
+        return [self._entries[key] for key in sorted(self._entries, key=sort_key)]
 
     def scan(self, low: Any = None, high: Any = None) -> Iterator[Entry]:
-        """Yield entries with ``low <= key <= high`` in key order."""
-        for key in sorted(self._entries.keys()):
-            if low is not None and key < low:
-                continue
-            if high is not None and key > high:
-                break
+        """Yield entries with ``low <= key <= high`` in key order (ordered and
+        bounded through :func:`sort_key`, exactly as a disk component is)."""
+        keys = sorted(self._entries, key=sort_key)
+        start, stop = _key_bounds(keys, low, high)
+        for key in keys[start:stop]:
             yield self._entries[key]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -154,12 +164,20 @@ class DiskComponent(ReferenceCounted):
         super().__init__()
         self.component_id = next_component_id()
         entry_list = list(entries)
-        entry_list.sort(key=lambda e: _sort_key(e.key))
+        entry_list.sort(key=lambda e: sort_key(e.key))
         self._entries: List[Entry] = entry_list
         self._keys: List[Any] = [e.key for e in entry_list]
+        #: ``hash_key`` of every stored key, aligned with ``_entries`` and
+        #: ``_keys`` (8 bytes each).  This is the one time a stored key is
+        #: hashed: the Bloom build and every reference component's prefix
+        #: filter read this column.
+        self._hashes = array("Q", map(hash_key, self._keys))
         self._size_bytes = sum(e.size_bytes for e in entry_list)
         self._bloom = BloomFilter.build(
-            self._keys, bits_per_key=bloom_bits_per_key, num_hashes=bloom_num_hashes
+            self._keys,
+            bits_per_key=bloom_bits_per_key,
+            num_hashes=bloom_num_hashes,
+            hashed=self._hashes,
         )
         self._index: Dict[Any, Entry] = {e.key: e for e in entry_list}
 
@@ -196,16 +214,20 @@ class DiskComponent(ReferenceCounted):
             raise ComponentStateError("component already destroyed")
         return self._index.get(key)
 
+    def _bounds(self, low: Any, high: Any) -> Tuple[int, int]:
+        """The ``low <= key <= high`` slice of the sorted run, by bisection."""
+        return _key_bounds(self._keys, low, high)
+
     def scan(self, low: Any = None, high: Any = None) -> Iterator[Entry]:
-        """Yield entries with ``low <= key <= high`` in key order."""
+        """Iterate entries with ``low <= key <= high`` in key order.
+
+        A destroyed component raises :class:`ComponentStateError` at the
+        call, not at the first ``next()``.
+        """
         if self._destroyed:
             raise ComponentStateError("component already destroyed")
-        for entry in self._entries:
-            if low is not None and _sort_key(entry.key) < _sort_key(low):
-                continue
-            if high is not None and _sort_key(entry.key) > _sort_key(high):
-                break
-            yield entry
+        start, stop = self._bounds(low, high)
+        return iter(self._entries[start:stop])
 
     def entries(self) -> List[Entry]:
         """All entries in key order (used by merges and rebalance scans)."""
@@ -253,7 +275,7 @@ class ReferenceDiskComponent(ReferenceCounted):
         return hashed & self._mask == self.hash_prefix
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.entries())
+        return sum(1 for _ in self.scan())
 
     @property
     def size_bytes(self) -> int:
@@ -263,7 +285,7 @@ class ReferenceDiskComponent(ReferenceCounted):
         at depth ``d-1`` owns about half the parent's bytes.  We return the
         exact filtered size, which is what the rebalance planner needs.
         """
-        return sum(e.size_bytes for e in self.entries())
+        return sum(e.size_bytes for e in self.scan())
 
     @property
     def referenced_bytes(self) -> int:
@@ -284,12 +306,21 @@ class ReferenceDiskComponent(ReferenceCounted):
         return self._target.get(key)
 
     def scan(self, low: Any = None, high: Any = None) -> Iterator[Entry]:
-        """Scan the target, keeping only entries that belong to this bucket."""
-        if self.is_destroyed:
+        """Scan the target, keeping only entries that belong to this bucket.
+
+        The filter reads the target's hash column, so no stored key is hashed
+        again; :meth:`entries`, ``len()``, :attr:`size_bytes` and
+        :meth:`materialize` are all this one pass.  A destroyed reference or
+        a destroyed target raises :class:`ComponentStateError` at the call,
+        not at the first ``next()``.
+        """
+        target = self._target
+        if self._destroyed or target.is_destroyed:
             raise ComponentStateError("component already destroyed")
-        for entry in self._target.scan(low, high):
-            if self._matches(entry.key):
-                yield entry
+        start, stop = target._bounds(low, high)
+        mask, prefix = self._mask, self.hash_prefix
+        pairs = zip(target._entries[start:stop], target._hashes[start:stop], strict=True)
+        return (entry for entry, hashed in pairs if hashed & mask == prefix)
 
     def entries(self) -> List[Entry]:
         return list(self.scan())
@@ -317,14 +348,3 @@ class ReferenceDiskComponent(ReferenceCounted):
             f"ReferenceDiskComponent(id={self.component_id}, "
             f"prefix={self.hash_prefix:b}/{self.depth}, target={self._target.component_id})"
         )
-
-
-def _sort_key(key: Any) -> Tuple:
-    """Normalise keys for ordering so mixed int/tuple keys never compare raw.
-
-    Within one index all keys have the same shape, but tests exercise edge
-    cases; wrapping keys in a tuple keeps comparisons well-defined.
-    """
-    if isinstance(key, tuple):
-        return key
-    return (key,)

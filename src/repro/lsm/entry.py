@@ -9,7 +9,7 @@ drops it, Section II-B).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 # Rough per-field byte estimates used when a record does not carry an explicit
 # size.  These only need to be stable, not exact: the cost model cares about
@@ -81,6 +81,18 @@ def estimate_key_size(key: Any) -> int:
     if isinstance(key, bytes):
         return len(key)
     return 8
+
+
+def sort_key(key: Any) -> Tuple:
+    """Normalise keys for ordering so mixed int/tuple keys never compare raw.
+
+    Within one index all keys have the same shape, but tests exercise edge
+    cases; wrapping keys in a tuple keeps comparisons well-defined.  Every
+    component sort, range bound and scan heap orders keys through this.
+    """
+    if isinstance(key, tuple):
+        return key
+    return (key,)
 
 
 class Entry:

@@ -10,15 +10,9 @@ bucketed LSM-tree's merge-sorted scan mode and by merges themselves.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .entry import Entry
-
-
-def _sort_key(key: Any) -> Tuple:
-    if isinstance(key, tuple):
-        return key
-    return (key,)
+from .entry import Entry, sort_key
 
 
 def merge_scan(
@@ -42,7 +36,7 @@ def merge_scan(
     counter = 0
     for priority, iterator in enumerate(iterators):
         for entry in iterator:
-            heapq.heappush(heap, (_sort_key(entry.key), priority, counter, entry))
+            heapq.heappush(heap, (sort_key(entry.key), priority, counter, entry))
             counter += 1
             break
     # Track which iterator each heap item came from so we can pull its next
@@ -52,7 +46,7 @@ def merge_scan(
     def push_next(priority: int) -> None:
         nonlocal counter
         for entry in active[priority]:
-            heapq.heappush(heap, (_sort_key(entry.key), priority, counter, entry))
+            heapq.heappush(heap, (sort_key(entry.key), priority, counter, entry))
             counter += 1
             break
 

@@ -121,3 +121,78 @@ class TestOneHashPerKey:
         assert during_write == Counter(row["k"] for row in rows)
         assert derived == {"key": len(rows), "size": len(rows)}
         db.close()
+
+
+def split_buckets(db):
+    """Every primary bucket of ``open_split()``'s dataset."""
+    runtime = db.cluster.dataset("t")
+    return [b for p in runtime.partitions.values() for b in p.primary.buckets()]
+
+
+class TestNoHashPerStoredRecord:
+    """A disk component hashes its keys once, when it is built; reads through
+    the reference components of a split dataset filter on that column.  No
+    bucket of ``open_split()`` was invalidated, so the lazy-cleanup filter
+    (which hashes the *routing* key on its own) is idle throughout."""
+
+    def test_scans_hash_nothing(self, hash_calls):
+        db, dataset = open_split()
+        hash_calls.clear()
+        assert len(list(dataset.scan())) == 2802
+        assert len(list(dataset.scan(ordered=True))) == 2802
+        assert len(list(dataset.scan(low=100, high=400))) == 301
+        # Before the column these made 4,062 + 4,062 + 602 calls: every entry
+        # a reference component let through or filtered out, in each of the
+        # two references that point at its flushed component.
+        assert not hash_calls
+        db.close()
+
+    def test_sizes_and_counts_hash_nothing(self, hash_calls):
+        db, _ = open_split()
+        buckets = split_buckets(db)
+        hash_calls.clear()
+        assert sum(bucket.size_bytes for bucket in buckets) == 282436
+        assert sum(len(bucket.tree) for bucket in buckets) == 2802
+        # 4,062 calls each before: one per target entry per reference.
+        assert not hash_calls
+        db.close()
+
+    def test_an_idle_maintenance_pass_hashes_nothing(self, hash_calls):
+        db, _ = open_split()
+        # Merges paused so the references survive the pass; nothing is over
+        # its flush budget, so all that is left is `_should_split` sizing
+        # every bucket through its references.
+        for bucket in split_buckets(db):
+            bucket.tree.pause_merges()
+        hash_calls.clear()
+        for partition in db.cluster.dataset("t").partitions.values():
+            report = partition.maintain()
+            assert (report.flush_bytes, report.merge_write_bytes, report.splits) == (0, 0, [])
+        assert not hash_calls  # 4,062 before
+        db.close()
+
+    def test_a_flush_hashes_each_key_once(self, hash_calls):
+        db, _ = open_split()
+        for bucket in split_buckets(db):
+            keys = [entry.key for entry in bucket.tree.memory.sorted_entries()]
+            hash_calls.clear()
+            flushed = bucket.flush()
+            assert len(flushed) == len(keys) > 0
+            # The Bloom build always made these; the column adds none.
+            assert hash_calls == Counter(keys)
+        db.close()
+
+    def test_a_merge_hashes_only_the_component_it_builds(self, hash_calls):
+        db, _ = open_split()
+        total = 0
+        for bucket in split_buckets(db):
+            hash_calls.clear()
+            merged = bucket.tree.merge_all()
+            assert merged is not None and bucket.tree.component_count == 1
+            assert hash_calls == Counter(entry.key for entry in merged.entries())
+            total += len(merged)
+        # One call per surviving key (5000 and 5001 are still in memory).
+        # Materialising the two references of each bucket used to hash every
+        # entry of their targets on top of that: 10,924 calls in all.
+        assert total == 2800
+        db.close()

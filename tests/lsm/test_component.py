@@ -1,15 +1,27 @@
 """Tests for memory, disk, and reference components and their lifecycle."""
 
-import pytest
+from array import array
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bucketed.bucket import Bucket
 from repro.common.errors import ComponentStateError
 from repro.common.hashutil import hash_key, low_bits
+from repro.hashing.bucket_id import ROOT_BUCKET
+from repro.lsm.bloom import BloomFilter
 from repro.lsm.component import DiskComponent, MemoryComponent, ReferenceDiskComponent
 from repro.lsm.entry import Entry
 
 
 def make_entries(keys, seq_start=1, value="v"):
     return [Entry(key=k, value=f"{value}{k}", seqnum=seq_start + i) for i, k in enumerate(keys)]
+
+
+#: (order, line) keys, and the ones a scan bounded by ``2`` and ``(3, 9)`` keeps.
+COMPOSITE_KEYS = [(order, line) for order in range(1, 5) for line in range(1, 3)]
+COMPOSITE_IN_2_TO_3 = [(2, 1), (2, 2), (3, 1), (3, 2)]
 
 
 class TestMemoryComponent:
@@ -37,6 +49,14 @@ class TestMemoryComponent:
         for key in range(10):
             mem.put(Entry(key=key, value=str(key), seqnum=key + 1))
         assert [e.key for e in mem.scan(3, 6)] == [3, 4, 5, 6]
+
+    def test_scan_bounds_need_not_have_the_keys_shape(self):
+        mem = MemoryComponent()
+        for seqnum, key in enumerate(COMPOSITE_KEYS, start=1):
+            mem.put(Entry(key=key, value="row", seqnum=seqnum))
+        assert [e.key for e in mem.scan(low=2, high=(3, 9))] == COMPOSITE_IN_2_TO_3
+        assert [e.key for e in mem.scan(high=1)] == []
+        assert [e.key for e in mem.scan(low=(4,))] == [(4, 1), (4, 2)]
 
     def test_size_grows_with_puts(self):
         mem = MemoryComponent()
@@ -127,6 +147,18 @@ class TestDiskComponent:
         assert [e.key for e in comp.scan(low=3)] == [3, 4]
         assert [e.key for e in comp.scan(high=1)] == [0, 1]
 
+    def test_scan_bounds_need_not_have_the_keys_shape(self):
+        comp = DiskComponent(make_entries(COMPOSITE_KEYS))
+        assert [e.key for e in comp.scan(low=2, high=(3, 9))] == COMPOSITE_IN_2_TO_3
+        assert [e.key for e in comp.scan(high=1)] == []
+        assert [e.key for e in comp.scan(low=(4,))] == [(4, 1), (4, 2)]
+
+    def test_scan_of_a_destroyed_component_raises_at_the_call(self):
+        comp = DiskComponent(make_entries([1]))
+        comp.deactivate()
+        with pytest.raises(ComponentStateError):
+            comp.scan()  # no next() needed
+
     def test_size_bytes_sums_entries(self):
         entries = make_entries(range(10))
         comp = DiskComponent(entries)
@@ -206,3 +238,162 @@ class TestReferenceDiskComponent:
         _, ref0, _ = self._split_pair(range(100))
         wrong_side = next(k for k in range(100) if low_bits(hash_key(k), 1) == 1)
         assert not ref0.may_contain(wrong_side)
+
+    def test_scan_bounds_need_not_have_the_keys_shape(self):
+        parent = DiskComponent(make_entries(COMPOSITE_KEYS))
+        everything = ReferenceDiskComponent(parent, hash_prefix=0, depth=0)
+        assert [e.key for e in everything.scan(low=2, high=(3, 9))] == COMPOSITE_IN_2_TO_3
+        halves = [ReferenceDiskComponent(parent, hash_prefix=bit, depth=1) for bit in (0, 1)]
+        kept = [e.key for half in halves for e in half.scan(low=2, high=(3, 9))]
+        assert sorted(kept) == COMPOSITE_IN_2_TO_3
+
+    def test_reads_of_a_destroyed_reference_raise_at_the_call(self):
+        _, ref0, _ = self._split_pair(range(10))
+        ref0.deactivate()
+        for read in (ref0.scan, ref0.entries, ref0.materialize, lambda: len(ref0)):
+            with pytest.raises(ComponentStateError):
+                read()  # scan() itself raises: no next() needed
+        with pytest.raises(ComponentStateError):
+            ref0.size_bytes
+        with pytest.raises(ComponentStateError):
+            ref0.get(1)
+
+    def test_reads_through_a_destroyed_target_raise_at_the_call(self):
+        parent, ref0, ref1 = self._split_pair(range(10))
+        parent.deactivate()
+        # Unbalanced releases: the only way a target dies under a live reference.
+        parent.release()
+        parent.release()
+        assert parent.is_destroyed and not ref0.is_destroyed
+        for read in (ref0.scan, ref0.entries, ref0.materialize, lambda: len(ref0)):
+            with pytest.raises(ComponentStateError):
+                read()
+        with pytest.raises(ComponentStateError):
+            ref1.size_bytes
+
+    def test_empty_target(self):
+        ref = ReferenceDiskComponent(DiskComponent([]), hash_prefix=1, depth=1)
+        assert list(ref.scan()) == ref.entries() == list(ref.scan(low=0, high=9)) == []
+        assert len(ref) == ref.size_bytes == len(ref.materialize()) == 0
+
+
+# ---------------------------------------------------------------- equivalence
+#
+# Every reference read filters on the hash column its target kept from its
+# Bloom build.  The oracle below re-hashes each key and compares bounds one
+# entry at a time, which is what those reads did before the column existed.
+
+_PART = st.integers(-6, 6)
+#: Per key shape: (keys of that shape, bounds that need not be stored keys).
+_SHAPES = {
+    "int": (st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70)),
+    "str": (st.text(max_size=6), st.text(max_size=6)),
+    "tuple": (st.tuples(_PART, _PART), st.one_of(st.tuples(_PART, _PART), _PART, st.tuples(_PART))),
+}
+
+
+@st.composite
+def keys_and_bounds(draw):
+    """One component's keys (a single shape) plus a ``low`` and a ``high``,
+    each ``None``, a stored key, any value of the shape, or a prefix tuple."""
+    elements, anywhere = _SHAPES[draw(st.sampled_from(sorted(_SHAPES)))]
+    keys = draw(st.lists(elements, unique=True, max_size=40))
+    bound = st.one_of(st.none(), anywhere, *([st.sampled_from(keys)] if keys else []))
+    return keys, draw(bound), draw(bound)
+
+
+def _ordered(key):
+    return key if isinstance(key, tuple) else (key,)
+
+
+def in_bounds(entry, low, high):
+    key = _ordered(entry.key)
+    return (low is None or _ordered(low) <= key) and (high is None or key <= _ordered(high))
+
+
+def owned(target, prefix, depth):
+    """Brute force: the target's entries whose re-hashed key falls in the bucket."""
+    return [e for e in target.entries() if low_bits(hash_key(e.key), depth) == prefix]
+
+
+def assert_reads_equal_oracle(reference, low=None, high=None):
+    expected = owned(reference.target, reference.hash_prefix, reference.depth)
+    assert list(reference.scan(low, high)) == [e for e in expected if in_bounds(e, low, high)]
+    assert reference.entries() == expected
+    assert len(reference) == len(expected)
+    assert reference.size_bytes == sum(e.size_bytes for e in expected)
+    assert reference.materialize().entries() == expected
+
+
+class TestHashColumnEquivalence:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=keys_and_bounds(),
+        depth=st.integers(0, 6),
+        prefix=st.integers(0, 2**70),
+        bits_per_key=st.sampled_from([0, 10]),
+    )
+    def test_reference_reads_equal_the_rehashing_filter(self, case, depth, prefix, bits_per_key):
+        keys, low, high = case
+        target = DiskComponent(make_entries(keys), bloom_bits_per_key=bits_per_key)
+        assert list(target.scan(low, high)) == [
+            e for e in target.entries() if in_bounds(e, low, high)
+        ]
+        reference = ReferenceDiskComponent(target, prefix, depth)
+        assert reference.hash_prefix == low_bits(prefix, depth)
+        assert_reads_equal_oracle(reference, low, high)
+        # The two children of that bucket are disjoint and tile it.
+        children = [
+            ReferenceDiskComponent(target, reference.hash_prefix | (bit << depth), depth + 1)
+            for bit in (0, 1)
+        ]
+        for child in children:
+            assert_reads_equal_oracle(child, low, high)
+        both = children[0].entries() + children[1].entries()
+        assert len({id(e) for e in both}) == len(both)
+        assert sorted(both, key=lambda e: _ordered(e.key)) == reference.entries()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=keys_and_bounds(), late=st.integers(0, 40))
+    def test_resplit_chains_share_the_real_components_column(self, case, late):
+        keys, low, high = case
+        root = Bucket(ROOT_BUCKET)
+        for key in keys[late:]:
+            root.insert(key, "older")
+        root.flush()
+        for key in keys[:late]:
+            root.insert(key, "newer")
+        root.flush()
+        real = root.disk_components
+        generations = [[root]]
+        for _ in range(2):  # split, then split the children: no merge between
+            generations.append([c for b in generations[-1] for c in b.split_into()])
+        for bucket in generations[1] + generations[2]:
+            references = bucket.disk_components
+            assert [r.target for r in references] == real
+            for reference, component in zip(references, real):
+                assert reference.target._hashes is component._hashes
+                assert (reference.hash_prefix, reference.depth) == (
+                    bucket.hash_prefix,
+                    bucket.depth,
+                )
+                assert_reads_equal_oracle(reference, low, high)
+        for generation in generations[1:]:
+            scanned = [e for bucket in generation for e in bucket.entries()]
+            assert sorted(e.key for e in scanned) == sorted(keys, key=_ordered)
+            assert len({id(e) for e in scanned}) == len(scanned)
+
+    @given(
+        keys=keys_and_bounds().map(lambda case: case[0]),
+        bits_per_key=st.sampled_from([0, 1, 10]),
+        column=st.sampled_from([list, lambda hashes: array("Q", hashes)]),
+    )
+    def test_bloom_built_from_the_column_has_the_same_bits(self, keys, bits_per_key, column):
+        hashed = column(hash_key(key) for key in keys)
+        given_column = BloomFilter.build(keys, bits_per_key=bits_per_key, hashed=hashed)
+        unaided = BloomFilter.build(keys, bits_per_key=bits_per_key)
+        assert given_column._bits == unaided._bits
+        assert given_column.num_keys == unaided.num_keys == len(keys)
+        component = DiskComponent(make_entries(keys), bloom_bits_per_key=bits_per_key)
+        assert component.bloom._bits == unaided._bits
+        assert list(component._hashes) == [hash_key(e.key) for e in component.entries()]

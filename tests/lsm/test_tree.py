@@ -222,6 +222,23 @@ class TestScan:
         tree.flush()
         assert [e.key for e in tree.scan(low=3, high=6)] == [3, 4, 5, 6]
 
+    def test_prefix_bounds_over_composite_keys_with_a_live_memory_component(self):
+        # The memory component used to compare raw keys (``key < low``), so
+        # this scan worked on a flushed tree and raised TypeError ('<' between
+        # tuple and int) as soon as anything sat in memory.
+        tree = LSMTree("x")
+        for order in range(1, 5):
+            for line in range(1, 3):
+                tree.insert((order, line), "row")
+        tree.flush()
+        expected = [(2, 1), (2, 2), (3, 1), (3, 2)]
+        assert [e.key for e in tree.scan(low=2, high=(3, 9))] == expected
+        tree.insert((9, 1), "memory")
+        assert [e.key for e in tree.scan(low=2, high=(3, 9))] == expected
+        tree.insert((3, 3), "memory")
+        assert [e.key for e in tree.scan(low=2, high=(3, 9))] == expected + [(3, 3)]
+        assert [e.key for e in tree.scan(low=(3, 3))] == [(3, 3), (4, 1), (4, 2), (9, 1)]
+
     def test_scan_skips_tombstones(self):
         tree = make_tree()
         tree.insert(1, "a")
