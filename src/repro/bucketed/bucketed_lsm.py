@@ -136,15 +136,18 @@ class BucketedLSMTree:
     def insert(self, key: Any, value: Any) -> Entry:
         return self.insert_routed(key, value, hash_key(key))
 
-    def insert_routed(self, key: Any, value: Any, hashed: int) -> Entry:
+    def insert_routed(
+        self, key: Any, value: Any, hashed: int, value_bytes: Optional[int] = None
+    ) -> Entry:
         """Insert with the key's hash already computed (the feed routes on the
         same hash).  Directory routing proves bucket ownership, so the
-        bucket-level insert (which would re-hash the key twice more via
-        ``owns_key``) is bypassed in favour of its access check + tree write.
+        bucket-level insert's ``owns_key`` is bypassed in favour of its access
+        check + tree write; the hash, and ``value_bytes`` (the row's
+        ``estimate_value_size``) when the caller has it, go with the record.
         """
         bucket = self._buckets[self.directory.bucket_for_hash(hashed)]
         bucket._check_access()
-        return bucket.tree.insert(key, value)
+        return bucket.tree.insert(key, value, hashed, value_bytes)
 
     upsert = insert
 
@@ -154,7 +157,8 @@ class BucketedLSMTree:
         return self.bucket_for_key(key, hashed).delete(key, hashed)
 
     def apply_entry(self, entry: Entry) -> Entry:
-        return self.bucket_for_key(entry.key).apply_entry(entry)
+        hashed = hash_key(entry.key)
+        return self.bucket_for_key(entry.key, hashed).apply_entry(entry, hashed)
 
     def get(self, key: Any, hashed: Optional[int] = None) -> Optional[Any]:
         """Point lookup: only the owning bucket is searched (Section IV)."""
@@ -298,28 +302,18 @@ class BucketedLSMTree:
         return bucket.snapshot_components()
 
     def install_bucket(self, bucket_id: BucketId, entries: Iterable[Entry]) -> Bucket:
-        """Create a bucket from received rebalance data (destination side).
-
-        The bucket is registered in the local directory immediately but the
-        caller controls query visibility at the partition level (received
-        buckets are tracked separately until the rebalance commits).
+        """Create a bucket holding ``entries`` and register it in the local
+        directory (a test and tooling aid: the rebalance receive path is
+        :meth:`StoragePartition.receive_bucket` + :meth:`adopt_bucket`).
         Installing an already-present bucket is idempotent and returns the
         existing one.
         """
         if bucket_id in self._buckets:
             return self._buckets[bucket_id]
-        bucket = Bucket(
-            bucket_id,
-            config=self.lsm_config,
-            merge_policy=self._make_policy(),
-            index_name=self.name,
-        )
+        bucket = self._create_bucket(bucket_id)
         entry_list = list(entries)
         if entry_list:
             bucket.tree.add_loaded_component(entry_list)
-        self.directory.add_bucket(bucket_id)
-        self._buckets[bucket_id] = bucket
-        self.manifest.add_bucket(bucket_id.prefix, bucket_id.depth)
         return bucket
 
     def adopt_bucket(self, bucket: Bucket) -> None:

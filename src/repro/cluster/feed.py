@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..common.hashutil import hash_key
-from ..lsm.entry import estimate_value_size
 from .cost_model import CostModel
 from .reports import IngestReport
 
@@ -84,8 +83,13 @@ class DataFeed:
         grouped: Dict[int, List[Tuple[Any, int, Mapping[str, Any]]]] = {}
 
         def land_batch() -> None:
+            nonlocal total_bytes
             for pid, routed_rows in grouped.items():
-                partitions[pid].insert_many(routed_rows)
+                # The partition copies and sizes each row once, as it stores it.
+                landed_bytes = partitions[pid].insert_many(routed_rows)
+                records_per_partition[pid] += len(routed_rows)
+                bytes_per_partition[pid] += landed_bytes
+                total_bytes += landed_bytes
             grouped.clear()
 
         for row in rows:
@@ -98,11 +102,7 @@ class DataFeed:
             if group is None:
                 group = grouped[pid] = []
             group.append((key, hashed, row))
-            row_bytes = estimate_value_size(row if type(row) is dict else dict(row))
-            records_per_partition[pid] += 1
-            bytes_per_partition[pid] += row_bytes
             total_records += 1
-            total_bytes += row_bytes
             batch_count += 1
             if batch_count >= batch_size:
                 batch_count = 0

@@ -15,6 +15,7 @@ install/cleanup tasks used by the two-phase commit and its recovery cases.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
@@ -24,7 +25,8 @@ from ..common.config import BucketingConfig, LSMConfig
 from ..common.errors import StorageError
 from ..common.hashutil import hash_key
 from ..hashing.bucket_id import BucketId
-from ..lsm.entry import Entry
+from ..lsm.entry import Entry, estimate_value_size
+from ..lsm.iterators import merge_runs
 from ..lsm.stats import StorageStats
 from ..lsm.tree import LSMTree
 from ..lsm.wal import LogRecordType, WriteAheadLog
@@ -135,7 +137,7 @@ class StoragePartition:
             hashed = hash_key(primary_key)
         record_dict = dict(record)
         self.primary.insert_routed(primary_key, record_dict, hashed)
-        self.primary_key_index.insert(primary_key, None)
+        self.primary_key_index.insert(primary_key, None, hashed)
         for spec in self.dataset.secondary_indexes:
             index = self.secondary_indexes[spec.name]
             index.insert(_secondary_entry_key(spec, record_dict, primary_key), spec.covered_value(record_dict))
@@ -160,7 +162,9 @@ class StoragePartition:
         blocked checks, method resolution, secondary-spec iteration setup,
         key hashing — paid once per batch.  The data feed groups each routed
         batch by partition and lands it through here, reusing the hash it
-        already computed for routing.
+        already computed for routing.  Each row is copied once and that copy
+        sized once, here: the primary entry is born with the size, and the
+        batch's total row bytes are returned for the feed's accounting.
         """
         self._check_not_blocked()
         primary_insert = self.primary.insert_routed
@@ -168,11 +172,13 @@ class StoragePartition:
         secondary_specs = self.dataset.secondary_indexes
         wal_append = self.wal.append if log else None
         dataset_name = self.dataset.name
-        count = 0
+        total_bytes = 0
         for primary_key, hashed, record in routed_records:
             record_dict = dict(record)
-            primary_insert(primary_key, record_dict, hashed)
-            pk_insert(primary_key, None)
+            row_bytes = estimate_value_size(record_dict)
+            total_bytes += row_bytes
+            primary_insert(primary_key, record_dict, hashed, row_bytes)
+            pk_insert(primary_key, None, hashed)
             for spec in secondary_specs:
                 self.secondary_indexes[spec.name].insert(
                     _secondary_entry_key(spec, record_dict, primary_key),
@@ -185,8 +191,7 @@ class StoragePartition:
                     self.partition_id,
                     {"key": primary_key, "value": record_dict},
                 )
-            count += 1
-        return count
+        return total_bytes
 
     def delete(
         self,
@@ -209,7 +214,7 @@ class StoragePartition:
             dict(record) if record is not None else self.primary.get(primary_key, hashed)
         )
         self.primary.delete(primary_key, hashed)
-        self.primary_key_index.delete(primary_key)
+        self.primary_key_index.delete(primary_key, hashed)
         if old_record is not None:
             for spec in self.dataset.secondary_indexes:
                 index = self.secondary_indexes[spec.name]
@@ -324,12 +329,12 @@ class StoragePartition:
         """Flush and pin the bucket's disk components (Section V-A snapshot)."""
         return self.primary.snapshot_bucket(bucket_id)
 
-    def scan_bucket_snapshot(self, snapshot_components: List) -> List[Entry]:
+    def scan_bucket_snapshot(self, snapshot_components: List) -> Tuple[List[Entry], array]:
         """Materialise the records of a pinned bucket snapshot, newest first
-        reconciled (the source-side scan of the data movement phase)."""
-        from ..lsm.iterators import merge_entries
-
-        return merge_entries([c.entries() for c in snapshot_components], drop_tombstones=True)
+        reconciled (the source-side scan of the data movement phase), with
+        the key hashes the snapshot's components already hold, for
+        :meth:`receive_bucket`."""
+        return merge_runs([c.hashed_entries() for c in snapshot_components], drop_tombstones=True)
 
     def release_bucket_snapshot(self, snapshot_components: List) -> None:
         Bucket.release_snapshot(snapshot_components)
@@ -348,8 +353,17 @@ class StoragePartition:
 
     # ------------------------------------------ rebalance: destination side
 
-    def receive_bucket(self, bucket_id: BucketId, entries: Iterable[Entry]) -> PendingReceivedBucket:
+    def receive_bucket(
+        self,
+        bucket_id: BucketId,
+        entries: Iterable[Entry],
+        hashed: Optional[Iterable[int]] = None,
+    ) -> PendingReceivedBucket:
         """Store scanned records for a moving bucket, invisible to queries.
+
+        ``hashed`` is the key-hash column :meth:`scan_bucket_snapshot` returned
+        with ``entries`` (which are then in key order); the loaded component
+        takes it instead of hashing every moved record again.
 
         The records are bulk-loaded into a bucket object that is *not*
         registered in the primary index's local directory, and into
@@ -377,7 +391,7 @@ class StoragePartition:
         entry_list = list(entries)
         if not entry_list:
             return pending
-        pending.bucket.tree.add_loaded_component(entry_list)
+        pending.bucket.tree.add_loaded_component(entry_list, hashed=hashed)
         for spec in self.dataset.secondary_indexes:
             index = self.secondary_indexes[spec.name]
             secondary_entries = []
@@ -397,20 +411,23 @@ class StoragePartition:
                 )
         return pending
 
-    def apply_replicated_write(self, bucket_id: BucketId, entry: Entry) -> None:
+    def apply_replicated_write(
+        self, bucket_id: BucketId, entry: Entry, hashed: Optional[int] = None
+    ) -> None:
         """Apply one replicated log record to the pending received bucket.
 
         Replicated records land in the received bucket's memory component
         (newer than the bulk-loaded scan) and are buffered for the secondary
         indexes; they become durable when :meth:`prepare_rebalance` flushes
-        them.
+        them.  ``hashed`` is ``hash_key(entry.key)`` when the replicator
+        routed on it.
         """
         pending = self.pending_received.get(bucket_id)
         if pending is None:
             raise StorageError(
                 f"no pending received bucket {bucket_id} on partition {self.partition_id}"
             )
-        pending.bucket.tree.apply_entry(entry)
+        pending.bucket.tree.apply_entry(entry, hashed)
         pending.replicated_records += 1
         if entry.tombstone or entry.value is None:
             return

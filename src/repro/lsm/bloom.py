@@ -9,7 +9,7 @@ faithful and testable.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any, Collection, Optional, Sequence
 
 from ..common.hashutil import hash64, hash_key
 
@@ -46,28 +46,31 @@ class BloomFilter:
     @classmethod
     def build(
         cls,
-        keys: Iterable[Any],
+        keys: Collection[Any],
         bits_per_key: int = 10,
         num_hashes: int = 7,
-        hashed: Optional[Iterable[int]] = None,
+        hashed: Optional[Sequence[int]] = None,
     ) -> "BloomFilter":
         """Build a filter sized for ``keys`` and populate it.
 
-        Same bits as :meth:`add` per key, set in one loop: every flush, merge
-        and received bucket builds a filter over all of its keys.  ``hashed``
-        is ``hash_key`` of each key, in the same order, when the caller
-        already has them (a disk component keeps that column); without it the
-        filter hashes the keys itself.
+        Same bits as :meth:`add` per key, set in one loop.  ``hashed`` is
+        ``hash_key`` of each key, in the same order, when the caller already
+        has them (a disk component keeps that column); without it the filter
+        hashes the keys itself.  A column of another length than ``keys``
+        raises :class:`ValueError`.
         """
-        key_list = list(keys)
-        bloom = cls(len(key_list), bits_per_key=bits_per_key, num_hashes=num_hashes)
-        bloom._num_keys = len(key_list)
+        if hashed is None:
+            hashed = list(map(hash_key, keys))
+        elif len(hashed) != len(keys):
+            raise ValueError(f"{len(hashed)} hashes for {len(keys)} keys")
+        bloom = cls(len(hashed), bits_per_key=bits_per_key, num_hashes=num_hashes)
+        bloom._num_keys = len(hashed)
         num_bits = bloom._num_bits
         if not num_bits:
             return bloom
         bits = bloom._bits
         hashes = range(bloom._num_hashes)
-        for position in map(hash_key, key_list) if hashed is None else hashed:
+        for position in hashed:
             step = hash64(position ^ _H2_SALT) | 1
             for _ in hashes:
                 bit = position % num_bits

@@ -105,6 +105,11 @@ class MemoryComponent(ReferenceCounted):
         super().__init__()
         self.component_id = next_component_id()
         self._entries: Dict[Any, Entry] = {}
+        #: ``hash_key`` of every key of ``_entries``, in the dict's (insertion)
+        #: order, 8 bytes each — kept for as long as every new key arrives
+        #: with its hash; ``None`` once one did not (the flush then hashes the
+        #: keys itself, once, as it always did).
+        self._hashes: Optional[array] = array("Q")
         self._size_bytes = 0
 
     def __len__(self) -> int:
@@ -119,17 +124,27 @@ class MemoryComponent(ReferenceCounted):
     def is_empty(self) -> bool:
         return not self._entries
 
-    def put(self, entry: Entry, size_bytes: Optional[int] = None) -> None:
+    def put(
+        self, entry: Entry, size_bytes: Optional[int] = None, hashed: Optional[int] = None
+    ) -> None:
         """Insert or overwrite an entry (inserts, updates and tombstones).
 
         ``size_bytes`` lets the write path pass the entry size it already
         computed for stats accounting.  The memtable replaces in place but
         the byte counter stays monotone (a real memtable arena does not
-        shrink on overwrite).
+        shrink on overwrite).  ``hashed`` is ``hash_key(entry.key)`` when the
+        writer routed on it; the flush hands it on to the disk component.
         """
         if not self._active:
             raise ComponentStateError("cannot write to a deactivated memory component")
-        self._entries[entry.key] = entry
+        entries = self._entries
+        key = entry.key
+        if key not in entries and self._hashes is not None:
+            if hashed is None:
+                self._hashes = None
+            else:
+                self._hashes.append(hashed)
+        entries[key] = entry
         self._size_bytes += entry.size_bytes if size_bytes is None else size_bytes
 
     def get(self, key: Any) -> Optional[Entry]:
@@ -137,8 +152,21 @@ class MemoryComponent(ReferenceCounted):
         return self._entries.get(key)
 
     def sorted_entries(self) -> List[Entry]:
-        """All entries ordered by key (what a flush writes out)."""
+        """All entries ordered by key."""
         return [self._entries[key] for key in sorted(self._entries, key=sort_key)]
+
+    def sorted_run(self) -> Tuple[List[Entry], array]:
+        """What a flush writes out: all entries ordered by key, and the
+        ``hash_key`` of each in the same order (the kept column permuted with
+        the sort; keys that arrived without a hash are hashed here)."""
+        keys = list(self._entries)
+        hashes = self._hashes
+        if hashes is None:
+            hashes = array("Q", map(hash_key, keys))
+        ranks = list(map(sort_key, keys))
+        order = sorted(range(len(keys)), key=ranks.__getitem__)
+        entries = list(self._entries.values())
+        return [entries[i] for i in order], array("Q", [hashes[i] for i in order])
 
     def scan(self, low: Any = None, high: Any = None) -> Iterator[Entry]:
         """Yield entries with ``low <= key <= high`` in key order (ordered and
@@ -160,26 +188,32 @@ class DiskComponent(ReferenceCounted):
         entries: Iterable[Entry],
         bloom_bits_per_key: int = 10,
         bloom_num_hashes: int = 7,
+        hashed: Optional[Iterable[int]] = None,
     ) -> None:
+        """``hashed`` is the ``hash_key`` of every entry's key, in order, when
+        the builder carried them here (a flush, a merge, a bucket move).  The
+        entries are then by contract already in :func:`sort_key` order and
+        the constructor neither sorts nor hashes; a column of another length
+        raises :class:`ValueError`.  Without one it does both itself."""
         super().__init__()
         self.component_id = next_component_id()
         entry_list = list(entries)
-        entry_list.sort(key=lambda e: sort_key(e.key))
+        if hashed is None:
+            entry_list.sort(key=lambda e: sort_key(e.key))
         self._entries: List[Entry] = entry_list
         self._keys: List[Any] = [e.key for e in entry_list]
         #: ``hash_key`` of every stored key, aligned with ``_entries`` and
-        #: ``_keys`` (8 bytes each).  This is the one time a stored key is
-        #: hashed: the Bloom build and every reference component's prefix
-        #: filter read this column.
-        self._hashes = array("Q", map(hash_key, self._keys))
+        #: ``_keys`` (8 bytes each): what the Bloom build, every reference
+        #: component's prefix filter and the next merge or move read.
+        self._hashes = array("Q", map(hash_key, self._keys) if hashed is None else hashed)
+        if len(self._hashes) != len(entry_list):
+            raise ValueError(f"{len(self._hashes)} hashes for {len(entry_list)} entries")
         self._size_bytes = sum(e.size_bytes for e in entry_list)
-        self._bloom = BloomFilter.build(
-            self._keys,
-            bits_per_key=bloom_bits_per_key,
-            num_hashes=bloom_num_hashes,
-            hashed=self._hashes,
-        )
-        self._index: Dict[Any, Entry] = {e.key: e for e in entry_list}
+        #: Built from the column on the first probe: a bulk load never probes
+        #: and most components are merged away before anyone reads them.
+        self._bloom: Optional[BloomFilter] = None
+        self._bloom_params = (bloom_bits_per_key, bloom_num_hashes)
+        self._index: Dict[Any, Entry] = dict(zip(self._keys, entry_list, strict=True))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -190,7 +224,13 @@ class DiskComponent(ReferenceCounted):
 
     @property
     def bloom(self) -> BloomFilter:
-        return self._bloom
+        bloom = self._bloom
+        if bloom is None:
+            bits_per_key, num_hashes = self._bloom_params
+            bloom = self._bloom = BloomFilter.build(
+                self._keys, bits_per_key=bits_per_key, num_hashes=num_hashes, hashed=self._hashes
+            )
+        return bloom
 
     @property
     def min_key(self) -> Optional[Any]:
@@ -205,7 +245,10 @@ class DiskComponent(ReferenceCounted):
 
         ``hashed`` is ``hash_key(key)`` when the caller already has it.
         """
-        return self._bloom.may_contain(key, hashed)
+        bloom = self._bloom
+        if bloom is None:
+            bloom = self.bloom
+        return bloom.may_contain(key, hashed)
 
     def get(self, key: Any, hashed: Optional[int] = None) -> Optional[Entry]:
         """Point lookup inside this component (``hashed`` is accepted so a
@@ -234,6 +277,11 @@ class DiskComponent(ReferenceCounted):
         if self._destroyed:
             raise ComponentStateError("component already destroyed")
         return list(self._entries)
+
+    def hashed_entries(self) -> Tuple[List[Entry], array]:
+        """:meth:`entries` and the ``hash_key`` of each, in the same order
+        (what a merge or a bucket move carries into the component it builds)."""
+        return self.entries(), array("Q", self._hashes)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DiskComponent(id={self.component_id}, entries={len(self)}, bytes={self._size_bytes})"
@@ -309,10 +357,9 @@ class ReferenceDiskComponent(ReferenceCounted):
         """Scan the target, keeping only entries that belong to this bucket.
 
         The filter reads the target's hash column, so no stored key is hashed
-        again; :meth:`entries`, ``len()``, :attr:`size_bytes` and
-        :meth:`materialize` are all this one pass.  A destroyed reference or
-        a destroyed target raises :class:`ComponentStateError` at the call,
-        not at the first ``next()``.
+        again; :meth:`entries`, ``len()`` and :attr:`size_bytes` are all this
+        one pass.  A destroyed reference or a destroyed target raises
+        :class:`ComponentStateError` at the call, not at the first ``next()``.
         """
         target = self._target
         if self._destroyed or target.is_destroyed:
@@ -325,17 +372,24 @@ class ReferenceDiskComponent(ReferenceCounted):
     def entries(self) -> List[Entry]:
         return list(self.scan())
 
-    def materialize(self, bloom_bits_per_key: int = 10, bloom_num_hashes: int = 7) -> DiskComponent:
-        """Produce a real disk component holding only this bucket's entries.
-
-        Called by the next merge after a split, which is where the paper's
-        design finally pays the write cost of separating the two buckets.
-        """
-        return DiskComponent(
-            self.entries(),
-            bloom_bits_per_key=bloom_bits_per_key,
-            bloom_num_hashes=bloom_num_hashes,
+    def hashed_entries(self) -> Tuple[List[Entry], array]:
+        """:meth:`entries` and the ``hash_key`` of each, in the same order:
+        this bucket's slice of the target's entries and of its hash column."""
+        target = self._target
+        if self._destroyed or target.is_destroyed:
+            raise ComponentStateError("component already destroyed")
+        mask, prefix = self._mask, self.hash_prefix
+        keep = [hashed & mask == prefix for hashed in target._hashes]
+        return (
+            list(itertools.compress(target._entries, keep)),
+            array("Q", itertools.compress(target._hashes, keep)),
         )
+
+    def materialize(self, bloom_bits_per_key: int = 10, bloom_num_hashes: int = 7) -> DiskComponent:
+        """A real disk component holding only this bucket's entries (a
+        test and debugging aid: merges read :meth:`hashed_entries` directly)."""
+        entries, hashed = self.hashed_entries()
+        return DiskComponent(entries, bloom_bits_per_key, bloom_num_hashes, hashed=hashed)
 
     def _destroy(self) -> None:
         super()._destroy()

@@ -111,12 +111,25 @@ class Entry:
 
     __slots__ = ("key", "value", "seqnum", "tombstone", "_size_bytes")
 
-    def __init__(self, key: Any, value: Any, seqnum: int, tombstone: bool = False) -> None:
+    def __init__(
+        self,
+        key: Any,
+        value: Any,
+        seqnum: int,
+        tombstone: bool = False,
+        value_bytes: Optional[int] = None,
+    ) -> None:
+        """``value_bytes`` is ``estimate_value_size(value)`` when the writer
+        already sized the row; the entry is then born knowing its size."""
         self.key = key
         self.value = value
         self.seqnum = seqnum
         self.tombstone = tombstone
-        self._size_bytes: Optional[int] = None
+        self._size_bytes: Optional[int] = (
+            None
+            if value_bytes is None
+            else _BASE_RECORD_OVERHEAD + estimate_key_size(key) + value_bytes
+        )
 
     @property
     def size_bytes(self) -> int:

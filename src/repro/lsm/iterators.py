@@ -10,7 +10,8 @@ bucketed LSM-tree's merge-sorted scan mode and by merges themselves.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from array import array
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .entry import Entry, sort_key
 
@@ -77,6 +78,24 @@ def merge_entries(
     disappear; otherwise tombstones are preserved.
     """
     return list(merge_scan(sources, include_tombstones=not drop_tombstones))
+
+
+def merge_runs(
+    runs: Sequence[Tuple[Sequence[Entry], Sequence[int]]],
+    drop_tombstones: bool,
+) -> Tuple[List[Entry], array]:
+    """:func:`merge_entries` over sources that carry their key-hash column.
+
+    Each run is ``(entries, hashed)`` with ``hashed[i] == hash_key(entries[i].key)``
+    (newest run first).  Returns the merged entries and their hashes in output
+    order, looked up from the inputs' columns — no key is hashed, and
+    :func:`merge_scan` yields what it always did, so scans pay nothing for it.
+    """
+    hash_of: Dict[Any, int] = {}
+    for entries, hashed in runs:
+        hash_of.update(zip([entry.key for entry in entries], hashed, strict=True))
+    merged = merge_entries([entries for entries, _ in runs], drop_tombstones)
+    return merged, array("Q", [hash_of[entry.key] for entry in merged])
 
 
 def count_live_entries(sources: Sequence[Iterable[Entry]]) -> int:

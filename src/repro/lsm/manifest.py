@@ -15,7 +15,6 @@ rebalance buckets get cleaned up on recovery.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -48,6 +47,21 @@ class ManifestState:
     #: Ids of component lists received by an in-flight rebalance (invisible to
     #: queries until commit).
     pending_received: List[int] = field(default_factory=list)
+
+    def copy(self) -> "ManifestState":
+        """An independent copy: every container here holds only ints, tuples
+        of ints and :class:`BucketManifestEntry` records, copied one by one."""
+        return ManifestState(
+            buckets={
+                bucket_id: BucketManifestEntry(
+                    entry.hash_prefix, entry.depth, list(entry.component_ids)
+                )
+                for bucket_id, entry in self.buckets.items()
+            },
+            component_ids=list(self.component_ids),
+            invalidated_buckets=set(self.invalidated_buckets),
+            pending_received=list(self.pending_received),
+        )
 
 
 class Manifest:
@@ -106,12 +120,12 @@ class Manifest:
 
     def force(self) -> None:
         """Persist the volatile state (the "force metadata file" step)."""
-        self._durable = copy.deepcopy(self._volatile)
+        self._durable = self._volatile.copy()
         self.force_count += 1
 
     def crash_and_recover(self) -> ManifestState:
         """Simulate a crash: the volatile state reverts to the durable one."""
-        self._volatile = copy.deepcopy(self._durable)
+        self._volatile = self._durable.copy()
         return self._volatile
 
     def valid_bucket_ids(self, durable: bool = False) -> Set[Tuple[int, int]]:

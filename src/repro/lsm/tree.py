@@ -24,6 +24,7 @@ The tree supports the features the rebalance implementation needs:
 from __future__ import annotations
 
 import itertools
+from array import array
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..common.config import LSMConfig
@@ -31,7 +32,7 @@ from ..common.errors import StorageError
 from ..common.hashutil import hash_key, low_bits
 from .component import DiskComponent, MemoryComponent, ReferenceDiskComponent
 from .entry import Entry
-from .iterators import merge_entries, merge_scan
+from .iterators import merge_runs, merge_scan
 from .manifest import Manifest
 from .merge_policy import MergePolicy, SizeTieredMergePolicy, select_components
 from .stats import StorageStats
@@ -83,27 +84,46 @@ class LSMTree:
         self._seqnum += 1
         return self._seqnum
 
-    def insert(self, key: Any, value: Any) -> Entry:
-        """Insert or overwrite a record."""
-        return self._write(key, value, tombstone=False)
+    def insert(
+        self,
+        key: Any,
+        value: Any,
+        hashed: Optional[int] = None,
+        value_bytes: Optional[int] = None,
+    ) -> Entry:
+        """Insert or overwrite a record.
+
+        ``hashed`` is ``hash_key(key)`` and ``value_bytes`` is
+        ``estimate_value_size(value)`` when the writer already has them; both
+        stay with the record (memory component, flush, merge, bucket move), so
+        neither is derived again.
+        """
+        return self._write(key, value, False, hashed, value_bytes)
 
     # AsterixDB's feeds use upserts; they are identical to inserts here.
     upsert = insert
 
-    def delete(self, key: Any) -> Entry:
+    def delete(self, key: Any, hashed: Optional[int] = None) -> Entry:
         """Delete a record by writing a tombstone."""
-        return self._write(key, None, tombstone=True)
+        return self._write(key, None, True, hashed)
 
-    def apply_entry(self, entry: Entry) -> Entry:
+    def apply_entry(self, entry: Entry, hashed: Optional[int] = None) -> Entry:
         """Apply an existing entry (e.g. a replicated log record) verbatim,
         but stamped with a local sequence number so local ordering holds."""
-        return self._write(entry.key, entry.value, tombstone=entry.tombstone)
+        return self._write(entry.key, entry.value, entry.tombstone, hashed)
 
-    def _write(self, key: Any, value: Any, tombstone: bool) -> Entry:
+    def _write(
+        self,
+        key: Any,
+        value: Any,
+        tombstone: bool,
+        hashed: Optional[int] = None,
+        value_bytes: Optional[int] = None,
+    ) -> Entry:
         self._seqnum += 1
-        entry = Entry(key, value, self._seqnum, tombstone)
+        entry = Entry(key, value, self._seqnum, tombstone, value_bytes)
         size = entry.size_bytes
-        self.memory.put(entry, size)
+        self.memory.put(entry, size, hashed)
         stats = self.stats
         stats.records_written += 1
         stats.bytes_written_memory += size
@@ -127,12 +147,8 @@ class LSMTree:
         """
         if self.memory.is_empty:
             return None
-        entries = self.memory.sorted_entries()
-        component = DiskComponent(
-            entries,
-            bloom_bits_per_key=self.config.bloom_bits_per_key,
-            bloom_num_hashes=self.config.bloom_num_hashes,
-        )
+        entries, hashed = self.memory.sorted_run()
+        component = self._build_component(entries, hashed)
         old_memory = self.memory
         self.memory = MemoryComponent()
         old_memory.deactivate()
@@ -180,18 +196,13 @@ class LSMTree:
     def _merge_range(self, start: int, end: int) -> DiskComponent:
         victims = self.disk_components[start:end]
         includes_oldest = end == len(self.disk_components)
-        entry_sources = [self._component_entries_for_merge(c) for c in victims]
-        merged = merge_entries(entry_sources, drop_tombstones=includes_oldest)
-        new_component = DiskComponent(
-            merged,
-            bloom_bits_per_key=self.config.bloom_bits_per_key,
-            bloom_num_hashes=self.config.bloom_num_hashes,
-        )
+        runs = [self._component_run_for_merge(c) for c in victims]
+        new_component = self._build_component(*merge_runs(runs, drop_tombstones=includes_oldest))
         read_bytes = sum(self._merge_read_bytes(c) for c in victims)
         self.stats.merge_count += 1
         self.stats.bytes_merged_read += read_bytes
         self.stats.bytes_merged_written += new_component.size_bytes
-        self.stats.records_merged += sum(len(source) for source in entry_sources)
+        self.stats.records_merged += sum(len(entries) for entries, _ in runs)
         self.disk_components[start:end] = [new_component]
         for victim in victims:
             victim.deactivate()
@@ -202,12 +213,25 @@ class LSMTree:
         self._update_manifest()
         return new_component
 
-    def _component_entries_for_merge(self, component: AnyDiskComponent) -> List[Entry]:
-        """Entries a merge reads from ``component``, applying cleanup filters."""
-        entries = component.entries()
+    def _build_component(
+        self, entries: Iterable[Entry], hashed: Optional[Iterable[int]]
+    ) -> DiskComponent:
+        return DiskComponent(
+            entries,
+            bloom_bits_per_key=self.config.bloom_bits_per_key,
+            bloom_num_hashes=self.config.bloom_num_hashes,
+            hashed=hashed,
+        )
+
+    def _component_run_for_merge(self, component: AnyDiskComponent) -> Tuple[List[Entry], array]:
+        """Entries a merge reads from ``component`` and their key hashes,
+        applying cleanup filters to both."""
+        entries, hashed = component.hashed_entries()
         if self._invalid_buckets:
-            entries = [e for e in entries if not self._is_invalidated(e.key)]
-        return entries
+            keep = [not self._is_invalidated(e.key) for e in entries]
+            entries = list(itertools.compress(entries, keep))
+            hashed = array("Q", itertools.compress(hashed, keep))
+        return entries, hashed
 
     def _merge_read_bytes(self, component: AnyDiskComponent) -> int:
         if isinstance(component, ReferenceDiskComponent):
@@ -337,20 +361,23 @@ class LSMTree:
 
     # ------------------------------------------------- rebalance integration
 
-    def add_loaded_component(self, entries: Sequence[Entry], newest: bool = False) -> DiskComponent:
-        """Create a disk component directly from pre-sorted data.
+    def add_loaded_component(
+        self,
+        entries: Sequence[Entry],
+        newest: bool = False,
+        hashed: Optional[Iterable[int]] = None,
+    ) -> DiskComponent:
+        """Create a disk component directly from scanned data.
 
         Used by the rebalance destination to bulk-load scanned records.  With
         ``newest=False`` (the default) the component is appended at the *back*
         of the list, i.e. treated as strictly older than everything already
         present — exactly the ordering Section V-B requires between scanned
-        data and replicated log records.
+        data and replicated log records.  ``hashed`` is the key-hash column
+        of ``entries`` when the scan carried it (see :class:`DiskComponent`:
+        the entries must then be in key order).
         """
-        component = DiskComponent(
-            entries,
-            bloom_bits_per_key=self.config.bloom_bits_per_key,
-            bloom_num_hashes=self.config.bloom_num_hashes,
-        )
+        component = self._build_component(entries, hashed)
         if newest:
             self.disk_components.insert(0, component)
         else:
@@ -366,15 +393,14 @@ class LSMTree:
         self.manifest.add_pending_received(list_id)
         return list_id
 
-    def append_to_received_list(self, list_id: int, entries: Sequence[Entry]) -> DiskComponent:
-        """Add a component of received records to an invisible list."""
+    def append_to_received_list(
+        self, list_id: int, entries: Sequence[Entry], hashed: Optional[Iterable[int]] = None
+    ) -> DiskComponent:
+        """Add a component of received records to an invisible list
+        (``hashed`` as for :meth:`add_loaded_component`)."""
         if list_id not in self._received_lists:
             raise StorageError(f"unknown received list {list_id}")
-        component = DiskComponent(
-            entries,
-            bloom_bits_per_key=self.config.bloom_bits_per_key,
-            bloom_num_hashes=self.config.bloom_num_hashes,
-        )
+        component = self._build_component(entries, hashed)
         self._received_lists[list_id].append(component)
         self.stats.bytes_flushed += component.size_bytes
         return component

@@ -89,7 +89,7 @@ class LogReplicator:
             return size
         entry = Entry(key=key, value=record, seqnum=self._next_seqnum())
         destination = self.runtime.partitions[move.destination_partition]
-        destination.apply_replicated_write(move.bucket, entry)
+        destination.apply_replicated_write(move.bucket, entry, hashed)
         self.stats.replicated_records += 1
         self.stats.replicated_bytes += size
         route = (
@@ -110,6 +110,6 @@ class LogReplicator:
             return
         entry = Entry(key=key, value=None, seqnum=self._next_seqnum(), tombstone=True)
         self.runtime.partitions[move.destination_partition].apply_replicated_write(
-            move.bucket, entry
+            move.bucket, entry, hashed
         )
         self.stats.replicated_records += 1

@@ -15,10 +15,9 @@ into per-node simulated time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, TYPE_CHECKING
+from typing import Dict, Mapping, NamedTuple, TYPE_CHECKING
 
 from ..cluster.partition import StoragePartition
-from ..lsm.entry import Entry
 from .plan import BucketMove
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -103,13 +102,13 @@ class DataMover:
             return MovedBucket(0, 0, 0)
         source = self.partition(move.source_partition)
         snapshot = source.snapshot_bucket(move.bucket)
-        entries: List[Entry] = source.scan_bucket_snapshot(snapshot)
+        entries, hashed = source.scan_bucket_snapshot(snapshot)
         payload_bytes = sum(entry.size_bytes for entry in entries)
         scanned_bytes = sum(
             getattr(component, "referenced_bytes", component.size_bytes)
             for component in snapshot
         )
-        destination.receive_bucket(move.bucket, entries)
+        destination.receive_bucket(move.bucket, entries, hashed)
 
         source_node = self.partition_nodes[move.source_partition]
         destination_node = self.partition_nodes[move.destination_partition]

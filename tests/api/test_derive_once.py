@@ -18,7 +18,7 @@ from repro.cluster.partition import StoragePartition
 from repro.rebalance import concurrency
 from repro.rebalance.concurrency import LogReplicator
 
-from .test_dataset_batch_verbs import open_split
+from .test_dataset_batch_verbs import open_split, storage_stats
 
 #: Memory, flushed and reference hits, and misses; distinct on purpose.
 KEYS = [35, 3, 2790, 9999, 1234, 5000, -4, 2799, 70, 1, 2451]
@@ -130,8 +130,9 @@ def split_buckets(db):
 
 
 class TestNoHashPerStoredRecord:
-    """A disk component hashes its keys once, when it is built; reads through
-    the reference components of a split dataset filter on that column.  No
+    """A disk component holds the hash of each of its keys; reads through the
+    reference components of a split dataset filter on that column and every
+    build takes its column from where the records came from.  No
     bucket of ``open_split()`` was invalidated, so the lazy-cleanup filter
     (which hashes the *routing* key on its own) is idle throughout."""
 
@@ -171,28 +172,77 @@ class TestNoHashPerStoredRecord:
         assert not hash_calls  # 4,062 before
         db.close()
 
-    def test_a_flush_hashes_each_key_once(self, hash_calls):
+    def test_a_flush_hashes_nothing(self, hash_calls):
         db, _ = open_split()
         for bucket in split_buckets(db):
             keys = [entry.key for entry in bucket.tree.memory.sorted_entries()]
             hash_calls.clear()
             flushed = bucket.flush()
             assert len(flushed) == len(keys) > 0
-            # The Bloom build always made these; the column adds none.
-            assert hash_calls == Counter(keys)
+            # The feed routed every one of these keys on its hash, and the
+            # memory component kept it (one call per key before).
+            assert not hash_calls
+            assert list(flushed._hashes) == [hashutil.hash_key(key) for key in flushed._keys]
         db.close()
 
-    def test_a_merge_hashes_only_the_component_it_builds(self, hash_calls):
+    def test_a_merge_hashes_nothing(self, hash_calls):
         db, _ = open_split()
         total = 0
         for bucket in split_buckets(db):
             hash_calls.clear()
             merged = bucket.tree.merge_all()
             assert merged is not None and bucket.tree.component_count == 1
-            assert hash_calls == Counter(entry.key for entry in merged.entries())
+            # The inputs' columns (the references' filtered slices of them)
+            # are carried into the merged component: 2,800 calls before, one
+            # per surviving key, and 10,924 before the columns existed.
+            assert not hash_calls
+            assert list(merged._hashes) == [hashutil.hash_key(key) for key in merged._keys]
             total += len(merged)
-        # One call per surviving key (5000 and 5001 are still in memory).
-        # Materialising the two references of each bucket used to hash every
-        # entry of their targets on top of that: 10,924 calls in all.
-        assert total == 2800
+        assert total == 2800  # 5000 and 5001 are still in memory
+        db.close()
+
+
+class TestOneHashPerRecordLifetime:
+    """A key is hashed when it enters the system — by the feed, to route it —
+    and never again: not by the flush that writes it out, not by any merge or
+    split it lives through, not by a bucket move."""
+
+    def test_bulk_ingest_hashes_each_row_once(self, hash_calls):
+        db, dataset = open_split()
+        rows = [{"k": key, "v": "z" * 64} for key in range(10_000, 34_000)]
+        before, buckets_before = storage_stats(db), len(split_buckets(db))
+        hash_calls.clear()
+        dataset.insert(rows)
+        # 178,425 calls before: every flush and every merge hashed each key it
+        # wrote (7.4 calls per ingested row).
+        assert hash_calls == Counter(row["k"] for row in rows)
+        work = storage_stats(db).diff(before)
+        assert work.flush_count > 100 and work.merge_count > 50
+        assert len(split_buckets(db)) >= 4 * buckets_before  # two splits each
+        db.close()
+
+    def test_a_rebalance_hashes_no_moved_record(self, hash_calls):
+        db, dataset = open_split()
+        hash_calls.clear()
+        for resize in ({"add": 1}, {"remove": 1}):
+            report = db.rebalance(**resize)
+            assert report.committed
+            assert sum(r.records_moved for r in report.dataset_reports) > 500
+        # Scanning a snapshot reads the components' columns and the received
+        # bucket is loaded with them (one call per moved record before, on
+        # top of one per record of every flush the snapshot forced).
+        assert not hash_calls
+        assert len(list(dataset.scan())) == 2802
+        db.close()
+
+    def test_single_row_writes_with_their_maintenance_pass(self, hash_calls):
+        db, dataset = open_split()
+        hash_calls.clear()
+        for key in KEYS:
+            dataset.upsert([{"k": key, "v": "w" * 64}])
+        assert hash_calls == Counter(KEYS)
+        hash_calls.clear()
+        for key in KEYS:
+            dataset.delete(key)
+        assert hash_calls == Counter(KEYS)
         db.close()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.config import BucketingConfig, LSMConfig
 from repro.common.errors import StorageError
+from repro.common.hashutil import hash_key
 from repro.cluster.dataset import DatasetSpec, SecondaryIndexSpec
 from repro.cluster.partition import StoragePartition
 from repro.hashing.bucket_id import BucketId, ROOT_BUCKET
@@ -134,7 +135,7 @@ class TestMaintenance:
         assert stats.records_written == 30
 
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2(b)")
     def test_stats_delta_across_a_split_is_not_negative(self):
         # A split replaces the parent bucket, counters and all, with children
         # whose counters start at zero, so a before/after snapshot pair around
@@ -179,8 +180,9 @@ class TestRebalanceSourceSide:
             partition.insert(order_row(key))
         bucket_id = partition.primary.bucket_ids[0]
         snapshot = partition.snapshot_bucket(bucket_id)
-        entries = partition.scan_bucket_snapshot(snapshot)
+        entries, hashed = partition.scan_bucket_snapshot(snapshot)
         assert all(bucket_id.contains_key(e.key) for e in entries)
+        assert list(hashed) == [hash_key(e.key) for e in entries]
         assert len(entries) == sum(1 for k in range(40) if bucket_id.contains_key(k))
         partition.release_bucket_snapshot(snapshot)
 

@@ -12,7 +12,7 @@ from repro.common.hashutil import hash_key, low_bits
 from repro.hashing.bucket_id import ROOT_BUCKET
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.component import DiskComponent, MemoryComponent, ReferenceDiskComponent
-from repro.lsm.entry import Entry
+from repro.lsm.entry import Entry, estimate_value_size
 
 
 def make_entries(keys, seq_start=1, value="v"):
@@ -397,3 +397,103 @@ class TestHashColumnEquivalence:
         component = DiskComponent(make_entries(keys), bloom_bits_per_key=bits_per_key)
         assert component.bloom._bits == unaided._bits
         assert list(component._hashes) == [hash_key(e.key) for e in component.entries()]
+
+
+# ------------------------------------------------------- the carried column
+#
+# A builder that already has the hashes (and the order) hands them over; the
+# component then derives nothing, and builds its Bloom filter on first probe.
+
+_VALUES = st.one_of(
+    st.none(),
+    st.integers(),
+    st.text(max_size=8),
+    st.dictionaries(st.text(max_size=4), st.one_of(st.integers(), st.text(max_size=8)), max_size=4),
+    st.tuples(st.integers(), st.text(max_size=4)),
+)
+
+
+class TestCarriedColumn:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        keys=keys_and_bounds().map(lambda case: case[0]),
+        bits_per_key=st.sampled_from([0, 10]),
+        column=st.sampled_from([list, iter, lambda hashes: array("Q", hashes)]),
+    )
+    def test_a_component_given_its_column_equals_one_that_derives_it(
+        self, keys, bits_per_key, column
+    ):
+        derived = DiskComponent(make_entries(keys), bloom_bits_per_key=bits_per_key)
+        in_order = derived.entries()
+        given_column = DiskComponent(
+            in_order, bloom_bits_per_key=bits_per_key, hashed=column(map(hash_key, derived._keys))
+        )
+        assert given_column.entries() == in_order
+        assert given_column._keys == derived._keys
+        assert given_column._hashes == derived._hashes
+        assert given_column.size_bytes == derived.size_bytes
+        assert [given_column.get(key) for key in keys] == [derived.get(key) for key in keys]
+        # Neither has a filter until it is probed, and then the same one an
+        # eager build over the keys produces.
+        assert given_column._bloom is None and derived._bloom is None
+        eager = BloomFilter.build(derived._keys, bits_per_key=bits_per_key)
+        for component in (given_column, derived):
+            assert component.may_contain("absent") in (True, False)
+            bloom = component._bloom
+            assert bloom is component.bloom and bloom is not None
+            assert all(component.may_contain(key) for key in keys)
+            assert bloom._bits == eager._bits
+            assert bloom.num_keys == eager.num_keys == len(keys)
+            assert bloom.size_bytes == eager.size_bytes
+
+    def test_a_column_of_another_length_is_rejected(self):
+        entries = make_entries([1, 2, 3])
+        for column in ([], [hash_key(1), hash_key(2)], [hash_key(k) for k in (1, 2, 3, 4)]):
+            with pytest.raises(ValueError, match="hashes for 3"):
+                DiskComponent(entries, hashed=column)
+            with pytest.raises(ValueError, match="hashes for 3"):
+                BloomFilter.build([1, 2, 3], hashed=column)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=keys_and_bounds(),
+        depth=st.integers(0, 4),
+        prefix=st.integers(0, 2**70),
+    )
+    def test_hashed_entries_is_entries_with_their_hashes(self, case, depth, prefix):
+        target = DiskComponent(make_entries(case[0]))
+        for component in (target, ReferenceDiskComponent(target, prefix, depth)):
+            entries, hashed = component.hashed_entries()
+            assert entries == component.entries()
+            assert hashed == array("Q", [hash_key(e.key) for e in entries])
+            # What a merge builds from them: the references's own slice.
+            rebuilt = DiskComponent(entries, hashed=hashed)
+            assert rebuilt.entries() == entries and rebuilt._hashes == hashed
+        hashed.append(0)  # a copy: the target's column is not the caller's to grow
+        assert len(target._hashes) == len(target)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        keys=keys_and_bounds().map(lambda case: case[0]),
+        puts=st.lists(st.tuples(st.integers(0, 39), st.booleans()), max_size=60),
+    )
+    def test_the_memory_component_hands_its_column_to_the_flush(self, keys, puts):
+        memory = MemoryComponent()
+        for seqnum, (index, carry) in enumerate(puts if keys else []):
+            key = keys[index % len(keys)]  # overwrites included
+            memory.put(Entry(key, "v", seqnum), hashed=hash_key(key) if carry else None)
+        entries, hashed = memory.sorted_run()
+        assert entries == memory.sorted_entries()
+        assert hashed == array("Q", [hash_key(e.key) for e in entries])
+
+    @given(
+        key=st.one_of(
+            st.integers(), st.text(max_size=6), st.tuples(st.integers(), st.text(max_size=3))
+        ),
+        value=_VALUES,
+    )
+    def test_an_entry_born_with_its_size_reports_what_a_fresh_one_computes(self, key, value):
+        born = Entry(key, value, 1, value_bytes=estimate_value_size(value))
+        assert born._size_bytes is not None
+        assert born.size_bytes == Entry(key, value, 1).size_bytes
+        assert born == Entry(key, value, 1)

@@ -1,12 +1,20 @@
 """Tests for the LSM-tree index."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bucketed.bucket import Bucket
+from repro.bucketed.split import split_bucket
 from repro.common.config import LSMConfig
 from repro.common.hashutil import hash_key, low_bits
-from repro.lsm.entry import Entry
+from repro.hashing.bucket_id import ROOT_BUCKET
+from repro.lsm.bloom import BloomFilter
+from repro.lsm.component import ReferenceDiskComponent
+from repro.lsm.entry import Entry, sort_key
+from repro.lsm.iterators import merge_runs
 from repro.lsm.merge_policy import FullMergePolicy, NoMergePolicy
 from repro.lsm.tree import LSMTree
 
@@ -402,3 +410,245 @@ class TestPropertyBased:
         for key in range(21):
             assert tree.get(key) == model.get(key)
         assert sorted(e.key for e in tree.scan()) == sorted(model.keys())
+
+
+# ------------------------------------------------------- the carried column
+#
+# A record's key hash enters with the write (when the writer has it), stays in
+# the memory component and is handed to every component built from it: flush,
+# merge, split (references read their target's column) and bucket move.  The
+# oracles below re-derive everything from the keys.
+
+_KEY_SHAPES = {
+    "int": st.integers(-(2**70), 2**70),
+    "str": st.text(max_size=4),
+    "tuple": st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+}
+
+
+def _sequences(write, *others):
+    """Operation sequences in which components pile up: runs of ``write``
+    operations, most of them closed by a flush, between the ``others``."""
+    flush = [("flush", 0)]
+    burst = st.tuples(
+        st.lists(write, min_size=1, max_size=4), st.sampled_from([flush, flush, []])
+    ).map(lambda pair: pair[0] + pair[1])
+    single = st.one_of(*others).map(lambda operation: [operation])
+    return st.lists(st.one_of(burst, burst, single), max_size=16).map(
+        lambda groups: [operation for group in groups for operation in group]
+    )
+
+
+@st.composite
+def carried_column_cases(draw):
+    """A key shape's small key pool and an operation sequence over it."""
+    shape = _KEY_SHAPES[draw(st.sampled_from(sorted(_KEY_SHAPES)))]
+    pool = draw(st.lists(shape, min_size=1, max_size=24, unique=True))
+    key, index, carry = st.sampled_from(pool), st.integers(0, 7), st.booleans()
+    write = st.one_of(
+        st.tuples(st.just("insert"), key, st.integers(0, 999), carry),
+        st.tuples(st.just("insert"), key, st.integers(0, 999), carry),
+        st.tuples(st.just("delete"), key, carry),
+    )
+    others = (
+        st.tuples(st.just("flush"), index),
+        st.tuples(st.just("merge"), index, st.booleans()),
+        st.tuples(st.just("split"), index),
+        st.tuples(st.just("move"), index),
+        st.tuples(st.just("invalidate"), st.integers(0, 3), st.integers(1, 2)),
+    )
+    return pool, draw(_sequences(write, *others))
+
+
+def reachable_components(buckets):
+    """Every real disk component a read of ``buckets`` can reach."""
+    found = {}
+    for bucket in buckets:
+        for component in bucket.tree.disk_components:
+            real = component.target if isinstance(component, ReferenceDiskComponent) else component
+            found[real.component_id] = real
+    return list(found.values())
+
+
+def assert_derived_facts_hold(component, config):
+    keys = component._keys
+    assert keys == [e.key for e in component._entries]
+    assert keys == sorted(keys, key=sort_key)
+    assert component._hashes == array("Q", map(hash_key, keys))
+    assert component.size_bytes == sum(e.size_bytes for e in component._entries)
+    assert all(component.may_contain(key) for key in keys)  # the first probe builds
+    eager = BloomFilter.build(
+        keys, bits_per_key=config.bloom_bits_per_key, num_hashes=config.bloom_num_hashes
+    )
+    assert component.bloom._bits == eager._bits
+    assert (component.bloom.num_keys, component.bloom.size_bytes) == (len(keys), eager.size_bytes)
+
+
+def play(operations, config, carry_hashes):
+    """Run ``operations`` over buckets that tile the hash space; returns the
+    buckets and the model of what they hold (``None`` once a lazy-cleanup
+    filter made visibility depend on merge timing)."""
+    buckets, model = [Bucket(ROOT_BUCKET, config=config)], {}
+    for operation in operations:
+        kind = operation[0]
+        if kind in ("insert", "delete"):
+            key = operation[1]
+            hashed = hash_key(key)
+            tree = next(b for b in buckets if b.owns_key(key, hashed)).tree
+            carried = hashed if operation[-1] and carry_hashes else None
+            if kind == "insert":
+                tree.insert(key, operation[2], carried)
+                if model is not None:
+                    model[key] = operation[2]
+            else:
+                tree.delete(key, carried)
+                if model is not None:
+                    model.pop(key, None)
+            continue
+        if kind == "invalidate":
+            for bucket in buckets:
+                bucket.tree.invalidate_bucket(operation[1], operation[2])
+            model = None
+            continue
+        position = operation[1] % len(buckets)
+        bucket = buckets[position]
+        if kind == "flush":
+            bucket.flush()
+        elif kind == "merge":
+            bucket.tree.merge_all() if operation[2] else bucket.maybe_merge()
+        elif kind == "split" and bucket.depth < 3:
+            buckets[position : position + 1] = split_bucket(bucket).children
+        elif kind == "move":
+            bucket.flush()
+            snapshot = bucket.snapshot_components()
+            entries, hashed = merge_runs(
+                [c.hashed_entries() for c in snapshot], drop_tombstones=True
+            )
+            received = Bucket(bucket.bucket_id, config=config)
+            if entries:
+                received.tree.add_loaded_component(entries, hashed=hashed)
+            Bucket.release_snapshot(snapshot)
+            buckets[position] = received
+    return buckets, model
+
+
+class TestCarriedColumn:
+    @settings(max_examples=150, deadline=None)
+    @given(case=carried_column_cases(), bits_per_key=st.sampled_from([0, 10]))
+    def test_every_component_holds_what_its_keys_derive(self, case, bits_per_key):
+        pool, operations = case
+        config = small_config(memory_component_bytes=256, bloom_bits_per_key=bits_per_key)
+        buckets, model = play(operations, config, carry_hashes=True)
+        for component in reachable_components(buckets):
+            assert_derived_facts_hold(component, config)
+        scanned = {e.key: e.value for b in buckets for e in b.scan()}
+        if model is not None:
+            assert scanned == model
+            for key in pool:
+                bucket = next(b for b in buckets if b.owns_key(key))
+                assert bucket.get(key) == model.get(key)
+        # Carrying a hash changes no component and no answer: the same
+        # sequence with every writer keeping its hash to itself.
+        twins, _ = play(operations, config, carry_hashes=False)
+        assert {e.key: e.value for b in twins for e in b.scan()} == scanned
+        assert [
+            [c.entries() for c in b.tree.disk_components] for b in twins
+        ] == [[c.entries() for c in b.tree.disk_components] for b in buckets]
+        for bucket in buckets:
+            # A final flush writes out whatever the memory components kept.
+            flushed = bucket.flush()
+            if flushed is not None:
+                assert_derived_facts_hold(flushed, config)
+
+    def test_the_memory_column_survives_overwrites_and_is_dropped_by_an_unhashed_key(self):
+        tree = make_tree()
+        for key in (5, 3, 9, 3, 5):
+            tree.insert(key, "v", hash_key(key))
+        assert list(tree.memory._hashes) == [hash_key(key) for key in (5, 3, 9)]
+        tree.insert(4, "v")  # this writer had no hash to give
+        assert tree.memory._hashes is None
+        tree.insert(1, "v", hash_key(1))
+        flushed = tree.flush()
+        assert flushed._keys == [1, 3, 4, 5, 9]
+        assert_derived_facts_hold(flushed, tree.config)
+        assert list(tree.memory._hashes) == []
+
+    _SECONDARY_WRITES = st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "insert", "delete"]), st.integers(0, 3), st.integers(0, 15)
+        ),
+        min_size=1,
+        max_size=6,
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rounds=st.lists(
+            st.tuples(
+                # Flushed bursts pile components up, filters arrive, a few
+                # writes stay in memory, and then everything on disk merges.
+                st.lists(_SECONDARY_WRITES, min_size=2, max_size=4),
+                st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=2),
+                st.one_of(st.just([]), _SECONDARY_WRITES),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        bits_per_key=st.sampled_from([0, 10]),
+    )
+    def test_a_merge_under_lazy_cleanup_filters_entry_and_hash_together(
+        self, rounds, bits_per_key
+    ):
+        """A secondary index: keys are ``(secondary key, primary key)`` and the
+        cleanup filter hashes the primary key, not the stored key."""
+        tree = LSMTree(
+            "secondary",
+            config=small_config(bloom_bits_per_key=bits_per_key),
+            merge_policy=NoMergePolicy(),
+            routing_key_extractor=lambda composite: composite[-1],
+        )
+
+        def hidden(key, filters):
+            return any(low_bits(hash_key(key[-1]), depth) == prefix for prefix, depth in filters)
+
+        def newest(sources):
+            seen = {}
+            for source in sources:
+                for entry in source:
+                    seen.setdefault(entry.key, entry)
+            return seen
+
+        def check_reads():
+            for component in tree.disk_components:
+                assert_derived_facts_hold(component, tree.config)
+            everything = newest(
+                [tree.memory.sorted_entries()] + [c.entries() for c in tree.disk_components]
+            )
+            assert [e.key for e in tree.scan()] == sorted(
+                key
+                for key, entry in everything.items()
+                if not entry.tombstone and not hidden(key, tree.invalidated_buckets)
+            )
+
+        def write(writes):
+            for kind, *key in writes:
+                tree.insert(tuple(key), "v") if kind == "insert" else tree.delete(tuple(key))
+
+        for bursts, invalidations, unflushed in rounds:
+            for burst in bursts:
+                write(burst)
+                tree.flush()
+            for prefix, depth in invalidations:
+                tree.invalidate_bucket(prefix, depth)
+            write(unflushed)
+            check_reads()
+            filters = tree.invalidated_buckets
+            on_disk = newest(c.entries() for c in tree.disk_components)
+            merged = tree.merge_all()
+            assert merged._keys == sorted(
+                key
+                for key, entry in on_disk.items()
+                if not entry.tombstone and not hidden(key, filters)
+            )
+            assert tree.invalidated_buckets == set()
+            check_reads()
