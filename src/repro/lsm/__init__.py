@@ -21,7 +21,7 @@ from .component import (
     next_component_id,
 )
 from .entry import Entry, estimate_key_size, estimate_value_size
-from .iterators import count_live_entries, merge_entries, merge_scan
+from .iterators import merge_scan
 from .manifest import BucketManifestEntry, Manifest, ManifestState
 from .merge_policy import (
     FullMergePolicy,
@@ -57,11 +57,9 @@ __all__ = [
     "SizeTieredMergePolicy",
     "StorageStats",
     "WriteAheadLog",
-    "count_live_entries",
     "estimate_key_size",
     "estimate_value_size",
     "make_merge_policy",
-    "merge_entries",
     "merge_scan",
     "next_component_id",
     "replay_data_records",

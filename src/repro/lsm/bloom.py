@@ -14,6 +14,8 @@ from typing import Any, Collection, Optional, Sequence
 from ..common.hashutil import hash64, hash_key
 
 _H2_SALT = 0xA5A5A5A5A5A5A5A5
+#: Flag bytes 0 / 1 to the ASCII digits ``int(..., 2)`` reads.
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class BloomFilter:
@@ -26,9 +28,10 @@ class BloomFilter:
 
     Bit positions come from Kirsch-Mitzenmacher double hashing:
     ``position_i = (h1 + i * h2) mod bits`` with ``h1 = hash_key(key)`` and
-    ``h2 = hash64(h1 ^ _H2_SALT) | 1``.  :meth:`build`, :meth:`add` and
-    :meth:`may_contain` each walk them in one loop, stepping by ``h2``
-    (Python ints do not wrap, so the running sum equals ``h1 + i * h2``).
+    ``h2 = hash64(h1 ^ _H2_SALT) | 1``.  Since ``(h1 + i * h2) mod bits ==
+    ((h1 mod bits) + i * (h2 mod bits)) mod bits``, :meth:`build`, :meth:`add`
+    and :meth:`may_contain` reduce position and step once per key and walk
+    ``bit += step``, wrapping by one subtraction, on ints below ``2 * bits``.
     """
 
     __slots__ = ("_bits", "_num_bits", "_num_hashes", "_num_keys")
@@ -68,14 +71,21 @@ class BloomFilter:
         num_bits = bloom._num_bits
         if not num_bits:
             return bloom
-        bits = bloom._bits
+        # One byte per bit while building, packed once at the end: bit ``i``
+        # of the filter is bit ``i & 7`` of byte ``i >> 3``, i.e. bit ``i`` of
+        # the little-endian integer whose binary digits are the flags.
+        flags = bytearray(num_bits)
         hashes = range(bloom._num_hashes)
         for position in hashed:
-            step = hash64(position ^ _H2_SALT) | 1
+            step = (hash64(position ^ _H2_SALT) | 1) % num_bits
+            bit = position % num_bits
             for _ in hashes:
-                bit = position % num_bits
-                bits[bit >> 3] |= 1 << (bit & 7)
-                position += step
+                flags[bit] = 1
+                bit += step
+                if bit >= num_bits:
+                    bit -= num_bits
+        packed = int(flags[::-1].translate(_FLAG_DIGITS), 2)
+        bloom._bits = bytearray(packed.to_bytes(len(bloom._bits), "little"))
         return bloom
 
     @property
@@ -95,12 +105,14 @@ class BloomFilter:
         if not num_bits:
             return
         position = hash_key(key)
-        step = hash64(position ^ _H2_SALT) | 1
+        step = (hash64(position ^ _H2_SALT) | 1) % num_bits
+        bit = position % num_bits
         bits = self._bits
         for _ in range(self._num_hashes):
-            bit = position % num_bits
             bits[bit >> 3] |= 1 << (bit & 7)
-            position += step
+            bit += step
+            if bit >= num_bits:
+                bit -= num_bits
 
     def may_contain(self, key: Any, hashed: Optional[int] = None) -> bool:
         """Return False only if ``key`` was definitely never added.
@@ -113,13 +125,15 @@ class BloomFilter:
         if not num_bits:
             return True
         position = hash_key(key) if hashed is None else hashed
-        step = hash64(position ^ _H2_SALT) | 1
+        step = (hash64(position ^ _H2_SALT) | 1) % num_bits
+        bit = position % num_bits
         bits = self._bits
         for _ in range(self._num_hashes):
-            bit = position % num_bits
             if not bits[bit >> 3] & (1 << (bit & 7)):
                 return False
-            position += step
+            bit += step
+            if bit >= num_bits:
+                bit -= num_bits
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -28,7 +28,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 from ..common.errors import ComponentStateError
 from ..common.hashutil import hash_key, low_bits
 from .bloom import BloomFilter
-from .entry import Entry, sort_key
+from .entry import Entry, sort_key, sort_order, total_size_bytes
 
 _component_ids = itertools.count(1)
 
@@ -97,8 +97,8 @@ class MemoryComponent(ReferenceCounted):
     """The mutable in-memory component of an LSM-tree.
 
     Entries are kept in a key -> entry dict (only the newest entry per key is
-    retained, like a real memtable); the sorted order needed by a flush is
-    produced on demand.
+    retained, like a real memtable); the sorted order needed by a flush or a
+    scan is produced on demand and kept until a write adds a new key.
     """
 
     def __init__(self) -> None:
@@ -110,6 +110,11 @@ class MemoryComponent(ReferenceCounted):
         #: with its hash; ``None`` once one did not (the flush then hashes the
         #: keys itself, once, as it always did).
         self._hashes: Optional[array] = array("Q")
+        #: The keys in :func:`sort_key` order and the position of each in the
+        #: dict's (insertion) order: made by the first scan or flush that asks,
+        #: dropped by the next ``put`` of a *new* key (an overwrite changes
+        #: neither), so scans between writes share one sort.
+        self._sorted: Optional[Tuple[List[Any], List[int]]] = None
         self._size_bytes = 0
 
     def __len__(self) -> int:
@@ -139,11 +144,13 @@ class MemoryComponent(ReferenceCounted):
             raise ComponentStateError("cannot write to a deactivated memory component")
         entries = self._entries
         key = entry.key
-        if key not in entries and self._hashes is not None:
-            if hashed is None:
-                self._hashes = None
-            else:
-                self._hashes.append(hashed)
+        if key not in entries:
+            self._sorted = None
+            if self._hashes is not None:
+                if hashed is None:
+                    self._hashes = None
+                else:
+                    self._hashes.append(hashed)
         entries[key] = entry
         self._size_bytes += entry.size_bytes if size_bytes is None else size_bytes
 
@@ -151,30 +158,42 @@ class MemoryComponent(ReferenceCounted):
         """Return the newest entry for ``key`` or ``None`` if absent."""
         return self._entries.get(key)
 
+    def _sorted_keys(self) -> Tuple[List[Any], List[int]]:
+        """``(keys, order)``: the keys in :func:`sort_key` order and where each
+        sits in insertion order — one stable sort per run of writes that add
+        keys, however many scans read it."""
+        cached = self._sorted
+        if cached is None:
+            keys = list(self._entries)
+            order, _ = sort_order(keys)
+            cached = self._sorted = (list(map(keys.__getitem__, order)), order)
+        return cached
+
     def sorted_entries(self) -> List[Entry]:
         """All entries ordered by key."""
-        return [self._entries[key] for key in sorted(self._entries, key=sort_key)]
+        return list(map(self._entries.__getitem__, self._sorted_keys()[0]))
 
     def sorted_run(self) -> Tuple[List[Entry], array]:
         """What a flush writes out: all entries ordered by key, and the
         ``hash_key`` of each in the same order (the kept column permuted with
         the sort; keys that arrived without a hash are hashed here)."""
-        keys = list(self._entries)
+        keys, order = self._sorted_keys()
         hashes = self._hashes
-        if hashes is None:
-            hashes = array("Q", map(hash_key, keys))
-        ranks = list(map(sort_key, keys))
-        order = sorted(range(len(keys)), key=ranks.__getitem__)
-        entries = list(self._entries.values())
-        return [entries[i] for i in order], array("Q", [hashes[i] for i in order])
+        column = map(hash_key, keys) if hashes is None else map(hashes.__getitem__, order)
+        return self.sorted_entries(), array("Q", column)
+
+    def run(self, low: Any = None, high: Any = None) -> Tuple[List[Entry], List[Any]]:
+        """The entries with ``low <= key <= high`` in key order and their keys
+        (ordered and bounded through :func:`sort_key`, exactly as a disk
+        component is): a bisected slice of the kept sorted keys."""
+        keys = self._sorted_keys()[0]
+        start, stop = _key_bounds(keys, low, high)
+        keys = keys[start:stop]
+        return list(map(self._entries.__getitem__, keys)), keys
 
     def scan(self, low: Any = None, high: Any = None) -> Iterator[Entry]:
-        """Yield entries with ``low <= key <= high`` in key order (ordered and
-        bounded through :func:`sort_key`, exactly as a disk component is)."""
-        keys = sorted(self._entries, key=sort_key)
-        start, stop = _key_bounds(keys, low, high)
-        for key in keys[start:stop]:
-            yield self._entries[key]
+        """Iterate the entries with ``low <= key <= high`` in key order."""
+        return iter(self.run(low, high)[0])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"MemoryComponent(id={self.component_id}, entries={len(self)})"
@@ -208,7 +227,7 @@ class DiskComponent(ReferenceCounted):
         self._hashes = array("Q", map(hash_key, self._keys) if hashed is None else hashed)
         if len(self._hashes) != len(entry_list):
             raise ValueError(f"{len(self._hashes)} hashes for {len(entry_list)} entries")
-        self._size_bytes = sum(e.size_bytes for e in entry_list)
+        self._size_bytes = total_size_bytes(entry_list)
         #: Built from the column on the first probe: a bulk load never probes
         #: and most components are merged away before anyone reads them.
         self._bloom: Optional[BloomFilter] = None
@@ -261,16 +280,22 @@ class DiskComponent(ReferenceCounted):
         """The ``low <= key <= high`` slice of the sorted run, by bisection."""
         return _key_bounds(self._keys, low, high)
 
+    def run(self, low: Any = None, high: Any = None) -> Tuple[List[Entry], List[Any]]:
+        """The entries with ``low <= key <= high`` in key order and their
+        keys: the same slice of both aligned columns.  A destroyed component
+        raises :class:`ComponentStateError`."""
+        if self._destroyed:
+            raise ComponentStateError("component already destroyed")
+        start, stop = self._bounds(low, high)
+        return self._entries[start:stop], self._keys[start:stop]
+
     def scan(self, low: Any = None, high: Any = None) -> Iterator[Entry]:
         """Iterate entries with ``low <= key <= high`` in key order.
 
         A destroyed component raises :class:`ComponentStateError` at the
         call, not at the first ``next()``.
         """
-        if self._destroyed:
-            raise ComponentStateError("component already destroyed")
-        start, stop = self._bounds(low, high)
-        return iter(self._entries[start:stop])
+        return iter(self.run(low, high)[0])
 
     def entries(self) -> List[Entry]:
         """All entries in key order (used by merges and rebalance scans)."""
@@ -353,21 +378,37 @@ class ReferenceDiskComponent(ReferenceCounted):
             return None
         return self._target.get(key)
 
-    def scan(self, low: Any = None, high: Any = None) -> Iterator[Entry]:
-        """Scan the target, keeping only entries that belong to this bucket.
+    def _select(self, low: Any = None, high: Any = None) -> Tuple[slice, List[bool]]:
+        """The ``low <= key <= high`` slice of the target's aligned columns and,
+        for each position of it, whether the entry belongs to this bucket.
 
         The filter reads the target's hash column, so no stored key is hashed
-        again; :meth:`entries`, ``len()`` and :attr:`size_bytes` are all this
-        one pass.  A destroyed reference or a destroyed target raises
-        :class:`ComponentStateError` at the call, not at the first ``next()``.
+        again.  A destroyed reference or a destroyed target raises
+        :class:`ComponentStateError`.
         """
         target = self._target
         if self._destroyed or target.is_destroyed:
             raise ComponentStateError("component already destroyed")
-        start, stop = target._bounds(low, high)
+        part = slice(*target._bounds(low, high))
         mask, prefix = self._mask, self.hash_prefix
-        pairs = zip(target._entries[start:stop], target._hashes[start:stop], strict=True)
-        return (entry for entry, hashed in pairs if hashed & mask == prefix)
+        return part, [hashed & mask == prefix for hashed in target._hashes[part]]
+
+    def scan(self, low: Any = None, high: Any = None) -> Iterator[Entry]:
+        """Scan the target, keeping only entries that belong to this bucket:
+        :meth:`entries`, ``len()`` and :attr:`size_bytes` are all this one
+        pass.  A destroyed reference or target raises at the call, not at the
+        first ``next()``."""
+        part, keep = self._select(low, high)
+        return itertools.compress(self._target._entries[part], keep)
+
+    def run(self, low: Any = None, high: Any = None) -> Tuple[List[Entry], List[Any]]:
+        """:meth:`scan` as a list, and the key of each entry beside it."""
+        part, keep = self._select(low, high)
+        target = self._target
+        return (
+            list(itertools.compress(target._entries[part], keep)),
+            list(itertools.compress(target._keys[part], keep)),
+        )
 
     def entries(self) -> List[Entry]:
         return list(self.scan())
@@ -375,11 +416,8 @@ class ReferenceDiskComponent(ReferenceCounted):
     def hashed_entries(self) -> Tuple[List[Entry], array]:
         """:meth:`entries` and the ``hash_key`` of each, in the same order:
         this bucket's slice of the target's entries and of its hash column."""
+        _, keep = self._select()
         target = self._target
-        if self._destroyed or target.is_destroyed:
-            raise ComponentStateError("component already destroyed")
-        mask, prefix = self._mask, self.hash_prefix
-        keep = [hashed & mask == prefix for hashed in target._hashes]
         return (
             list(itertools.compress(target._entries, keep)),
             array("Q", itertools.compress(target._hashes, keep)),

@@ -9,7 +9,8 @@ drops it, Section II-B).
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Collection, List, Optional, Sequence, Tuple
 
 # Rough per-field byte estimates used when a record does not carry an explicit
 # size.  These only need to be stable, not exact: the cost model cares about
@@ -95,6 +96,25 @@ def sort_key(key: Any) -> Tuple:
     return (key,)
 
 
+def sort_order(keys: Sequence[Any]) -> Tuple[List[int], Sequence[Any]]:
+    """``(order, ranks)``: the positions of ``keys`` in :func:`sort_key` order,
+    and the column the sort compared (``keys``, or ``map(sort_key, keys)``).
+
+    One *stable* sort: equal keys keep their positions' order.  Keys of one
+    shape — all tuples or none, which is every index outside the edge-case
+    tests — already compare as their ``sort_key`` forms do (``(a,) < (b,)`` is
+    ``a < b``), so they are sorted raw, with no per-key call.  A column that
+    mixes the shapes cannot get through that way: somewhere in the sorted
+    order a tuple sits next to a non-tuple, a sort has to compare that pair,
+    and ``1 < (1,)`` raises; only then is every key normalised.
+    """
+    try:
+        return sorted(range(len(keys)), key=keys.__getitem__), keys
+    except TypeError:
+        ranks = list(map(sort_key, keys))
+        return sorted(range(len(ranks)), key=ranks.__getitem__), ranks
+
+
 class Entry:
     """One versioned key/value pair stored in an LSM component.
 
@@ -170,6 +190,22 @@ class Entry:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = "DEL" if self.tombstone else "PUT"
         return f"Entry({kind} {self.key!r}@{self.seqnum})"
+
+
+_memoised_size = attrgetter("_size_bytes")
+
+
+def total_size_bytes(entries: Collection[Entry]) -> int:
+    """Sum of ``size_bytes`` over ``entries``.
+
+    Every entry that went through a write or a component build has its size
+    memoised, so the sum reads the slot in one C-level pass; an entry that was
+    never sized makes that pass fail, and the property then sizes each.
+    """
+    try:
+        return sum(map(_memoised_size, entries))
+    except TypeError:
+        return sum(entry.size_bytes for entry in entries)
 
 
 def newest(first: Optional[Entry], second: Optional[Entry]) -> Optional[Entry]:

@@ -2,18 +2,89 @@
 
 A range scan over an LSM-tree must reconcile entries with identical keys from
 multiple components, preferring entries from newer components, and must drop
-tombstones from the final result (Section II-B).  :func:`merge_scan` does this
-with a priority queue, exactly as the paper describes; it is reused by the
-bucketed LSM-tree's merge-sorted scan mode and by merges themselves.
+tombstones from the final result (Section II-B).  The paper does this with a
+priority queue, and that is what the *simulated* cost is: the cost model
+charges the comparisons (``estimate_merge_comparisons``) and the bytes read.
+The host does not replay the queue entry by entry.  :func:`reconcile` works a
+run at a time — the sorted runs are concatenated newest first and put in key
+order by one *stable* sort, so among equal keys the entry of the newest run
+comes first and every later one is masked out — with the per-entry work
+inside C calls.  Every scan, every merge and every bucket move goes through
+it, and the bucketed LSM-tree's merge-sorted scan mode is the same stable
+sort (:func:`repro.lsm.entry.sort_order`) over disjoint runs.
 """
 
 from __future__ import annotations
 
-import heapq
+import operator
 from array import array
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import compress, islice
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, cast
 
-from .entry import Entry, sort_key
+from .entry import Entry, sort_order
+
+_Column = TypeVar("_Column", List[Any], array)
+
+_key_of = operator.attrgetter("key")
+_is_tombstone = operator.attrgetter("tombstone")
+
+
+def take(column: Sequence[Any], order: Sequence[int]) -> Sequence[Any]:
+    """``column[i] for i in order``, gathered by one C call."""
+    if len(order) < 2:  # itemgetter returns a bare item for one index
+        return [column[i] for i in order]
+    return operator.itemgetter(*order)(column)
+
+
+def joined(columns: Iterable[Iterable[Any]], into: _Column) -> _Column:
+    """``into`` (an empty list or array) extended by every column, in order."""
+    for column in columns:
+        into.extend(column)
+    return into
+
+
+def reconcile(
+    runs: Sequence[Sequence[Entry]],
+    keys: Optional[Sequence[Sequence[Any]]] = None,
+    hashes: Optional[Sequence[Sequence[int]]] = None,
+    include_tombstones: bool = False,
+) -> Tuple[List[Entry], Optional[array]]:
+    """Reconcile sorted ``runs`` into one sorted list with one entry per key.
+
+    ``runs`` must be ordered **newest first** (the LSM component order): when
+    two runs hold the same key, the entry from the earlier run wins regardless
+    of sequence numbers, matching how an LSM-tree treats its component list as
+    the authority on recency.  ``keys`` and ``hashes`` are the runs' aligned
+    columns — ``entry.key`` and ``hash_key(entry.key)`` of every entry — when
+    the caller holds them: without ``keys`` they are read off the entries,
+    and with ``hashes`` the reconciled entries' hashes are returned beside
+    them, selected by position (no key is hashed).
+
+    A run holds each key once (a component does), so a single non-empty run
+    is already the answer and no key is touched; among two or more, a key
+    repeated inside a run is reconciled like one repeated across runs.
+    Tombstones are dropped in a final pass unless ``include_tombstones`` is set
+    (a merge that is *not* merging the oldest component must keep tombstones
+    so they continue to shadow older components).
+    """
+    entries: List[Entry] = joined(runs, [])
+    hashed = None if hashes is None else joined(hashes, array("Q"))
+    if sum(map(bool, runs)) > 1:
+        # Timsort finds the runs' ascending stretches and merges them; equal
+        # keys stay in run order, so the newest run's entry comes first.
+        order, ranks = sort_order(list(map(_key_of, entries)) if keys is None else joined(keys, []))
+        ranked = take(ranks, order)
+        newest = [True]
+        newest.extend(map(operator.ne, islice(ranked, 1, None), ranked))
+        entries = list(compress(take(entries, order), newest))
+        if hashed is not None:
+            hashed = array("Q", compress(take(hashed, order), newest))
+    if not include_tombstones and any(map(_is_tombstone, entries)):
+        live = list(map(operator.not_, map(_is_tombstone, entries)))
+        entries = list(compress(entries, live))
+        if hashed is not None:
+            hashed = array("Q", compress(hashed, live))
+    return entries, hashed
 
 
 def merge_scan(
@@ -22,82 +93,32 @@ def merge_scan(
 ) -> Iterator[Entry]:
     """Merge already-sorted entry streams, reconciling duplicate keys.
 
-    ``sources`` must be ordered **newest first** (the LSM component order):
-    when two streams produce the same key, the entry from the earlier stream
-    wins regardless of sequence numbers, matching how an LSM-tree treats its
-    component list as the authority on recency.  Within correct usage the two
-    orderings agree; tests exercise both.
-
-    Tombstoned keys are suppressed unless ``include_tombstones`` is set (a
-    merge that is *not* merging the oldest component must keep tombstones so
-    they continue to shadow older components).
+    :func:`reconcile` over plain entry streams (newest first): nothing is read
+    from ``sources`` before the first ``next()``.
     """
-    iterators = [iter(source) for source in sources]
-    heap: List[Tuple[Tuple, int, int, Entry]] = []
-    counter = 0
-    for priority, iterator in enumerate(iterators):
-        for entry in iterator:
-            heapq.heappush(heap, (sort_key(entry.key), priority, counter, entry))
-            counter += 1
-            break
-    # Track which iterator each heap item came from so we can pull its next
-    # element lazily; storing (key, priority) keeps newest-first tie-breaking.
-    active: List[Iterator[Entry]] = iterators
-
-    def push_next(priority: int) -> None:
-        nonlocal counter
-        for entry in active[priority]:
-            heapq.heappush(heap, (sort_key(entry.key), priority, counter, entry))
-            counter += 1
-            break
-
-    last_key: Optional[Tuple] = None
-    emitted_for_key = False
-    while heap:
-        key, priority, _, entry = heapq.heappop(heap)
-        push_next(priority)
-        if key != last_key:
-            last_key = key
-            emitted_for_key = False
-        if emitted_for_key:
-            continue
-        emitted_for_key = True
-        if entry.tombstone and not include_tombstones:
-            continue
-        yield entry
-
-
-def merge_entries(
-    sources: Sequence[Iterable[Entry]],
-    drop_tombstones: bool,
-) -> List[Entry]:
-    """Materialise a reconciled merge of ``sources`` (newest first).
-
-    Used by LSM merges: when the merge includes the oldest component of the
-    tree, ``drop_tombstones`` should be True so deleted records physically
-    disappear; otherwise tombstones are preserved.
-    """
-    return list(merge_scan(sources, include_tombstones=not drop_tombstones))
+    runs = list(map(list, sources))
+    yield from reconcile(runs, include_tombstones=include_tombstones)[0]
 
 
 def merge_runs(
     runs: Sequence[Tuple[Sequence[Entry], Sequence[int]]],
     drop_tombstones: bool,
 ) -> Tuple[List[Entry], array]:
-    """:func:`merge_entries` over sources that carry their key-hash column.
+    """Materialise a reconciled merge of runs that carry their key-hash column.
 
     Each run is ``(entries, hashed)`` with ``hashed[i] == hash_key(entries[i].key)``
     (newest run first).  Returns the merged entries and their hashes in output
-    order, looked up from the inputs' columns — no key is hashed, and
-    :func:`merge_scan` yields what it always did, so scans pay nothing for it.
+    order.  Used by LSM merges — when the merge includes the oldest component
+    of the tree, ``drop_tombstones`` should be True so deleted records
+    physically disappear; otherwise tombstones are preserved — and by the
+    source-side scan of a bucket move.
     """
-    hash_of: Dict[Any, int] = {}
     for entries, hashed in runs:
-        hash_of.update(zip([entry.key for entry in entries], hashed, strict=True))
-    merged = merge_entries([entries for entries, _ in runs], drop_tombstones)
-    return merged, array("Q", [hash_of[entry.key] for entry in merged])
-
-
-def count_live_entries(sources: Sequence[Iterable[Entry]]) -> int:
-    """Number of live (non-deleted) keys visible across ``sources``."""
-    return sum(1 for _ in merge_scan(sources, include_tombstones=False))
+        if len(hashed) != len(entries):
+            raise ValueError(f"{len(hashed)} hashes for {len(entries)} entries")
+    merged, hashes = reconcile(
+        [entries for entries, _ in runs],
+        hashes=[hashed for _, hashed in runs],
+        include_tombstones=not drop_tombstones,
+    )
+    return merged, cast(array, hashes)

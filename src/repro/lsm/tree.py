@@ -11,8 +11,8 @@ The tree supports the features the rebalance implementation needs:
 * explicit flushes (asynchronous vs synchronous only differ in how the caller
   accounts their latency; both produce an immutable disk component),
 * size-tiered merges driven by a pluggable merge policy,
-* point lookups with Bloom-filter skipping and range scans with
-  priority-queue reconciliation,
+* point lookups with Bloom-filter skipping and range scans reconciled
+  across components (:func:`repro.lsm.iterators.reconcile`),
 * *loaded* components (bulk-created from scanned rebalance data) that can be
   appended to the back of the component list,
 * *received component lists* that stay invisible to queries until the
@@ -31,8 +31,8 @@ from ..common.config import LSMConfig
 from ..common.errors import StorageError
 from ..common.hashutil import hash_key, low_bits
 from .component import DiskComponent, MemoryComponent, ReferenceDiskComponent
-from .entry import Entry
-from .iterators import merge_runs, merge_scan
+from .entry import Entry, total_size_bytes
+from .iterators import merge_runs, reconcile
 from .manifest import Manifest
 from .merge_policy import MergePolicy, SizeTieredMergePolicy, select_components
 from .stats import StorageStats
@@ -309,26 +309,30 @@ class LSMTree:
         high: Any = None,
         include_tombstones: bool = False,
     ) -> Iterator[Entry]:
-        """Range scan with priority-queue reconciliation across components."""
+        """Range scan, reconciled across components a run at a time.
+
+        Lazy: nothing is read before the first ``next()``; the components stay
+        retained until the scan is exhausted or closed, and only an exhausted
+        scan adds its records and bytes to :attr:`stats`.
+        """
         components = self._visible_components()
         for component in components:
             component.retain()
         try:
-            sources: List[Iterable[Entry]] = [self.memory.scan(low, high)]
-            sources.extend(component.scan(low, high) for component in components)
-            scanned_bytes = 0
-            scanned_records = 0
+            runs, keys = zip(
+                self.memory.run(low, high), *[c.run(low, high) for c in components], strict=True
+            )
             self.stats.components_opened += len(components)
-            for entry in merge_scan(sources, include_tombstones=include_tombstones):
-                # Physically-read bytes are counted before the lazy-cleanup
-                # filter: obsolete entries of moved buckets still cost I/O
-                # until a merge drops them (that is the "overhead" of lazy
-                # secondary-index cleanup measured in Figure 8).
-                scanned_records += 1
-                scanned_bytes += entry.size_bytes
-                if self._is_invalidated(entry.key):
-                    continue
-                yield entry
+            entries, _ = reconcile(runs, keys, include_tombstones=include_tombstones)
+            # Physically-read bytes are counted before the lazy-cleanup
+            # filter: obsolete entries of moved buckets still cost I/O
+            # until a merge drops them (that is the "overhead" of lazy
+            # secondary-index cleanup measured in Figure 8).
+            scanned_records = len(entries)
+            scanned_bytes = total_size_bytes(entries)
+            if self._invalid_buckets:
+                entries = [e for e in entries if not self._is_invalidated(e.key)]
+            yield from entries
             self.stats.records_read += scanned_records
             self.stats.bytes_read += scanned_bytes
         finally:

@@ -60,8 +60,9 @@ taken while it ran (``report.autopilot_decisions``).
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING, Union
 
 from ..metrics import MetricsSnapshot, PHASE_REBALANCE, PHASE_STEADY
 from ..sim import drain
@@ -627,12 +628,12 @@ class WorkloadDriver:
         return write_rows, foreground
 
     def _run_rebalance_foreground(
-        self, pending: List[Tuple[str, int]], count: int, result: PhaseResult
+        self, pending: Deque[Tuple[str, int]], count: int, result: PhaseResult
     ) -> None:
         """Execute up to ``count`` queued foreground reads/scans, in order."""
         dataset = self.dataset
         for _ in range(min(count, len(pending))):
-            op, key = pending.pop(0)
+            op, key = pending.popleft()
             if op == "scan":
                 rows = list(dataset.scan(low=key, high=key + self.spec.scan_span))
                 result.scans += 1
@@ -673,7 +674,7 @@ class WorkloadDriver:
         result = PhaseResult(name=phase.name)
         self._flush_inserts()
         write_rows, foreground = self._draw_rebalance_plan(phase, mix, keys, result)
-        pending = list(foreground)
+        pending = deque(foreground)
 
         def protocol() -> Any:
             # Phase-scheduled rebalances are exempt from chaos crash plans

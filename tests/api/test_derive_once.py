@@ -9,10 +9,14 @@ that re-hashed per Bloom filter or per reference component would show.
 
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import repro.common.hashutil as hashutil
+import repro.bucketed.scan as scan_module
+import repro.lsm.entry as entry_module
+import repro.lsm.iterators as iterators_module
 from repro.cluster.dataset import DatasetSpec
 from repro.cluster.partition import StoragePartition
 from repro.rebalance import concurrency
@@ -42,6 +46,27 @@ def hash_calls(monkeypatch):
     assert len(bindings) >= 14
     for module in bindings:
         monkeypatch.setattr(module, "hash_key", counting)
+    return calls
+
+
+@pytest.fixture
+def sort_key_calls(monkeypatch):
+    """Every ``sort_key`` call's key, over every module binding the function."""
+    original = entry_module.sort_key
+    calls = []
+
+    def counting(key):
+        calls.append(key)
+        return original(key)
+
+    bindings = [
+        module
+        for name, module in sys.modules.items()
+        if name.startswith("repro.") and getattr(module, "sort_key", None) is original
+    ]
+    assert entry_module in bindings and len(bindings) >= 2
+    for module in bindings:
+        monkeypatch.setattr(module, "sort_key", counting)
     return calls
 
 
@@ -246,3 +271,46 @@ class TestOneHashPerRecordLifetime:
             dataset.delete(key)
         assert hash_calls == Counter(KEYS)
         db.close()
+
+
+class TestReconcileRunAtATime:
+    """Scans, merges and bucket moves reconcile their sorted runs with one
+    stable sort over the components' key columns: no heap, and no per-entry
+    ``sort_key`` call — only range bounds are normalised, by bisection."""
+
+    def test_full_scans_call_sort_key_for_no_stored_entry(self, sort_key_calls):
+        db, dataset = open_split()
+        buckets = split_buckets(db)
+        trees = [bucket.tree for bucket in buckets]
+        assert all(len(tree.memory) and tree.component_count == 3 for tree in trees)
+        sort_key_calls.clear()
+        assert sum(len(list(tree.scan())) for tree in trees) == 2802
+        partitions = db.cluster.dataset("t").partitions.values()
+        assert sum(len(list(p.primary.scan())) for p in partitions) == 2802
+        assert sum(len(list(p.primary.scan(ordered=True))) for p in partitions) == 2802
+        assert len(list(dataset.scan(ordered=True))) == 2802
+        # 2,802 entries behind four runs per bucket, four times over: every
+        # one of them went through sort_key (twice, for the ordered scans)
+        # when a heap reconciled them.
+        assert not sort_key_calls
+        db.close()
+
+    def test_a_bounded_scan_calls_sort_key_for_its_bounds_only(self, sort_key_calls):
+        db, dataset = open_split()
+        runs = sum(1 + bucket.tree.component_count for bucket in split_buckets(db))
+        calls_for = {}
+        for span in (30, 300, 2400):
+            sort_key_calls.clear()
+            assert len(list(dataset.scan(low=100, high=100 + span - 1))) == span
+            calls_for[span] = len(sort_key_calls)
+            # Two bounds bisected in each sorted run of at most ~700 keys.
+            assert 0 < calls_for[span] <= runs * 2 * 12
+        # 80x the entries scanned, the same bisections (to within the few
+        # probes a bound's position moves a bisection by).
+        assert calls_for[2400] <= calls_for[30] + runs * 2 * 2
+        db.close()
+
+    def test_no_heap_behind_the_scan_modules(self):
+        for module in (iterators_module, scan_module):
+            source = Path(module.__file__).read_text()
+            assert "heapq" not in source, module.__name__

@@ -1,5 +1,10 @@
 """Tests for the bucketed scan modes and the optimizer rule."""
 
+import heapq
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.bucketed.scan import (
     ScanMode,
     choose_scan_mode,
@@ -8,7 +13,9 @@ from repro.bucketed.scan import (
     scan_with_mode,
     unordered_scan,
 )
-from repro.lsm.entry import Entry
+from repro.lsm.entry import Entry, sort_key
+
+from ..lsm.test_iterators import newest_first_runs, same_objects
 
 
 def stream(keys, seq_start=1):
@@ -72,3 +79,54 @@ class TestDispatchAndCost:
         few = estimate_merge_comparisons(4, 10_000)
         many = estimate_merge_comparisons(16, 10_000)
         assert many > few > 0
+
+
+def heap_ordered_scan(bucket_scans):
+    """The priority-queue ``ordered_scan`` the stable sort replaced, verbatim:
+    ties go to the earlier bucket, and nothing is reconciled."""
+    heap = []
+    iterators = [iter(scan) for scan in bucket_scans]
+    counter = 0
+    for index, iterator in enumerate(iterators):
+        for entry in iterator:
+            heapq.heappush(heap, (sort_key(entry.key), index, counter, entry))
+            counter += 1
+            break
+    while heap:
+        _, index, _, entry = heapq.heappop(heap)
+        for next_entry in iterators[index]:
+            heapq.heappush(heap, (sort_key(next_entry.key), index, counter, next_entry))
+            counter += 1
+            break
+        yield entry
+
+
+class TestOrderedScanAgainstTheHeap:
+    @settings(max_examples=300, deadline=None)
+    @given(runs=newest_first_runs(max_runs=6), lazy=st.booleans())
+    def test_same_entry_objects_in_the_same_order(self, runs, lazy):
+        # Buckets hold disjoint keys; the runs here repeat keys on purpose, to
+        # hold the tie-break (and the absence of reconciliation) to the heap's.
+        expected = list(heap_ordered_scan(runs))
+        assert len(expected) == sum(map(len, runs))
+        sources = [(entry for entry in run) for run in runs] if lazy else runs
+        assert same_objects(list(ordered_scan(sources)), expected)
+        assert same_objects(list(unordered_scan(sources if not lazy else runs)), sum(runs, []))
+
+    def test_both_modes_hand_back_a_next_able_iterator(self):
+        for mode in ScanMode:
+            scan = scan_with_mode([stream([2]), stream([1])], mode)
+            assert next(scan).key in (1, 2) and next(scan).key in (1, 2)
+            assert next(scan, None) is None
+
+    def test_nothing_is_read_before_the_first_next(self):
+        pulled = []
+
+        def bucket():
+            pulled.append("started")
+            yield from stream([1])
+
+        for mode in ScanMode:
+            scan = scan_with_mode([bucket()], mode)
+            assert not pulled
+            assert [e.key for e in scan] == [1] and pulled.pop() == "started"

@@ -111,3 +111,53 @@ class TestBloomFilter:
         assert bloom.size_bytes == 1
         assert bloom._bits == reference_filter([7], 1, 3)[0]
         assert bloom.may_contain(7)
+
+
+class TestBuiltOnSmallInts:
+    """``build``, ``add`` and ``may_contain`` reduce position and step modulo
+    the bit count once per key and wrap by subtraction; the bits are those of
+    the unreduced ``(h1 + i * h2) mod bits``."""
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 150])
+    @pytest.mark.parametrize("num_hashes", [0, 1, 7])
+    @pytest.mark.parametrize("bits_per_key", [0, 1, 10])
+    def test_build_yields_the_bytes_a_loop_of_add_yields(self, bits_per_key, num_hashes, count):
+        keys = [key * 7919 - 300 for key in range(count)]
+        hashed = [hash_key(key) for key in keys]
+        if count == 150:
+            assert min(hashed) < 2**63 <= max(hashed)
+        built = BloomFilter.build(keys, bits_per_key, num_hashes, hashed=hashed)
+        added = BloomFilter(count, bits_per_key=bits_per_key, num_hashes=num_hashes)
+        for key in keys:
+            added.add(key)
+        assert bytes(built._bits) == bytes(added._bits)
+        assert built._bits == reference_filter(keys, bits_per_key, num_hashes)[0]
+        assert isinstance(built._bits, bytearray)  # a later ``add`` still lands
+        for key, carried in zip(keys, hashed, strict=True):
+            assert built.may_contain(key) and built.may_contain(key, carried)
+            assert added.may_contain(key, carried)
+
+    @pytest.mark.parametrize("num_bits_for", [1, 3, 64])
+    def test_hashes_at_and_beyond_two_to_the_63(self, num_bits_for):
+        hashed = [0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1]
+        keys = [None] * len(hashed)  # never looked at: the column is given
+        built = BloomFilter.build(keys, num_bits_for, 7, hashed=hashed)
+        num_bits = max(8, len(hashed) * num_bits_for)
+        expected = bytearray((num_bits + 7) // 8)
+        for h1 in hashed:
+            h2 = hash64(h1 ^ 0xA5A5A5A5A5A5A5A5) | 1
+            for i in range(7):
+                position = (h1 + i * h2) % num_bits
+                expected[position >> 3] |= 1 << (position & 7)
+        assert built._bits == expected
+        assert all(built.may_contain(None, h1) for h1 in hashed)
+
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 40), st.integers(0, 9))
+    def test_the_walk_wraps_exactly_as_the_modulus_does(self, h1, count, num_hashes):
+        built = BloomFilter.build([None] * count, 3, num_hashes, hashed=[h1] * count)
+        num_bits = max(8, count * 3)
+        h2 = hash64(h1 ^ 0xA5A5A5A5A5A5A5A5) | 1
+        positions = {(h1 + i * h2) % num_bits for i in range(num_hashes)}
+        assert {
+            bit for bit in range(len(built._bits) * 8) if built._bits[bit >> 3] & (1 << (bit & 7))
+        } == positions

@@ -58,6 +58,46 @@ class TestMemoryComponent:
         assert [e.key for e in mem.scan(high=1)] == []
         assert [e.key for e in mem.scan(low=(4,))] == [(4, 1), (4, 2)]
 
+    def test_scans_between_writes_share_one_sort(self, monkeypatch):
+        """A bounded scan bisects the kept sorted keys: O(log n + k), not a
+        sort of the whole component per call (ROADMAP item 4's first
+        ``MemoryComponent`` contract)."""
+        import builtins
+
+        import repro.lsm.entry as entry_module
+
+        sorts = []
+
+        def counting_sorted(*args, **kwargs):
+            sorts.append(len(args[0]))
+            return builtins.sorted(*args, **kwargs)
+
+        monkeypatch.setattr(entry_module, "sorted", counting_sorted, raising=False)
+        mem = MemoryComponent()
+        for key in range(5000, 0, -1):
+            mem.put(Entry(key=key, value="v", seqnum=5001 - key))
+        for low in range(100, 4100, 40):
+            assert [e.key for e in mem.scan(low, low + 9)] == list(range(low, low + 10))
+        assert sorts == [5000]  # 100 bounded scans, one sort
+        mem.put(Entry(key=7, value="overwritten", seqnum=6000))  # no new key
+        assert next(mem.scan(7, 7)).value == "overwritten"
+        assert [e.key for e in mem.sorted_entries()] == list(range(1, 5001))
+        assert sorts == [5000]
+        mem.put(Entry(key=0, value="new", seqnum=6001))  # a new key: one more
+        assert [e.key for e in mem.scan(high=2)] == [0, 1, 2]
+        entries, hashed = mem.sorted_run()
+        assert [e.key for e in entries] == list(range(5001))
+        assert list(hashed) == [hash_key(key) for key in range(5001)]
+        assert sorts == [5000, 5001]
+
+    def test_run_is_the_scan_with_its_keys(self):
+        mem = MemoryComponent()
+        for seqnum, key in enumerate(COMPOSITE_KEYS, start=1):
+            mem.put(Entry(key=key, value="row", seqnum=seqnum))
+        entries, keys = mem.run(low=2, high=(3, 9))
+        assert keys == COMPOSITE_IN_2_TO_3 == [e.key for e in entries]
+        assert [id(e) for e in entries] == [id(e) for e in mem.scan(low=2, high=(3, 9))]
+
     def test_size_grows_with_puts(self):
         mem = MemoryComponent()
         assert mem.size_bytes == 0
@@ -158,6 +198,8 @@ class TestDiskComponent:
         comp.deactivate()
         with pytest.raises(ComponentStateError):
             comp.scan()  # no next() needed
+        with pytest.raises(ComponentStateError):
+            comp.run()
 
     def test_size_bytes_sums_entries(self):
         entries = make_entries(range(10))
@@ -250,7 +292,8 @@ class TestReferenceDiskComponent:
     def test_reads_of_a_destroyed_reference_raise_at_the_call(self):
         _, ref0, _ = self._split_pair(range(10))
         ref0.deactivate()
-        for read in (ref0.scan, ref0.entries, ref0.materialize, lambda: len(ref0)):
+        reads = (ref0.scan, ref0.run, ref0.entries, ref0.hashed_entries, ref0.materialize)
+        for read in (*reads, lambda: len(ref0)):
             with pytest.raises(ComponentStateError):
                 read()  # scan() itself raises: no next() needed
         with pytest.raises(ComponentStateError):
@@ -265,7 +308,8 @@ class TestReferenceDiskComponent:
         parent.release()
         parent.release()
         assert parent.is_destroyed and not ref0.is_destroyed
-        for read in (ref0.scan, ref0.entries, ref0.materialize, lambda: len(ref0)):
+        reads = (ref0.scan, ref0.run, ref0.entries, ref0.hashed_entries, ref0.materialize)
+        for read in (*reads, lambda: len(ref0)):
             with pytest.raises(ComponentStateError):
                 read()
         with pytest.raises(ComponentStateError):
@@ -318,7 +362,9 @@ def owned(target, prefix, depth):
 
 def assert_reads_equal_oracle(reference, low=None, high=None):
     expected = owned(reference.target, reference.hash_prefix, reference.depth)
-    assert list(reference.scan(low, high)) == [e for e in expected if in_bounds(e, low, high)]
+    bounded = [e for e in expected if in_bounds(e, low, high)]
+    assert list(reference.scan(low, high)) == bounded
+    assert reference.run(low, high) == (bounded, [e.key for e in bounded])
     assert reference.entries() == expected
     assert len(reference) == len(expected)
     assert reference.size_bytes == sum(e.size_bytes for e in expected)
@@ -336,9 +382,9 @@ class TestHashColumnEquivalence:
     def test_reference_reads_equal_the_rehashing_filter(self, case, depth, prefix, bits_per_key):
         keys, low, high = case
         target = DiskComponent(make_entries(keys), bloom_bits_per_key=bits_per_key)
-        assert list(target.scan(low, high)) == [
-            e for e in target.entries() if in_bounds(e, low, high)
-        ]
+        bounded = [e for e in target.entries() if in_bounds(e, low, high)]
+        assert list(target.scan(low, high)) == bounded
+        assert target.run(low, high) == (bounded, [e.key for e in bounded])
         reference = ReferenceDiskComponent(target, prefix, depth)
         assert reference.hash_prefix == low_bits(prefix, depth)
         assert_reads_equal_oracle(reference, low, high)

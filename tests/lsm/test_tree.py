@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.bucketed.bucket import Bucket
 from repro.bucketed.split import split_bucket
 from repro.common.config import LSMConfig
+from repro.common.errors import ComponentStateError
 from repro.common.hashutil import hash_key, low_bits
 from repro.hashing.bucket_id import ROOT_BUCKET
 from repro.lsm.bloom import BloomFilter
@@ -16,7 +17,10 @@ from repro.lsm.component import ReferenceDiskComponent
 from repro.lsm.entry import Entry, sort_key
 from repro.lsm.iterators import merge_runs
 from repro.lsm.merge_policy import FullMergePolicy, NoMergePolicy
+from repro.lsm.stats import StorageStats
 from repro.lsm.tree import LSMTree
+
+from .test_iterators import heap_merge_scan, same_objects
 
 
 def small_config(**overrides):
@@ -652,3 +656,129 @@ class TestCarriedColumn:
             )
             assert tree.invalidated_buckets == set()
             check_reads()
+
+
+# ------------------------------------------------ the scan against the heap
+
+
+def heap_tree_scan(tree, low=None, high=None, include_tombstones=False):
+    """``LSMTree.scan`` as it was before the run-at-a-time kernel, verbatim:
+    the heap over per-component scans, one frame per entry."""
+    components = tree._visible_components()
+    for component in components:
+        component.retain()
+    try:
+        sources = [tree.memory.scan(low, high)]
+        sources.extend(component.scan(low, high) for component in components)
+        scanned_bytes = 0
+        scanned_records = 0
+        tree.stats.components_opened += len(components)
+        for entry in heap_merge_scan(sources, include_tombstones=include_tombstones):
+            scanned_records += 1
+            scanned_bytes += entry.size_bytes
+            if tree._is_invalidated(entry.key):
+                continue
+            yield entry
+        tree.stats.records_read += scanned_records
+        tree.stats.bytes_read += scanned_bytes
+    finally:
+        for component in components:
+            component.release()
+
+
+class TestScanAgainstTheHeap:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=carried_column_cases(),
+        bounds=st.tuples(st.integers(0, 23), st.integers(0, 23)),
+        open_ends=st.tuples(st.booleans(), st.booleans()),
+        include_tombstones=st.booleans(),
+    )
+    def test_same_entries_and_same_stats_under_bounds_and_cleanup_filters(
+        self, case, bounds, open_ends, include_tombstones
+    ):
+        pool, operations = case
+        config = small_config(memory_component_bytes=256)
+        buckets, _ = play(operations, config, carry_hashes=True)
+        ordered = sorted(pool, key=sort_key)
+        low, high = sorted(
+            (ordered[bounds[0] % len(ordered)], ordered[bounds[1] % len(ordered)]), key=sort_key
+        )
+        low, high = (None if open_ends[0] else low), (None if open_ends[1] else high)
+        for bucket in buckets:
+            tree = bucket.tree
+            pinned = [c.refcount for c in tree.disk_components]
+            before = tree.stats.snapshot()
+            expected = list(heap_tree_scan(tree, low, high, include_tombstones))
+            oracle_work = tree.stats.diff(before)
+            before = tree.stats.snapshot()
+            scanned = list(tree.scan(low, high, include_tombstones))
+            assert same_objects(scanned, expected)
+            assert tree.stats.diff(before) == oracle_work
+            assert [c.refcount for c in tree.disk_components] == pinned
+
+    def test_an_abandoned_scan_adds_nothing_and_releases_its_components(self):
+        tree = make_tree()
+        for burst in range(3):
+            for key in range(burst, 60, 3):
+                tree.insert(key, "v" * 8)
+            tree.flush()
+        tree.insert(61, "memory")
+        components = list(tree.disk_components)
+        assert len(components) == 3
+        before = tree.stats.snapshot()
+        scan = tree.scan(10, 50)
+        assert [c.refcount for c in components] == [0, 0, 0]  # lazy until next()
+        assert tree.stats.diff(before) == StorageStats()
+        assert [next(scan).key for _ in range(3)] == [10, 11, 12]
+        assert [c.refcount for c in components] == [1, 1, 1]
+        # A merge in the middle of the scan retires the components; the scan
+        # keeps them alive until it lets go.
+        tree.merge_all()
+        assert not any(c.is_destroyed for c in components)
+        scan.close()
+        assert all(c.is_destroyed for c in components)
+        work = tree.stats.diff(before)
+        assert (work.records_read, work.bytes_read) == (0, 0)
+        assert work.components_opened == 3  # opened, as before, at the first next()
+        # Exhaustion, by contrast, counts what was read.
+        before = tree.stats.snapshot()
+        rows = list(tree.scan(10, 50))
+        work = tree.stats.diff(before)
+        assert work.records_read == len(rows) == 41
+        assert work.bytes_read == sum(e.size_bytes for e in rows)
+
+    def test_a_destroyed_component_fails_the_scan_at_its_first_next(self):
+        tree = make_tree()
+        tree.insert(1, "v")
+        component = tree.flush()
+        component.deactivate()  # behind the tree's back
+        scan = tree.scan()
+        with pytest.raises(ComponentStateError):
+            next(scan)
+
+    def test_a_scan_makes_no_per_entry_sort_key_call(self, monkeypatch):
+        import repro.lsm.component as component_module
+        import repro.lsm.entry as entry_module
+
+        calls = []
+
+        def counting(key):
+            calls.append(key)
+            return sort_key(key)
+
+        for module in (component_module, entry_module):
+            monkeypatch.setattr(module, "sort_key", counting)
+        for size in (30, 300):
+            tree = make_tree(memory_component_bytes=1 << 20)
+            for burst in range(3):
+                for key in range(burst, size, 3):
+                    tree.insert((key, "k"), "v")
+                tree.flush()
+            tree.insert((size, "k"), "v")
+            calls.clear()
+            assert len(list(tree.scan())) == size + 1
+            assert not calls  # unbounded: nothing to bisect, nothing to rank
+            assert len(list(tree.scan(low=(2,), high=(9, "z")))) == 8
+            # Two bounds, bisected in each of the four sorted runs.
+            assert 0 < len(calls) <= 4 * 2 * (2 + size.bit_length())
