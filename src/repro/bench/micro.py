@@ -131,7 +131,7 @@ def bench_histogram_record_many(samples: int = 200_000) -> float:
 
 
 def bench_driver_ops(ops: int = 3000, initial_records: int = 800) -> float:
-    """End-to-end driver throughput: YCSB-B over the batched pipeline."""
+    """End-to-end driver throughput: YCSB-B through the driver's chunk pipeline."""
     from ..api import ClusterConfig, Database, WorkloadDriver, WorkloadSpec
 
     db = Database(

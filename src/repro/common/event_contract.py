@@ -76,10 +76,10 @@ EVENT_FAMILIES: Tuple[EventFamily, ...] = (
             "+ counters) and the autopilot (evaluation pacing). Every sample "
             "carries `latency_seconds` (the operation's simulated service "
             "time) and `records` (records touched — the batch size for "
-            "`insert`, the rows returned for `scan`). The batched driver "
-            "pipeline emits one `op.batch` per same-verb run instead of N "
-            "single-op events; the registry's batch sink produces "
-            "bit-identical state to the per-sample path."
+            "`insert`, the rows returned for `scan`). The workload driver sends "
+            "reads and updates, steady or mid-rebalance, as one `op.batch` per "
+            "same-verb run instead of N single-op events; the registry's batch "
+            "sink produces bit-identical state to the per-sample path."
         ),
         events=(
             EventSpec(

@@ -178,9 +178,9 @@ class Autopilot:
 
     def _on_op(self, event: "Event") -> None:
         # A batched telemetry event carries many op samples; count them all so
-        # the evaluation cadence tracks traffic volume, not event count.  For
-        # the per-op stream (count 1) the trigger points are exactly the old
-        # ``ops_seen % check_every_ops == 0`` ones.
+        # the evaluation cadence tracks traffic volume, not event count.  The
+        # driver runs one-op chunks while an engine is attached, so the trigger
+        # points are exactly the ``ops_seen % check_every_ops == 0`` ones.
         if event.name == "op.batch":
             self._ops_seen += len(event.get("latencies", ())) or int(event.get("count", 1))
         else:

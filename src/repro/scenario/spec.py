@@ -631,8 +631,6 @@ class WorkloadSection(_Section):
     batch_size: int = _key(_INT, 32)
     batch_jitter: float = _key(_scalar(int, float), 0.25)
     scan_span: int = _key(_INT, 16)
-    batch_ops: Optional[bool] = _key(_BOOL, None)
-    op_chunk: int = _key(_INT, 256)
     mix: Union[str, Mapping[str, Any]] = _key(_MIX, "B")
     phases: Tuple[WorkloadPhaseSpec, ...] = _key(_array(WorkloadPhaseSpec), ())
 

@@ -6,10 +6,10 @@ same clock the metrics registry advances, so spans line up with every latency
 sample the run recorded.  The tree nests the way the run nests:
 
 * ``session`` → one ``workload/<phase>`` span per driver schedule phase →
-  one ``ops/<verb>`` span per op batch (the batched pipeline's ``op.batch``
-  events map one-to-one; the per-op pipeline's single-op events are
-  aggregated into maximal same-verb runs, which is deterministic because the
-  event stream is),
+  one ``ops/<verb>`` span per op batch (``op.batch`` events map one-to-one,
+  marked ``batched``; single-op events — driver scans, deletes and inserts,
+  replicated writes, client calls — are aggregated into maximal same-verb
+  runs, which is deterministic because the event stream is),
 * ``rebalance`` → one ``rebalance/<dataset>`` span per dataset operation →
   one span per protocol phase → one ``move/<bucket>`` span per shipped
   bucket, plus zero-duration marks for commit/abort,

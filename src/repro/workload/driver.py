@@ -34,8 +34,9 @@ resize, respecting the paper's Section V-A concurrency control:
 
 One runner (:meth:`WorkloadDriver._run_rebalance_phase`) serves both engines:
 it consumes the protocol segment by segment through
-:meth:`Database.rebalance_steps` and after each segment runs the quota of
-queued reads/scans that kind of window is granted.  Without a scheduler the
+:meth:`Database.rebalance_steps` and after each segment runs the slice of the
+drawn reads/scans that kind of window is granted as one chunk through
+:meth:`WorkloadDriver._execute_chunk`, like steady traffic.  Without a scheduler the
 generator is drained inline — the clock does not move between segments, and
 the reads land half after initialization and the rest after data movement.
 Handed an :class:`~repro.sim.EventScheduler` (``scheduler=``, what
@@ -60,9 +61,10 @@ taken while it ran (``report.autopilot_decisions``).
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING, Union
+from itertools import groupby
+from operator import itemgetter
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING, Union
 
 from ..metrics import MetricsSnapshot, PHASE_REBALANCE, PHASE_STEADY
 from ..sim import drain
@@ -81,6 +83,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.reports import ClusterRebalanceReport
     from ..control.autopilot import AutopilotDecision
     from ..sim import EventScheduler
+
+#: Ops a traffic phase draws and executes per chunk.  The chunk boundary is
+#: where a ``max_seconds`` budget is checked and the op-stream position an
+#: attached autopilot evaluates at, so either runs chunks of one op.
+OP_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -113,18 +120,6 @@ class WorkloadSpec:
     scan_span: int = 16
     #: Create the dataset if it does not exist yet.
     create_dataset: bool = True
-    #: Whether traffic phases use the batched op pipeline (chunked draws,
-    #: cached bound verbs, one ``op.batch`` telemetry event per same-verb
-    #: run).  ``None`` means auto: batched unless the session has an
-    #: autopilot engine attached (whose evaluation points are op-stream
-    #: positions the batched pipeline would coarsen).  Phases with a
-    #: ``max_seconds`` budget always run the per-op loop — its cutoff is
-    #: checked before every op — regardless of this flag.  The batched and
-    #: per-op pipelines produce identical metric snapshots — pinned by test —
-    #: so this is a throughput knob, not a semantic one.
-    batch_ops: Optional[bool] = None
-    #: Ops drawn per chunk by the batched pipeline.
-    op_chunk: int = 256
 
     def __post_init__(self) -> None:
         if self.initial_records < 0:
@@ -139,8 +134,6 @@ class WorkloadSpec:
             raise ValueError("scan_span must be at least 1")
         if self.default_ops < 0:
             raise ValueError("default_ops must be non-negative")
-        if self.op_chunk < 1:
-            raise ValueError("op_chunk must be at least 1")
 
 
 @dataclass
@@ -261,7 +254,7 @@ class WorkloadDriver:
     def dataset(self) -> "Dataset":
         # Handles are stateless (every verb re-resolves the live runtime), so
         # one cached handle serves the whole run — resolved per access, this
-        # property was a measurable slice of the per-op loop.
+        # property was a measurable slice of the op loop.
         handle = self._dataset_handle
         if handle is None:
             handle = self._dataset_handle = self.db.dataset(self.spec.dataset)
@@ -302,11 +295,6 @@ class WorkloadDriver:
         if self.spec.payload_bytes > len(payload):
             payload += "x" * (self.spec.payload_bytes - len(payload))
         return {self.spec.primary_key: index, "payload": payload}
-
-    @property
-    def live_keys(self) -> int:
-        """Size of the currently allocated keyspace (flushed or pending)."""
-        return max(1, self.next_key)
 
     @property
     def durable_keys(self) -> int:
@@ -378,10 +366,12 @@ class WorkloadDriver:
             if events.has_subscribers("trace.phase.start"):
                 events.emit("trace.phase.start", phase=phase.name, ops=phase.ops)
             started = self.metrics.clock.now
+            mix = make_mix(phase.mix) if phase.mix is not None else self._mix
+            result = PhaseResult(name=phase.name)
             if phase.rebalance is not None:
-                result = self._run_rebalance_phase(phase)
+                self._run_rebalance_phase(phase, mix, self._phase_keys(phase), result)
             else:
-                result = self._run_traffic_phase(phase)
+                self._run_traffic_phase(phase, mix, self._phase_keys(phase), result)
             result.simulated_seconds = self.metrics.clock.now - started
             report.phases.append(result)
             if events.has_subscribers("trace.phase.end"):
@@ -409,61 +399,43 @@ class WorkloadDriver:
 
     # ------------------------------------------------------- steady traffic
 
-    def _use_batched_pipeline(self, phase: Phase) -> bool:
-        """Whether this traffic phase runs through the batched op pipeline."""
-        if phase.max_seconds is not None:
-            # The time budget is checked before every op; chunked execution
-            # would quantise (or with an explicit batch_ops=True, silently
-            # ignore) the cutoff point, so such phases always run per-op.
-            return False
-        if self.spec.batch_ops is not None:
-            return self.spec.batch_ops
-        # An attached autopilot evaluates at op-stream positions; batching
-        # would move its decision points, so those runs keep the per-op loop.
-        return getattr(self.db, "autopilot_engine", None) is None
-
-    def _run_traffic_phase(self, phase: Phase) -> PhaseResult:
-        mix = make_mix(phase.mix) if phase.mix is not None else self._mix
-        keys = self._phase_keys(phase)
-        result = PhaseResult(name=phase.name)
-        if self._use_batched_pipeline(phase):
-            remaining = phase.ops
-            chunk_size = self.spec.op_chunk
-            while remaining > 0:
-                chunk = min(chunk_size, remaining)
-                plan = self._draw_chunk(chunk, mix, keys, result)
-                self._execute_chunk(plan, result)
-                remaining -= chunk
-            self._flush_inserts()
-            return result
+    def _run_traffic_phase(
+        self, phase: Phase, mix: OperationMix, keys: KeyGenerator, result: PhaseResult
+    ) -> None:
+        budget = phase.max_seconds
+        per_op = budget is not None or getattr(self.db, "autopilot_engine", None) is not None
+        chunk_size = 1 if per_op else OP_CHUNK
         started = self.metrics.clock.now
-        for _ in range(phase.ops):
-            if (
-                phase.max_seconds is not None
-                and self.metrics.clock.now - started >= phase.max_seconds
-            ):
+        remaining = phase.ops
+        while remaining > 0:
+            if budget is not None and self.metrics.clock.now - started >= budget:
                 break
-            self._execute_op(mix.choose(self.rng), keys, result)
+            chunk = min(chunk_size, remaining)
+            self._execute_chunk(self._draw_chunk(chunk, mix, keys, result), result)
+            remaining -= chunk
         self._flush_inserts()
-        return result
-
-    # ------------------------------------------------- batched traffic chunks
 
     def _draw_chunk(
-        self, count: int, mix: OperationMix, keys: KeyGenerator, result: PhaseResult
+        self,
+        count: int,
+        mix: OperationMix,
+        keys: KeyGenerator,
+        result: PhaseResult,
+        flush: bool = True,
     ) -> List[Tuple[str, Any]]:
         """Draw ``count`` ops worth of randomness into an action plan.
 
-        Consumes the driver RNG in *exactly* the order the per-op loop does —
-        op draw, then key draw, then (at insert-buffer flush points) the next
-        jittered batch-target draw — so the batched pipeline sees the same
-        key/op stream, bit for bit.  Execution performs no RNG draws, which
-        is what makes separating "draw" from "do" safe.
+        Consumes the driver RNG op by op — op draw, then key draw, then (at
+        insert-buffer flush points) the next jittered batch-target draw — so
+        the stream is the same whatever the chunk size.  Execution performs no
+        RNG draws, which is what makes separating "draw" from "do" safe.
 
         The plan is a list of actions: ``("read", key)``, ``("scan", low)``,
         ``("update", row)``, ``("delete", key)``, ``("buffer", row)`` for a
-        buffered insert, and ``("flush", next_batch_target)`` where the old
-        loop would have flushed the insert buffer and redrawn the target.
+        buffered insert, and ``("flush", next_batch_target)`` where the insert
+        buffer reaches its target: it is flushed and the target redrawn.
+        ``flush=False`` draws no flush points, so keys are drawn from the
+        keyspace durable when the draw began.
         """
         rng = self.rng
         choose = mix.choose
@@ -474,30 +446,31 @@ class WorkloadDriver:
         for _ in range(count):
             op = choose(rng)
             result.ops += 1
-            if op == "read":
-                plan.append(("read", next_index(rng, max(1, self.next_key - pending))))
-                result.reads += 1
-            elif op == "insert":
+            if op == "insert":
                 plan.append(("buffer", self._row(self.next_key)))
                 self.next_key += 1
                 pending += 1
                 result.inserts += 1
-                if pending >= batch_target:
-                    # The old loop flushed here and redrew the jittered batch
-                    # target right after the insert landed; the draw happens
-                    # now (same RNG position), the insert at execution time.
+                if flush and pending >= batch_target:
+                    # This insert fills the buffer: the jittered batch target
+                    # is redrawn now, right after the insert's draw, and the
+                    # buffer is flushed at execution time.
                     batch_target = self._draw_batch_target()
                     plan.append(("flush", batch_target))
                     pending = 0
+                continue
+            key = next_index(rng, max(1, self.next_key - pending))
+            if op == "read":
+                plan.append(("read", key))
+                result.reads += 1
             elif op == "update":
-                key = next_index(rng, max(1, self.next_key - pending))
                 plan.append(("update", self._row(key)))
                 result.updates += 1
             elif op == "delete":
-                plan.append(("delete", next_index(rng, max(1, self.next_key - pending))))
+                plan.append(("delete", key))
                 result.deletes += 1
             elif op == "scan":
-                plan.append(("scan", next_index(rng, max(1, self.next_key - pending))))
+                plan.append(("scan", key))
                 result.scans += 1
             else:  # pragma: no cover - defensive
                 raise ValueError(f"unknown operation {op!r}")
@@ -510,75 +483,29 @@ class WorkloadDriver:
         updates through :meth:`Dataset.upsert_each` — one ``op.batch``
         telemetry event per run, identical per-op latencies.  Ops stay in
         drawn order, so storage state (and therefore every latency sample)
-        evolves exactly as under the per-op loop.
+        evolves exactly as it would one op at a time.  Reads and scans are
+        counted where they are drawn; this only adds what they found.
         """
         dataset = self.dataset
-        index = 0
-        total = len(plan)
-        while index < total:
-            verb, arg = plan[index]
+        for verb, run in groupby(plan, key=itemgetter(0)):
+            args = [arg for _, arg in run]
             if verb == "read":
-                end = index + 1
-                while end < total and plan[end][0] == "read":
-                    end += 1
-                read_keys = [plan[i][1] for i in range(index, end)]
-                for record in dataset.get_many(read_keys):
-                    if record is not None:
-                        result.reads_found += 1
-                index = end
+                result.reads_found += sum(row is not None for row in dataset.get_many(args))
             elif verb == "update":
-                end = index + 1
-                while end < total and plan[end][0] == "update":
-                    end += 1
-                dataset.upsert_each([plan[i][1] for i in range(index, end)])
-                index = end
+                dataset.upsert_each(args)
             elif verb == "buffer":
-                self._pending_rows.append(arg)
-                index += 1
-            elif verb == "flush":
-                rows, self._pending_rows = self._pending_rows, []
-                if rows:
-                    dataset.insert(rows, batch_size=len(rows))
-                self._batch_target = arg
-                index += 1
-            elif verb == "delete":
-                dataset.delete(arg)
-                index += 1
-            else:  # scan
-                rows = list(dataset.scan(low=arg, high=arg + self.spec.scan_span))
-                result.scan_rows += len(rows)
-                index += 1
-
-    def _execute_op(self, op: str, keys: KeyGenerator, result: PhaseResult) -> None:
-        dataset = self.dataset
-        result.ops += 1
-        if op == "read":
-            key = keys.next_index(self.rng, self.durable_keys)
-            record = dataset.get(key)
-            result.reads += 1
-            if record is not None:
-                result.reads_found += 1
-        elif op == "insert":
-            self._pending_rows.append(self._row(self.next_key))
-            self.next_key += 1
-            result.inserts += 1
-            if len(self._pending_rows) >= self._batch_target:
-                self._flush_inserts()
-        elif op == "update":
-            key = keys.next_index(self.rng, self.durable_keys)
-            dataset.upsert([self._row(key)], batch_size=1)
-            result.updates += 1
-        elif op == "delete":
-            key = keys.next_index(self.rng, self.durable_keys)
-            dataset.delete(key)
-            result.deletes += 1
-        elif op == "scan":
-            low = keys.next_index(self.rng, self.durable_keys)
-            rows = list(dataset.scan(low=low, high=low + self.spec.scan_span))
-            result.scans += 1
-            result.scan_rows += len(rows)
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown operation {op!r}")
+                self._pending_rows.extend(args)
+            else:
+                for arg in args:
+                    if verb == "flush":
+                        rows, self._pending_rows = self._pending_rows, []
+                        dataset.insert(rows, batch_size=len(rows))
+                        self._batch_target = arg
+                    elif verb == "delete":
+                        dataset.delete(arg)
+                    else:  # scan
+                        scanned = dataset.scan(low=arg, high=arg + self.spec.scan_span)
+                        result.scan_rows += len(list(scanned))
 
     def _flush_inserts(self) -> None:
         if not self._pending_rows:
@@ -592,7 +519,7 @@ class WorkloadDriver:
 
     def _draw_rebalance_plan(
         self, phase: Phase, mix: OperationMix, keys: KeyGenerator, result: PhaseResult
-    ) -> Tuple[List[Dict[str, Any]], List[Tuple[str, int]]]:
+    ) -> Tuple[List[Dict[str, Any]], List[Tuple[str, Any]]]:
         """Partition the phase's draws into replicated writes and foreground.
 
         Writes ride the replication path, reads/scans execute mid-protocol.
@@ -607,42 +534,16 @@ class WorkloadDriver:
         bit-identical write rows and foreground ops — the invariant the
         differential harness pins.
         """
-        durable = self.durable_keys
         write_rows: List[Dict[str, Any]] = []
-        foreground: List[Tuple[str, int]] = []
-        for _ in range(phase.ops):
-            op = mix.choose(self.rng)
-            result.ops += 1
-            if op == "insert":
-                write_rows.append(self._row(self.next_key))
-                self.next_key += 1
-                result.inserts += 1
-            elif op in ("update", "delete"):
-                key = keys.next_index(self.rng, durable)
-                write_rows.append(self._row(key))
-                result.updates += 1
-            elif op == "scan":
-                foreground.append(("scan", keys.next_index(self.rng, durable)))
-            else:
-                foreground.append(("read", keys.next_index(self.rng, durable)))
+        foreground: List[Tuple[str, Any]] = []
+        for verb, arg in self._draw_chunk(phase.ops, mix, keys, result, flush=False):
+            if verb in ("read", "scan"):
+                foreground.append((verb, arg))
+            else:  # an insert's or update's row, or a deleted key
+                write_rows.append(self._row(arg) if verb == "delete" else arg)
+        result.updates += result.deletes
+        result.deletes = 0
         return write_rows, foreground
-
-    def _run_rebalance_foreground(
-        self, pending: Deque[Tuple[str, int]], count: int, result: PhaseResult
-    ) -> None:
-        """Execute up to ``count`` queued foreground reads/scans, in order."""
-        dataset = self.dataset
-        for _ in range(min(count, len(pending))):
-            op, key = pending.popleft()
-            if op == "scan":
-                rows = list(dataset.scan(low=key, high=key + self.spec.scan_span))
-                result.scans += 1
-                result.scan_rows += len(rows)
-            else:
-                record = dataset.get(key)
-                result.reads += 1
-                if record is not None:
-                    result.reads_found += 1
 
     def _foreground_quota(self, segment: Any, pending: int) -> int:
         """How many queued foreground ops run in the window ``segment`` opened.
@@ -662,19 +563,27 @@ class WorkloadDriver:
             return (pending + 1) // 2
         return 0
 
-    def _run_rebalance_phase(self, phase: Phase) -> PhaseResult:
+    def _run_rebalance_phase(
+        self, phase: Phase, mix: OperationMix, keys: KeyGenerator, result: PhaseResult
+    ) -> None:
         """One rebalance phase: the protocol generator plus foreground windows.
 
         Strategies that open no window (the offline ``Hashing`` baseline,
         aborted runs) fall through to the post-protocol drain.
         """
         assert phase.rebalance is not None
-        mix = make_mix(phase.mix) if phase.mix is not None else self._mix
-        keys = self._phase_keys(phase)
-        result = PhaseResult(name=phase.name)
         self._flush_inserts()
         write_rows, foreground = self._draw_rebalance_plan(phase, mix, keys, result)
-        pending = deque(foreground)
+        cursor = 0
+        per_op = getattr(self.db, "autopilot_engine", None) is not None
+
+        def run_foreground(count: int) -> None:
+            # One chunk per window, or per op under an autopilot (see OP_CHUNK).
+            nonlocal cursor
+            window, cursor = foreground[cursor : cursor + count], cursor + count
+            step = 1 if per_op else max(1, count)
+            for start in range(0, count, step):
+                self._execute_chunk(window[start : start + step], result)
 
         def protocol() -> Any:
             # Phase-scheduled rebalances are exempt from chaos crash plans
@@ -693,8 +602,7 @@ class WorkloadDriver:
                 # timeline and resumes at the end of the window; drained, it
                 # is a no-op.
                 yield segment
-                quota = self._foreground_quota(segment, len(pending))
-                self._run_rebalance_foreground(pending, quota, result)
+                run_foreground(self._foreground_quota(segment, len(foreground) - cursor))
 
         if self.scheduler is not None:
             self.scheduler.spawn(f"rebalance:{phase.name}", rebalance_actor())
@@ -703,8 +611,7 @@ class WorkloadDriver:
             drain(rebalance_actor())
         # Foreground ops the protocol produced no window for still execute,
         # tagged with the phase the registry is in by then.
-        self._run_rebalance_foreground(pending, len(pending), result)
-        return result
+        run_foreground(len(foreground) - cursor)
 
 
 def run_workload(

@@ -37,8 +37,8 @@ class Phase:
     #: ``{"add": 1}``; reads interleave with the rebalance protocol phases and
     #: writes ride the concurrent-write replication path (Section V-A).
     rebalance: Optional[Mapping[str, int]] = None
-    #: Stop the phase once it has consumed this much *simulated* time (only
-    #: meaningful for non-rebalance phases, which execute op by op).
+    #: Stop the phase once it has consumed this much *simulated* time, checked
+    #: before every op (not allowed on a rebalance phase, which runs all ops).
     max_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -58,6 +58,11 @@ class Phase:
                 )
         if self.max_seconds is not None and self.max_seconds <= 0:
             raise ValueError("max_seconds must be positive")
+        if self.max_seconds is not None and self.rebalance is not None:
+            raise ValueError(
+                f"phase {self.name!r}: max_seconds cannot be combined with rebalance "
+                "(a rebalance phase runs all its ops); drop one of them"
+            )
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,17 @@ class TestRun:
             err = capsys.readouterr().err
             assert err.startswith("error:") and fragment in err and "Traceback" not in err
 
+    def test_budgeted_rebalance_phase_exits_two(self, tmp_path, capsys):
+        # A rebalance phase runs every op it draws; a max_seconds budget on it
+        # used to be dropped silently and the run exited 0.
+        path = tmp_path / "budgeted.toml"
+        budgeted = "ops = 40\nrebalance = { add = 1 }\nmax_seconds = 0.0001\n"
+        path.write_text(SPEC_TEXT.replace("ops = 40\n", budgeted))
+        assert main(["run", str(path), "-q"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: workload: phase 'steady': max_seconds cannot")
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
     def test_missing_spec_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.toml")]) == 2
         assert "not found" in capsys.readouterr().err

@@ -20,19 +20,12 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 class TestDriverGolden:
     @pytest.mark.parametrize("mix", ["A", "B", "E"])
-    @pytest.mark.parametrize("batch_ops", [True, False])
-    def test_driver_snapshot_matches_pre_overhaul_pipeline(self, mix, batch_ops):
+    def test_driver_snapshot_matches_pre_overhaul_pipeline(self, mix):
         golden = json.loads((FIXTURES / "driver_snapshots_golden.json").read_text())
         db = Database(
             ClusterConfig(num_nodes=3, partitions_per_node=2, strategy="dynahash")
         )
-        spec = WorkloadSpec(
-            dataset="t",
-            initial_records=500,
-            mix=mix,
-            default_ops=600,
-            batch_ops=batch_ops,
-        )
+        spec = WorkloadSpec(dataset="t", initial_records=500, mix=mix, default_ops=600)
         report = WorkloadDriver(db, spec).run()
         assert json.loads(report.snapshot.to_json()) == golden[mix]
         db.close()

@@ -200,6 +200,22 @@ class TestPhaseOrdering:
         with pytest.raises(ScenarioSpecError, match=r"ops"):
             spec_from(text)
 
+    def test_max_seconds_on_rebalance_phase_rejected(self):
+        text = """
+        [scenario]
+        name = "x"
+        [workload]
+        [[workload.phases]]
+        name = "a"
+        ops = 40
+        rebalance = { add = 1 }
+        max_seconds = 0.0001
+        """
+        with pytest.raises(
+            ScenarioSpecError, match=r": workload: phase 'a': max_seconds cannot be combined"
+        ):
+            spec_from(text)
+
 
 class TestConflictsAndRegistries:
     def test_autopilot_conflicts_with_scheduled_rebalance(self):

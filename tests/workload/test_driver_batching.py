@@ -1,89 +1,204 @@
-"""Tests for the batched op pipeline of the workload driver (PR 4).
+"""Tests for the workload driver's one op pipeline.
 
-The batched pipeline (chunked RNG draws, cached bound verbs, ``op.batch``
-telemetry) must be observationally identical to the per-op loop it replaced:
-same key/op stream off the seeded RNG, same metric snapshots, same phase op
-counts.  These tests pin that equivalence and the pipeline-selection rules.
+Every op the driver issues is drawn into a plan (chunked RNG draws) and
+executed by ``_execute_chunk`` (cached bound verbs, one ``op.batch``
+telemetry event per same-verb run).  It must be observationally identical to
+the per-op loop it replaced: same key/op stream off the seeded RNG, same
+metric snapshots, same phase op counts.  That loop lives on below as a test
+oracle, :class:`PerOpDriver`; these tests pin the equivalence, the chunk-size
+rule, and the event counts of reads issued mid-rebalance.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.api import ClusterConfig, Database, WorkloadDriver, WorkloadSpec
-from repro.workload import Phase, Schedule
+from repro.sim import EventScheduler
+from repro.workload import OperationMix, Phase, Schedule
+from repro.workload import driver as driver_module
 from repro.workload.driver import PhaseResult
 from repro.workload.keygen import ZipfianKeys
 from repro.workload.mixes import make_mix
 
 
-def open_db():
-    return Database(
-        ClusterConfig(num_nodes=3, partitions_per_node=2, strategy="dynahash")
-    )
+class PerOpDriver(WorkloadDriver):
+    """Reference runner: one RNG draw and one single-op verb per op.
+
+    The per-op loop the chunked pipeline replaced — ``dataset.get`` and
+    ``dataset.upsert([row], batch_size=1)``, one ``op.*`` event each — kept
+    here as the oracle the pipeline must match sample for sample.  Rebalance
+    phases keep the production protocol runner, with the per-op draw of the
+    phase plan and one verb call per foreground op.
+    """
+
+    def _run_traffic_phase(self, phase, mix, keys, result):
+        started = self.metrics.clock.now
+        for _ in range(phase.ops):
+            if (
+                phase.max_seconds is not None
+                and self.metrics.clock.now - started >= phase.max_seconds
+            ):
+                break
+            self._execute_op(mix.choose(self.rng), keys, result)
+        self._flush_inserts()
+
+    def _execute_op(self, op, keys, result):
+        dataset = self.dataset
+        result.ops += 1
+        if op == "read":
+            key = keys.next_index(self.rng, self.durable_keys)
+            record = dataset.get(key)
+            result.reads += 1
+            if record is not None:
+                result.reads_found += 1
+        elif op == "insert":
+            self._pending_rows.append(self._row(self.next_key))
+            self.next_key += 1
+            result.inserts += 1
+            if len(self._pending_rows) >= self._batch_target:
+                self._flush_inserts()
+        elif op == "update":
+            key = keys.next_index(self.rng, self.durable_keys)
+            dataset.upsert([self._row(key)], batch_size=1)
+            result.updates += 1
+        elif op == "delete":
+            key = keys.next_index(self.rng, self.durable_keys)
+            dataset.delete(key)
+            result.deletes += 1
+        elif op == "scan":
+            low = keys.next_index(self.rng, self.durable_keys)
+            rows = list(dataset.scan(low=low, high=low + self.spec.scan_span))
+            result.scans += 1
+            result.scan_rows += len(rows)
+        else:  # pragma: no cover - defensive
+            raise ValueError(f"unknown operation {op!r}")
+
+    def _draw_rebalance_plan(self, phase, mix, keys, result):
+        durable = self.durable_keys
+        write_rows = []
+        foreground = []
+        for _ in range(phase.ops):
+            op = mix.choose(self.rng)
+            result.ops += 1
+            if op == "insert":
+                write_rows.append(self._row(self.next_key))
+                self.next_key += 1
+                result.inserts += 1
+            elif op in ("update", "delete"):
+                key = keys.next_index(self.rng, durable)
+                write_rows.append(self._row(key))
+                result.updates += 1
+            elif op == "scan":
+                foreground.append(("scan", keys.next_index(self.rng, durable)))
+                result.scans += 1
+            else:
+                foreground.append(("read", keys.next_index(self.rng, durable)))
+                result.reads += 1
+        return write_rows, foreground
+
+    def _execute_chunk(self, plan, result):
+        # Only rebalance phases get here: their drawn foreground plan,
+        # executed as one ``get`` / ``scan`` per queued op.
+        dataset = self.dataset
+        for verb, key in plan:
+            if verb == "scan":
+                result.scan_rows += len(
+                    list(dataset.scan(low=key, high=key + self.spec.scan_span))
+                )
+            elif dataset.get(key) is not None:
+                result.reads_found += 1
 
 
-def run_spec(**overrides):
+def open_db(strategy="dynahash"):
+    return Database(ClusterConfig(num_nodes=3, partitions_per_node=2, strategy=strategy))
+
+
+def run_spec(driver_cls=WorkloadDriver, **overrides):
     db = open_db()
     spec = WorkloadSpec(dataset="t", initial_records=400, default_ops=500, **overrides)
-    report = WorkloadDriver(db, spec).run()
+    report = driver_cls(db, spec).run()
     snapshot = report.snapshot
     db.close()
     return report, snapshot
 
 
-class TestBatchedEqualsLegacy:
+PHASE_COUNTS = (
+    "ops", "reads", "reads_found", "inserts", "updates", "deletes", "scans", "scan_rows"
+)
+
+
+def assert_same_phases(report, reference):
+    assert report.total_ops == reference.total_ops
+    for phase, expected in zip(report.phases, reference.phases, strict=True):
+        for name in PHASE_COUNTS:
+            assert getattr(phase, name) == getattr(expected, name), (phase.name, name)
+
+
+CRUD = OperationMix(name="crud", read=0.4, insert=0.2, update=0.2, delete=0.2)
+
+RESIZE_SCHEDULE = Schedule(
+    (
+        Phase(name="warm", ops=120),
+        Phase(name="resize", ops=120, rebalance={"add": 1}),
+        Phase(name="cool", ops=120),
+    )
+)
+
+
+class TestChunkedEqualsPerOpOracle:
     @pytest.mark.parametrize("mix", ["A", "B", "D", "E"])
-    def test_same_seed_same_snapshot_across_pipelines(self, mix):
-        batched_report, batched = run_spec(mix=mix, batch_ops=True)
-        legacy_report, legacy = run_spec(mix=mix, batch_ops=False)
-        assert batched == legacy
-        assert batched_report.total_ops == legacy_report.total_ops
-        for batched_phase, legacy_phase in zip(
-            batched_report.phases, legacy_report.phases, strict=True
-        ):
-            assert batched_phase.ops == legacy_phase.ops
-            assert batched_phase.reads == legacy_phase.reads
-            assert batched_phase.reads_found == legacy_phase.reads_found
-            assert batched_phase.inserts == legacy_phase.inserts
-            assert batched_phase.updates == legacy_phase.updates
-            assert batched_phase.scans == legacy_phase.scans
-            assert batched_phase.scan_rows == legacy_phase.scan_rows
+    def test_same_seed_same_snapshot(self, mix):
+        report, snapshot = run_spec(mix=mix)
+        reference_report, reference = run_spec(PerOpDriver, mix=mix)
+        assert snapshot == reference
+        assert_same_phases(report, reference_report)
 
     def test_equivalence_with_deletes_in_mix(self):
-        from repro.workload import OperationMix
+        report, snapshot = run_spec(mix=CRUD)
+        reference_report, reference = run_spec(PerOpDriver, mix=CRUD)
+        assert snapshot == reference
+        assert report.phases[0].deletes == reference_report.phases[0].deletes > 0
 
-        mix = OperationMix(name="crud", read=0.4, insert=0.2, update=0.2, delete=0.2)
-        batched_report, batched = run_spec(mix=mix, batch_ops=True)
-        legacy_report, legacy = run_spec(mix=mix, batch_ops=False)
-        assert batched == legacy
-        assert (
-            batched_report.phases[0].deletes == legacy_report.phases[0].deletes > 0
-        )
-
-    def test_tiny_chunk_still_equivalent(self):
-        _, chunked = run_spec(mix="A", batch_ops=True, op_chunk=3)
-        _, wide = run_spec(mix="A", batch_ops=True, op_chunk=4096)
+    def test_tiny_chunk_still_equivalent(self, monkeypatch):
+        _, wide = run_spec(mix="A")
+        monkeypatch.setattr(driver_module, "OP_CHUNK", 3)
+        _, chunked = run_spec(mix="A")
         assert chunked == wide
 
-    def test_rebalance_schedule_equivalent_across_pipelines(self):
-        schedule = Schedule(
-            (
-                Phase(name="warm", ops=120),
-                Phase(name="resize", ops=120, rebalance={"add": 1}),
-                Phase(name="cool", ops=120),
-            )
-        )
-        _, batched = run_spec(mix="A", schedule=schedule, batch_ops=True)
-        _, legacy = run_spec(mix="A", schedule=schedule, batch_ops=False)
-        assert batched == legacy
+    @pytest.mark.parametrize("mix", ["A", "E", CRUD], ids=["A", "E", "crud"])
+    def test_rebalance_schedule_equivalent(self, mix):
+        report, snapshot = run_spec(mix=mix, schedule=RESIZE_SCHEDULE)
+        reference_report, reference = run_spec(PerOpDriver, mix=mix, schedule=RESIZE_SCHEDULE)
+        assert snapshot == reference
+        assert_same_phases(report, reference_report)
+
+    @pytest.mark.parametrize("mix", ["B", "D", "E", CRUD], ids=["B", "D", "E", "crud"])
+    def test_rebalance_plan_draws_match_per_op_oracle(self, mix):
+        # Inserts, updates and deletes become replicated rows, reads and
+        # scans the foreground plan, from the keyspace durable at phase start.
+        plans = []
+        for driver_cls in (WorkloadDriver, PerOpDriver):
+            db = open_db()
+            driver = driver_cls(db, WorkloadSpec(dataset="t", initial_records=300, mix=mix))
+            driver.prepare()
+            result = PhaseResult(name="resize")
+            phase = Phase(name="resize", ops=400, rebalance={"add": 1})
+            plan = driver._draw_rebalance_plan(phase, make_mix(mix), driver._keys, result)
+            counts = [getattr(result, name) for name in PHASE_COUNTS]
+            plans.append((plan, counts, driver.next_key, driver.rng.getstate()))
+            db.close()
+        assert plans[0] == plans[1]
+        write_rows, foreground = plans[0][0]
+        assert write_rows and foreground
 
 
 class TestDrawStream:
-    def test_batched_draws_match_old_per_op_loop(self):
-        """The chunked draw must consume the RNG exactly as the retired
-        per-op loop did: op draw, key draw, and the jittered batch-target
-        redraw at every insert-buffer flush point."""
+    def test_chunked_draws_match_per_op_stream(self):
+        """The chunked draw must consume the RNG exactly as one op at a time
+        does: op draw, key draw, and the jittered batch-target redraw at
+        every insert-buffer flush point."""
         db = open_db()
         spec = WorkloadSpec(
             dataset="t", initial_records=300, mix="D", default_ops=400, batch_size=8
@@ -91,9 +206,9 @@ class TestDrawStream:
         driver = WorkloadDriver(db, spec)
         driver.prepare()
 
-        # Reference: replay the old per-op loop's draw sequence from the same
-        # RNG stream position (prepare() already consumed the preload draws,
-        # so the reference clones the driver's post-prepare state).
+        # Reference: replay the per-op draw sequence from the same RNG stream
+        # position (prepare() already consumed the preload draws, so the
+        # reference clones the driver's post-prepare state).
         reference_rng = random.Random(driver.seed)
         reference_rng.setstate(driver.rng.getstate())
         mix = make_mix(spec.mix)
@@ -138,63 +253,173 @@ class TestDrawStream:
         db.close()
 
 
-class TestPipelineSelection:
-    def test_auto_batches_without_autopilot(self):
-        db = open_db()
-        driver = WorkloadDriver(db, WorkloadSpec(dataset="t", default_ops=10))
-        assert driver._use_batched_pipeline(Phase(name="p", ops=10))
-        db.close()
+def count_op_events(db):
+    seen = Counter()
+    db.events.on("op.*", lambda event: seen.update([event.name]))
+    return seen
 
-    def test_max_seconds_falls_back_to_per_op_loop(self):
+
+class TestChunkRule:
+    """Chunk size 1 is derived, not configured: a ``max_seconds`` phase and an
+    autopilot session each see one ``op.batch`` per op."""
+
+    def run_counting(self, db, spec):
+        seen = count_op_events(db)
+        report = WorkloadDriver(db, spec).run()
+        return report, seen
+
+    def test_plain_phase_batches_runs(self):
         db = open_db()
-        driver = WorkloadDriver(db, WorkloadSpec(dataset="t", default_ops=10))
-        assert not driver._use_batched_pipeline(
-            Phase(name="p", ops=10, max_seconds=1.0)
+        report, seen = self.run_counting(
+            db, WorkloadSpec(dataset="t", initial_records=200, mix="C", default_ops=300)
         )
+        assert report.total_ops == 300
+        # Read-only traffic: one ``get_many`` run per chunk.
+        assert seen["op.batch"] == -(-300 // driver_module.OP_CHUNK) == 2
         db.close()
 
-    def test_autopilot_session_falls_back_to_per_op_loop(self):
+    def test_max_seconds_phase_emits_one_batch_per_op(self):
+        db = open_db()
+        spec = WorkloadSpec(
+            dataset="t",
+            initial_records=200,
+            mix="A",
+            schedule=Schedule((Phase(name="budget", ops=300, max_seconds=1e6),)),
+        )
+        report, seen = self.run_counting(db, spec)
+        assert report.phase("budget").ops == 300
+        assert seen["op.batch"] == 300
+        assert seen["op.read"] == seen["op.update"] == 0
+        db.close()
+
+    def test_autopilot_session_emits_one_batch_per_op(self):
         db = open_db()
         db.create_dataset("t", primary_key="k")
         db.autopilot(policy="threshold", check_every_ops=50)
-        driver = WorkloadDriver(db, WorkloadSpec(dataset="t", default_ops=10))
-        assert not driver._use_batched_pipeline(Phase(name="p", ops=10))
+        report, seen = self.run_counting(
+            db, WorkloadSpec(dataset="t", initial_records=200, mix="A", default_ops=300)
+        )
+        assert report.total_ops == 300
+        assert seen["op.batch"] == 300
         db.close()
 
-    def test_explicit_batch_ops_overrides_auto(self):
-        db = open_db()
-        db.create_dataset("t", primary_key="k")
-        db.autopilot(policy="threshold", check_every_ops=50)
-        driver = WorkloadDriver(
-            db, WorkloadSpec(dataset="t", default_ops=10, batch_ops=True)
-        )
-        assert driver._use_batched_pipeline(Phase(name="p", ops=10))
-        db.close()
+    def test_autopilot_session_matches_per_op_oracle(self):
+        snapshots = []
+        for driver_cls in (WorkloadDriver, PerOpDriver):
+            db = open_db()
+            db.create_dataset("t", primary_key="k")
+            pilot = db.autopilot(policy="threshold", check_every_ops=7)
+            spec = WorkloadSpec(dataset="t", initial_records=200, mix="A", default_ops=300)
+            snapshots.append((driver_cls(db, spec).run().snapshot, pilot.decision_trace()))
+            db.close()
+        assert snapshots[0] == snapshots[1]
 
-    def test_max_seconds_wins_over_explicit_batch_ops(self):
-        # A time-budgeted phase checks the clock before every op; even an
-        # explicit batch_ops=True must not bypass that cutoff.
-        db = open_db()
-        driver = WorkloadDriver(
-            db, WorkloadSpec(dataset="t", default_ops=10, batch_ops=True)
-        )
-        assert not driver._use_batched_pipeline(
-            Phase(name="p", ops=10, max_seconds=1.0)
-        )
-        db.close()
+    def test_autopilot_cadence_through_a_rebalance_phase_matches_per_op_oracle(self):
+        # Mid-rebalance reads also run one op per chunk while an autopilot is
+        # attached: its evaluation points stay where the per-op stream put them.
+        observed = []
+        for driver_cls in (WorkloadDriver, PerOpDriver):
+            db = open_db()
+            db.create_dataset("t", primary_key="k")
+            pilot = db.autopilot(policy="threshold", check_every_ops=7)
+            spec = WorkloadSpec(
+                dataset="t", initial_records=400, mix="A", schedule=RESIZE_SCHEDULE
+            )
+            snapshot = driver_cls(db, spec).run().snapshot
+            observed.append((snapshot, pilot._ops_seen, pilot._last_check_at))
+            db.close()
+        assert observed[0] == observed[1]
 
-    def test_max_seconds_cutoff_respected_with_batch_ops_true(self):
+    def test_max_seconds_cutoff_respected(self):
         db = open_db()
         spec = WorkloadSpec(
             dataset="t",
             initial_records=200,
             mix="C",
-            batch_ops=True,
             schedule=Schedule((Phase(name="budget", ops=100_000, max_seconds=1e-4),)),
         )
         report = WorkloadDriver(db, spec).run()
-        assert report.phase("budget").ops < 100_000
+        assert 0 < report.phase("budget").ops < 100_000
         db.close()
+
+    def test_max_seconds_cutoff_matches_per_op_oracle(self):
+        schedule = Schedule((Phase(name="budget", ops=5_000, max_seconds=0.05),))
+        report, snapshot = run_spec(mix="A", schedule=schedule)
+        reference_report, reference = run_spec(PerOpDriver, mix="A", schedule=schedule)
+        assert snapshot == reference
+        assert_same_phases(report, reference_report)
+        assert report.phase("budget").ops < 5_000
+
+
+class TestMidRebalanceReadContract:
+    """Reads drawn for a rebalance phase travel as ``op.batch`` runs: none as
+    single ``op.read`` events, at most one batch per foreground window."""
+
+    def run_resize(self, strategy, interleaved):
+        db = open_db(strategy)
+        seen = count_op_events(db)
+        reads = Counter()
+        db.events.on("op.batch", lambda event: reads.update([event["op"]]))
+        spec = WorkloadSpec(
+            dataset="t",
+            initial_records=400,
+            mix="A",  # reads + updates: every window's slice is one read run
+            schedule=Schedule((Phase(name="resize", ops=200, rebalance={"add": 1}),)),
+        )
+        scheduler = EventScheduler(db.metrics.clock) if interleaved else None
+        driver = WorkloadDriver(db, spec, scheduler=scheduler)
+        segments, chunks = [], []
+        foreground_quota, execute_chunk = driver._foreground_quota, driver._execute_chunk
+
+        def quota_spy(segment, pending):
+            segments.append(segment)
+            return foreground_quota(segment, pending)
+
+        def chunk_spy(plan, result):
+            chunks.append(len(plan))
+            execute_chunk(plan, result)
+
+        driver._foreground_quota, driver._execute_chunk = quota_spy, chunk_spy
+        report = driver.run()
+        db.close()
+        return report.phase("resize"), seen, reads["read"], segments, chunks
+
+    @pytest.mark.parametrize("strategy", ["dynahash", "hashing"])
+    @pytest.mark.parametrize("interleaved", [False, True], ids=["legacy", "interleaved"])
+    def test_reads_travel_as_one_batch_per_window(self, strategy, interleaved):
+        phase, seen, read_batches, segments, chunks = self.run_resize(strategy, interleaved)
+        drawn = phase.ops - phase.inserts - phase.updates
+        assert phase.reads == drawn > 0
+        assert phase.scans == 0
+        assert seen["op.read"] == 0
+        # One chunk per window granted a share of the plan, plus the
+        # post-protocol drain when anything is left; every chunk is one read
+        # run, so one ``op.batch``.
+        assert sum(chunks) == drawn and all(chunks)
+        assert read_batches == len(chunks) <= len(segments) + 1
+        if strategy == "hashing":  # offline rebuild: no window, one drain
+            assert read_batches == 1
+
+    @pytest.mark.parametrize("strategy", ["dynahash", "hashing"])
+    def test_drawn_counts_are_engine_independent(self, strategy):
+        legacy, *_ = self.run_resize(strategy, interleaved=False)
+        interleaved, *_ = self.run_resize(strategy, interleaved=True)
+        for name in PHASE_COUNTS:
+            assert getattr(legacy, name) == getattr(interleaved, name), name
+
+    def test_scans_counted_where_drawn(self):
+        db = open_db()
+        spec = WorkloadSpec(
+            dataset="t",
+            initial_records=400,
+            mix="E",
+            schedule=Schedule((Phase(name="resize", ops=120, rebalance={"add": 1}),)),
+        )
+        seen = count_op_events(db)
+        phase = WorkloadDriver(db, spec).run().phase("resize")
+        db.close()
+        assert phase.scans == seen["op.scan"] > 0
+        assert phase.reads + phase.scans == phase.ops - phase.inserts - phase.updates
 
 
 class TestZetaCache:

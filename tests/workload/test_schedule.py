@@ -23,6 +23,13 @@ class TestPhase:
         with pytest.raises(ValueError, match="exactly one"):
             Phase(name="p", ops=1, rebalance={})
 
+    def test_max_seconds_rejected_on_rebalance_phase(self):
+        # A rebalance phase draws and runs all its ops; a budget on it would
+        # be silently ignored.
+        Phase(name="p", ops=1, max_seconds=1.0)  # valid without a resize
+        with pytest.raises(ValueError, match="max_seconds cannot be combined with rebalance"):
+            Phase(name="p", ops=40, rebalance={"add": 1}, max_seconds=0.0001)
+
 
 class TestSchedule:
     def test_needs_at_least_one_phase(self):
