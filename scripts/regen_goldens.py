@@ -9,9 +9,12 @@ is the single place that knows how each committed golden is produced:
   workload-driver snapshots (the PR-4 hot-path pins),
 * ``tests/integration/fixtures/traffic_snapshot_golden.json`` — the traffic
   experiment snapshot at SMOKE scale,
-* ``tests/sim/goldens/<scenario>.interleaved.json`` — full recordings
-  (snapshot + trace + chaos log) of smoke-scale scenarios under the
-  interleaved discrete-event engine.
+* ``tests/integration/fixtures/scenario_outcomes_golden.json`` — what every
+  committed spec computes at SMOKE scale (final dataset fingerprints, the
+  ``ops.``/``records.``/``ingest.``/``datasets.`` counters, the chaos
+  schedule without clock positions),
+* ``tests/sim/goldens/<scenario>.json`` — full recordings (snapshot + trace
+  + chaos log) of smoke-scale scenarios.
 
 Usage::
 
@@ -41,8 +44,15 @@ sys.path.insert(0, str(ROOT / "src"))
 FIXTURES = ROOT / "tests" / "integration" / "fixtures"
 SIM_GOLDENS = ROOT / "tests" / "sim" / "goldens"
 
-#: Scenarios committed as interleaved-engine goldens (smoke scale).
-INTERLEAVED_SCENARIOS = ("chaos_storm", "traced_rebalance")
+SCENARIOS = ROOT / "examples" / "scenarios"
+
+#: Scenarios committed as full-recording goldens (smoke scale).
+RECORDED_SCENARIOS = ("chaos_storm", "traced_rebalance")
+
+#: Counter prefixes pinned by the outcomes golden: what the protocol
+#: computes.  ``rebalance.phase.*`` bookkeeping and every clock-derived
+#: quantity are left to the full recordings.
+OUTCOME_COUNTER_PREFIXES = ("ops.", "records.", "ingest.", "datasets.")
 
 
 def driver_snapshots_golden() -> str:
@@ -68,24 +78,54 @@ def traffic_snapshot_golden() -> str:
     return result.snapshot.to_json(indent=2) + "\n"
 
 
-def interleaved_recording(name: str) -> str:
-    """A smoke-scale interleaved recording: tests/sim/test_goldens.py."""
+def scenario_recording(name: str) -> str:
+    """A smoke-scale scenario recording: tests/sim/test_goldens.py."""
     from repro.scenario import load_scenario, recording_payload, run_scenario
 
-    spec = load_scenario(ROOT / "examples" / "scenarios" / f"{name}.toml").scaled_down()
-    result = run_scenario(spec, concurrency="interleaved")
+    spec = load_scenario(SCENARIOS / f"{name}.toml").scaled_down()
+    result = run_scenario(spec)
     return json.dumps(recording_payload(result), sort_keys=True, indent=2) + "\n"
+
+
+def scenario_outcome(path: Path) -> dict:
+    """What one spec computes at smoke scale, clock positions stripped.
+
+    A chaos event's ``at`` is where the runner observed it on the simulated
+    clock, which moves whenever pricing does; what was injected, where, and
+    with which declared window is the schedule itself.
+    """
+    from repro.scenario import load_scenario, run_scenario
+
+    result = run_scenario(load_scenario(path).scaled_down())
+    chaos = [
+        json.dumps({k: v for k, v in event.items() if k != "at"}, sort_keys=True, default=str)
+        for event in result.chaos_events
+    ]
+    return {
+        "fingerprints": dict(result.dataset_fingerprints),
+        "counters": {
+            key: value
+            for key, value in result.snapshot.counters.items()
+            if key.startswith(OUTCOME_COUNTER_PREFIXES)
+        },
+        "chaos": [json.loads(event) for event in sorted(chaos)],
+    }
+
+
+def scenario_outcomes_golden() -> str:
+    """Every committed spec's outcome: tests/sim/test_differential.py."""
+    golden = {path.stem: scenario_outcome(path) for path in sorted(SCENARIOS.glob("*.toml"))}
+    return json.dumps(golden, indent=1, sort_keys=True) + "\n"
 
 
 def generators() -> Dict[Path, Callable[[], str]]:
     table: Dict[Path, Callable[[], str]] = {
         FIXTURES / "driver_snapshots_golden.json": driver_snapshots_golden,
         FIXTURES / "traffic_snapshot_golden.json": traffic_snapshot_golden,
+        FIXTURES / "scenario_outcomes_golden.json": scenario_outcomes_golden,
     }
-    for name in INTERLEAVED_SCENARIOS:
-        table[SIM_GOLDENS / f"{name}.interleaved.json"] = (
-            lambda name=name: interleaved_recording(name)
-        )
+    for name in RECORDED_SCENARIOS:
+        table[SIM_GOLDENS / f"{name}.json"] = lambda name=name: scenario_recording(name)
     return table
 
 

@@ -266,7 +266,6 @@ class Database:
                 concurrent_rows=concurrent_rows,
                 fault_sites=fault_sites,
                 arm_chaos=arm_chaos,
-                _phase_priced=True,
             )
         )
 
@@ -279,7 +278,6 @@ class Database:
         concurrent_rows: Optional[Mapping[str, Sequence[Mapping[str, Any]]]] = None,
         fault_sites: Optional[Iterable[str]] = None,
         arm_chaos: bool = True,
-        _phase_priced: bool = False,
     ) -> "Generator[Any, None, ClusterRebalanceReport]":
         """:meth:`rebalance` as a protocol generator, for the event scheduler.
 
@@ -288,8 +286,8 @@ class Database:
         :class:`~repro.sim.EventScheduler` actor can interleave foreground
         traffic inside the movement windows.  The generator's return value is
         the same :class:`~repro.cluster.reports.ClusterRebalanceReport`.
-        :meth:`rebalance` is this generator drained in place, with the private
-        ``_phase_priced`` keyword keeping its per-phase data-movement pricing.
+        :meth:`rebalance` is this generator drained in place, so a drained
+        and a scheduled resize report the same simulated seconds.
         """
         self._check_open()
         chosen = [value for value in (target_nodes, add, remove) if value is not None]
@@ -307,7 +305,6 @@ class Database:
                 target_nodes,
                 concurrent_rows=concurrent_rows,
                 fault_injector=injector,
-                _phase_priced=_phase_priced,
             )
         except FaultInjected as fault:
             if chaos is not None:
@@ -379,23 +376,15 @@ class Database:
         Tracing never changes the metrics state — a traced and an untraced
         run of the same seed produce identical snapshots.
 
-        ``clock_anchored_rebalance`` switches the rebalance subtree to
-        clock-anchored layout, which the interleaved discrete-event engine
-        needs for move spans to genuinely overlap the op spans they ran
-        alongside (see :class:`repro.trace.spans.Tracer`).  Leave it off for
-        the legacy run-to-completion engine, where the protocol-seconds
-        layout is exact.
+        ``clock_anchored_rebalance`` is accepted and ignored: the rebalance
+        subtree has one layout (see :class:`repro.trace.spans.Tracer`).
         """
         self._check_open()
         from ..trace import TraceSession
 
         if self._trace is not None:
             self._trace.finish()
-        self._trace = TraceSession(
-            self,
-            sample_interval_seconds=sample_interval_seconds,
-            clock_anchored_rebalance=clock_anchored_rebalance,
-        ).attach()
+        self._trace = TraceSession(self, sample_interval_seconds=sample_interval_seconds).attach()
         return self._trace
 
     @property

@@ -104,13 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         "strategy_options — they are strategy-specific)",
     )
     run.add_argument(
-        "--concurrency",
-        choices=["legacy", "interleaved"],
-        help="override the spec's execution engine: 'legacy' runs phases to "
-        "completion; 'interleaved' runs rebalance phases on the repro.sim "
-        "event scheduler (bucket moves and foreground ops share the clock)",
-    )
-    run.add_argument(
         "--record",
         metavar="PATH",
         help="write a recording (spec + seed + metrics snapshot) for replay/inspect",
@@ -379,9 +372,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = load_scenario(args.spec)
-    result = run_scenario(
-        spec, seed=args.seed, strategy=args.strategy, concurrency=args.concurrency
-    )
+    result = run_scenario(spec, seed=args.seed, strategy=args.strategy)
     if args.quiet:
         for check in result.checks:
             if not check.passed:

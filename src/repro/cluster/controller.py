@@ -388,18 +388,13 @@ class SimulatedCluster:
 
         This is :meth:`rebalance_to_steps` drained in place.
         """
-        steps = self.rebalance_to_steps(
-            target_nodes, concurrent_rows, fault_injector, _phase_priced=True
-        )
-        return drain(steps)
+        return drain(self.rebalance_to_steps(target_nodes, concurrent_rows, fault_injector))
 
     def rebalance_to_steps(
         self,
         target_nodes: int,
         concurrent_rows: Optional[Mapping[str, Any]] = None,
         fault_injector: Optional[object] = None,
-        *,
-        _phase_priced: bool = False,
     ) -> "Generator[Any, None, ClusterRebalanceReport]":
         """Resize the cluster to ``target_nodes`` as a protocol generator.
 
@@ -407,7 +402,7 @@ class SimulatedCluster:
         the strategy's ``rebalance_cluster_steps`` produces — so a consuming
         actor can interleave foreground work inside the movement windows —
         and closes with ``rebalance.complete`` (``rebalance.error`` when the
-        strategy raised).  ``_phase_priced`` is handed down unchanged.
+        strategy raised).
         """
         if target_nodes < 1:
             raise ConfigError("target_nodes must be at least 1")
@@ -427,7 +422,6 @@ class SimulatedCluster:
                 target_nodes,
                 concurrent_rows=concurrent_rows,
                 fault_injector=fault_injector,
-                _phase_priced=_phase_priced,
             )
         except Exception as error:
             self.events.emit(

@@ -14,13 +14,12 @@ Two clock flavours are provided:
 
 Discrete-event facade
 ---------------------
-The same :class:`SimulatedClock` instance is the facade both execution
-engines share (see :mod:`repro.sim` and ``docs/CONCURRENCY.md``):
+The same :class:`SimulatedClock` instance is the facade inline work and the
+event scheduler share (see :mod:`repro.sim` and ``docs/CONCURRENCY.md``):
 
-* **Legacy run-to-completion callers** keep calling :meth:`SimulatedClock
-  .advance` / :meth:`SimulatedClock.advance_many` exactly as before — one
-  actor implicitly holds the whole timeline, and the numeric behaviour is
-  bit-identical to every recording made before the scheduler existed.
+* **Inline callers** (op latencies charged through the metrics registry)
+  call :meth:`SimulatedClock.advance` / :meth:`SimulatedClock.advance_many`;
+  outside a scheduler one actor implicitly holds the whole timeline.
 * **The event scheduler** (:class:`repro.sim.EventScheduler`) treats those
   same calls as *inline work charged by whichever actor currently holds the
   clock* and uses :meth:`SimulatedClock.advance_to` when dispatching a

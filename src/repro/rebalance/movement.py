@@ -8,8 +8,8 @@ lists for each secondary index.  Secondary index entries are rebuilt at the
 destination from the shipped records — the source never reads its secondary
 indexes.
 
-The module also accounts the physical work so the operation can convert it
-into per-node simulated time.
+The module also accounts the physical work: per move, which the operation
+prices in per-node simulated time, and in total, which its report carries.
 """
 
 from __future__ import annotations
@@ -26,48 +26,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class MovementWork:
-    """Physical work of moving buckets, broken down by partition and node."""
+    """Physical work of moving buckets: the totals a report carries."""
 
-    #: Bytes read from each source partition's disk.
-    scanned_bytes_by_partition: Dict[int, int] = field(default_factory=dict)
-    #: Bytes sent out of each source node / into each destination node.
-    shipped_bytes_by_node: Dict[str, int] = field(default_factory=dict)
+    #: Bytes read off the source partitions' disks.
+    scanned_bytes: int = 0
+    #: Bytes sent across the network (same-node moves ship nothing).
+    shipped_bytes: int = 0
+    #: Bytes received by each destination node; its links carry the
+    #: replicated concurrent writes too.
     received_bytes_by_node: Dict[str, int] = field(default_factory=dict)
-    #: Bytes written at each destination partition (primary plus secondary).
-    loaded_bytes_by_partition: Dict[int, int] = field(default_factory=dict)
+    #: Bytes written at the destination partitions (primary plus secondary).
+    loaded_bytes: int = 0
     records_moved: int = 0
     buckets_moved: int = 0
-
-    @property
-    def total_scanned_bytes(self) -> int:
-        return sum(self.scanned_bytes_by_partition.values())
-
-    @property
-    def total_shipped_bytes(self) -> int:
-        return sum(self.shipped_bytes_by_node.values())
-
-    @property
-    def total_loaded_bytes(self) -> int:
-        return sum(self.loaded_bytes_by_partition.values())
-
-    def add_scan(self, partition_id: int, num_bytes: int) -> None:
-        self.scanned_bytes_by_partition[partition_id] = (
-            self.scanned_bytes_by_partition.get(partition_id, 0) + num_bytes
-        )
-
-    def add_shipment(self, source_node: str, destination_node: str, num_bytes: int) -> None:
-        if source_node != destination_node:
-            self.shipped_bytes_by_node[source_node] = (
-                self.shipped_bytes_by_node.get(source_node, 0) + num_bytes
-            )
-            self.received_bytes_by_node[destination_node] = (
-                self.received_bytes_by_node.get(destination_node, 0) + num_bytes
-            )
-
-    def add_load(self, partition_id: int, num_bytes: int) -> None:
-        self.loaded_bytes_by_partition[partition_id] = (
-            self.loaded_bytes_by_partition.get(partition_id, 0) + num_bytes
-        )
 
 
 class MovedBucket(NamedTuple):
@@ -110,16 +81,19 @@ class DataMover:
         )
         destination.receive_bucket(move.bucket, entries, hashed)
 
-        source_node = self.partition_nodes[move.source_partition]
+        work = self.work
+        work.scanned_bytes += scanned_bytes
         destination_node = self.partition_nodes[move.destination_partition]
-        self.work.add_scan(move.source_partition, scanned_bytes)
-        self.work.add_shipment(source_node, destination_node, payload_bytes)
+        if self.partition_nodes[move.source_partition] != destination_node:
+            work.shipped_bytes += payload_bytes
+            received = work.received_bytes_by_node
+            received[destination_node] = received.get(destination_node, 0) + payload_bytes
         # The destination writes the primary bucket plus rebuilt secondary
         # entries; approximate the secondary write volume from what the
         # destination actually buffered (its received lists).
-        self.work.add_load(move.destination_partition, payload_bytes)
-        self.work.records_moved += len(entries)
-        self.work.buckets_moved += 1
+        work.loaded_bytes += payload_bytes
+        work.records_moved += len(entries)
+        work.buckets_moved += 1
 
         source.release_bucket_snapshot(snapshot)
         return MovedBucket(len(entries), scanned_bytes, payload_bytes)

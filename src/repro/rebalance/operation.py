@@ -45,7 +45,7 @@ from ..lsm.wal import LogRecordType
 from ..cluster.reports import RebalanceReport
 from ..sim import SimSegment, drain
 from .concurrency import LogReplicator
-from .movement import DataMover, MovedBucket, MovementWork
+from .movement import DataMover, MovedBucket
 from .plan import BucketMove, RebalancePlan, compute_balanced_directory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -181,16 +181,16 @@ class RebalanceOperation:
     def run(self, concurrent: Optional[ConcurrentWriteLoad] = None) -> RebalanceReport:
         """Execute the full rebalance; returns a committed or aborted report.
 
-        This is :meth:`run_steps` drained in place, priced per phase.
+        This is :meth:`run_steps` drained in place.
 
         Raises :class:`FaultInjected` when an injected fault models a crash
         that the running operation cannot resolve (the recovery manager must
         then be invoked, exactly like a restarted CC/NC would).
         """
-        return drain(self.run_steps(concurrent, _phase_priced=True))
+        return drain(self.run_steps(concurrent))
 
     def run_steps(
-        self, concurrent: Optional[ConcurrentWriteLoad] = None, *, _phase_priced: bool = False
+        self, concurrent: Optional[ConcurrentWriteLoad] = None
     ) -> Generator[SimSegment, None, RebalanceReport]:
         """The protocol as a generator — its one implementation.
 
@@ -204,11 +204,8 @@ class RebalanceOperation:
         :class:`~repro.cluster.reports.RebalanceReport` is the generator's
         return value, with ``simulated_seconds`` equal to the sum of the
         yielded segments (so the metrics registry's overlap reconciliation at
-        ``rebalance.complete`` is a no-op under a scheduler).
-
-        ``_phase_priced`` is private to the drained run-to-completion chain:
-        it swaps the data movement pricing (see
-        :meth:`_data_movement_segments`) and nothing else.
+        ``rebalance.complete`` is a no-op under a scheduler, and a drained run
+        reports what a scheduled one does).
         """
         report = RebalanceReport(
             strategy=self.strategy_name,
@@ -223,15 +220,8 @@ class RebalanceOperation:
             init_seconds = self._initialization_phase(report)
             self._emit("rebalance.phase", phase="initialization", seconds=init_seconds)
             yield SimSegment("initialization", init_seconds)
-            move_seconds = yield from self._data_movement_segments(
-                report, concurrent, _phase_priced
-            )
+            move_seconds = yield from self._data_movement_segments(report, concurrent)
             self._emit("rebalance.phase", phase="data_movement", seconds=move_seconds)
-            if _phase_priced:
-                # One phase-wide window, opened *after* the phase event: that
-                # is where the legacy driver runs the reads it holds back until
-                # the movement is over (the sources serve until the commit).
-                yield SimSegment("data_movement", move_seconds)
             final_seconds = self._finalization_phase(report)
             self._emit("rebalance.phase", phase="finalization", seconds=final_seconds)
             yield SimSegment("finalization", final_seconds)
@@ -315,26 +305,16 @@ class RebalanceOperation:
         self,
         report: RebalanceReport,
         concurrent: Optional[ConcurrentWriteLoad],
-        phase_priced: bool,
     ) -> Generator[SimSegment, None, float]:
         """The data-movement phase, bucket by bucket; returns its seconds.
 
         Concurrent writes are woven between the moves so the replicated
         records land while the movement is in flight, as they would online.
-        Time is charged by one of two pricings, both pinned by goldens:
-
-        * per bucket (the default) — each ``"move"`` segment prices that
-          bucket's scan + ship + load + index rebuild on the nodes it touched,
-          and a trailing ``"concurrent_writes"`` segment prices the
-          replication overhead.  Chaos scaling applies per segment, so a
-          straggler window that opens mid-movement only slows the buckets
-          moved while it is active.
-        * per phase (``phase_priced``) — nodes work in parallel and the
-          slowest one's total sets the phase time, priced once after the
-          loop.  Per-bucket prices are *skipped* here, not computed and
-          dropped: pricing consults the chaos engine, whose windows announce
-          on first effect, so a dropped price would still move ``chaos.*``
-          events.
+        Each ``"move"`` segment prices that bucket's scan + ship + load +
+        index rebuild on the nodes it touched, and a trailing
+        ``"concurrent_writes"`` segment prices the replication overhead.
+        Chaos scaling applies per segment, so a straggler window that opens
+        mid-movement only slows the buckets moved while it is active.
         """
         assert self.plan is not None
         cost = self.cluster.cost
@@ -390,53 +370,48 @@ class RebalanceOperation:
                 if row is None:
                     break
                 self._concurrent_write(replicator, row)
-            if not phase_priced:
-                per_node = self._bucket_node_seconds(move, moved, partition_nodes)
-                segment = SimSegment(
-                    "move", charged(per_node) + cost.rpc_time(2), remaining=len(moves) - index - 1
-                )
-                move_seconds += segment.seconds
-                yield segment
+            per_node = self._bucket_node_seconds(move, moved, partition_nodes)
+            segment = SimSegment(
+                "move", charged(per_node) + cost.rpc_time(2), remaining=len(moves) - index - 1
+            )
+            move_seconds += segment.seconds
+            yield segment
         for row in row_iter:
             self._concurrent_write(replicator, row)
 
         report.records_moved = work.records_moved
-        report.bytes_scanned = work.total_scanned_bytes
-        report.bytes_shipped = work.total_shipped_bytes
-        report.bytes_loaded = work.total_loaded_bytes
+        report.bytes_scanned = work.scanned_bytes
+        report.bytes_shipped = work.shipped_bytes
+        report.bytes_loaded = work.loaded_bytes
         report.concurrent_writes_applied = replicator.stats.concurrent_writes
         report.replicated_log_records = replicator.stats.replicated_records
 
-        if phase_priced:
-            closing = self._phase_node_seconds(work, replicator, partition_nodes)
-        else:
-            # Trailing window: the CPU/network of applying the concurrent
-            # writes (they contend with the movement on the same nodes).
-            closing = {}
-            if replicator.stats.concurrent_writes:
-                involved = sorted(
-                    {
-                        partition_nodes[m.source_partition]
-                        for m in moves
-                        if m.source_partition is not None
-                    }
-                    | {partition_nodes[m.destination_partition] for m in moves}
-                ) or sorted(set(partition_nodes.values()))
-                parse_seconds = cost.parse_time(replicator.stats.concurrent_writes)
-                for node in involved:
-                    closing[node] = closing.get(node, 0.0) + parse_seconds / max(1, len(involved))
-                # Replication traffic shares the destination links.
-                replication_network = cost.network_time(replicator.stats.replicated_bytes)
-                received_nodes = sorted(work.received_bytes_by_node)
-                for node in received_nodes:
-                    closing[node] = closing.get(node, 0.0) + replication_network / max(
-                        1, len(received_nodes)
-                    )
-        # Either pricing closes the phase with one round trip to every node.
+        # Trailing window: the CPU/network of applying the concurrent writes
+        # (they contend with the movement on the same nodes).
+        closing: Dict[str, float] = {}
+        if replicator.stats.concurrent_writes:
+            involved = sorted(
+                {
+                    partition_nodes[m.source_partition]
+                    for m in moves
+                    if m.source_partition is not None
+                }
+                | {partition_nodes[m.destination_partition] for m in moves}
+            ) or sorted(set(partition_nodes.values()))
+            parse_seconds = cost.parse_time(replicator.stats.concurrent_writes)
+            for node in involved:
+                closing[node] = closing.get(node, 0.0) + parse_seconds / max(1, len(involved))
+            # Replication traffic shares the destination links.
+            replication_network = cost.network_time(replicator.stats.replicated_bytes)
+            received_nodes = sorted(work.received_bytes_by_node)
+            for node in received_nodes:
+                closing[node] = closing.get(node, 0.0) + replication_network / max(
+                    1, len(received_nodes)
+                )
+        # The phase closes with one round trip to every node.
         closing_seconds = charged(closing) + cost.rpc_time(self.cluster.num_nodes)
         report.per_node_seconds = dict(per_node_totals)
-        if not phase_priced:
-            yield SimSegment("concurrent_writes", closing_seconds)
+        yield SimSegment("concurrent_writes", closing_seconds)
         return move_seconds + closing_seconds
 
     def _concurrent_write(self, replicator: LogReplicator, row: Mapping[str, Any]) -> None:
@@ -460,44 +435,6 @@ class RebalanceOperation:
             records=1,
             concurrent=True,
         )
-
-    def _phase_node_seconds(
-        self, work: MovementWork, replicator: LogReplicator, partition_nodes: Mapping[int, str]
-    ) -> Dict[str, float]:
-        """Per-phase pricing: every node's total work for the whole movement.
-
-        Source scan + outbound network, destination load + inbound network,
-        all partitions of a node working in parallel but sharing its network
-        link; plus the cost of applying concurrent writes (they contend with
-        the movement on the same nodes).
-        """
-        cost = self.cluster.cost
-        per_node: Dict[str, float] = {}
-
-        def add(node: str, seconds: float) -> None:
-            per_node[node] = per_node.get(node, 0.0) + seconds
-
-        for pid, num_bytes in work.scanned_bytes_by_partition.items():
-            add(partition_nodes[pid], cost.disk_read_time(num_bytes))
-        for pid, num_bytes in work.loaded_bytes_by_partition.items():
-            add(partition_nodes[pid], cost.disk_write_time(num_bytes))
-        for node, num_bytes in work.shipped_bytes_by_node.items():
-            add(node, cost.network_time(num_bytes))
-        for node, num_bytes in work.received_bytes_by_node.items():
-            add(node, cost.network_time(num_bytes))
-        # CPU of repartitioning and of rebuilding secondary index entries.
-        for pid, num_bytes in work.loaded_bytes_by_partition.items():
-            add(partition_nodes[pid], cost.compare_time(work.records_moved))
-
-        if replicator.stats.concurrent_writes:
-            parse_seconds = cost.parse_time(replicator.stats.concurrent_writes)
-            replication_network = cost.network_time(replicator.stats.replicated_bytes)
-            for node in per_node:
-                add(node, parse_seconds / max(1, len(per_node)))
-            # Replication traffic shares the destination links.
-            for node, num_bytes in work.received_bytes_by_node.items():
-                add(node, replication_network / max(1, len(work.received_bytes_by_node)))
-        return per_node
 
     def _bucket_node_seconds(
         self, move: BucketMove, moved: MovedBucket, partition_nodes: Mapping[int, str]

@@ -83,10 +83,9 @@ class RebalancingStrategy:
         This is :meth:`rebalance_cluster_steps` drained in place — override
         that generator, not this method.
         """
-        steps = self.rebalance_cluster_steps(
-            cluster, target_nodes, concurrent_rows, fault_injector, _phase_priced=True
+        return drain(
+            self.rebalance_cluster_steps(cluster, target_nodes, concurrent_rows, fault_injector)
         )
-        return drain(steps)
 
     def rebalance_cluster_steps(
         self,
@@ -94,8 +93,6 @@ class RebalancingStrategy:
         target_nodes: int,
         concurrent_rows: Optional[Mapping[str, Sequence[Mapping[str, Any]]]] = None,
         fault_injector: Optional[FaultInjector] = None,
-        *,
-        _phase_priced: bool = False,
     ) -> "Generator[SimSegment, None, ClusterRebalanceReport]":
         """Resize the cluster to ``target_nodes`` as a protocol generator.
 
@@ -103,8 +100,7 @@ class RebalancingStrategy:
         calls it both under an event scheduler and, drained, for
         run-to-completion resizes.  The base implementation runs
         :meth:`~repro.rebalance.operation.RebalanceOperation.run_steps` per
-        dataset.  Overrides must accept the private ``_phase_priced`` keyword
-        and hand it on to whatever they delegate to.
+        dataset.
         """
         old_nodes = cluster.num_nodes
         if target_nodes == old_nodes and not cluster.dataset_names():
@@ -130,7 +126,7 @@ class RebalancingStrategy:
                 plan=self.plan_for(cluster, dataset_name, target_partitions),
                 fault_injector=fault_injector or FaultInjector(),
             )
-            report = yield from operation.run_steps(concurrent=load, _phase_priced=_phase_priced)
+            report = yield from operation.run_steps(concurrent=load)
             dataset_reports.append(report)
             all_committed = all_committed and report.committed
         if target_nodes < old_nodes and all_committed:
@@ -261,14 +257,12 @@ class GlobalHashingStrategy(RebalancingStrategy):
         target_nodes: int,
         concurrent_rows: Optional[Mapping[str, Sequence[Mapping[str, Any]]]] = None,
         fault_injector: Optional[FaultInjector] = None,
-        *,
-        _phase_priced: bool = False,
     ) -> "Generator[SimSegment, None, ClusterRebalanceReport]":
         """Rebuild every dataset offline, then yield the one window it took.
 
         The baseline recreates every dataset in one shot — there is no
-        bucket-by-bucket protocol to slice (or for ``_phase_priced`` to
-        price), so consumers get a single ``offline_rebuild`` segment.
+        bucket-by-bucket protocol to slice, so consumers get a single
+        ``offline_rebuild`` segment.
         """
         if fault_injector is not None and fault_injector:
             raise ConfigError(

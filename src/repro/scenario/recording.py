@@ -36,7 +36,9 @@ __all__ = [
     "write_recording",
 ]
 
-RECORDING_VERSION = 1
+#: Version 2: every rebalance is priced per bucket and the spec header no
+#: longer carries ``concurrency``, so a version-1 recording cannot replay.
+RECORDING_VERSION = 2
 
 
 def recording_payload(result: ScenarioResult) -> Dict[str, Any]:
@@ -55,8 +57,7 @@ def recording_payload(result: ScenarioResult) -> Dict[str, Any]:
         "describe": result.describe,
         "snapshot": json.loads(result.snapshot.to_json()),
     }
-    # Traced runs embed the span/series payload; its absence keeps older
-    # readers (and untraced recordings) working, so the version stays 1.
+    # Traced runs embed the span/series payload; untraced recordings omit it.
     if result.trace is not None:
         payload["trace"] = result.trace
     # Rebalance totals (count / seconds / records / bytes / buckets) feed the

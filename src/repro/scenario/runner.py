@@ -87,8 +87,6 @@ class ScenarioResult:
     recovery_seconds: Optional[float] = None
     #: sha256 fingerprint of every dataset's final contents (rows sorted by
     #: key, read through the raw partition scan so no metric events fire).
-    #: Engine-independent by construction — the differential harness pins
-    #: legacy == interleaved on these.
     dataset_fingerprints: Dict[str, str] = field(default_factory=dict)
 
     @property
@@ -199,27 +197,22 @@ def run_scenario(
     spec: ScenarioSpec,
     seed: Optional[int] = None,
     strategy: Optional[str] = None,
-    concurrency: Optional[str] = None,
 ) -> ScenarioResult:
     """Execute ``spec`` and return its :class:`ScenarioResult`.
 
-    ``seed`` / ``strategy`` / ``concurrency`` override the spec (the CLI's
-    ``--seed`` / ``--strategy`` / ``--concurrency``).  Checks are
-    *evaluated*, not raised — the caller decides what a failing check means
-    (the CLI exits non-zero).
+    ``seed`` / ``strategy`` override the spec (the CLI's ``--seed`` /
+    ``--strategy``).  Checks are *evaluated*, not raised — the caller decides
+    what a failing check means (the CLI exits non-zero).
 
-    With ``concurrency = "interleaved"`` (spec header or override) the
-    workload driver is handed a :class:`repro.sim.EventScheduler` sharing the
-    session's metrics clock, so phase-scheduled rebalances migrate bucket by
-    bucket with foreground traffic paced inside the movement windows.  The
-    legacy mode runs bit-identically to pre-scheduler recordings.
+    Phase-scheduled rebalances run on the workload driver's event scheduler,
+    migrating bucket by bucket with foreground traffic paced inside the
+    movement windows.
     """
     from ..api import Database, FaultInjected, WorkloadDriver, load_tpch
     from ..api import SecondaryIndexSpec as APISecondaryIndexSpec
-    from ..sim import EventScheduler
     from ..tpch import DEFAULT_TABLES, REAL_PLANS
 
-    spec = spec.with_overrides(seed=seed, strategy=strategy, concurrency=concurrency)
+    spec = spec.with_overrides(seed=seed, strategy=strategy)
     config = spec.cluster.build_config()
     result = ScenarioResult(spec=spec, seed=config.seed)
 
@@ -265,11 +258,7 @@ def run_scenario(
         trace_session = None
         if spec.trace is not None and spec.trace.enabled:
             trace_session = db.start_trace(
-                sample_interval_seconds=spec.trace.sample_interval_seconds,
-                # The interleaved engine advances the clock mid-rebalance, so
-                # the rebalance subtree must be laid out on real clock
-                # readings for move/op overlap to show up in the trace.
-                clock_anchored_rebalance=spec.concurrency == "interleaved",
+                sample_interval_seconds=spec.trace.sample_interval_seconds
             )
 
         pilot = None
@@ -309,12 +298,7 @@ def run_scenario(
             )
 
         if spec.workload is not None:
-            scheduler = (
-                EventScheduler(db.metrics.clock)
-                if spec.concurrency == "interleaved"
-                else None
-            )
-            driver = WorkloadDriver(db, spec.workload.build_spec(), scheduler=scheduler)
+            driver = WorkloadDriver(db, spec.workload.build_spec())
             try:
                 report = driver.run()
             except ConfigError as exc:

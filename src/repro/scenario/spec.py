@@ -996,9 +996,6 @@ class ChecksSection(_Section):
 #: The table of a document that carries the ``header`` keys.
 _HEADER = "scenario"
 
-#: Execution engines a scenario may select with ``scenario.concurrency``.
-CONCURRENCY_MODES = ("legacy", "interleaved")
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -1006,17 +1003,6 @@ class ScenarioSpec:
 
     name: str = _key(_scalar(str, nonempty=True), header=True)
     description: str = _key(_STR, "", header=True)
-    #: Which execution engine runs the scenario: ``"legacy"`` (run to
-    #: completion, bit-identical to pre-scheduler recordings) or
-    #: ``"interleaved"`` (the :mod:`repro.sim` event scheduler — rebalance
-    #: phases migrate bucket by bucket with foreground traffic paced inside
-    #: the movement windows).  Embedded in recordings, so ``replay`` always
-    #: re-runs the engine the recording was made with.
-    concurrency: str = _key(
-        _choice("unknown mode {value!r}; choose one of {choices}", lambda: CONCURRENCY_MODES),
-        "legacy",
-        header=True,
-    )
     cluster: ClusterSection = _key(_nested(ClusterSection), factory=ClusterSection, always=True)
     datasets: Tuple[DatasetSection, ...] = _key(_array(DatasetSection), ())
     tpch: Optional[TPCHSection] = _key(_nested(TPCHSection), None)
@@ -1182,16 +1168,12 @@ class ScenarioSpec:
         self,
         seed: Optional[int] = None,
         strategy: Optional[str] = None,
-        concurrency: Optional[str] = None,
     ) -> "ScenarioSpec":
-        """A copy with the seed, strategy, and/or concurrency mode replaced
-        (CLI ``--seed`` / ``--strategy`` / ``--concurrency``).  A strategy
-        override drops the spec's ``strategy_options`` — they are specific to
-        the strategy they were written for."""
+        """A copy with the seed and/or strategy replaced (CLI ``--seed`` /
+        ``--strategy``).  A strategy override drops the spec's
+        ``strategy_options`` — they are specific to the strategy they were
+        written for."""
         spec = self
-        if concurrency is not None:
-            _keys(ScenarioSpec)["concurrency"].kind.parse(concurrency, "scenario.concurrency")
-            spec = replace(spec, concurrency=concurrency)
         if seed is not None:
             spec = replace(spec, cluster=replace(spec.cluster, seed=seed))
         if strategy is not None and strategy != spec.cluster.strategy:

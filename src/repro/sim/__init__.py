@@ -7,9 +7,8 @@ by callbacks.  The scheduler here makes overlap real: actors are plain
 Python generators that ``yield`` simulated durations, and the scheduler
 interleaves them on one shared clock in strict ``(timestamp, seq)`` order.
 
-See ``docs/CONCURRENCY.md`` for the actor model, the yield protocol, the
-determinism-by-stream-partitioning contract, and the legacy-vs-interleaved
-mode matrix.
+See ``docs/CONCURRENCY.md`` for the actor model, the yield protocol, and
+the determinism-by-stream-partitioning contract.
 """
 
 from .scheduler import (

@@ -38,8 +38,8 @@ An actor may yield:
 
 The generator's ``return`` value becomes ``actor.result``.  An exception
 raised by an actor propagates out of :meth:`EventScheduler.run` immediately
-(mirroring the run-to-completion engine, where the first failure aborts the
-run); the scheduler must not be reused after that.
+(mirroring :func:`drain`, where the first failure aborts the run); the
+scheduler must not be reused after that.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ class SimSegment:
     ``"concurrent_writes"``, ``"finalization"``, ...); ``remaining`` counts
     how many more segments of the same kind the generator will yield, which
     lets a composing actor pace its own work across the window (the
-    interleaved workload driver spreads foreground ops evenly over the
-    ``remaining`` bucket moves).
+    workload driver spreads foreground ops evenly over the ``remaining``
+    bucket moves).
     """
 
     kind: str

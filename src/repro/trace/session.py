@@ -30,10 +30,9 @@ class TraceSession:
         self,
         db: "Database",
         sample_interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
-        clock_anchored_rebalance: bool = False,
     ) -> None:
         self.db = db
-        self.tracer = Tracer(db, clock_anchored_rebalance=clock_anchored_rebalance)
+        self.tracer = Tracer(db)
         self.recorder = TimelineRecorder(db, interval_seconds=sample_interval_seconds)
         self._finished = False
 

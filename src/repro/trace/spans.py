@@ -17,34 +17,27 @@ sample the run recorded.  The tree nests the way the run nests:
   evaluation/decision appears as a zero-duration mark carrying the policy
   verdict.
 
-Because the simulator is run-to-completion (the clock only advances when the
-cost model charges time), span timing is *reconstructed from event payloads*
-rather than measured around callbacks: an op span ends at the clock reading
-its event was observed at and starts one latency earlier; a rebalance phase
-span's duration is the ``seconds`` its ``rebalance.phase`` event reports,
-laid out sequentially from the dataset span's start; bucket moves are laid
-out inside the data-movement phase proportional to their payload bytes.
-Everything is derived from deterministic values, so the span list is
-bit-identical across runs and hash seeds.
+The clock only advances when the cost model charges time, so span timing is
+*reconstructed from event payloads and clock readings* rather than measured
+around callbacks: an op span ends at the clock reading its event was
+observed at and starts one latency earlier.
 
-Under the interleaved engine (``concurrency = "interleaved"``, see
-:mod:`repro.sim` and ``docs/CONCURRENCY.md``) that reconstruction is wrong:
-the clock genuinely advances *during* the data-movement phase — concurrent
-writes and foreground driver ops charge latency between bucket moves — so
-laying phases out from protocol seconds would place move spans far before
-the op spans they actually overlapped.  ``clock_anchored_rebalance=True``
-switches the rebalance subtree to *clock-anchored* layout: a phase span
-whose ``rebalance.phase`` event arrives after the clock moved past the
-cursor spans the real window instead of the nominal seconds, each buffered
-bucket move is anchored at the clock reading its ``rebalance.bucket_move``
-event fired and extends to the next move's anchor (the last one to the end
-of the phase), and the enclosing ``rebalance`` span closes at the real
-clock rather than the report's summed protocol seconds.  Phases during
-which the clock did not move (initialization, finalization, and every
-phase of a coarse run-to-completion fallback) keep the legacy layout, so
-anchored traces degrade gracefully to the protocol picture wherever no
-interleaving happened.  The layout is still deterministic — it is derived
-from the same deterministic clock readings the metrics registry records.
+The rebalance subtree has one layout rule.  Phase spans are laid out
+sequentially from the dataset span's start.  A phase whose
+``rebalance.phase`` event arrives after the clock moved past that cursor —
+foreground ops and concurrent writes charged latency while the phase ran on
+the :mod:`repro.sim` event scheduler (see ``docs/CONCURRENCY.md``) — spans
+the real clock window; a phase the clock did not move through (a drained
+resize, initialization, finalization) spans the nominal ``seconds`` its
+event reports.  Inside a real window each bucket move is anchored at the
+clock reading its ``rebalance.bucket_move`` event fired and extends to the
+next move's anchor (the last one to the end of the phase), so a move span
+overlaps the op spans that ran beside it; inside a nominal window the moves
+share the phase proportionally to their payload bytes.  The root
+``rebalance`` span closes by the same rule: at the real clock when it moved
+past the span's start, after the report's summed protocol seconds
+otherwise.  Everything is derived from deterministic values, so the span
+list is bit-identical across runs and hash seeds.
 """
 
 from __future__ import annotations
@@ -140,9 +133,8 @@ class _OpRun:
 class Tracer:
     """Builds the span tree of one session by listening to its event bus."""
 
-    def __init__(self, db: "Database", *, clock_anchored_rebalance: bool = False) -> None:
+    def __init__(self, db: "Database") -> None:
         self.db = db
-        self.clock_anchored_rebalance = clock_anchored_rebalance
         self.spans: List[Span] = []
         self._stack: List[Span] = []
         self._subscriptions: List[Subscription] = []
@@ -384,12 +376,9 @@ class Tracer:
     def _on_bucket_move(self, event: Event) -> None:
         state = self._datasets.get(event["dataset"])
         if state is not None:
-            move = dict(event.payload)
-            if self.clock_anchored_rebalance:
-                # Anchor for clock-anchored layout; stripped before the move
-                # span's attributes are built.
-                move["_at"] = self._now()
-            state.pending_moves.append(move)
+            # The clock reading anchors the move when its phase spans a real
+            # window; it never reaches the move span's attributes.
+            state.pending_moves.append({**event.payload, "_at": self._now()})
 
     def _on_rebalance_phase(self, event: Event) -> None:
         self._flush_run()
@@ -399,10 +388,10 @@ class Tracer:
         seconds = float(event["seconds"])
         phase = event["phase"]
         now = self._now()
-        # Clock-anchored: the phase event arriving after the clock moved past
-        # the cursor means other work interleaved into this phase — span the
-        # real window.  A phase the clock slept through keeps nominal seconds.
-        anchored = self.clock_anchored_rebalance and now > state.cursor
+        # The phase event arriving after the clock moved past the cursor means
+        # other work interleaved into this phase — span the real window.  A
+        # phase the clock slept through keeps its nominal seconds.
+        anchored = now > state.cursor
         duration = now - state.cursor if anchored else seconds
         span = self._leaf(
             f"phase/{phase}",
@@ -418,24 +407,19 @@ class Tracer:
         state.cursor += duration
 
     def _layout_moves(
-        self, moves: List[Dict[str, Any]], phase_span: Span, *, anchored: bool = False
+        self, moves: List[Dict[str, Any]], phase_span: Span, *, anchored: bool
     ) -> None:
         """Lay buffered bucket moves across the data-movement phase span.
 
-        Legacy layout: move events carry no timing of their own (the whole
-        phase is charged as one block of simulated work), so each move gets a
-        slice of the phase proportional to its payload bytes — a faithful
-        picture of where the phase's time went, and deterministic because the
-        move order and byte counts are.
-
-        Clock-anchored layout (``anchored=True`` and every buffered move has
-        an ``_at`` clock stamp): each move span starts at the clock reading
-        its ``rebalance.bucket_move`` event fired and runs to the next move's
-        anchor — the last to the end of the phase — so a move's span covers
-        the concurrent writes and foreground ops that genuinely interleaved
-        with it.
+        In a real window (``anchored``) each move span starts at the clock
+        reading its ``rebalance.bucket_move`` event fired and runs to the next
+        move's anchor — the last to the end of the phase — so a move's span
+        covers the concurrent writes and foreground ops that genuinely
+        interleaved with it.  In a nominal window the clock did not move, so
+        each move gets a slice of the phase proportional to its payload bytes
+        — a faithful picture of where the phase's time went, and
+        deterministic because the move order and byte counts are.
         """
-        anchored = anchored and all("_at" in move for move in moves)
         weights = [max(0, int(move.get("payload_bytes", 0))) for move in moves]
         total = sum(weights)
         if total <= 0:
@@ -520,11 +504,13 @@ class Tracer:
         bytes_shipped = getattr(report, "bytes_shipped", None)
         if bytes_shipped is not None:
             span.attributes["bytes_shipped"] = int(bytes_shipped)
-        if self.clock_anchored_rebalance or seconds is None:
-            # Interleaved runs advance the clock past the protocol's summed
-            # segment seconds; closing at the report total would end the
-            # parent before its clock-anchored children.
-            duration = self._now() - span.start
+        # The phase rule.  A scheduled resize can run the clock past the
+        # report's summed seconds, and its anchored children must fit; a
+        # drained one seen before the metrics registry charged it has not
+        # moved the clock yet and takes the report's seconds.
+        now = self._now()
+        if now > span.start or seconds is None:
+            duration = now - span.start
         else:
             duration = float(seconds)
         self._close(span, duration)

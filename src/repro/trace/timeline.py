@@ -14,7 +14,7 @@ pay a single ``is not None`` probe when tracing is off, the same bargain as
 its key's *current* bucket, so heat follows the directory across splits and
 moves.  The cumulative counters surface on
 :class:`~repro.control.observation.ClusterObservation` for autopilot
-policies (ROADMAP item 2).
+policies.
 """
 
 from __future__ import annotations

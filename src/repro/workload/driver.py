@@ -32,21 +32,13 @@ resize, respecting the paper's Section V-A concurrency control:
   still serve every moved bucket until the commit point, exactly as the
   protocol promises.
 
-One runner (:meth:`WorkloadDriver._run_rebalance_phase`) serves both engines:
-it consumes the protocol segment by segment through
-:meth:`Database.rebalance_steps` and after each segment runs the slice of the
-drawn reads/scans that kind of window is granted as one chunk through
-:meth:`WorkloadDriver._execute_chunk`, like steady traffic.  Without a scheduler the
-generator is drained inline — the clock does not move between segments, and
-the reads land half after initialization and the rest after data movement.
-Handed an :class:`~repro.sim.EventScheduler` (``scheduler=``, what
-``concurrency = "interleaved"`` in a scenario spec selects), the same
-generator is spawned as an actor and every bucket move yields the clock back
-to the driver, which paces the reads evenly across the move windows.  Both
-engines draw the phase plan from the same RNG in the same order (see
-:meth:`WorkloadDriver._draw_rebalance_plan`), so interleaving changes *when*
-ops execute but never *which* ops — final dataset contents and per-verb counts
-are engine-independent, which the differential test harness pins.
+:meth:`WorkloadDriver._run_rebalance_phase` draws the phase plan up front
+(:meth:`WorkloadDriver._draw_rebalance_plan`), then spawns
+:meth:`Database.rebalance_steps` as an actor on an
+:class:`~repro.sim.EventScheduler` sharing the metrics clock.  Every bucket
+move yields the clock back to the driver, which paces the drawn reads/scans
+evenly across the move windows, running each window's slice as one chunk
+through :meth:`WorkloadDriver._execute_chunk`, like steady traffic.
 
 Autopilot
 ---------
@@ -67,7 +59,7 @@ from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING, Union
 
 from ..metrics import MetricsSnapshot, PHASE_REBALANCE, PHASE_STEADY
-from ..sim import drain
+from ..sim import EventScheduler
 from .keygen import (
     DISTRIBUTIONS,
     KeyGenerator,
@@ -82,7 +74,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.dataset import Dataset
     from ..cluster.reports import ClusterRebalanceReport
     from ..control.autopilot import AutopilotDecision
-    from ..sim import EventScheduler
 
 #: Ops a traffic phase draws and executes per chunk.  The chunk boundary is
 #: where a ``max_seconds`` budget is checked and the op-stream position an
@@ -227,17 +218,15 @@ class WorkloadDriver:
         if spec is not None and spec_overrides:
             raise ValueError("pass either a WorkloadSpec or keyword overrides, not both")
         self.db = db
-        #: When set, rebalance phases run interleaved on this event scheduler
-        #: (the ``concurrency = "interleaved"`` engine); None drains the same
-        #: protocol generator inline — the legacy run-to-completion schedule,
-        #: bit-identical to pre-scheduler recordings.
-        self.scheduler = scheduler
         self.spec = spec or WorkloadSpec(**spec_overrides)
         #: Every stochastic choice (op draws, key draws, batch jitter) comes
         #: from this one RNG, seeded from the cluster config by default.
         self.seed = db.config.seed if seed is None else seed
         self.rng = random.Random(self.seed)
         self.metrics = db.metrics
+        #: Rebalance phases run on this scheduler, by default one on the
+        #: metrics clock so bucket moves and foreground ops share a timeline.
+        self.scheduler = EventScheduler(self.metrics.clock) if scheduler is None else scheduler
         self._mix = make_mix(self.spec.mix)
         self._keys = self._make_key_generator(self.spec.keys)
         #: The next primary key an insert op will allocate; keys below this
@@ -527,12 +516,8 @@ class WorkloadDriver:
         carries upserting log records only (Section V-A).  Draws target the
         keyspace durable at phase start — keys allocated to this phase's
         concurrent inserts are only applied mid-movement, so reads probing
-        them would mostly miss.
-
-        Both engines call this with the driver RNG at the same position and
-        consume it in the same order, so the legacy and interleaved paths see
-        bit-identical write rows and foreground ops — the invariant the
-        differential harness pins.
+        them would mostly miss.  The whole plan is drawn before the protocol
+        starts, so scheduling changes *when* ops execute, never *which*.
         """
         write_rows: List[Dict[str, Any]] = []
         foreground: List[Tuple[str, Any]] = []
@@ -550,17 +535,15 @@ class WorkloadDriver:
 
         Every window granted is genuinely mid-rebalance: the directory swap
         and bucket cleanup happen at commit, so the sources still serve
-        (finalization yields after the commit and gets nothing).  Interleaved
-        runs spread the ops evenly over the bucket moves; legacy runs see the
-        movement as one window, so half the ops run before it and half after.
+        (finalization yields after the commit and gets nothing).  The ops are
+        spread evenly over the bucket moves, and the trailing replication
+        window takes what is left.
         """
         kind = getattr(segment, "kind", None)
         if kind == "move":
             return -(-pending // (segment.remaining + 1))
-        if kind in ("concurrent_writes", "data_movement"):
+        if kind == "concurrent_writes":
             return pending
-        if kind == "initialization" and self.scheduler is None:
-            return (pending + 1) // 2
         return 0
 
     def _run_rebalance_phase(
@@ -593,22 +576,17 @@ class WorkloadDriver:
                 **dict(phase.rebalance),
                 concurrent_rows={self.spec.dataset: write_rows} if write_rows else None,
                 arm_chaos=False,
-                _phase_priced=self.scheduler is None,
             )
 
         def rebalance_actor() -> Any:
             for segment in protocol():
-                # Under a scheduler this charges the segment to the shared
-                # timeline and resumes at the end of the window; drained, it
-                # is a no-op.
+                # Charges the segment to the shared timeline and resumes at
+                # the end of the window.
                 yield segment
                 run_foreground(self._foreground_quota(segment, len(foreground) - cursor))
 
-        if self.scheduler is not None:
-            self.scheduler.spawn(f"rebalance:{phase.name}", rebalance_actor())
-            self.scheduler.run()
-        else:
-            drain(rebalance_actor())
+        self.scheduler.spawn(f"rebalance:{phase.name}", rebalance_actor())
+        self.scheduler.run()
         # Foreground ops the protocol produced no window for still execute,
         # tagged with the phase the registry is in by then.
         run_foreground(len(foreground) - cursor)

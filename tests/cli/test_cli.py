@@ -103,6 +103,24 @@ class TestRun:
         assert err.startswith(f"error: {path}: workload: phase 'steady': max_seconds cannot")
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
+    def test_spec_carrying_the_removed_engine_key_exits_two(self, tmp_path, capsys):
+        # Every rebalance runs on the event scheduler; there is no engine to pick.
+        path = tmp_path / "engine.toml"
+        path.write_text(
+            SPEC_TEXT.replace('name = "cli-smoke"', 'name = "cli-smoke"\nconcurrency = "legacy"')
+        )
+        assert main(["run", str(path), "-q"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: scenario: unknown key(s) ['concurrency']")
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    def test_removed_engine_flag_exits_two(self, spec_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["run", str(spec_path), "--concurrency", "interleaved"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --concurrency" in err and "Traceback" not in err
+
     def test_missing_spec_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.toml")]) == 2
         assert "not found" in capsys.readouterr().err
@@ -140,6 +158,24 @@ class TestRecordReplayInspect:
         assert main(["replay", str(recording)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: steps[0]: target_nodes") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["replay", "inspect"])
+    def test_version_1_recording_exits_two_naming_the_path(
+        self, spec_path, tmp_path, capsys, command
+    ):
+        # Version 1 predates per-bucket pricing everywhere and still carries
+        # the engine key: it can neither replay nor be trusted by inspect.
+        recording = tmp_path / "v1.json"
+        main(["run", str(spec_path), "-q", "--record", str(recording)])
+        document = json.loads(recording.read_text())
+        document["version"] = 1
+        document["scenario"]["scenario"]["concurrency"] = "legacy"
+        recording.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert main([command, str(recording)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {recording}: unsupported recording version 1")
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
     def test_inspect_prints_cluster_and_histograms(self, spec_path, tmp_path, capsys):
         recording = tmp_path / "run.json"

@@ -142,7 +142,7 @@ class TestMaintenance:
         # the maintain() that split under-reports — here it goes negative.
         # DataFeed.ingest prices every batch with exactly such a pair; the PR
         # that replaces the pairs with per-partition accumulators (ROADMAP
-        # item 1) makes this pass and deletes the marker.
+        # item 2(b)) makes this pass and deletes the marker.
         partition = make_partition(initial_depth=0, memory_bytes=4096, max_bucket_bytes=16384)
         for key in range(160):
             partition.insert(order_row(key))

@@ -1,10 +1,10 @@
 """The public generator contract of the rebalance protocol.
 
 ``RebalanceOperation.run_steps`` is the protocol's one implementation and
-``run`` is that generator drained, so the two entry points may differ only in
-how data movement is *priced*.  These tests pin that from the outside, on twin
-clusters: same events, same final state, same fault positions, and segment
-seconds that add up to the report.
+``run`` is that generator drained, with one pricing: every bucket move is its
+own priced segment, whoever consumes the generator.  These tests pin that from
+the outside, on twin clusters: same events, same final state, same reported
+seconds, same fault positions, and segment seconds that add up to the report.
 """
 
 import hashlib
@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.api import Database
+from repro.api import Database, WorkloadDriver, WorkloadSpec
 from repro.common.config import BucketingConfig, ClusterConfig, LSMConfig
 from repro.common.errors import FaultInjected
 from repro.cluster.controller import SimulatedCluster
@@ -25,6 +25,7 @@ from repro.rebalance.operation import (
 from repro.rebalance.recovery import RebalanceRecoveryManager
 from repro.rebalance.strategies import DynaHashStrategy, strategy_by_name
 from repro.sim import drain
+from repro.workload import Phase, Schedule
 
 STRATEGIES = ("dynahash", "statichash", "consistenthash")
 ROWS = 600
@@ -145,6 +146,7 @@ def test_run_and_drained_run_steps_are_the_same_protocol(strategy, direction, wi
                 fingerprint(cluster),
                 directory(cluster),
                 (report.buckets_moved, report.records_moved, report.bytes_shipped),
+                (report.simulated_seconds, report.phase_seconds),
             )
         )
     assert outcomes[0] == outcomes[1]
@@ -202,3 +204,54 @@ def test_strategy_generator_override_is_honoured_by_both_entry_points(entry_poin
         assert report.strategy == "Tagging(overridden)"
         assert report.committed and db.num_nodes == 2
         assert fingerprint(db.cluster) == before
+
+
+class TestOnePricing:
+    """A drained resize, a scheduled one and the yielded segments agree on time."""
+
+    def session(self):
+        """A fresh, identically loaded session and the driver that loaded it."""
+        db = Database(
+            ClusterConfig(num_nodes=3, partitions_per_node=2),
+            strategy=DynaHashStrategy(initial_buckets_per_partition=4),
+        )
+        spec = WorkloadSpec(
+            dataset="t",
+            initial_records=ROWS,
+            mix="C",  # reads only: the phase replicates no writes
+            schedule=Schedule((Phase(name="resize", ops=120, rebalance={"add": 1}),)),
+        )
+        driver = WorkloadDriver(db, spec)
+        driver.prepare()
+        return db, driver
+
+    @staticmethod
+    def timing(report):
+        (dataset,) = report.dataset_reports
+        return report.simulated_seconds, dataset.phase_seconds
+
+    def test_drained_scheduled_and_yielded_seconds_agree(self):
+        db, _ = self.session()
+        drained = db.rebalance(add=1)
+        db.close()
+        assert drained.committed and drained.total_records_moved > 0
+
+        db, driver = self.session()
+        phase = driver.run().phase("resize")
+        db.close()
+        assert phase.reads == phase.ops and phase.updates == 0
+        assert self.timing(phase.rebalance_report) == self.timing(drained)
+
+        db, _ = self.session()
+        steps = db.rebalance_steps(add=1)
+        segments = []
+        try:
+            while True:
+                segments.append(next(steps))
+        except StopIteration as done:
+            yielded = done.value
+        db.close()
+        assert self.timing(yielded) == self.timing(drained)
+        assert sum(segment.seconds for segment in segments) == pytest.approx(
+            drained.simulated_seconds, rel=1e-12
+        )

@@ -11,6 +11,7 @@ import pytest
 
 from repro.report import run_sweep, sweep_manifest_json
 from repro.report.executor import MANIFEST_NAME
+from repro.scenario.recording import RECORDING_VERSION
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +67,7 @@ class TestManifest:
         _, manifest, _ = parallel
         for cell in manifest["cells"]:
             document = json.loads((sweep_dir / cell["recording"]).read_text())
-            assert document["version"] == 1
+            assert document["version"] == RECORDING_VERSION
             assert document["trace"]["series"]
             assert document["rebalances"]["count"] == 1
 

@@ -14,6 +14,7 @@ from repro.scenario import (
     spec_from_recording,
     write_recording,
 )
+from repro.scenario.recording import RECORDING_VERSION
 from repro.scenario.spec import ScenarioSpecError
 
 SPEC_TEXT = """
@@ -49,7 +50,7 @@ class TestRecording:
         result, _ = recorded
         payload = recording_payload(result)
         text = json.dumps(payload)  # must not raise
-        assert json.loads(text)["version"] == 1
+        assert json.loads(text)["version"] == RECORDING_VERSION
         assert payload["seed"] == result.seed
 
     def test_written_recording_loads_and_restores_both_halves(self, recorded):

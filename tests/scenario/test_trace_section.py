@@ -15,6 +15,7 @@ from repro.scenario import (
     spec_from_recording,
     write_recording,
 )
+from repro.scenario.recording import RECORDING_VERSION
 
 TRACED_SPEC = """\
 [scenario]
@@ -88,9 +89,9 @@ class TestRecordingEmbed:
         assert result.trace["seed"] == 13
         assert result.trace["interval_seconds"] == 0.5
 
-    def test_payload_embeds_trace_at_version_1(self, result):
+    def test_payload_embeds_trace_at_recording_version(self, result):
         payload = recording_payload(result)
-        assert payload["version"] == 1
+        assert payload["version"] == RECORDING_VERSION
         assert payload["trace"] == result.trace
 
     def test_untraced_recording_has_no_trace_key(self):

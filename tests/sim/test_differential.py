@@ -1,23 +1,26 @@
-"""Differential harness: legacy vs interleaved over every committed scenario.
+"""What every committed scenario computes, and what a phase rebalance shows.
 
-The two execution engines walk completely different control flow — the
-legacy engine runs each rebalance to completion inside the driver's phase
-loop, the interleaved engine slices it bucket-by-bucket on the
-:mod:`repro.sim` event scheduler — but they execute the *same protocol*
-against the *same RNG draws*.  For every spec under ``examples/scenarios/``
-(at smoke scale) this pins the invariants that must survive the engine
-swap:
+For every spec under ``examples/scenarios/`` (at smoke scale) the outcome is
+pinned against ``scenario_outcomes_golden.json``:
 
-* identical final dataset contents (row-level sha256 fingerprints),
-* identical per-verb op and record counters (including the
-  steady/rebalance phase splits),
-* identical chaos schedules (clock positions excluded: *when* a window is
-  announced shifts with the engine, *what* is injected may not),
+* the final dataset contents (row-level sha256 fingerprints),
+* the per-verb op and record counters (including the steady/rebalance
+  phase splits) and the ingest/dataset counters,
+* the chaos schedule (clock positions excluded: *when* a window is
+  announced moves with the rebalance pricing, *what* is injected may not).
 
-plus the paper's Figure 7c shape on the interleaved side: foreground write
-p99 during a rebalance is no better than steady-state write p99.
+The golden was first written by the run-to-completion engine that per-bucket
+scheduling replaced, so these pin that the replacement changed only time.
+
+A rebalance inside a workload phase runs on the event scheduler: its bucket
+moves and the phase's foreground traffic share one clock, so the paper's
+Figure 7c shape holds — foreground write p99 during a rebalance is no better
+than steady-state write p99 — and a traced run shows a move span overlapping
+an op span.
 """
 
+import functools
+import importlib.util
 import json
 from pathlib import Path
 
@@ -26,65 +29,48 @@ import pytest
 from repro.metrics.histogram import LatencyHistogram
 from repro.scenario import load_scenario, run_scenario
 
-SCENARIO_DIR = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
+ROOT = Path(__file__).resolve().parents[2]
+SCENARIO_DIR = ROOT / "examples" / "scenarios"
 SPEC_PATHS = sorted(SCENARIO_DIR.glob("*.toml"))
-
-#: Counter prefixes that must be engine-independent.  Deliberately excludes
-#: ``rebalance.phase.*`` bookkeeping (the interleaved engine may observe a
-#: different number of in-flight phase transitions under chaos) and every
-#: clock-derived quantity.
-PINNED_COUNTER_PREFIXES = ("ops.", "records.", "ingest.", "datasets.")
+OUTCOMES_GOLDEN = ROOT / "tests" / "integration" / "fixtures" / "scenario_outcomes_golden.json"
 
 
-def _run_both(path):
-    spec = load_scenario(path).scaled_down()
-    legacy = run_scenario(spec)
-    interleaved = run_scenario(spec, concurrency="interleaved")
-    return legacy, interleaved
+def _regen_module():
+    spec = importlib.util.spec_from_file_location(
+        "regen_goldens", ROOT / "scripts" / "regen_goldens.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def _pinned_counters(snapshot):
-    return {
-        key: value
-        for key, value in snapshot.counters.items()
-        if key.startswith(PINNED_COUNTER_PREFIXES)
-    }
+@functools.lru_cache(maxsize=None)
+def _outcome(path):
+    return _regen_module().scenario_outcome(path)
 
 
-def _canonical_chaos(events):
-    """Chaos events as a canonical multiset, clock positions stripped.
-
-    ``at`` is the runner's observation clock (engine-dependent); the
-    payload — what was injected, where, with which declared window — is
-    the schedule the engines must share.
-    """
-    canonical = [
-        json.dumps({k: v for k, v in event.items() if k != "at"}, sort_keys=True, default=str)
-        for event in events
-    ]
-    return sorted(canonical)
+def _pinned(path):
+    golden = json.loads(OUTCOMES_GOLDEN.read_text())
+    assert path.stem in golden, f"{path.name} has no pinned outcome; rerun regen_goldens.py"
+    return golden[path.stem]
 
 
 @pytest.mark.parametrize("path", SPEC_PATHS, ids=lambda p: p.stem)
-class TestEngineEquivalence:
+class TestPinnedOutcomes:
     def test_final_dataset_contents_identical(self, path):
-        legacy, interleaved = _run_both(path)
-        assert legacy.dataset_fingerprints, "runner produced no fingerprints"
-        assert legacy.dataset_fingerprints == interleaved.dataset_fingerprints
+        outcome = _outcome(path)
+        assert outcome["fingerprints"], "runner produced no fingerprints"
+        assert outcome["fingerprints"] == _pinned(path)["fingerprints"]
 
     def test_per_verb_op_counts_identical(self, path):
-        legacy, interleaved = _run_both(path)
-        pinned = _pinned_counters(legacy.snapshot)
+        outcome = _outcome(path)
         # Pure rebalance benchmarks (e.g. elastic_scaling) run no ops at
-        # smoke scale; ingest/dataset counters still pin the engines.
-        assert pinned, "scenario recorded no pinned counters"
-        assert pinned == _pinned_counters(interleaved.snapshot)
+        # smoke scale; ingest/dataset counters still pin them.
+        assert outcome["counters"], "scenario recorded no pinned counters"
+        assert outcome["counters"] == _pinned(path)["counters"]
 
     def test_chaos_schedules_identical(self, path):
-        legacy, interleaved = _run_both(path)
-        assert _canonical_chaos(legacy.chaos_events) == _canonical_chaos(
-            interleaved.chaos_events
-        )
+        assert _outcome(path)["chaos"] == _pinned(path)["chaos"]
 
 
 # Scenarios whose smoke-scale run records foreground writes both during a
@@ -93,9 +79,9 @@ FIG7C_SCENARIOS = ["chaos_storm", "traffic_storm"]
 
 
 @pytest.mark.parametrize("name", FIG7C_SCENARIOS)
-def test_interleaved_write_p99_during_rebalance_at_least_steady(name):
+def test_write_p99_during_rebalance_at_least_steady(name):
     spec = load_scenario(SCENARIO_DIR / f"{name}.toml").scaled_down()
-    result = run_scenario(spec, concurrency="interleaved")
+    result = run_scenario(spec)
     histograms = result.snapshot.histograms
     assert "update[rebalance]" in histograms, "no writes landed during a rebalance"
     rebalance = LatencyHistogram.from_snapshot(histograms["update[rebalance]"])
@@ -104,17 +90,16 @@ def test_interleaved_write_p99_during_rebalance_at_least_steady(name):
     assert rebalance.percentile(0.99) >= steady.percentile(0.99)
 
 
-def test_interleaved_rebalance_has_genuine_overlap():
-    """A traced interleaved run must show a move span overlapping an op span.
+def test_rebalance_has_genuine_overlap():
+    """A traced run must show a move span overlapping an op span.
 
-    This is the whole point of the engine: data movement and foreground
-    traffic sharing the clock.  The clock-anchored trace layout makes the
-    overlap observable (see ``Tracer``); legacy layout by construction
-    cannot produce one, so this doubles as a regression gate on the
-    anchored mode staying wired up in the runner.
+    This is the whole point of running the rebalance on the scheduler: data
+    movement and foreground traffic sharing the clock.  The tracer lays a
+    phase the clock moved through out on real clock readings (see
+    ``Tracer``), which makes the overlap observable.
     """
     spec = load_scenario(SCENARIO_DIR / "chaos_storm.toml")
-    result = run_scenario(spec, concurrency="interleaved")
+    result = run_scenario(spec)
     spans = result.trace["spans"]
     moves = [s for s in spans if s["name"].startswith("move/")]
     ops = [s for s in spans if s["cat"] == "ops"]

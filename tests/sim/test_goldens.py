@@ -1,10 +1,8 @@
-"""Committed interleaved recordings must replay zero-diff, forever.
+"""Committed scenario recordings must replay zero-diff, forever.
 
-The goldens under ``goldens/`` are full recordings (snapshot + clock-anchored
-trace + chaos log) of smoke-scale scenarios run on the interleaved engine —
-the discrete-event twin of the determinism contract the example-spec tests
-pin for the legacy engine.  They are regenerated only deliberately, via
-``python scripts/regen_goldens.py``.
+The goldens under ``goldens/`` are full recordings (snapshot + trace + chaos
+log) of smoke-scale committed scenarios.  They are regenerated only
+deliberately, via ``python scripts/regen_goldens.py``.
 """
 
 from pathlib import Path
@@ -16,6 +14,7 @@ from repro.scenario import (
     diff_snapshots,
     diff_traces,
     load_recording,
+    load_scenario,
     run_scenario,
     snapshot_from_recording,
     spec_from_recording,
@@ -23,24 +22,23 @@ from repro.scenario import (
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 GOLDEN_PATHS = sorted(GOLDEN_DIR.glob("*.json"))
+SCENARIO_DIR = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
 
 
-def test_the_interleaved_goldens_are_committed():
+def test_the_goldens_are_committed():
     names = {path.name for path in GOLDEN_PATHS}
-    assert {"chaos_storm.interleaved.json", "traced_rebalance.interleaved.json"} <= names
+    assert {"chaos_storm.json", "traced_rebalance.json"} <= names
 
 
 @pytest.mark.parametrize("path", GOLDEN_PATHS, ids=lambda p: p.stem)
-def test_golden_embeds_the_interleaved_engine(path):
+def test_golden_embeds_the_committed_scenario_at_smoke_scale(path):
     spec = spec_from_recording(load_recording(path))
-    assert spec.concurrency == "interleaved"
+    assert spec == load_scenario(SCENARIO_DIR / f"{path.stem}.toml").scaled_down()
 
 
 @pytest.mark.parametrize("path", GOLDEN_PATHS, ids=lambda p: p.stem)
 def test_golden_replays_zero_diff(path):
     document = load_recording(path)
-    # The embedded spec carries concurrency = "interleaved", so the replay
-    # selects the event-scheduler engine on its own.
     replayed = run_scenario(spec_from_recording(document), seed=document["seed"])
     assert diff_snapshots(snapshot_from_recording(document), replayed.snapshot) == []
     assert diff_traces(document.get("trace"), replayed.trace) == []
@@ -64,7 +62,7 @@ def test_golden_trace_contains_overlapping_move_and_op_spans():
     so foreground ops share the clock with bucket moves.  traced_rebalance
     resizes via post-workload steps — nothing to overlap with, by design.
     """
-    spans = load_recording(GOLDEN_DIR / "chaos_storm.interleaved.json")["trace"]["spans"]
+    spans = load_recording(GOLDEN_DIR / "chaos_storm.json")["trace"]["spans"]
     moves = [s for s in spans if s["name"].startswith("move/")]
     ops = [s for s in spans if s["cat"] == "ops"]
     assert any(

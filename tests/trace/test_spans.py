@@ -125,6 +125,21 @@ class TestRebalanceSpans:
         assert span.attributes["committed"] is True
         assert span.attributes["new_nodes"] == 4
 
+    def test_drained_resize_keeps_its_length_whatever_the_subscriber_order(self):
+        # Subscribed ahead of the metrics registry, the tracer sees
+        # rebalance.complete before the registry charges the resize to the
+        # clock; the root span still closes after the report's seconds.
+        db = Database(config())
+        db.metrics.detach()
+        trace = db.start_trace()
+        db.metrics.attach(db.events)
+        db.create_dataset("t", primary_key="k").insert(rows(600))
+        report = db.rebalance(add=1)
+        db.close()
+        (span,) = by_name(trace.spans, "rebalance")
+        assert report.simulated_seconds > 0
+        assert span.duration == pytest.approx(report.simulated_seconds)
+
     def test_phase_spans_tile_the_dataset_span(self, traced_rebalance):
         trace, _ = traced_rebalance
         (dataset_span,) = by_name(trace.spans, "rebalance/t")
