@@ -349,7 +349,7 @@ class Database:
         pilot = Autopilot(
             self, policy, policy_options=policy_options, **engine_options
         )
-        self._autopilot = pilot
+        self._autopilot = self._cluster.autopilot = pilot
         if start:
             pilot.start()
         return pilot

@@ -160,6 +160,12 @@ class SimulatedCluster:
         #: as :attr:`heat`: hot paths probe ``is not None`` once, so runs
         #: without chaos stay bit-identical to builds that predate it.
         self.chaos: Optional[Any] = None
+        #: The autopilot engine attached to the session over this cluster
+        #: (installed by :meth:`repro.api.Database.autopilot`).  While one is
+        #: attached a rebalance applies and reports its concurrent writes one
+        #: at a time, so the engine's every-N-ops check cadence lands where it
+        #: would on single-op traffic (the workload driver's rule for reads).
+        self.autopilot: Optional[Any] = None
         self.cost = CostModel(self.config.cost, workload_scale=workload_scale)
         self.cc = ClusterController()
         self.nodes: List[NodeController] = []

@@ -86,7 +86,7 @@ class DataFeed:
             nonlocal total_bytes
             for pid, routed_rows in grouped.items():
                 # The partition copies and sizes each row once, as it stores it.
-                landed_bytes = partitions[pid].insert_many(routed_rows)
+                landed_bytes = sum(partitions[pid].insert_many(routed_rows)[1])
                 records_per_partition[pid] += len(routed_rows)
                 bytes_per_partition[pid] += landed_bytes
                 total_bytes += landed_bytes

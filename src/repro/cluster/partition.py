@@ -26,7 +26,9 @@ from ..common.errors import StorageError
 from ..common.hashutil import hash_key
 from ..hashing.bucket_id import BucketId
 from ..lsm.entry import Entry, estimate_value_size
-from ..lsm.iterators import merge_runs
+from ..lsm.bloom import BloomFilter
+from ..lsm.component import DiskComponent
+from ..lsm.iterators import drop_tombstones, merge_runs
 from ..lsm.stats import StorageStats
 from ..lsm.tree import LSMTree
 from ..lsm.wal import LogRecordType, WriteAheadLog
@@ -154,17 +156,19 @@ class StoragePartition:
         self,
         routed_records: Iterable[Tuple[Any, int, Mapping[str, Any]]],
         log: bool = True,
-    ) -> int:
+    ) -> Tuple[List[Dict[str, Any]], List[int]]:
         """Insert a batch of ``(primary_key, key_hash, record)`` triples.
 
         Equivalent to calling :meth:`insert` per record (same index writes,
         same WAL records, same resulting state) with the per-call overhead —
         blocked checks, method resolution, secondary-spec iteration setup,
-        key hashing — paid once per batch.  The data feed groups each routed
-        batch by partition and lands it through here, reusing the hash it
-        already computed for routing.  Each row is copied once and that copy
-        sized once, here: the primary entry is born with the size, and the
-        batch's total row bytes are returned for the feed's accounting.
+        key hashing — paid once per batch.  The data feed and the rebalance's
+        log replicator group each routed batch by partition and land it
+        through here, reusing the hash they already computed for routing.
+        Each row is copied once and that copy sized once, here: the primary
+        entry is born with the size.  Returns the partition's copy of each
+        record and its byte size, in order — what the feed totals and what
+        the replicator forwards and prices.
         """
         self._check_not_blocked()
         primary_insert = self.primary.insert_routed
@@ -172,11 +176,13 @@ class StoragePartition:
         secondary_specs = self.dataset.secondary_indexes
         wal_append = self.wal.append if log else None
         dataset_name = self.dataset.name
-        total_bytes = 0
+        stored: List[Dict[str, Any]] = []
+        sizes: List[int] = []
         for primary_key, hashed, record in routed_records:
             record_dict = dict(record)
             row_bytes = estimate_value_size(record_dict)
-            total_bytes += row_bytes
+            stored.append(record_dict)
+            sizes.append(row_bytes)
             primary_insert(primary_key, record_dict, hashed, row_bytes)
             pk_insert(primary_key, None, hashed)
             for spec in secondary_specs:
@@ -191,7 +197,7 @@ class StoragePartition:
                     self.partition_id,
                     {"key": primary_key, "value": record_dict},
                 )
-        return total_bytes
+        return stored, sizes
 
     def delete(
         self,
@@ -329,12 +335,35 @@ class StoragePartition:
         """Flush and pin the bucket's disk components (Section V-A snapshot)."""
         return self.primary.snapshot_bucket(bucket_id)
 
-    def scan_bucket_snapshot(self, snapshot_components: List) -> Tuple[List[Entry], array]:
+    def scan_bucket_snapshot(
+        self, snapshot_components: List
+    ) -> Tuple[List[Entry], array, Optional[BloomFilter]]:
         """Materialise the records of a pinned bucket snapshot, newest first
         reconciled (the source-side scan of the data movement phase), with
         the key hashes the snapshot's components already hold, for
-        :meth:`receive_bucket`."""
-        return merge_runs([c.hashed_entries() for c in snapshot_components], drop_tombstones=True)
+        :meth:`receive_bucket` — and the Bloom filter it can carry.
+
+        That filter is a snapshot component's, when one holds exactly the
+        run's keys and a probe has already built it (``None`` otherwise).
+        When reconciling dropped no tombstone, the run's keys are every
+        snapshot key, so a real disk component as long as the run holds the
+        same key set, and a filter's bits depend on nothing else but its
+        parameters (which the loaded component checks).  A reference
+        component does not qualify: its filter is its target's, built over
+        more keys.
+        """
+        reconciled, hashed = merge_runs(
+            [c.hashed_entries() for c in snapshot_components], drop_tombstones=False
+        )
+        entries, hashed = drop_tombstones(reconciled, hashed)
+        if len(entries) != len(reconciled):
+            return entries, hashed, None
+        for component in snapshot_components:
+            if isinstance(component, DiskComponent) and len(component) == len(entries):
+                bloom = component.built_bloom
+                if bloom is not None:
+                    return entries, hashed, bloom
+        return entries, hashed, None
 
     def release_bucket_snapshot(self, snapshot_components: List) -> None:
         Bucket.release_snapshot(snapshot_components)
@@ -358,12 +387,14 @@ class StoragePartition:
         bucket_id: BucketId,
         entries: Iterable[Entry],
         hashed: Optional[Iterable[int]] = None,
+        bloom: Optional[BloomFilter] = None,
     ) -> PendingReceivedBucket:
         """Store scanned records for a moving bucket, invisible to queries.
 
         ``hashed`` is the key-hash column :meth:`scan_bucket_snapshot` returned
         with ``entries`` (which are then in key order); the loaded component
-        takes it instead of hashing every moved record again.
+        takes it instead of hashing every moved record again, and takes
+        ``bloom``, the filter the scan returned, instead of building its own.
 
         The records are bulk-loaded into a bucket object that is *not*
         registered in the primary index's local directory, and into
@@ -391,7 +422,7 @@ class StoragePartition:
         entry_list = list(entries)
         if not entry_list:
             return pending
-        pending.bucket.tree.add_loaded_component(entry_list, hashed=hashed)
+        pending.bucket.tree.add_loaded_component(entry_list, hashed=hashed, bloom=bloom)
         for spec in self.dataset.secondary_indexes:
             index = self.secondary_indexes[spec.name]
             secondary_entries = []

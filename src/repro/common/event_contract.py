@@ -78,8 +78,9 @@ EVENT_FAMILIES: Tuple[EventFamily, ...] = (
             "time) and `records` (records touched — the batch size for "
             "`insert`, the rows returned for `scan`). The workload driver sends "
             "reads and updates, steady or mid-rebalance, as one `op.batch` per "
-            "same-verb run instead of N single-op events; the registry's batch "
-            "sink produces bit-identical state to the per-sample path."
+            "same-verb run instead of N single-op events, and a rebalance sends "
+            "each move window's concurrent writes the same way; the registry's "
+            "batch sink produces bit-identical state to the per-sample path."
         ),
         events=(
             EventSpec(
@@ -96,11 +97,7 @@ EVENT_FAMILIES: Tuple[EventFamily, ...] = (
             EventSpec(
                 "op.update",
                 required=("dataset", "latency_seconds", "records"),
-                optional=("concurrent",),
-                description=(
-                    "a `Dataset.upsert` completed; `concurrent=True` marks a "
-                    "write replicated mid-rebalance (the Figure 7c path)"
-                ),
+                description="a `Dataset.upsert` completed",
             ),
             EventSpec(
                 "op.delete",
@@ -121,9 +118,12 @@ EVENT_FAMILIES: Tuple[EventFamily, ...] = (
             EventSpec(
                 "op.batch",
                 required=("op", "dataset", "latencies", "records_per_op", "count"),
+                optional=("concurrent",),
                 description=(
                     "one batched run of same-verb samples from the driver "
-                    "pipeline; `latencies` is the per-op list"
+                    "pipeline, or one move window's concurrent writes "
+                    "(`op=\"update\"`, `concurrent=True`: the Figure 7c path); "
+                    "`latencies` is the per-op list, in arrival order"
                 ),
             ),
         ),

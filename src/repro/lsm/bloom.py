@@ -9,13 +9,19 @@ faithful and testable.
 
 from __future__ import annotations
 
-from typing import Any, Collection, Optional, Sequence
+from typing import Any, Collection, Optional, Sequence, Tuple
 
-from ..common.hashutil import hash64, hash_key
+from ..common.hashutil import hash_key
 
-_H2_SALT = 0xA5A5A5A5A5A5A5A5
 #: Flag bytes 0 / 1 to the ASCII digits ``int(..., 2)`` reads.
 _FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _geometry(expected_keys: int, bits_per_key: int, num_hashes: int) -> Tuple[int, int]:
+    """``(num_bits, num_hashes)`` of a filter sized for ``expected_keys``."""
+    if not bits_per_key:
+        return 0, 0
+    return max(8, expected_keys * bits_per_key), num_hashes
 
 
 class BloomFilter:
@@ -28,10 +34,14 @@ class BloomFilter:
 
     Bit positions come from Kirsch-Mitzenmacher double hashing:
     ``position_i = (h1 + i * h2) mod bits`` with ``h1 = hash_key(key)`` and
-    ``h2 = hash64(h1 ^ _H2_SALT) | 1``.  Since ``(h1 + i * h2) mod bits ==
-    ((h1 mod bits) + i * (h2 mod bits)) mod bits``, :meth:`build`, :meth:`add`
-    and :meth:`may_contain` reduce position and step once per key and walk
-    ``bit += step``, wrapping by one subtraction, on ints below ``2 * bits``.
+    ``h2 = hash64(h1 ^ 0xA5A5A5A5A5A5A5A5) | 1``.  :meth:`build`, :meth:`add`
+    and :meth:`may_contain` inline that splitmix64 finalizer, as
+    :func:`~repro.common.hashutil.hash_key` does, so no key pays a call for
+    its step (the first addition's mask reduces ``h1 ^ salt`` mod 2**64, as
+    ``hash64`` reduces its input).  Since ``(h1 + i * h2) mod bits ==
+    ((h1 mod bits) + i * (h2 mod bits)) mod bits``, they reduce position and
+    step once per key and walk ``bit += step``, wrapping by one subtraction,
+    on ints below ``2 * bits``.
     """
 
     __slots__ = ("_bits", "_num_bits", "_num_hashes", "_num_keys")
@@ -41,8 +51,7 @@ class BloomFilter:
             raise ValueError("expected_keys must be non-negative")
         if bits_per_key < 0 or num_hashes < 0:
             raise ValueError("bloom parameters must be non-negative")
-        self._num_bits = max(8, expected_keys * bits_per_key) if bits_per_key else 0
-        self._num_hashes = num_hashes if bits_per_key else 0
+        self._num_bits, self._num_hashes = _geometry(expected_keys, bits_per_key, num_hashes)
         self._bits = bytearray((self._num_bits + 7) // 8) if self._num_bits else bytearray()
         self._num_keys = 0
 
@@ -77,7 +86,10 @@ class BloomFilter:
         flags = bytearray(num_bits)
         hashes = range(bloom._num_hashes)
         for position in hashed:
-            step = (hash64(position ^ _H2_SALT) | 1) % num_bits
+            x = ((position ^ 0xA5A5A5A5A5A5A5A5) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+            step = ((x ^ (x >> 31)) | 1) % num_bits
             bit = position % num_bits
             for _ in hashes:
                 flags[bit] = 1
@@ -87,6 +99,14 @@ class BloomFilter:
         packed = int(flags[::-1].translate(_FLAG_DIGITS), 2)
         bloom._bits = bytearray(packed.to_bytes(len(bloom._bits), "little"))
         return bloom
+
+    def fits(self, num_keys: int, bits_per_key: int, num_hashes: int) -> bool:
+        """True if this filter holds ``num_keys`` keys in the geometry a
+        :meth:`build` over that many keys with these parameters would have:
+        over the same key set, such a build sets exactly these bits."""
+        return self._num_keys == num_keys and (self._num_bits, self._num_hashes) == _geometry(
+            num_keys, bits_per_key, num_hashes
+        )
 
     @property
     def num_keys(self) -> int:
@@ -105,7 +125,10 @@ class BloomFilter:
         if not num_bits:
             return
         position = hash_key(key)
-        step = (hash64(position ^ _H2_SALT) | 1) % num_bits
+        x = ((position ^ 0xA5A5A5A5A5A5A5A5) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        step = ((x ^ (x >> 31)) | 1) % num_bits
         bit = position % num_bits
         bits = self._bits
         for _ in range(self._num_hashes):
@@ -125,7 +148,10 @@ class BloomFilter:
         if not num_bits:
             return True
         position = hash_key(key) if hashed is None else hashed
-        step = (hash64(position ^ _H2_SALT) | 1) % num_bits
+        x = ((position ^ 0xA5A5A5A5A5A5A5A5) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        step = ((x ^ (x >> 31)) | 1) % num_bits
         bit = position % num_bits
         bits = self._bits
         for _ in range(self._num_hashes):

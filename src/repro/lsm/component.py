@@ -208,12 +208,19 @@ class DiskComponent(ReferenceCounted):
         bloom_bits_per_key: int = 10,
         bloom_num_hashes: int = 7,
         hashed: Optional[Iterable[int]] = None,
+        bloom: Optional[BloomFilter] = None,
     ) -> None:
         """``hashed`` is the ``hash_key`` of every entry's key, in order, when
         the builder carried them here (a flush, a merge, a bucket move).  The
         entries are then by contract already in :func:`sort_key` order and
         the constructor neither sorts nor hashes; a column of another length
-        raises :class:`ValueError`.  Without one it does both itself."""
+        raises :class:`ValueError`.  Without one it does both itself.
+
+        ``bloom`` is a filter already built over exactly these entries' keys
+        (a bucket move carries its source component's): the component keeps
+        it when its geometry is the one these Bloom parameters give that many
+        keys, so its bits are the ones a build would set, and otherwise
+        builds its own on the first probe."""
         super().__init__()
         self.component_id = next_component_id()
         entry_list = list(entries)
@@ -228,9 +235,14 @@ class DiskComponent(ReferenceCounted):
         if len(self._hashes) != len(entry_list):
             raise ValueError(f"{len(self._hashes)} hashes for {len(entry_list)} entries")
         self._size_bytes = total_size_bytes(entry_list)
-        #: Built from the column on the first probe: a bulk load never probes
-        #: and most components are merged away before anyone reads them.
-        self._bloom: Optional[BloomFilter] = None
+        if bloom is not None and not bloom.fits(
+            len(entry_list), bloom_bits_per_key, bloom_num_hashes
+        ):
+            bloom = None
+        #: Built from the column on the first probe (unless carried): a bulk
+        #: load never probes and most components are merged away before
+        #: anyone reads them.
+        self._bloom: Optional[BloomFilter] = bloom
         self._bloom_params = (bloom_bits_per_key, bloom_num_hashes)
         self._index: Dict[Any, Entry] = dict(zip(self._keys, entry_list, strict=True))
 
@@ -250,6 +262,12 @@ class DiskComponent(ReferenceCounted):
                 self._keys, bits_per_key=bits_per_key, num_hashes=num_hashes, hashed=self._hashes
             )
         return bloom
+
+    @property
+    def built_bloom(self) -> Optional[BloomFilter]:
+        """The Bloom filter if a probe (or the builder) already made it,
+        else ``None``; never builds one."""
+        return self._bloom
 
     @property
     def min_key(self) -> Optional[Any]:

@@ -79,7 +79,18 @@ def reconcile(
         entries = list(compress(take(entries, order), newest))
         if hashed is not None:
             hashed = array("Q", compress(take(hashed, order), newest))
-    if not include_tombstones and any(map(_is_tombstone, entries)):
+    if not include_tombstones:
+        entries, hashed = drop_tombstones(entries, hashed)
+    return entries, hashed
+
+
+def drop_tombstones(
+    entries: List[Entry], hashed: Optional[array] = None
+) -> Tuple[List[Entry], Optional[array]]:
+    """``entries`` without their tombstones, and ``hashed`` (their aligned
+    hash column, if given) without those slots; both returned as given when
+    there is no tombstone to drop."""
+    if any(map(_is_tombstone, entries)):
         live = list(map(operator.not_, map(_is_tombstone, entries)))
         entries = list(compress(entries, live))
         if hashed is not None:

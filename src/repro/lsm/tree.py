@@ -30,6 +30,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 from ..common.config import LSMConfig
 from ..common.errors import StorageError
 from ..common.hashutil import hash_key, low_bits
+from .bloom import BloomFilter
 from .component import DiskComponent, MemoryComponent, ReferenceDiskComponent
 from .entry import Entry, total_size_bytes
 from .iterators import merge_runs, reconcile
@@ -214,13 +215,17 @@ class LSMTree:
         return new_component
 
     def _build_component(
-        self, entries: Iterable[Entry], hashed: Optional[Iterable[int]]
+        self,
+        entries: Iterable[Entry],
+        hashed: Optional[Iterable[int]],
+        bloom: Optional[BloomFilter] = None,
     ) -> DiskComponent:
         return DiskComponent(
             entries,
             bloom_bits_per_key=self.config.bloom_bits_per_key,
             bloom_num_hashes=self.config.bloom_num_hashes,
             hashed=hashed,
+            bloom=bloom,
         )
 
     def _component_run_for_merge(self, component: AnyDiskComponent) -> Tuple[List[Entry], array]:
@@ -370,6 +375,7 @@ class LSMTree:
         entries: Sequence[Entry],
         newest: bool = False,
         hashed: Optional[Iterable[int]] = None,
+        bloom: Optional[BloomFilter] = None,
     ) -> DiskComponent:
         """Create a disk component directly from scanned data.
 
@@ -379,9 +385,10 @@ class LSMTree:
         present — exactly the ordering Section V-B requires between scanned
         data and replicated log records.  ``hashed`` is the key-hash column
         of ``entries`` when the scan carried it (see :class:`DiskComponent`:
-        the entries must then be in key order).
+        the entries must then be in key order), and ``bloom`` a filter the
+        scan's source already built over exactly these keys.
         """
-        component = self._build_component(entries, hashed)
+        component = self._build_component(entries, hashed, bloom)
         if newest:
             self.disk_components.insert(0, component)
         else:

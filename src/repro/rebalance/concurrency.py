@@ -10,19 +10,20 @@ start time:
   applies them to the invisible received bucket.
 
 :class:`LogReplicator` implements the second half: it is the write path used
-by data feeds while a rebalance is in flight.  It also counts the replicated
-records and bytes so the operation can charge their network/CPU cost and so
-Figure 7c (rebalance time vs. concurrent write rate) can be reproduced.
+by data feeds while a rebalance is in flight, one move window of writes at a
+time.  It also counts the replicated records and bytes so the operation can
+charge their network/CPU cost and so Figure 7c (rebalance time vs.
+concurrent write rate) can be reproduced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..common.hashutil import hash_key
 from ..hashing.bucket_id import BucketId
-from ..lsm.entry import Entry, estimate_value_size
+from ..lsm.entry import Entry
 from .plan import BucketMove, RebalancePlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -36,22 +37,14 @@ class ReplicationStats:
     concurrent_writes: int = 0
     replicated_records: int = 0
     replicated_bytes: int = 0
-    #: Replicated bytes broken down by (source node, destination node).
-    bytes_by_route: Dict[str, int] = field(default_factory=dict)
 
 
 class LogReplicator:
     """Applies concurrent writes at the source and replicates moving buckets'."""
 
-    def __init__(
-        self,
-        runtime: "DatasetRuntime",
-        plan: RebalancePlan,
-        partition_nodes: Mapping[int, str],
-    ) -> None:
+    def __init__(self, runtime: "DatasetRuntime", plan: RebalancePlan) -> None:
         self.runtime = runtime
         self.plan = plan
-        self.partition_nodes = dict(partition_nodes)
         self.stats = ReplicationStats()
         #: bucket -> move, for buckets that are being relocated.
         self._moving: Dict[BucketId, BucketMove] = {move.bucket: move for move in plan.moves}
@@ -61,43 +54,60 @@ class LogReplicator:
         self._seqnum += 1
         return self._seqnum
 
-    def moving_bucket_of(self, key: Any) -> Optional[BucketMove]:
-        """The move affecting ``key``'s bucket, if any."""
-        bucket, _partition = self.plan.old_directory.lookup_key(key)
-        return self._moving.get(bucket)
+    def write_many(self, rows: Sequence[Mapping[str, Any]]) -> List[int]:
+        """Apply a window of concurrent inserts; returns each row's size, in
+        arrival order.
 
-    def write(self, row: Mapping[str, Any]) -> int:
-        """Apply one concurrent insert during the rebalance; returns its size.
-
-        The write is routed with the *old* directory (feeds hold an immutable
-        copy, Section III), applied at its current partition, and — when its
-        bucket is moving — replicated to the destination's pending bucket.
-        The key is extracted and hashed, and the row copied and sized, once:
-        the source partition's stored copy is what gets replicated, and the
-        returned byte size is what the caller prices the write with.
+        Each row is routed with the *old* directory (feeds hold an immutable
+        copy, Section III): its key is extracted and hashed once.  Each
+        source partition's slice of the window lands through
+        :meth:`~repro.cluster.partition.StoragePartition.insert_many`, which
+        copies and sizes every row once; then every row whose bucket is
+        moving is replicated, in arrival order, to the destination's pending
+        bucket as the source's stored copy.  The returned sizes are what the
+        caller prices the writes with.  The state is the one a row-at-a-time
+        loop leaves: partitions are independent, each keeps its rows' order,
+        and replicated records take their sequence numbers in arrival order.
+        Only a node log shared by two source partitions interleaves their
+        records differently, as it does for a feed batch.
         """
-        key = self.runtime.spec.primary_key_of(row)
-        hashed = hash_key(key)
-        bucket, source_partition = self.plan.old_directory.lookup_hash(hashed)
-        record = self.runtime.partitions[source_partition].insert(
-            row, primary_key=key, hashed=hashed
-        )
-        size = estimate_value_size(record)
-        self.stats.concurrent_writes += 1
-        move = self._moving.get(bucket)
-        if move is None:
-            return size
-        entry = Entry(key=key, value=record, seqnum=self._next_seqnum())
-        destination = self.runtime.partitions[move.destination_partition]
-        destination.apply_replicated_write(move.bucket, entry, hashed)
-        self.stats.replicated_records += 1
-        self.stats.replicated_bytes += size
-        route = (
-            f"{self.partition_nodes[source_partition]}->"
-            f"{self.partition_nodes[move.destination_partition]}"
-        )
-        self.stats.bytes_by_route[route] = self.stats.bytes_by_route.get(route, 0) + size
-        return size
+        primary_key_of = self.runtime.spec.primary_key_of
+        lookup_hash = self.plan.old_directory.lookup_hash
+        moving = self._moving
+        #: source partition -> its slice of the window, as ``insert_many`` takes it.
+        grouped: Dict[int, List[Tuple[Any, int, Mapping[str, Any]]]] = {}
+        #: per row: its source partition, its position in that slice, its move.
+        placed: List[Tuple[int, int, Optional[BucketMove]]] = []
+        for row in rows:
+            key = primary_key_of(row)
+            hashed = hash_key(key)
+            bucket, source = lookup_hash(hashed)
+            group = grouped.get(source)
+            if group is None:
+                group = grouped[source] = []
+            placed.append((source, len(group), moving.get(bucket)))
+            group.append((key, hashed, row))
+        partitions = self.runtime.partitions
+        landed = {
+            source: partitions[source].insert_many(group) for source, group in grouped.items()
+        }
+        stats = self.stats
+        stats.concurrent_writes += len(placed)
+        sizes: List[int] = []
+        for source, position, move in placed:
+            stored, row_sizes = landed[source]
+            size = row_sizes[position]
+            sizes.append(size)
+            if move is None:
+                continue
+            key, hashed, _ = grouped[source][position]
+            entry = Entry(key=key, value=stored[position], seqnum=self._next_seqnum())
+            partitions[move.destination_partition].apply_replicated_write(
+                move.bucket, entry, hashed
+            )
+            stats.replicated_records += 1
+            stats.replicated_bytes += size
+        return sizes
 
     def delete(self, key: Any) -> None:
         """Apply one concurrent delete during the rebalance (tombstone path)."""

@@ -6,7 +6,8 @@ flush), the records are shipped to the destination, and the destination
 bulk-loads them into a *pending received* bucket plus new invisible component
 lists for each secondary index.  Secondary index entries are rebuilt at the
 destination from the shipped records — the source never reads its secondary
-indexes.
+indexes.  The loaded component keeps the source's Bloom filter when the scan
+found one already built over exactly the moved keys.
 
 The module also accounts the physical work: per move, which the operation
 prices in per-node simulated time, and in total, which its report carries.
@@ -73,13 +74,13 @@ class DataMover:
             return MovedBucket(0, 0, 0)
         source = self.partition(move.source_partition)
         snapshot = source.snapshot_bucket(move.bucket)
-        entries, hashed = source.scan_bucket_snapshot(snapshot)
+        entries, hashed, bloom = source.scan_bucket_snapshot(snapshot)
         payload_bytes = sum(entry.size_bytes for entry in entries)
         scanned_bytes = sum(
             getattr(component, "referenced_bytes", component.size_bytes)
             for component in snapshot
         )
-        destination.receive_bucket(move.bucket, entries, hashed)
+        destination.receive_bucket(move.bucket, entries, hashed, bloom)
 
         work = self.work
         work.scanned_bytes += scanned_bytes

@@ -308,8 +308,9 @@ class RebalanceOperation:
     ) -> Generator[SimSegment, None, float]:
         """The data-movement phase, bucket by bucket; returns its seconds.
 
-        Concurrent writes are woven between the moves so the replicated
-        records land while the movement is in flight, as they would online.
+        Concurrent writes are woven between the moves, one window of them
+        after each, so the replicated records land while the movement is in
+        flight, as they would online.
         Each ``"move"`` segment prices that bucket's scan + ship + load +
         index rebuild on the nodes it touched, and a trailing
         ``"concurrent_writes"`` segment prices the replication overhead.
@@ -320,7 +321,7 @@ class RebalanceOperation:
         cost = self.cluster.cost
         partition_nodes = self._partition_nodes()
         mover = DataMover(self.runtime, partition_nodes)
-        replicator = LogReplicator(self.runtime, self.plan, partition_nodes)
+        replicator = LogReplicator(self.runtime, self.plan)
         work = mover.work
         chaos = getattr(self.cluster, "chaos", None)
 
@@ -334,6 +335,9 @@ class RebalanceOperation:
         writes_per_move = (
             max(1, len(concurrent_rows) // max(1, len(moves))) if concurrent_rows else 0
         )
+        # Each window's writes land and report as one batch, or one by one
+        # while an autopilot counts ops (see SimulatedCluster.autopilot).
+        per_write = getattr(self.cluster, "autopilot", None) is not None
 
         # Per-move tracing feed: probed once per phase, so untraced runs pay
         # one cached dict hit for the whole movement loop.
@@ -352,7 +356,7 @@ class RebalanceOperation:
             return cost.slowest(per_node)
 
         move_seconds = 0.0
-        row_iter = iter(concurrent_rows)
+        written = 0
         for index, move in enumerate(moves):
             self.faults.fire("nc_fail_before_prepare")
             moved = mover.move_bucket(move)
@@ -365,19 +369,16 @@ class RebalanceOperation:
                     records=moved.records,
                     payload_bytes=moved.payload_bytes,
                 )
-            for _ in range(writes_per_move):
-                row = next(row_iter, None)
-                if row is None:
-                    break
-                self._concurrent_write(replicator, row)
+            window = concurrent_rows[written : written + writes_per_move]
+            written += len(window)
+            self._concurrent_writes(replicator, window, per_write)
             per_node = self._bucket_node_seconds(move, moved, partition_nodes)
             segment = SimSegment(
                 "move", charged(per_node) + cost.rpc_time(2), remaining=len(moves) - index - 1
             )
             move_seconds += segment.seconds
             yield segment
-        for row in row_iter:
-            self._concurrent_write(replicator, row)
+        self._concurrent_writes(replicator, concurrent_rows[written:], per_write)
 
         report.records_moved = work.records_moved
         report.bytes_scanned = work.scanned_bytes
@@ -414,27 +415,42 @@ class RebalanceOperation:
         yield SimSegment("concurrent_writes", closing_seconds)
         return move_seconds + closing_seconds
 
-    def _concurrent_write(self, replicator: LogReplicator, row: Mapping[str, Any]) -> None:
-        """Apply one concurrent write through the replication channel.
+    def _concurrent_writes(
+        self, replicator: LogReplicator, rows: Sequence[Mapping[str, Any]], per_write: bool
+    ) -> None:
+        """Apply one window of concurrent writes through the replication
+        channel and report them as one ``op.batch`` (one per write when
+        ``per_write``).
 
-        Publishes the per-write latency a client would observe mid-rehash:
-        the write is parsed and applied at its source, then its log record
+        Each write's latency is what a client would observe mid-rehash: the
+        write is parsed and applied at its source, then its log record
         crosses the network twice (ship + replication ack) before the extra
         destination round trip acknowledges it — which is why writes are
-        slower while a rebalance is in flight (Figure 7c).
+        slower while a rebalance is in flight (Figure 7c).  The latencies
+        travel in arrival order, so the metrics registry's batch sink records
+        exactly what one ``op.update`` per write would.
         """
+        events = getattr(self.cluster, "events", None)
+        publish = events is not None and events.has_subscribers("op.batch")
         cost = self.cluster.cost
-        row_bytes = replicator.write(row)
-        self._emit(
-            "op.update",
-            latency_seconds=(
-                cost.parse_time(1)
-                + cost.network_time(2 * row_bytes)
-                + cost.rpc_time(3)
-            ),
-            records=1,
-            concurrent=True,
-        )
+        parse_seconds = cost.parse_time(1)
+        ack_seconds = cost.rpc_time(3)
+        step = 1 if per_write else max(1, len(rows))
+        for start in range(0, len(rows), step):
+            sizes = replicator.write_many(rows[start : start + step])
+            if not publish:
+                continue
+            events.emit(
+                "op.batch",
+                op="update",
+                dataset=self.dataset_name,
+                latencies=[
+                    parse_seconds + cost.network_time(2 * size) + ack_seconds for size in sizes
+                ],
+                records_per_op=1,
+                count=len(sizes),
+                concurrent=True,
+            )
 
     def _bucket_node_seconds(
         self, move: BucketMove, moved: MovedBucket, partition_nodes: Mapping[int, str]

@@ -7,9 +7,10 @@ sample the run recorded.  The tree nests the way the run nests:
 
 * ``session`` → one ``workload/<phase>`` span per driver schedule phase →
   one ``ops/<verb>`` span per op batch (``op.batch`` events map one-to-one,
-  marked ``batched``; single-op events — driver scans, deletes and inserts,
-  replicated writes, client calls — are aggregated into maximal same-verb
-  runs, which is deterministic because the event stream is),
+  marked ``batched``, and a move window's replicated writes also
+  ``concurrent``; single-op events — driver scans, deletes and inserts,
+  client calls — are aggregated into maximal same-verb runs, which is
+  deterministic because the event stream is),
 * ``rebalance`` → one ``rebalance/<dataset>`` span per dataset operation →
   one span per protocol phase → one ``move/<bucket>`` span per shipped
   bucket, plus zero-duration marks for commit/abort,
@@ -105,13 +106,12 @@ class _DatasetRebalanceState:
 class _OpRun:
     """An in-progress aggregation of consecutive same-verb op samples."""
 
-    __slots__ = ("op", "dataset", "concurrent", "parent_id", "start", "end", "count", "records")
+    __slots__ = ("op", "dataset", "parent_id", "start", "end", "count", "records")
 
     def __init__(
         self,
         op: str,
         dataset: Optional[str],
-        concurrent: bool,
         parent_id: Optional[int],
         start: float,
         end: float,
@@ -119,15 +119,14 @@ class _OpRun:
     ) -> None:
         self.op = op
         self.dataset = dataset
-        self.concurrent = concurrent
         self.parent_id = parent_id
         self.start = start
         self.end = end
         self.count = 1
         self.records = records
 
-    def matches(self, op: str, dataset: Optional[str], concurrent: bool) -> bool:
-        return self.op == op and self.dataset == dataset and self.concurrent == concurrent
+    def matches(self, op: str, dataset: Optional[str]) -> bool:
+        return self.op == op and self.dataset == dataset
 
 
 class Tracer:
@@ -268,8 +267,6 @@ class Tracer:
         attributes: Dict[str, Any] = {"count": run.count, "records": run.records}
         if run.dataset is not None:
             attributes["dataset"] = run.dataset
-        if run.concurrent:
-            attributes["concurrent"] = True
         self._leaf(
             f"ops/{run.op}",
             CATEGORY_OPS,
@@ -289,10 +286,9 @@ class Tracer:
         latency = float(event["latency_seconds"])
         records = int(event.get("records", 1))
         dataset = event.get("dataset")
-        concurrent = bool(event.get("concurrent", False))
         end = self._now()
         run = self._run
-        if run is not None and run.matches(op, dataset, concurrent):
+        if run is not None and run.matches(op, dataset):
             run.end = end
             run.count += 1
             run.records += records
@@ -302,7 +298,6 @@ class Tracer:
         self._run = _OpRun(
             op=op,
             dataset=dataset,
-            concurrent=concurrent,
             parent_id=top.span_id if top is not None else None,
             start=max(0.0, end - latency),
             end=end,
@@ -316,18 +311,16 @@ class Tracer:
         for value in latencies:
             total += value
         end = self._now()
-        self._leaf(
-            f"ops/{event['op']}",
-            CATEGORY_OPS,
-            max(0.0, end - total),
-            total,
-            {
-                "count": int(event["count"]),
-                "records": int(event["count"]) * int(event["records_per_op"]),
-                "dataset": event["dataset"],
-                "batched": True,
-            },
-        )
+        attributes: Dict[str, Any] = {
+            "count": int(event["count"]),
+            "records": int(event["count"]) * int(event["records_per_op"]),
+            "dataset": event["dataset"],
+            "batched": True,
+        }
+        if event.get("concurrent"):
+            # A move window's replicated writes: the Figure 7c marking.
+            attributes["concurrent"] = True
+        self._leaf(f"ops/{event['op']}", CATEGORY_OPS, max(0.0, end - total), total, attributes)
 
     # -------------------------------------------------------- workload phases
 

@@ -15,11 +15,15 @@ import pytest
 
 import repro.common.hashutil as hashutil
 import repro.bucketed.scan as scan_module
+import repro.cluster.partition as partition_module
 import repro.lsm.entry as entry_module
 import repro.lsm.iterators as iterators_module
+from repro.api import KIB, BucketingConfig, ClusterConfig, Database, LSMConfig
 from repro.cluster.dataset import DatasetSpec
 from repro.cluster.partition import StoragePartition
-from repro.rebalance import concurrency
+from repro.lsm.bloom import BloomFilter
+from repro.lsm.component import DiskComponent
+from repro.lsm.entry import estimate_value_size
 from repro.rebalance.concurrency import LogReplicator
 
 from .test_dataset_batch_verbs import open_split, storage_stats
@@ -110,17 +114,18 @@ class TestOneHashPerKey:
     def test_concurrent_rebalance_write(self, hash_calls, monkeypatch):
         db, _ = open_split()
         during_write = Counter()
-        replicate = LogReplicator.write
+        replicate = LogReplicator.write_many
 
-        def counted_write(self, row):
+        def counted_write(self, rows):
             before = Counter(hash_calls)
             try:
-                return replicate(self, row)
+                return replicate(self, rows)
             finally:
                 during_write.update(hash_calls - before)
 
-        monkeypatch.setattr(LogReplicator, "write", counted_write)
-        # The channel also extracts the key and sizes the row once per write.
+        monkeypatch.setattr(LogReplicator, "write_many", counted_write)
+        # The channel also extracts the key once per write, and the source
+        # partition sizes its copy of the row once.
         derived = Counter()
 
         def counting(name, function):
@@ -134,7 +139,7 @@ class TestOneHashPerKey:
             DatasetSpec, "primary_key_of", counting("key", DatasetSpec.primary_key_of)
         )
         monkeypatch.setattr(
-            concurrency, "estimate_value_size", counting("size", concurrency.estimate_value_size)
+            partition_module, "estimate_value_size", counting("size", estimate_value_size)
         )
         rows = [{"k": key, "v": "z" * 64} for key in range(6000, 6040)]
         report = db.rebalance(add=1, concurrent_rows={"t": rows})
@@ -270,6 +275,88 @@ class TestOneHashPerRecordLifetime:
         for key in KEYS:
             dataset.delete(key)
         assert hash_calls == Counter(KEYS)
+        db.close()
+
+
+@pytest.fixture
+def bloom_builds(monkeypatch):
+    """The key count of every ``BloomFilter.build`` call."""
+    built = []
+    build = BloomFilter.build.__func__
+
+    def counting(cls, keys, *args, **kwargs):
+        built.append(len(keys))
+        return build(cls, keys, *args, **kwargs)
+
+    monkeypatch.setattr(BloomFilter, "build", classmethod(counting))
+    return built
+
+
+def open_single_run():
+    """A split dataset whose every bucket holds one real disk component and
+    nothing in memory, each component's filter built by a read of every key."""
+    db = Database(
+        ClusterConfig(
+            num_nodes=2,
+            partitions_per_node=2,
+            strategy="dynahash",
+            lsm=LSMConfig(memory_component_bytes=16 * KIB),
+            bucketing=BucketingConfig(max_bucket_bytes=24 * KIB),
+        )
+    )
+    dataset = db.create_dataset("t", primary_key="k")
+    keys = list(range(1200))
+    dataset.insert([{"k": key, "v": "x" * 64} for key in keys])
+    for bucket in split_buckets(db):
+        bucket.flush()
+        # One merge of the whole list, a lone reference component included.
+        bucket.tree._merge_range(0, bucket.tree.component_count)
+        assert [type(c) for c in bucket.tree.disk_components] == [DiskComponent]
+    dataset.get_many(keys)
+    assert all(b.tree.disk_components[0].built_bloom for b in split_buckets(db))
+    return db, dataset, keys
+
+
+class TestMovesCarryTheirBloomFilters:
+    """A moved bucket's component keeps the filter its source already built
+    when its key set is the source component's; otherwise it builds its own
+    on its first probe, as every component does."""
+
+    def test_single_run_moves_build_no_filter(self, bloom_builds):
+        db, dataset, keys = open_single_run()
+        bloom_builds.clear()
+        report = db.rebalance(add=1)
+        assert sum(r.buckets_moved for r in report.dataset_reports) > 1
+        assert all(dataset.get_many(keys))
+        assert bloom_builds == []
+        db.close()
+
+    def test_a_dropped_tombstone_builds_afresh(self, bloom_builds):
+        db, dataset, keys = open_single_run()
+        bloom_builds.clear()
+        # One tombstone per bucket: the move's snapshot reconciles it away.
+        doomed = [bucket.tree.disk_components[0].min_key for bucket in split_buckets(db)]
+        dataset.delete(doomed)
+        report = db.rebalance(add=1)
+        moved = sum(r.buckets_moved for r in report.dataset_reports)
+        assert moved > 1
+        live = sorted(set(keys) - set(doomed))
+        assert all(dataset.get_many(live))
+        assert len(bloom_builds) == moved
+        db.close()
+
+    def test_a_newer_run_that_adds_a_key_builds_afresh(self, bloom_builds):
+        db, dataset, keys = open_single_run()
+        bloom_builds.clear()
+        fresh = []
+        for bucket in split_buckets(db):
+            fresh.append(next(k for k in range(5000, 6000) if bucket.bucket_id.contains_key(k)))
+        db.cluster.feed("t").ingest([{"k": key, "v": "y"} for key in fresh], maintain=False)
+        report = db.rebalance(add=1)
+        moved = sum(r.buckets_moved for r in report.dataset_reports)
+        assert moved > 1
+        assert all(dataset.get_many(keys + fresh))
+        assert len(bloom_builds) == moved
         db.close()
 
 

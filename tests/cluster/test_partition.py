@@ -1,6 +1,8 @@
 """Tests for the storage partition (primary + pk + secondary indexes, rebalance hooks)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.config import BucketingConfig, LSMConfig
 from repro.common.errors import StorageError
@@ -8,6 +10,7 @@ from repro.common.hashutil import hash_key
 from repro.cluster.dataset import DatasetSpec, SecondaryIndexSpec
 from repro.cluster.partition import StoragePartition
 from repro.hashing.bucket_id import BucketId, ROOT_BUCKET
+from repro.lsm.bloom import BloomFilter
 from repro.lsm.entry import Entry
 
 
@@ -180,7 +183,7 @@ class TestRebalanceSourceSide:
             partition.insert(order_row(key))
         bucket_id = partition.primary.bucket_ids[0]
         snapshot = partition.snapshot_bucket(bucket_id)
-        entries, hashed = partition.scan_bucket_snapshot(snapshot)
+        entries, hashed, _ = partition.scan_bucket_snapshot(snapshot)
         assert all(bucket_id.contains_key(e.key) for e in entries)
         assert list(hashed) == [hash_key(e.key) for e in entries]
         assert len(entries) == sum(1 for k in range(40) if bucket_id.contains_key(k))
@@ -302,3 +305,88 @@ class TestRebalanceDestinationSide:
         assert first == [bucket_id]
         assert second == []
         assert partition.primary.bucket_count >= 1
+
+
+def move_root_half(source, destination):
+    """Move bucket ``0/1`` from ``source`` to ``destination`` as the data
+    movement phase does; returns the loaded component (``None`` when the
+    bucket was empty) and the filter the scan offered."""
+    bucket_id = BucketId(0b0, 1)
+    snapshot = source.snapshot_bucket(bucket_id)
+    entries, hashed, bloom = source.scan_bucket_snapshot(snapshot)
+    pending = destination.receive_bucket(bucket_id, entries, hashed, bloom)
+    source.release_bucket_snapshot(snapshot)
+    components = pending.bucket.tree.disk_components
+    return (components[-1] if components else None), bloom
+
+
+class TestMovedBloomFilter:
+    """A moved bucket's loaded component keeps its source's Bloom filter only
+    when that filter is, bit for bit, the one it would build itself."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        runs=st.lists(
+            st.lists(st.tuples(st.integers(0, 40), st.booleans()), max_size=25),
+            min_size=1,
+            max_size=4,
+        ),
+        probed=st.lists(st.booleans(), min_size=4, max_size=4),
+    )
+    def test_a_carried_filter_is_the_filter_a_build_makes(self, runs, probed):
+        # Overlapping runs of inserts and deletes, each flushed to its own
+        # component; some components' filters built by a probe, some not.
+        source = make_partition()
+        tree = source.primary.bucket(BucketId(0b0, 1)).tree
+        for run, probe in zip(runs, probed):
+            for key, deleted in run:
+                if deleted:
+                    source.delete(key)
+                else:
+                    source.insert(order_row(key))
+            source.primary.flush_all()
+            if probe and tree.disk_components:
+                tree.disk_components[0].may_contain(0)
+        loaded, offered = move_root_half(source, make_destination_partition())
+        if loaded is None:
+            return
+        carried = loaded.built_bloom
+        assert carried is offered
+        if carried is not None:
+            eager = BloomFilter.build(loaded._keys)
+            assert bytes(carried._bits) == bytes(eager._bits)
+            assert carried.num_keys == eager.num_keys == len(loaded)
+
+    def test_a_single_run_carries_a_built_filter_and_not_an_unbuilt_one(self):
+        for probe in (True, False):
+            source = make_partition()
+            for key in range(40):
+                source.insert(order_row(key))
+            source.primary.flush_all()
+            (component,) = source.primary.bucket(BucketId(0b0, 1)).tree.disk_components
+            if probe:
+                component.may_contain(0)
+            loaded, _ = move_root_half(source, make_destination_partition())
+            if probe:
+                assert loaded.built_bloom is component.built_bloom is not None
+            else:
+                assert loaded.built_bloom is None  # built on its own first probe
+
+    def test_other_bloom_parameters_build_afresh(self):
+        source = make_partition()
+        for key in range(40):
+            source.insert(order_row(key))
+        source.primary.flush_all()
+        (component,) = source.primary.bucket(BucketId(0b0, 1)).tree.disk_components
+        component.may_contain(0)
+        destination = StoragePartition(
+            dataset=orders_spec(),
+            partition_id=1,
+            node_id="nc1",
+            initial_buckets=[BucketId(0b1, 1)],
+            lsm_config=LSMConfig(bloom_bits_per_key=5),
+            bucketing_config=BucketingConfig(),
+        )
+        loaded, offered = move_root_half(source, destination)
+        assert offered is component.built_bloom and loaded.built_bloom is None
+        assert loaded.bloom.size_bytes == BloomFilter.build(loaded._keys, 5).size_bytes

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.lsm.bloom as bloom_module
 from repro.common.hashutil import hash64, hash_key
 from repro.lsm.bloom import BloomFilter
 
@@ -161,3 +162,31 @@ class TestBuiltOnSmallInts:
         assert {
             bit for bit in range(len(built._bits) * 8) if built._bits[bit >> 3] & (1 << (bit & 7))
         } == positions
+
+
+class TestSplitmixInlined:
+    """``build``, ``add`` and ``may_contain`` inline the splitmix64 step mix:
+    no per-key call into ``hash64``, and the bits of the formula that calls it."""
+
+    def test_the_filter_does_not_call_hash64(self):
+        assert "hash64" not in vars(bloom_module)
+
+    @pytest.mark.parametrize("num_hashes", [0, 1, 7])
+    @pytest.mark.parametrize("bits_per_key", [0, 1, 10])
+    def test_every_path_sets_the_formula_bits_for_high_hashes(self, bits_per_key, num_hashes):
+        hashed = [2**63, 2**63 + 1, 2**64 - 1, 0xA5A5A5A5A5A5A5A5, 2**63 - 1, 12345]
+        keys = [f"k{i}" for i in range(len(hashed))]
+        num_bits = max(8, len(hashed) * bits_per_key) if bits_per_key else 0
+        expected = bytearray((num_bits + 7) // 8)
+        for h1 in hashed:
+            h2 = hash64(h1 ^ 0xA5A5A5A5A5A5A5A5) | 1
+            for i in range(num_hashes if num_bits else 0):
+                position = (h1 + i * h2) % num_bits
+                expected[position >> 3] |= 1 << (position & 7)
+        built = BloomFilter.build(keys, bits_per_key, num_hashes, hashed=hashed)
+        assert built._bits == expected
+        assert all(built.may_contain(key, h1) for key, h1 in zip(keys, hashed, strict=True))
+        added = BloomFilter(len(keys), bits_per_key, num_hashes)
+        for key in keys:
+            added.add(key)
+        assert added._bits == reference_filter(keys, bits_per_key, num_hashes)[0]

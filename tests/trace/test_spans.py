@@ -91,6 +91,23 @@ class TestOpSpans:
         assert len(by_name(trace.spans, "ops/read")) == 2
         assert len(by_name(trace.spans, "ops/update")) == 1
 
+    def test_move_windows_of_concurrent_writes_are_marked_batched_spans(self):
+        with Database(config()) as db:
+            trace = db.start_trace()
+            dataset = db.create_dataset("t", primary_key="k")
+            dataset.insert(rows(600))
+            report = db.rebalance(add=1, concurrent_rows={"t": rows(41, start=5000)})
+            trace.finish()
+        moves = sum(r.buckets_moved for r in report.dataset_reports)
+        writes = by_name(trace.spans, "ops/update")
+        # One span per move window, plus the trailing window's.
+        assert 1 < len(writes) <= moves + 1
+        assert sum(span.attributes["count"] for span in writes) == 41
+        for span in writes:
+            assert span.attributes["concurrent"] is True
+            assert span.attributes["batched"] is True
+            assert span.attributes["records"] == span.attributes["count"]
+
     def test_span_payload_shape(self):
         span = Span(
             span_id=3, parent_id=1, name="ops/read", category="ops", start=1.5, duration=0.5
