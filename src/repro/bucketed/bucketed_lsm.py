@@ -23,6 +23,7 @@ from ..lsm.entry import Entry
 from ..lsm.manifest import Manifest
 from ..lsm.merge_policy import MergePolicy
 from ..lsm.stats import StorageStats
+from ..lsm.tree import LSMTree
 from .bucket import Bucket
 from .scan import ScanMode, choose_scan_mode, scan_with_mode
 from .split import SplitResult, split_bucket
@@ -30,22 +31,65 @@ from .split import SplitResult, split_bucket
 
 @dataclass
 class MaintenanceReport:
-    """Work performed by one maintenance pass (flushes, merges, splits)."""
+    """Work performed by one maintenance pass (flushes, merges, splits).
+
+    A pass counts all the storage work it does, a split's two flushes
+    included, so a caller prices that work from the reports alone: summed
+    over the passes, the counters equal the ``StorageStats`` diff the passes
+    caused.
+    """
 
     flush_bytes: int = 0
     merge_read_bytes: int = 0
     merge_write_bytes: int = 0
+    records_merged: int = 0
     splits: List[SplitResult] = field(default_factory=list)
 
     @property
     def split_count(self) -> int:
         return len(self.splits)
 
+    @property
+    def idle(self) -> bool:
+        """True when the pass flushed, merged and split nothing."""
+        return not (
+            self.flush_bytes
+            or self.merge_read_bytes
+            or self.merge_write_bytes
+            or self.records_merged
+            or self.splits
+        )
+
     def merge_into(self, other: "MaintenanceReport") -> None:
         other.flush_bytes += self.flush_bytes
         other.merge_read_bytes += self.merge_read_bytes
         other.merge_write_bytes += self.merge_write_bytes
+        other.records_merged += self.records_merged
         other.splits.extend(self.splits)
+
+    def count_merge(self, tree: LSMTree) -> None:
+        """Run ``tree``'s merge policy once and count the merge, if any.
+
+        The delta is read from three counters around the call, so a pass
+        whose policy picks nothing builds no stats objects.
+        """
+        stats = tree.stats
+        read = stats.bytes_merged_read
+        written = stats.bytes_merged_written
+        records = stats.records_merged
+        if tree.maybe_merge() is not None:
+            self.merge_read_bytes += stats.bytes_merged_read - read
+            self.merge_write_bytes += stats.bytes_merged_written - written
+            self.records_merged += stats.records_merged - records
+
+    def storage_stats(self) -> StorageStats:
+        """The reported work as the storage counters the cost model prices."""
+        return StorageStats(
+            bytes_flushed=self.flush_bytes,
+            bytes_merged_read=self.merge_read_bytes,
+            bytes_merged_written=self.merge_write_bytes,
+            records_merged=self.records_merged,
+        )
 
 
 class BucketedLSMTree:
@@ -73,6 +117,9 @@ class BucketedLSMTree:
         self.splits_enabled = not self.bucketing_config.static
         #: Cumulative record of all splits ever performed (for benchmarks).
         self.split_history: List[SplitResult] = []
+        #: Lifetime counters of the buckets splits retired, so
+        #: :meth:`aggregated_stats` never goes backwards across a split.
+        self._retired_stats = StorageStats()
         initial = list(initial_buckets)
         if not initial and not allow_empty:
             raise StorageError("a bucketed LSM-tree needs at least one initial bucket")
@@ -239,21 +286,17 @@ class BucketedLSMTree:
         AsterixDB's background flush/merge scheduler.
         """
         report = MaintenanceReport()
-        for bucket_id in list(self.directory.buckets):
+        for bucket_id in self.directory.buckets:  # a copy: splits edit the directory
             bucket = self._buckets.get(bucket_id)
             if bucket is None:
                 continue
             flushed = bucket.flush() if force_flush else bucket.maybe_flush()
             if flushed is not None:
                 report.flush_bytes += flushed.size_bytes
-            before = bucket.tree.stats.snapshot()
-            merged = bucket.maybe_merge()
-            if merged is not None:
-                delta = bucket.tree.stats.diff(before)
-                report.merge_read_bytes += delta.bytes_merged_read
-                report.merge_write_bytes += delta.bytes_merged_written
+            report.count_merge(bucket.tree)
             if self._should_split(bucket):
-                result = self.split(bucket.bucket_id)
+                result = self.split(bucket_id)
+                report.flush_bytes += result.async_flush_bytes + result.sync_flush_bytes
                 report.splits.append(result)
         return report
 
@@ -284,6 +327,7 @@ class BucketedLSMTree:
         self._buckets[result.low_child.bucket_id] = result.low_child
         self._buckets[result.high_child.bucket_id] = result.high_child
         bucket.deactivate()
+        self._retired_stats.add(bucket.tree.stats)
         self.split_history.append(result)
         return result
 
@@ -350,9 +394,18 @@ class BucketedLSMTree:
     def component_count(self) -> int:
         return sum(bucket.component_count for bucket in self._buckets.values())
 
+    @property
+    def memory_bytes(self) -> int:
+        """Bytes held in the buckets' memory components."""
+        total = 0
+        for bucket in self._buckets.values():
+            total += bucket.tree.memory.size_bytes
+        return total
+
     def aggregated_stats(self) -> StorageStats:
-        """Sum of per-bucket storage stats (for the cluster cost model)."""
-        total = StorageStats()
+        """Sum of per-bucket storage stats, plus those of every bucket a split
+        retired: a split moves no counter backwards."""
+        total = self._retired_stats.snapshot()
         for bucket in self._buckets.values():
             total.add(bucket.tree.stats)
         return total

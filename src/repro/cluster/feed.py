@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from ..bucketed.bucketed_lsm import MaintenanceReport
 from ..common.hashutil import hash_key
+from ..lsm.stats import StorageStats
 from .cost_model import CostModel
 from .reports import IngestReport
 
@@ -55,6 +57,13 @@ class DataFeed:
         resulting storage state — and therefore the simulated cost — is
         identical to the old row-at-a-time loop.
 
+        Each partition's storage work is what its passes report: every
+        :class:`MaintenanceReport` that did something is summed into that
+        partition's accumulator, and the sum is what the cost model prices.
+        Rows only land in memory components, so the passes are where all the
+        flushes, merges and splits happen.  A partition that took no row and
+        whose passes did nothing costs ``0.0`` without a cost-model call.
+
         ``maintain=False`` skips flush/merge/split scheduling, which some unit
         tests use to control storage state precisely.
         """
@@ -63,10 +72,8 @@ class DataFeed:
             events.emit("ingest.start", dataset=self.dataset_name)
         cost: CostModel = self.cluster.cost
         partitions = self.runtime.partitions
-        stats_before = {pid: p.stats_snapshot() for pid, p in partitions.items()}
-        splits_before = {
-            pid: len(p.primary.split_history) for pid, p in partitions.items()
-        }
+        # Storage work per partition, from the passes that reported any.
+        work: Dict[int, MaintenanceReport] = {}
         records_per_partition: Dict[int, int] = {pid: 0 for pid in partitions}
         bytes_per_partition: Dict[int, int] = {pid: 0 for pid in partitions}
         total_records = 0
@@ -92,6 +99,19 @@ class DataFeed:
                 total_bytes += landed_bytes
             grouped.clear()
 
+        def maintain_all() -> None:
+            # Every partition, every batch: ROADMAP item 2(b)'s dirty rule
+            # is what will skip the partitions with nothing to do.
+            for pid, partition in partitions.items():
+                report = partition.maintain()
+                if report.idle:
+                    continue
+                total = work.get(pid)
+                if total is None:
+                    work[pid] = report
+                else:
+                    report.merge_into(total)
+
         for row in rows:
             key = primary_key_of(row)
             hashed = hash_key(key)
@@ -108,39 +128,40 @@ class DataFeed:
                 batch_count = 0
                 land_batch()
                 if maintain:
-                    for partition in partitions.values():
-                        partition.maintain()
+                    maintain_all()
         land_batch()
         if maintain:
-            for partition in partitions.values():
-                partition.maintain()
+            maintain_all()
 
         # ------------------------------------------------ cost roll-up
-        per_partition_seconds: Dict[int, float] = {}
         flush_bytes = 0
         merge_bytes = 0
-        for pid, partition in partitions.items():
-            delta = partition.stats_snapshot().diff(stats_before[pid])
-            flush_bytes += delta.bytes_flushed
-            merge_bytes += delta.bytes_merged_written
-            breakdown = cost.ingest_work(records_per_partition[pid], delta)
-            per_partition_seconds[pid] = breakdown.total_sec
+        splits = 0
+        # Per node (a partition's node is ``pid // partitions_per_node``):
+        # its busiest partition's seconds and the bytes its link carried.
+        partitions_per_node = self.cluster.partitions_per_node
+        busiest: Dict[int, float] = {}
+        node_bytes: Dict[int, int] = {}
+        for pid, records in records_per_partition.items():
+            done = work.get(pid)
+            if done is not None:
+                flush_bytes += done.flush_bytes
+                merge_bytes += done.merge_write_bytes
+                splits += len(done.splits)
+                seconds = cost.ingest_work(records, done.storage_stats()).total_sec
+            elif records:
+                seconds = cost.ingest_work(records, StorageStats()).total_sec
+            else:
+                seconds = 0.0
+            index = pid // partitions_per_node
+            busiest[index] = max(busiest.get(index, 0.0), seconds)
+            node_bytes[index] = node_bytes.get(index, 0) + bytes_per_partition[pid]
+        per_node_seconds: Dict[str, float] = {
+            node.node_id: busiest[index] + cost.network_time(node_bytes[index])
+            for index, node in enumerate(self.cluster.nodes)
+            if index in busiest
+        }
 
-        per_node_seconds: Dict[str, float] = {}
-        for node in self.cluster.nodes:
-            node_partition_ids = [
-                pid for pid in partitions if self.cluster.node_of_partition(pid) is node
-            ]
-            if not node_partition_ids:
-                continue
-            busiest_partition = max(per_partition_seconds[pid] for pid in node_partition_ids)
-            node_bytes = sum(bytes_per_partition[pid] for pid in node_partition_ids)
-            per_node_seconds[node.node_id] = busiest_partition + cost.network_time(node_bytes)
-
-        splits = sum(
-            len(partitions[pid].primary.split_history) - splits_before[pid]
-            for pid in partitions
-        )
         chaos = self.cluster.chaos
         if chaos is not None:
             per_node_seconds = dict(chaos.scale_node_seconds(per_node_seconds))

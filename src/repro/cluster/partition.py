@@ -103,11 +103,9 @@ class StoragePartition:
 
     # -------------------------------------------------------------- helpers
 
-    def _all_trees(self) -> List[LSMTree]:
-        trees: List[LSMTree] = [bucket.tree for bucket in self.primary.buckets()]
-        trees.append(self.primary_key_index)
-        trees.extend(self.secondary_indexes.values())
-        return trees
+    def _single_trees(self) -> List[LSMTree]:
+        """The indexes kept as one LSM-tree each: primary-key and secondary."""
+        return [self.primary_key_index, *self.secondary_indexes.values()]
 
     def _check_not_blocked(self) -> None:
         if self.blocked:
@@ -276,7 +274,10 @@ class StoragePartition:
 
     @property
     def memory_bytes(self) -> int:
-        return sum(tree.memory.size_bytes for tree in self._all_trees())
+        total = self.primary.memory_bytes + self.primary_key_index.memory.size_bytes
+        for tree in self.secondary_indexes.values():
+            total += tree.memory.size_bytes
+        return total
 
     def maintain(self, force_flush: bool = False) -> MaintenanceReport:
         """Run the partition's flush/merge/split pass.
@@ -284,31 +285,29 @@ class StoragePartition:
         AsterixDB budgets memory components per dataset partition; when the
         budget is exceeded the dataset's memory components are flushed.  After
         flushing, each index runs its merge policy and the primary index may
-        split buckets that exceeded the maximum bucket size.
+        split buckets that exceeded the maximum bucket size.  The report
+        carries all of the pass's storage work (see :class:`MaintenanceReport`).
         """
-        report = MaintenanceReport()
         over_budget = self.memory_bytes >= self.lsm_config.memory_component_bytes
+        flushed = 0
         if force_flush or over_budget:
-            report.flush_bytes += self.primary.flush_all()
-            for tree in [self.primary_key_index, *self.secondary_indexes.values()]:
+            flushed = self.primary.flush_all()
+            for tree in self._single_trees():
                 component = tree.flush()
                 if component is not None:
-                    report.flush_bytes += component.size_bytes
-        primary_report = self.primary.maintain(force_flush=False)
-        primary_report.merge_into(report)
-        for tree in [self.primary_key_index, *self.secondary_indexes.values()]:
-            before = tree.stats.snapshot()
-            if tree.maybe_merge() is not None:
-                delta = tree.stats.diff(before)
-                report.merge_read_bytes += delta.bytes_merged_read
-                report.merge_write_bytes += delta.bytes_merged_written
+                    flushed += component.size_bytes
+        report = self.primary.maintain(force_flush=False)
+        report.flush_bytes += flushed
+        report.count_merge(self.primary_key_index)
+        for tree in self.secondary_indexes.values():
+            report.count_merge(tree)
         return report
 
     # --------------------------------------------------------------- sizing
 
     @property
     def size_bytes(self) -> int:
-        return sum(tree.size_bytes for tree in self._all_trees())
+        return self.primary.size_bytes + sum(tree.size_bytes for tree in self._single_trees())
 
     @property
     def primary_size_bytes(self) -> int:
@@ -318,7 +317,11 @@ class StoragePartition:
         return self.primary.bucket_sizes()
 
     def stats_snapshot(self) -> StorageStats:
-        """Aggregate storage stats across every index (for cost accounting)."""
+        """Aggregate storage stats across every index (for cost accounting).
+
+        No counter goes backwards across a bucket split: the primary index
+        keeps the counters of the buckets its splits retired.
+        """
         total = StorageStats()
         total.add(self.primary.aggregated_stats())
         total.add(self.primary_key_index.stats)

@@ -240,12 +240,19 @@ class LocalDirectory:
         #: misses mean "not owned here".  Invalidated by every mutation.
         self._slot_route: Optional[Dict[int, BucketId]] = None
         self._slot_depth = 0
+        #: The buckets in sorted order, cached until the next mutation (every
+        #: maintenance pass walks them).
+        self._sorted: Optional[List[BucketId]] = None
         for bucket in buckets or ():
             self.add_bucket(bucket)
 
     @property
     def buckets(self) -> List[BucketId]:
-        return sorted(self._buckets.keys())
+        """The buckets in sorted order; a copy the caller may change."""
+        order = self._sorted
+        if order is None:
+            order = self._sorted = sorted(self._buckets)
+        return list(order)
 
     def __len__(self) -> int:
         return len(self._buckets)
@@ -270,12 +277,14 @@ class LocalDirectory:
                 )
         self._buckets[bucket] = None
         self._slot_route = None
+        self._sorted = None
 
     def remove_bucket(self, bucket: BucketId) -> None:
         """Drop a bucket (after it moved away); unknown buckets are a no-op
         so the rebalance cleanup stays idempotent."""
         self._buckets.pop(bucket, None)
         self._slot_route = None
+        self._sorted = None
 
     def split_bucket(self, bucket: BucketId) -> Tuple[BucketId, BucketId]:
         """Replace ``bucket`` with its two children and return them."""
@@ -286,6 +295,7 @@ class LocalDirectory:
         self._buckets[low] = None
         self._buckets[high] = None
         self._slot_route = None
+        self._sorted = None
         return low, high
 
     def bucket_for_hash(self, hash_value: int) -> BucketId:

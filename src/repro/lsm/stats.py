@@ -17,10 +17,12 @@ from dataclasses import dataclass
 class StorageStats:
     """Counters of physical storage work performed by one LSM-tree.
 
-    ``add``/``snapshot``/``diff`` run on the per-operation cost-accounting
-    path (every point lookup snapshots a partition's stats twice), so they
-    are hand-unrolled over the field list instead of reflecting through
-    ``dataclasses.fields`` — profiled at >10x cheaper, same results.
+    ``add``/``snapshot``/``diff`` are hand-unrolled over the field list
+    instead of reflecting through ``dataclasses.fields`` (profiled at >10x
+    cheaper, same results): query scans price their reads with a snapshot
+    pair per partition.  The per-operation paths take no snapshot.  A point
+    lookup reads the one bucket tree's ``components_opened`` around its
+    probe, and an ingest sums the work its maintenance passes report.
     """
 
     records_written: int = 0

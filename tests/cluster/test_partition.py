@@ -12,6 +12,7 @@ from repro.cluster.partition import StoragePartition
 from repro.hashing.bucket_id import BucketId, ROOT_BUCKET
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.entry import Entry
+from repro.lsm.stats import StorageStats
 
 
 def orders_spec():
@@ -137,15 +138,11 @@ class TestMaintenance:
         # primary + pk index + secondary index all received the writes.
         assert stats.records_written == 30
 
-
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2(b)")
     def test_stats_delta_across_a_split_is_not_negative(self):
-        # A split replaces the parent bucket, counters and all, with children
-        # whose counters start at zero, so a before/after snapshot pair around
-        # the maintain() that split under-reports — here it goes negative.
-        # DataFeed.ingest prices every batch with exactly such a pair; the PR
-        # that replaces the pairs with per-partition accumulators (ROADMAP
-        # item 2(b)) makes this pass and deletes the marker.
+        # A split replaces the parent bucket with children whose counters
+        # start at zero; the primary index keeps the retired parent's
+        # counters, so a before/after snapshot pair around the maintain()
+        # that split sees all of the work instead of going negative.
         partition = make_partition(initial_depth=0, memory_bytes=4096, max_bucket_bytes=16384)
         for key in range(160):
             partition.insert(order_row(key))
@@ -155,12 +152,20 @@ class TestMaintenance:
         before = partition.stats_snapshot()
         for key in range(160, 400):
             partition.insert(order_row(key))
-        if not partition.maintain().split_count:
+        report = partition.maintain()
+        if not report.split_count:
             pytest.fail("the measured maintain() did not split a bucket")
         delta = partition.stats_snapshot().diff(before)
         work = {name: getattr(delta, name) for name in vars(delta)}
         assert all(value >= 0 for value in work.values()), work
         assert delta.records_written == 3 * 240  # primary + pk index + one secondary
+        # The pass's report carries the same work.
+        assert report.storage_stats() == StorageStats(
+            bytes_flushed=delta.bytes_flushed,
+            bytes_merged_read=delta.bytes_merged_read,
+            bytes_merged_written=delta.bytes_merged_written,
+            records_merged=delta.records_merged,
+        )
 
 
 class TestBlockedPartition:

@@ -214,6 +214,43 @@ class TestLocalDirectory:
         assert len(local) == 2
         assert len(clone) == 1
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(st.sampled_from(["add", "remove", "split"]), st.integers(0, 2**16)),
+            max_size=40,
+        )
+    )
+    def test_cached_order_follows_every_mutation(self, steps):
+        # The sorted order is cached between mutations; each add, remove and
+        # split must drop it, and no caller may edit the cache through the
+        # list it was handed.
+        local = LocalDirectory(0, [BucketId(0b0, 1)])
+        model = {BucketId(0b0, 1)}
+        for action, pick in steps:
+            assert local.buckets == sorted(model)
+            if action == "add":
+                depth = 1 + pick % 6
+                bucket = BucketId(pick % (1 << depth), depth)
+                if any(bucket.overlaps(existing) for existing in model):
+                    continue
+                local.add_bucket(bucket)
+                model.add(bucket)
+            elif not model:
+                continue
+            else:
+                bucket = sorted(model)[pick % len(model)]
+                if action == "remove":
+                    local.remove_bucket(bucket)
+                    model.discard(bucket)
+                elif bucket.depth < 20:
+                    model.discard(bucket)
+                    model.update(local.split_bucket(bucket))
+            handed = local.buckets
+            handed.clear()
+            handed.append(BucketId(0, 0))
+            assert local.buckets == sorted(model)
+
 
 class TestDirectoryProperties:
     @settings(max_examples=30, deadline=None)
