@@ -4,7 +4,8 @@ Every benchmark runs the corresponding experiment driver exactly once
 (``benchmark.pedantic(..., rounds=1, iterations=1)``) and prints the series
 the paper's figure plots.  The scale is controlled by the ``REPRO_BENCH_SCALE``
 environment variable: ``smoke`` (default, seconds per figure) or ``full``
-(the paper's full 2/4/8/16-node sweep; minutes per figure).
+(the paper's full 2/4/8/16-node sweep; minutes per figure); any other value
+fails collection.
 """
 
 import os
@@ -13,10 +14,24 @@ import pytest
 
 from repro.bench import FULL, SMOKE
 
+#: The accepted ``REPRO_BENCH_SCALE`` values (case-insensitive).
+SCALES = {"smoke": SMOKE, "full": FULL}
+
 
 def _selected_scale():
-    name = os.environ.get("REPRO_BENCH_SCALE", "smoke").lower()
-    return FULL if name == "full" else SMOKE
+    value = os.environ.get("REPRO_BENCH_SCALE", "smoke")
+    scale = SCALES.get(value.lower())
+    if scale is None:
+        raise pytest.UsageError(
+            f"REPRO_BENCH_SCALE={value!r} is not a bench scale; "
+            f"accepted values: {', '.join(SCALES)}"
+        )
+    return scale
+
+
+def pytest_configure(config):
+    # A typo fails collection instead of quietly running the smoke scale.
+    _selected_scale()
 
 
 @pytest.fixture(scope="session")

@@ -1,47 +1,35 @@
 """Autopilot storm: the control plane closing the loop under traffic.
 
-A hotspot storm with no scheduled rebalance; the cost-aware policy detects
-the capacity trajectory, simulates candidate plans, and executes the cheapest
-one mid-run.  The bench prints the decision log plus the phase-tagged latency
-table, asserts the loop actually closed, and (when
-``REPRO_BENCH_ARTIFACT_DIR`` is set) persists the run's ops/sec and
-p50/p99-by-phase numbers as ``BENCH_autopilot_storm.json``.
+The committed ``examples/scenarios/autopilot_storm.toml``: a hotspot storm
+with no scheduled rebalance; the cost-aware policy detects the capacity
+trajectory, simulates candidate plans, and executes the cheapest one mid-run.
+The bench prints the run report (decision log plus the phase-tagged latency
+table) and asserts the loop actually closed.
 """
+
+from pathlib import Path
 
 from conftest import print_figure
 
-from repro.bench import (
-    run_autopilot_experiment,
-    traffic_artifact_payload,
-    write_bench_artifact,
-)
+from repro.scenario import load_scenario, run_scenario
+
+SPEC = Path(__file__).resolve().parents[1] / "examples" / "scenarios" / "autopilot_storm.toml"
 
 
-def test_autopilot_storm_smoke(benchmark, bench_scale):
-    result = benchmark.pedantic(
-        lambda: run_autopilot_experiment(bench_scale),
-        rounds=1,
-        iterations=1,
-    )
+def test_autopilot_storm_smoke(benchmark):
+    spec = load_scenario(SPEC)
+    result = benchmark.pedantic(lambda: run_scenario(spec), rounds=1, iterations=1)
     print_figure(
         "Autopilot: cost-aware policy under a hotspot storm "
         "(decision log + per-op simulated latency by cluster phase)",
-        result.autopilot_summary + "\n\n" + result.table(),
+        result.render(),
     )
+    assert result.passed
 
     # The loop closed: at least one policy-triggered rebalance, no explicit
-    # db.rebalance call anywhere in the schedule.
-    assert result.rebalances_triggered >= 1
-    assert result.nodes_after > result.nodes_before
+    # rebalance anywhere in the schedule.
     assert result.snapshot.counters["autopilot.decision"] >= 1
     assert result.snapshot.counters["autopilot.rebalance.complete"] >= 1
-    assert result.total_ops > 0
 
-    # Same scale, same seed: identical decisions and identical telemetry.
-    again = run_autopilot_experiment(bench_scale)
-    assert again.decision_trace == result.decision_trace
-    assert again.snapshot == result.snapshot
-
-    write_bench_artifact(
-        "autopilot_storm", traffic_artifact_payload("autopilot_storm", result)
-    )
+    # Same spec, same seed: identical decisions and identical telemetry.
+    assert run_scenario(spec).snapshot == result.snapshot

@@ -7,8 +7,8 @@ is the single place that knows how each committed golden is produced:
 
 * ``tests/integration/fixtures/driver_snapshots_golden.json`` — per-mix
   workload-driver snapshots (the PR-4 hot-path pins),
-* ``tests/integration/fixtures/traffic_snapshot_golden.json`` — the traffic
-  experiment snapshot at SMOKE scale,
+* ``tests/integration/fixtures/traffic_snapshot_golden.json`` — the snapshot
+  of the SMOKE-scale traffic storm spec ``traffic_smoke.toml`` beside it,
 * ``tests/integration/fixtures/scenario_outcomes_golden.json`` — what every
   committed spec computes at SMOKE scale (final dataset fingerprints, the
   ``ops.``/``records.``/``ingest.``/``datasets.`` counters, the chaos
@@ -70,11 +70,10 @@ def driver_snapshots_golden() -> str:
 
 
 def traffic_snapshot_golden() -> str:
-    """SMOKE-scale traffic experiment: tests/integration/test_hotpath_golden.py."""
-    from repro.bench.config import SMOKE
-    from repro.bench.experiments import run_traffic_experiment
+    """The traffic_smoke.toml fixture spec: tests/integration/test_hotpath_golden.py."""
+    from repro.scenario import load_scenario, run_scenario
 
-    result = run_traffic_experiment(SMOKE)
+    result = run_scenario(load_scenario(FIXTURES / "traffic_smoke.toml"))
     return result.snapshot.to_json(indent=2) + "\n"
 
 

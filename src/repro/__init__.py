@@ -13,7 +13,7 @@ ICDE 2022):
 * :mod:`repro.query` + :mod:`repro.tpch` — the OLAP query engine and the
   TPC-H workload used by the evaluation,
 * :mod:`repro.bench` — experiment drivers that regenerate every figure of the
-  paper's evaluation.
+  paper's evaluation, and the hot-path microbenchmarks.
 
 Quickstart (the :mod:`repro.api` client surface)::
 
@@ -25,8 +25,9 @@ Quickstart (the :mod:`repro.api` client surface)::
         report = db.remove_nodes(1)    # online rebalance
         print(report.simulated_seconds)
 
-The legacy ``SimulatedCluster.ingest``/``.lookup`` calls keep working but emit
-``DeprecationWarning``; see :mod:`repro.api` for the supported verbs.
+The traffic and autopilot storms are scenario specs under
+``examples/scenarios/``, run by :mod:`repro.scenario`; see :mod:`repro.api`
+for the supported verbs.
 """
 
 __version__ = "1.1.0"

@@ -8,22 +8,16 @@ from .experiments import (
     IngestionExperimentResult,
     QueryExperimentResult,
     ScalingExperimentResult,
-    TrafficExperimentResult,
     build_loaded_database,
     make_strategy,
-    run_autopilot_experiment,
     run_concurrent_write_experiment,
     run_ingestion_experiment,
     run_query_experiment,
     run_scaling_experiment,
-    run_traffic_experiment,
 )
-from .artifacts import bench_artifact_dir, traffic_artifact_payload, write_bench_artifact
-from .experiments import AutopilotExperimentResult
-from .reporting import format_table, markdown_table, per_query_table, series_table
+from .reporting import format_table, per_query_table, series_table
 
 __all__ = [
-    "AutopilotExperimentResult",
     "BenchScale",
     "ConcurrentWriteExperimentResult",
     "FULL",
@@ -33,20 +27,13 @@ __all__ = [
     "QueryExperimentResult",
     "SMOKE",
     "ScalingExperimentResult",
-    "TrafficExperimentResult",
-    "bench_artifact_dir",
     "build_loaded_database",
     "format_table",
     "make_strategy",
-    "markdown_table",
     "per_query_table",
-    "run_autopilot_experiment",
     "run_concurrent_write_experiment",
     "run_ingestion_experiment",
     "run_query_experiment",
     "run_scaling_experiment",
-    "run_traffic_experiment",
     "series_table",
-    "traffic_artifact_payload",
-    "write_bench_artifact",
 ]

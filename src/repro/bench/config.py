@@ -14,8 +14,8 @@ Two presets are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from ..common.config import BucketingConfig, ClusterConfig, CostModelConfig, LSMConfig
 from ..common.units import KIB
@@ -34,8 +34,6 @@ class BenchScale:
     partitions_per_node: int = 4
     #: TPC-H scale factor loaded per node (paper: 100).
     scale_per_node: float = 0.0002
-    #: Cluster sizes used by the query experiments (paper: 4 and 16 nodes).
-    query_node_counts: Tuple[int, ...] = (4, 16)
     #: Controlled write rates (krecords/s) for the concurrent-write experiment.
     write_rates_krecords: Tuple[int, ...] = (0, 10, 20, 30, 40)
     #: How many concurrent rows represent one krecord/s of write rate.
@@ -73,14 +71,10 @@ class BenchScale:
         """Total TPC-H scale factor for a cluster of ``num_nodes`` nodes."""
         return self.scale_per_node * num_nodes
 
-    def with_nodes(self, node_counts: Sequence[int]) -> "BenchScale":
-        return replace(self, node_counts=tuple(node_counts))
-
 
 #: Fast preset used by the pytest-benchmark suite.
 SMOKE = BenchScale(
     node_counts=(2, 4, 8),
-    query_node_counts=(4,),
     scale_per_node=0.0002,
     partitions_per_node=2,
     write_rates_krecords=(0, 10, 20, 40),

@@ -3,8 +3,8 @@
 Each ``run_*`` function builds fresh simulated clusters, loads TPC-H at the
 configured scale, performs the paper's experiment, and returns the series the
 corresponding figure plots.  The pytest-benchmark targets under
-``benchmarks/`` are thin wrappers that call these drivers and print the
-resulting tables; EXPERIMENTS.md is generated from the same functions.
+``benchmarks/`` are thin wrappers that call these drivers, print the
+resulting tables and assert the paper's shapes.
 
 Figure map (Section VI):
 
@@ -14,12 +14,10 @@ Figure map (Section VI):
 * Figure 8a/8b — :func:`run_query_experiment` (original cluster)
 * Figure 9a/9b — :func:`run_query_experiment` with ``downsize=True``
 
-Beyond the paper's figures, :func:`run_traffic_experiment` drives sustained
-YCSB-style mixed traffic through the client API while a rebalance is in
-flight and reports phase-tagged latency percentiles (the Figure 7c story as
-first-class telemetry), and :func:`run_autopilot_experiment` lets the
-:mod:`repro.control` autopilot close the loop — a hotspot storm with **no**
-scheduled rebalance that the policy detects, plans, and resolves on its own.
+The traffic and autopilot storms built on top of the evaluation are not
+drivers: they are the committed scenario specs
+``examples/scenarios/traffic_storm.toml`` and ``autopilot_storm.toml``, run
+through :func:`repro.scenario.run_scenario`.
 """
 
 from __future__ import annotations
@@ -262,219 +260,4 @@ def run_query_experiment(
         for query_name in queries:
             report = db.execute_spec(query_spec(query_name))
             result.seconds[approach][query_name] = report.simulated_seconds
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Traffic experiment: mixed YCSB-style load across a rebalance
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TrafficExperimentResult:
-    """Phase-tagged latency percentiles from one traffic run."""
-
-    #: The driver's workload report (phase op counts, rebalance report, seed).
-    report: "object"
-    #: Frozen metrics snapshot (the determinism contract).
-    snapshot: "object"
-    #: ``{"steady": ms, "rebalance": ms}`` — p99 write latency per phase.
-    write_p99_ms: Dict[str, float] = field(default_factory=dict)
-    read_p99_ms: Dict[str, float] = field(default_factory=dict)
-    total_ops: int = 0
-    simulated_seconds: float = 0.0
-    #: The full latency table rendered by the metrics registry.
-    latency_table: str = ""
-    #: Machine-readable percentile rows per ``"op[phase]"`` (seconds) — what
-    #: the ``BENCH_<name>.json`` artifact persists.
-    percentiles: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    def table(self) -> str:
-        return self.latency_table
-
-
-def run_traffic_experiment(
-    scale: BenchScale = SMOKE,
-    num_nodes: int = 4,
-    mix: str = "A",
-    keys: str = "zipfian",
-    initial_records: int = 600,
-    warmup: int = 80,
-    steady: int = 260,
-    spike: int = 200,
-    ramp: int = 60,
-    rebalance_add: int = 1,
-    seed: Optional[int] = None,
-) -> TrafficExperimentResult:
-    """Drive a warmup → steady → spike → ramp storm across a node-add rebalance.
-
-    Unlike the figure drivers, traffic runs at ``workload_scale=1`` so each
-    operation's simulated latency is a client-visible service time rather
-    than a paper-scale projection; the relative steady-vs-rebalance
-    comparison is what the experiment reports.
-    """
-    # Imported lazily, like Database: repro.api re-exports bench helpers.
-    from ..api import Database
-    from ..workload import WorkloadDriver, WorkloadSpec, storm_schedule
-
-    db = Database(
-        scale.cluster_config(num_nodes),
-        strategy=make_strategy("DynaHash", scale),
-    )
-    spec = WorkloadSpec(
-        dataset="traffic",
-        initial_records=initial_records,
-        mix=mix,
-        keys=keys,
-        schedule=storm_schedule(
-            warmup=warmup,
-            steady=steady,
-            spike=spike,
-            ramp=ramp,
-            rebalance={"add": rebalance_add},
-        ),
-    )
-    driver = WorkloadDriver(db, spec, seed=scale.seed if seed is None else seed)
-    report = driver.run()
-    registry = db.metrics
-    result = TrafficExperimentResult(
-        report=report,
-        snapshot=report.snapshot,
-        write_p99_ms={
-            phase: seconds * 1e3 for phase, seconds in report.write_p99_seconds.items()
-        },
-        read_p99_ms={
-            phase: seconds * 1e3 for phase, seconds in report.read_p99_seconds.items()
-        },
-        total_ops=report.total_ops,
-        simulated_seconds=report.simulated_seconds,
-        latency_table=registry.report(),
-        percentiles=registry.summaries(),
-    )
-    db.close()
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Autopilot experiment: policy-triggered rebalancing under a hotspot storm
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AutopilotExperimentResult:
-    """What one autopilot run decided and what it cost foreground traffic."""
-
-    #: The driver's workload report (includes ``autopilot_decisions``).
-    report: "object"
-    #: Frozen metrics snapshot — includes the ``autopilot.*`` decision
-    #: counters (the determinism contract covers the decisions too).
-    snapshot: "object"
-    #: The engine's comparable decision history: (action, target, outcome).
-    decision_trace: List[Tuple[str, Optional[int], str]] = field(default_factory=list)
-    rebalances_triggered: int = 0
-    nodes_before: int = 0
-    nodes_after: int = 0
-    write_p99_ms: Dict[str, float] = field(default_factory=dict)
-    read_p99_ms: Dict[str, float] = field(default_factory=dict)
-    total_ops: int = 0
-    simulated_seconds: float = 0.0
-    latency_table: str = ""
-    percentiles: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    autopilot_summary: str = ""
-
-    def table(self) -> str:
-        return self.latency_table
-
-
-def run_autopilot_experiment(
-    scale: BenchScale = SMOKE,
-    num_nodes: int = 3,
-    policy: str = "cost_aware",
-    mix: str = "B",
-    keys: str = "zipfian",
-    initial_records: int = 600,
-    warmup: int = 80,
-    steady: int = 240,
-    spike: int = 320,
-    recover: int = 160,
-    check_every_ops: int = 40,
-    cooldown_seconds: float = 0.05,
-    node_capacity_bytes: Optional[int] = None,
-    policy_options: Optional[Mapping[str, object]] = None,
-    seed: Optional[int] = None,
-) -> AutopilotExperimentResult:
-    """Drive a hotspot storm with **no scheduled rebalance** and let the
-    autopilot close the loop: detect (metrics) → plan (what-if simulation) →
-    rebalance (through the normal machinery) → recover (traffic continues).
-
-    The spike phase concentrates an insert-heavy hotspot mix on a sliver of
-    the keyspace, growing the hot partitions until the policy's capacity /
-    skew triggers fire; the engine then executes the cheapest projected plan
-    mid-run.  Deterministic under ``scale.seed`` — same seed, same decisions.
-    """
-    from ..api import Database
-    from ..workload import OperationMix, Phase, Schedule, WorkloadDriver, WorkloadSpec
-
-    db = Database(
-        scale.cluster_config(num_nodes),
-        strategy=make_strategy("DynaHash", scale),
-    )
-    if node_capacity_bytes is None:
-        # Size the budget so the preload sits comfortably (~50% mean
-        # utilization at ~128 stored bytes/record) and the spike's insert
-        # volume pushes the hottest node through the high-water mark mid-run.
-        node_capacity_bytes = max(1, 256 * initial_records // num_nodes)
-    if policy_options is None:
-        # The balance bar sits above the preload's natural bucket skew so the
-        # run's *capacity* trajectory — not the initial layout — is what
-        # trips the policy, squarely inside the spike phase.
-        policy_options = {
-            "node_capacity_bytes": node_capacity_bytes,
-            "balance_bar": 1.8,
-        }
-    pilot = db.autopilot(
-        policy=policy,
-        policy_options=policy_options,
-        check_every_ops=check_every_ops,
-        cooldown_seconds=cooldown_seconds,
-    )
-    spike_mix = OperationMix(name="spike", read=0.3, insert=0.6, update=0.1)
-    spec = WorkloadSpec(
-        dataset="autopilot",
-        initial_records=initial_records,
-        mix=mix,
-        keys=keys,
-        schedule=Schedule(
-            (
-                Phase(name="warmup", ops=warmup, keys="uniform"),
-                Phase(name="steady", ops=steady),
-                Phase(name="spike", ops=spike, keys="hotspot", mix=spike_mix),
-                Phase(name="recover", ops=recover),
-            )
-        ),
-    )
-    driver = WorkloadDriver(db, spec, seed=scale.seed if seed is None else seed)
-    nodes_before = db.num_nodes
-    report = driver.run()
-    registry = db.metrics
-    result = AutopilotExperimentResult(
-        report=report,
-        snapshot=report.snapshot,
-        decision_trace=pilot.decision_trace(),
-        rebalances_triggered=pilot.rebalances_triggered,
-        nodes_before=nodes_before,
-        nodes_after=db.num_nodes,
-        write_p99_ms={
-            phase: seconds * 1e3 for phase, seconds in report.write_p99_seconds.items()
-        },
-        read_p99_ms={
-            phase: seconds * 1e3 for phase, seconds in report.read_p99_seconds.items()
-        },
-        total_ops=report.total_ops,
-        simulated_seconds=report.simulated_seconds,
-        latency_table=registry.report(),
-        percentiles=registry.summaries(),
-        autopilot_summary=pilot.summary(),
-    )
-    db.close()
     return result

@@ -2,9 +2,8 @@
 
 The simulator's throughput claims need receipts: this module times the four
 layers the op/ingest hot path crosses — event routing, histogram recording,
-the workload driver's end-to-end op loop, and feed ingestion — and persists
-the numbers as a ``BENCH_micro.json`` artifact (via
-:mod:`repro.bench.artifacts`), so every CI run extends the perf trajectory.
+the workload driver's end-to-end op loop, and feed ingestion — and can save
+the numbers as a ``BENCH_micro.json`` payload (``--write-baseline PATH``).
 
 Methodology
 -----------
@@ -20,12 +19,14 @@ not.
 Run locally::
 
     PYTHONPATH=src python -m repro.bench.micro
+    PYTHONPATH=src python -m repro.bench.micro --dry-run
     PYTHONPATH=src python -m repro.bench.micro --check benchmarks/baselines/BENCH_micro.json
     PYTHONPATH=src python -m repro.bench.micro --write-baseline benchmarks/baselines/BENCH_micro.json
 
 The gate (``--check``) fails with exit status 1 when any benchmark's
 normalized throughput regresses more than ``--tolerance`` (default 25%)
-below the baseline.
+below the baseline.  ``python -m repro bench`` forwards its arguments here
+unchanged, so every flag above works there too.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..common.events import EventBus
 from ..common.hashutil import hash64
 from ..metrics.histogram import LatencyHistogram
-from .artifacts import write_bench_artifact
 
 #: Gate tolerance: fail on more than this relative normalized regression.
 DEFAULT_TOLERANCE = 0.25
@@ -267,6 +267,11 @@ def format_suite(payload: Dict[str, object]) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--dry-run",
+        action="store_true",
+        help="list the benchmarks that would run and exit",
+    )
     parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
     parser.add_argument(
         "--check",
@@ -284,18 +289,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="PATH",
         help="write the run's payload to PATH (committing a new baseline)",
     )
-    parser.add_argument(
-        "--artifact-dir",
-        help="directory for BENCH_micro.json (overrides REPRO_BENCH_ARTIFACT_DIR)",
-    )
     args = parser.parse_args(argv)
+
+    if args.dry_run:
+        for name in BENCHMARKS:
+            print(f"micro:{name}")
+        print(f"(dry run: {len(BENCHMARKS)} benchmarks selected)")
+        return 0
 
     payload = run_micro_suite(repeats=args.repeats)
     print(format_suite(payload))
-
-    artifact_path = write_bench_artifact("micro", payload, directory=args.artifact_dir)
-    if artifact_path is not None:
-        print(f"\nartifact written: {artifact_path}")
 
     if args.write_baseline:
         target = Path(args.write_baseline)

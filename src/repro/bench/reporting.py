@@ -1,19 +1,18 @@
 """Formatting helpers for benchmark output.
 
 The harness prints the same rows/series the paper's figures report; these
-helpers render them as aligned text tables (for the console and for
-EXPERIMENTS.md).  The generic :func:`format_table` lives in
-:mod:`repro.common.reporting` (the metrics layer uses it too) and is
-re-exported here for existing callers.
+helpers render them as aligned console tables.  The generic
+:func:`format_table` lives in :mod:`repro.common.reporting` (the metrics
+layer uses it too) and is re-exported here for existing callers.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence
+from typing import List, Mapping
 
-from ..common.reporting import _cell, format_table
+from ..common.reporting import format_table
 
-__all__ = ["format_table", "markdown_table", "per_query_table", "series_table"]
+__all__ = ["format_table", "per_query_table", "series_table"]
 
 
 def series_table(
@@ -51,11 +50,3 @@ def per_query_table(
         rows.append(row)
     return format_table(headers, rows)
 
-
-def markdown_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """Render a GitHub-flavoured markdown table."""
-    lines = ["| " + " | ".join(str(h) for h in headers) + " |"]
-    lines.append("| " + " | ".join("---" for _ in headers) + " |")
-    for row in rows:
-        lines.append("| " + " | ".join(_cell(value) for value in row) + " |")
-    return "\n".join(lines)

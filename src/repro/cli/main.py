@@ -10,12 +10,9 @@ The subcommands cover the operate-it-like-a-database loop the docs teach
     ``replay``/``inspect``; ``--seed``/``--strategy`` override the spec.
 
 ``bench``
-    The benchmark harness: ``--suite micro`` runs the hot-path
-    microbenchmarks (with the same ``--check``/``--write-baseline`` perf-gate
-    flags as ``python -m repro.bench.micro``), ``--suite traffic`` /
-    ``autopilot`` run the named experiment drivers, writing ``BENCH_*.json``
-    artifacts when an artifact directory is configured.  ``--dry-run`` lists
-    what would run.
+    The hot-path microbenchmarks and the CI perf gate: every argument is
+    forwarded unchanged to ``python -m repro.bench.micro`` (``--dry-run``,
+    ``--repeats``, ``--check``, ``--tolerance``, ``--write-baseline``).
 
 ``inspect RECORDING``
     Print a recorded run's cluster directory/partition state, check
@@ -63,7 +60,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from ..scenario import (
     ScenarioSpecError,
@@ -117,48 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = subparsers.add_parser(
         "bench",
-        help="run the micro suite or a named experiment, writing BENCH_*.json",
-        description="Benchmark harness. --suite micro is the CI perf gate's "
-        "suite; traffic/autopilot run the named experiment drivers.",
+        help="run the hot-path microbenchmarks (python -m repro.bench.micro)",
+        description="Forward every argument to python -m repro.bench.micro.",
+        add_help=False,
+        # No "-" prefix, so micro's flags (and -h) land in argv verbatim.
+        prefix_chars="+",
     )
-    bench.add_argument(
-        "--suite",
-        default="micro",
-        choices=("micro", "traffic", "autopilot", "all"),
-        help="which benchmarks to run (default: micro)",
-    )
-    bench.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="list what would run without running it",
-    )
-    bench.add_argument(
-        "--scale",
-        default="smoke",
-        choices=("smoke", "full"),
-        help="experiment scale for the named suites (default: smoke)",
-    )
-    bench.add_argument("--repeats", type=int, default=None, help="micro suite repeats")
-    bench.add_argument(
-        "--check",
-        metavar="BASELINE",
-        help="micro suite: compare against a baseline; exit 1 on regression",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="micro suite: allowed normalized regression (default 0.25)",
-    )
-    bench.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        help="micro suite: write the run's payload as a new baseline",
-    )
-    bench.add_argument(
-        "--artifact-dir",
-        help="directory for BENCH_*.json artifacts (overrides REPRO_BENCH_ARTIFACT_DIR)",
-    )
+    bench.add_argument("argv", nargs=argparse.REMAINDER)
 
     inspect = subparsers.add_parser(
         "inspect",
@@ -395,94 +357,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bench_plan(suite: str, scale: str) -> List[str]:
-    from ..bench.micro import BENCHMARKS
-
-    plan = []
-    if suite in ("micro", "all"):
-        plan.extend(f"micro:{name}" for name in BENCHMARKS)
-    if suite in ("traffic", "all"):
-        plan.append(f"experiment:traffic ({scale} scale)")
-    if suite in ("autopilot", "all"):
-        plan.append(f"experiment:autopilot ({scale} scale)")
-    return plan
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    micro_only = {
-        "--repeats": args.repeats is not None,
-        "--check": bool(args.check),
-        "--tolerance": args.tolerance is not None,
-        "--write-baseline": bool(args.write_baseline),
-    }
-    if args.suite in ("traffic", "autopilot"):
-        misused = [flag for flag, given in micro_only.items() if given]
-        if misused:
-            print(
-                f"error: {', '.join(misused)} only apply to the micro suite "
-                f"(--suite {args.suite} would silently ignore them)",
-                file=sys.stderr,
-            )
-            return 2
+    from ..bench import micro
 
-    if args.dry_run:
-        for entry in _bench_plan(args.suite, args.scale):
-            print(entry)
-        print(f"(dry run: {len(_bench_plan(args.suite, args.scale))} benchmarks selected)")
-        return 0
-
-    status = 0
-    if args.suite in ("micro", "all"):
-        from ..bench import micro
-
-        micro_argv: List[str] = []
-        if args.repeats is not None:
-            micro_argv += ["--repeats", str(args.repeats)]
-        if args.check:
-            micro_argv += ["--check", args.check]
-        if args.tolerance is not None:
-            micro_argv += ["--tolerance", str(args.tolerance)]
-        if args.write_baseline:
-            micro_argv += ["--write-baseline", args.write_baseline]
-        if args.artifact_dir:
-            micro_argv += ["--artifact-dir", args.artifact_dir]
-        status = micro.main(micro_argv)
-    if args.suite in ("traffic", "autopilot", "all"):
-        import time
-
-        from ..bench import FULL, SMOKE, write_bench_artifact
-        from ..bench import run_autopilot_experiment, run_traffic_experiment
-        from ..bench.artifacts import traffic_artifact_payload
-
-        scale = SMOKE if args.scale == "smoke" else FULL
-        experiments = []
-        if args.suite in ("traffic", "all"):
-            # Artifact names keep continuity with the pre-CLI trajectory
-            # (examples/traffic_storm.py wrote BENCH_traffic_storm.json).
-            experiments.append(("traffic_storm", run_traffic_experiment))
-        if args.suite in ("autopilot", "all"):
-            experiments.append(("autopilot_storm", run_autopilot_experiment))
-        for name, experiment in experiments:
-            # Real wall-clock throughput is exactly what the perf trajectory
-            # tracks (simulated ops/sec is seed-deterministic and never moves).
-            wall_started = time.perf_counter()  # reprolint: allow[det-wall-clock] -- bench harness measures real elapsed time
-            result = experiment(scale=scale)
-            wall_seconds = time.perf_counter() - wall_started  # reprolint: allow[det-wall-clock] -- bench harness measures real elapsed time
-            print(result.table())
-            summary = getattr(result, "autopilot_summary", "")
-            if summary:
-                print(summary)
-            payload = traffic_artifact_payload(name, result)
-            # The trajectory's regression signal: real wall-clock throughput
-            # (simulated ops/sec is seed-deterministic and never moves).
-            payload["wall_seconds"] = wall_seconds
-            payload["wall_ops_per_second"] = (
-                result.total_ops / wall_seconds if wall_seconds > 0 else 0.0
-            )
-            path = write_bench_artifact(name, payload, args.artifact_dir)
-            if path is not None:
-                print(f"artifact written: {path}")
-    return status
+    return micro.main(args.argv)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 metrics registry (latency reports), and the examples; it lives in
 :mod:`repro.common` so low layers like :mod:`repro.metrics` can render
 reports without depending on the benchmark harness above them.  The
-bench-specific shapes (series/per-query/markdown tables) stay in
+bench-specific shapes (series and per-query tables) stay in
 :mod:`repro.bench.reporting`, which re-exports this function.
 """
 

@@ -422,8 +422,8 @@ class MetricsRegistry:
     def summaries(self) -> Dict[str, Dict[str, float]]:
         """Percentile summaries per populated ``"op[phase]"`` histogram.
 
-        The machine-readable companion of :meth:`report` — what the bench
-        artifact writer persists (count, mean, p50/p95/p99, max in seconds).
+        The machine-readable companion of :meth:`report`: count, mean,
+        p50/p95/p99 and max, in seconds.
         """
         return {
             f"{op}[{phase}]": histogram.summary()

@@ -1,10 +1,12 @@
-"""The PR 1 deprecation cycle is finished: the legacy shims are *gone*.
+"""Removed surface stays removed.
 
 ``SimulatedCluster.ingest`` / ``.lookup`` and the bench helper
 ``build_loaded_cluster`` spent two releases emitting ``DeprecationWarning``;
 this module pins down their removal — the attributes no longer exist, the
 canonical replacements cover the old behaviour, and none of the supported
-paths raise deprecation warnings anymore.
+paths raise deprecation warnings anymore.  It also pins the deleted
+traffic/autopilot experiment drivers, the bench artifact writer and the
+EXPERIMENTS.md generator.
 """
 
 import warnings
@@ -74,6 +76,42 @@ class TestShimsRemoved:
             )
             for key in (0, 123, 499, 10_000):
                 assert low_level.point_lookup("orders", key) == orders.get(key)
+
+
+class TestStormDriversRemoved:
+    """The traffic and autopilot storms are the committed specs, not drivers;
+    the EXPERIMENTS.md generator, the artifact writer and the CLI's own copy
+    of the bench flags are gone with them."""
+
+    @pytest.mark.parametrize("storm", ["traffic", "autopilot"])
+    def test_storm_driver_is_gone_from_repro_bench(self, storm):
+        import repro.bench
+
+        for name in (f"run_{storm}_experiment", f"{storm.capitalize()}ExperimentResult"):
+            assert not hasattr(repro.bench, name)
+            assert name not in repro.bench.__all__
+
+    @pytest.mark.parametrize("name", ["bench_artifact_dir", "write_bench_artifact", "markdown_table"])
+    def test_artifact_and_markdown_helpers_are_gone(self, name):
+        import repro.bench
+
+        assert not hasattr(repro.bench, name)
+        assert name not in repro.bench.__all__
+
+    @pytest.mark.parametrize("module", ["repro.bench.generate", "repro.bench.artifacts"])
+    def test_deleted_module_does_not_import(self, module):
+        import importlib
+
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+
+    def test_bench_suite_flag_exits_two(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["bench", "--suite", "traffic"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --suite traffic" in capsys.readouterr().err
 
 
 class TestNoDeprecationWarnings:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.bench.micro import (
     BENCHMARKS,
     bench_calibration,
@@ -71,27 +73,35 @@ class TestPerfGate:
 
 
 class TestCli:
-    def test_main_writes_artifact_and_baseline(self, tmp_path, capsys):
-        baseline_path = tmp_path / "baseline.json"
+    def test_main_writes_baseline(self, tmp_path, capsys):
+        baseline_path = tmp_path / "BENCH_micro.json"
         # One repeat keeps the CLI smoke test fast; the benchmarks themselves
         # run at their default sizes (a few seconds total).
-        status = main(
-            [
-                "--repeats",
-                "1",
-                "--artifact-dir",
-                str(tmp_path),
-                "--write-baseline",
-                str(baseline_path),
-            ]
-        )
+        status = main(["--repeats", "1", "--write-baseline", str(baseline_path)])
         assert status == 0
-        artifact = json.loads((tmp_path / "BENCH_micro.json").read_text())
-        assert set(artifact["ops_per_second"]) == set(BENCHMARKS)
-        assert baseline_path.exists()
+        baseline = json.loads(baseline_path.read_text())
+        assert set(baseline["ops_per_second"]) == set(BENCHMARKS)
+        assert list(tmp_path.iterdir()) == [baseline_path]
         # And the gate accepts the baseline it just wrote (generous tolerance
         # absorbs run-to-run noise in the same process).
         status = main(
             ["--repeats", "1", "--check", str(baseline_path), "--tolerance", "0.9"]
         )
         assert status == 0
+
+    def test_dry_run_lists_benchmarks_without_running_them(self, monkeypatch, capsys):
+        import repro.bench.micro as micro
+
+        def refuse(repeats):
+            raise AssertionError("--dry-run ran the suite")
+
+        monkeypatch.setattr(micro, "run_micro_suite", refuse)
+        assert main(["--dry-run"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == [f"micro:{name}" for name in BENCHMARKS]
+
+    def test_artifact_dir_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--artifact-dir", "out"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --artifact-dir" in capsys.readouterr().err

@@ -195,18 +195,36 @@ class TestRecordReplayInspect:
 
 
 class TestBench:
-    def test_bench_dry_run_lists_micro_suite(self, capsys):
-        assert main(["bench", "--suite", "micro", "--dry-run"]) == 0
-        out = capsys.readouterr().out
-        assert "micro:event_emit" in out and "micro:driver_ops" in out
-        assert "dry run" in out
+    def test_bench_dry_run_lists_every_micro_benchmark(self, capsys):
+        from repro.bench.micro import BENCHMARKS
 
-    def test_bench_dry_run_all_includes_experiments(self, capsys):
-        assert main(["bench", "--suite", "all", "--dry-run"]) == 0
+        assert main(["bench", "--dry-run"]) == 0
         out = capsys.readouterr().out
-        assert "experiment:traffic" in out and "experiment:autopilot" in out
+        for name in BENCHMARKS:
+            assert f"micro:{name}" in out
+        assert f"(dry run: {len(BENCHMARKS)} benchmarks selected)" in out
 
-    def test_bench_rejects_micro_flags_on_experiment_suites(self, capsys):
-        assert main(["bench", "--suite", "traffic", "--check", "baseline.json"]) == 2
-        err = capsys.readouterr().err
-        assert "--check" in err and "micro" in err
+    def test_bench_forwards_argv_unchanged(self, monkeypatch):
+        from repro.bench import micro
+
+        seen = []
+        monkeypatch.setattr(micro, "main", lambda argv: seen.append(argv) or 7)
+        argv = ["--repeats", "1", "--check", "b.json", "--tolerance=0.5", "-h"]
+        assert main(["bench", *argv]) == 7
+        assert seen == [argv]
+
+    def test_bench_write_baseline_forwards_to_micro(self, tmp_path, monkeypatch, capsys):
+        from repro.bench import micro
+
+        payload = {
+            "name": "micro",
+            "repeats": 1,
+            "calibration_score": 100.0,
+            "ops_per_second": {name: 100.0 for name in micro.BENCHMARKS},
+            "normalized": {name: 1.0 for name in micro.BENCHMARKS},
+        }
+        monkeypatch.setattr(micro, "run_micro_suite", lambda repeats: payload)
+        target = tmp_path / "BENCH_micro.json"
+        assert main(["bench", "--write-baseline", str(target)]) == 0
+        assert json.loads(target.read_text()) == payload
+        assert f"baseline written: {target}" in capsys.readouterr().out

@@ -12,10 +12,8 @@ from repro.bench import (
     run_ingestion_experiment,
     run_query_experiment,
     run_scaling_experiment,
-    run_traffic_experiment,
 )
-from repro.metrics import PHASE_REBALANCE, PHASE_STEADY
-from repro.bench.reporting import format_table, markdown_table, per_query_table, series_table
+from repro.bench.reporting import format_table, per_query_table, series_table
 from repro.rebalance import DynaHashStrategy, GlobalHashingStrategy, StaticHashStrategy
 
 
@@ -25,7 +23,6 @@ def tiny_scale():
     return replace(
         SMOKE,
         node_counts=(2, 3),
-        query_node_counts=(2,),
         scale_per_node=0.0001,
         write_rates_krecords=(0, 5),
         static_total_buckets=32,
@@ -87,32 +84,6 @@ class TestExperimentDrivers:
         assert set(result.seconds["DynaHash"]) == {"q1", "q6", "q18"}
         assert result.seconds["DynaHash"]["q18"] >= result.seconds["Hashing"]["q18"]
 
-    def test_traffic_experiment_reports_phase_tagged_percentiles(self, tiny_scale):
-        result = run_traffic_experiment(
-            tiny_scale,
-            num_nodes=2,
-            initial_records=200,
-            warmup=30,
-            steady=80,
-            spike=80,
-            ramp=30,
-        )
-        assert result.total_ops == 220
-        assert result.write_p99_ms[PHASE_REBALANCE] >= result.write_p99_ms[PHASE_STEADY]
-        assert result.snapshot.histogram_count("update", PHASE_REBALANCE) > 0
-        assert "rebalance" in result.table()
-        # Same scale, same seed: the whole experiment is deterministic.
-        again = run_traffic_experiment(
-            tiny_scale,
-            num_nodes=2,
-            initial_records=200,
-            warmup=30,
-            steady=80,
-            spike=80,
-            ramp=30,
-        )
-        assert again.snapshot == result.snapshot
-
 
 class TestReporting:
     def test_format_table_alignment(self):
@@ -132,8 +103,3 @@ class TestReporting:
         q2_index = table.index("q2 ")
         q10_index = table.index("q10")
         assert q2_index < q10_index
-
-    def test_markdown_table(self):
-        table = markdown_table(["h1", "h2"], [[1, 2]])
-        assert table.splitlines()[1] == "| --- | --- |"
-        assert "| 1 | 2 |" in table

@@ -33,9 +33,8 @@ class TestDriverGolden:
 
 class TestTrafficExperimentGolden:
     def test_traffic_experiment_snapshot_matches_pre_overhaul(self):
-        from repro.bench.config import SMOKE
-        from repro.bench.experiments import run_traffic_experiment
+        from repro.scenario import load_scenario, run_scenario
 
         golden_text = (FIXTURES / "traffic_snapshot_golden.json").read_text()
-        result = run_traffic_experiment(SMOKE)
+        result = run_scenario(load_scenario(FIXTURES / "traffic_smoke.toml"))
         assert result.snapshot == MetricsSnapshot.from_json(golden_text)
