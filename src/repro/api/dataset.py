@@ -131,10 +131,14 @@ class Dataset:
     ) -> IngestReport:
         """Insert-or-replace rows by primary key.
 
-        The LSM write path is natively upserting (a newer entry shadows the
-        older one at the same key), so this shares :meth:`insert`'s feed path;
-        the separate verb keeps client intent explicit (and the two verbs are
-        metered as distinct ``op.insert`` / ``op.update`` samples).
+        This shares :meth:`insert`'s feed path, which upserts: in the primary
+        and primary-key indexes a newer entry shadows the older one at the
+        same key, and on a dataset with secondary indexes the partition reads
+        each key's old record first and writes antimatter for the secondary
+        entries the new record does not rewrite (as a delete does), so the
+        write leaves no stale secondary entry behind.  The separate verb
+        keeps client intent explicit (and the two verbs are metered as
+        distinct ``op.insert`` / ``op.update`` samples).
         """
         return self._ingest(rows, batch_size, op="update")
 

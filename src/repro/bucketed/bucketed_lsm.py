@@ -12,7 +12,7 @@ configured maximum size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..common.config import BucketingConfig, LSMConfig
 from ..common.errors import BucketNotFoundError, StorageError
@@ -181,22 +181,33 @@ class BucketedLSMTree:
     # ------------------------------------------------------------ data path
 
     def insert(self, key: Any, value: Any) -> Entry:
-        return self.insert_routed(key, value, hash_key(key))
-
-    def insert_routed(
-        self, key: Any, value: Any, hashed: int, value_bytes: Optional[int] = None
-    ) -> Entry:
-        """Insert with the key's hash already computed (the feed routes on the
-        same hash).  Directory routing proves bucket ownership, so the
-        bucket-level insert's ``owns_key`` is bypassed in favour of its access
-        check + tree write; the hash, and ``value_bytes`` (the row's
-        ``estimate_value_size``) when the caller has it, go with the record.
-        """
-        bucket = self._buckets[self.directory.bucket_for_hash(hashed)]
+        hashed = hash_key(key)
+        bucket = self.bucket_for_key(key, hashed)
         bucket._check_access()
-        return bucket.tree.insert(key, value, hashed, value_bytes)
+        return bucket.tree.insert(key, value, hashed)
 
     upsert = insert
+
+    def route_many(self, hashes: Sequence[int]) -> List[Tuple[LSMTree, Optional[List[int]]]]:
+        """The bucket trees a non-empty run of key hashes lands in: one
+        ``(tree, positions)`` per touched bucket, as
+        :meth:`LocalDirectory.group_hashes` groups them.
+
+        Routing proves ownership through the local directory, so the
+        bucket-level ownership check is not repeated.  Everything that can
+        refuse the run refuses here, before the caller writes anything: a
+        hash no local bucket owns (:class:`DirectoryError`), a bucket a split
+        locked or that was reclaimed (:class:`StorageError`) and a
+        deactivated memory component (:class:`ComponentStateError`).
+        """
+        routes = []
+        for bucket_id, positions in self.directory.group_hashes(hashes):
+            bucket = self._buckets[bucket_id]
+            bucket._check_access()
+            tree = bucket.tree
+            tree.memory.check_writable()
+            routes.append((tree, positions))
+        return routes
 
     def delete(self, key: Any, hashed: Optional[int] = None) -> Entry:
         if hashed is None:

@@ -48,14 +48,15 @@ class DataFeed:
     def ingest(self, rows: Iterable[Mapping[str, Any]], maintain: bool = True) -> IngestReport:
         """Ingest ``rows`` and return an :class:`IngestReport`.
 
-        Rows are routed in arrival order but landed **grouped by target
-        partition**, one batch at a time: primary keys are extracted once
-        (shared by routing and insertion), each partition receives its slice
-        of the batch through :meth:`StoragePartition.insert_many`, and the
-        maintenance pass still runs on the same every-``batch_size``-rows
-        boundaries.  Per-partition insertion order is preserved, so the
-        resulting storage state — and therefore the simulated cost — is
-        identical to the old row-at-a-time loop.
+        Rows are routed in arrival order but landed **a run per bucket
+        tree**, one batch at a time: primary keys are extracted and hashed
+        once (shared by routing and insertion), each partition receives its
+        slice of the batch through :meth:`StoragePartition.insert_many`,
+        which lands it with one write per touched bucket tree and index and
+        one WAL append, and the maintenance pass still runs on the same
+        every-``batch_size``-rows boundaries.  Each tree receives its rows in
+        arrival order, so the resulting storage state — and therefore the
+        simulated cost — is identical to a row-at-a-time loop.
 
         Each partition's storage work is what its passes report: every
         :class:`MaintenanceReport` that did something is summed into that
@@ -85,8 +86,8 @@ class DataFeed:
         batch_size = self.batch_size
         heat = self.cluster.heat
         dataset_name = self.dataset_name
-        #: The current batch, grouped by target partition (insertion order
-        #: within each partition follows arrival order).
+        #: The current batch, grouped by target partition (arrival order
+        #: within each partition; the partition groups it by bucket tree).
         grouped: Dict[int, List[Tuple[Any, int, Mapping[str, Any]]]] = {}
 
         def land_batch() -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..bucketed.bucket import Bucket
 from ..bucketed.bucketed_lsm import BucketedLSMTree, MaintenanceReport
@@ -122,7 +122,8 @@ class StoragePartition:
         primary_key: Optional[Any] = None,
         hashed: Optional[int] = None,
     ) -> Dict[str, Any]:
-        """Insert (or upsert) a record into every index of the partition.
+        """Insert (or upsert) one record into every index of the partition:
+        a one-row :meth:`insert_many`.
 
         ``primary_key`` and ``hashed`` (its ``hash_key``) let callers that
         already extracted and routed on the key skip a second extraction and
@@ -130,72 +131,125 @@ class StoragePartition:
         every index and the WAL share — so a caller that forwards the write
         (log replication) need not copy or size the row again.
         """
-        self._check_not_blocked()
         if primary_key is None:
             primary_key = self.dataset.primary_key_of(record)
         if hashed is None:
             hashed = hash_key(primary_key)
-        record_dict = dict(record)
-        self.primary.insert_routed(primary_key, record_dict, hashed)
-        self.primary_key_index.insert(primary_key, None, hashed)
-        for spec in self.dataset.secondary_indexes:
-            index = self.secondary_indexes[spec.name]
-            index.insert(_secondary_entry_key(spec, record_dict, primary_key), spec.covered_value(record_dict))
-        if log:
-            self.wal.append(
-                LogRecordType.INSERT,
-                self.dataset.name,
-                self.partition_id,
-                {"key": primary_key, "value": record_dict},
-            )
-        return record_dict
+        return self.insert_many(((primary_key, hashed, record),), log)[0][0]
 
     def insert_many(
         self,
         routed_records: Iterable[Tuple[Any, int, Mapping[str, Any]]],
         log: bool = True,
     ) -> Tuple[List[Dict[str, Any]], List[int]]:
-        """Insert a batch of ``(primary_key, key_hash, record)`` triples.
+        """Insert (or upsert) a batch of ``(primary_key, key_hash, record)``
+        triples, a run at a time.
 
-        Equivalent to calling :meth:`insert` per record (same index writes,
-        same WAL records, same resulting state) with the per-call overhead —
-        blocked checks, method resolution, secondary-spec iteration setup,
-        key hashing — paid once per batch.  The data feed and the rebalance's
-        log replicator group each routed batch by partition and land it
-        through here, reusing the hash they already computed for routing.
+        The resulting state — every index's entries and sequence numbers,
+        the memory components' hash columns, the stats and the WAL records in
+        LSN order — is the one writing the rows one by one in order leaves.
         Each row is copied once and that copy sized once, here: the primary
-        entry is born with the size.  Returns the partition's copy of each
-        record and its byte size, in order — what the feed totals and what
-        the replicator forwards and prices.
+        entries are born with the sizes.  Every row is routed to its local
+        bucket before anything lands, so a blocked partition, an unowned
+        hash, a bucket a split locked or a deactivated memory component
+        raises with nothing written.  Then each touched bucket tree takes its
+        rows with one :meth:`LSMTree.insert_many`, the primary-key index all
+        of them with one more, each secondary index its entries with one,
+        and the WAL the batch's records with one
+        :meth:`WriteAheadLog.append_many`.  The data feed and the
+        rebalance's log replicator land each partition's slice of a batch
+        through here, reusing the hash they already computed for routing.
+
+        Returns the partition's copy of each record and its byte size, in
+        order — what the feed totals and what the replicator forwards and
+        prices.
         """
-        self._check_not_blocked()
-        primary_insert = self.primary.insert_routed
-        pk_insert = self.primary_key_index.insert
-        secondary_specs = self.dataset.secondary_indexes
-        wal_append = self.wal.append if log else None
-        dataset_name = self.dataset.name
+        if self.blocked:
+            self._check_not_blocked()
+        keys: List[Any] = []
+        hashes: List[int] = []
         stored: List[Dict[str, Any]] = []
         sizes: List[int] = []
         for primary_key, hashed, record in routed_records:
-            record_dict = dict(record)
-            row_bytes = estimate_value_size(record_dict)
-            stored.append(record_dict)
-            sizes.append(row_bytes)
-            primary_insert(primary_key, record_dict, hashed, row_bytes)
-            pk_insert(primary_key, None, hashed)
-            for spec in secondary_specs:
-                self.secondary_indexes[spec.name].insert(
-                    _secondary_entry_key(spec, record_dict, primary_key),
-                    spec.covered_value(record_dict),
-                )
-            if wal_append is not None:
-                wal_append(
-                    LogRecordType.INSERT,
-                    dataset_name,
-                    self.partition_id,
-                    {"key": primary_key, "value": record_dict},
-                )
+            keys.append(primary_key)
+            hashes.append(hashed)
+            copy = dict(record)
+            stored.append(copy)
+            sizes.append(estimate_value_size(copy))
+        if not keys:
+            return stored, sizes
+        routes = self.primary.route_many(hashes)
+        pk_index = self.primary_key_index
+        pk_index.memory.check_writable()
+        secondary_runs = (
+            self._secondary_runs(keys, hashes, stored, routes) if self.secondary_indexes else ()
+        )
+        for tree, positions in routes:
+            tree.insert_many(keys, stored, hashes, sizes, positions=positions)
+        pk_index.insert_many(keys, None, hashes)
+        for index, run_keys, run_values, run_tombstones in secondary_runs:
+            index.insert_many(run_keys, run_values, tombstones=run_tombstones)
+        if log:
+            self.wal.append_many(
+                LogRecordType.INSERT, self.dataset.name, self.partition_id, keys, stored
+            )
         return stored, sizes
+
+    def _secondary_runs(
+        self,
+        keys: Sequence[Any],
+        hashes: Sequence[int],
+        stored: Sequence[Dict[str, Any]],
+        routes: Sequence[Tuple[LSMTree, Optional[List[int]]]],
+    ) -> List[Tuple[LSMTree, List[Any], List[Any], Optional[List[bool]]]]:
+        """Each secondary index's entries for a batch about to land, in row
+        order: ``(index, keys, values, tombstones)``.
+
+        An upsert must not leave the old record's secondary entry behind.
+        Each row's old record is the batch's earlier row with its key, else
+        the live value its bucket tree holds now, read with
+        :meth:`LSMTree.peek` (no stats move, so the probe costs nothing in
+        the cost model).  An old secondary key the new record does not
+        rewrite gets antimatter just before the row's new entry, as
+        :meth:`delete` writes it; ``tombstones`` is ``None`` when no row
+        needed any.  A deactivated memory component of an index raises here,
+        before anything lands.
+        """
+        for index in self.secondary_indexes.values():
+            index.memory.check_writable()
+        tree_of: List[Optional[LSMTree]] = [None] * len(keys)
+        for tree, positions in routes:
+            for position in range(len(keys)) if positions is None else positions:
+                tree_of[position] = tree
+        olds: List[Optional[Dict[str, Any]]] = []
+        latest: Dict[Any, int] = {}
+        for position, key in enumerate(keys):
+            earlier = latest.get(key)
+            if earlier is None:
+                entry = tree_of[position].peek(key, hashes[position])
+                olds.append(None if entry is None or entry.tombstone else entry.value)
+            else:
+                olds.append(stored[earlier])
+            latest[key] = position
+        runs = []
+        for spec in self.dataset.secondary_indexes:
+            run_keys: List[Any] = []
+            run_values: List[Any] = []
+            run_tombstones: List[bool] = []
+            for key, record, old in zip(keys, stored, olds):
+                entry_key = _secondary_entry_key(spec, record, key)
+                if old is not None:
+                    old_key = _secondary_entry_key(spec, old, key)
+                    if old_key != entry_key:
+                        run_keys.append(old_key)
+                        run_values.append(None)
+                        run_tombstones.append(True)
+                run_keys.append(entry_key)
+                run_values.append(spec.covered_value(record))
+                run_tombstones.append(False)
+            tombstones = run_tombstones if len(run_keys) > len(keys) else None
+            runs.append((self.secondary_indexes[spec.name], run_keys, run_values, tombstones))
+        return runs
 
     def delete(
         self,

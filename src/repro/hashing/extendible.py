@@ -15,7 +15,7 @@ Two directory kinds exist in DynaHash (Section III, Figure 1):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..common.errors import DirectoryError
 from ..common.hashutil import hash_key
@@ -313,6 +313,42 @@ class LocalDirectory:
         if route is None:
             route = self._build_slot_route()
         return route.get(hash_value & ((1 << self._slot_depth) - 1))
+
+    def group_hashes(
+        self, hashes: Sequence[int]
+    ) -> Sequence[Tuple[BucketId, Optional[List[int]]]]:
+        """The owning bucket of each of a non-empty run of hashes, grouped:
+        one ``(bucket, positions)`` per bucket in first-touch order, where
+        ``positions`` index ``hashes`` in order (``None`` when one bucket owns
+        them all).  A hash no bucket here owns raises :class:`DirectoryError`.
+        """
+        route = self._slot_route
+        if route is None:
+            route = self._build_slot_route()
+        mask = (1 << self._slot_depth) - 1
+        first = hashes[0] & mask
+        for hashed in hashes:
+            if hashed & mask != first:
+                break
+        else:  # one slot
+            bucket = route.get(first)
+            if bucket is not None:
+                return ((bucket, None),)
+        # Grouped by identity: the table holds one object per bucket (however
+        # many slots it spans), and a BucketId's hash is a Python-level call.
+        groups: Dict[int, Tuple[BucketId, List[int]]] = {}
+        for position, hashed in enumerate(hashes):
+            bucket = route.get(hashed & mask)
+            if bucket is None:
+                raise DirectoryError(
+                    f"hash {hashed:#x} belongs to no bucket of partition {self.partition_id}"
+                )
+            group = groups.get(id(bucket))
+            if group is None:
+                groups[id(bucket)] = (bucket, [position])
+            else:
+                group[1].append(position)
+        return list(groups.values())
 
     def _build_slot_route(self) -> Dict[int, BucketId]:
         """Expand this partition's buckets into a sparse slot table (lazily)."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from bisect import bisect_left, bisect_right
+from operator import attrgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..common.errors import ComponentStateError
@@ -31,6 +32,7 @@ from .bloom import BloomFilter
 from .entry import Entry, sort_key, sort_order, total_size_bytes
 
 _component_ids = itertools.count(1)
+_key_of = attrgetter("key")
 
 
 def next_component_id() -> int:
@@ -129,10 +131,16 @@ class MemoryComponent(ReferenceCounted):
     def is_empty(self) -> bool:
         return not self._entries
 
+    def check_writable(self) -> None:
+        """Raise :class:`ComponentStateError` if the component is deactivated."""
+        if not self._active:
+            raise ComponentStateError("cannot write to a deactivated memory component")
+
     def put(
         self, entry: Entry, size_bytes: Optional[int] = None, hashed: Optional[int] = None
     ) -> None:
-        """Insert or overwrite an entry (inserts, updates and tombstones).
+        """Insert or overwrite one entry (a single write, a tombstone or a
+        replicated record; batches go through :meth:`put_many`).
 
         ``size_bytes`` lets the write path pass the entry size it already
         computed for stats accounting.  The memtable replaces in place but
@@ -153,6 +161,42 @@ class MemoryComponent(ReferenceCounted):
                     self._hashes.append(hashed)
         entries[key] = entry
         self._size_bytes += entry.size_bytes if size_bytes is None else size_bytes
+
+    def put_many(self, entries: Sequence[Entry], hashes: Optional[Sequence[int]] = None) -> int:
+        """:meth:`put` each of ``entries`` in order; returns the bytes added.
+
+        ``hashes`` is the ``hash_key`` of every entry's key, aligned with
+        ``entries``, or ``None`` when the writer has none.  The rules are
+        :meth:`put`'s: a deactivated component raises before anything is
+        written, only a *new* key drops the cached sort and grows the hash
+        column (a key repeated in the batch is new once), a new key without
+        a hash drops the column, and the byte counter grows by every entry.
+        """
+        if not self._active:
+            raise ComponentStateError("cannot write to a deactivated memory component")
+        table = self._entries
+        before = len(table)
+        for entry in entries:
+            table[entry.key] = entry
+        grown = len(table) - before
+        if grown:
+            self._sorted = None
+            column = self._hashes
+            if column is not None:
+                if hashes is None:
+                    self._hashes = None
+                elif grown == len(entries):
+                    column.extend(hashes)
+                else:
+                    # The new keys are the table's last ``grown``, in the
+                    # order the batch first wrote them.
+                    hash_of = dict(zip(map(_key_of, entries), hashes))
+                    fresh = list(itertools.islice(reversed(table), grown))
+                    fresh.reverse()
+                    column.extend(map(hash_of.__getitem__, fresh))
+        added = total_size_bytes(entries)
+        self._size_bytes += added
+        return added
 
     def get(self, key: Any) -> Optional[Entry]:
         """Return the newest entry for ``key`` or ``None`` if absent."""

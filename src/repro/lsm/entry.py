@@ -26,8 +26,9 @@ def estimate_value_size(value: Any) -> int:
     the TPC-H tuples produced by :mod:`repro.tpch.datagen`.
 
     The exact-type checks up front are a fast path for the overwhelmingly
-    common cases (this function walks every ingested row at least twice);
-    subclasses fall through to the original ``isinstance`` chain with the
+    common cases (this function sizes every ingested row once); a row's
+    ``str``/``int``/``float`` fields are sized inline, without a call each.
+    Subclasses fall through to the original ``isinstance`` chain with the
     same precedence, so e.g. ``bool`` still counts as 1 byte, not 8.
     """
     kind = type(value)
@@ -40,7 +41,14 @@ def estimate_value_size(value: Any) -> int:
     if kind is dict:
         total = 0
         for field_name, field_value in value.items():
-            total += len(str(field_name)) + estimate_value_size(field_value)
+            total += len(field_name) if type(field_name) is str else len(str(field_name))
+            field_kind = type(field_value)
+            if field_kind is str:
+                total += len(field_value)
+            elif field_kind is int or field_kind is float:
+                total += 8
+            else:
+                total += estimate_value_size(field_value)
         return total
     if value is None:
         return 0
@@ -145,11 +153,12 @@ class Entry:
         self.value = value
         self.seqnum = seqnum
         self.tombstone = tombstone
-        self._size_bytes: Optional[int] = (
-            None
-            if value_bytes is None
-            else _BASE_RECORD_OVERHEAD + estimate_key_size(key) + value_bytes
-        )
+        if value_bytes is None:
+            self._size_bytes: Optional[int] = None
+        elif type(key) is int:  # estimate_key_size's first case, inline
+            self._size_bytes = _BASE_RECORD_OVERHEAD + 8 + value_bytes
+        else:
+            self._size_bytes = _BASE_RECORD_OVERHEAD + estimate_key_size(key) + value_bytes
 
     @property
     def size_bytes(self) -> int:

@@ -40,6 +40,12 @@ from .stats import StorageStats
 
 _received_list_ids = itertools.count(1)
 
+#: Endless columns for a run whose rows all take one value; shared, since
+#: an unbounded ``repeat`` has no position to advance.
+_NONES = itertools.repeat(None)
+_ZEROS = itertools.repeat(0)
+_FALSES = itertools.repeat(False)
+
 #: Union type of everything that can sit in a component list.
 AnyDiskComponent = Any  # DiskComponent | ReferenceDiskComponent
 
@@ -92,7 +98,8 @@ class LSMTree:
         hashed: Optional[int] = None,
         value_bytes: Optional[int] = None,
     ) -> Entry:
-        """Insert or overwrite a record.
+        """Insert or overwrite one record (a batch lands through
+        :meth:`insert_many`, which this equals for one row).
 
         ``hashed`` is ``hash_key(key)`` and ``value_bytes`` is
         ``estimate_value_size(value)`` when the writer already has them; both
@@ -103,6 +110,63 @@ class LSMTree:
 
     # AsterixDB's feeds use upserts; they are identical to inserts here.
     upsert = insert
+
+    def insert_many(
+        self,
+        keys: Sequence[Any],
+        values: Optional[Sequence[Any]] = None,
+        hashes: Optional[Sequence[int]] = None,
+        value_sizes: Optional[Sequence[int]] = None,
+        tombstones: Optional[Sequence[bool]] = None,
+        positions: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Write a run of records in order: the entries, sequence numbers,
+        memory component and stats one :meth:`insert` (or :meth:`delete`)
+        per row leaves.
+
+        The columns are aligned with ``keys``: ``hashes`` and
+        ``value_sizes`` as :meth:`insert`'s ``hashed`` and ``value_bytes``,
+        and ``tombstones`` marks the rows that are deletes (antimatter: value
+        ``None`` and no size given).  ``values=None`` is a key-only run (the
+        primary-key index): every value is ``None``, of size 0.
+        ``positions`` picks the rows of the columns this run writes, in
+        order (all of them when ``None``), so a writer that grouped one
+        batch by tree hands each tree the batch's columns.  The run takes
+        the next sequence numbers and lands in one
+        :meth:`MemoryComponent.put_many` (a run of one is one write); a
+        deactivated memory component raises with nothing written and no
+        sequence number taken.
+        """
+        count = len(keys) if positions is None else len(positions)
+        if count == 1:  # a run of one skips the run's set-up
+            row = 0 if positions is None else positions[0]
+            self._write(
+                keys[row],
+                None if values is None else values[row],
+                tombstones is not None and tombstones[row],
+                None if hashes is None else hashes[row],
+                0 if values is None else None if value_sizes is None else value_sizes[row],
+            )
+            return
+        if positions is not None:
+            keys, values, hashes, value_sizes, tombstones = (
+                None if column is None else list(map(column.__getitem__, positions))
+                for column in (keys, values, hashes, value_sizes, tombstones)
+            )
+        if values is None:
+            values, value_sizes = _NONES, _ZEROS
+        start = self._seqnum + 1
+        seqnums = range(start, start + count)
+        flags = _FALSES if tombstones is None else tombstones
+        if value_sizes is None:
+            entries = list(map(Entry, keys, values, seqnums, flags))
+        else:
+            entries = list(map(Entry, keys, values, seqnums, flags, value_sizes))
+        added = self.memory.put_many(entries, hashes)
+        self._seqnum += count
+        stats = self.stats
+        stats.records_written += count
+        stats.bytes_written_memory += added
 
     def delete(self, key: Any, hashed: Optional[int] = None) -> Entry:
         """Delete a record by writing a tombstone."""
@@ -121,10 +185,11 @@ class LSMTree:
         hashed: Optional[int] = None,
         value_bytes: Optional[int] = None,
     ) -> Entry:
-        self._seqnum += 1
-        entry = Entry(key, value, self._seqnum, tombstone, value_bytes)
+        seqnum = self._seqnum + 1
+        entry = Entry(key, value, seqnum, tombstone, value_bytes)
         size = entry.size_bytes
         self.memory.put(entry, size, hashed)
+        self._seqnum = seqnum
         stats = self.stats
         stats.records_written += 1
         stats.bytes_written_memory += size
@@ -305,6 +370,22 @@ class LSMTree:
             if entry is not None:
                 stats.records_read += 1
                 stats.bytes_read += entry.size_bytes
+                return entry
+        return None
+
+    def peek(self, key: Any, hashed: Optional[int] = None) -> Optional[Entry]:
+        """:meth:`get_entry` as the write path's old-value probe: the same
+        answer, but no stats counter moves and no Bloom filter is built
+        (each component is asked directly), so the probe is free in the cost
+        model.  ``hashed`` is ``hash_key(key)`` when the caller has it."""
+        if self._invalid_buckets and self._is_invalidated(key):
+            return None
+        entry = self.memory.get(key)
+        if entry is not None:
+            return entry
+        for component in self.disk_components:
+            entry = component.get(key, hashed)
+            if entry is not None:
                 return entry
         return None
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 _lsn_counter = itertools.count(1)
 
@@ -156,6 +156,29 @@ class WriteAheadLog:
         if force:
             self.force()
         return record
+
+    def append_many(
+        self,
+        record_type: LogRecordType,
+        dataset: str,
+        partition_id: Optional[int],
+        keys: Sequence[Any],
+        values: Sequence[Any],
+    ) -> None:
+        """Append one unforced data record per ``(key, value)`` pair, in
+        order: the records and consecutive LSNs of one :meth:`append` with
+        payload ``{"key": key, "value": value}`` per pair."""
+        append = self._records.append
+        for key, value in zip(keys, values):
+            append(
+                LogRecord(
+                    next(_lsn_counter),
+                    record_type,
+                    dataset,
+                    partition_id,
+                    {"key": key, "value": value},
+                )
+            )
 
     def force(self) -> None:
         """Make every appended record durable (an fsync of the log tail)."""

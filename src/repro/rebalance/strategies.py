@@ -26,6 +26,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Tuple,
     TYPE_CHECKING,
 )
 
@@ -335,15 +336,18 @@ class GlobalHashingStrategy(RebalancingStrategy):
         records_moved = 0
         cross_node_records = 0
 
+        #: Each new partition's rows, in arrival order, as ``insert_many`` takes them.
+        loads: Dict[int, List[Tuple[Any, int, Mapping[str, Any]]]] = {
+            pid: [] for pid in new_partitions
+        }
         for old_pid, partition in old_partitions.items():
             old_node = cluster.node_of_partition(old_pid).node_id
             scanned_by_partition[old_pid] = partition.primary_size_bytes
             for entry in partition.scan_primary():
-                record = entry.value
                 key = entry.key
                 hashed = hash_key(key)
                 new_pid = target_partitions[hashed % num_new]
-                new_partitions[new_pid].insert(record, log=False, primary_key=key, hashed=hashed)
+                loads[new_pid].append((key, hashed, entry.value))
                 new_node = cluster.node_of_partition(new_pid).node_id
                 loaded_records_by_partition[new_pid] = (
                     loaded_records_by_partition.get(new_pid, 0) + 1
@@ -360,14 +364,17 @@ class GlobalHashingStrategy(RebalancingStrategy):
             key = runtime.spec.primary_key_of(row)
             hashed = hash_key(key)
             new_pid = target_partitions[hashed % num_new]
-            new_partitions[new_pid].insert(row, log=False, primary_key=key, hashed=hashed)
+            loads[new_pid].append((key, hashed, row))
             loaded_records_by_partition[new_pid] = loaded_records_by_partition.get(new_pid, 0) + 1
             records_moved += 1
-        for partition in new_partitions.values():
+        # Nothing runs maintenance before each partition's forced pass, so
+        # landing its rows as one batch leaves the state row-by-row would.
+        for pid, partition in new_partitions.items():
+            partition.insert_many(loads[pid], log=False)
             partition.maintain(force_flush=True)
         # The destination work of global rebalancing goes through the regular
-        # record-at-a-time insertion path (parsing, index maintenance, flushes
-        # and merges) — that, plus rewriting nearly every record, is why the
+        # insertion path (every record parsed and indexed, then flushed and
+        # merged) — that, plus rewriting nearly every record, is why the
         # paper's Hashing baseline is so expensive.
         destination_work = {
             pid: new_partitions[pid].stats_snapshot() for pid in new_partitions

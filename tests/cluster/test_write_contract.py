@@ -6,6 +6,10 @@ takes no stats snapshot and no per-partition node lookup.  Every partition
 still runs its maintenance pass after the row's batch and once more at the end
 of the feed; ROADMAP item 2(b)'s dirty rule is the change that will skip the
 passes of partitions with nothing to do.
+
+A bulk batch lands a run at a time: one ``LSMTree.insert_many`` per bucket
+tree it touches plus one for the primary-key index, and one WAL append, per
+partition.
 """
 
 from collections import Counter
@@ -13,37 +17,53 @@ from collections import Counter
 import pytest
 
 import repro.hashing.extendible as extendible_module
-from repro.api import ClusterConfig, Database
+from repro.api import KIB, BucketingConfig, ClusterConfig, Database, LSMConfig
 from repro.cluster.controller import SimulatedCluster
 from repro.cluster.cost_model import CostModel
 from repro.cluster.partition import StoragePartition
+from repro.common.hashutil import hash_key
 from repro.lsm.stats import StorageStats
+from repro.lsm.tree import LSMTree
+from repro.lsm.wal import WriteAheadLog
 
 PARTITIONS = 8
+
+
+def counting(counted, name, function):
+    """``function``, counting its calls in ``counted[name]``."""
+
+    def wrapper(*args, **kwargs):
+        counted[name] += 1
+        return function(*args, **kwargs)
+
+    return wrapper
+
+
+def count_calls(monkeypatch, methods):
+    """A counter of calls to each ``(owner, name)`` method, by name."""
+    counted = Counter()
+    for owner, name in methods:
+        monkeypatch.setattr(owner, name, counting(counted, name, getattr(owner, name)))
+    return counted
 
 
 @pytest.fixture
 def calls(monkeypatch):
     """Calls of every method below, counted by name."""
-    counted = Counter()
-
-    def counting(name, function):
-        def wrapper(*args, **kwargs):
-            counted[name] += 1
-            return function(*args, **kwargs)
-
-        return wrapper
-
-    for owner, name in (
-        (StoragePartition, "stats_snapshot"),
-        (StoragePartition, "maintain"),
-        (SimulatedCluster, "node_of_partition"),
-        (CostModel, "ingest_work"),
-        (StorageStats, "snapshot"),
-        (StorageStats, "diff"),
-    ):
-        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
-    monkeypatch.setattr(extendible_module, "sorted", counting("sorted", sorted), raising=False)
+    counted = count_calls(
+        monkeypatch,
+        (
+            (StoragePartition, "stats_snapshot"),
+            (StoragePartition, "maintain"),
+            (SimulatedCluster, "node_of_partition"),
+            (CostModel, "ingest_work"),
+            (StorageStats, "snapshot"),
+            (StorageStats, "diff"),
+        ),
+    )
+    monkeypatch.setattr(
+        extendible_module, "sorted", counting(counted, "sorted", sorted), raising=False
+    )
     return counted
 
 
@@ -89,4 +109,51 @@ class TestSingleRowUpsert:
         assert report.simulated_seconds == expected
         assert (report.splits, report.flush_bytes, report.merge_bytes) == (0, 0, 0)
         assert sorted(report.per_node_seconds) == ["nc0", "nc1", "nc2", "nc3"]
+        db.close()
+
+
+@pytest.fixture
+def landings(monkeypatch):
+    """Calls of the tree- and log-level write methods, counted by name."""
+    return count_calls(
+        monkeypatch,
+        (
+            (LSMTree, "insert_many"),
+            (LSMTree, "_write"),
+            (WriteAheadLog, "append_many"),
+            (WriteAheadLog, "append"),
+        ),
+    )
+
+
+class TestBatchLanding:
+    def test_a_batch_lands_one_run_per_bucket_tree(self, landings):
+        # The split shape: every partition holds several buckets.
+        db = Database(
+            ClusterConfig(
+                num_nodes=4,
+                partitions_per_node=2,
+                lsm=LSMConfig(memory_component_bytes=32 * KIB),
+                bucketing=BucketingConfig(max_bucket_bytes=48 * KIB),
+            ),
+            strategy="dynahash",
+        )
+        dataset = db.create_dataset("t", primary_key="k")
+        dataset.insert([{"k": key, "v": "x" * 64} for key in range(8000)])
+        runtime = db.cluster.dataset("t")
+        rows = [{"k": key, "v": "w" * 64} for key in range(20_000, 22_000)]
+        touched = {}
+        for row in rows:
+            hashed = hash_key(row["k"])
+            partition = runtime.partitions[runtime.partition_of_key(row["k"], hashed)]
+            bucket = partition.primary.directory.bucket_for_hash(hashed)
+            touched.setdefault(partition.partition_id, set()).add(bucket)
+        assert len(touched) == PARTITIONS and all(len(b) > 1 for b in touched.values())
+        landings.clear()
+        dataset.insert(rows, batch_size=2000)
+        # Per partition: one run into each bucket tree its slice touches and
+        # one into its primary-key index, and one WAL append.  No row is
+        # written on its own.
+        runs = sum(len(buckets) + 1 for buckets in touched.values())
+        assert landings == {"insert_many": runs, "append_many": PARTITIONS}
         db.close()
