@@ -350,7 +350,7 @@ class BucketedLSMTree:
         This is the "immutable bucket snapshot" of Section V-A: the flush time
         is the rebalance start time for this bucket; everything in the
         returned components predates it, and later writes only live in the
-        memory component / WAL (which the rebalance replicates separately).
+        memory component (the rebalance's log replicator forwards them).
         """
         bucket = self.bucket(bucket_id)
         bucket.flush()

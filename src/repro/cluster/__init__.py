@@ -4,7 +4,7 @@
   storage partitions each, dataset creation, feed ingestion, lookups, and
   strategy-driven rebalancing.
 * :class:`StoragePartition` — one dataset partition (bucketed primary index,
-  primary-key index, secondary indexes, WAL) including the NC-side rebalance
+  primary-key index, secondary indexes) including the NC-side rebalance
   mechanics.
 * :class:`CostModel` — converts physical work into simulated seconds with
   slowest-node semantics.

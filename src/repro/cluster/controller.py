@@ -90,7 +90,7 @@ class ClusterController:
     """CC-side metadata: dataset runtimes and the metadata log."""
 
     def __init__(self) -> None:
-        self.metadata_wal = WriteAheadLog(owner="cc")
+        self.metadata_wal = WriteAheadLog()
         self.lamport = LamportClock()
         self.datasets: Dict[str, DatasetRuntime] = {}
 
@@ -292,7 +292,6 @@ class SimulatedCluster:
             initial_buckets=initial_buckets,
             lsm_config=self.config.lsm,
             bucketing_config=runtime.bucketing,
-            wal=node.wal,
         )
 
     def create_dataset(

@@ -52,8 +52,8 @@ class DataFeed:
         tree**, one batch at a time: primary keys are extracted and hashed
         once (shared by routing and insertion), each partition receives its
         slice of the batch through :meth:`StoragePartition.insert_many`,
-        which lands it with one write per touched bucket tree and index and
-        one WAL append, and the maintenance pass still runs on the same
+        which lands it with one write per touched bucket tree and index,
+        and the maintenance pass still runs on the same
         every-``batch_size``-rows boundaries.  Each tree receives its rows in
         arrival order, so the resulting storage state — and therefore the
         simulated cost — is identical to a row-at-a-time loop.

@@ -3,8 +3,9 @@
 An AsterixDB cluster has one Cluster Controller and multiple Node Controllers;
 each NC hosts several storage partitions (4 in the paper's experiments) and a
 transaction log (Section II-C).  The simulator's :class:`NodeController` owns
-the partition objects of every dataset, a node-level WAL, and a simulated
-clock used to accumulate the node's busy time.
+the partition objects of every dataset and a simulated clock used to
+accumulate the node's busy time.  It keeps no transaction log: nothing the
+simulator models reads one (see :mod:`repro.lsm.wal`).
 """
 
 from __future__ import annotations
@@ -14,28 +15,22 @@ from typing import Dict, List
 
 from ..common.clock import LamportClock, SimulatedClock
 from ..common.errors import UnknownDatasetError
-from ..lsm.wal import WriteAheadLog
 from .partition import StoragePartition
 
 
 @dataclass
 class NodeController:
-    """One NC: an id, its partition ids, its WAL and its clock."""
+    """One NC: an id, its partition ids and its clock."""
 
     node_id: str
     #: Global ids of the storage partitions hosted by this node.
     partition_ids: List[int]
-    wal: WriteAheadLog = field(default_factory=WriteAheadLog)
     clock: SimulatedClock = field(default_factory=SimulatedClock)
     lamport: LamportClock = field(default_factory=LamportClock)
     #: dataset name -> {partition id -> partition object}
     partitions: Dict[str, Dict[int, StoragePartition]] = field(default_factory=dict)
     #: Set when the node is simulated as crashed (rebalance failure cases).
     failed: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.wal.owner:
-            self.wal.owner = self.node_id
 
     # ------------------------------------------------------------ partitions
 
@@ -69,9 +64,6 @@ class NodeController:
 
     # ---------------------------------------------------------------- sizing
 
-    def dataset_size_bytes(self, dataset: str) -> int:
-        return sum(p.size_bytes for p in self.partitions.get(dataset, {}).values())
-
     def total_size_bytes(self) -> int:
         return sum(
             partition.size_bytes
@@ -82,9 +74,8 @@ class NodeController:
     # ---------------------------------------------------------------- faults
 
     def fail(self) -> None:
-        """Simulate a node crash: the WAL loses its unforced tail."""
+        """Simulate a node crash; rebalance recovery runs when it comes back."""
         self.failed = True
-        self.wal.crash()
 
     def recover(self) -> None:
         """The node comes back up; rebalance recovery contacts the CC next."""

@@ -31,7 +31,6 @@ from ..lsm.component import DiskComponent
 from ..lsm.iterators import drop_tombstones, merge_runs
 from ..lsm.stats import StorageStats
 from ..lsm.tree import LSMTree
-from ..lsm.wal import LogRecordType, WriteAheadLog
 from .dataset import DatasetSpec, SecondaryIndexSpec
 
 
@@ -64,14 +63,12 @@ class StoragePartition:
         initial_buckets: Iterable[BucketId],
         lsm_config: Optional[LSMConfig] = None,
         bucketing_config: Optional[BucketingConfig] = None,
-        wal: Optional[WriteAheadLog] = None,
     ) -> None:
         self.dataset = dataset
         self.partition_id = partition_id
         self.node_id = node_id
         self.lsm_config = lsm_config or LSMConfig()
         self.bucketing_config = bucketing_config or BucketingConfig()
-        self.wal = wal if wal is not None else WriteAheadLog(owner=f"{node_id}/p{partition_id}")
 
         self.primary = BucketedLSMTree(
             name=f"{dataset.name}/p{partition_id}/primary",
@@ -118,7 +115,6 @@ class StoragePartition:
     def insert(
         self,
         record: Mapping[str, Any],
-        log: bool = True,
         primary_key: Optional[Any] = None,
         hashed: Optional[int] = None,
     ) -> Dict[str, Any]:
@@ -128,37 +124,36 @@ class StoragePartition:
         ``primary_key`` and ``hashed`` (its ``hash_key``) let callers that
         already extracted and routed on the key skip a second extraction and
         hash.  Returns the partition's own copy of the record — the one dict
-        every index and the WAL share — so a caller that forwards the write
-        (log replication) need not copy or size the row again.
+        the primary index stores — so a caller that forwards the write (log
+        replication) need not copy or size the row again.
         """
         if primary_key is None:
             primary_key = self.dataset.primary_key_of(record)
         if hashed is None:
             hashed = hash_key(primary_key)
-        return self.insert_many(((primary_key, hashed, record),), log)[0][0]
+        return self.insert_many(((primary_key, hashed, record),))[0][0]
 
     def insert_many(
         self,
         routed_records: Iterable[Tuple[Any, int, Mapping[str, Any]]],
-        log: bool = True,
     ) -> Tuple[List[Dict[str, Any]], List[int]]:
         """Insert (or upsert) a batch of ``(primary_key, key_hash, record)``
         triples, a run at a time.
 
         The resulting state — every index's entries and sequence numbers,
-        the memory components' hash columns, the stats and the WAL records in
-        LSN order — is the one writing the rows one by one in order leaves.
+        the memory components' hash columns and the stats — is the one
+        writing the rows one by one in order leaves.
         Each row is copied once and that copy sized once, here: the primary
         entries are born with the sizes.  Every row is routed to its local
         bucket before anything lands, so a blocked partition, an unowned
         hash, a bucket a split locked or a deactivated memory component
         raises with nothing written.  Then each touched bucket tree takes its
         rows with one :meth:`LSMTree.insert_many`, the primary-key index all
-        of them with one more, each secondary index its entries with one,
-        and the WAL the batch's records with one
-        :meth:`WriteAheadLog.append_many`.  The data feed and the
-        rebalance's log replicator land each partition's slice of a batch
-        through here, reusing the hash they already computed for routing.
+        of them with one more, and each secondary index its entries with
+        one.  Nothing is logged: the simulator models no NC data log (see
+        :mod:`repro.lsm.wal`).  The data feed and the rebalance's log
+        replicator land each partition's slice of a batch through here,
+        reusing the hash they already computed for routing.
 
         Returns the partition's copy of each record and its byte size, in
         order — what the feed totals and what the replicator forwards and
@@ -189,10 +184,6 @@ class StoragePartition:
         pk_index.insert_many(keys, None, hashes)
         for index, run_keys, run_values, run_tombstones in secondary_runs:
             index.insert_many(run_keys, run_values, tombstones=run_tombstones)
-        if log:
-            self.wal.append_many(
-                LogRecordType.INSERT, self.dataset.name, self.partition_id, keys, stored
-            )
         return stored, sizes
 
     def _secondary_runs(
@@ -255,7 +246,6 @@ class StoragePartition:
         self,
         primary_key: Any,
         record: Optional[Mapping[str, Any]] = None,
-        log: bool = True,
         hashed: Optional[int] = None,
     ) -> None:
         """Delete a record by primary key.
@@ -277,13 +267,6 @@ class StoragePartition:
             for spec in self.dataset.secondary_indexes:
                 index = self.secondary_indexes[spec.name]
                 index.delete(_secondary_entry_key(spec, old_record, primary_key))
-        if log:
-            self.wal.append(
-                LogRecordType.DELETE,
-                self.dataset.name,
-                self.partition_id,
-                {"key": primary_key},
-            )
 
     # ------------------------------------------------------------- read path
 

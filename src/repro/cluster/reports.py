@@ -100,13 +100,6 @@ class RebalanceReport:
     def simulated_minutes(self) -> float:
         return self.simulated_seconds / 60.0
 
-    @property
-    def moved_fraction_of_bytes(self) -> float:
-        """Bytes shipped relative to bytes scanned at the source (diagnostic)."""
-        if self.bytes_scanned == 0:
-            return 0.0
-        return self.bytes_shipped / self.bytes_scanned
-
     def summary(self) -> str:
         outcome = "committed" if self.committed else f"aborted ({self.abort_reason})"
         return (

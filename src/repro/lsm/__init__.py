@@ -8,9 +8,10 @@ Public surface:
 * :class:`DiskComponent` / :class:`ReferenceDiskComponent` /
   :class:`MemoryComponent` — the component kinds, all reference counted.
 * :class:`SizeTieredMergePolicy` and friends — merge policies.
-* :class:`WriteAheadLog` — data and metadata logging with forced records.
+* :class:`WriteAheadLog` — the CC's metadata log of rebalance protocol
+  records, with forced records (there is no NC data log; see
+  :mod:`repro.lsm.wal`).
 * :class:`Manifest` — directory/metadata files with volatile vs durable state.
-* :class:`PartitionRecovery` — WAL replay after a simulated crash.
 """
 
 from .bloom import BloomFilter
@@ -31,15 +32,13 @@ from .merge_policy import (
     SizeTieredMergePolicy,
     make_merge_policy,
 )
-from .recovery import PartitionRecovery, replay_data_records, replay_into_tree
 from .stats import StorageStats
 from .tree import LSMTree
-from .wal import DATA_RECORD_TYPES, LogRecord, LogRecordType, WriteAheadLog
+from .wal import LogRecord, LogRecordType, WriteAheadLog
 
 __all__ = [
     "BloomFilter",
     "BucketManifestEntry",
-    "DATA_RECORD_TYPES",
     "DiskComponent",
     "Entry",
     "FullMergePolicy",
@@ -52,7 +51,6 @@ __all__ = [
     "MergeCandidate",
     "MergePolicy",
     "NoMergePolicy",
-    "PartitionRecovery",
     "ReferenceDiskComponent",
     "SizeTieredMergePolicy",
     "StorageStats",
@@ -62,7 +60,4 @@ __all__ = [
     "make_merge_policy",
     "merge_scan",
     "next_component_id",
-    "replay_data_records",
-    "replay_into_tree",
-    "make_merge_policy",
 ]

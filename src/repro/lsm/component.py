@@ -62,11 +62,6 @@ class ReferenceCounted:
         return self._refcount
 
     @property
-    def is_active(self) -> bool:
-        """Active components are visible to new readers and writers."""
-        return self._active
-
-    @property
     def is_destroyed(self) -> bool:
         """Destroyed components have been reclaimed and must not be touched."""
         return self._destroyed

@@ -497,14 +497,6 @@ class LSMTree:
         self.stats.bytes_flushed += component.size_bytes
         return component
 
-    def received_list_components(self, list_id: int) -> List[AnyDiskComponent]:
-        if list_id not in self._received_lists:
-            raise StorageError(f"unknown received list {list_id}")
-        return list(self._received_lists[list_id])
-
-    def received_list_ids(self) -> List[int]:
-        return list(self._received_lists.keys())
-
     def install_received_list(self, list_id: int) -> None:
         """Make a received list visible (the NC-side commit task).
 
@@ -534,10 +526,6 @@ class LSMTree:
         for component in components:
             component.deactivate()
         self.manifest.remove_pending_received(list_id)
-
-    def drop_all_received_lists(self) -> None:
-        for list_id in list(self._received_lists.keys()):
-            self.drop_received_list(list_id)
 
     def invalidate_bucket(self, hash_prefix: int, depth: int) -> None:
         """Lazy cleanup: hide all entries whose routing key falls in a bucket.

@@ -11,7 +11,9 @@ start time:
 
 :class:`LogReplicator` implements the second half: it is the write path used
 by data feeds while a rebalance is in flight, one move window of writes at a
-time.  It also counts the replicated records and bytes so the operation can
+time.  Where the paper ships log records, it forwards the source's stored
+row itself as an entry; there is no NC data log (see :mod:`repro.lsm.wal`).
+It also counts the replicated records and bytes so the operation can
 charge their network/CPU cost and so Figure 7c (rebalance time vs.
 concurrent write rate) can be reproduced.
 """

@@ -251,7 +251,6 @@ class RebalanceOperation:
         self._begin_record = cc.metadata_wal.append(
             LogRecordType.REBALANCE_BEGIN,
             self.dataset_name,
-            None,
             {"rebalance_id": self.rebalance_id},
             force=True,
         )
@@ -508,7 +507,6 @@ class RebalanceOperation:
         cc.metadata_wal.append(
             LogRecordType.REBALANCE_COMMIT,
             self.dataset_name,
-            None,
             {"rebalance_id": self.rebalance_id},
             force=True,
         )
@@ -526,7 +524,6 @@ class RebalanceOperation:
         cc.metadata_wal.append(
             LogRecordType.REBALANCE_DONE,
             self.dataset_name,
-            None,
             {"rebalance_id": self.rebalance_id},
             force=True,
         )
@@ -546,14 +543,12 @@ class RebalanceOperation:
         self.cluster.cc.metadata_wal.append(
             LogRecordType.REBALANCE_ABORT,
             self.dataset_name,
-            None,
             {"rebalance_id": self.rebalance_id, "reason": reason},
             force=True,
         )
         self.cluster.cc.metadata_wal.append(
             LogRecordType.REBALANCE_DONE,
             self.dataset_name,
-            None,
             {"rebalance_id": self.rebalance_id},
             force=True,
         )

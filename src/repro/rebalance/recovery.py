@@ -112,7 +112,6 @@ class RebalanceRecoveryManager:
                 self.cluster.cc.metadata_wal.append(
                     LogRecordType.REBALANCE_ABORT,
                     pending.dataset,
-                    None,
                     {"rebalance_id": pending.rebalance_id, "reason": "recovered after failure"},
                     force=True,
                 )
@@ -120,7 +119,6 @@ class RebalanceRecoveryManager:
             self.cluster.cc.metadata_wal.append(
                 LogRecordType.REBALANCE_DONE,
                 pending.dataset,
-                None,
                 {"rebalance_id": pending.rebalance_id},
                 force=True,
             )

@@ -326,7 +326,6 @@ class GlobalHashingStrategy(RebalancingStrategy):
                 initial_buckets=[ROOT_BUCKET],
                 lsm_config=cluster.config.lsm,
                 bucketing_config=runtime.bucketing,
-                wal=node.wal,
             )
 
         scanned_by_partition: Dict[int, int] = {}
@@ -370,7 +369,7 @@ class GlobalHashingStrategy(RebalancingStrategy):
         # Nothing runs maintenance before each partition's forced pass, so
         # landing its rows as one batch leaves the state row-by-row would.
         for pid, partition in new_partitions.items():
-            partition.insert_many(loads[pid], log=False)
+            partition.insert_many(loads[pid])
             partition.maintain(force_flush=True)
         # The destination work of global rebalancing goes through the regular
         # insertion path (every record parsed and indexed, then flushed and

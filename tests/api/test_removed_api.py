@@ -5,8 +5,8 @@
 this module pins down their removal — the attributes no longer exist, the
 canonical replacements cover the old behaviour, and none of the supported
 paths raise deprecation warnings anymore.  It also pins the deleted
-traffic/autopilot experiment drivers, the bench artifact writer and the
-EXPERIMENTS.md generator.
+traffic/autopilot experiment drivers, the bench artifact writer, the
+EXPERIMENTS.md generator and the never-read NC data log.
 """
 
 import warnings
@@ -112,6 +112,39 @@ class TestStormDriversRemoved:
             main(["bench", "--suite", "traffic"])
         assert exited.value.code == 2
         assert "unrecognized arguments: --suite traffic" in capsys.readouterr().err
+
+
+class TestDataLogRemoved:
+    """The NC data log, its replay module and the ``wal``/``log`` parameters
+    are gone; the CC metadata log is the only log."""
+
+    def test_replay_module_does_not_import(self):
+        import importlib
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.lsm.recovery")
+
+    def test_partition_takes_no_wal(self):
+        from repro.cluster import DatasetSpec, StoragePartition
+        from repro.hashing.bucket_id import ROOT_BUCKET
+        from repro.lsm import WriteAheadLog
+
+        spec = DatasetSpec.create("t", "k")
+        with pytest.raises(TypeError):
+            StoragePartition(spec, 0, "nc0", [ROOT_BUCKET], wal=WriteAheadLog())
+        partition = StoragePartition(spec, 0, "nc0", [ROOT_BUCKET])
+        assert not hasattr(partition, "wal")
+        with pytest.raises(TypeError):
+            partition.insert({"k": 1}, log=False)
+        with pytest.raises(TypeError):
+            partition.insert_many([(1, 1, {"k": 1})], log=False)
+        with pytest.raises(TypeError):
+            partition.delete(1, log=False)
+        assert partition.count_keys() == 0
+
+    def test_node_controller_has_no_wal(self):
+        cluster = SimulatedCluster(config(), strategy="dynahash")
+        assert all(not hasattr(node, "wal") for node in cluster.nodes)
 
 
 class TestNoDeprecationWarnings:

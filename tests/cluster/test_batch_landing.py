@@ -2,11 +2,11 @@
 
 ``StoragePartition.insert_many`` routes every row to its bucket tree first,
 then hands each touched bucket tree, the primary-key index and each secondary
-index its rows in one ``LSMTree.insert_many`` and the WAL its records in one
-``append_many``.  The oracle below is the row-at-a-time loop it replaced
-(with the upsert's secondary-index antimatter): every tree's entries and
-sequence numbers, the memory components' hash columns, the stats, the WAL
-records in LSN order and the returned rows and sizes must be the loop's.
+index its rows in one ``LSMTree.insert_many``.  The oracle below is the
+row-at-a-time loop it replaced (with the upsert's secondary-index
+antimatter): every tree's entries and sequence numbers, the memory
+components' hash columns, the stats and the returned rows and sizes must be
+the loop's.
 """
 
 import pytest
@@ -20,11 +20,10 @@ from repro.cluster.dataset import DatasetSpec, SecondaryIndexSpec
 from repro.cluster.partition import StoragePartition
 from repro.hashing.bucket_id import ROOT_BUCKET, BucketId
 from repro.lsm.entry import estimate_value_size
-from repro.lsm.wal import LogRecordType
 
 
-def land_row_at_a_time(partition, routed_records, log=True):
-    """The row loop: each row goes through every index and the WAL in turn.
+def land_row_at_a_time(partition, routed_records):
+    """The row loop: each row goes through every index in turn.
 
     An upsert first reads the key's old record and writes antimatter for its
     secondary keys the new record does not rewrite.
@@ -48,13 +47,6 @@ def land_row_at_a_time(partition, routed_records, log=True):
                 if old_key != entry_key:
                     index.delete(old_key)
             index.insert(entry_key, spec.covered_value(record_dict))
-        if log:
-            partition.wal.append(
-                LogRecordType.INSERT,
-                partition.dataset.name,
-                partition.partition_id,
-                {"key": key, "value": record_dict},
-            )
         stored.append(record_dict)
         sizes.append(row_bytes)
     return stored, sizes
@@ -115,13 +107,7 @@ def state(partition):
         )
         for name, tree in trees.items()
     }
-    records = partition.wal.records()
-    lsns = [record.lsn for record in records]
-    assert lsns == sorted(set(lsns))
-    wal = [
-        (r.record_type, r.dataset, r.partition_id, r.payload, r.forced) for r in records
-    ]
-    return per_tree, partition.stats_snapshot(), wal, partition.wal.bytes_appended
+    return per_tree, partition.stats_snapshot()
 
 
 batches = st.lists(
@@ -142,9 +128,8 @@ class TestEquivalence:
         splits=st.integers(0, 2),
         batches=batches,
         maintain=st.lists(st.booleans(), min_size=6, max_size=6),
-        log=st.booleans(),
     )
-    def test_batches_land_as_the_row_loop(self, secondary, splits, batches, maintain, log):
+    def test_batches_land_as_the_row_loop(self, secondary, splits, batches, maintain):
         # Keys repeat across and inside batches (upserts), some batches are
         # one row, and maintenance between batches puts old records on disk.
         oracle = split_partition(secondary, splits)
@@ -152,8 +137,8 @@ class TestEquivalence:
         assert state(oracle) == state(batched)
         for batch, maintain_after in zip(batches, maintain):
             rows = routed([row(k, c, width) for k, c, width in batch])
-            expected = land_row_at_a_time(oracle, rows, log=log)
-            assert batched.insert_many(rows, log=log) == expected
+            expected = land_row_at_a_time(oracle, rows)
+            assert batched.insert_many(rows) == expected
             assert state(batched) == state(oracle)
             if maintain_after:
                 done, expected_done = batched.maintain(), oracle.maintain()

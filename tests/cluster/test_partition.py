@@ -59,18 +59,6 @@ class TestWriteAndRead:
         assert secondary_entries[0].key == ("1995-01-01", 1)
         assert secondary_entries[0].value == {"o_custkey": 7}
 
-    def test_insert_appends_wal_record(self):
-        partition = make_partition()
-        partition.insert(order_row(1))
-        records = partition.wal.records()
-        assert len(records) == 1
-        assert records[0].payload["key"] == 1
-
-    def test_insert_without_logging(self):
-        partition = make_partition()
-        partition.insert(order_row(1), log=False)
-        assert len(partition.wal) == 0
-
     def test_delete_removes_from_all_indexes(self):
         partition = make_partition()
         partition.insert(order_row(1))

@@ -8,8 +8,9 @@ of the feed; ROADMAP item 2(b)'s dirty rule is the change that will skip the
 passes of partitions with nothing to do.
 
 A bulk batch lands a run at a time: one ``LSMTree.insert_many`` per bucket
-tree it touches plus one for the primary-key index, and one WAL append, per
-partition.
+tree it touches plus one for the primary-key index, per partition.  It writes
+no log record: the CC metadata log is the only log, and only a rebalance
+appends to it.
 """
 
 from collections import Counter
@@ -24,7 +25,7 @@ from repro.cluster.partition import StoragePartition
 from repro.common.hashutil import hash_key
 from repro.lsm.stats import StorageStats
 from repro.lsm.tree import LSMTree
-from repro.lsm.wal import WriteAheadLog
+from repro.lsm.wal import LogRecord
 
 PARTITIONS = 8
 
@@ -114,15 +115,11 @@ class TestSingleRowUpsert:
 
 @pytest.fixture
 def landings(monkeypatch):
-    """Calls of the tree- and log-level write methods, counted by name."""
+    """Calls of the tree-level write methods and ``LogRecord``
+    constructions (as ``__init__``), counted by name."""
     return count_calls(
         monkeypatch,
-        (
-            (LSMTree, "insert_many"),
-            (LSMTree, "_write"),
-            (WriteAheadLog, "append_many"),
-            (WriteAheadLog, "append"),
-        ),
+        ((LSMTree, "insert_many"), (LSMTree, "_write"), (LogRecord, "__init__")),
     )
 
 
@@ -152,8 +149,9 @@ class TestBatchLanding:
         landings.clear()
         dataset.insert(rows, batch_size=2000)
         # Per partition: one run into each bucket tree its slice touches and
-        # one into its primary-key index, and one WAL append.  No row is
-        # written on its own.
+        # one into its primary-key index.  No row is written on its own, and
+        # none is logged.
         runs = sum(len(buckets) + 1 for buckets in touched.values())
-        assert landings == {"insert_many": runs, "append_many": PARTITIONS}
+        assert landings["__init__"] == 0
+        assert landings == {"insert_many": runs}
         db.close()

@@ -1,87 +1,163 @@
-"""Tests for the write-ahead log."""
+"""Tests for the CC metadata log: the contract rebalance recovery reads."""
 
+import pytest
+
+from repro.common.config import BucketingConfig, ClusterConfig, LSMConfig
+from repro.common.errors import FaultInjected
+from repro.cluster.controller import SimulatedCluster
 from repro.lsm.wal import LogRecordType, WriteAheadLog
+from repro.rebalance.operation import FaultInjector, RebalanceOperation
+from repro.rebalance.recovery import RebalanceRecoveryManager
+from repro.rebalance.strategies import DynaHashStrategy
+
+BEGIN = LogRecordType.REBALANCE_BEGIN
+COMMIT = LogRecordType.REBALANCE_COMMIT
+DONE = LogRecordType.REBALANCE_DONE
 
 
 class TestAppendAndForce:
     def test_append_assigns_increasing_lsns(self):
-        wal = WriteAheadLog("nc1")
-        first = wal.append(LogRecordType.INSERT, "ds", 0, {"key": 1})
-        second = wal.append(LogRecordType.INSERT, "ds", 0, {"key": 2})
-        assert second.lsn > first.lsn
+        wal = WriteAheadLog()
+        records = [
+            wal.append(record_type, "ds", {"rebalance_id": 1}, force=force)
+            for record_type, force in [(BEGIN, True), (COMMIT, False), (DONE, True)]
+        ]
+        lsns = [record.lsn for record in records]
+        assert lsns == sorted(set(lsns))
+
+    def test_append_assigns_lsns_counting_from_one_per_log(self):
+        for _ in range(2):
+            wal = WriteAheadLog()
+            first = wal.append(BEGIN, "ds", {"rebalance_id": 1})
+            second = wal.append(COMMIT, "ds", {"rebalance_id": 1})
+            assert (first.lsn, second.lsn) == (1, 2)
+            assert wal.records() == [first, second]
 
     def test_unforced_records_are_not_durable(self):
         wal = WriteAheadLog()
-        wal.append(LogRecordType.INSERT, "ds", 0, {"key": 1})
+        wal.append(BEGIN, "ds", {"rebalance_id": 1})
         assert wal.records(durable_only=True) == []
         assert len(wal.records()) == 1
 
     def test_force_makes_all_previous_records_durable(self):
         wal = WriteAheadLog()
-        wal.append(LogRecordType.INSERT, "ds", 0, {"key": 1})
-        wal.append(LogRecordType.INSERT, "ds", 0, {"key": 2})
+        wal.append(BEGIN, "ds")
+        wal.append(COMMIT, "ds")
         wal.force()
-        assert len(wal.records(durable_only=True)) == 2
+        assert [r.record_type for r in wal.records(durable_only=True)] == [BEGIN, COMMIT]
 
     def test_forced_append_forces_tail(self):
         wal = WriteAheadLog()
-        wal.append(LogRecordType.INSERT, "ds", 0, {"key": 1})
-        wal.append(LogRecordType.REBALANCE_BEGIN, "ds", None, {"op": 7}, force=True)
+        wal.append(BEGIN, "ds")
+        wal.append(COMMIT, "ds", force=True)
         assert len(wal.records(durable_only=True)) == 2
 
-    def test_bytes_accounting(self):
+    def test_payload_is_stored_not_copied(self):
+        # The BEGIN record's plan is written into its payload after the
+        # append (the CC's metadata transaction).
         wal = WriteAheadLog()
-        wal.append(LogRecordType.INSERT, "ds", 0, {"key": 1, "value": "x" * 50})
-        assert wal.bytes_appended > 50
-        assert wal.bytes_forced == 0
-        wal.force()
-        assert wal.bytes_forced == wal.bytes_appended
+        record = wal.append(BEGIN, "ds", {"rebalance_id": 1}, force=True)
+        record.payload.update(plan="p")
+        assert wal.records(durable_only=True)[0].payload == {"rebalance_id": 1, "plan": "p"}
+
+    def test_default_payload_is_a_fresh_dict_per_record(self):
+        wal = WriteAheadLog()
+        first = wal.append(BEGIN, "ds")
+        second = wal.append(DONE, "ds")
+        first.payload["rebalance_id"] = 1
+        assert second.payload == {}
+        assert (first.record_type, first.dataset) == (BEGIN, "ds")
+
+
+class TestRecords:
+    def test_records_returns_a_copy(self):
+        wal = WriteAheadLog()
+        wal.append(BEGIN, "ds", force=True)
+        wal.append(COMMIT, "ds")
+        wal.records().clear()
+        wal.records(durable_only=True).clear()
+        assert [r.record_type for r in wal.records()] == [BEGIN, COMMIT]
+        assert [r.record_type for r in wal.records(durable_only=True)] == [BEGIN]
 
 
 class TestCrash:
     def test_crash_discards_unforced_tail(self):
         wal = WriteAheadLog()
-        wal.append(LogRecordType.INSERT, "ds", 0, {"key": 1}, force=True)
-        wal.append(LogRecordType.INSERT, "ds", 0, {"key": 2})
-        lost = wal.crash()
-        assert lost == 1
-        assert [r.payload["key"] for r in wal.records()] == [1]
+        wal.append(BEGIN, "ds", {"rebalance_id": 1}, force=True)
+        wal.append(COMMIT, "ds", {"rebalance_id": 1})
+        wal.append(DONE, "ds", {"rebalance_id": 1})
+        assert wal.crash() == 2
+        assert [r.record_type for r in wal.records()] == [BEGIN]
+        assert wal.records() == wal.records(durable_only=True)
 
     def test_crash_with_everything_forced_loses_nothing(self):
         wal = WriteAheadLog()
-        wal.append(LogRecordType.INSERT, "ds", 0, {"key": 1}, force=True)
+        wal.append(BEGIN, "ds", force=True)
         assert wal.crash() == 0
-        assert len(wal) == 1
+        assert len(wal.records()) == 1
 
-
-class TestQueries:
-    def test_iter_dataset_filters(self):
+    def test_lsns_stay_increasing_across_a_crash(self):
         wal = WriteAheadLog()
-        wal.append(LogRecordType.INSERT, "orders", 0, {"key": 1})
-        wal.append(LogRecordType.INSERT, "lineitem", 0, {"key": 2})
-        wal.append(LogRecordType.DELETE, "orders", 1, {"key": 3})
-        keys = [r.payload["key"] for r in wal.iter_dataset("orders")]
-        assert keys == [1, 3]
+        wal.append(BEGIN, "ds", force=True)
+        wal.append(COMMIT, "ds")
+        wal.crash()
+        wal.append(DONE, "ds", force=True)
+        assert [r.lsn for r in wal.records(durable_only=True)] == [1, 3]
 
-    def test_tail_since(self):
+    def test_a_second_crash_loses_nothing_more(self):
         wal = WriteAheadLog()
-        first = wal.append(LogRecordType.INSERT, "ds", 0, {"key": 1})
-        wal.append(LogRecordType.INSERT, "ds", 0, {"key": 2})
-        wal.append(LogRecordType.INSERT, "ds", 0, {"key": 3})
-        tail = wal.tail_since(first.lsn)
-        assert [r.payload["key"] for r in tail] == [2, 3]
+        wal.append(BEGIN, "ds", force=True)
+        wal.append(COMMIT, "ds")
+        assert wal.crash() == 1
+        assert wal.crash() == 0
+        assert [r.record_type for r in wal.records()] == [BEGIN]
 
-    def test_last_lsn_empty(self):
-        assert WriteAheadLog().last_lsn() == 0
-
-    def test_last_lsn_tracks_newest(self):
+    def test_records_appended_after_a_crash_can_be_forced(self):
         wal = WriteAheadLog()
-        record = wal.append(LogRecordType.INSERT, "ds", 0, {"key": 1})
-        assert wal.last_lsn() == record.lsn
+        wal.append(BEGIN, "ds", force=True)
+        wal.append(COMMIT, "ds")
+        wal.crash()
+        wal.append(LogRecordType.REBALANCE_ABORT, "ds")
+        assert [r.record_type for r in wal.records(durable_only=True)] == [BEGIN]
+        wal.force()
+        assert [r.record_type for r in wal.records(durable_only=True)] == [
+            BEGIN,
+            LogRecordType.REBALANCE_ABORT,
+        ]
+        assert wal.crash() == 0
 
-    def test_is_data_record_classification(self):
-        wal = WriteAheadLog()
-        data = wal.append(LogRecordType.UPSERT, "ds", 0, {"key": 1})
-        meta = wal.append(LogRecordType.REBALANCE_COMMIT, "ds", None, {"op": 1})
-        assert data.is_data_record
-        assert not meta.is_data_record
+
+def faulted_rebalance_log():
+    """The CC log of one rebalance whose CC fails before COMMIT, recovered."""
+    cluster = SimulatedCluster(
+        ClusterConfig(
+            num_nodes=2,
+            partitions_per_node=2,
+            lsm=LSMConfig(memory_component_bytes=16 * 1024),
+            bucketing=BucketingConfig(initial_buckets_per_partition=2),
+        ),
+        strategy=DynaHashStrategy(),
+    )
+    cluster.create_dataset("orders", "o_orderkey")
+    cluster.feed("orders").ingest([{"o_orderkey": key} for key in range(200)])
+    operation = RebalanceOperation(
+        cluster,
+        "orders",
+        list(cluster.nodes[0].partition_ids),
+        fault_injector=FaultInjector(["cc_fail_before_commit"]),
+    )
+    with pytest.raises(FaultInjected):
+        operation.run()
+    cluster.cc.metadata_wal.crash()
+    RebalanceRecoveryManager(cluster).recover()
+    return [(r.lsn, r.record_type) for r in cluster.cc.metadata_wal.records()]
+
+
+def test_identical_faulted_rebalances_write_identical_logs():
+    first = faulted_rebalance_log()
+    assert first == faulted_rebalance_log()
+    assert [record_type for _, record_type in first] == [
+        BEGIN,
+        LogRecordType.REBALANCE_ABORT,
+        DONE,
+    ]

@@ -6,7 +6,8 @@ from repro.common.config import BucketingConfig, ClusterConfig, LSMConfig
 from repro.common.errors import FaultInjected
 from repro.cluster.controller import SimulatedCluster
 from repro.cluster.dataset import SecondaryIndexSpec
-from repro.rebalance.operation import FaultInjector, RebalanceOperation
+from repro.lsm.wal import LogRecordType
+from repro.rebalance.operation import FAULT_SITES, FaultInjector, RebalanceOperation
 from repro.rebalance.recovery import RebalanceRecoveryManager
 from repro.rebalance.strategies import DynaHashStrategy
 
@@ -40,6 +41,17 @@ def build_cluster(rows=400, num_nodes=2):
 
 def target_partitions(cluster, target_nodes):
     return [pid for node in cluster.nodes[:target_nodes] for pid in node.partition_ids]
+
+
+def run_faulted(cluster, site, dataset="orders"):
+    operation = RebalanceOperation(
+        cluster,
+        dataset,
+        target_partitions(cluster, 1),
+        fault_injector=FaultInjector([site]),
+    )
+    with pytest.raises(FaultInjected):
+        operation.run()
 
 
 def dataset_is_consistent(cluster, expected_keys):
@@ -216,3 +228,77 @@ class TestPendingAnalysis:
         RebalanceOperation(cluster, "orders", target_partitions(cluster, 1)).run()
         pending = RebalanceRecoveryManager(cluster).pending_rebalances()
         assert all(p.is_finished for p in pending)
+
+    def test_only_durable_records_are_read(self):
+        cluster = build_cluster(rows=200)
+        run_faulted(cluster, "cc_fail_before_commit")
+        wal = cluster.cc.metadata_wal
+        (pending,) = RebalanceRecoveryManager(cluster).pending_rebalances()
+        # A COMMIT the CC had not forced yet does not commit the rebalance.
+        wal.append(LogRecordType.REBALANCE_COMMIT, "orders", {"rebalance_id": pending.rebalance_id})
+        assert not RebalanceRecoveryManager(cluster).pending_rebalances()[0].is_committed
+        assert wal.crash() == 1
+        outcomes = RebalanceRecoveryManager(cluster).recover()
+        assert [o.action for o in outcomes] == ["aborted"]
+        assert dataset_is_consistent(cluster, range(200))
+
+    def test_records_without_a_durable_begin_are_ignored(self):
+        cluster = build_cluster(rows=50)
+        wal = cluster.cc.metadata_wal
+        wal.append(LogRecordType.REBALANCE_COMMIT, "orders", {"rebalance_id": 99}, force=True)
+        wal.append(LogRecordType.REBALANCE_DONE, "orders", force=True)
+        manager = RebalanceRecoveryManager(cluster)
+        assert manager.pending_rebalances() == []
+        assert manager.recover() == []
+        assert dataset_is_consistent(cluster, range(50))
+
+    def test_pending_rebalances_keep_their_dataset(self):
+        cluster = build_cluster(rows=200)
+        cluster.create_dataset("customer", "c_custkey")
+        cluster.feed("customer").ingest([{"c_custkey": key} for key in range(100)])
+        run_faulted(cluster, "cc_fail_before_commit", "orders")
+        run_faulted(cluster, "cc_fail_after_commit", "customer")
+        manager = RebalanceRecoveryManager(cluster)
+        assert [(p.dataset, p.is_committed) for p in manager.pending_rebalances()] == [
+            ("orders", False),
+            ("customer", True),
+        ]
+        outcomes = manager.recover()
+        assert [(o.dataset, o.action) for o in outcomes] == [
+            ("orders", "aborted"),
+            ("customer", "committed"),
+        ]
+        assert dataset_is_consistent(cluster, range(200))
+        assert cluster.record_count("customer") == 100
+
+
+EXPECTED_ACTION = {
+    "nc_fail_before_prepare": "aborted",
+    "nc_fail_after_prepare": "aborted",
+    "cc_fail_before_commit": "aborted",
+    "nc_fail_before_committed": "committed",
+    "cc_fail_after_commit": "committed",
+    "cc_fail_after_done": "already-done",
+}
+
+
+class TestCrashAtEveryFaultSite:
+    @pytest.mark.parametrize("site", FAULT_SITES)
+    def test_crash_loses_no_protocol_record_and_recovery_finishes(self, site):
+        """Every protocol record is forced before the next step, so a CC crash
+        at any fault site loses nothing and recovery ends the log with DONE."""
+        cluster = build_cluster(rows=200)
+        run_faulted(cluster, site)
+        wal = cluster.cc.metadata_wal
+        assert wal.crash() == 0
+        outcomes = RebalanceRecoveryManager(cluster).recover()
+        assert [o.action for o in outcomes] == [EXPECTED_ACTION[site]]
+        assert dataset_is_consistent(cluster, range(200))
+        types = [r.record_type for r in wal.records()]
+        assert wal.records(durable_only=True) == wal.records()
+        assert types[0] == LogRecordType.REBALANCE_BEGIN
+        assert types[-1] == LogRecordType.REBALANCE_DONE
+        assert (LogRecordType.REBALANCE_COMMIT in types) == (
+            EXPECTED_ACTION[site] != "aborted"
+        )
+        assert (LogRecordType.REBALANCE_ABORT in types) == (EXPECTED_ACTION[site] == "aborted")
