@@ -18,7 +18,18 @@ per *call* — a batched ``insert`` records the batch call's latency, a point
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TYPE_CHECKING
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TYPE_CHECKING,
+)
 
 from ..cluster.dataset import DatasetSpec
 from ..cluster.reports import IngestReport
@@ -29,6 +40,14 @@ from .query import QueryBuilder
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.controller import DatasetRuntime
     from .database import Database
+
+
+#: A run of reads travels the read path as a run (:meth:`Dataset._lookup_run`)
+#: once it averages this many keys per partition; shorter runs go key by key.
+#: Grouping pays only when each bucket tree the run touches answers several
+#: keys in one probe: with one bucket per partition the run path is ahead
+#: from about 4 keys per partition, with eight it only draws level near 32.
+_RUN_KEYS_PER_PARTITION = 16
 
 
 @dataclass
@@ -239,13 +258,8 @@ class Dataset:
         accumulates unmerged components.
         """
         runtime = self._runtime()
-        hashed = hash_key(key)
-        heat = self.database.cluster.heat
-        if heat is not None:
-            heat.record_read(self.name, hashed)
-        partition = runtime.partitions[runtime.partition_of_key(key, hashed)]
-        record = partition.lookup(key, hashed)
-        latency = self._probe_latency(partition.last_lookup_opened)
+        record, opened = self._lookup_one(runtime, key)
+        latency = self._probe_latency(opened)
         chaos = self.database.cluster.chaos
         if chaos is not None:
             # Burst windows stretch the client's service time; partition
@@ -259,45 +273,134 @@ class Dataset:
 
         The storage work, per-key cost accounting, and resulting telemetry
         are identical to looping :meth:`get` — each key's latency is computed
-        from its own probe's component-open count — but session/runtime
-        resolution happens once, each distinct count is priced once, and the
-        samples travel as a single ``op.batch`` event, which the metrics
-        registry folds in with
-        :meth:`~repro.metrics.MetricsRegistry.observe_op_batch`.  This is the
-        read path of the batched workload driver.
+        from its own probe's component-open count — but a long run (16 keys
+        or more per partition) travels the read path together: it is hashed
+        and routed in one pass each and every touched partition answers its
+        keys in one
+        :meth:`~repro.cluster.partition.StoragePartition.lookup_many`; a
+        shorter run goes key by key.  Either way each distinct count is
+        priced once, and the samples travel as a single ``op.batch`` event,
+        which the metrics registry folds in with
+        :meth:`~repro.metrics.MetricsRegistry.observe_op_batch`.  A run that
+        touches a blocked partition raises before any partition is probed.
+        The heat and chaos hooks see the keys in order.  This is the read
+        path of the batched workload driver.
         """
         runtime = self._runtime()
+        if not keys:
+            return []
+        if len(keys) == 1:
+            record, count = self._lookup_one(runtime, keys[0])
+            records, opened = [record], [count]
+        elif len(keys) < _RUN_KEYS_PER_PARTITION * len(runtime.partitions):
+            records, opened = self._lookup_each(runtime, keys)
+        else:
+            records, opened = self._lookup_run(runtime, keys)
+        # opened -> latency: the charge is a pure function of the count, so
+        # each distinct count is priced once.
+        first = opened[0]
+        if opened.count(first) == len(opened):
+            latencies = [self._probe_latency(first)] * len(opened)
+        else:
+            distinct = set(opened)
+            priced = dict(zip(distinct, map(self._probe_latency, distinct)))
+            latencies = list(map(priced.__getitem__, opened))
+        chaos = self.database.cluster.chaos
+        if chaos is not None:
+            latencies = [
+                latency * chaos.client_factor() + chaos.routing_penalty(runtime, key)
+                for key, latency in zip(keys, latencies)
+            ]
+        self._emit_op_batch("read", latencies)
+        return records
+
+    def _lookup_one(
+        self, runtime: "DatasetRuntime", key: Any
+    ) -> "Tuple[Optional[Dict[str, Any]], int]":
+        """One key's record and the disk components its probe opened (the
+        count of the one bucket tree it searched).  The key is hashed once,
+        here: routing, the heat hook and the storage probe share the hash."""
+        hashed = hash_key(key)
+        heat = self.database.cluster.heat
+        if heat is not None:
+            heat.record_read(self.name, hashed)
+        partition = runtime.partitions[runtime.partition_of_key(key, hashed)]
+        if partition.blocked:
+            partition._check_not_blocked()
+        return partition.primary.lookup(key, hashed)
+
+    def _lookup_each(
+        self, runtime: "DatasetRuntime", keys: "Sequence[Any]"
+    ) -> "Tuple[List[Optional[Dict[str, Any]]], List[int]]":
+        """:meth:`_lookup_run` key by key, for runs too short to repay its
+        grouping: every key is hashed and routed, and its partition checked
+        for a block, before any is probed."""
+        heat = self.database.cluster.heat
         partitions = runtime.partitions
-        # DatasetRuntime.partition_of_key, bound once per batch: the live
+        # DatasetRuntime.partition_of_key, bound once per run: the live
         # directory's lookup_hash, or hash modulo partitions without one.
         directory = runtime.global_directory if runtime.routing_mode == "directory" else None
-        lookup_hash = None if directory is None else directory.lookup_hash
-        heat = self.database.cluster.heat
-        chaos = self.database.cluster.chaos
-        # opened -> latency: the charge is a pure function of the count.
-        priced: Dict[int, float] = {}
-        records: List[Optional[Dict[str, Any]]] = []
-        latencies: List[float] = []
+        probes = []
         for key in keys:
             hashed = hash_key(key)
             if heat is not None:
                 heat.record_read(self.name, hashed)
-            if lookup_hash is None:
+            if directory is None:
                 partition = partitions[hashed % len(partitions)]
             else:
-                partition = partitions[lookup_hash(hashed)[1]]
-            records.append(partition.lookup(key, hashed))
-            opened = partition.last_lookup_opened
-            latency = priced.get(opened)
-            if latency is None:
-                latency = priced[opened] = self._probe_latency(opened)
-            if chaos is not None:
-                latency = latency * chaos.client_factor() + chaos.routing_penalty(
-                    runtime, key
-                )
-            latencies.append(latency)
-        self._emit_op_batch("read", latencies)
-        return records
+                partition = partitions[directory.lookup_hash(hashed)[1]]
+            if partition.blocked:
+                partition._check_not_blocked()
+            probes.append((partition.primary, key, hashed))
+        records: List[Optional[Dict[str, Any]]] = []
+        opened: List[int] = []
+        for primary, key, hashed in probes:
+            record, count = primary.lookup(key, hashed)
+            records.append(record)
+            opened.append(count)
+        return records, opened
+
+    def _lookup_run(
+        self, runtime: "DatasetRuntime", keys: "Sequence[Any]"
+    ) -> "Tuple[List[Optional[Dict[str, Any]]], List[int]]":
+        """Each key's record and component-open count, in key order: the run
+        is hashed and routed in one pass each, grouped by partition in
+        first-touch order, and every touched partition is checked for a block
+        before any is probed."""
+        hashes = list(map(hash_key, keys))
+        heat = self.database.cluster.heat
+        if heat is not None:
+            for hashed in hashes:
+                heat.record_read(self.name, hashed)
+        partitions = runtime.partitions
+        if runtime.routing_mode == "directory":
+            owners = runtime.global_directory.partitions_of_hashes(hashes)
+        else:
+            owners = [hashed % len(partitions) for hashed in hashes]
+        first = owners[0]
+        if owners.count(first) == len(owners):  # one partition owns the run
+            return partitions[first].lookup_many(keys, hashes)
+        groups: Dict[int, List[int]] = {}
+        for position, owner in enumerate(owners):
+            group = groups.get(owner)
+            if group is None:
+                groups[owner] = [position]
+            else:
+                group.append(position)
+        touched = [(partitions[owner], positions) for owner, positions in groups.items()]
+        for partition, _ in touched:
+            if partition.blocked:
+                partition._check_not_blocked()
+        records: List[Optional[Dict[str, Any]]] = [None] * len(keys)
+        opened = [0] * len(keys)
+        for partition, positions in touched:
+            found, counts = partition.lookup_many(
+                [keys[p] for p in positions], [hashes[p] for p in positions]
+            )
+            for position, record, count in zip(positions, found, counts):
+                records[position] = record
+                opened[position] = count
+        return records, opened
 
     def scan(
         self, low: Any = None, high: Any = None, ordered: bool = False

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..common.config import BucketingConfig, LSMConfig
-from ..common.errors import BucketNotFoundError, StorageError
+from ..common.errors import BucketNotFoundError, DirectoryError, StorageError
 from ..common.hashutil import hash_key
 from ..hashing.bucket_id import BucketId
 from ..hashing.extendible import LocalDirectory
@@ -202,6 +202,11 @@ class BucketedLSMTree:
         """
         routes = []
         for bucket_id, positions in self.directory.group_hashes(hashes):
+            if bucket_id is None:
+                unowned = hashes[0 if positions is None else positions[0]]
+                raise DirectoryError(
+                    f"hash {unowned:#x} belongs to no bucket of partition {self.partition_id}"
+                )
             bucket = self._buckets[bucket_id]
             bucket._check_access()
             tree = bucket.tree
@@ -249,6 +254,39 @@ class BucketedLSMTree:
         if entry is None or entry.tombstone:
             return None, opened
         return entry.value, opened
+
+    def lookup_many(
+        self, keys: Sequence[Any], hashes: Sequence[int]
+    ) -> Tuple[List[Optional[Any]], List[int]]:
+        """:meth:`lookup` for a non-empty run of keys (``hashes`` their
+        ``hash_key``): each key's value and its own probe's disk-component
+        count, in key order.
+
+        The run is grouped by local bucket (:meth:`LocalDirectory.group_hashes`);
+        a hash no local bucket owns is a free miss, as in :meth:`lookup`.
+        Every touched bucket passes its access check before any is probed,
+        and each bucket tree answers its keys in one :meth:`LSMTree.get_many`.
+        """
+        probes = []
+        for bucket_id, positions in self.directory.group_hashes(hashes):
+            if bucket_id is not None:
+                bucket = self._buckets[bucket_id]
+                bucket._check_access()
+                probes.append((bucket.tree, positions))
+        values: List[Optional[Any]] = [None] * len(keys)
+        opened = [0] * len(keys)
+        for tree, positions in probes:
+            if positions is None:  # one bucket owns the whole run
+                entries, opened = tree.get_many(keys, hashes)
+                return [None if e is None or e.tombstone else e.value for e in entries], opened
+            entries, counts = tree.get_many(
+                [keys[p] for p in positions], [hashes[p] for p in positions]
+            )
+            for position, entry, count in zip(positions, entries, counts):
+                if entry is not None and not entry.tombstone:
+                    values[position] = entry.value
+                opened[position] = count
+        return values, opened
 
     def get_entry(self, key: Any, hashed: Optional[int] = None) -> Optional[Entry]:
         if hashed is None:

@@ -95,8 +95,6 @@ class StoragePartition:
         self.pending_received: Dict[BucketId, PendingReceivedBucket] = {}
         #: True while the finalization phase blocks reads and writes.
         self.blocked = False
-        #: Disk components the most recent :meth:`lookup` opened.
-        self.last_lookup_opened = 0
 
     # -------------------------------------------------------------- helpers
 
@@ -279,13 +277,26 @@ class StoragePartition:
         rather than raising: a query routed with a stale directory copy during
         a rebalance may probe the old location of a key that already moved.
         ``hashed`` is ``hash_key(primary_key)`` when the caller already routed
-        on it.  The probe's disk-component count is left in
-        :attr:`last_lookup_opened` for the caller that prices the read.
+        on it.  A caller that prices the read takes each probe's
+        disk-component count from :meth:`lookup_many` (or, for one key, from
+        ``BucketedLSMTree.lookup``), which return it next to the record.
         """
-        if self.blocked:  # probed inline: this is the per-key read path
+        if self.blocked:  # probed inline: deletes and queries look up per key
             self._check_not_blocked()
-        record, self.last_lookup_opened = self.primary.lookup(primary_key, hashed)
-        return record
+        return self.primary.lookup(primary_key, hashed)[0]
+
+    def lookup_many(
+        self, primary_keys: Sequence[Any], hashes: Sequence[int]
+    ) -> Tuple[List[Optional[Dict[str, Any]]], List[int]]:
+        """:meth:`lookup` for a non-empty run of keys (``hashes`` their
+        ``hash_key``), with ``blocked`` checked once: each key's record and
+        the number of disk components its own probe opened (read off the one
+        bucket tree it searched), in key order.  The `Dataset` read verbs
+        price each key's read from its count.
+        """
+        if self.blocked:
+            self._check_not_blocked()
+        return self.primary.lookup_many(primary_keys, hashes)
 
     def scan_primary(
         self, low: Any = None, high: Any = None, ordered: bool = False

@@ -115,6 +115,17 @@ class GlobalDirectory:
                 return bucket, partition
         raise DirectoryError(f"hash {hash_value:#x} matches no bucket; directory is corrupt")
 
+    def partitions_of_hashes(self, hashes: Sequence[int]) -> List[int]:
+        """The partition :meth:`lookup_hash` routes each hash to, in order,
+        read off the slot table in one pass."""
+        route = self._slot_route
+        if route is None:
+            route = self._build_slot_route()
+        if not route:
+            return [self.lookup_hash(hashed)[1] for hashed in hashes]
+        mask = (1 << self._slot_depth) - 1
+        return [route[hashed & mask][1] for hashed in hashes]
+
     #: Directories deeper than this are routed by linear scan rather than a
     #: 2^D slot table (2^20 slots is the cap on table memory).
     _MAX_TABLE_DEPTH = 20
@@ -316,11 +327,12 @@ class LocalDirectory:
 
     def group_hashes(
         self, hashes: Sequence[int]
-    ) -> Sequence[Tuple[BucketId, Optional[List[int]]]]:
+    ) -> Sequence[Tuple[Optional[BucketId], Optional[List[int]]]]:
         """The owning bucket of each of a non-empty run of hashes, grouped:
         one ``(bucket, positions)`` per bucket in first-touch order, where
         ``positions`` index ``hashes`` in order (``None`` when one bucket owns
-        them all).  A hash no bucket here owns raises :class:`DirectoryError`.
+        them all).  Hashes no bucket here owns are grouped under ``None``:
+        the write path refuses them, the read path counts them as misses.
         """
         route = self._slot_route
         if route is None:
@@ -331,18 +343,12 @@ class LocalDirectory:
             if hashed & mask != first:
                 break
         else:  # one slot
-            bucket = route.get(first)
-            if bucket is not None:
-                return ((bucket, None),)
+            return ((route.get(first), None),)
         # Grouped by identity: the table holds one object per bucket (however
         # many slots it spans), and a BucketId's hash is a Python-level call.
-        groups: Dict[int, Tuple[BucketId, List[int]]] = {}
+        groups: Dict[int, Tuple[Optional[BucketId], List[int]]] = {}
         for position, hashed in enumerate(hashes):
             bucket = route.get(hashed & mask)
-            if bucket is None:
-                raise DirectoryError(
-                    f"hash {hashed:#x} belongs to no bucket of partition {self.partition_id}"
-                )
             group = groups.get(id(bucket))
             if group is None:
                 groups[id(bucket)] = (bucket, [position])

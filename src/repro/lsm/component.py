@@ -197,6 +197,10 @@ class MemoryComponent(ReferenceCounted):
         """Return the newest entry for ``key`` or ``None`` if absent."""
         return self._entries.get(key)
 
+    def get_many(self, keys: Iterable[Any]) -> List[Optional[Entry]]:
+        """:meth:`get` for each of ``keys``, in order."""
+        return list(map(self._entries.get, keys))
+
     def _sorted_keys(self) -> Tuple[List[Any], List[int]]:
         """``(keys, order)``: the keys in :func:`sort_key` order and where each
         sits in insertion order — one stable sort per run of writes that add

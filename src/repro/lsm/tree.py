@@ -46,6 +46,9 @@ _NONES = itertools.repeat(None)
 _ZEROS = itertools.repeat(0)
 _FALSES = itertools.repeat(False)
 
+#: Marks a key a lazy-cleanup filter hides while a run of reads is probed.
+_HIDDEN = object()
+
 #: Union type of everything that can sit in a component list.
 AnyDiskComponent = Any  # DiskComponent | ReferenceDiskComponent
 
@@ -372,6 +375,59 @@ class LSMTree:
                 stats.bytes_read += entry.size_bytes
                 return entry
         return None
+
+    def get_many(
+        self, keys: Sequence[Any], hashes: Sequence[int]
+    ) -> Tuple[List[Optional[Entry]], List[int]]:
+        """:meth:`get_entry` for a run of keys (``hashes`` their ``hash_key``):
+        each key's entry and the number of disk components its own probe
+        opened, in key order.
+
+        The memory component answers the whole run in one pass; then each
+        disk component, newest first, is pinned once and probed — reference
+        prefix and Bloom filter first — only for the keys still unresolved.
+        Every key meets the components :meth:`get_entry` would show it, in
+        the same order, so the stats counters end with exactly the totals a
+        loop of :meth:`get_entry` leaves.
+        """
+        entries = self.memory.get_many(keys)
+        opened = [0] * len(keys)
+        hidden = 0
+        if self._invalid_buckets:
+            for position, key in enumerate(keys):
+                if self._is_invalidated(key):
+                    entries[position] = _HIDDEN
+                    hidden += 1
+        unresolved = [position for position, entry in enumerate(entries) if entry is None]
+        stats = self.stats
+        stats.records_read += len(keys) - hidden - len(unresolved)
+        for component in self.disk_components:
+            if not unresolved:
+                break
+            may_contain = component.may_contain
+            admitted = [p for p in unresolved if may_contain(keys[p], hashes[p])]
+            stats.bloom_negative_skips += len(unresolved) - len(admitted)
+            if not admitted:
+                continue
+            found = 0
+            component.retain()
+            try:
+                for position in admitted:
+                    stats.components_opened += 1
+                    opened[position] += 1
+                    entry = component.get(keys[position], hashes[position])
+                    if entry is not None:
+                        entries[position] = entry
+                        found += 1
+                        stats.records_read += 1
+                        stats.bytes_read += entry.size_bytes
+            finally:
+                component.release()
+            if found:
+                unresolved = [position for position in unresolved if entries[position] is None]
+        if hidden:
+            entries = [None if entry is _HIDDEN else entry for entry in entries]
+        return entries, opened
 
     def peek(self, key: Any, hashed: Optional[int] = None) -> Optional[Entry]:
         """:meth:`get_entry` as the write path's old-value probe: the same

@@ -15,6 +15,7 @@ under-reporting) otherwise.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import log
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -111,31 +112,36 @@ class LatencyHistogram:
         """Record a batch of single observations, in order.
 
         Equivalent to calling :meth:`record` per value — same counts, same
-        float-accumulation order for ``total``, same min/max — with the
-        per-call validation and attribute traffic hoisted out of the loop.
-        The whole batch is validated up front, so a bad value rejects the
-        batch without mutating any state (``record`` likewise validates
-        before touching its counters).
+        float-accumulation order for ``total``, same min/max — with one
+        bucket search per *distinct* value.  The whole batch is validated up
+        front, so a bad value rejects the batch without mutating any state
+        (``record`` likewise validates before touching its counters).
         """
         batch = values if isinstance(values, list) else list(values)
-        if batch and min(batch) < 0:
+        if not batch:
+            return
+        lo = min(batch)
+        if lo < 0:
             raise ValueError("latencies cannot be negative")
+        hi = max(batch)
+        # A batch holds few distinct latencies (one per component-open
+        # count, often just one): each is placed once, with its multiplicity.
         counts = self.counts
         bucket_index = self._bucket_index
+        if lo == hi:
+            counts[bucket_index(lo)] += len(batch)
+        else:
+            for value, times in Counter(batch).items():
+                counts[bucket_index(value)] += times
         total = self.total
-        lo = self.min_value
-        hi = self.max_value
         for value in batch:
-            counts[bucket_index(value)] += 1
             total += value
-            if lo is None or value < lo:
-                lo = value
-            if hi is None or value > hi:
-                hi = value
         self.count += len(batch)
         self.total = total
-        self.min_value = lo
-        self.max_value = hi
+        if self.min_value is None or lo < self.min_value:
+            self.min_value = lo
+        if self.max_value is None or hi > self.max_value:
+            self.max_value = hi
 
     def merge(self, other: "LatencyHistogram") -> None:
         """Fold another histogram with the same bucket grid into this one."""

@@ -111,6 +111,11 @@ class MetricsSnapshot:
         )
 
 
+#: What an op sample feeds: its histogram, the counters that count it and
+#: the one that counts its records (``None`` when it carries none).
+_Sink = Tuple[LatencyHistogram, List[Counter], Optional[Counter]]
+
+
 class MetricsRegistry:
     """All telemetry of one database session, fed by the event bus."""
 
@@ -120,6 +125,9 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[Tuple[str, str], LatencyHistogram] = {}
+        #: What an op sample feeds, per (op, phase, dataset, carries records):
+        #: see :meth:`_sink` (nothing is ever removed from the maps above).
+        self._sinks: Dict[Tuple[str, str, Optional[str], bool], _Sink] = {}
         self._subscriptions: List[Subscription] = []
         self._bus: Optional[EventBus] = None
         #: Clock reading when the in-flight rebalance started; op samples
@@ -194,15 +202,12 @@ class MetricsRegistry:
         Normally invoked via ``op.*`` events from the instrumented dataset
         verbs, but callable directly by custom drivers.
         """
-        phase = self.phase
-        self.histogram(op, phase).record(latency_seconds)
-        self.counter("ops.total").increment()
-        self.counter(f"ops.{op}").increment()
-        self.counter(f"ops.{op}.{phase}").increment()
-        if records:
-            self.counter(f"records.{op}").increment(records)
-        if dataset is not None:
-            self.counter(f"ops.dataset.{dataset}").increment()
+        histogram, per_op, records_counter = self._sink(op, dataset, records)
+        histogram.record(latency_seconds)
+        for counter in per_op:
+            counter.increment()
+        if records_counter is not None:
+            records_counter.increment(records)
         self.clock.advance(latency_seconds)
 
     def observe_op_batch(
@@ -224,16 +229,33 @@ class MetricsRegistry:
         if not latencies:
             return
         n = len(latencies)
-        phase = self.phase
-        self.histogram(op, phase).record_many(latencies)
-        self.counter("ops.total").increment(n)
-        self.counter(f"ops.{op}").increment(n)
-        self.counter(f"ops.{op}.{phase}").increment(n)
-        if records_per_op:
-            self.counter(f"records.{op}").increment(records_per_op * n)
-        if dataset is not None:
-            self.counter(f"ops.dataset.{dataset}").increment(n)
+        histogram, per_op, records_counter = self._sink(op, dataset, records_per_op)
+        histogram.record_many(latencies)
+        for counter in per_op:
+            counter.increment(n)
+        if records_counter is not None:
+            records_counter.increment(records_per_op * n)
         self.clock.advance_many(latencies)
+
+    def _sink(self, op: str, dataset: Optional[str], records: int) -> _Sink:
+        """What a sample of ``op`` feeds in the current phase: its histogram,
+        the counters that count it (``ops.total``, ``ops.<op>``,
+        ``ops.<op>.<phase>`` and ``ops.dataset.<dataset>`` when tagged) and
+        ``records.<op>`` when it carries records (else ``None``), resolved
+        once per combination."""
+        phase = self.phase
+        key = (op, phase, dataset, bool(records))
+        sink = self._sinks.get(key)
+        if sink is None:
+            names = ["ops.total", f"ops.{op}", f"ops.{op}.{phase}"]
+            if dataset is not None:
+                names.append(f"ops.dataset.{dataset}")
+            sink = self._sinks[key] = (
+                self.histogram(op, phase),
+                [self.counter(name) for name in names],
+                self.counter(f"records.{op}") if records else None,
+            )
+        return sink
 
     # ---------------------------------------------------------- event handlers
 

@@ -86,6 +86,8 @@ class ZipfianKeys(KeyGenerator):
         self._eta = (1.0 - (2.0 / num_keys) ** (1.0 - theta)) / (
             1.0 - zeta2 / self._zetan
         )
+        #: Scaled draws below this (and at or above 1.0) pick rank 1.
+        self._rank_one_bound = 1.0 + 0.5**theta
 
     @staticmethod
     def _zeta(n: int, theta: float) -> float:
@@ -95,26 +97,28 @@ class ZipfianKeys(KeyGenerator):
             cached = _ZETA_CACHE[key] = sum(1.0 / (i**theta) for i in range(1, n + 1))
         return cached
 
-    def _draw(self, rng: random.Random) -> int:
+    def next_index(self, rng: random.Random, limit: int) -> int:
+        if limit < 1:
+            self._check_limit(limit)  # raises
+        num_keys = self.num_keys
+        # One rng.random() per draw, inlined: this runs once per key drawn.
         u = rng.random()
         uz = u * self._zetan
         if uz < 1.0:
-            return 0
-        if uz < 1.0 + 0.5**self.theta:
-            return 1
-        return int(self.num_keys * ((self._eta * u) - self._eta + 1.0) ** self._alpha)
-
-    def next_index(self, rng: random.Random, limit: int) -> int:
-        self._check_limit(limit)
-        index = min(self._draw(rng), self.num_keys - 1)
+            index = 0
+        elif uz < self._rank_one_bound:
+            index = 1  # num_keys >= 2 here: with one key, zeta is 1 and uz < 1
+        else:
+            eta = self._eta
+            index = min(int(num_keys * ((eta * u) - eta + 1.0) ** self._alpha), num_keys - 1)
         if self.scrambled:
-            index = hash_key(index) % self.num_keys
-        if limit <= self.num_keys:
+            index = hash_key(index) % num_keys
+        if limit <= num_keys:
             return index % limit
         # The live keyspace outgrew the precomputed grid (inserts during the
         # run): stretch the draw across it so new keys stay reachable while
         # the skew shape is preserved.
-        return index * limit // self.num_keys
+        return index * limit // num_keys
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flavour = "scrambled " if self.scrambled else ""

@@ -22,6 +22,7 @@ workload D/F choose different key distributions when used with the driver.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Union
 
@@ -50,10 +51,15 @@ class OperationMix:
             raise ValueError("an operation mix needs at least one positive weight")
         # choose() runs once per operation of every workload; precompute the
         # cumulative thresholds (the dataclass is frozen, hence __setattr__).
+        # Float round-off can leave the sum a hair under 1.0, so the last
+        # positive-weight verb and every zero-weight verb after it are pinned
+        # to exactly 1.0: every draw in [0, 1) then lands on a verb the mix
+        # gives weight to.
+        last = max(index for index, op in enumerate(OPERATIONS) if weights[op] > 0)
         cumulative, accumulated = [], 0.0
-        for op in OPERATIONS:
+        for index, op in enumerate(OPERATIONS):
             accumulated += weights[op] / total
-            cumulative.append(accumulated)
+            cumulative.append(accumulated if index < last else 1.0)
         object.__setattr__(self, "_cumulative", tuple(cumulative))
 
     def weights_raw(self) -> Dict[str, float]:
@@ -72,12 +78,9 @@ class OperationMix:
         return weights["insert"] + weights["update"] + weights["delete"]
 
     def choose(self, rng: random.Random) -> str:
-        """Draw one operation name from the mix using ``rng``."""
-        draw = rng.random()
-        for op, threshold in zip(OPERATIONS, self._cumulative, strict=True):
-            if draw < threshold:
-                return op
-        return OPERATIONS[0]  # pragma: no cover - float round-off guard
+        """Draw one operation name from the mix using ``rng``: the first verb
+        whose cumulative threshold exceeds one ``rng.random()`` draw."""
+        return OPERATIONS[bisect_right(self._cumulative, rng.random())]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         parts = ", ".join(

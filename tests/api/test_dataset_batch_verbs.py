@@ -6,7 +6,13 @@ same registry state — the only difference is that samples travel as one
 ``op.batch`` event.
 """
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from repro.api import KIB, BucketingConfig, ClusterConfig, Database, LSMConfig
+from repro.common.errors import StorageError
+from repro.common.hashutil import hash_key
 from repro.lsm.component import DiskComponent, ReferenceDiskComponent
 from repro.lsm.stats import StorageStats
 
@@ -236,4 +242,136 @@ class TestEmitSkipsWithoutSubscribers:
         db.metrics.detach()
         assert dataset.get(3) is not None
         assert dataset.get(9999) is None
+        db.close()
+
+
+def get_many_by_key(dataset, keys):
+    """``get_many`` as the per-key loop it replaced: each key is hashed,
+    routed on the live directory and probed alone (``BucketedLSMTree.lookup``,
+    which runs ``LSMTree.get_entry``), priced from its own open count, and the
+    latencies travel as one ``op.batch``."""
+    runtime = dataset._runtime()
+    records, latencies = [], []
+    for key in keys:
+        hashed = hash_key(key)
+        partition = runtime.partitions[runtime.partition_of_key(key, hashed)]
+        partition._check_not_blocked()
+        record, opened = partition.primary.lookup(key, hashed)
+        records.append(record)
+        latencies.append(dataset._probe_latency(opened))
+    dataset._emit_op_batch("read", latencies)
+    return records
+
+
+def open_moved():
+    """The split dataset with tombstones, after a DynaHash scale-out: moved
+    buckets are gone from their old partitions (whose primary-key indexes
+    now hide them behind lazy-cleanup filters), and the routing copy taken
+    before the move still points at the old owners."""
+    db, dataset = open_split()
+    dataset.delete(TOMBSTONED)
+    stale = db.cluster.dataset("t").routing_snapshot()
+    assert db.rebalance(add=1).committed
+    return db, dataset, stale, read_latencies(db)
+
+
+#: Keys deleted before the move (tombstones in memory or on disk).
+TOMBSTONED = [3, 35, 1234, 2790, 2799, 5000]
+
+#: Keys worth drawing often: memory hits, reference hits, tombstones, misses
+#: and a non-int miss (the drawn integers reach the moved buckets' keys too).
+NOTABLE_KEYS = TOMBSTONED + [0, 1, 70, 2451, 5001, 9999, -4, "absent"]
+
+
+@pytest.fixture(scope="module")
+def moved_pair():
+    """Two identical moved datasets: one answers through the per-key oracles,
+    the other through the run path, in the same sequence, so their counters
+    and registries must stay equal."""
+    pair = open_moved(), open_moved()
+    yield pair
+    for db, *_ in pair:
+        db.close()
+
+
+#: Runs short enough to go key by key and long enough to go as a run (the
+#: moved dataset has 6 partitions).
+_key = st.one_of(st.sampled_from(NOTABLE_KEYS), st.integers(min_value=-20, max_value=5100))
+keys_runs = st.one_of(
+    st.lists(_key, min_size=1, max_size=12), st.lists(_key, min_size=96, max_size=300)
+)
+
+
+class TestRunPathEquivalence:
+    """``get_many``'s run path against the per-key chain it replaced, on every
+    layer: records, per-key latencies, ``StorageStats`` deltas and the
+    registry snapshot."""
+
+    @given(keys=keys_runs)
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_get_many_equals_the_per_key_loop(self, moved_pair, keys):
+        (db_a, ds_a, _, samples_a), (db_b, ds_b, _, samples_b) = moved_pair
+        before_a, before_b = storage_stats(db_a), storage_stats(db_b)
+        del samples_a[:], samples_b[:]
+        looped = get_many_by_key(ds_a, keys)
+        batched = ds_b.get_many(keys)
+        assert batched == looped
+        assert samples_b == samples_a and len(samples_b) == len(keys)
+        assert storage_stats(db_b).diff(before_b) == storage_stats(db_a).diff(before_a)
+        assert db_b.metrics.snapshot() == db_a.metrics.snapshot()
+        assert all(looped[i] is None for i, key in enumerate(keys) if key in TOMBSTONED)
+
+    @given(keys=keys_runs)
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_a_stale_probe_equals_the_per_key_lookup(self, moved_pair, keys):
+        (db_a, _, stale, _), (db_b, _, _, _) = moved_pair
+        partitions_a = db_a.cluster.dataset("t").partitions
+        partitions_b = db_b.cluster.dataset("t").partitions
+        for pid in sorted({stale.partition_of(key) for key in keys}):
+            mine = [key for key in keys if stale.partition_of(key) == pid]
+            hashes = [hash_key(key) for key in mine]
+            a, b = partitions_a[pid], partitions_b[pid]
+            before_a, before_b = a.stats_snapshot(), b.stats_snapshot()
+            looped = [a.primary.lookup(key, hashed) for key, hashed in zip(mine, hashes)]
+            records, opened = b.lookup_many(mine, hashes)
+            assert list(zip(records, opened)) == looped
+            assert b.stats_snapshot().diff(before_b) == a.stats_snapshot().diff(before_a)
+
+    @given(keys=keys_runs)
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_an_invalidated_index_hides_moved_keys_alike(self, moved_pair, keys):
+        (db_a, *_), (db_b, *_) = moved_pair
+        hashes = [hash_key(key) for key in keys]
+        runtime_a, runtime_b = db_a.cluster.dataset("t"), db_b.cluster.dataset("t")
+        filtered = 0
+        for pid, partition in runtime_b.partitions.items():
+            tree_a = runtime_a.partitions[pid].primary_key_index
+            tree_b = partition.primary_key_index
+            filtered += bool(tree_b.invalidated_buckets)
+            before_a, before_b = tree_a.stats.snapshot(), tree_b.stats.snapshot()
+            looped = []
+            for key, hashed in zip(keys, hashes):
+                opened = tree_a.stats.components_opened
+                entry = tree_a.get_entry(key, hashed)
+                looped.append((entry, tree_a.stats.components_opened - opened))
+            entries, opened = tree_b.get_many(keys, hashes)
+            assert list(zip(entries, opened)) == looped
+            assert tree_b.stats.diff(before_b) == tree_a.stats.diff(before_a)
+        assert filtered  # the scale-out left lazy-cleanup filters behind
+
+    @pytest.mark.parametrize("length", [1, 3, 40, 300])
+    def test_a_run_touching_a_blocked_partition_raises_before_any_probe(self, length):
+        db, dataset = open_split()
+        runtime = db.cluster.dataset("t")
+        keys = list(range(length))
+        blocked = runtime.partitions[runtime.partition_of_key(keys[-1])]
+        blocked.block()
+        before = storage_stats(db)
+        snapshot = db.metrics.snapshot()
+        with pytest.raises(StorageError, match="blocked"):
+            dataset.get_many(keys)
+        assert storage_stats(db).diff(before) == StorageStats()
+        assert db.metrics.snapshot() == snapshot
+        blocked.unblock()
+        assert len(dataset.get_many(keys)) == length
         db.close()

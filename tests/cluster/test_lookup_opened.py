@@ -1,14 +1,15 @@
 """The component-open count a point lookup reports for its own probe.
 
-``StoragePartition.lookup`` leaves the number of disk components its probe
-opened in ``last_lookup_opened`` (read off the one bucket tree it searched);
-the `Dataset` verbs price each read with it.  The oracle here is what that
-count replaced: ``stats_snapshot().components_opened`` summed over every index
-of the partition, sampled before and after the probe.
+``StoragePartition.lookup_many`` returns, next to each key's record, the
+number of disk components that key's probe opened (read off the one bucket
+tree it searched); the `Dataset` verbs price each read with it.  The oracle
+here is what that count replaced: ``stats_snapshot().components_opened``
+summed over every index of the partition, sampled before and after the probe.
 """
 
 import pytest
 
+from repro.common.hashutil import hash_key
 from repro.lsm.component import DiskComponent, ReferenceDiskComponent
 
 from ..api.test_dataset_batch_verbs import open_split
@@ -27,11 +28,11 @@ def split_db():
 
 
 def probe(partition, key):
-    """(record, reported count, oracle count) of one lookup."""
+    """(record, reported count, oracle count) of a one-key lookup."""
     before = partition.stats_snapshot().components_opened
-    record = partition.lookup(key)
+    records, opened = partition.lookup_many([key], [hash_key(key)])
     oracle = partition.stats_snapshot().components_opened - before
-    return record, partition.last_lookup_opened, oracle
+    return records[0], opened[0], oracle
 
 
 def holder_of(partition, key):
@@ -139,3 +140,27 @@ class TestReportedCountMatchesTheOldOracle:
                 + (opened * page) / cost.config.disk_read_bytes_per_sec
             )
         assert len(set(samples)) > 1
+
+
+class TestRunCountsMatchTheOneKeyCounts:
+    """A run's per-key counts are the counts each key's own probe reports,
+    and together they are the run's stats delta."""
+
+    def test_every_partition_answers_a_run_of_its_keys(self, split_db):
+        runtime = split_db.cluster.dataset("t")
+        keys = list(range(0, ROWS, 3)) + [9999, -4, 35, 35, 5000]
+        counts = []
+        for pid, partition in runtime.partitions.items():
+            mine = [key for key in keys if runtime.partition_of_key(key) == pid]
+            assert len(partition.primary.buckets()) > 1 and len(mine) > 100
+            alone = [probe(partition, key) for key in mine]
+            assert all(reported == oracle for _, reported, oracle in alone)
+            before = partition.stats_snapshot()
+            records, opened = partition.lookup_many(mine, [hash_key(key) for key in mine])
+            delta = partition.stats_snapshot().diff(before)
+            assert records == [record for record, _, _ in alone]
+            assert opened == [reported for _, reported, _ in alone]
+            assert delta.components_opened == sum(opened)
+            assert delta.records_read == sum(record is not None for record in records)
+            counts += opened
+        assert {0, 1, 2} <= set(counts)

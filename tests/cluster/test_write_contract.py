@@ -11,6 +11,10 @@ A bulk batch lands a run at a time: one ``LSMTree.insert_many`` per bucket
 tree it touches plus one for the primary-key index, per partition.  It writes
 no log record: the CC metadata log is the only log, and only a rebalance
 appends to it.
+
+A run of point reads is probed the same way: one
+``StoragePartition.lookup_many`` per partition it touches and one
+``LSMTree.get_many`` per bucket tree, with no key probed on its own.
 """
 
 from collections import Counter
@@ -26,6 +30,7 @@ from repro.common.hashutil import hash_key
 from repro.lsm.stats import StorageStats
 from repro.lsm.tree import LSMTree
 from repro.lsm.wal import LogRecord
+from repro.metrics.histogram import LatencyHistogram
 
 PARTITIONS = 8
 
@@ -154,4 +159,60 @@ class TestBatchLanding:
         runs = sum(len(buckets) + 1 for buckets in touched.values())
         assert landings["__init__"] == 0
         assert landings == {"insert_many": runs}
+        db.close()
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Calls of the read path's per-run and per-key probes and of the
+    histogram's bucket search, counted by name."""
+    return count_calls(
+        monkeypatch,
+        (
+            (StoragePartition, "lookup_many"),
+            (StoragePartition, "lookup"),
+            (LSMTree, "get_many"),
+            (LSMTree, "get_entry"),
+            (LatencyHistogram, "_bucket_index"),
+        ),
+    )
+
+
+class TestReadRunLanding:
+    def test_a_run_probes_once_per_partition_and_bucket_tree(self, probes):
+        # The split shape, as above: every partition holds several buckets,
+        # and every bucket several disk components under its memory.
+        db = Database(
+            ClusterConfig(
+                num_nodes=4,
+                partitions_per_node=2,
+                lsm=LSMConfig(memory_component_bytes=32 * KIB),
+                bucketing=BucketingConfig(max_bucket_bytes=48 * KIB),
+            ),
+            strategy="dynahash",
+        )
+        dataset = db.create_dataset("t", primary_key="k")
+        dataset.insert([{"k": key, "v": "x" * 64} for key in range(8000)])
+        runtime = db.cluster.dataset("t")
+        keys = [(key * 7919) % 9000 for key in range(256)]  # some absent, some repeated
+        touched = {}
+        for key in keys:
+            hashed = hash_key(key)
+            partition = runtime.partitions[runtime.partition_of_key(key, hashed)]
+            bucket = partition.primary.directory.bucket_for_hash(hashed)
+            touched.setdefault(partition.partition_id, set()).add(bucket)
+        assert len(touched) == PARTITIONS and all(len(b) > 1 for b in touched.values())
+        latencies = []
+        db.on("op.batch", lambda event: latencies.extend(event["latencies"]))
+        probes.clear()
+        records = dataset.get_many(keys)
+        assert sum(record is not None for record in records) > 200
+        # One run per partition and one per bucket tree it touches; no key is
+        # probed on its own; each distinct latency is placed in the histogram
+        # once.
+        assert probes["lookup_many"] == len(touched)
+        assert probes["get_many"] == sum(len(buckets) for buckets in touched.values())
+        assert probes["get_entry"] == probes["lookup"] == 0
+        assert 1 < len(set(latencies)) < len(keys)
+        assert probes["_bucket_index"] <= len(set(latencies))
         db.close()

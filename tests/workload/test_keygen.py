@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from repro.common.hashutil import hash_key
 from repro.workload import (
     HotspotKeys,
     LatestKeys,
@@ -158,3 +159,38 @@ class TestFactory:
         """zipfian needs num_keys: a config error, not a TypeError crash."""
         with pytest.raises(ValueError, match="num_keys"):
             make_key_generator("zipfian")
+
+
+def zipfian_by_formula(generator, rng, limit):
+    """The two-step draw ``next_index`` inlined: YCSB's zipfian rank for one
+    ``rng.random()``, clamped to the grid, then scrambled and fitted to
+    ``limit``."""
+    u = rng.random()
+    uz = u * generator._zetan
+    if uz < 1.0:
+        index = 0
+    elif uz < 1.0 + 0.5**generator.theta:
+        index = 1
+    else:
+        eta = generator._eta
+        index = int(generator.num_keys * ((eta * u) - eta + 1.0) ** generator._alpha)
+    index = min(index, generator.num_keys - 1)
+    if generator.scrambled:
+        index = hash_key(index) % generator.num_keys
+    if limit <= generator.num_keys:
+        return index % limit
+    return index * limit // generator.num_keys
+
+
+class TestZipfianStream:
+    @pytest.mark.parametrize("num_keys", [1, 3, 1024, 20_000])
+    @pytest.mark.parametrize("theta", [0.5, 0.99])
+    @pytest.mark.parametrize("scrambled", [False, True])
+    def test_next_index_is_the_formula_on_one_stream(self, num_keys, theta, scrambled):
+        generator = ZipfianKeys(num_keys=num_keys, theta=theta, scrambled=scrambled)
+        for limit in (1, 7, num_keys, 3 * num_keys + 1):
+            rng, oracle = random.Random(num_keys), random.Random(num_keys)
+            assert [generator.next_index(rng, limit) for _ in range(3000)] == [
+                zipfian_by_formula(generator, oracle, limit) for _ in range(3000)
+            ]
+            assert rng.random() == oracle.random()  # one draw per key, no more

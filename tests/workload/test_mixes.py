@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workload import OPERATIONS, OperationMix, YCSB_MIXES, make_mix
 
@@ -68,3 +70,73 @@ class TestPresets:
     def test_make_mix_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown operation mix"):
             make_mix("Z")
+
+
+class _FixedDraw:
+    """An RNG stub whose every ``random()`` returns one value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def choose_by_scan(mix, draw):
+    """The threshold scan ``choose`` replaced: the first verb whose
+    cumulative threshold exceeds the draw."""
+    for op, threshold in zip(OPERATIONS, mix._cumulative, strict=True):
+        if draw < threshold:
+            return op
+    raise AssertionError(f"draw {draw!r} fell past every threshold")
+
+
+class TestChooseDrawsOnlyWeightedVerbs:
+    def test_the_largest_draw_takes_the_last_weighted_verb(self):
+        # The weights sum to 0.8, so the thresholds accumulate in floats to
+        # 0.9999999999999999: the largest draw random() can return used to
+        # fall through to "read", a verb this mix gives no weight.
+        mix = OperationMix(insert=0.15, update=0.05, scan=0.6)
+        assert mix.choose(_FixedDraw(1 - 2**-53)) == "scan"
+        assert mix.choose(_FixedDraw(0.0)) == "insert"
+
+    def test_every_preset_already_ends_at_one(self):
+        # Pinning the last threshold moves no committed stream: every preset's
+        # accumulated thresholds already reach exactly 1.0.
+        for mix in YCSB_MIXES.values():
+            weights = mix.weights_raw()
+            total = sum(weights.values())
+            accumulated, unpinned = 0.0, []
+            for op in OPERATIONS:
+                accumulated += weights[op] / total
+                unpinned.append(accumulated)
+            last = max(i for i, op in enumerate(OPERATIONS) if weights[op] > 0)
+            assert unpinned[last] == 1.0
+            assert mix._cumulative[:last] == tuple(unpinned[:last])
+
+    def test_bisect_matches_the_threshold_scan_on_one_stream(self):
+        for mix in list(YCSB_MIXES.values()) + [
+            OperationMix(read=0.5, insert=0.2, update=0.2, delete=0.05, scan=0.05),
+            OperationMix(insert=0.15, update=0.05, scan=0.6),
+        ]:
+            rng, oracle = random.Random(11), random.Random(11)
+            assert [mix.choose(rng) for _ in range(2000)] == [
+                choose_by_scan(mix, oracle.random()) for _ in range(2000)
+            ]
+
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e6)),
+            min_size=len(OPERATIONS),
+            max_size=len(OPERATIONS),
+        ).filter(lambda weights: any(weights)),
+        draw=st.one_of(
+            st.just(0.0), st.just(1 - 2**-53), st.floats(min_value=0.0, max_value=1 - 2**-53)
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_draw_only_lands_on_a_weighted_verb(self, weights, draw):
+        mix = OperationMix(**dict(zip(OPERATIONS, weights, strict=True)))
+        op = mix.choose(_FixedDraw(draw))
+        assert getattr(mix, op) > 0
+        assert op == choose_by_scan(mix, draw)
