@@ -11,7 +11,7 @@
 
 from conftest import print_figure
 
-from repro.bench import format_table
+from repro.common.reporting import format_table
 from repro.bucketed.scan import estimate_merge_comparisons
 from repro.common.config import LSMConfig
 from repro.hashing.extendible import GlobalDirectory

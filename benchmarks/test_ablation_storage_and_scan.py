@@ -10,7 +10,7 @@
 
 from conftest import print_figure
 
-from repro.bench import format_table
+from repro.common.reporting import format_table
 from repro.bucketed import BucketedLSMTree, ScanMode
 from repro.bucketed.scan import estimate_merge_comparisons
 from repro.common.config import BucketingConfig, LSMConfig

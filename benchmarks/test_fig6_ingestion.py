@@ -2,30 +2,28 @@
 
 Paper shape: all three approaches ingest at nearly the same rate (bucketing
 adds only a small overhead) and the time rises mildly as the cluster grows
-(write stalls on the slowest node).
+(write stalls on the slowest node).  Spec: ``examples/scenarios/paper/fig6.toml``.
 """
 
-from conftest import print_figure
-
-from repro.bench import run_ingestion_experiment, series_table
+from conftest import print_figure, series_table, strategy_series
 
 
-def test_fig6_ingestion_time(benchmark, bench_scale):
-    result = benchmark.pedantic(
-        lambda: run_ingestion_experiment(bench_scale), rounds=1, iterations=1
+def test_fig6_ingestion_time(benchmark, paper_figure):
+    cells = benchmark.pedantic(paper_figure, args=("fig6",), rounds=1, iterations=1)
+    minutes = strategy_series(cells, lambda r: r.tpch_load.total_simulated_seconds / 60.0)
+    splits = strategy_series(
+        cells, lambda r: sum(report.splits for report in r.tpch_load.reports.values())
     )
     print_figure(
-        "Figure 6: ingestion time (simulated minutes)",
-        series_table(result.minutes, "nodes", "min"),
+        "Figure 6: ingestion time (simulated minutes)", series_table(minutes, "nodes")
     )
 
-    for strategy, by_nodes in result.minutes.items():
-        assert all(minutes > 0 for minutes in by_nodes.values())
+    for strategy, by_nodes in minutes.items():
+        assert all(value > 0 for value in by_nodes.values())
     # DynaHash and StaticHash stay close to the Hashing baseline (the paper
     # reports only a small bucketing overhead on ingestion).
-    for nodes in bench_scale.node_counts:
-        baseline = result.minutes["Hashing"][nodes]
+    for nodes, baseline in minutes["Hashing"].items():
         for strategy in ("StaticHash", "DynaHash"):
-            assert result.minutes[strategy][nodes] < baseline * 1.35
+            assert minutes[strategy][nodes] < baseline * 1.35
     # DynaHash splits buckets dynamically while loading.
-    assert any(count > 0 for count in result.splits["DynaHash"].values())
+    assert any(count > 0 for count in splits["DynaHash"].values())

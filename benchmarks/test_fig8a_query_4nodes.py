@@ -5,30 +5,35 @@ baseline on almost every query; the exception is q18, whose group-by on a
 prefix of LineItem's primary key forces the bucketed LSM-tree to merge-sort
 its buckets (and StaticHash, with more buckets per partition, pays more than
 DynaHash).  Lazy secondary-index cleanup (DynaHash-lazy-cleanup) also adds
-only a small overhead.
+only a small overhead.  Specs: ``examples/scenarios/paper/fig8.toml`` and
+``fig8_lazy_cleanup.toml``.
 """
 
-from conftest import print_figure
+from conftest import print_figure, query_seconds, series_table, strategy_series
 
-from repro.bench import per_query_table, run_query_experiment
 from repro.tpch import QUERY_NAMES
 
 
-def test_fig8a_query_time_original_4_nodes(benchmark, bench_scale):
-    result = benchmark.pedantic(
-        lambda: run_query_experiment(bench_scale, num_nodes=4, downsize=False),
+def test_fig8a_query_time_original_4_nodes(benchmark, paper_figure):
+    cells, lazy_cells = benchmark.pedantic(
+        lambda: (paper_figure("fig8"), paper_figure("fig8_lazy_cleanup")),
         rounds=1,
         iterations=1,
     )
+    seconds = {
+        approach: by_nodes[4]
+        for approach, by_nodes in strategy_series(cells, query_seconds).items()
+    }
+    seconds["DynaHash-lazy-cleanup"] = query_seconds(lazy_cells[(4,)])
     print_figure(
         "Figure 8a: TPC-H query time on 4 nodes (simulated seconds)",
-        per_query_table(result.seconds),
+        series_table(seconds, "query"),
     )
 
-    hashing = result.seconds["Hashing"]
-    dynahash = result.seconds["DynaHash"]
-    statichash = result.seconds["StaticHash"]
-    lazy = result.seconds["DynaHash-lazy-cleanup"]
+    hashing = seconds["Hashing"]
+    dynahash = seconds["DynaHash"]
+    statichash = seconds["StaticHash"]
+    lazy = seconds["DynaHash-lazy-cleanup"]
 
     # Negligible bucketing overhead on every query except q18.
     for query in QUERY_NAMES:

@@ -2,33 +2,30 @@
 
 Paper shape (16 -> 15 nodes): same as Figure 9a — a small load-imbalance
 overhead for the bucketing approaches, visible mainly on the scan-heavy
-queries and on q18.
+queries and on q18.  Spec: ``examples/scenarios/paper/fig9.toml``, whose
+largest ``nodes`` value stands in for 16.
 """
 
-from conftest import print_figure
+from conftest import print_figure, query_seconds, series_table, strategy_series
 
-from repro.bench import per_query_table, run_query_experiment
 from repro.tpch import QUERY_NAMES, SCAN_HEAVY_QUERIES
 
 
-def test_fig9b_query_time_downsized_large_cluster(benchmark, bench_scale, large_cluster_nodes):
-    result = benchmark.pedantic(
-        lambda: run_query_experiment(
-            bench_scale, num_nodes=large_cluster_nodes, downsize=True
-        ),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig9b_query_time_downsized_large_cluster(benchmark, paper_figure):
+    cells = benchmark.pedantic(paper_figure, args=("fig9",), rounds=1, iterations=1)
+    seconds = strategy_series(cells, query_seconds)
+    large_nodes = max(seconds["DynaHash"])
+    large = {approach: by_nodes[large_nodes] for approach, by_nodes in seconds.items()}
     print_figure(
-        f"Figure 9b: TPC-H query time on the downsized {large_cluster_nodes - 1}-node cluster "
+        f"Figure 9b: TPC-H query time on the downsized {large_nodes - 1}-node cluster "
         "(simulated seconds)",
-        per_query_table(result.seconds),
+        series_table(large, "query"),
     )
 
-    hashing = result.seconds["Hashing"]
-    dynahash = result.seconds["DynaHash"]
+    hashing = large["Hashing"]
+    dynahash = large["DynaHash"]
     overheads = {q: dynahash[q] / hashing[q] for q in QUERY_NAMES}
     non_scan_heavy = [q for q in QUERY_NAMES if q not in SCAN_HEAVY_QUERIES]
     assert sum(overheads[q] for q in non_scan_heavy) / len(non_scan_heavy) < 1.20
     assert overheads["q18"] > 1.05
-    assert all(value > 0 for values in result.seconds.values() for value in values.values())
+    assert all(value > 0 for values in large.values() for value in values.values())

@@ -12,8 +12,9 @@ ICDE 2022):
 * :mod:`repro.rebalance` — the online rebalance operation (Section V),
 * :mod:`repro.query` + :mod:`repro.tpch` — the OLAP query engine and the
   TPC-H workload used by the evaluation,
-* :mod:`repro.bench` — experiment drivers that regenerate every figure of the
-  paper's evaluation, and the hot-path microbenchmarks.
+* :mod:`repro.scenario` — declarative scenario specs; every figure of the
+  paper's evaluation is one under ``examples/scenarios/paper/``,
+* :mod:`repro.bench` — the hot-path microbenchmarks.
 
 Quickstart (the :mod:`repro.api` client surface)::
 
@@ -25,9 +26,9 @@ Quickstart (the :mod:`repro.api` client surface)::
         report = db.remove_nodes(1)    # online rebalance
         print(report.simulated_seconds)
 
-The traffic and autopilot storms are scenario specs under
-``examples/scenarios/``, run by :mod:`repro.scenario`; see :mod:`repro.api`
-for the supported verbs.
+The paper's figures and the traffic and autopilot storms are scenario specs
+under ``examples/scenarios/``, run by :mod:`repro.scenario`; see
+:mod:`repro.api` for the supported verbs.
 """
 
 __version__ = "1.1.0"

@@ -1,11 +1,9 @@
 """Generic text-table rendering shared across layers.
 
-:func:`format_table` is used by the benchmark harness (figure tables), the
-metrics registry (latency reports), and the examples; it lives in
+:func:`format_table` is used by the figure benchmarks, the metrics registry
+(latency reports), the scenario runner and the examples; it lives in
 :mod:`repro.common` so low layers like :mod:`repro.metrics` can render
-reports without depending on the benchmark harness above them.  The
-bench-specific shapes (series and per-query tables) stay in
-:mod:`repro.bench.reporting`, which re-exports this function.
+reports without depending on anything above them.
 """
 
 from __future__ import annotations

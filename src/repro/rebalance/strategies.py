@@ -168,23 +168,34 @@ class DynaHashStrategy(RebalancingStrategy):
         return config
 
 
+def _static_bucketing(base: BucketingConfig, total_buckets: Optional[int]) -> BucketingConfig:
+    """``base`` with splits off and, when given, ``total_buckets`` static buckets."""
+    if total_buckets is None:
+        return replace(base, static=True)
+    return replace(base, static=True, static_total_buckets=total_buckets)
+
+
 class StaticHashStrategy(RebalancingStrategy):
-    """Static bucketing: a fixed number of buckets (256 in the paper), no splits."""
+    """Static bucketing: a fixed number of buckets (256 in the paper), no splits.
+
+    ``total_buckets=None`` keeps the cluster config's
+    ``bucketing.static_total_buckets``; a number overrides it.
+    """
 
     name = "StaticHash"
 
-    def __init__(self, total_buckets: int = 256) -> None:
-        if total_buckets < 1:
+    def __init__(self, total_buckets: Optional[int] = None) -> None:
+        if total_buckets is not None and total_buckets < 1:
             raise ConfigError("total_buckets must be at least 1")
         self.total_buckets = total_buckets
 
     def bucketing_config(self, base: BucketingConfig, total_partitions: int) -> BucketingConfig:
-        return replace(base, static=True, static_total_buckets=self.total_buckets)
+        return _static_bucketing(base, self.total_buckets)
 
     def initial_directory(
         self, total_partitions: int, bucketing: BucketingConfig
     ) -> GlobalDirectory:
-        return static_directory(self.total_buckets, total_partitions)
+        return static_directory(bucketing.static_total_buckets, total_partitions)
 
 
 class ConsistentHashStrategy(RebalancingStrategy):
@@ -194,17 +205,18 @@ class ConsistentHashStrategy(RebalancingStrategy):
     partition tokens; a resize rebuilds the ring over the target partitions
     and moves only the buckets whose owner changed.  This is the Section II-A
     consistent-hashing baseline expressed in DynaHash's bucket machinery so
-    the same movement/commit code is exercised.
+    the same movement/commit code is exercised.  ``total_buckets=None`` keeps
+    the cluster config's ``bucketing.static_total_buckets``.
     """
 
     name = "ConsistentHash"
 
-    def __init__(self, total_buckets: int = 256, virtual_nodes: int = 16) -> None:
+    def __init__(self, total_buckets: Optional[int] = None, virtual_nodes: int = 16) -> None:
         self.total_buckets = total_buckets
         self.virtual_nodes = virtual_nodes
 
     def bucketing_config(self, base: BucketingConfig, total_partitions: int) -> BucketingConfig:
-        return replace(base, static=True, static_total_buckets=self.total_buckets)
+        return _static_bucketing(base, self.total_buckets)
 
     def _ring(self, partitions: Sequence[int]) -> ConsistentHashRing:
         ring = ConsistentHashRing(virtual_nodes=self.virtual_nodes)
@@ -212,24 +224,26 @@ class ConsistentHashStrategy(RebalancingStrategy):
             ring.add_node(pid)
         return ring
 
-    def _assign(self, partitions: Sequence[int]) -> GlobalDirectory:
+    def _assign(self, partitions: Sequence[int], total_buckets: int) -> GlobalDirectory:
         ring = self._ring(partitions)
         assignments = {
             bucket: ring.node_for_hash(hash64(bucket.prefix + 0x9E37))
-            for bucket in static_buckets(self.total_buckets)
+            for bucket in static_buckets(total_buckets)
         }
         return GlobalDirectory(assignments)
 
     def initial_directory(
         self, total_partitions: int, bucketing: BucketingConfig
     ) -> GlobalDirectory:
-        return self._assign(list(range(total_partitions)))
+        return self._assign(list(range(total_partitions)), bucketing.static_total_buckets)
 
     def plan_for(
         self, cluster: "SimulatedCluster", dataset_name: str, target_partitions: Sequence[int]
     ) -> Optional[RebalancePlan]:
         runtime = cluster.dataset(dataset_name)
-        new_directory = self._assign(list(target_partitions))
+        new_directory = self._assign(
+            list(target_partitions), runtime.bucketing.static_total_buckets
+        )
         return plan_from_directories(runtime.global_directory, new_directory)
 
 

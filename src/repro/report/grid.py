@@ -9,19 +9,18 @@ spec axis of the same name in place, so the grid order stays the declared
 order).
 
 :func:`expand_cells` walks the cartesian product in declared axis order and
-builds one :class:`SweepCell` per point: the base spec's canonical mapping
-with the cell's overrides patched in (and the ``[sweep]`` section stripped),
-re-validated through :meth:`~repro.scenario.ScenarioSpec.from_mapping` so a
-bad combination fails with the cell's id in the error.  Overriding
-``cluster.strategy`` drops the base spec's ``strategy_options`` — they are
-specific to the strategy they were written for (the same rule as the CLI's
-``--strategy`` override).
+builds one :class:`SweepCell` per point: the base spec (``[sweep]`` section
+stripped) with the cell's overrides applied by
+:meth:`~repro.scenario.ScenarioSpec.with_overrides` — the one override rule
+the CLI's ``--seed`` / ``--strategy`` use too — so a bad combination fails
+with the cell's id in the error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+import itertools
+from dataclasses import dataclass, replace
+from typing import Any, List, Sequence, Tuple
 
 from ..scenario import ScenarioSpec, ScenarioSpecError
 from ..scenario.spec import SweepSection
@@ -101,47 +100,6 @@ def merge_axes(
     return tuple(merged)
 
 
-def _patch_path(mapping: Dict[str, Any], path: str, value: Any, where: str) -> None:
-    """Set ``path`` (dotted; integer segments index arrays) in ``mapping``."""
-    segments = path.split(".")
-    target: Any = mapping
-    for position, segment in enumerate(segments[:-1]):
-        if isinstance(target, list):
-            index = _array_index(segment, target, where)
-            target = target[index]
-        elif isinstance(target, dict):
-            target = target.setdefault(segment, {})
-        else:
-            raise ScenarioSpecError(
-                f"{where}: cannot descend into {'.'.join(segments[: position + 1])!r} "
-                f"(it is a {type(target).__name__}, not a section)"
-            )
-    leaf = segments[-1]
-    if isinstance(target, list):
-        target[_array_index(leaf, target, where)] = value
-    elif isinstance(target, dict):
-        target[leaf] = value
-    else:
-        raise ScenarioSpecError(
-            f"{where}: cannot set {path!r} on a {type(target).__name__}"
-        )
-
-
-def _array_index(segment: str, array: List[Any], where: str) -> int:
-    try:
-        index = int(segment)
-    except ValueError:
-        raise ScenarioSpecError(
-            f"{where}: {segment!r} is not an array index (the spec has an "
-            f"array of {len(array)} entries here)"
-        ) from None
-    if not 0 <= index < len(array):
-        raise ScenarioSpecError(
-            f"{where}: index {index} out of range (array has {len(array)} entries)"
-        )
-    return index
-
-
 def expand_cells(base: ScenarioSpec, axes: Sequence[Axis]) -> List[SweepCell]:
     """One :class:`SweepCell` per point of the grid, in declared axis order.
 
@@ -153,40 +111,18 @@ def expand_cells(base: ScenarioSpec, axes: Sequence[Axis]) -> List[SweepCell]:
             "sweep: no axes — declare a [sweep.axes] section in the spec or "
             "pass --axis NAME=VALUE,... on the command line"
         )
-    import copy
-
-    base_mapping = base.to_mapping()
-    base_mapping.pop("sweep", None)
-
+    base = replace(base, sweep=None)
+    names = [name for name, _ in axes]
     cells: List[SweepCell] = []
-    counters = [0] * len(axes)
-    while True:
-        overrides = tuple(
-            (name, values[counters[position]])
-            for position, (name, values) in enumerate(axes)
-        )
+    for point in itertools.product(*(values for _, values in axes)):
+        overrides = tuple(zip(names, point, strict=True))
         cell_id = ",".join(f"{name}={_value_text(value)}" for name, value in overrides)
-        mapping = copy.deepcopy(base_mapping)
-        for name, value in overrides:
-            path = SweepSection.validate_axis_name(name, f"cell {cell_id!r}: axis {name}")
-            if path == "cluster.strategy" and value != base.cluster.strategy:
-                mapping.get("cluster", {}).pop("strategy_options", None)
-            _patch_path(mapping, path, value, f"cell {cell_id!r}: axis {name}")
         try:
-            spec = ScenarioSpec.from_mapping(mapping)
+            spec = base.with_overrides(overrides)
         except ScenarioSpecError as exc:
             raise ScenarioSpecError(f"cell {cell_id!r}: {exc}") from exc
         cells.append(SweepCell(cell_id=cell_id, overrides=overrides, spec=spec))
-
-        position = len(axes) - 1
-        while position >= 0:
-            counters[position] += 1
-            if counters[position] < len(axes[position][1]):
-                break
-            counters[position] = 0
-            position -= 1
-        if position < 0:
-            return cells
+    return cells
 
 
 def _value_text(value: Any) -> str:

@@ -5,9 +5,11 @@ and the session APIs: it opens a :class:`~repro.api.Database` from the spec's
 cluster section, attaches the autopilot (if declared), creates datasets /
 loads TPC-H, drives the phased workload through a
 :class:`~repro.api.WorkloadDriver`, executes the explicit steps (rebalances —
-possibly fault-injected — recovery, named TPC-H query plans), evaluates the
-spec's checks, and returns a :class:`ScenarioResult` carrying the frozen
-:class:`~repro.api.MetricsSnapshot` the determinism contract is stated over.
+possibly fault-injected or under concurrent LineItem writes — recovery, TPC-H
+query plans and query specs), evaluates the spec's checks, and returns a
+:class:`ScenarioResult` carrying the frozen :class:`~repro.api.MetricsSnapshot`
+the determinism contract is stated over, plus the load, rebalance and query
+reports the paper's figure specs read.
 
 Determinism: everything stochastic is seeded from ``ClusterConfig.seed``
 (the workload driver, the TPC-H generator, the autopilot's evaluation points)
@@ -18,7 +20,7 @@ which is what ``python -m repro replay`` asserts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..common.errors import ConfigError, UnknownDatasetError
 from .spec import QueryStep, RebalanceStep, RecoverStep, ScenarioSpec, ScenarioSpecError
@@ -28,10 +30,18 @@ __all__ = ["CheckResult", "ScenarioResult", "StepOutcome", "run_scenario"]
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """What one ``[[steps]]`` entry did, in one printable line."""
+    """What one ``[[steps]]`` entry did: a printable line and its reports.
+
+    The reports are what the paper's figures read; they stay in memory and
+    are never recorded.
+    """
 
     kind: str
     detail: str
+    #: A completed rebalance step's ``ClusterRebalanceReport``.
+    rebalance: Any = None
+    #: A query step's ``QueryReport`` per query name, in execution order.
+    queries: Mapping[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -88,6 +98,8 @@ class ScenarioResult:
     #: sha256 fingerprint of every dataset's final contents (rows sorted by
     #: key, read through the raw partition scan so no metric events fire).
     dataset_fingerprints: Dict[str, str] = field(default_factory=dict)
+    #: The ``[tpch]`` load's ``TPCHLoadResult`` (``None`` without the section).
+    tpch_load: Any = None
 
     @property
     def passed(self) -> bool:
@@ -210,9 +222,13 @@ def run_scenario(
     """
     from ..api import Database, FaultInjected, WorkloadDriver, load_tpch
     from ..api import SecondaryIndexSpec as APISecondaryIndexSpec
-    from ..tpch import DEFAULT_TABLES, REAL_PLANS
+    from ..tpch import REAL_PLANS, TPCHWorkload, query_spec
 
-    spec = spec.with_overrides(seed=seed, strategy=strategy)
+    overrides = [
+        (axis, value) for axis, value in (("seed", seed), ("strategy", strategy)) if value is not None
+    ]
+    if overrides:
+        spec = spec.with_overrides(overrides)
     config = spec.cluster.build_config()
     result = ScenarioResult(spec=spec, seed=config.seed)
 
@@ -290,10 +306,10 @@ def run_scenario(
             )
 
         if spec.tpch is not None:
-            load_tpch(
+            result.tpch_load = load_tpch(
                 db,
-                scale_factor=spec.tpch.scale_factor,
-                tables=spec.tpch.tables or DEFAULT_TABLES,
+                scale_factor=spec.tpch.total_scale_factor(db.num_nodes),
+                tables=spec.tpch.loaded_tables,
                 batch_size=spec.tpch.batch_size,
             )
 
@@ -316,7 +332,6 @@ def run_scenario(
 
         counts_before_steps = {name: db[name].count() for name in db.dataset_names()}
 
-        query_results: Dict[str, List[Any]] = {}
         rebalance_seen = False
         queries_before_rebalance: Dict[str, Any] = {}
         queries_after_rebalance: Dict[str, Any] = {}
@@ -325,6 +340,15 @@ def run_scenario(
                 kwargs: Dict[str, Any] = step.resize_kwargs()
                 if step.fault_sites:
                     kwargs["fault_sites"] = list(step.fault_sites)
+                if step.concurrent_lineitem_rows:
+                    # Fresh rows from the loaded scale and seed (validation
+                    # guarantees a [tpch] section that loads lineitem).
+                    workload = TPCHWorkload(result.tpch_load.scale_factor, seed=config.seed)
+                    kwargs["concurrent_rows"] = {
+                        "lineitem": workload.concurrent_lineitem_rows(
+                            step.concurrent_lineitem_rows
+                        )
+                    }
                 try:
                     report = db.rebalance(**kwargs)
                 except ConfigError as exc:
@@ -374,6 +398,7 @@ def run_scenario(
                                 f"{report.old_nodes} -> {report.new_nodes} nodes, "
                                 f"{report.total_records_moved} records moved in "
                                 f"{report.simulated_seconds:.3f} simulated seconds",
+                                rebalance=report,
                             )
                         )
             elif isinstance(step, RecoverStep):
@@ -391,15 +416,23 @@ def run_scenario(
                     if recovered is not None:
                         result.recovery_seconds = recovered
             elif isinstance(step, QueryStep):
+                reports: Dict[str, Any] = {}
                 try:
-                    answer, report = db.execute(step.plan, REAL_PLANS[step.plan]())
+                    if step.plan is not None:
+                        answer, reports[step.plan] = db.execute(step.plan, REAL_PLANS[step.plan]())
+                        target = queries_after_rebalance if rebalance_seen else queries_before_rebalance
+                        target.setdefault(step.plan, answer)
+                    for name in step.specs:
+                        reports[name] = db.execute_spec(query_spec(name))
                 except UnknownDatasetError as exc:
-                    # The plan reads a table ``tpch.tables`` left out.
+                    # The query reads a table ``tpch.tables`` left out.
                     raise ScenarioSpecError(f"steps[{position}]: {exc}") from exc
-                query_results.setdefault(step.plan, []).append(answer)
-                target = queries_after_rebalance if rebalance_seen else queries_before_rebalance
-                target.setdefault(step.plan, answer)
-                result.step_outcomes.append(StepOutcome("query", report.summary()))
+                if step.plan is not None:
+                    detail = reports[step.plan].summary()
+                else:
+                    seconds = sum(report.simulated_seconds for report in reports.values())
+                    detail = f"{len(reports)} query spec(s) in {seconds:.3f} simulated seconds"
+                result.step_outcomes.append(StepOutcome("query", detail, queries=reports))
 
         result.nodes_after = db.num_nodes
         result.autopilot_summary = pilot.summary() if pilot is not None else ""

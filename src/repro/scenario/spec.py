@@ -41,8 +41,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import MISSING, dataclass, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type, TypeVar
-from typing import Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Type, TypeVar, Union
 
 from ..api.registry import available_strategies, strategy_by_name
 from ..chaos import CrashPlan, LoadWindow, PartitionWindow, RetryPolicy, StragglerWindow
@@ -52,7 +52,7 @@ from ..common.units import GIB, KIB, MIB
 from ..control import available_policies, resolve_policy
 from ..metrics import PHASE_REBALANCE, PHASE_STEADY
 from ..rebalance.operation import FAULT_SITES
-from ..tpch import REAL_PLANS, TABLES_BY_NAME
+from ..tpch import DEFAULT_TABLES, QUERY_NAMES, REAL_PLANS, TABLES_BY_NAME
 from ..workload.driver import WorkloadSpec
 from ..workload.keygen import DISTRIBUTIONS
 from ..workload.mixes import OPERATIONS, YCSB_MIXES, OperationMix
@@ -528,13 +528,37 @@ class DatasetSection(_Section):
 
 @dataclass(frozen=True)
 class TPCHSection(_Section):
-    """``[tpch]``: load the paper's TPC-H subset before traffic starts."""
+    """``[tpch]``: load the paper's TPC-H subset before traffic starts.
 
-    scale_factor: float = _key(_POSITIVE, 0.001, always=True)
+    The size is ``scale_factor`` (the whole load) or ``scale_factor_per_node``
+    (times ``cluster.nodes``, so a ``nodes`` sweep axis grows the data with
+    the cluster, as the paper loads a fixed amount per node); give at most
+    one.  Neither loads scale factor 0.001.
+    """
+
+    scale_factor: Optional[float] = _key(_POSITIVE, None)
+    scale_factor_per_node: Optional[float] = _key(_POSITIVE, None)
     tables: Tuple[str, ...] = _key(
         _strings("unknown table(s) {unknown}; TPC-H tables: {choices}", TABLES_BY_NAME.keys), ()
     )
     batch_size: int = _key(_POSITIVE_INT, 2000)
+
+    def _validate(self, where: str) -> None:
+        if self.scale_factor is not None and self.scale_factor_per_node is not None:
+            raise ScenarioSpecError(
+                f"{where}: give exactly one of scale_factor and scale_factor_per_node"
+            )
+
+    def total_scale_factor(self, nodes: int) -> float:
+        """The scale factor loaded into a cluster of ``nodes`` nodes."""
+        if self.scale_factor_per_node is not None:
+            return self.scale_factor_per_node * nodes
+        return 0.001 if self.scale_factor is None else self.scale_factor
+
+    @property
+    def loaded_tables(self) -> Tuple[str, ...]:
+        """The tables the load creates (every table when ``tables`` is empty)."""
+        return self.tables or tuple(DEFAULT_TABLES)
 
 
 def _mix() -> _Kind:
@@ -907,12 +931,17 @@ class SweepSection(_Section):
 
 @dataclass(frozen=True)
 class RebalanceStep(_Resize):
-    """``{kind = "rebalance"}``: an explicit resize after the workload."""
+    """``{kind = "rebalance"}``: an explicit resize after the workload.
+
+    ``concurrent_lineitem_rows`` fresh LineItem rows (drawn from the loaded
+    TPC-H scale and seed) are written while the data moves (Figure 7c).
+    """
 
     fault_sites: Tuple[str, ...] = _key(
         _strings("unknown site(s) {unknown}; valid sites: {choices}", lambda: FAULT_SITES), ()
     )
     expect_fault: bool = _key(_BOOL, False)
+    concurrent_lineitem_rows: int = _key(_scalar(int, minimum=0), 0)
 
     kind = "rebalance"
 
@@ -940,11 +969,27 @@ class RecoverStep(_Section):
 
 @dataclass(frozen=True)
 class QueryStep(_Section):
-    """``{kind = "query", plan = "q1"}``: run a named TPC-H plan."""
+    """``{kind = "query"}``: run a TPC-H operator plan or a list of query specs.
 
-    plan: str = _key(_choice("unknown query plan {value!r}; available: {choices}", REAL_PLANS.keys))
+    ``plan = "q1"`` runs a named operator plan (its answer feeds
+    ``queries_identical_across_rebalance``); ``specs = ["q1", "q18"]`` runs
+    the named access-pattern query specs the paper's Figures 8-9 time.  A
+    step gives exactly one of the two.
+    """
+
+    plan: Optional[str] = _key(
+        _choice("unknown query plan {value!r}; available: {choices}", REAL_PLANS.keys), None
+    )
+    specs: Tuple[str, ...] = _key(
+        _strings("unknown query spec(s) {unknown}; available: {choices}", lambda: QUERY_NAMES),
+        (),
+    )
 
     kind = "query"
+
+    def _validate(self, where: str) -> None:
+        if (self.plan is None) == (not self.specs):
+            raise ScenarioSpecError(f"{where}: give exactly one of plan and specs")
 
 
 Step = Union[RebalanceStep, RecoverStep, QueryStep]
@@ -1077,6 +1122,7 @@ class ScenarioSpec:
             straddling = any(
                 isinstance(before, QueryStep)
                 and isinstance(after, QueryStep)
+                and before.plan is not None
                 and before.plan == after.plan
                 and any(i < rebalance < j for rebalance in rebalance_positions)
                 for i, before in enumerate(self.steps)
@@ -1150,6 +1196,15 @@ class ScenarioSpec:
                     f"steps[{position}]: query steps run the TPC-H plans and need a "
                     "[tpch] section to load the tables they read"
                 )
+            if (
+                isinstance(step, RebalanceStep)
+                and step.concurrent_lineitem_rows
+                and (self.tpch is None or "lineitem" not in self.tpch.loaded_tables)
+            ):
+                raise ScenarioSpecError(
+                    f"steps[{position}].concurrent_lineitem_rows: writes into the "
+                    "TPC-H lineitem table, which no [tpch] section loads"
+                )
         if self.workload is None and not self.steps and self.tpch is None and not self.datasets:
             raise ScenarioSpecError(
                 "scenario: nothing to do — give a [workload], [tpch], [[datasets]], "
@@ -1164,30 +1219,27 @@ class ScenarioSpec:
         header, body = self._header_and_body()
         return {_HEADER: _emit_keys(header, self), **_emit_keys(body, self)}
 
-    def with_overrides(
-        self,
-        seed: Optional[int] = None,
-        strategy: Optional[str] = None,
-    ) -> "ScenarioSpec":
-        """A copy with the seed and/or strategy replaced (CLI ``--seed`` /
-        ``--strategy``).  A strategy override drops the spec's
-        ``strategy_options`` — they are specific to the strategy they were
-        written for."""
-        spec = self
-        if seed is not None:
-            spec = replace(spec, cluster=replace(spec.cluster, seed=seed))
-        if strategy is not None and strategy != spec.cluster.strategy:
-            spec = replace(
-                spec,
-                cluster=replace(spec.cluster, strategy=strategy, strategy_options={}),
-            )
-            spec.cluster.build_config()  # validate the new name
-            # Re-run the cross-section rules: a strategy swap can invalidate
-            # combinations the original spec passed (fault_sites steps or
-            # chaos crash plans on the global-hashing baseline), and those
-            # must fail here as a spec error, not mid-run as a traceback.
-            spec._validate_cross_section()
-        return spec
+    def with_overrides(self, overrides: Iterable[Tuple[str, Any]]) -> "ScenarioSpec":
+        """A copy with each ``(axis, value)`` pair set, re-validated whole.
+
+        An axis is a :class:`SweepSection` alias (``seed``, ``strategy``,
+        ``nodes``, ...) or a dotted path into the canonical mapping form
+        (integer segments index arrays: ``steps.0.remove``).  Changing
+        ``cluster.strategy`` drops the spec's ``strategy_options`` — they are
+        specific to the strategy they were written for.  Every override goes
+        through here: the CLI's ``--seed`` / ``--strategy`` and each sweep
+        cell, so a combination the original spec passed but the override
+        breaks (``--strategy hashing`` on a spec with fault sites) fails as a
+        spec error naming the axis or section, not mid-run.
+        """
+        mapping = self.to_mapping()
+        for axis, value in overrides:
+            where = f"axis {axis}"
+            path = SweepSection.validate_axis_name(axis, where)
+            if path == "cluster.strategy" and value != self.cluster.strategy:
+                mapping["cluster"].pop("strategy_options", None)
+            _patch_path(mapping, path, value, where)
+        return ScenarioSpec.from_mapping(mapping)
 
     def scaled_down(
         self,
@@ -1211,9 +1263,45 @@ class ScenarioSpec:
                 ),
             )
             spec = replace(spec, workload=workload)
-        if spec.tpch is not None:
-            spec = replace(
-                spec,
-                tpch=replace(spec.tpch, scale_factor=min(spec.tpch.scale_factor, max_tpch_scale)),
-            )
+        if spec.tpch is not None and spec.tpch.total_scale_factor(spec.cluster.nodes) > max_tpch_scale:
+            tpch = replace(spec.tpch, scale_factor=max_tpch_scale, scale_factor_per_node=None)
+            spec = replace(spec, tpch=tpch)
         return spec
+
+
+def _patch_path(mapping: Dict[str, Any], path: str, value: Any, where: str) -> None:
+    """Set ``path`` (dotted; integer segments index arrays) in ``mapping``."""
+    segments = path.split(".")
+    target: Any = mapping
+    for position, segment in enumerate(segments[:-1]):
+        if isinstance(target, list):
+            target = target[_array_index(segment, target, where)]
+        elif isinstance(target, dict):
+            target = target.setdefault(segment, {})
+        else:
+            raise ScenarioSpecError(
+                f"{where}: cannot descend into {'.'.join(segments[: position + 1])!r} "
+                f"(it is a {type(target).__name__}, not a section)"
+            )
+    leaf = segments[-1]
+    if isinstance(target, list):
+        target[_array_index(leaf, target, where)] = value
+    elif isinstance(target, dict):
+        target[leaf] = value
+    else:
+        raise ScenarioSpecError(f"{where}: cannot set {path!r} on a {type(target).__name__}")
+
+
+def _array_index(segment: str, array: List[Any], where: str) -> int:
+    try:
+        index = int(segment)
+    except ValueError:
+        raise ScenarioSpecError(
+            f"{where}: {segment!r} is not an array index (the spec has an "
+            f"array of {len(array)} entries here)"
+        ) from None
+    if not 0 <= index < len(array):
+        raise ScenarioSpecError(
+            f"{where}: index {index} out of range (array has {len(array)} entries)"
+        )
+    return index

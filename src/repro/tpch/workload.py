@@ -98,6 +98,8 @@ class TPCHWorkload:
     def concurrent_lineitem_rows(self, count: int, start_orderkey: int = 50_000_000) -> List[dict]:
         """Fresh LineItem rows used as concurrent writes during a rebalance
         (the Figure 7c experiment inserts new records into LineItem)."""
+        if count <= 0:
+            return []
         generator = TPCHGenerator(scale_factor=self.scale_factor, seed=self.seed + 17)
         orders = []
         # 1-7 line items per order; generating one order per requested row

@@ -82,10 +82,13 @@ class ZipfianKeys(KeyGenerator):
         self.scrambled = scrambled
         self._alpha = 1.0 / (1.0 - theta)
         self._zetan = self._zeta(num_keys, theta)
-        zeta2 = self._zeta(2, theta)
-        self._eta = (1.0 - (2.0 / num_keys) ** (1.0 - theta)) / (
-            1.0 - zeta2 / self._zetan
-        )
+        # With two keys zeta2 == zetan (the formula divides by zero) and every
+        # draw resolves to rank 0 or 1 before eta is read.
+        self._eta = 0.0
+        if num_keys > 2:
+            self._eta = (1.0 - (2.0 / num_keys) ** (1.0 - theta)) / (
+                1.0 - self._zeta(2, theta) / self._zetan
+            )
         #: Scaled draws below this (and at or above 1.0) pick rank 1.
         self._rank_one_bound = 1.0 + 0.5**theta
 

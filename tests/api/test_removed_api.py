@@ -5,8 +5,8 @@
 this module pins down their removal — the attributes no longer exist, the
 canonical replacements cover the old behaviour, and none of the supported
 paths raise deprecation warnings anymore.  It also pins the deleted
-traffic/autopilot experiment drivers, the bench artifact writer, the
-EXPERIMENTS.md generator and the never-read NC data log.
+traffic/autopilot and figure experiment drivers, the bench artifact writer,
+the EXPERIMENTS.md generator and the never-read NC data log.
 """
 
 import warnings
@@ -114,6 +114,53 @@ class TestStormDriversRemoved:
         assert "unrecognized arguments: --suite traffic" in capsys.readouterr().err
 
 
+class TestFigureDriversRemoved:
+    """The paper's figures are the committed specs under
+    examples/scenarios/paper/; the drivers, the BenchScale presets, the
+    series tables and REPRO_BENCH_SCALE are gone."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "run_ingestion_experiment",
+            "run_scaling_experiment",
+            "run_concurrent_write_experiment",
+            "run_query_experiment",
+            "build_loaded_database",
+            "make_strategy",
+            "BenchScale",
+            "SMOKE",
+            "FULL",
+            "PAPER_STRATEGIES",
+            "QUERY_APPROACHES",
+            "format_table",
+            "series_table",
+            "per_query_table",
+        ],
+    )
+    def test_driver_name_is_gone_from_repro_bench(self, name):
+        import repro.bench
+
+        assert not hasattr(repro.bench, name)
+        assert name not in repro.bench.__all__
+
+    @pytest.mark.parametrize(
+        "module", ["repro.bench.experiments", "repro.bench.config", "repro.bench.reporting"]
+    )
+    def test_deleted_module_does_not_import(self, module):
+        import importlib
+
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+
+    def test_bench_scale_env_var_is_not_read(self):
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[2]
+        for path in [*root.joinpath("src").rglob("*.py"), *root.joinpath("benchmarks").rglob("*.py")]:
+            assert "REPRO_BENCH_SCALE" not in path.read_text(), path
+
+
 class TestDataLogRemoved:
     """The NC data log, its replay module and the ``wal``/``log`` parameters
     are gone; the CC metadata log is the only log."""
@@ -176,16 +223,16 @@ class TestNoDeprecationWarnings:
                 report = run_workload(db, initial_records=40, default_ops=30)
                 assert report.total_ops == 30
 
-    def test_bench_builder_does_not_warn(self):
-        from repro.bench import SMOKE, build_loaded_database
+    def test_figure_load_path_does_not_warn(self):
+        """What the paper's figure specs run: a Database plus load_tpch."""
+        from repro.api import load_tpch
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            db, _workload, load = build_loaded_database(
-                SMOKE, num_nodes=2, strategy_name="DynaHash", tables=("region",)
-            )
-            assert load.total_rows > 0
-            assert db.cluster.record_count("region") == load.total_rows
+            with Database(config(), strategy="dynahash", workload_scale=5e5) as db:
+                load = load_tpch(db, scale_factor=0.0004, tables=("region",))
+                assert load.total_rows > 0
+                assert db.cluster.record_count("region") == load.total_rows
 
     def test_autopilot_paths_do_not_warn(self):
         with warnings.catch_warnings():

@@ -110,7 +110,7 @@ class TestChaosSection:
         not detonate mid-run as an uncaught ConfigError."""
         spec = parse_scenario(CHAOS_SPEC)
         with pytest.raises(ScenarioSpecError, match="no\\s+interruptible protocol window"):
-            spec.with_overrides(strategy="hashing")
+            spec.with_overrides([("strategy", "hashing")])
 
 
 class TestChaosRun:

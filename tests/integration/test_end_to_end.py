@@ -8,8 +8,7 @@ readable and every query answer stays identical.
 
 import pytest
 
-from repro.bench import SMOKE, build_loaded_database
-from repro.bench.experiments import QUERY_TABLES
+from repro.api import BucketingConfig, ClusterConfig, Database, KIB, LSMConfig, load_tpch
 from repro.common.errors import FaultInjected
 from repro.query import ClusterQueryExecutor
 from repro.rebalance import (
@@ -17,14 +16,32 @@ from repro.rebalance import (
     RebalanceOperation,
     RebalanceRecoveryManager,
 )
-from repro.tpch import q1_plan, q6_plan
+from repro.tpch import DEFAULT_TABLES, TPCHWorkload, q1_plan, q6_plan
+
+#: TPC-H scale factor loaded per node (the paper's figure specs use the same).
+SCALE_PER_NODE = 0.0002
+
+
+def loaded_database(num_nodes, tables=("orders", "lineitem")):
+    """A DynaHash session at the figure specs' cluster settings, TPC-H loaded."""
+    db = Database(
+        ClusterConfig(
+            num_nodes=num_nodes,
+            partitions_per_node=2,
+            lsm=LSMConfig(memory_component_bytes=32 * KIB),
+            bucketing=BucketingConfig(max_bucket_bytes=48 * KIB),
+        ),
+        strategy="dynahash",
+        workload_scale=100.0 / SCALE_PER_NODE,
+    )
+    load = load_tpch(db, scale_factor=SCALE_PER_NODE * num_nodes, tables=tables)
+    workload = TPCHWorkload(scale_factor=load.scale_factor, seed=db.config.seed)
+    return db, workload, load
 
 
 @pytest.fixture(scope="module")
 def dynahash_cluster():
-    db, workload, load = build_loaded_database(
-        SMOKE, num_nodes=4, strategy_name="DynaHash", tables=QUERY_TABLES
-    )
+    db, workload, load = loaded_database(4, tables=DEFAULT_TABLES)
     return db.cluster, workload, load
 
 
@@ -60,9 +77,7 @@ class TestLoadAndQuery:
 
 class TestRepeatedRebalancing:
     def test_scale_in_out_cycle_preserves_answers(self):
-        db, _workload, _load = build_loaded_database(
-            SMOKE, num_nodes=4, strategy_name="DynaHash", tables=("orders", "lineitem", "customer", "part", "supplier", "nation", "region", "partsupp")
-        )
+        db, _workload, _load = loaded_database(4, tables=DEFAULT_TABLES)
         cluster = db.cluster
         executor = ClusterQueryExecutor(cluster)
         baseline, _ = executor.execute_plan("q6", q6_plan())
@@ -77,9 +92,7 @@ class TestRepeatedRebalancing:
         assert final["revenue"] == pytest.approx(baseline["revenue"], rel=1e-9)
 
     def test_concurrent_writes_survive_scale_in(self):
-        db, workload, _load = build_loaded_database(
-            SMOKE, num_nodes=3, strategy_name="DynaHash"
-        )
+        db, workload, _load = loaded_database(3)
         cluster = db.cluster
         before = cluster.record_count("lineitem")
         concurrent = workload.concurrent_lineitem_rows(150)
@@ -91,9 +104,7 @@ class TestRepeatedRebalancing:
             assert cluster.point_lookup("lineitem", key) is not None
 
     def test_crash_then_recover_then_rebalance_again(self):
-        db, _workload, _load = build_loaded_database(
-            SMOKE, num_nodes=3, strategy_name="DynaHash"
-        )
+        db, _workload, _load = loaded_database(3)
         cluster = db.cluster
         records = cluster.record_count("lineitem")
         targets = [pid for node in cluster.nodes[:2] for pid in node.partition_ids]

@@ -96,6 +96,27 @@ class TestLayouts:
         with pytest.raises(ConfigError):
             StaticHashStrategy(total_buckets=0)
 
+    @pytest.mark.parametrize("strategy", ["statichash", "consistenthash"])
+    def test_bucket_count_defaults_to_the_config(self, strategy):
+        config = ClusterConfig(
+            num_nodes=2, partitions_per_node=2, bucketing=BucketingConfig(static_total_buckets=64)
+        )
+        cluster = SimulatedCluster(config, strategy=strategy)
+        cluster.create_dataset("orders", "o_orderkey")
+        cluster.feed("orders").ingest(orders_rows(200))
+        runtime = cluster.dataset("orders")
+        assert runtime.bucketing.static_total_buckets == 64
+        assert len(runtime.global_directory) == 64
+        cluster.rebalance_to(3)
+        assert len(cluster.dataset("orders").global_directory) == 64
+        assert_all_readable(cluster, 200)
+
+    def test_explicit_bucket_count_overrides_the_config(self):
+        config = ClusterConfig(bucketing=BucketingConfig(static_total_buckets=64))
+        cluster = SimulatedCluster(config, strategy=StaticHashStrategy(total_buckets=32))
+        cluster.create_dataset("orders", "o_orderkey")
+        assert len(cluster.dataset("orders").global_directory) == 32
+
 
 class TestScaleIn:
     @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """Round-trip contract for every committed spec under examples/scenarios/.
 
-Each spec must (1) parse and survive the mapping round trip, (2) run at
+Each top-level spec must (1) parse and survive the mapping round trip, (2) run at
 smoke scale without raising, and (3) replay to a zero-diff snapshot — the
 determinism contract ``python -m repro replay`` enforces in CI at full
 scale.  Checks tuned for full scale are *evaluated* but not asserted here
@@ -20,6 +20,9 @@ from repro.scenario import (
 
 SCENARIO_DIR = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
 SPEC_PATHS = sorted(SCENARIO_DIR.glob("*.toml"))
+#: The paper's figures (Figs. 6-9): parsed and round-tripped here, run by the
+#: figure benchmarks under benchmarks/.
+PAPER_SPEC_PATHS = sorted((SCENARIO_DIR / "paper").glob("*.toml"))
 
 
 def test_the_example_specs_are_committed():
@@ -34,7 +37,18 @@ def test_the_example_specs_are_committed():
     } <= names
 
 
-@pytest.mark.parametrize("path", SPEC_PATHS, ids=lambda p: p.stem)
+def test_every_paper_figure_is_committed():
+    assert {path.stem for path in PAPER_SPEC_PATHS} == {
+        "fig6",
+        "fig7",
+        "fig7c",
+        "fig8",
+        "fig8_lazy_cleanup",
+        "fig9",
+    }
+
+
+@pytest.mark.parametrize("path", SPEC_PATHS + PAPER_SPEC_PATHS, ids=lambda p: p.stem)
 def test_spec_parses_and_round_trips(path):
     spec = load_scenario(path)
     assert spec.name == path.stem

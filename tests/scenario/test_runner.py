@@ -215,6 +215,46 @@ class TestStepsAndChecks:
         assert len(query_outcomes) == 2
 
 
+class TestFigureInputs:
+    """What the paper's figure specs read back from a run, in memory."""
+
+    SPEC = """
+        [scenario]
+        name = "figure"
+        [cluster]
+        nodes = 3
+        partitions_per_node = 2
+        workload_scale = 1000.0
+        [tpch]
+        scale_factor_per_node = 0.0001
+        tables = ["orders", "lineitem"]
+        [[steps]]
+        kind = "rebalance"
+        remove = 1
+        concurrent_lineitem_rows = 60
+        [[steps]]
+        kind = "query"
+        specs = ["q1", "q6"]
+        """
+
+    def test_load_rebalance_and_query_reports_are_kept(self):
+        result = run_scenario(parse_scenario(self.SPEC))
+        load = result.tpch_load
+        assert load.scale_factor == pytest.approx(0.0003)
+        assert load.row_counts["lineitem"] > 0
+        rebalance, query = result.step_outcomes
+        assert (rebalance.rebalance.old_nodes, rebalance.rebalance.new_nodes) == (3, 2)
+        assert sum(d.replicated_log_records for d in rebalance.rebalance.dataset_reports) > 0
+        assert list(query.queries) == ["q1", "q6"]
+        assert all(report.simulated_seconds > 0 for report in query.queries.values())
+        assert result.snapshot.counters["ops.query"] == 2
+
+    def test_zero_concurrent_rows_writes_nothing(self):
+        spec = parse_scenario(self.SPEC.replace("concurrent_lineitem_rows = 60", ""))
+        zero = parse_scenario(self.SPEC.replace("= 60", "= 0"))
+        assert run_scenario(spec).snapshot == run_scenario(zero).snapshot
+
+
 class TestRunTimeSpecErrors:
     """What validation cannot see without the live cluster still ends in a
     ScenarioSpecError naming the step or phase, never a bare ConfigError."""

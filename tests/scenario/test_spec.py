@@ -389,6 +389,74 @@ class TestSteps:
             spec_from("[scenario]\nname = \"x\"\n")
 
 
+TPCH_ONLY = """
+[scenario]
+name = "x"
+[tpch]
+scale_factor = 0.0001
+tables = ["orders", "lineitem"]
+"""
+
+
+class TestPaperFigureKeys:
+    """The three keys the paper's figure specs need: per-node TPC-H scale,
+    concurrent LineItem writes during a rebalance, and query-spec steps."""
+
+    def test_query_specs_step_round_trips(self):
+        spec = spec_from(TPCH_ONLY + '[[steps]]\nkind = "query"\nspecs = ["q1", "q18"]\n')
+        assert spec.steps[0].specs == ("q1", "q18")
+        assert spec.steps[0].plan is None
+        assert ScenarioSpec.from_mapping(spec.to_mapping()) == spec
+
+    def test_unknown_query_spec_is_located(self):
+        text = TPCH_ONLY + '[[steps]]\nkind = "query"\nspecs = ["q1", "q99"]\n'
+        with pytest.raises(ScenarioSpecError, match=r"steps\[0\]\.specs: unknown query spec.*q99.*q22"):
+            spec_from(text)
+
+    @pytest.mark.parametrize(
+        "body", ['plan = "q1"\nspecs = ["q1"]\n', ""], ids=["both", "neither"]
+    )
+    def test_query_step_takes_exactly_one_of_plan_and_specs(self, body):
+        with pytest.raises(ScenarioSpecError, match=r"steps\[0\]: give exactly one of plan and specs"):
+            spec_from(TPCH_ONLY + '[[steps]]\nkind = "query"\n' + body)
+
+    def test_both_scale_keys_are_located(self):
+        text = TPCH_ONLY.replace("[tpch]\n", "[tpch]\nscale_factor_per_node = 0.0001\n")
+        with pytest.raises(
+            ScenarioSpecError, match=r": tpch: give exactly one of scale_factor and scale_factor_per_node"
+        ):
+            spec_from(text)
+
+    def test_scale_per_node_grows_with_the_nodes_axis(self):
+        text = TPCH_ONLY.replace("scale_factor = 0.0001", "scale_factor_per_node = 0.0002")
+        spec = spec_from(text)
+        assert spec.tpch.total_scale_factor(4) == 0.0008
+        assert spec_from(TPCH_ONLY).tpch.total_scale_factor(4) == 0.0001
+        assert ScenarioSpec.from_mapping(spec.to_mapping()) == spec
+
+    def test_negative_concurrent_rows_are_located(self):
+        text = TPCH_ONLY + '[[steps]]\nkind = "rebalance"\nadd = 1\nconcurrent_lineitem_rows = -1\n'
+        with pytest.raises(
+            ScenarioSpecError, match=r"steps\[0\]\.concurrent_lineitem_rows: must be non-negative"
+        ):
+            spec_from(text)
+
+    def test_concurrent_rows_need_lineitem_loaded(self):
+        text = (
+            TPCH_ONLY.replace('["orders", "lineitem"]', '["orders"]')
+            + '[[steps]]\nkind = "rebalance"\nadd = 1\nconcurrent_lineitem_rows = 10\n'
+        )
+        with pytest.raises(
+            ScenarioSpecError, match=r"steps\[0\]\.concurrent_lineitem_rows: .*lineitem"
+        ):
+            spec_from(text)
+
+    def test_concurrent_rows_need_a_tpch_section(self):
+        text = MINIMAL + '[[steps]]\nkind = "rebalance"\nadd = 1\nconcurrent_lineitem_rows = 10\n'
+        with pytest.raises(ScenarioSpecError, match=r"steps\[0\]\.concurrent_lineitem_rows"):
+            spec_from(text)
+
+
 class TestBytesAndOverrides:
     def test_parse_bytes_accepts_units(self):
         assert parse_bytes("32 KiB") == 32 * 1024
@@ -408,7 +476,7 @@ class TestBytesAndOverrides:
         assert spec.cluster.build_config().lsm.memory_component_bytes == 32 * 1024
 
     def test_seed_override(self):
-        spec = spec_from(MINIMAL).with_overrides(seed=99)
+        spec = spec_from(MINIMAL).with_overrides([("seed", 99)])
         assert spec.cluster.build_config().seed == 99
 
     def test_strategy_override_drops_options(self):
@@ -421,7 +489,7 @@ class TestBytesAndOverrides:
         total_buckets = 64
         [workload]
         """
-        spec = spec_from(text).with_overrides(strategy="dynahash")
+        spec = spec_from(text).with_overrides([("strategy", "dynahash")])
         assert spec.cluster.strategy == "dynahash"
         assert dict(spec.cluster.strategy_options) == {}
 

@@ -101,3 +101,7 @@ class TestWorkloadLoader:
         assert all(row["l_orderkey"] >= 50_000_000 for row in rows)
         keys = {(row["l_orderkey"], row["l_linenumber"]) for row in rows}
         assert len(keys) == 50
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_concurrent_lineitem_rows_returns_exactly_count_rows(self, count):
+        assert len(TPCHWorkload(scale_factor=0.0002).concurrent_lineitem_rows(count)) == count

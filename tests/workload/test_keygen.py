@@ -183,7 +183,7 @@ def zipfian_by_formula(generator, rng, limit):
 
 
 class TestZipfianStream:
-    @pytest.mark.parametrize("num_keys", [1, 3, 1024, 20_000])
+    @pytest.mark.parametrize("num_keys", [1, 2, 3, 1024, 20_000])
     @pytest.mark.parametrize("theta", [0.5, 0.99])
     @pytest.mark.parametrize("scrambled", [False, True])
     def test_next_index_is_the_formula_on_one_stream(self, num_keys, theta, scrambled):
@@ -194,3 +194,12 @@ class TestZipfianStream:
                 zipfian_by_formula(generator, oracle, limit) for _ in range(3000)
             ]
             assert rng.random() == oracle.random()  # one draw per key, no more
+
+    @pytest.mark.parametrize("num_keys", [3, 1024])
+    @pytest.mark.parametrize("theta", [0.5, 0.99])
+    def test_eta_is_the_ycsb_formula_above_two_keys(self, num_keys, theta):
+        def zeta(n):
+            return sum(1.0 / (i**theta) for i in range(1, n + 1))
+
+        expected = (1.0 - (2.0 / num_keys) ** (1.0 - theta)) / (1.0 - zeta(2) / zeta(num_keys))
+        assert ZipfianKeys(num_keys=num_keys, theta=theta)._eta == expected
