@@ -14,6 +14,7 @@ from repro.common.reporting import format_table
 from repro.bucketed import BucketedLSMTree, ScanMode
 from repro.bucketed.scan import estimate_merge_comparisons
 from repro.common.config import BucketingConfig, LSMConfig
+from repro.common.hashutil import hash_key
 from repro.hashing.bucket_id import ROOT_BUCKET, BucketId
 
 
@@ -27,8 +28,11 @@ def _build_tree(num_buckets, rows=2000):
         lsm_config=LSMConfig(memory_component_bytes=1 << 20),
         bucketing_config=BucketingConfig(static=True),
     )
-    for key in range(rows):
-        tree.insert(key, {"payload": "x" * 64, "key": key})
+    keys = list(range(rows))
+    values = [{"payload": "x" * 64, "key": key} for key in keys]
+    hashes = list(map(hash_key, keys))
+    for bucket_tree, positions in tree.route_many(hashes):
+        bucket_tree.insert_many(keys, values, hashes, positions=positions)
     tree.flush_all()
     return tree
 

@@ -6,7 +6,7 @@ ICDE 2022):
 
 * :mod:`repro.lsm` — the LSM-tree storage substrate,
 * :mod:`repro.hashing` — extendible hashing / static bucketing / consistent
-  hashing partitioners,
+  hashing,
 * :mod:`repro.bucketed` — the bucketed LSM-tree (Section IV),
 * :mod:`repro.cluster` — the AsterixDB-style shared-nothing cluster simulator,
 * :mod:`repro.rebalance` — the online rebalance operation (Section V),

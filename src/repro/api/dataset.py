@@ -18,6 +18,7 @@ per *call* — a batched ``insert`` records the batch call's latency, a point
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import (
     Any,
     Dict,
@@ -39,6 +40,7 @@ from .query import QueryBuilder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.controller import DatasetRuntime
+    from ..cluster.partition import StoragePartition
     from .database import Database
 
 
@@ -195,28 +197,46 @@ class Dataset:
     def delete(self, keys: "Iterable[Any] | Any") -> DeleteReport:
         """Delete records by primary key; accepts one key or an iterable.
 
-        Missing keys are counted but not an error (deletes are tombstones in
-        an LSM tree either way).
+        A tuple is one key on a dataset with a composite primary key (an
+        iterable of tuples is many keys there); a string is always one key.
+        Deletes land as tombstone rows on the write path: the call is hashed
+        and routed once, every touched partition is checked for a block
+        before anything lands (so a refused call deletes nothing), each
+        touched partition finds the live records among its distinct keys
+        with one ``lookup_many`` and then lands all its keys, in call order,
+        with one ``StoragePartition.insert_many``.  Missing keys are counted
+        but not an error (a tombstone is written either way), and a key
+        repeated in one call is counted once in ``records_deleted``.
         """
-        if isinstance(keys, (str, bytes)) or not isinstance(keys, Iterable):
-            keys = [keys]
         runtime = self._runtime()
-        cost = self.database.cluster.cost
+        if (
+            isinstance(keys, (str, bytes))
+            or not isinstance(keys, Iterable)
+            or (isinstance(keys, tuple) and runtime.spec.has_composite_key)
+        ):
+            keys = [keys]
+        else:
+            keys = list(keys)
         per_partition: Dict[int, int] = {}
-        requested = 0
-        deleted = 0
-        for key in keys:
-            requested += 1
-            hashed = hash_key(key)
-            pid = runtime.partition_of_key(key, hashed)
-            partition = runtime.partitions[pid]
-            existing = partition.lookup(key, hashed)
-            partition.delete(key, record=existing, hashed=hashed)
-            if existing is not None:
-                deleted += 1
-                per_partition[pid] = per_partition.get(pid, 0) + 1
+        if keys:
+            hashes = list(map(hash_key, keys))
+            for partition, positions in self._route_run(runtime, hashes):
+                if positions is None:
+                    slice_keys, slice_hashes = keys, hashes
+                else:
+                    slice_keys = [keys[p] for p in positions]
+                    slice_hashes = [hashes[p] for p in positions]
+                distinct = dict(zip(slice_keys, slice_hashes))
+                found, _ = partition.lookup_many(list(distinct), list(distinct.values()))
+                live = len(found) - found.count(None)
+                if live:
+                    per_partition[partition.partition_id] = live
+                partition.insert_many(zip(slice_keys, slice_hashes, repeat(None)))
         for partition in runtime.partitions.values():
             partition.maintain()
+        requested = len(keys)
+        deleted = sum(per_partition.values())
+        cost = self.database.cluster.cost
         simulated = cost.parse_time(requested) + cost.rpc_time(2)
         report = DeleteReport(
             dataset=self.name,
@@ -364,33 +384,17 @@ class Dataset:
         self, runtime: "DatasetRuntime", keys: "Sequence[Any]"
     ) -> "Tuple[List[Optional[Dict[str, Any]]], List[int]]":
         """Each key's record and component-open count, in key order: the run
-        is hashed and routed in one pass each, grouped by partition in
-        first-touch order, and every touched partition is checked for a block
-        before any is probed."""
+        is hashed in one pass, seen by the heat hook, and routed by
+        :meth:`_route_run`, so every touched partition is checked for a
+        block before any is probed."""
         hashes = list(map(hash_key, keys))
         heat = self.database.cluster.heat
         if heat is not None:
             for hashed in hashes:
                 heat.record_read(self.name, hashed)
-        partitions = runtime.partitions
-        if runtime.routing_mode == "directory":
-            owners = runtime.global_directory.partitions_of_hashes(hashes)
-        else:
-            owners = [hashed % len(partitions) for hashed in hashes]
-        first = owners[0]
-        if owners.count(first) == len(owners):  # one partition owns the run
-            return partitions[first].lookup_many(keys, hashes)
-        groups: Dict[int, List[int]] = {}
-        for position, owner in enumerate(owners):
-            group = groups.get(owner)
-            if group is None:
-                groups[owner] = [position]
-            else:
-                group.append(position)
-        touched = [(partitions[owner], positions) for owner, positions in groups.items()]
-        for partition, _ in touched:
-            if partition.blocked:
-                partition._check_not_blocked()
+        touched = self._route_run(runtime, hashes)
+        if touched[0][1] is None:  # one partition owns the run
+            return touched[0][0].lookup_many(keys, hashes)
         records: List[Optional[Dict[str, Any]]] = [None] * len(keys)
         opened = [0] * len(keys)
         for partition, positions in touched:
@@ -401,6 +405,38 @@ class Dataset:
                 records[position] = record
                 opened[position] = count
         return records, opened
+
+    @staticmethod
+    def _route_run(
+        runtime: "DatasetRuntime", hashes: "Sequence[int]"
+    ) -> "List[Tuple[StoragePartition, Optional[List[int]]]]":
+        """The partitions a non-empty run of key hashes reaches through the
+        live directory (or hash modulo partitions without one), routed in
+        one pass: one ``(partition, positions)`` per touched partition, in
+        first-touch order, with ``positions`` ``None`` when one partition
+        owns the whole run.  Every touched partition is checked for a block
+        before this returns, so a refused run touches nothing."""
+        partitions = runtime.partitions
+        if runtime.routing_mode == "directory":
+            owners = runtime.global_directory.partitions_of_hashes(hashes)
+        else:
+            owners = [hashed % len(partitions) for hashed in hashes]
+        first = owners[0]
+        if owners.count(first) == len(owners):
+            touched = [(partitions[first], None)]
+        else:
+            groups: Dict[int, List[int]] = {}
+            for position, owner in enumerate(owners):
+                group = groups.get(owner)
+                if group is None:
+                    groups[owner] = [position]
+                else:
+                    group.append(position)
+            touched = [(partitions[owner], positions) for owner, positions in groups.items()]
+        for partition, _ in touched:
+            if partition.blocked:
+                partition._check_not_blocked()
+        return touched
 
     def scan(
         self, low: Any = None, high: Any = None, ordered: bool = False

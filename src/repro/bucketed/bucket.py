@@ -13,7 +13,6 @@ from typing import Any, Iterator, List, Optional
 
 from ..common.config import LSMConfig
 from ..common.errors import StorageError
-from ..common.hashutil import hash_key
 from ..lsm.component import DiskComponent, ReferenceCounted, ReferenceDiskComponent
 from ..lsm.entry import Entry
 from ..lsm.merge_policy import MergePolicy
@@ -83,36 +82,6 @@ class Bucket(ReferenceCounted):
             raise StorageError(f"bucket {self.bucket_id} has been reclaimed")
 
     # ------------------------------------------------------------- data path
-
-    def insert(self, key: Any, value: Any) -> Entry:
-        self._check_access()
-        hashed = hash_key(key)
-        if not self.bucket_id.contains_hash(hashed):
-            raise StorageError(f"key {key!r} does not belong to bucket {self.bucket_id}")
-        return self.tree.insert(key, value, hashed)
-
-    def delete(self, key: Any, hashed: Optional[int] = None) -> Entry:
-        self._check_access()
-        if hashed is None:
-            hashed = hash_key(key)
-        if not self.bucket_id.contains_hash(hashed):
-            raise StorageError(f"key {key!r} does not belong to bucket {self.bucket_id}")
-        return self.tree.delete(key, hashed)
-
-    def apply_entry(self, entry: Entry, hashed: Optional[int] = None) -> Entry:
-        """Apply a replicated/recovered entry without the ownership check
-        being fatal (the caller has already routed it, on ``hashed`` when it
-        passes one)."""
-        self._check_access()
-        return self.tree.apply_entry(entry, hashed)
-
-    def get(self, key: Any, hashed: Optional[int] = None) -> Optional[Any]:
-        self._check_access()
-        return self.tree.get(key, hashed)
-
-    def get_entry(self, key: Any, hashed: Optional[int] = None) -> Optional[Entry]:
-        self._check_access()
-        return self.tree.get_entry(key, hashed)
 
     def scan(self, low: Any = None, high: Any = None) -> Iterator[Entry]:
         self._check_access()

@@ -12,7 +12,7 @@ configured maximum size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..common.config import BucketingConfig, LSMConfig
 from ..common.errors import BucketNotFoundError, DirectoryError, StorageError
@@ -21,7 +21,6 @@ from ..hashing.bucket_id import BucketId
 from ..hashing.extendible import LocalDirectory
 from ..lsm.entry import Entry
 from ..lsm.manifest import Manifest
-from ..lsm.merge_policy import MergePolicy
 from ..lsm.stats import StorageStats
 from ..lsm.tree import LSMTree
 from .bucket import Bucket
@@ -102,14 +101,12 @@ class BucketedLSMTree:
         initial_buckets: Iterable[BucketId],
         lsm_config: Optional[LSMConfig] = None,
         bucketing_config: Optional[BucketingConfig] = None,
-        merge_policy_factory: Optional[Callable[[], MergePolicy]] = None,
         allow_empty: bool = False,
     ) -> None:
         self.name = name
         self.partition_id = partition_id
         self.lsm_config = lsm_config or LSMConfig()
         self.bucketing_config = bucketing_config or BucketingConfig()
-        self._merge_policy_factory = merge_policy_factory
         self.directory = LocalDirectory(partition_id)
         self.manifest = Manifest(name)
         self._buckets: Dict[BucketId, Bucket] = {}
@@ -129,14 +126,10 @@ class BucketedLSMTree:
 
     # --------------------------------------------------------------- buckets
 
-    def _make_policy(self) -> Optional[MergePolicy]:
-        return self._merge_policy_factory() if self._merge_policy_factory else None
-
     def _create_bucket(self, bucket_id: BucketId) -> Bucket:
         bucket = Bucket(
             bucket_id,
             config=self.lsm_config,
-            merge_policy=self._make_policy(),
             index_name=self.name,
         )
         self.directory.add_bucket(bucket_id)
@@ -165,28 +158,16 @@ class BucketedLSMTree:
 
     def bucket_for_key(self, key: Any, hashed: Optional[int] = None) -> Bucket:
         """The local bucket owning ``key``; ``hashed`` is ``hash_key(key)``
-        when the caller already has it (every data-path method below hashes a
-        key it was given no hash for once, and passes the hash down)."""
+        when the caller already has it."""
         if hashed is None:
             hashed = hash_key(key)
         return self._buckets[self.directory.bucket_for_hash(hashed)]
-
-    def owns_key(self, key: Any) -> bool:
-        return self.directory.owns_key(key)
 
     def bucket_sizes(self) -> Dict[BucketId, int]:
         """Physical size per bucket — the input to the rebalance planner."""
         return {bucket_id: bucket.size_bytes for bucket_id, bucket in self._buckets.items()}
 
     # ------------------------------------------------------------ data path
-
-    def insert(self, key: Any, value: Any) -> Entry:
-        hashed = hash_key(key)
-        bucket = self.bucket_for_key(key, hashed)
-        bucket._check_access()
-        return bucket.tree.insert(key, value, hashed)
-
-    upsert = insert
 
     def route_many(self, hashes: Sequence[int]) -> List[Tuple[LSMTree, Optional[List[int]]]]:
         """The bucket trees a non-empty run of key hashes lands in: one
@@ -213,21 +194,6 @@ class BucketedLSMTree:
             tree.memory.check_writable()
             routes.append((tree, positions))
         return routes
-
-    def delete(self, key: Any, hashed: Optional[int] = None) -> Entry:
-        if hashed is None:
-            hashed = hash_key(key)
-        return self.bucket_for_key(key, hashed).delete(key, hashed)
-
-    def apply_entry(self, entry: Entry) -> Entry:
-        hashed = hash_key(entry.key)
-        return self.bucket_for_key(entry.key, hashed).apply_entry(entry, hashed)
-
-    def get(self, key: Any, hashed: Optional[int] = None) -> Optional[Any]:
-        """Point lookup: only the owning bucket is searched (Section IV)."""
-        if hashed is None:
-            hashed = hash_key(key)
-        return self.bucket_for_key(key, hashed).get(key, hashed)
 
     def lookup(self, key: Any, hashed: Optional[int] = None) -> Tuple[Optional[Any], int]:
         """Point lookup that treats "bucket not local" as a miss.
@@ -287,15 +253,6 @@ class BucketedLSMTree:
                     values[position] = entry.value
                 opened[position] = count
         return values, opened
-
-    def get_entry(self, key: Any, hashed: Optional[int] = None) -> Optional[Entry]:
-        if hashed is None:
-            hashed = hash_key(key)
-        return self.bucket_for_key(key, hashed).get_entry(key, hashed)
-
-    def __contains__(self, key: Any) -> bool:
-        entry = self.get_entry(key)
-        return entry is not None and not entry.tombstone
 
     def __len__(self) -> int:
         return sum(1 for _ in self.scan())

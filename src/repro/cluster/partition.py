@@ -23,7 +23,6 @@ from ..bucketed.bucket import Bucket
 from ..bucketed.bucketed_lsm import BucketedLSMTree, MaintenanceReport
 from ..common.config import BucketingConfig, LSMConfig
 from ..common.errors import StorageError
-from ..common.hashutil import hash_key
 from ..hashing.bucket_id import BucketId
 from ..lsm.entry import Entry, estimate_value_size
 from ..lsm.bloom import BloomFilter
@@ -110,67 +109,56 @@ class StoragePartition:
 
     # ------------------------------------------------------------ write path
 
-    def insert(
-        self,
-        record: Mapping[str, Any],
-        primary_key: Optional[Any] = None,
-        hashed: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        """Insert (or upsert) one record into every index of the partition:
-        a one-row :meth:`insert_many`.
-
-        ``primary_key`` and ``hashed`` (its ``hash_key``) let callers that
-        already extracted and routed on the key skip a second extraction and
-        hash.  Returns the partition's own copy of the record — the one dict
-        the primary index stores — so a caller that forwards the write (log
-        replication) need not copy or size the row again.
-        """
-        if primary_key is None:
-            primary_key = self.dataset.primary_key_of(record)
-        if hashed is None:
-            hashed = hash_key(primary_key)
-        return self.insert_many(((primary_key, hashed, record),))[0][0]
-
     def insert_many(
         self,
-        routed_records: Iterable[Tuple[Any, int, Mapping[str, Any]]],
-    ) -> Tuple[List[Dict[str, Any]], List[int]]:
-        """Insert (or upsert) a batch of ``(primary_key, key_hash, record)``
-        triples, a run at a time.
+        routed_records: Iterable[Tuple[Any, int, Optional[Mapping[str, Any]]]],
+    ) -> Tuple[List[Optional[Dict[str, Any]]], List[int]]:
+        """Write a batch of ``(primary_key, key_hash, record)`` triples, a run
+        at a time: a row upserts its record, and a row whose record is
+        ``None`` deletes the key (a tombstone row).
 
         The resulting state — every index's entries and sequence numbers,
         the memory components' hash columns and the stats — is the one
         writing the rows one by one in order leaves.
-        Each row is copied once and that copy sized once, here: the primary
-        entries are born with the sizes.  Every row is routed to its local
-        bucket before anything lands, so a blocked partition, an unowned
-        hash, a bucket a split locked or a deactivated memory component
-        raises with nothing written.  Then each touched bucket tree takes its
-        rows with one :meth:`LSMTree.insert_many`, the primary-key index all
-        of them with one more, and each secondary index its entries with
-        one.  Nothing is logged: the simulator models no NC data log (see
-        :mod:`repro.lsm.wal`).  The data feed and the rebalance's log
-        replicator land each partition's slice of a batch through here,
-        reusing the hash they already computed for routing.
+        Each record is copied once and that copy sized once, here: the
+        primary entries are born with the sizes.  Every row is routed to its
+        local bucket before anything lands, so a blocked partition, an
+        unowned hash, a bucket a split locked or a deactivated memory
+        component raises with nothing written.  Then each touched bucket
+        tree takes its rows with one :meth:`LSMTree.insert_many`, the
+        primary-key index all of them with one more, and each secondary
+        index its entries with one; tombstone rows travel in their
+        ``tombstones`` column.  Nothing is logged: the simulator models no
+        NC data log (see :mod:`repro.lsm.wal`).  The data feed, the
+        rebalance's log replicator and ``Dataset.delete`` land each
+        partition's slice of a batch through here, reusing the hash they
+        already computed for routing.
 
-        Returns the partition's copy of each record and its byte size, in
-        order — what the feed totals and what the replicator forwards and
-        prices.
+        Returns the partition's copy of each record (``None`` for a
+        tombstone row) and its byte size, in order — what the feed totals
+        and what the replicator forwards and prices.
         """
         if self.blocked:
             self._check_not_blocked()
         keys: List[Any] = []
         hashes: List[int] = []
-        stored: List[Dict[str, Any]] = []
+        stored: List[Optional[Dict[str, Any]]] = []
         sizes: List[int] = []
+        deletes = False
         for primary_key, hashed, record in routed_records:
             keys.append(primary_key)
             hashes.append(hashed)
-            copy = dict(record)
-            stored.append(copy)
-            sizes.append(estimate_value_size(copy))
+            if record is None:
+                deletes = True
+                stored.append(None)
+                sizes.append(0)
+            else:
+                copy = dict(record)
+                stored.append(copy)
+                sizes.append(estimate_value_size(copy))
         if not keys:
             return stored, sizes
+        tombstones = [record is None for record in stored] if deletes else None
         routes = self.primary.route_many(hashes)
         pk_index = self.primary_key_index
         pk_index.memory.check_writable()
@@ -178,8 +166,8 @@ class StoragePartition:
             self._secondary_runs(keys, hashes, stored, routes) if self.secondary_indexes else ()
         )
         for tree, positions in routes:
-            tree.insert_many(keys, stored, hashes, sizes, positions=positions)
-        pk_index.insert_many(keys, None, hashes)
+            tree.insert_many(keys, stored, hashes, sizes, tombstones, positions)
+        pk_index.insert_many(keys, None, hashes, tombstones=tombstones)
         for index, run_keys, run_values, run_tombstones in secondary_runs:
             index.insert_many(run_keys, run_values, tombstones=run_tombstones)
         return stored, sizes
@@ -188,21 +176,22 @@ class StoragePartition:
         self,
         keys: Sequence[Any],
         hashes: Sequence[int],
-        stored: Sequence[Dict[str, Any]],
+        stored: Sequence[Optional[Dict[str, Any]]],
         routes: Sequence[Tuple[LSMTree, Optional[List[int]]]],
     ) -> List[Tuple[LSMTree, List[Any], List[Any], Optional[List[bool]]]]:
         """Each secondary index's entries for a batch about to land, in row
         order: ``(index, keys, values, tombstones)``.
 
-        An upsert must not leave the old record's secondary entry behind.
+        A write must not leave the old record's secondary entry behind.
         Each row's old record is the batch's earlier row with its key, else
         the live value its bucket tree holds now, read with
         :meth:`LSMTree.peek` (no stats move, so the probe costs nothing in
         the cost model).  An old secondary key the new record does not
-        rewrite gets antimatter just before the row's new entry, as
-        :meth:`delete` writes it; ``tombstones`` is ``None`` when no row
-        needed any.  A deactivated memory component of an index raises here,
-        before anything lands.
+        rewrite gets antimatter just before the row's new entry; a tombstone
+        row gets antimatter for its old record's secondary key and no new
+        entry.  ``tombstones`` is ``None`` when no row needed any.  A
+        deactivated memory component of an index raises here, before
+        anything lands.
         """
         for index in self.secondary_indexes.values():
             index.memory.check_writable()
@@ -226,45 +215,20 @@ class StoragePartition:
             run_values: List[Any] = []
             run_tombstones: List[bool] = []
             for key, record, old in zip(keys, stored, olds):
-                entry_key = _secondary_entry_key(spec, record, key)
+                entry_key = None if record is None else _secondary_entry_key(spec, record, key)
                 if old is not None:
                     old_key = _secondary_entry_key(spec, old, key)
                     if old_key != entry_key:
                         run_keys.append(old_key)
                         run_values.append(None)
                         run_tombstones.append(True)
-                run_keys.append(entry_key)
-                run_values.append(spec.covered_value(record))
-                run_tombstones.append(False)
-            tombstones = run_tombstones if len(run_keys) > len(keys) else None
+                if record is not None:
+                    run_keys.append(entry_key)
+                    run_values.append(spec.covered_value(record))
+                    run_tombstones.append(False)
+            tombstones = run_tombstones if True in run_tombstones else None
             runs.append((self.secondary_indexes[spec.name], run_keys, run_values, tombstones))
         return runs
-
-    def delete(
-        self,
-        primary_key: Any,
-        record: Optional[Mapping[str, Any]] = None,
-        hashed: Optional[int] = None,
-    ) -> None:
-        """Delete a record by primary key.
-
-        Secondary-index tombstones need the old secondary keys; AsterixDB
-        reads the old record to produce them, and so do we when ``record`` is
-        not supplied.  ``hashed`` is ``hash_key(primary_key)`` when the caller
-        already routed on it.
-        """
-        self._check_not_blocked()
-        if hashed is None:
-            hashed = hash_key(primary_key)
-        old_record = (
-            dict(record) if record is not None else self.primary.get(primary_key, hashed)
-        )
-        self.primary.delete(primary_key, hashed)
-        self.primary_key_index.delete(primary_key, hashed)
-        if old_record is not None:
-            for spec in self.dataset.secondary_indexes:
-                index = self.secondary_indexes[spec.name]
-                index.delete(_secondary_entry_key(spec, old_record, primary_key))
 
     # ------------------------------------------------------------- read path
 
@@ -281,7 +245,7 @@ class StoragePartition:
         disk-component count from :meth:`lookup_many` (or, for one key, from
         ``BucketedLSMTree.lookup``), which return it next to the record.
         """
-        if self.blocked:  # probed inline: deletes and queries look up per key
+        if self.blocked:  # probed inline: queries look up per key
             self._check_not_blocked()
         return self.primary.lookup(primary_key, hashed)[0]
 
@@ -509,7 +473,12 @@ class StoragePartition:
             raise StorageError(
                 f"no pending received bucket {bucket_id} on partition {self.partition_id}"
             )
-        pending.bucket.tree.apply_entry(entry, hashed)
+        pending.bucket.tree.insert_many(
+            (entry.key,),
+            (entry.value,),
+            None if hashed is None else (hashed,),
+            tombstones=(True,) if entry.tombstone else None,
+        )
         pending.replicated_records += 1
         if entry.tombstone or entry.value is None:
             return

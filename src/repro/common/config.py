@@ -15,7 +15,7 @@ not measured).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConfigError
@@ -53,20 +53,6 @@ class LSMConfig:
         if self.bloom_bits_per_key < 0 or self.bloom_num_hashes < 0:
             raise ConfigError("bloom filter parameters must be non-negative")
 
-    def scaled(self, factor: float) -> "LSMConfig":
-        """Return a copy with the memory budget scaled by ``factor``.
-
-        Benchmarks run at reduced data scale; scaling the memory component
-        budget by the same factor preserves the flush/merge cadence of the
-        full-size system.
-        """
-        if factor <= 0:
-            raise ConfigError("scale factor must be positive")
-        return replace(
-            self,
-            memory_component_bytes=max(1, int(self.memory_component_bytes * factor)),
-        )
-
 
 @dataclass(frozen=True)
 class BucketingConfig:
@@ -88,12 +74,6 @@ class BucketingConfig:
             raise ConfigError("initial_buckets_per_partition must be at least 1")
         if self.static_total_buckets < 1:
             raise ConfigError("static_total_buckets must be at least 1")
-
-    def scaled(self, factor: float) -> "BucketingConfig":
-        """Return a copy with the max bucket size scaled by ``factor``."""
-        if factor <= 0:
-            raise ConfigError("scale factor must be positive")
-        return replace(self, max_bucket_bytes=max(1, int(self.max_bucket_bytes * factor)))
 
 
 @dataclass(frozen=True)
@@ -175,16 +155,3 @@ class ClusterConfig:
     def total_partitions(self) -> int:
         """Total number of storage partitions in the cluster."""
         return self.num_nodes * self.partitions_per_node
-
-    def with_nodes(self, num_nodes: int) -> "ClusterConfig":
-        """Return a copy of this configuration with a different node count."""
-        return replace(self, num_nodes=num_nodes)
-
-    def scaled(self, factor: float, seed: Optional[int] = None) -> "ClusterConfig":
-        """Scale memory/bucket thresholds for reduced-scale benchmark runs."""
-        return replace(
-            self,
-            lsm=self.lsm.scaled(factor),
-            bucketing=self.bucketing.scaled(factor),
-            seed=self.seed if seed is None else seed,
-        )

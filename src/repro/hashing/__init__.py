@@ -6,19 +6,11 @@
 * :mod:`repro.hashing.static_bucket` — StaticHash's fixed 256-bucket layout.
 * :class:`ConsistentHashRing` — the consistent-hashing baseline with virtual
   nodes.
-* :mod:`repro.hashing.partitioners` — the deterministic partitioning
-  functions (hash-modulo, directory-routed, range).
 """
 
 from .bucket_id import ROOT_BUCKET, BucketId, bucket_for_key, covers_exactly
 from .consistent import ConsistentHashRing
 from .extendible import GlobalDirectory, LocalDirectory
-from .partitioners import (
-    DirectoryPartitioner,
-    HashModuloPartitioner,
-    Partitioner,
-    RangePartitioner,
-)
 from .static_bucket import (
     buckets_per_partition,
     static_bucket_depth,
@@ -30,12 +22,8 @@ __all__ = [
     "ROOT_BUCKET",
     "BucketId",
     "ConsistentHashRing",
-    "DirectoryPartitioner",
     "GlobalDirectory",
-    "HashModuloPartitioner",
     "LocalDirectory",
-    "Partitioner",
-    "RangePartitioner",
     "bucket_for_key",
     "buckets_per_partition",
     "covers_exactly",

@@ -111,9 +111,6 @@ class LSMTree:
         """
         return self._write(key, value, False, hashed, value_bytes)
 
-    # AsterixDB's feeds use upserts; they are identical to inserts here.
-    upsert = insert
-
     def insert_many(
         self,
         keys: Sequence[Any],
@@ -174,11 +171,6 @@ class LSMTree:
     def delete(self, key: Any, hashed: Optional[int] = None) -> Entry:
         """Delete a record by writing a tombstone."""
         return self._write(key, None, True, hashed)
-
-    def apply_entry(self, entry: Entry, hashed: Optional[int] = None) -> Entry:
-        """Apply an existing entry (e.g. a replicated log record) verbatim,
-        but stamped with a local sequence number so local ordering holds."""
-        return self._write(entry.key, entry.value, entry.tombstone, hashed)
 
     def _write(
         self,

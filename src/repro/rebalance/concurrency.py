@@ -110,18 +110,3 @@ class LogReplicator:
             stats.replicated_records += 1
             stats.replicated_bytes += size
         return sizes
-
-    def delete(self, key: Any) -> None:
-        """Apply one concurrent delete during the rebalance (tombstone path)."""
-        hashed = hash_key(key)
-        bucket, source_partition = self.plan.old_directory.lookup_hash(hashed)
-        self.runtime.partitions[source_partition].delete(key, hashed=hashed)
-        self.stats.concurrent_writes += 1
-        move = self._moving.get(bucket)
-        if move is None:
-            return
-        entry = Entry(key=key, value=None, seqnum=self._next_seqnum(), tombstone=True)
-        self.runtime.partitions[move.destination_partition].apply_replicated_write(
-            move.bucket, entry, hashed
-        )
-        self.stats.replicated_records += 1

@@ -6,7 +6,8 @@ this module pins down their removal — the attributes no longer exist, the
 canonical replacements cover the old behaviour, and none of the supported
 paths raise deprecation warnings anymore.  It also pins the deleted
 traffic/autopilot and figure experiment drivers, the bench artifact writer,
-the EXPERIMENTS.md generator and the never-read NC data log.
+the EXPERIMENTS.md generator, the never-read NC data log and the per-row
+write chain above the LSM tree.
 """
 
 import warnings
@@ -182,16 +183,69 @@ class TestDataLogRemoved:
         partition = StoragePartition(spec, 0, "nc0", [ROOT_BUCKET])
         assert not hasattr(partition, "wal")
         with pytest.raises(TypeError):
-            partition.insert({"k": 1}, log=False)
-        with pytest.raises(TypeError):
             partition.insert_many([(1, 1, {"k": 1})], log=False)
-        with pytest.raises(TypeError):
-            partition.delete(1, log=False)
         assert partition.count_keys() == 0
 
     def test_node_controller_has_no_wal(self):
         cluster = SimulatedCluster(config(), strategy="dynahash")
         assert all(not hasattr(node, "wal") for node in cluster.nodes)
+
+
+class TestPerRowWriteChainRemoved:
+    """Deletes land as tombstone rows of ``StoragePartition.insert_many``; the
+    per-row write and read twins above ``LSMTree`` are gone, with the unused
+    partitioner module and config helpers."""
+
+    @pytest.mark.parametrize(
+        "owner, names",
+        [
+            ("repro.cluster.partition:StoragePartition", ["insert", "delete"]),
+            (
+                "repro.bucketed.bucketed_lsm:BucketedLSMTree",
+                [
+                    "insert",
+                    "upsert",
+                    "delete",
+                    "apply_entry",
+                    "get",
+                    "get_entry",
+                    "__contains__",
+                    "owns_key",
+                ],
+            ),
+            (
+                "repro.bucketed.bucket:Bucket",
+                ["insert", "delete", "apply_entry", "get", "get_entry"],
+            ),
+            ("repro.lsm.tree:LSMTree", ["apply_entry", "upsert"]),
+            ("repro.rebalance.concurrency:LogReplicator", ["delete"]),
+            ("repro.common.config:LSMConfig", ["scaled"]),
+            ("repro.common.config:BucketingConfig", ["scaled"]),
+            ("repro.common.config:ClusterConfig", ["scaled", "with_nodes"]),
+        ],
+    )
+    def test_methods_are_gone(self, owner, names):
+        import importlib
+
+        module, cls = owner.split(":")
+        owner_class = getattr(importlib.import_module(module), cls)
+        assert [name for name in names if hasattr(owner_class, name)] == []
+
+    def test_partitioners_module_does_not_import(self):
+        import importlib
+
+        import repro.hashing
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.hashing.partitioners")
+        assert not hasattr(repro.hashing, "HashModuloPartitioner")
+
+    def test_bucketed_tree_takes_no_merge_policy_factory(self):
+        from repro.bucketed import BucketedLSMTree
+        from repro.hashing.bucket_id import ROOT_BUCKET
+
+        with pytest.raises(TypeError):
+            BucketedLSMTree("p", 0, [ROOT_BUCKET], merge_policy_factory=lambda: None)
 
 
 class TestNoDeprecationWarnings:

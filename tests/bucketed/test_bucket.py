@@ -24,60 +24,60 @@ def keys_for_bucket(bucket_id, count, start=0):
     return keys
 
 
+def land(bucket, rows):
+    """Write ``{key: value}`` rows into the bucket's tree as one run (a
+    ``None`` value is a delete), the way ``StoragePartition.insert_many``
+    hands a bucket tree its rows."""
+    keys = list(rows)
+    values = [rows[key] for key in keys]
+    bucket.tree.insert_many(
+        keys, values, [hash_key(key) for key in keys], tombstones=[v is None for v in values]
+    )
+
+
 class TestBasicOperations:
     def test_insert_and_get(self):
         bucket = Bucket(ROOT_BUCKET, config=small_config())
-        bucket.insert(1, "one")
-        assert bucket.get(1) == "one"
-
-    def test_rejects_keys_outside_bucket(self):
-        bucket_id = BucketId(0b0, 1)
-        bucket = Bucket(bucket_id, config=small_config())
-        foreign = next(k for k in range(100) if not bucket_id.contains_key(k))
-        with pytest.raises(StorageError):
-            bucket.insert(foreign, "x")
-        with pytest.raises(StorageError):
-            bucket.delete(foreign)
+        land(bucket, {1: "one"})
+        assert bucket.tree.get(1) == "one"
 
     def test_delete(self):
         bucket = Bucket(ROOT_BUCKET, config=small_config())
-        bucket.insert(1, "one")
-        bucket.delete(1)
-        assert bucket.get(1) is None
+        land(bucket, {1: "one"})
+        land(bucket, {1: None})
+        assert bucket.tree.get(1) is None
 
     def test_scan_is_key_ordered_within_bucket(self):
         bucket_id = BucketId(0b1, 1)
         bucket = Bucket(bucket_id, config=small_config())
         keys = keys_for_bucket(bucket_id, 20)
-        for key in reversed(keys):
-            bucket.insert(key, key)
+        land(bucket, {key: key for key in reversed(keys)})
         assert [e.key for e in bucket.scan()] == sorted(keys)
 
     def test_entries_returns_live_records(self):
         bucket = Bucket(ROOT_BUCKET, config=small_config())
-        bucket.insert(1, "a")
-        bucket.insert(2, "b")
-        bucket.delete(1)
+        land(bucket, {1: "a", 2: "b"})
+        land(bucket, {1: None})
         assert {e.key for e in bucket.entries()} == {2}
 
     def test_size_tracks_inserts(self):
         bucket = Bucket(ROOT_BUCKET, config=small_config())
         assert bucket.size_bytes == 0
-        bucket.insert(1, "x" * 500)
+        land(bucket, {1: "x" * 500})
         assert bucket.size_bytes > 500
 
 
 class TestLocking:
     def test_locked_bucket_rejects_reads_and_writes(self):
         bucket = Bucket(ROOT_BUCKET, config=small_config())
-        bucket.insert(1, "a")
+        land(bucket, {1: "a"})
         bucket.lock()
         with pytest.raises(StorageError):
-            bucket.insert(2, "b")
+            bucket.scan()
         with pytest.raises(StorageError):
-            bucket.get(1)
+            bucket._check_access()
         bucket.unlock()
-        assert bucket.get(1) == "a"
+        assert [e.value for e in bucket.scan()] == ["a"]
 
     def test_double_lock_rejected(self):
         bucket = Bucket(ROOT_BUCKET, config=small_config())
@@ -94,7 +94,7 @@ class TestLocking:
 class TestSnapshot:
     def test_snapshot_components_are_retained(self):
         bucket = Bucket(ROOT_BUCKET, config=small_config())
-        bucket.insert(1, "a")
+        land(bucket, {1: "a"})
         bucket.flush()
         snapshot = bucket.snapshot_components()
         assert all(component.refcount >= 1 for component in snapshot)
@@ -103,7 +103,7 @@ class TestSnapshot:
 
     def test_snapshot_survives_bucket_removal(self):
         bucket = Bucket(ROOT_BUCKET, config=small_config())
-        bucket.insert(1, "a")
+        land(bucket, {1: "a"})
         bucket.flush()
         snapshot = bucket.snapshot_components()
         bucket.deactivate()
@@ -117,8 +117,7 @@ class TestSplitInto:
     def test_children_cover_parent_and_are_disjoint(self):
         bucket = Bucket(BucketId(0b1, 1), config=small_config())
         keys = keys_for_bucket(bucket.bucket_id, 100)
-        for key in keys:
-            bucket.insert(key, f"v{key}")
+        land(bucket, {key: f"v{key}" for key in keys})
         bucket.flush()
         low, high = bucket.split_into()
         low_keys = {e.key for e in low.scan()}
@@ -134,8 +133,7 @@ class TestSplitInto:
 
     def test_children_reference_not_copy(self):
         bucket = Bucket(ROOT_BUCKET, config=small_config())
-        for key in range(50):
-            bucket.insert(key, "x" * 20)
+        land(bucket, {key: "x" * 20 for key in range(50)})
         bucket.flush()
         parent_component = bucket.disk_components[0]
         low, high = bucket.split_into()
@@ -148,8 +146,7 @@ class TestSplitInto:
 
     def test_resplit_of_reference_components_targets_real_component(self):
         bucket = Bucket(ROOT_BUCKET, config=small_config())
-        for key in range(80):
-            bucket.insert(key, "v")
+        land(bucket, {key: "v" for key in range(80)})
         bucket.flush()
         real = bucket.disk_components[0]
         low, _high = bucket.split_into()
@@ -162,12 +159,11 @@ class TestSplitInto:
     def test_point_lookup_filtering_through_references(self):
         bucket = Bucket(ROOT_BUCKET, config=small_config())
         keys = list(range(60))
-        for key in keys:
-            bucket.insert(key, f"v{key}")
+        land(bucket, {key: f"v{key}" for key in keys})
         bucket.flush()
         low, high = bucket.split_into()
         for key in keys:
             side = low if low_bits(hash_key(key), 1) == 0 else high
             other = high if side is low else low
-            assert side.get(key) == f"v{key}"
-            assert other.get(key) is None
+            assert side.tree.get(key) == f"v{key}"
+            assert other.tree.get(key) is None

@@ -4,16 +4,22 @@ import pytest
 
 from repro.common.config import LSMConfig
 from repro.common.errors import StorageError
+from repro.common.hashutil import hash_key
 from repro.bucketed.bucket import Bucket
 from repro.bucketed.split import split_bucket
 from repro.hashing.bucket_id import ROOT_BUCKET
 from repro.lsm.manifest import Manifest
 
 
+def land(bucket, rows):
+    """Write ``{key: value}`` rows into the bucket's tree as one run."""
+    keys = list(rows)
+    bucket.tree.insert_many(keys, [rows[key] for key in keys], [hash_key(key) for key in keys])
+
+
 def loaded_bucket(num_keys=100, flushed=True):
     bucket = Bucket(ROOT_BUCKET, config=LSMConfig(memory_component_bytes=1 << 20))
-    for key in range(num_keys):
-        bucket.insert(key, f"value-{key}")
+    land(bucket, {key: f"value-{key}" for key in range(num_keys)})
     if flushed:
         bucket.flush()
     return bucket
@@ -48,7 +54,7 @@ class TestSplitProtocol:
         by the synchronous flush (the two-flush approach)."""
         bucket = loaded_bucket(50)
         # Simulate a straggler write arriving after the caller's earlier flush.
-        bucket.insert(999, "late")
+        land(bucket, {999: "late"})
         result = split_bucket(bucket)
         assert result.async_flush_bytes > 0 or result.sync_flush_bytes > 0
         combined = {e.key for child in result.children for e in child.scan()}
@@ -105,13 +111,13 @@ class TestSplitProtocol:
 
     def test_blocked_write_bytes_is_sync_flush(self):
         bucket = loaded_bucket(20)
-        bucket.insert(500, "straggler")
+        land(bucket, {500: "straggler"})
         result = split_bucket(bucket)
         assert result.blocked_write_bytes == result.sync_flush_bytes
 
     def test_referenced_components_counted(self):
         bucket = loaded_bucket(10)
-        bucket.insert(1000, "more")
+        land(bucket, {1000: "more"})
         bucket.flush()
         result = split_bucket(bucket)
         assert result.referenced_components == len(bucket.tree.disk_components)

@@ -159,13 +159,13 @@ class TestEquivalence:
         assert batched.insert_many(rows) == land_row_at_a_time(oracle, rows)
         assert state(batched) == state(oracle)
 
-    def test_insert_is_a_one_row_batch(self):
+    def test_a_one_row_batch_is_the_row_loop(self):
         for secondary in (False, True):
             oracle, single = make_partition(secondary), make_partition(secondary)
             for key, c in ((1, 0), (2, 1), (1, 2), (1, 2)):
                 record = row(key, c)
                 (expected,), _ = land_row_at_a_time(oracle, routed([record]))
-                stored = single.insert(record)
+                (stored,), _ = single.insert_many(routed([record]))
                 assert stored == expected and stored is not record
                 assert state(single) == state(oracle)
 

@@ -48,10 +48,20 @@ def order_row(key, date="1995-01-01", custkey=7):
     return {"o_orderkey": key, "o_orderdate": date, "o_custkey": custkey, "o_totalprice": 100.0}
 
 
+def upsert(partition, rows):
+    """Land ``rows`` with one ``insert_many``, the partition's one write path."""
+    partition.insert_many((row["o_orderkey"], hash_key(row["o_orderkey"]), row) for row in rows)
+
+
+def delete(partition, keys):
+    """Land ``keys`` as tombstone rows with one ``insert_many``."""
+    partition.insert_many((key, hash_key(key), None) for key in keys)
+
+
 class TestWriteAndRead:
     def test_insert_populates_all_indexes(self):
         partition = make_partition()
-        partition.insert(order_row(1))
+        upsert(partition, [order_row(1)])
         assert partition.lookup(1)["o_orderdate"] == "1995-01-01"
         assert partition.count_keys() == 1
         secondary_entries = list(partition.scan_secondary("idx_orderdate"))
@@ -61,23 +71,25 @@ class TestWriteAndRead:
 
     def test_delete_removes_from_all_indexes(self):
         partition = make_partition()
-        partition.insert(order_row(1))
-        partition.delete(1)
+        upsert(partition, [order_row(1)])
+        delete(partition, [1])
         assert partition.lookup(1) is None
         assert partition.count_keys() == 0
         assert list(partition.scan_secondary("idx_orderdate")) == []
 
-    def test_delete_uses_supplied_old_record(self):
+    def test_delete_of_a_row_the_same_batch_wrote(self):
+        # The delete's old record is the batch's earlier row, not the tree's.
         partition = make_partition()
-        row = order_row(2, date="1996-06-06")
-        partition.insert(row)
-        partition.delete(2, record=row)
+        upsert(partition, [order_row(2, date="1995-05-05")])
+        partition.insert_many(
+            [(2, hash_key(2), order_row(2, date="1996-06-06")), (2, hash_key(2), None)]
+        )
+        assert partition.lookup(2) is None
         assert list(partition.scan_secondary("idx_orderdate")) == []
 
     def test_scan_primary_ordered(self):
         partition = make_partition()
-        for key in (5, 3, 9, 1):
-            partition.insert(order_row(key))
+        upsert(partition, [order_row(key) for key in (5, 3, 9, 1)])
         keys = [e.key for e in partition.scan_primary(ordered=True)]
         assert keys == [1, 3, 5, 9]
 
@@ -88,8 +100,7 @@ class TestWriteAndRead:
 
     def test_record_count_and_size(self):
         partition = make_partition()
-        for key in range(20):
-            partition.insert(order_row(key))
+        upsert(partition, [order_row(key) for key in range(20)])
         assert partition.record_count() == 20
         assert partition.size_bytes > 0
 
@@ -97,31 +108,27 @@ class TestWriteAndRead:
 class TestMaintenance:
     def test_maintain_flushes_when_over_budget(self):
         partition = make_partition(memory_bytes=512)
-        for key in range(50):
-            partition.insert(order_row(key))
+        upsert(partition, [order_row(key) for key in range(50)])
         report = partition.maintain()
         assert report.flush_bytes > 0
         assert partition.memory_bytes < 512 or partition.memory_bytes == 0
 
     def test_force_flush(self):
         partition = make_partition()
-        partition.insert(order_row(1))
+        upsert(partition, [order_row(1)])
         report = partition.maintain(force_flush=True)
         assert report.flush_bytes > 0
 
     def test_splits_happen_through_maintain(self):
         partition = make_partition(memory_bytes=512, max_bucket_bytes=4096)
-        for key in range(400):
-            partition.insert(order_row(key))
-            if key % 50 == 0:
-                partition.maintain()
-        partition.maintain()
+        for start in range(0, 400, 50):
+            upsert(partition, [order_row(key) for key in range(start, start + 50)])
+            partition.maintain()
         assert partition.primary.bucket_count > 2
 
     def test_stats_snapshot_accumulates_all_indexes(self):
         partition = make_partition()
-        for key in range(10):
-            partition.insert(order_row(key))
+        upsert(partition, [order_row(key) for key in range(10)])
         stats = partition.stats_snapshot()
         # primary + pk index + secondary index all received the writes.
         assert stats.records_written == 30
@@ -132,14 +139,12 @@ class TestMaintenance:
         # counters, so a before/after snapshot pair around the maintain()
         # that split sees all of the work instead of going negative.
         partition = make_partition(initial_depth=0, memory_bytes=4096, max_bucket_bytes=16384)
-        for key in range(160):
-            partition.insert(order_row(key))
-            if key % 20 == 19:
-                if partition.maintain().split_count:  # not yet: the pair below must see it
-                    pytest.fail("the bucket split before the measured maintain()")
+        for start in range(0, 160, 20):
+            upsert(partition, [order_row(key) for key in range(start, start + 20)])
+            if partition.maintain().split_count:  # not yet: the pair below must see it
+                pytest.fail("the bucket split before the measured maintain()")
         before = partition.stats_snapshot()
-        for key in range(160, 400):
-            partition.insert(order_row(key))
+        upsert(partition, [order_row(key) for key in range(160, 400)])
         report = partition.maintain()
         if not report.split_count:
             pytest.fail("the measured maintain() did not split a bucket")
@@ -159,10 +164,12 @@ class TestMaintenance:
 class TestBlockedPartition:
     def test_blocked_partition_rejects_io(self):
         partition = make_partition()
-        partition.insert(order_row(1))
+        upsert(partition, [order_row(1)])
         partition.block()
         with pytest.raises(StorageError):
-            partition.insert(order_row(2))
+            upsert(partition, [order_row(2)])
+        with pytest.raises(StorageError):
+            delete(partition, [1])
         with pytest.raises(StorageError):
             partition.lookup(1)
         partition.unblock()
@@ -172,8 +179,7 @@ class TestBlockedPartition:
 class TestRebalanceSourceSide:
     def test_snapshot_and_scan_bucket(self):
         partition = make_partition()
-        for key in range(40):
-            partition.insert(order_row(key))
+        upsert(partition, [order_row(key) for key in range(40)])
         bucket_id = partition.primary.bucket_ids[0]
         snapshot = partition.snapshot_bucket(bucket_id)
         entries, hashed, _ = partition.scan_bucket_snapshot(snapshot)
@@ -184,8 +190,7 @@ class TestRebalanceSourceSide:
 
     def test_cleanup_moved_bucket_is_idempotent(self):
         partition = make_partition()
-        for key in range(40):
-            partition.insert(order_row(key))
+        upsert(partition, [order_row(key) for key in range(40)])
         bucket_id = partition.primary.bucket_ids[0]
         moved_keys = [k for k in range(40) if bucket_id.contains_key(k)]
         kept_keys = [k for k in range(40) if not bucket_id.contains_key(k)]
@@ -273,7 +278,7 @@ class TestRebalanceDestinationSide:
         owned = BucketId(0b1, 1)
         partition = make_destination_partition(owned)
         existing_key = next(k for k in range(100) if owned.contains_key(k))
-        partition.insert(order_row(existing_key))
+        upsert(partition, [order_row(existing_key)])
         bucket_id = BucketId(0b0, 1)
         keys = [k for k in range(1000, 1040) if bucket_id.contains_key(k)]
         entries = [Entry(key=k, value=order_row(k), seqnum=i + 1) for i, k in enumerate(keys)]
@@ -327,16 +332,14 @@ class TestMovedBloomFilter:
         probed=st.lists(st.booleans(), min_size=4, max_size=4),
     )
     def test_a_carried_filter_is_the_filter_a_build_makes(self, runs, probed):
-        # Overlapping runs of inserts and deletes, each flushed to its own
+        # Overlapping runs of upserts and deletes, each flushed to its own
         # component; some components' filters built by a probe, some not.
         source = make_partition()
         tree = source.primary.bucket(BucketId(0b0, 1)).tree
         for run, probe in zip(runs, probed):
-            for key, deleted in run:
-                if deleted:
-                    source.delete(key)
-                else:
-                    source.insert(order_row(key))
+            source.insert_many(
+                (key, hash_key(key), None if deleted else order_row(key)) for key, deleted in run
+            )
             source.primary.flush_all()
             if probe and tree.disk_components:
                 tree.disk_components[0].may_contain(0)
@@ -353,8 +356,7 @@ class TestMovedBloomFilter:
     def test_a_single_run_carries_a_built_filter_and_not_an_unbuilt_one(self):
         for probe in (True, False):
             source = make_partition()
-            for key in range(40):
-                source.insert(order_row(key))
+            upsert(source, [order_row(key) for key in range(40)])
             source.primary.flush_all()
             (component,) = source.primary.bucket(BucketId(0b0, 1)).tree.disk_components
             if probe:
@@ -367,8 +369,7 @@ class TestMovedBloomFilter:
 
     def test_other_bloom_parameters_build_afresh(self):
         source = make_partition()
-        for key in range(40):
-            source.insert(order_row(key))
+        upsert(source, [order_row(key) for key in range(40)])
         source.primary.flush_all()
         (component,) = source.primary.bucket(BucketId(0b0, 1)).tree.disk_components
         component.may_contain(0)

@@ -15,6 +15,11 @@ appends to it.
 A run of point reads is probed the same way: one
 ``StoragePartition.lookup_many`` per partition it touches and one
 ``LSMTree.get_many`` per bucket tree, with no key probed on its own.
+
+A delete call is a read run and a write run: one ``lookup_many`` per
+partition it touches, then its keys land as tombstone rows, one
+``LSMTree.insert_many`` per touched bucket tree, one for the primary-key
+index and one per secondary index.
 """
 
 from collections import Counter
@@ -22,7 +27,14 @@ from collections import Counter
 import pytest
 
 import repro.hashing.extendible as extendible_module
-from repro.api import KIB, BucketingConfig, ClusterConfig, Database, LSMConfig
+from repro.api import (
+    KIB,
+    BucketingConfig,
+    ClusterConfig,
+    Database,
+    LSMConfig,
+    SecondaryIndexSpec,
+)
 from repro.cluster.controller import SimulatedCluster
 from repro.cluster.cost_model import CostModel
 from repro.cluster.partition import StoragePartition
@@ -215,4 +227,55 @@ class TestReadRunLanding:
         assert probes["get_entry"] == probes["lookup"] == 0
         assert 1 < len(set(latencies)) < len(keys)
         assert probes["_bucket_index"] <= len(set(latencies))
+        db.close()
+
+
+@pytest.fixture
+def delete_calls(monkeypatch):
+    """Calls of the partition's read verbs and of the tree-level write
+    methods, counted by name."""
+    return count_calls(
+        monkeypatch,
+        (
+            (StoragePartition, "lookup_many"),
+            (StoragePartition, "lookup"),
+            (LSMTree, "insert_many"),
+        ),
+    )
+
+
+class TestDeleteLanding:
+    def test_a_delete_reads_once_and_lands_one_run_per_tree(self, delete_calls):
+        # The split shape, as above, with one secondary index.
+        db = Database(
+            ClusterConfig(
+                num_nodes=4,
+                partitions_per_node=2,
+                lsm=LSMConfig(memory_component_bytes=32 * KIB),
+                bucketing=BucketingConfig(max_bucket_bytes=48 * KIB),
+            ),
+            strategy="dynahash",
+        )
+        dataset = db.create_dataset(
+            "t", primary_key="k", secondary_indexes=[SecondaryIndexSpec("by_c", ("c",))]
+        )
+        dataset.insert([{"k": key, "c": key % 7, "v": "x" * 64} for key in range(8000)])
+        runtime = db.cluster.dataset("t")
+        keys = [(key * 7919) % 9000 for key in range(256)]  # some absent, some repeated
+        touched = {}
+        for key in keys:
+            hashed = hash_key(key)
+            partition = runtime.partitions[runtime.partition_of_key(key, hashed)]
+            bucket = partition.primary.directory.bucket_for_hash(hashed)
+            touched.setdefault(partition.partition_id, set()).add(bucket)
+        assert len(touched) == PARTITIONS and all(len(b) > 1 for b in touched.values())
+        delete_calls.clear()
+        report = dataset.delete(keys)
+        assert 200 < report.records_deleted < len(keys)
+        # Per partition: one read of its distinct keys, then one run into
+        # each bucket tree it touches, one into the primary-key index and
+        # one into the secondary index.  No key is read on its own.
+        assert delete_calls["lookup_many"] == len(touched)
+        assert delete_calls["lookup"] == 0
+        assert delete_calls["insert_many"] == sum(len(b) + 2 for b in touched.values())
         db.close()

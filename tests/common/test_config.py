@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common import GIB, MIB
+from repro.common import GIB
 from repro.common.config import (
     BucketingConfig,
     ClusterConfig,
@@ -34,17 +34,6 @@ class TestLSMConfig:
         with pytest.raises(ConfigError):
             LSMConfig(bloom_bits_per_key=-1)
 
-    def test_scaled_shrinks_memory_budget(self):
-        config = LSMConfig(memory_component_bytes=100 * MIB)
-        scaled = config.scaled(0.01)
-        assert scaled.memory_component_bytes == MIB
-        # Original is unchanged (frozen dataclass).
-        assert config.memory_component_bytes == 100 * MIB
-
-    def test_scaled_rejects_nonpositive_factor(self):
-        with pytest.raises(ConfigError):
-            LSMConfig().scaled(0)
-
 
 class TestBucketingConfig:
     def test_paper_defaults(self):
@@ -60,10 +49,6 @@ class TestBucketingConfig:
     def test_rejects_zero_initial_buckets(self):
         with pytest.raises(ConfigError):
             BucketingConfig(initial_buckets_per_partition=0)
-
-    def test_scaled(self):
-        scaled = BucketingConfig(max_bucket_bytes=10 * GIB).scaled(0.001)
-        assert scaled.max_bucket_bytes == int(10 * GIB * 0.001)
 
 
 class TestCostModelConfig:
@@ -94,19 +79,3 @@ class TestClusterConfig:
     def test_rejects_zero_partitions(self):
         with pytest.raises(ConfigError):
             ClusterConfig(partitions_per_node=0)
-
-    def test_with_nodes_returns_modified_copy(self):
-        base = ClusterConfig(num_nodes=4)
-        bigger = base.with_nodes(16)
-        assert bigger.num_nodes == 16
-        assert base.num_nodes == 4
-        assert bigger.partitions_per_node == base.partitions_per_node
-
-    def test_scaled_propagates_to_nested_configs(self):
-        base = ClusterConfig()
-        scaled = base.scaled(0.001)
-        assert scaled.lsm.memory_component_bytes < base.lsm.memory_component_bytes
-        assert scaled.bucketing.max_bucket_bytes < base.bucketing.max_bucket_bytes
-
-    def test_scaled_can_override_seed(self):
-        assert ClusterConfig(seed=1).scaled(0.5, seed=99).seed == 99

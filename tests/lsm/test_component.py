@@ -405,10 +405,10 @@ class TestHashColumnEquivalence:
         keys, low, high = case
         root = Bucket(ROOT_BUCKET)
         for key in keys[late:]:
-            root.insert(key, "older")
+            root.tree.insert(key, "older", hash_key(key))
         root.flush()
         for key in keys[:late]:
-            root.insert(key, "newer")
+            root.tree.insert(key, "newer", hash_key(key))
         root.flush()
         real = root.disk_components
         generations = [[root]]

@@ -46,8 +46,8 @@ def write_oracle(replicator, row):
     key = runtime.spec.primary_key_of(row)
     hashed = hash_key(key)
     bucket, source_partition = replicator.plan.old_directory.lookup_hash(hashed)
-    record = runtime.partitions[source_partition].insert(row, primary_key=key, hashed=hashed)
-    size = estimate_value_size(record)
+    (record,), (size,) = runtime.partitions[source_partition].insert_many([(key, hashed, row)])
+    assert size == estimate_value_size(record)
     replicator.stats.concurrent_writes += 1
     move = replicator._moving.get(bucket)
     if move is None:
@@ -129,23 +129,20 @@ class TestLogReplicator:
         assert pending.replicated_records == 1
         assert replicator.stats.replicated_bytes == size
 
-    def test_delete_tombstones_the_source_and_the_pending_bucket(self):
-        runtime, replicator, moving, moving_keys, staying_keys = open_channel()
-        replicator.write_many(
-            [{"k": key, "v": "concurrent"} for key in (moving_keys[0], staying_keys[0])]
+    def test_a_replicated_tombstone_lands_in_the_pending_bucket(self):
+        runtime, replicator, moving, moving_keys, _ = open_channel()
+        key = moving_keys[0]
+        replicator.write_many([{"k": key, "v": "concurrent"}])
+        destination = runtime.partitions[1]
+        destination.apply_replicated_write(
+            moving, Entry(key=key, value=None, seqnum=99, tombstone=True), hash_key(key)
         )
-        replicator.delete(moving_keys[0])
-        replicator.delete(staying_keys[0])
-        preloaded = next(k for k in range(40) if runtime.global_directory.lookup_key(k)[1] == 0)
-        replicator.delete(preloaded)
-        assert runtime.partitions[0].lookup(preloaded) is None
-        assert runtime.partitions[0].lookup(moving_keys[0]) is None
-        assert runtime.partitions[1].lookup(staying_keys[0]) is None
-        pending = runtime.partitions[1].pending_received[moving]
-        assert pending.bucket.tree.get_entry(moving_keys[0]).tombstone
-        assert replicator.stats.concurrent_writes == 5
-        # The moving bucket saw one insert and two deletes.
-        assert replicator.stats.replicated_records == 3
+        pending = destination.pending_received[moving]
+        assert pending.bucket.tree.peek(key).tombstone
+        assert pending.bucket.tree.get(key) is None
+        assert pending.replicated_records == 2
+        # The tombstone buffers no secondary entry; the write before it did.
+        assert [e.key for e in pending.secondary_buffer["by_v"]] == [("concurrent", key)]
 
     def test_an_empty_window_writes_nothing(self):
         runtime, replicator, *_ = open_channel()
