@@ -12,7 +12,8 @@ The tree supports the features the rebalance implementation needs:
   accounts their latency; both produce an immutable disk component),
 * size-tiered merges driven by a pluggable merge policy,
 * point lookups with Bloom-filter skipping and range scans reconciled
-  across components (:func:`repro.lsm.iterators.reconcile`),
+  across components (:func:`repro.lsm.iterators.reconcile`; the disk
+  components' reconciled run is kept until the component list changes),
 * *loaded* components (bulk-created from scanned rebalance data) that can be
   appended to the back of the component list,
 * *received component lists* that stay invisible to queries until the
@@ -31,7 +32,13 @@ from ..common.config import LSMConfig
 from ..common.errors import StorageError
 from ..common.hashutil import hash_key, low_bits
 from .bloom import BloomFilter
-from .component import DiskComponent, MemoryComponent, ReferenceDiskComponent
+from .component import (
+    DiskComponent,
+    MemoryComponent,
+    ReferenceDiskComponent,
+    _key_bounds,
+    _key_of,
+)
 from .entry import Entry, total_size_bytes
 from .iterators import merge_runs, reconcile
 from .manifest import Manifest
@@ -87,6 +94,10 @@ class LSMTree:
         self.manifest = Manifest(name)
         self._seqnum = 0
         self._merges_paused = False
+        #: The disk components' reconciled run, tombstones kept, as (their
+        #: ``component_id`` tuple, entries, keys).  Disk components are
+        #: immutable, so the run holds for as long as the list does.
+        self._disk_run: Optional[Tuple[Tuple[int, ...], List[Entry], List[Any]]] = None
 
     # ------------------------------------------------------------------ write
 
@@ -445,19 +456,28 @@ class LSMTree:
     ) -> Iterator[Entry]:
         """Range scan, reconciled across components a run at a time.
 
-        Lazy: nothing is read before the first ``next()``; the components stay
-        retained until the scan is exhausted or closed, and only an exhausted
-        scan adds its records and bytes to :attr:`stats`.
+        The disk components' reconciled run is kept until the component list
+        changes (:meth:`_reconciled_disk_run`), so a scan reconciles only the
+        memory run against its bisected slice.  Lazy: nothing is read before
+        the first ``next()``; the components stay retained until the scan is
+        exhausted or closed, every one of them counts as opened, and only an
+        exhausted scan adds its records and bytes to :attr:`stats`.
         """
         components = self._visible_components()
         for component in components:
             component.retain()
         try:
-            runs, keys = zip(
-                self.memory.run(low, high), *[c.run(low, high) for c in components], strict=True
-            )
+            disk_entries, disk_keys = self._reconciled_disk_run(components)
+            if low is not None or high is not None:  # unbounded: the whole run, uncopied
+                start, stop = _key_bounds(disk_keys, low, high)
+                disk_entries, disk_keys = disk_entries[start:stop], disk_keys[start:stop]
+            memory_entries, memory_keys = self.memory.run(low, high)
             self.stats.components_opened += len(components)
-            entries, _ = reconcile(runs, keys, include_tombstones=include_tombstones)
+            entries, _ = reconcile(
+                (memory_entries, disk_entries),
+                (memory_keys, disk_keys),
+                include_tombstones=include_tombstones,
+            )
             # Physically-read bytes are counted before the lazy-cleanup
             # filter: obsolete entries of moved buckets still cost I/O
             # until a merge drops them (that is the "overhead" of lazy
@@ -472,6 +492,24 @@ class LSMTree:
         finally:
             for component in components:
                 component.release()
+
+    def _reconciled_disk_run(
+        self, components: List[AnyDiskComponent]
+    ) -> Tuple[List[Entry], List[Any]]:
+        """The unbounded reconciled run of ``components`` and its keys,
+        tombstones kept (a scan may ask for them, and the memory run is
+        reconciled against them), stored under the components'
+        ``component_id`` tuple: a run is reused only for the very components
+        it was built from."""
+        ids = tuple(component.component_id for component in components)
+        kept = self._disk_run
+        if kept is None or kept[0] != ids:
+            runs = [component.run() for component in components]
+            entries, _ = reconcile(
+                [run[0] for run in runs], [run[1] for run in runs], include_tombstones=True
+            )
+            kept = self._disk_run = (ids, entries, list(map(_key_of, entries)))
+        return kept[1], kept[2]
 
     def __contains__(self, key: Any) -> bool:
         return self.get(key) is not None
@@ -591,6 +629,9 @@ class LSMTree:
     # ------------------------------------------------------------- manifest
 
     def _update_manifest(self) -> None:
+        # Every change to the component list lands here: let go of the old
+        # list's reconciled run so it pins no retired entry.
+        self._disk_run = None
         self.manifest.set_components([c.component_id for c in self.disk_components])
 
     def force_manifest(self) -> None:

@@ -18,10 +18,11 @@ the shared-nothing rule that a query is as slow as its slowest node:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from ..bucketed.scan import estimate_merge_comparisons
 from ..common.errors import QueryError
+from ..common.hashutil import hash_key
 from ..cluster.reports import QueryReport
 from .operators import OperatorStats, Row
 
@@ -98,33 +99,35 @@ class QueryContext:
 
     def scan(self, dataset: str, ordered: bool = False) -> Iterator[Row]:
         """Scan a dataset's primary index across every partition."""
-        yield from self._scan_impl(dataset, None, ordered)
+        return iter(self._scan_impl(dataset, None, ordered))
 
     def scan_index(self, dataset: str, index_name: str) -> Iterator[Row]:
         """Scan a covering secondary index; yields covered fields plus keys."""
-        yield from self._scan_impl(dataset, index_name, False)
+        return iter(self._scan_impl(dataset, index_name, False))
 
-    def _scan_impl(self, dataset: str, index_name: Optional[str], ordered: bool) -> Iterator[Row]:
+    def _scan_impl(self, dataset: str, index_name: Optional[str], ordered: bool) -> List[Row]:
+        """Every partition's rows, one list per partition, each partition
+        charged as it is read: a scan is priced in full at the call, however
+        many of its rows the plan goes on to take (a LIMIT included)."""
         cluster = self._executor.cluster
         cost = cluster.cost
         runtime = cluster.dataset(dataset)
         spec = runtime.spec
+        rows: List[Row] = []
         for pid, partition in sorted(runtime.partitions.items()):
             before = partition.stats_snapshot()
-            records = 0
             if index_name is None:
-                for entry in partition.scan_primary(ordered=ordered):
-                    records += 1
-                    yield dict(entry.value)
+                batch = [dict(entry.value) for entry in partition.scan_primary(ordered=ordered)]
             else:
-                index_spec = spec.index(index_name)
+                key_fields = spec.index(index_name).key_fields
+                batch = []
                 for entry in partition.scan_secondary(index_name):
-                    records += 1
                     row = dict(entry.value) if isinstance(entry.value, dict) else {}
-                    for field_name, value in zip(index_spec.key_fields, entry.key[:-1], strict=True):
-                        row[field_name] = value
+                    row.update(zip(key_fields, entry.key[:-1], strict=True))
                     row["_pk"] = entry.key[-1]
-                    yield row
+                    batch.append(row)
+            records = len(batch)
+            rows += batch
             delta = partition.stats_snapshot().diff(before)
             seconds = (
                 cost.disk_read_time(delta.bytes_read)
@@ -138,6 +141,7 @@ class QueryContext:
             self.partition_seconds[pid] = self.partition_seconds.get(pid, 0.0) + seconds
             self.bytes_scanned += delta.bytes_read
             self.records_scanned += records
+        return rows
 
 
 class ClusterQueryExecutor:
@@ -161,21 +165,17 @@ class ClusterQueryExecutor:
             runtime = self.cluster.dataset(access.dataset)
             for pid, partition in runtime.partitions.items():
                 before = partition.stats_snapshot()
-                records = 0
                 if access.access == ACCESS_FULL_SCAN:
-                    for _entry in partition.scan_primary(
-                        ordered=spec.requires_primary_key_order
-                    ):
-                        records += 1
+                    ordered = spec.requires_primary_key_order
+                    records = len(list(partition.scan_primary(ordered=ordered)))
                 elif access.access == ACCESS_SECONDARY_INDEX:
-                    for _entry in partition.scan_secondary(access.index_name):
-                        records += 1
-                else:  # primary-key lookups
+                    records = len(list(partition.scan_secondary(access.index_name)))
+                else:  # primary-key lookups: a sample of the partition's keys, one probe run
                     lookups_here = max(1, access.lookups // max(1, len(runtime.partitions)))
-                    sample_keys = [entry.key for entry in partition.scan_primary()][:lookups_here]
-                    for key in sample_keys:
-                        partition.lookup(key)
-                        records += 1
+                    keys = [entry.key for entry in partition.scan_primary()][:lookups_here]
+                    if keys:
+                        partition.lookup_many(keys, list(map(hash_key, keys)))
+                    records = len(keys)
                 delta = partition.stats_snapshot().diff(before)
                 scan_seconds = (
                     cost.disk_read_time(delta.bytes_read)

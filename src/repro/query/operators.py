@@ -6,11 +6,20 @@ group-by, order-by, limit) compose over them.  The cluster query executor
 (:mod:`repro.query.executor`) uses these to run genuine query plans over the
 simulated partitions; the per-operator record counts it gathers feed the cost
 model, which is how the TPC-H query-time figures are regenerated.
+
+Operators work a batch at a time: each takes any iterable, materialises it
+once and returns a list, and bumps its :class:`OperatorStats` count once per
+call by the batch's length (an empty batch bumps nothing).  The totals are
+the ones a row-at-a-time operator would count, so the simulated operator time
+does not depend on the batching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import islice
+from operator import add
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..common.errors import QueryError, UnknownColumnError
@@ -39,18 +48,27 @@ def _get(row: Row, column: str) -> Any:
         raise UnknownColumnError(f"row has no column {column!r}: {sorted(row)[:8]}") from None
 
 
+def _as_list(rows: Iterable[Row]) -> List[Row]:
+    return rows if isinstance(rows, list) else list(rows)
+
+
+def _count(stats: Optional[OperatorStats], name: str, batch: List[Row]) -> None:
+    """One bump for a whole batch (none for an empty one, which a per-row
+    count would never have touched)."""
+    if stats is not None and batch:
+        stats.bump(name, len(batch))
+
+
 def filter_rows(
     rows: Iterable[Row],
     predicate: Callable[[Row], bool],
     stats: Optional[OperatorStats] = None,
     name: str = "filter",
-) -> Iterator[Row]:
+) -> List[Row]:
     """SELECT ... WHERE predicate."""
-    for row in rows:
-        if stats is not None:
-            stats.bump(name)
-        if predicate(row):
-            yield row
+    batch = _as_list(rows)
+    _count(stats, name, batch)
+    return [row for row in batch if predicate(row)]
 
 
 def project(
@@ -59,16 +77,18 @@ def project(
     computed: Optional[Mapping[str, Callable[[Row], Any]]] = None,
     stats: Optional[OperatorStats] = None,
     name: str = "project",
-) -> Iterator[Row]:
+) -> List[Row]:
     """Projection with optional computed columns."""
-    computed = computed or {}
-    for row in rows:
-        if stats is not None:
-            stats.bump(name)
-        out: Row = {column: _get(row, column) for column in columns}
-        for column, fn in computed.items():
-            out[column] = fn(row)
-        yield out
+    batch = _as_list(rows)
+    _count(stats, name, batch)
+    extra = list((computed or {}).items())
+    return [
+        {
+            **{column: _get(row, column) for column in columns},
+            **{column: fn(row) for column, fn in extra},
+        }
+        for row in batch
+    ]
 
 
 def hash_join(
@@ -79,7 +99,7 @@ def hash_join(
     stats: Optional[OperatorStats] = None,
     name: str = "hash_join",
     how: str = "inner",
-) -> Iterator[Row]:
+) -> List[Row]:
     """Hash join (build on the right input, probe with the left).
 
     ``how`` supports "inner" and "left_semi" (the shape TPC-H's EXISTS
@@ -87,26 +107,31 @@ def hash_join(
     """
     if how not in ("inner", "left_semi", "left_anti"):
         raise QueryError(f"unsupported join type {how!r}")
+    build_rows = _as_list(right)
+    _count(stats, f"{name}:build", build_rows)
     build: Dict[Any, List[Row]] = {}
-    for row in right:
-        if stats is not None:
-            stats.bump(f"{name}:build")
+    for row in build_rows:
         build.setdefault(right_key(row), []).append(row)
-    for row in left:
-        if stats is not None:
-            stats.bump(f"{name}:probe")
-        matches = build.get(left_key(row), [])
-        if how == "inner":
-            for match in matches:
-                merged = dict(match)
-                merged.update(row)
-                yield merged
-        elif how == "left_semi":
-            if matches:
-                yield row
-        else:  # left_anti
-            if not matches:
-                yield row
+    probe_rows = _as_list(left)
+    _count(stats, f"{name}:probe", probe_rows)
+    if how == "left_semi":
+        return [row for row in probe_rows if left_key(row) in build]
+    if how == "left_anti":
+        return [row for row in probe_rows if left_key(row) not in build]
+    return [{**match, **row} for row in probe_rows for match in build.get(left_key(row), ())]
+
+
+#: Each aggregate kind as one fold over a group's values (a lazy ``map``,
+#: so ``count`` never evaluates its extractor) and the group's size.  Sums
+#: add in row order, as a running total would, so float answers keep their
+#: bits (the builtin ``sum`` may compensate).
+_FOLDS: Dict[str, Callable[[Iterator[Any], int], Any]] = {
+    "sum": lambda values, size: reduce(add, values, 0),
+    "count": lambda values, size: size,
+    "min": lambda values, size: min(values),
+    "max": lambda values, size: max(values),
+    "avg": lambda values, size: reduce(add, values, 0) / size,
+}
 
 
 def hash_group_by(
@@ -115,58 +140,37 @@ def hash_group_by(
     aggregates: Mapping[str, Tuple[str, Callable[[Row], Any]]],
     stats: Optional[OperatorStats] = None,
     name: str = "group_by",
-) -> Iterator[Row]:
+) -> List[Row]:
     """Hash aggregation.
 
     ``aggregates`` maps output column -> (kind, value extractor) with kind in
-    {"sum", "count", "min", "max", "avg"}.
+    {"sum", "count", "min", "max", "avg"}.  Groups come out in first-seen
+    order, each aggregate folded over its group's rows.
     """
-    valid = {"sum", "count", "min", "max", "avg"}
     for column, (kind, _fn) in aggregates.items():
-        if kind not in valid:
+        if kind not in _FOLDS:
             raise QueryError(f"unsupported aggregate {kind!r} for column {column!r}")
-    groups: Dict[Any, Dict[str, Any]] = {}
-    counts: Dict[Any, Dict[str, int]] = {}
-    group_keys: Dict[Any, Any] = {}
-    for row in rows:
-        if stats is not None:
-            stats.bump(name)
-        group_value = key(row)
+    folds = [(column, _FOLDS[kind], fn) for column, (kind, fn) in aggregates.items()]
+    batch = _as_list(rows)
+    _count(stats, name, batch)
+    members: Dict[Any, List[Row]] = {}
+    reported: Dict[Any, Any] = {}
+    for row, group_value in zip(batch, map(key, batch), strict=True):
         # Dict group keys (named grouping columns) are hashed by their sorted
-        # items but reported back as the original dict.
+        # items but reported back as the original dict (the group's last).
         group = (
             tuple(sorted(group_value.items())) if isinstance(group_value, dict) else group_value
         )
-        group_keys[group] = group_value
-        state = groups.setdefault(group, {})
-        count_state = counts.setdefault(group, {})
-        for column, (kind, fn) in aggregates.items():
-            value = fn(row) if kind != "count" else 1
-            if kind == "count":
-                state[column] = state.get(column, 0) + 1
-            elif kind == "sum":
-                state[column] = state.get(column, 0) + value
-            elif kind == "min":
-                state[column] = value if column not in state else min(state[column], value)
-            elif kind == "max":
-                state[column] = value if column not in state else max(state[column], value)
-            elif kind == "avg":
-                state[column] = state.get(column, 0) + value
-                count_state[column] = count_state.get(column, 0) + 1
-    for group, state in groups.items():
-        out: Row = {}
-        group_value = group_keys[group]
-        if isinstance(group_value, dict):
-            out.update(group_value)
-        else:
-            out["group_key"] = group_value
-        for column, (kind, _fn) in aggregates.items():
-            if kind == "avg":
-                denominator = counts[group].get(column, 0)
-                out[column] = state[column] / denominator if denominator else None
-            else:
-                out[column] = state.get(column, 0)
-        yield out
+        reported[group] = group_value
+        members.setdefault(group, []).append(row)
+    result: List[Row] = []
+    for group, group_rows in members.items():
+        group_value = reported[group]
+        out: Row = dict(group_value) if isinstance(group_value, dict) else {"group_key": group_value}
+        for column, fold, fn in folds:
+            out[column] = fold(map(fn, group_rows), len(group_rows))
+        result.append(out)
+    return result
 
 
 def order_by(
@@ -187,12 +191,7 @@ def limit(rows: Iterable[Row], count: int) -> List[Row]:
     """LIMIT count."""
     if count < 0:
         raise QueryError("limit must be non-negative")
-    result: List[Row] = []
-    for row in rows:
-        if len(result) >= count:
-            break
-        result.append(row)
-    return result
+    return list(islice(rows, count))
 
 
 def scalar_aggregate(
@@ -202,9 +201,7 @@ def scalar_aggregate(
     name: str = "aggregate",
 ) -> Row:
     """Aggregation without grouping; always returns exactly one row."""
-    result_rows = list(
-        hash_group_by(rows, key=lambda row: 0, aggregates=aggregates, stats=stats, name=name)
-    )
+    result_rows = hash_group_by(rows, key=lambda row: 0, aggregates=aggregates, stats=stats, name=name)
     if not result_rows:
         return {column: (0 if kind in ("count", "sum") else None) for column, (kind, _f) in aggregates.items()}
     row = result_rows[0]

@@ -1,6 +1,7 @@
 """Tests for the LSM-tree index."""
 
 from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from repro.common.errors import ComponentStateError
 from repro.common.hashutil import hash_key, low_bits
 from repro.hashing.bucket_id import ROOT_BUCKET
 from repro.lsm.bloom import BloomFilter
-from repro.lsm.component import ReferenceDiskComponent
+from repro.lsm.component import DiskComponent, ReferenceDiskComponent
 from repro.lsm.entry import Entry, sort_key
 from repro.lsm.iterators import merge_runs
 from repro.lsm.merge_policy import FullMergePolicy, NoMergePolicy
@@ -454,7 +455,7 @@ def carried_column_cases(draw):
         st.tuples(st.just("flush"), index),
         st.tuples(st.just("merge"), index, st.booleans()),
         st.tuples(st.just("split"), index),
-        st.tuples(st.just("move"), index),
+        st.tuples(st.just("move"), index, st.booleans()),
         st.tuples(st.just("invalidate"), st.integers(0, 3), st.integers(1, 2)),
     )
     return pool, draw(_sequences(write, *others))
@@ -484,10 +485,11 @@ def assert_derived_facts_hold(component, config):
     assert (component.bloom.num_keys, component.bloom.size_bytes) == (len(keys), eager.size_bytes)
 
 
-def play(operations, config, carry_hashes):
+def play(operations, config, carry_hashes, observe=None):
     """Run ``operations`` over buckets that tile the hash space; returns the
     buckets and the model of what they hold (``None`` once a lazy-cleanup
-    filter made visibility depend on merge timing)."""
+    filter made visibility depend on merge timing).  ``observe(buckets)``,
+    when given, runs after every operation."""
     buckets, model = [Bucket(ROOT_BUCKET, config=config)], {}
     for operation in operations:
         kind = operation[0]
@@ -504,32 +506,41 @@ def play(operations, config, carry_hashes):
                 tree.delete(key, carried)
                 if model is not None:
                     model.pop(key, None)
-            continue
-        if kind == "invalidate":
+        elif kind == "invalidate":
             for bucket in buckets:
                 bucket.tree.invalidate_bucket(operation[1], operation[2])
             model = None
-            continue
-        position = operation[1] % len(buckets)
-        bucket = buckets[position]
-        if kind == "flush":
-            bucket.flush()
-        elif kind == "merge":
-            bucket.tree.merge_all() if operation[2] else bucket.maybe_merge()
-        elif kind == "split" and bucket.depth < 3:
-            buckets[position : position + 1] = split_bucket(bucket).children
-        elif kind == "move":
-            bucket.flush()
-            snapshot = bucket.snapshot_components()
-            entries, hashed = merge_runs(
-                [c.hashed_entries() for c in snapshot], drop_tombstones=True
-            )
-            received = Bucket(bucket.bucket_id, config=config)
-            if entries:
-                received.tree.add_loaded_component(entries, hashed=hashed)
-            Bucket.release_snapshot(snapshot)
-            buckets[position] = received
+        else:
+            restructure(buckets, operation, config)
+        if observe is not None:
+            observe(buckets)
     return buckets, model
+
+
+def restructure(buckets, operation, config):
+    """Flush, merge, split or move one of ``buckets`` (in place)."""
+    kind = operation[0]
+    position = operation[1] % len(buckets)
+    bucket = buckets[position]
+    if kind == "flush":
+        bucket.flush()
+    elif kind == "merge":
+        bucket.tree.merge_all() if operation[2] else bucket.maybe_merge()
+    elif kind == "split" and bucket.depth < 3:
+        buckets[position : position + 1] = split_bucket(bucket).children
+    elif kind == "move":
+        bucket.flush()
+        snapshot = bucket.snapshot_components()
+        entries, hashed = merge_runs([c.hashed_entries() for c in snapshot], drop_tombstones=True)
+        received = Bucket(bucket.bucket_id, config=config)
+        if entries and operation[2]:  # bulk-loaded as the oldest component
+            received.tree.add_loaded_component(entries, hashed=hashed)
+        elif entries:  # through an invisible received list, then installed
+            list_id = received.tree.create_received_list()
+            received.tree.append_to_received_list(list_id, entries, hashed)
+            received.tree.install_received_list(list_id)
+        Bucket.release_snapshot(snapshot)
+        buckets[position] = received
 
 
 class TestCarriedColumn:
@@ -778,3 +789,116 @@ class TestScanAgainstTheHeap:
             assert len(list(tree.scan(low=(2,), high=(9, "z")))) == 8
             # Two bounds, bisected in each of the four sorted runs.
             assert 0 < len(calls) <= 4 * 2 * (2 + size.bit_length())
+
+
+# ------------------------------------- the reconciled run of the disk list
+
+
+class TestReconciledDiskRun:
+    """A scan keeps what the disk components reconcile to and reconciles only
+    the memory run against it; the run is keyed by the component ids."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=carried_column_cases(),
+        bounds=st.tuples(st.integers(0, 23), st.integers(0, 23)),
+    )
+    def test_every_scan_after_every_mutation_matches_the_heap(self, case, bounds):
+        pool, operations = case
+        ordered = sorted(pool, key=sort_key)
+        low, high = sorted(
+            (ordered[bounds[0] % len(ordered)], ordered[bounds[1] % len(ordered)]), key=sort_key
+        )
+
+        def observe(buckets):
+            for bucket in buckets:
+                tree = bucket.tree
+                pinned = [c.refcount for c in tree.disk_components]
+                for scan_low, scan_high in ((None, None), (low, high), (low, None)):
+                    for include_tombstones in (False, True):
+                        before = tree.stats.snapshot()
+                        expected = list(heap_tree_scan(tree, scan_low, scan_high, include_tombstones))
+                        oracle_work = tree.stats.diff(before)
+                        before = tree.stats.snapshot()
+                        scanned = list(tree.scan(scan_low, scan_high, include_tombstones))
+                        assert same_objects(scanned, expected)
+                        assert tree.stats.diff(before) == oracle_work
+                assert [c.refcount for c in tree.disk_components] == pinned
+
+        play(operations, small_config(memory_component_bytes=256), True, observe)
+
+    @staticmethod
+    def count_runs(monkeypatch):
+        """Counts ``run`` calls per disk component (real and reference)."""
+        calls = Counter()
+        for cls in (DiskComponent, ReferenceDiskComponent):
+
+            def counting(component, low=None, high=None, _run=cls.run):
+                calls[component.component_id] += 1
+                return _run(component, low, high)
+
+            monkeypatch.setattr(cls, "run", counting)
+        return calls
+
+    def test_an_unchanged_tree_reads_each_component_once(self, monkeypatch):
+        calls = self.count_runs(monkeypatch)
+        tree = make_tree()
+        for burst in range(3):
+            for key in range(burst, 60, 3):
+                tree.insert(key, "v" * 8)
+            tree.flush()
+        tree.insert(61, "memory")
+        ids = [c.component_id for c in tree.disk_components]
+        assert len(list(tree.scan())) == 61
+        assert [e.key for e in tree.scan(10, 12)] == [10, 11, 12]
+        tree.insert(62, "memory")  # a memory write leaves the disk list as it was
+        assert len(list(tree.scan(include_tombstones=True))) == 62
+        assert calls == Counter(ids)
+        # A flush changes the list: the next scan reads every component again.
+        calls.clear()
+        flushed = tree.flush()
+        assert len(list(tree.scan())) == len(list(tree.scan(0, 99))) == 62
+        assert calls == Counter(ids + [flushed.component_id])
+        # So does a merge: the merged component is read once.
+        calls.clear()
+        merged = tree.merge_all()
+        assert len(list(tree.scan())) == len(list(tree.scan(0, 99))) == 62
+        assert calls == Counter([merged.component_id])
+
+    def test_a_split_child_reads_each_reference_once(self, monkeypatch):
+        calls = self.count_runs(monkeypatch)
+        parent = Bucket(ROOT_BUCKET, config=small_config())
+        for burst in range(2):
+            for key in range(burst, 40, 2):
+                parent.tree.insert(key, "v")
+            parent.flush()
+        for child in parent.split_into():
+            references = [c.component_id for c in child.tree.disk_components]
+            keys = [e.key for e in child.tree.scan()]
+            assert [e.key for e in child.tree.scan()] == keys
+            assert sorted(keys) == [k for k in range(40) if child.owns_key(k)]
+            assert Counter({i: calls[i] for i in references}) == Counter(references)
+
+    def test_a_run_is_never_served_for_another_component_list(self):
+        tree = make_tree()
+        for burst in range(3):
+            for key in range(burst, 30, 3):
+                tree.insert(key, burst)
+            tree.flush()
+        assert len(list(tree.scan())) == 30
+        # Behind the tree's back, as a split fills a child's list: the ids
+        # no longer match, so the next scan reconciles the new list.
+        dropped = tree.disk_components.pop(0)
+        expected = list(heap_tree_scan(tree))
+        assert same_objects(list(tree.scan()), expected)
+        assert {e.key for e in expected} == set(range(30)) - set(dropped._keys)
+
+    def test_a_merge_lets_go_of_the_retired_components_run(self):
+        tree = make_tree()
+        for burst in range(2):
+            tree.insert(burst, "v")
+            tree.flush()
+        list(tree.scan())
+        assert tree._disk_run is not None
+        tree.merge_all()
+        assert tree._disk_run is None
