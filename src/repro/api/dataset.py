@@ -278,25 +278,29 @@ class Dataset:
         accumulates unmerged components.
         """
         runtime = self._runtime()
-        record, opened = self._lookup_one(runtime, key)
+        hashed = hash_key(key)
+        record, opened = self._lookup_one(runtime, key, hashed)
         latency = self._probe_latency(opened)
         chaos = self.database.cluster.chaos
         if chaos is not None:
             # Burst windows stretch the client's service time; partition
             # windows add the retry path's miss/backoff penalty on top.
-            latency = latency * chaos.client_factor() + chaos.routing_penalty(runtime, key)
+            latency = latency * chaos.client_factor() + chaos.routing_penalty(
+                runtime, key, hashed
+            )
         self._emit_op("read", latency, found=record is not None)
         return record
 
-    def get_many(self, keys: "Sequence[Any]") -> "List[Optional[Dict[str, Any]]]":
+    def get_many(
+        self, keys: "Sequence[Any]", hashes: "Optional[Sequence[int]]" = None
+    ) -> "List[Optional[Dict[str, Any]]]":
         """Point-lookup a batch of primary keys, in order.
 
         The storage work, per-key cost accounting, and resulting telemetry
         are identical to looping :meth:`get` — each key's latency is computed
         from its own probe's component-open count — but a long run (16 keys
-        or more per partition) travels the read path together: it is hashed
-        and routed in one pass each and every touched partition answers its
-        keys in one
+        or more per partition) travels the read path together: it is routed
+        in one pass and every touched partition answers its keys in one
         :meth:`~repro.cluster.partition.StoragePartition.lookup_many`; a
         shorter run goes key by key.  Either way each distinct count is
         priced once, and the samples travel as a single ``op.batch`` event,
@@ -305,17 +309,26 @@ class Dataset:
         touches a blocked partition raises before any partition is probed.
         The heat and chaos hooks see the keys in order.  This is the read
         path of the batched workload driver.
+
+        The run is hashed once, here, and routing, the heat and chaos hooks
+        and the storage probes share the hashes.  A caller that already
+        holds them passes ``hashes``, one per key in key order, and nothing
+        is hashed (the workload driver keeps its keys' hashes in a column).
+        Each must equal ``hash_key(key)``; it is not checked, and a wrong
+        one routes and probes its key where the key does not live.
         """
         runtime = self._runtime()
         if not keys:
             return []
+        if hashes is None:
+            hashes = list(map(hash_key, keys))
         if len(keys) == 1:
-            record, count = self._lookup_one(runtime, keys[0])
+            record, count = self._lookup_one(runtime, keys[0], hashes[0])
             records, opened = [record], [count]
         elif len(keys) < _RUN_KEYS_PER_PARTITION * len(runtime.partitions):
-            records, opened = self._lookup_each(runtime, keys)
+            records, opened = self._lookup_each(runtime, keys, hashes)
         else:
-            records, opened = self._lookup_run(runtime, keys)
+            records, opened = self._lookup_run(runtime, keys, hashes)
         # opened -> latency: the charge is a pure function of the count, so
         # each distinct count is priced once.
         first = opened[0]
@@ -328,19 +341,18 @@ class Dataset:
         chaos = self.database.cluster.chaos
         if chaos is not None:
             latencies = [
-                latency * chaos.client_factor() + chaos.routing_penalty(runtime, key)
-                for key, latency in zip(keys, latencies)
+                latency * chaos.client_factor() + chaos.routing_penalty(runtime, key, hashed)
+                for key, hashed, latency in zip(keys, hashes, latencies)
             ]
         self._emit_op_batch("read", latencies)
         return records
 
     def _lookup_one(
-        self, runtime: "DatasetRuntime", key: Any
+        self, runtime: "DatasetRuntime", key: Any, hashed: int
     ) -> "Tuple[Optional[Dict[str, Any]], int]":
         """One key's record and the disk components its probe opened (the
-        count of the one bucket tree it searched).  The key is hashed once,
-        here: routing, the heat hook and the storage probe share the hash."""
-        hashed = hash_key(key)
+        count of the one bucket tree it searched); routing, the heat hook
+        and the storage probe share the key's hash ``hashed``."""
         heat = self.database.cluster.heat
         if heat is not None:
             heat.record_read(self.name, hashed)
@@ -350,19 +362,18 @@ class Dataset:
         return partition.primary.lookup(key, hashed)
 
     def _lookup_each(
-        self, runtime: "DatasetRuntime", keys: "Sequence[Any]"
+        self, runtime: "DatasetRuntime", keys: "Sequence[Any]", hashes: "Sequence[int]"
     ) -> "Tuple[List[Optional[Dict[str, Any]]], List[int]]":
         """:meth:`_lookup_run` key by key, for runs too short to repay its
-        grouping: every key is hashed and routed, and its partition checked
-        for a block, before any is probed."""
+        grouping: every key is routed, and its partition checked for a
+        block, before any is probed."""
         heat = self.database.cluster.heat
         partitions = runtime.partitions
         # DatasetRuntime.partition_of_key, bound once per run: the live
         # directory's lookup_hash, or hash modulo partitions without one.
         directory = runtime.global_directory if runtime.routing_mode == "directory" else None
         probes = []
-        for key in keys:
-            hashed = hash_key(key)
+        for key, hashed in zip(keys, hashes):
             if heat is not None:
                 heat.record_read(self.name, hashed)
             if directory is None:
@@ -381,13 +392,12 @@ class Dataset:
         return records, opened
 
     def _lookup_run(
-        self, runtime: "DatasetRuntime", keys: "Sequence[Any]"
+        self, runtime: "DatasetRuntime", keys: "Sequence[Any]", hashes: "Sequence[int]"
     ) -> "Tuple[List[Optional[Dict[str, Any]]], List[int]]":
-        """Each key's record and component-open count, in key order: the run
-        is hashed in one pass, seen by the heat hook, and routed by
+        """Each key's record and component-open count, in key order: the
+        run's hashes are seen by the heat hook and routed by
         :meth:`_route_run`, so every touched partition is checked for a
         block before any is probed."""
-        hashes = list(map(hash_key, keys))
         heat = self.database.cluster.heat
         if heat is not None:
             for hashed in hashes:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from ..common.errors import ConfigError
+from ..common.hashutil import hash_key
 from ..rebalance.operation import FAULT_SITES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -280,7 +281,9 @@ class ChaosEngine:
 
     # ------------------------------------------------------- partitions/retry
 
-    def routing_penalty(self, runtime: "DatasetRuntime", key: Any) -> float:
+    def routing_penalty(
+        self, runtime: "DatasetRuntime", key: Any, hashed: Optional[int] = None
+    ) -> float:
         """Extra client latency for one point read under the current windows.
 
         Outside every partition window this is 0.0 (and any stale views are
@@ -288,7 +291,9 @@ class ChaosEngine:
         through the frozen view first: a moved key costs a wasted hop plus a
         directory refresh and emits ``retry.routing_miss``; each read then
         risks simulated RPC timeouts, absorbed by the retry policy's capped
-        exponential backoff (``retry.backoff`` per attempt).
+        exponential backoff (``retry.backoff`` per attempt).  ``hashed`` is
+        ``hash_key(key)`` when the caller already has it: the read verbs pass
+        the hash they routed the key with, so neither view hashes it again.
         """
         window_entry = next(iter(self._active(self.partitions)), None)
         if window_entry is None:
@@ -307,8 +312,10 @@ class ChaosEngine:
         if snapshot is None:
             snapshot = self._stale[name] = runtime.routing_snapshot()
         penalty = 0.0
-        stale_partition = snapshot.partition_of(key)
-        live_partition = runtime.partition_of_key(key)
+        if hashed is None:
+            hashed = hash_key(key)
+        stale_partition = snapshot.partition_of_hash(hashed)
+        live_partition = runtime.partition_of_key(key, hashed)
         if stale_partition != live_partition:
             # Wasted hop to the old owner + a directory refresh round trip.
             penalty += 2.0 * self._cost.rpc_time(2)

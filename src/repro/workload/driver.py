@@ -53,11 +53,13 @@ taken while it ran (``report.autopilot_decisions``).
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING, Union
 
+from ..common.hashutil import hash_key
 from ..metrics import MetricsSnapshot, PHASE_REBALANCE, PHASE_STEADY
 from ..sim import EventScheduler
 from .keygen import (
@@ -236,6 +238,8 @@ class WorkloadDriver:
         self._batch_target = self._draw_batch_target()
         self._prepared = False
         self._dataset_handle: "Optional[Dataset]" = None
+        #: ``hash_key`` of every key index a read has drawn (see _hashes_of).
+        self._hash_column = array("Q")
 
     # -------------------------------------------------------------- plumbing
 
@@ -414,10 +418,11 @@ class WorkloadDriver:
     ) -> List[Tuple[str, Any]]:
         """Draw ``count`` ops worth of randomness into an action plan.
 
-        Consumes the driver RNG op by op — op draw, then key draw, then (at
-        insert-buffer flush points) the next jittered batch-target draw — so
-        the stream is the same whatever the chunk size.  Execution performs no
-        RNG draws, which is what makes separating "draw" from "do" safe.
+        Consumes the driver RNG as one op at a time does — op draw, then key
+        draw, then (at insert-buffer flush points) the next jittered
+        batch-target draw — so the stream is the same whatever the chunk
+        size.  Execution performs no RNG draws, which is what makes
+        separating "draw" from "do" safe.
 
         The plan is a list of actions: ``("read", key)``, ``("scan", low)``,
         ``("update", row)``, ``("delete", key)``, ``("buffer", row)`` for a
@@ -425,7 +430,46 @@ class WorkloadDriver:
         buffer reaches its target: it is flushed and the target redrawn.
         ``flush=False`` draws no flush points, so keys are drawn from the
         keyspace durable when the draw began.
+
+        When the mix gives inserts no weight and the key generator maps one
+        uniform to one index (it defines ``indices_of``), the stream is exactly
+        two uniforms per op over a fixed keyspace, so the chunk is drawn as
+        columns: ``2 * count`` uniforms at once, the ops from the even slots
+        (:meth:`OperationMix.verbs_of`) and the keys from the odd ones.
+        Anything else — inserts, which move the keyspace and add flush
+        draws, or a generator drawing through ``randrange`` — goes op by op.
+        Both yield the same plan, counters and RNG state.
         """
+        indices_of = getattr(keys, "indices_of", None)
+        if indices_of is None or mix.insert:
+            return self._draw_ops(count, mix, keys, result, flush)
+        draw = self.rng.random
+        uniforms = [draw() for _ in range(2 * count)]
+        verbs = mix.verbs_of(uniforms[0::2])
+        indices = indices_of(uniforms[1::2], max(1, self.next_key - len(self._pending_rows)))
+        result.ops += count
+        result.reads += verbs.count("read")
+        result.deletes += verbs.count("delete")
+        result.scans += verbs.count("scan")
+        updates = verbs.count("update")
+        if not updates:
+            return list(zip(verbs, indices))
+        result.updates += updates
+        row = self._row
+        return [
+            ("update", row(key)) if verb == "update" else (verb, key)
+            for verb, key in zip(verbs, indices)
+        ]
+
+    def _draw_ops(
+        self,
+        count: int,
+        mix: OperationMix,
+        keys: KeyGenerator,
+        result: PhaseResult,
+        flush: bool,
+    ) -> List[Tuple[str, Any]]:
+        """:meth:`_draw_chunk` one op at a time: any mix, any generator."""
         rng = self.rng
         choose = mix.choose
         next_index = keys.next_index
@@ -479,7 +523,8 @@ class WorkloadDriver:
         for verb, run in groupby(plan, key=itemgetter(0)):
             args = [arg for _, arg in run]
             if verb == "read":
-                result.reads_found += sum(row is not None for row in dataset.get_many(args))
+                found = dataset.get_many(args, hashes=self._hashes_of(args))
+                result.reads_found += len(found) - found.count(None)
             elif verb == "update":
                 dataset.upsert_each(args)
             elif verb == "buffer":
@@ -495,6 +540,25 @@ class WorkloadDriver:
                     else:  # scan
                         scanned = dataset.scan(low=arg, high=arg + self.spec.scan_span)
                         result.scan_rows += len(list(scanned))
+
+    def _hashes_of(self, keys: List[int]) -> List[int]:
+        """``hash_key`` of each drawn key, each key hashed once per driver.
+
+        The hashes live in a column over the dense keyspace (0 marks a key
+        not hashed yet; a key whose hash is 0 is merely hashed again), grown
+        with the keyspace: every drawn index is below ``max(1, next_key)``.
+        """
+        column = self._hash_column
+        missing = max(1, self.next_key) - len(column)
+        if missing > 0:
+            column.frombytes(bytes(column.itemsize * missing))
+        hashes = list(map(column.__getitem__, keys))
+        if 0 in hashes:
+            for position, key in enumerate(keys):
+                if not hashes[position]:
+                    # The run may draw a key twice: the first fill serves both.
+                    hashes[position] = column[key] = column[key] or hash_key(key)
+        return hashes
 
     def _flush_inserts(self) -> None:
         if not self._pending_rows:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Union
+from typing import Dict, List, Sequence, Union
 
 #: Operation names in the canonical sampling order (fixed so a given RNG
 #: sequence always maps to the same operations).
@@ -81,6 +81,14 @@ class OperationMix:
         """Draw one operation name from the mix using ``rng``: the first verb
         whose cumulative threshold exceeds one ``rng.random()`` draw."""
         return OPERATIONS[bisect_right(self._cumulative, rng.random())]
+
+    def verbs_of(self, uniforms: Sequence[float]) -> List[str]:
+        """The operation :meth:`choose` draws from each uniform in ``[0, 1)``,
+        in order."""
+        cumulative = self._cumulative
+        if cumulative[0] == 1.0:  # every uniform below 1.0 lands on reads
+            return ["read"] * len(uniforms)
+        return [OPERATIONS[bisect_right(cumulative, u)] for u in uniforms]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         parts = ", ".join(

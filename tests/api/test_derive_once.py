@@ -18,7 +18,17 @@ import repro.bucketed.scan as scan_module
 import repro.cluster.partition as partition_module
 import repro.lsm.entry as entry_module
 import repro.lsm.iterators as iterators_module
-from repro.api import KIB, BucketingConfig, ClusterConfig, Database, LSMConfig
+import repro.workload.driver as driver_module
+from repro.api import (
+    KIB,
+    BucketingConfig,
+    ClusterConfig,
+    Database,
+    LSMConfig,
+    WorkloadDriver,
+    WorkloadSpec,
+)
+from repro.chaos import PartitionWindow
 from repro.cluster.dataset import DatasetSpec
 from repro.cluster.partition import StoragePartition
 from repro.lsm.bloom import BloomFilter
@@ -26,7 +36,7 @@ from repro.lsm.component import DiskComponent
 from repro.lsm.entry import estimate_value_size
 from repro.rebalance.concurrency import LogReplicator
 
-from .test_dataset_batch_verbs import open_split, storage_stats
+from .test_dataset_batch_verbs import open_split, read_latencies, storage_stats
 
 #: Memory, flushed and reference hits, and misses; distinct on purpose.
 KEYS = [35, 3, 2790, 9999, 1234, 5000, -4, 2799, 70, 1, 2451]
@@ -47,7 +57,7 @@ def hash_calls(monkeypatch):
         for name, module in sys.modules.items()
         if name.startswith("repro.") and getattr(module, "hash_key", None) is original
     ]
-    assert len(bindings) >= 14
+    assert len(bindings) >= 15 and driver_module in bindings
     for module in bindings:
         monkeypatch.setattr(module, "hash_key", counting)
     return calls
@@ -96,6 +106,23 @@ class TestOneHashPerKey:
         hash_calls.clear()
         dataset.get_many(KEYS)
         assert hash_calls == Counter(KEYS)
+        db.close()
+
+    def test_reads_inside_a_chaos_partition_window(self, hash_calls):
+        db, dataset = open_split()
+        db.enable_chaos(partitions=[PartitionWindow(start=0.0, duration=1e9)])
+        dataset.get(KEYS[0])  # the window's first read freezes the client's view
+        assert db.rebalance(add=1).committed
+        misses = []
+        db.on("retry.routing_miss", misses.append)
+        hash_calls.clear()
+        for key in KEYS:
+            dataset.get(key)
+        dataset.get_many(KEYS)
+        # Both views of the window routed on the read's own hash: three
+        # calls per read before (read path, stale view, live view).
+        assert hash_calls == Counter(KEYS * 2)
+        assert misses  # some keys moved, so the stale view routed them away
         db.close()
 
     def test_delete(self, hash_calls, monkeypatch):
@@ -150,6 +177,74 @@ class TestOneHashPerKey:
         # and the source partition's insert each hashed the key).
         assert during_write == Counter(row["k"] for row in rows)
         assert derived == {"key": len(rows), "size": len(rows)}
+        db.close()
+
+
+#: Reads of ``open_split()``'s dataset: one key, a run short enough to go key
+#: by key (under 16 keys per partition), and a run long enough to go as one.
+RUNS = {
+    "one": [2790],
+    "short": KEYS,
+    "long": [key for key in range(-40, 2840, 7)] + [5000, 5001, 9999],
+}
+
+
+class TestCarriedHashes:
+    """``get_many(keys, hashes)`` is ``get_many(keys)`` with the hashing done:
+    same records, latencies, registry and heat, and no ``hash_key`` call."""
+
+    def read(self, keys, carry):
+        db, dataset = open_split()
+        db.start_trace()
+        heat = db.cluster.heat
+        heated = []
+        record_read = heat.record_read
+
+        def recording(name, hashed):
+            heated.append(hashed)
+            record_read(name, hashed)
+
+        heat.record_read = recording
+        samples = read_latencies(db)
+        before = storage_stats(db)
+        hashes = list(map(hashutil.hash_key, keys)) if carry else None
+        records = dataset.get_many(keys, hashes=hashes)
+        outcome = (records, samples, storage_stats(db).diff(before), db.metrics.snapshot())
+        db.close()
+        return outcome, heated
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_carried_hashes_read_as_the_keys_do(self, run):
+        keys = RUNS[run]
+        hashed, heated = self.read(keys, carry=False)
+        carried, carried_heat = self.read(keys, carry=True)
+        assert carried == hashed
+        assert carried_heat == heated == list(map(hashutil.hash_key, keys))
+        records, samples, delta, _ = carried
+        assert len(samples) == len(keys) and any(records) and delta.components_opened > 0
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_carried_hashes_make_no_hash_call(self, run, hash_calls):
+        keys = RUNS[run]
+        db, dataset = open_split()
+        hashes = list(map(hashutil.hash_key, keys))
+        hash_calls.clear()
+        dataset.get_many(keys, hashes=hashes)
+        assert not hash_calls
+        db.close()
+
+    def test_a_read_only_driver_run_hashes_each_drawn_key_once(self, hash_calls):
+        db = Database(ClusterConfig(num_nodes=2, partitions_per_node=2))
+        spec = WorkloadSpec(dataset="t", initial_records=3000, mix="C", default_ops=6000)
+        driver = WorkloadDriver(db, spec)
+        driver.prepare()
+        hash_calls.clear()
+        report = driver.run()
+        assert report.phases[0].reads == 6000
+        # Zipfian draws repeat their hot keys; each was hashed once (once per
+        # read before the driver kept its keys' hashes).
+        assert set(hash_calls.values()) == {1}
+        assert 100 < len(hash_calls) < 3000
         db.close()
 
 

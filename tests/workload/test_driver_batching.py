@@ -9,17 +9,20 @@ oracle, :class:`PerOpDriver`; these tests pin the equivalence, the chunk-size
 rule, and the event counts of reads issued mid-rebalance.
 """
 
+import dataclasses
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import ClusterConfig, Database, WorkloadDriver, WorkloadSpec
 from repro.sim import EventScheduler
 from repro.workload import OperationMix, Phase, Schedule
 from repro.workload import driver as driver_module
 from repro.workload.driver import PhaseResult
-from repro.workload.keygen import ZipfianKeys
+from repro.workload.keygen import HotspotKeys, LatestKeys, UniformKeys, ZipfianKeys
 from repro.workload.mixes import make_mix
 
 
@@ -195,62 +198,126 @@ class TestChunkedEqualsPerOpOracle:
         assert write_rows and foreground
 
 
+#: Mixes the draw property samples: single-verb (reads, or scans only),
+#: zero-weight verbs between positive ones, deletes, and insert-bearing mixes.
+DRAW_MIXES = (
+    make_mix("C"),
+    OperationMix(name="scans", scan=1.0),
+    OperationMix(name="gaps", read=0.5, scan=0.5),
+    make_mix("A"),
+    OperationMix(name="no-insert", read=0.3, update=0.3, delete=0.2, scan=0.2),
+    make_mix("D"),
+    make_mix("E"),
+    CRUD,
+)
+
+#: Key generators the property samples, built fresh per example: zipfian
+#: over 1, 2 and many keys, plain and scrambled, latest, hotspot, uniform.
+DRAW_GENERATORS = (
+    lambda: ZipfianKeys(num_keys=1),
+    lambda: ZipfianKeys(num_keys=2),
+    lambda: ZipfianKeys(num_keys=5000),
+    lambda: ZipfianKeys(num_keys=1, scrambled=True),
+    lambda: ZipfianKeys(num_keys=2, scrambled=True),
+    lambda: ZipfianKeys(num_keys=5000, scrambled=True),
+    lambda: LatestKeys(),
+    lambda: LatestKeys(window=3),
+    lambda: HotspotKeys(),
+    lambda: UniformKeys(),
+)
+
+#: The live keyspace a draw covers, relative to the generator's own size.
+LIMITS = {
+    "empty": lambda size: 0,
+    "one": lambda size: 1,
+    "below": lambda size: max(1, size // 2),
+    "equal": lambda size: size,
+    "above": lambda size: 3 * size + 1,
+}
+
+#: The PhaseResult counter each keyed verb bumps.
+VERB_COUNTERS = {"read": "reads", "update": "updates", "delete": "deletes", "scan": "scans"}
+
+
+def draw_op_by_op(driver, count, mix, keys, result, flush):
+    """The draw one op at a time, as the driver defines it: op draw, key draw
+    from the keyspace durable at that op, and the jittered batch-target
+    redraw at every insert-buffer flush point."""
+    rng, spec = driver.rng, driver.spec
+    plan = []
+    pending = len(driver._pending_rows)
+    target = driver._batch_target
+    for _ in range(count):
+        op = mix.choose(rng)
+        result.ops += 1
+        if op == "insert":
+            plan.append(("buffer", driver._row(driver.next_key)))
+            driver.next_key += 1
+            pending += 1
+            result.inserts += 1
+            if flush and pending >= target:
+                scale = 1.0 + spec.batch_jitter * (2.0 * rng.random() - 1.0)
+                target = max(1, round(spec.batch_size * scale))
+                plan.append(("flush", target))
+                pending = 0
+            continue
+        key = keys.next_index(rng, max(1, driver.next_key - pending))
+        counter = VERB_COUNTERS[op]
+        setattr(result, counter, getattr(result, counter) + 1)
+        plan.append((op, driver._row(key) if op == "update" else key))
+    return plan
+
+
+def draw_state(driver, plan, result):
+    counts = [getattr(result, name) for name in PHASE_COUNTS]
+    return plan, counts, driver.next_key, driver.rng.getstate()
+
+
 class TestDrawStream:
-    def test_chunked_draws_match_per_op_stream(self):
-        """The chunked draw must consume the RNG exactly as one op at a time
-        does: op draw, key draw, and the jittered batch-target redraw at
-        every insert-buffer flush point."""
-        db = open_db()
-        spec = WorkloadSpec(
-            dataset="t", initial_records=300, mix="D", default_ops=400, batch_size=8
-        )
-        driver = WorkloadDriver(db, spec)
-        driver.prepare()
+    """The chunked draw consumes the RNG exactly as one op at a time does,
+    whichever way it draws: as columns (no inserts, one uniform per key) or
+    op by op (anything else)."""
 
-        # Reference: replay the per-op draw sequence from the same RNG stream
-        # position (prepare() already consumed the preload draws, so the
-        # reference clones the driver's post-prepare state).
-        reference_rng = random.Random(driver.seed)
-        reference_rng.setstate(driver.rng.getstate())
-        mix = make_mix(spec.mix)
-        keys = driver._keys
+    @settings(max_examples=250, deadline=None)
+    @given(
+        mix=st.sampled_from(DRAW_MIXES),
+        make_keys=st.sampled_from(DRAW_GENERATORS),
+        limit=st.sampled_from(sorted(LIMITS)),
+        pending=st.integers(0, 5),
+        count=st.integers(1, 300),
+        flush=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chunked_draw_is_the_op_by_op_draw(
+        self, mix, make_keys, limit, pending, count, flush, seed
+    ):
+        db = Database(ClusterConfig(num_nodes=1))
+        spec = WorkloadSpec(dataset="t", initial_records=0, batch_size=4)
+        drivers = []
+        for _ in range(2):
+            driver = WorkloadDriver(db, spec, seed=seed)
+            keys = make_keys()
+            size = getattr(keys, "num_keys", None) or getattr(keys, "window", 300)
+            durable = LIMITS[limit](size)
+            driver.next_key = durable + pending
+            driver._pending_rows = [driver._row(key) for key in range(durable, durable + pending)]
+            driver._batch_target = pending + 1 + seed % 4
+            drivers.append((driver, keys, PhaseResult(name="probe")))
+        (driver, keys, result), (oracle, oracle_keys, expected) = drivers
+        # A copy of the mix whose column draw (the ops) is watched.
+        watched = dataclasses.replace(mix)
+        column_draws = []
 
-        expected = []
-        next_key = driver.next_key
-        pending = len(driver._pending_rows)
-        target = driver._batch_target
-        for _ in range(200):
-            op = mix.choose(reference_rng)
-            durable = max(1, next_key - pending)
-            if op == "read":
-                expected.append(("read", keys.next_index(reference_rng, durable)))
-            elif op == "insert":
-                expected.append(("insert", next_key))
-                next_key += 1
-                pending += 1
-                if pending >= target:
-                    jitter = spec.batch_jitter
-                    scale = 1.0 + jitter * (2.0 * reference_rng.random() - 1.0)
-                    target = max(1, round(spec.batch_size * scale))
-                    expected.append(("flush", target))
-                    pending = 0
-            elif op in ("update", "delete"):
-                expected.append((op, keys.next_index(reference_rng, durable)))
-            else:
-                expected.append(("scan", keys.next_index(reference_rng, durable)))
+        def spy(uniforms, verbs_of=watched.verbs_of):
+            column_draws.append(len(uniforms))
+            return verbs_of(uniforms)
 
-        plan = driver._draw_chunk(200, mix, keys, PhaseResult(name="probe"))
-        actual = []
-        for verb, arg in plan:
-            if verb == "buffer":
-                actual.append(("insert", arg[spec.primary_key]))
-            elif verb == "flush":
-                actual.append(("flush", arg))
-            elif verb == "update":
-                actual.append(("update", arg[spec.primary_key]))
-            else:
-                actual.append((verb, arg))
-        assert actual == expected
+        object.__setattr__(watched, "verbs_of", spy)
+        plan = driver._draw_chunk(count, watched, keys, result, flush=flush)
+        reference = draw_op_by_op(oracle, count, mix, oracle_keys, expected, flush)
+        assert draw_state(driver, plan, result) == draw_state(oracle, reference, expected)
+        columnar = not mix.insert and isinstance(keys, (ZipfianKeys, LatestKeys))
+        assert column_draws == ([count] if columnar else [])
         db.close()
 
 

@@ -194,6 +194,12 @@ class TestZipfianStream:
                 zipfian_by_formula(generator, oracle, limit) for _ in range(3000)
             ]
             assert rng.random() == oracle.random()  # one draw per key, no more
+            # The column form maps each uniform as the formula does.
+            rng.seed(num_keys)
+            oracle.seed(num_keys)
+            assert generator.indices_of([rng.random() for _ in range(3000)], limit) == [
+                zipfian_by_formula(generator, oracle, limit) for _ in range(3000)
+            ]
 
     @pytest.mark.parametrize("num_keys", [3, 1024])
     @pytest.mark.parametrize("theta", [0.5, 0.99])
