@@ -1,9 +1,9 @@
 """The canonical public surface of the DynaHash reproduction.
 
 This package is the *client API*: a :class:`Database` session façade handing
-out typed :class:`Dataset` handles with fluent verbs, a string-keyed strategy
-registry, lifecycle events, and the configuration/report types client code
-needs — so applications, examples, and benches import only ``repro.api``::
+out typed :class:`Dataset` handles with instrumented verbs, a string-keyed
+strategy registry, lifecycle events, and the configuration/report types client
+code needs — so applications, examples, and benches import only ``repro.api``::
 
     from repro.api import ClusterConfig, Database
 
@@ -13,14 +13,8 @@ needs — so applications, examples, and benches import only ``repro.api``::
         orders.upsert(changed_rows)
         orders.delete([1, 2, 3])
         row = orders.get(1234)
-        top = (
-            orders.query()
-            .filter(lambda r: r["o_totalprice"] > 0)
-            .group_by("o_custkey")
-            .aggregate(total=("sum", "o_totalprice"))
-            .order_by("total", descending=True)
-            .limit(10)
-            .execute()
+        revenue, report = db.execute(
+            "revenue", lambda ctx: sum(r["o_totalprice"] for r in ctx.scan("orders"))
         )
         db.on("rebalance.*", lambda event: print(event.name))
         report = db.rebalance(remove=1)
@@ -62,7 +56,6 @@ from ..control import (
     CostAwarePolicy,
     PlanProjection,
     PolicyDecision,
-    ScheduledPolicy,
     ThresholdPolicy,
     WhatIfPlanner,
     available_policies,
@@ -77,7 +70,6 @@ from ..tpch.queries import q1_plan, q3_plan, q6_plan, query_spec as tpch_query_s
 from .database import Database
 from .dataset import Dataset, DeleteReport
 from .events import EVENT_NAMES, Event, EventBus, Subscription
-from .query import QueryBuilder, QueryResult
 from .registry import (
     available_strategies,
     register_strategy,
@@ -115,9 +107,7 @@ from .workloads import (
     load_tpch,
     make_key_generator,
     make_mix,
-    run_workload,
     steady_schedule,
-    storm_schedule,
 )
 
 __all__ = [
@@ -164,17 +154,14 @@ __all__ = [
     "PhaseResult",
     "PlanProjection",
     "PolicyDecision",
-    "QueryBuilder",
     "QueryError",
     "QueryReport",
-    "QueryResult",
     "QuerySpec",
     "RebalanceError",
     "RebalanceReport",
     "RecoveryOutcome",
     "ReproError",
     "Schedule",
-    "ScheduledPolicy",
     "SecondaryIndexSpec",
     "Subscription",
     "TPCHLoadResult",
@@ -203,9 +190,7 @@ __all__ = [
     "register_strategy",
     "resolve_policy",
     "resolve_strategy",
-    "run_workload",
     "steady_schedule",
-    "storm_schedule",
     "strategy_by_name",
     "tpch_query_spec",
 ]

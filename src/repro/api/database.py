@@ -331,7 +331,7 @@ class Database:
         """Attach an autopilot control loop to this session.
 
         ``policy`` is a registered policy name (``"threshold"``,
-        ``"cost_aware"``, ``"scheduled"``; see
+        ``"cost_aware"``; see
         :func:`repro.control.register_policy`) or a policy instance;
         ``policy_options`` are forwarded to the policy factory when a name is
         given, and ``engine_options`` (``check_every_ops``,

@@ -36,7 +36,6 @@ from ..cluster.dataset import DatasetSpec
 from ..cluster.reports import IngestReport
 from ..common.errors import UnknownDatasetError
 from ..common.hashutil import hash_key
-from .query import QueryBuilder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.controller import DatasetRuntime
@@ -59,12 +58,10 @@ class DeleteReport:
     dataset: str
     keys_requested: int
     records_deleted: int
+    #: Distinct requested keys that had no live record (a repeat counts once).
+    keys_missing: int
     simulated_seconds: float
     per_partition_deletes: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def keys_missing(self) -> int:
-        return self.keys_requested - self.records_deleted
 
     def summary(self) -> str:
         return (
@@ -206,7 +203,8 @@ class Dataset:
         with one ``lookup_many`` and then lands all its keys, in call order,
         with one ``StoragePartition.insert_many``.  Missing keys are counted
         but not an error (a tombstone is written either way), and a key
-        repeated in one call is counted once in ``records_deleted``.
+        repeated in one call is counted once in ``records_deleted`` and in
+        ``keys_missing``.
         """
         runtime = self._runtime()
         if (
@@ -218,6 +216,7 @@ class Dataset:
         else:
             keys = list(keys)
         per_partition: Dict[int, int] = {}
+        distinct_keys = 0
         if keys:
             hashes = list(map(hash_key, keys))
             for partition, positions in self._route_run(runtime, hashes):
@@ -227,6 +226,7 @@ class Dataset:
                     slice_keys = [keys[p] for p in positions]
                     slice_hashes = [hashes[p] for p in positions]
                 distinct = dict(zip(slice_keys, slice_hashes))
+                distinct_keys += len(distinct)
                 found, _ = partition.lookup_many(list(distinct), list(distinct.values()))
                 live = len(found) - found.count(None)
                 if live:
@@ -242,6 +242,7 @@ class Dataset:
             dataset=self.name,
             keys_requested=requested,
             records_deleted=deleted,
+            keys_missing=distinct_keys - deleted,
             simulated_seconds=simulated,
             per_partition_deletes=per_partition,
         )
@@ -485,12 +486,6 @@ class Dataset:
 
     def __contains__(self, key: Any) -> bool:
         return self.get(key) is not None
-
-    # ----------------------------------------------------------------- query
-
-    def query(self, name: Optional[str] = None) -> QueryBuilder:
-        """Start a fluent query over this dataset."""
-        return QueryBuilder(self, name=name)
 
     # ------------------------------------------------------------ inspection
 

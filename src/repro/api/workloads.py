@@ -6,9 +6,8 @@ This module is the one import point for everything workload-shaped:
   paper's figure experiments;
 * the YCSB-style traffic engine re-exported from :mod:`repro.workload` — key
   distributions, operation mixes, phased schedules, and the
-  :class:`~repro.workload.driver.WorkloadDriver` / :func:`run_workload` pair
-  that drives sustained mixed traffic through :class:`~repro.api.dataset.Dataset`
-  handles while ``db.metrics`` records phase-tagged latency histograms.
+  :class:`~repro.workload.driver.WorkloadDriver` that drives sustained mixed
+  traffic through :class:`~repro.api.dataset.Dataset` handles while ``db.metrics`` records phase-tagged latency histograms.
 
 Client code should not import :mod:`repro.workload` or :mod:`repro.tpch`
 directly; everything here is also re-exported from :mod:`repro.api`.
@@ -37,9 +36,7 @@ from ..workload import (
     ZipfianKeys,
     make_key_generator,
     make_mix,
-    run_workload,
     steady_schedule,
-    storm_schedule,
 )
 from .database import Database
 
@@ -65,9 +62,7 @@ __all__ = [
     "load_tpch",
     "make_key_generator",
     "make_mix",
-    "run_workload",
     "steady_schedule",
-    "storm_schedule",
 ]
 
 

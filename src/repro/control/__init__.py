@@ -31,7 +31,6 @@ from .policy import (
     AutopilotPolicy,
     CostAwarePolicy,
     PolicyDecision,
-    ScheduledPolicy,
     ThresholdPolicy,
     available_policies,
     policy_by_name,
@@ -51,7 +50,6 @@ __all__ = [
     "CostAwarePolicy",
     "PlanProjection",
     "PolicyDecision",
-    "ScheduledPolicy",
     "ThresholdPolicy",
     "WhatIfPlanner",
     "available_policies",

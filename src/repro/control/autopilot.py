@@ -71,8 +71,8 @@ class Autopilot:
     db:
         The open session to control.
     policy:
-        Policy instance or registered name (``"threshold"``, ``"cost_aware"``,
-        ``"scheduled"``); ``policy_options`` are forwarded to the factory when
+        Policy instance or registered name (``"threshold"`` or
+        ``"cost_aware"``); ``policy_options`` are forwarded to the factory when
         a name is given.
     check_every_ops:
         Evaluate the policy once per this many ``op.*`` events.

@@ -1,7 +1,7 @@
 """Autopilot policies: turning observations into rebalance decisions.
 
 A policy is anything with ``decide(observation, planner) -> PolicyDecision``
-and a ``name``.  Three built-ins cover the production archetypes:
+and a ``name``.  Two built-ins cover the production archetypes:
 
 * :class:`ThresholdPolicy` — classic trigger rules: per-node byte skew,
   hotspot partitions, capacity pressure against a per-node budget, and p99
@@ -10,15 +10,13 @@ and a ``name``.  Three built-ins cover the production archetypes:
   remove node) through the :class:`~repro.control.planner.WhatIfPlanner` /
   cluster cost model and picks the cheapest plan whose projected post-move
   balance clears a bar.
-* :class:`ScheduledPolicy` — cron-like maintenance driven by the *simulated*
-  clock: fire a fixed action every N simulated seconds.
 
 Policies are registered in a string-keyed registry mirroring the PR 1
 strategy registry, so client code writes ``db.autopilot(policy="cost_aware")``
 and plugs in custom policies with :func:`register_policy`.
 
-Policies may be stateful (the threshold policy remembers its p99 baseline,
-the scheduled policy its next fire time); a fresh instance is built per
+Policies may be stateful (the threshold policy remembers its p99
+baseline); a fresh instance is built per
 autopilot engine, so state never leaks between sessions and two same-seed
 runs traverse identical state sequences.
 """
@@ -416,75 +414,6 @@ class CostAwarePolicy(AutopilotPolicy):
         return better_peak or better_balance
 
 
-class ScheduledPolicy(AutopilotPolicy):
-    """Cron-like maintenance on the simulated clock.
-
-    Fires every ``interval_seconds`` of *simulated* time (the metrics clock,
-    so schedules are deterministic and independent of wall-clock speed).  The
-    fixed ``action`` is ``"retarget"`` (re-run Algorithm 2 at the current
-    size — periodic bucket grooming), ``"add"``, or ``"remove"``; an explicit
-    ``target_nodes`` overrides the action arithmetic.
-    """
-
-    name = "Scheduled"
-
-    def __init__(
-        self,
-        interval_seconds: float,
-        action: str = ACTION_RETARGET,
-        amount: int = 1,
-        target_nodes: Optional[int] = None,
-        min_nodes: int = 1,
-        max_nodes: Optional[int] = None,
-    ) -> None:
-        if interval_seconds <= 0:
-            raise ConfigError("interval_seconds must be positive")
-        if action not in (ACTION_ADD, ACTION_REMOVE, ACTION_RETARGET):
-            raise ConfigError(
-                f"scheduled action must be add/remove/retarget, got {action!r}"
-            )
-        if amount < 1:
-            raise ConfigError("amount must be at least 1")
-        self.interval_seconds = interval_seconds
-        self.action = action
-        self.amount = amount
-        self.target_nodes = target_nodes
-        self.min_nodes = min_nodes
-        self.max_nodes = max_nodes
-        self._next_fire: Optional[float] = None
-
-    def decide(
-        self, observation: ClusterObservation, planner: WhatIfPlanner
-    ) -> PolicyDecision:
-        now = observation.simulated_seconds
-        if self._next_fire is None:
-            self._next_fire = now + self.interval_seconds
-            return no_action("schedule armed")
-        if now < self._next_fire:
-            return no_action("not due yet")
-        while self._next_fire <= now:
-            self._next_fire += self.interval_seconds
-        target = self._target_for(observation.num_nodes)
-        if target is None:
-            return no_action("scheduled action hit the node-count bounds")
-        return PolicyDecision(
-            _action_for(target, observation.num_nodes),
-            target_nodes=target,
-            reason=f"scheduled {self.action} every {self.interval_seconds:g}s",
-        )
-
-    def _target_for(self, nodes: int) -> Optional[int]:
-        if self.target_nodes is not None:
-            return self.target_nodes if self.target_nodes >= 1 else None
-        if self.action == ACTION_ADD:
-            target = nodes + self.amount
-            return target if self.max_nodes is None or target <= self.max_nodes else None
-        if self.action == ACTION_REMOVE:
-            target = nodes - self.amount
-            return target if target >= self.min_nodes else None
-        return nodes
-
-
 # ---------------------------------------------------------------------------
 # The policy registry (mirrors the rebalancing-strategy registry)
 # ---------------------------------------------------------------------------
@@ -547,4 +476,3 @@ def resolve_policy(policy: "str | AutopilotPolicy", **kwargs: Any) -> AutopilotP
 
 register_policy("threshold", ThresholdPolicy, aliases=("skew", "thresholds"))
 register_policy("cost_aware", CostAwarePolicy, aliases=("costaware", "cost-aware", "cost"))
-register_policy("scheduled", ScheduledPolicy, aliases=("cron", "schedule"))

@@ -2,8 +2,8 @@
 
 The paper classifies consistent hashing as the third local rebalancing scheme
 (Section II-A): the hashed key space is a ring, each (virtual) node serves the
-arc between its predecessor and itself, and adding/removing a node only moves
-the keys of the affected arcs.  DynaHash prefers dynamic bucketing because
+arc between its predecessor and itself, and adding a node only moves the keys
+of the arcs it takes over.  DynaHash prefers dynamic bucketing because
 AsterixDB has a primary-secondary architecture, but the ring is implemented
 here as a comparison baseline for the rebalance-cost ablations and to make the
 Section II-A taxonomy executable.
@@ -48,20 +48,6 @@ class ConsistentHashRing:
             tokens.append(token)
         self._nodes[node_id] = tokens
 
-    def remove_node(self, node_id: Any) -> None:
-        """Remove a node and all its virtual nodes."""
-        if node_id not in self._nodes:
-            raise ClusterError(f"node {node_id!r} is not on the ring")
-        del self._nodes[node_id]
-        keep_positions: List[int] = []
-        keep_owners: List[Any] = []
-        for position, owner in zip(self._positions, self._owners, strict=True):
-            if owner != node_id:
-                keep_positions.append(position)
-                keep_owners.append(owner)
-        self._positions = keep_positions
-        self._owners = keep_owners
-
     @property
     def nodes(self) -> List[Any]:
         return sorted(self._nodes.keys(), key=str)
@@ -71,63 +57,14 @@ class ConsistentHashRing:
 
     # -------------------------------------------------------------- routing
 
-    def node_for_key(self, key: Any) -> Any:
-        """Return the node owning ``key`` (the first token clockwise)."""
-        if not self._positions:
-            raise ClusterError("the ring has no nodes")
-        token = hash_key(key)
-        index = bisect.bisect_right(self._positions, token)
-        if index == len(self._positions):
-            index = 0
-        return self._owners[index]
-
     def node_for_hash(self, hash_value: int) -> Any:
+        """Return the node owning ``hash_value`` (the first token clockwise)."""
         if not self._positions:
             raise ClusterError("the ring has no nodes")
         index = bisect.bisect_right(self._positions, hash_value)
         if index == len(self._positions):
             index = 0
         return self._owners[index]
-
-    # ------------------------------------------------------------- analysis
-
-    def ownership_fractions(self, samples: int = 4096) -> Dict[Any, float]:
-        """Approximate fraction of the hash space owned by each node.
-
-        Computed exactly from arc lengths rather than by sampling; ``samples``
-        is kept for API compatibility with earlier prototypes and ignored.
-        """
-        if not self._positions:
-            return {}
-        total = float(1 << 64)
-        fractions: Dict[Any, float] = {node: 0.0 for node in self._nodes}
-        previous = self._positions[-1]
-        for position, owner in zip(self._positions, self._owners, strict=True):
-            arc = (position - previous) % (1 << 64)
-            fractions[owner] += arc / total
-            previous = position
-        return fractions
-
-    def moved_fraction(self, other: "ConsistentHashRing", probes: int = 2000) -> float:
-        """Fraction of probe keys whose owner differs between two rings.
-
-        Measures the rebalance data-movement cost of a topology change: for a
-        ring of N nodes losing one node, roughly 1/N of the keys move.
-        """
-        if probes < 1:
-            raise ValueError("probes must be positive")
-        moved = 0
-        for probe in range(probes):
-            key = ("__probe__", probe)
-            if self.node_for_key(key) != other.node_for_key(key):
-                moved += 1
-        return moved / probes
-
-    def copy(self) -> "ConsistentHashRing":
-        clone = ConsistentHashRing(self.virtual_nodes)
-        for node in self._nodes:
-            clone.add_node(node)
-        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ConsistentHashRing(nodes={len(self._nodes)}, vnodes={self.virtual_nodes})"

@@ -25,12 +25,10 @@ from .entry import Entry, estimate_key_size, estimate_value_size
 from .iterators import merge_scan
 from .manifest import BucketManifestEntry, Manifest, ManifestState
 from .merge_policy import (
-    FullMergePolicy,
     MergeCandidate,
     MergePolicy,
     NoMergePolicy,
     SizeTieredMergePolicy,
-    make_merge_policy,
 )
 from .stats import StorageStats
 from .tree import LSMTree
@@ -41,7 +39,6 @@ __all__ = [
     "BucketManifestEntry",
     "DiskComponent",
     "Entry",
-    "FullMergePolicy",
     "LSMTree",
     "LogRecord",
     "LogRecordType",
@@ -57,7 +54,6 @@ __all__ = [
     "WriteAheadLog",
     "estimate_key_size",
     "estimate_value_size",
-    "make_merge_policy",
     "merge_scan",
     "next_component_id",
 ]

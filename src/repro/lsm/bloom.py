@@ -34,8 +34,8 @@ class BloomFilter:
 
     Bit positions come from Kirsch-Mitzenmacher double hashing:
     ``position_i = (h1 + i * h2) mod bits`` with ``h1 = hash_key(key)`` and
-    ``h2 = hash64(h1 ^ 0xA5A5A5A5A5A5A5A5) | 1``.  :meth:`build`, :meth:`add`
-    and :meth:`may_contain` inline that splitmix64 finalizer, as
+    ``h2 = hash64(h1 ^ 0xA5A5A5A5A5A5A5A5) | 1``.  :meth:`build` and
+    :meth:`may_contain` inline that splitmix64 finalizer, as
     :func:`~repro.common.hashutil.hash_key` does, so no key pays a call for
     its step (the first addition's mask reduces ``h1 ^ salt`` mod 2**64, as
     ``hash64`` reduces its input).  Since ``(h1 + i * h2) mod bits ==
@@ -65,7 +65,7 @@ class BloomFilter:
     ) -> "BloomFilter":
         """Build a filter sized for ``keys`` and populate it.
 
-        Same bits as :meth:`add` per key, set in one loop.  ``hashed`` is
+        ``hashed`` is
         ``hash_key`` of each key, in the same order, when the caller already
         has them (a disk component keeps that column); without it the filter
         hashes the keys itself.  A column of another length than ``keys``
@@ -110,32 +110,13 @@ class BloomFilter:
 
     @property
     def num_keys(self) -> int:
-        """Number of keys added so far."""
+        """Number of keys the filter was built over."""
         return self._num_keys
 
     @property
     def size_bytes(self) -> int:
         """Size of the underlying bit array (0 when disabled)."""
         return len(self._bits)
-
-    def add(self, key: Any) -> None:
-        """Insert ``key`` into the filter."""
-        self._num_keys += 1
-        num_bits = self._num_bits
-        if not num_bits:
-            return
-        position = hash_key(key)
-        x = ((position ^ 0xA5A5A5A5A5A5A5A5) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        step = ((x ^ (x >> 31)) | 1) % num_bits
-        bit = position % num_bits
-        bits = self._bits
-        for _ in range(self._num_hashes):
-            bits[bit >> 3] |= 1 << (bit & 7)
-            bit += step
-            if bit >= num_bits:
-                bit -= num_bits
 
     def may_contain(self, key: Any, hashed: Optional[int] = None) -> bool:
         """Return False only if ``key`` was definitely never added.

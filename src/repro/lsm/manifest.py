@@ -90,13 +90,6 @@ class Manifest:
     def remove_bucket(self, hash_prefix: int, depth: int) -> None:
         self._volatile.buckets.pop((hash_prefix, depth), None)
 
-    def set_bucket_components(self, hash_prefix: int, depth: int, component_ids: List[int]) -> None:
-        key = (hash_prefix, depth)
-        if key not in self._volatile.buckets:
-            self.add_bucket(hash_prefix, depth, component_ids)
-        else:
-            self._volatile.buckets[key].component_ids = list(component_ids)
-
     def set_components(self, component_ids: List[int]) -> None:
         """Record the flat component list of an unbucketed (secondary) index."""
         self._volatile.component_ids = list(component_ids)

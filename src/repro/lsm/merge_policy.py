@@ -4,8 +4,7 @@ AsterixDB's experiments use a size-tiered ("concurrent"/tiering-like) policy
 with a size ratio of 1.2 (Section VI-A): *"This policy merges a sequence of
 components when the total size of the younger components is 1.2 times larger
 than that of the oldest component in the sequence."*  That policy is the
-default here; a no-merge policy and a full-merge (leveling-like) policy are
-provided for tests and ablations.
+default here; a no-merge policy isolates flush behaviour in tests.
 """
 
 from __future__ import annotations
@@ -96,45 +95,6 @@ class NoMergePolicy:
 
     def select(self, component_sizes: Sequence[int]) -> Optional[MergeCandidate]:
         return None
-
-
-class FullMergePolicy:
-    """Always merges everything into one component once ``threshold`` is hit.
-
-    A simple leveling-like baseline used by ablation benchmarks to show that
-    the rebalance design is merge-policy agnostic.
-    """
-
-    def __init__(self, threshold: int = 2) -> None:
-        if threshold < 2:
-            raise ValueError("threshold must be at least 2")
-        self.threshold = threshold
-
-    def select(self, component_sizes: Sequence[int]) -> Optional[MergeCandidate]:
-        if len(component_sizes) >= self.threshold:
-            return MergeCandidate(0, len(component_sizes))
-        return None
-
-
-def make_merge_policy(
-    name: str = "size-tiered",
-    size_ratio: float = 1.2,
-    min_components: int = 2,
-    max_components: int = 0,
-) -> MergePolicy:
-    """Factory used by configuration code and benchmarks."""
-    normalized = name.lower().replace("_", "-")
-    if normalized in ("size-tiered", "tiered", "tiering"):
-        return SizeTieredMergePolicy(
-            size_ratio=size_ratio,
-            min_components=min_components,
-            max_components=max_components,
-        )
-    if normalized in ("none", "no-merge"):
-        return NoMergePolicy()
-    if normalized in ("full", "leveling", "full-merge"):
-        return FullMergePolicy(threshold=max(2, min_components))
-    raise ValueError(f"unknown merge policy {name!r}")
 
 
 def select_components(policy: MergePolicy, sizes: List[int]) -> Optional[MergeCandidate]:

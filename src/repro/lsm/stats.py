@@ -96,18 +96,3 @@ class StorageStats:
     def total_disk_read_bytes(self) -> int:
         """All bytes read from (simulated) disk: queries plus merge input."""
         return self.bytes_read + self.bytes_merged_read
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.records_written = 0
-        self.bytes_written_memory = 0
-        self.bytes_flushed = 0
-        self.bytes_merged_read = 0
-        self.bytes_merged_written = 0
-        self.records_merged = 0
-        self.bytes_read = 0
-        self.records_read = 0
-        self.components_opened = 0
-        self.flush_count = 0
-        self.merge_count = 0
-        self.bloom_negative_skips = 0

@@ -16,7 +16,6 @@ from .driver import (
     WorkloadDriver,
     WorkloadReport,
     WorkloadSpec,
-    run_workload,
 )
 from .keygen import (
     DISTRIBUTIONS,
@@ -28,7 +27,7 @@ from .keygen import (
     make_key_generator,
 )
 from .mixes import OPERATIONS, OperationMix, YCSB_MIXES, make_mix
-from .schedule import Phase, Schedule, steady_schedule, storm_schedule
+from .schedule import Phase, Schedule, steady_schedule
 
 __all__ = [
     "DISTRIBUTIONS",
@@ -48,7 +47,5 @@ __all__ = [
     "ZipfianKeys",
     "make_key_generator",
     "make_mix",
-    "run_workload",
     "steady_schedule",
-    "storm_schedule",
 ]

@@ -655,12 +655,3 @@ class WorkloadDriver:
         # tagged with the phase the registry is in by then.
         run_foreground(len(foreground) - cursor)
 
-
-def run_workload(
-    db: "Database",
-    spec: Optional[WorkloadSpec] = None,
-    seed: Optional[int] = None,
-    **spec_overrides: Any,
-) -> WorkloadReport:
-    """One-call convenience: build a driver, run it, return the report."""
-    return WorkloadDriver(db, spec, seed=seed, **spec_overrides).run()

@@ -96,36 +96,3 @@ def steady_schedule(ops: int, **phase_options: Any) -> Schedule:
     """A single steady phase of ``ops`` operations."""
     return Schedule((Phase(name="steady", ops=ops, **phase_options),))
 
-
-def storm_schedule(
-    warmup: int = 100,
-    steady: int = 400,
-    spike: int = 300,
-    ramp: int = 100,
-    rebalance: Optional[Mapping[str, int]] = None,
-    spike_keys: Union[str, KeyGenerator, None] = "hotspot",
-    spike_mix: Union[str, OperationMix, None] = None,
-) -> Schedule:
-    """The canonical four-phase traffic storm.
-
-    ``warmup`` runs uniform traffic to touch the keyspace, ``steady``
-    establishes the baseline under the workload's own mix/distribution,
-    ``spike`` concentrates traffic (hotspot keys by default) while the given
-    ``rebalance`` (default: add one node) is in flight, and ``ramp`` cools
-    back down — so the metrics registry ends up with both steady-phase and
-    rebalance-phase latency populations to compare (the Figure 7c story).
-    """
-    return Schedule(
-        (
-            Phase(name="warmup", ops=warmup, keys="uniform"),
-            Phase(name="steady", ops=steady),
-            Phase(
-                name="spike",
-                ops=spike,
-                keys=spike_keys,
-                mix=spike_mix,
-                rebalance=dict(rebalance) if rebalance is not None else {"add": 1},
-            ),
-            Phase(name="ramp", ops=ramp),
-        )
-    )

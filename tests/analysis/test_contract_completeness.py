@@ -11,6 +11,7 @@ close — and hold each *observed* event to the contract.
 from repro.api import Database, QuerySpec, TableAccess
 from repro.common.config import BucketingConfig, ClusterConfig, LSMConfig
 from repro.common.event_contract import EVENT_CONTRACT, allowed_keys, required_keys
+from repro.query.operators import filter_rows
 
 
 def small_config() -> ClusterConfig:
@@ -37,7 +38,12 @@ def drive_full_session(events):
     traffic.upsert_each([{"id": 7, "value": 1}, {"id": 8, "value": 2}])
     traffic.delete(6)
     list(traffic.scan())
-    traffic.query("probe").filter(lambda row: row["value"] > 3).count()
+    db.execute(
+        "probe",
+        lambda context: filter_rows(
+            context.scan("traffic"), lambda row: row["value"] > 3, context.operator_stats
+        ),
+    )
     db.execute_spec(QuerySpec(name="spec_probe", accesses=[TableAccess(dataset="traffic")]))
 
     db.remove_nodes(1)

@@ -16,7 +16,8 @@ class TestKnownNames:
 
     def test_policy_names_come_from_live_registry(self):
         names = known_policy_names()
-        assert {"threshold", "cost_aware", "scheduled"} <= names
+        assert {"threshold", "cost_aware", "skew", "cost-aware"} <= names
+        assert "scheduled" not in names
 
 
 class TestResolverCalls:

@@ -10,7 +10,9 @@ from repro.api import (
     Database,
     KIB,
     LSMConfig,
+    QuerySpec,
     SecondaryIndexSpec,
+    TableAccess,
     UnknownDatasetError,
 )
 
@@ -75,9 +77,9 @@ class TestSessionLifecycle:
         with pytest.raises(ClusterError):
             orders.count()
         with pytest.raises(ClusterError):
-            orders.query().execute()
+            database.execute("q", lambda context: list(context.scan("orders")))
         with pytest.raises(ClusterError):
-            orders.query().estimate()
+            database.execute_spec(QuerySpec("q", (TableAccess("orders"),)))
         # `exists` is a non-throwing probe: it answers even on a closed session.
         assert orders.exists
 
@@ -140,6 +142,17 @@ class TestDatasetHandle:
         assert report.simulated_seconds > 0
         assert orders.get(0) is None
         assert orders.count() == 97
+
+    @pytest.mark.parametrize(
+        "keys, deleted, missing",
+        [([1, 1], 1, 0), ([2_000, 2_000, 2_000], 0, 1), ([3, 3_000, 3, 3_000, 4], 2, 1)],
+    )
+    def test_delete_counts_a_repeated_key_once(self, db, keys, deleted, missing):
+        orders = db.create_dataset("orders", primary_key="o_orderkey")
+        orders.insert(order_rows(10))
+        report = orders.delete(keys)
+        assert report.keys_requested == len(keys)
+        assert (report.records_deleted, report.keys_missing) == (deleted, missing)
 
     def test_delete_single_key(self, db):
         orders = db.create_dataset("orders", primary_key="o_orderkey")

@@ -11,6 +11,8 @@ from repro.api import (
     MetricsRegistry,
     PHASE_REBALANCE,
     PHASE_STEADY,
+    QuerySpec,
+    TableAccess,
 )
 
 
@@ -47,7 +49,7 @@ class TestOpEvents:
         orders.get(3)
         list(orders.scan(low=0, high=10))
         orders.delete([3, 4])
-        orders.query().aggregate(n=("count", None)).execute()
+        db.execute("count", lambda context: len(list(context.scan("orders"))))
         names = [event.name for event in events]
         assert names == [
             "op.insert",
@@ -89,12 +91,12 @@ class TestOpEvents:
         list(orders.scan())
         assert len(events) == 1
 
-    def test_estimate_emits_op_query(self, db):
+    def test_execute_spec_emits_op_query(self, db):
         events = []
         db.on("op.query", events.append)
         orders = db.create_dataset("orders", primary_key="o_orderkey")
         orders.insert(order_rows(20))
-        orders.query("probe").filter(selectivity=0.5).estimate()
+        db.execute_spec(QuerySpec("probe", (TableAccess("orders", selectivity=0.5),)))
         assert len(events) == 1
         assert events[0]["query"] == "probe"
 

@@ -6,8 +6,10 @@ this module pins down their removal — the attributes no longer exist, the
 canonical replacements cover the old behaviour, and none of the supported
 paths raise deprecation warnings anymore.  It also pins the deleted
 traffic/autopilot and figure experiment drivers, the bench artifact writer,
-the EXPERIMENTS.md generator, the never-read NC data log and the per-row
-write chain above the LSM tree.
+the EXPERIMENTS.md generator, the never-read NC data log, the per-row
+write chain above the LSM tree, and the surface no committed run reached
+(the fluent query builder, the scheduled policy, the merge-policy factory and
+the dead ring/storage helpers).
 """
 
 import warnings
@@ -248,6 +250,84 @@ class TestPerRowWriteChainRemoved:
             BucketedLSMTree("p", 0, [ROOT_BUCKET], merge_policy_factory=lambda: None)
 
 
+class TestUnreachedSurfaceRemoved:
+    """What no spec, example, figure, benchmark or CI step called is gone:
+    queries are ``Database.execute(name, plan)`` / ``execute_spec(spec)``,
+    a workload runs as ``WorkloadDriver(db, spec).run()``, and a storm is a
+    committed spec."""
+
+    @pytest.mark.parametrize(
+        "module, names",
+        [
+            ("repro.api", ["QueryBuilder", "QueryResult", "ScheduledPolicy", "run_workload",
+                           "storm_schedule"]),
+            ("repro.control", ["ScheduledPolicy"]),
+            ("repro.control.policy", ["ScheduledPolicy"]),
+            ("repro.workload", ["run_workload", "storm_schedule"]),
+            ("repro.workload.driver", ["run_workload"]),
+            ("repro.workload.schedule", ["storm_schedule"]),
+            ("repro.lsm", ["FullMergePolicy", "make_merge_policy"]),
+            ("repro.lsm.merge_policy", ["FullMergePolicy", "make_merge_policy"]),
+        ],
+    )
+    def test_names_are_gone(self, module, names):
+        import importlib
+
+        imported = importlib.import_module(module)
+        assert [name for name in names if hasattr(imported, name)] == []
+        assert [name for name in names if name in getattr(imported, "__all__", ())] == []
+
+    def test_query_module_does_not_import(self):
+        import importlib
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.api.query")
+
+    @pytest.mark.parametrize(
+        "owner, names",
+        [
+            ("repro.api.dataset:Dataset", ["query"]),
+            (
+                "repro.hashing.consistent:ConsistentHashRing",
+                ["remove_node", "node_for_key", "ownership_fractions", "moved_fraction", "copy"],
+            ),
+            ("repro.lsm.stats:StorageStats", ["reset"]),
+            ("repro.lsm.bloom:BloomFilter", ["add"]),
+            ("repro.lsm.manifest:Manifest", ["set_bucket_components"]),
+        ],
+    )
+    def test_methods_are_gone(self, owner, names):
+        import importlib
+
+        module, cls = owner.split(":")
+        owner_class = getattr(importlib.import_module(module), cls)
+        assert [name for name in names if hasattr(owner_class, name)] == []
+
+    @pytest.mark.parametrize("name", ["scheduled", "cron", "schedule"])
+    def test_scheduled_policy_names_are_unregistered(self, name):
+        from repro.common.errors import ConfigError
+        from repro.control import available_policies, policy_by_name
+
+        assert name not in available_policies()
+        with pytest.raises(ConfigError, match="valid choices: cost_aware, threshold"):
+            policy_by_name(name)
+
+    @pytest.mark.parametrize("name", ["scheduled", "cron", "schedule"])
+    def test_spec_naming_the_scheduled_policy_exits_two(self, tmp_path, capsys, name):
+        from repro.cli import main
+
+        path = tmp_path / "scheduled.toml"
+        path.write_text(
+            '[scenario]\nname = "scheduled"\n[workload]\ninitial_records = 10\n'
+            f'[autopilot]\npolicy = "{name}"\n'
+        )
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: autopilot.policy: unknown policy '{name}'")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err + captured.out
+
+
 class TestNoDeprecationWarnings:
     def test_api_verbs_do_not_warn(self):
         with warnings.catch_warnings():
@@ -269,12 +349,12 @@ class TestNoDeprecationWarnings:
                 assert load.total_rows > 0
 
     def test_traffic_engine_paths_do_not_warn(self):
-        from repro.api import run_workload
+        from repro.api import WorkloadDriver
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             with Database(config(), strategy="dynahash") as db:
-                report = run_workload(db, initial_records=40, default_ops=30)
+                report = WorkloadDriver(db, initial_records=40, default_ops=30).run()
                 assert report.total_ops == 30
 
     def test_figure_load_path_does_not_warn(self):

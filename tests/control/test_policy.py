@@ -13,7 +13,6 @@ from repro.control import (
     ClusterObservation,
     CostAwarePolicy,
     PolicyDecision,
-    ScheduledPolicy,
     ThresholdPolicy,
     WhatIfPlanner,
     available_policies,
@@ -52,12 +51,12 @@ def observe(db):
 class TestRegistry:
     def test_builtins_are_registered(self):
         names = available_policies()
-        assert {"threshold", "cost_aware", "scheduled"} <= set(names)
+        assert {"threshold", "cost_aware"} <= set(names)
+        assert "scheduled" not in names
 
     def test_aliases_resolve(self):
         assert isinstance(policy_by_name("cost"), CostAwarePolicy)
         assert isinstance(policy_by_name("skew"), ThresholdPolicy)
-        assert isinstance(policy_by_name("cron", interval_seconds=1.0), ScheduledPolicy)
 
     def test_factory_kwargs_forwarded(self):
         policy = policy_by_name("threshold", skew_threshold=2.0)
@@ -253,62 +252,3 @@ class TestCostAwarePolicy:
             CostAwarePolicy(balance_bar=0.9)
         with pytest.raises(ConfigError):
             CostAwarePolicy(max_step=0)
-
-
-class TestScheduledPolicy:
-    def test_simulated_clock_schedule(self, loaded_db):
-        import dataclasses
-
-        policy = ScheduledPolicy(interval_seconds=10.0, action=ACTION_RETARGET)
-        planner = WhatIfPlanner(loaded_db)
-        observation = observe(loaded_db)
-        # First observation arms the schedule.
-        assert policy.decide(observation, planner).action == ACTION_NONE
-        early = dataclasses.replace(
-            observation, simulated_seconds=observation.simulated_seconds + 5.0
-        )
-        assert policy.decide(early, planner).action == ACTION_NONE
-        due = dataclasses.replace(
-            observation, simulated_seconds=observation.simulated_seconds + 10.0
-        )
-        decision = policy.decide(due, planner)
-        assert decision.action == ACTION_RETARGET
-        assert decision.target_nodes == observation.num_nodes
-
-    def test_missed_intervals_fire_once(self, loaded_db):
-        import dataclasses
-
-        policy = ScheduledPolicy(interval_seconds=1.0, action=ACTION_ADD)
-        planner = WhatIfPlanner(loaded_db)
-        observation = observe(loaded_db)
-        policy.decide(observation, planner)  # arm
-        far_future = dataclasses.replace(
-            observation, simulated_seconds=observation.simulated_seconds + 57.0
-        )
-        decision = policy.decide(far_future, planner)
-        assert decision.action == ACTION_ADD
-        # The catch-up collapsed every missed tick into one firing.
-        just_after = dataclasses.replace(
-            observation, simulated_seconds=observation.simulated_seconds + 57.1
-        )
-        assert policy.decide(just_after, planner).action == ACTION_NONE
-
-    def test_remove_respects_min_nodes(self, loaded_db):
-        import dataclasses
-
-        observation = observe(loaded_db)
-        policy = ScheduledPolicy(
-            interval_seconds=1.0, action=ACTION_REMOVE, min_nodes=observation.num_nodes
-        )
-        planner = WhatIfPlanner(loaded_db)
-        policy.decide(observation, planner)  # arm
-        due = dataclasses.replace(
-            observation, simulated_seconds=observation.simulated_seconds + 2.0
-        )
-        assert policy.decide(due, planner).action == ACTION_NONE
-
-    def test_parameter_validation(self):
-        with pytest.raises(ConfigError):
-            ScheduledPolicy(interval_seconds=0)
-        with pytest.raises(ConfigError):
-            ScheduledPolicy(interval_seconds=1.0, action="explode")

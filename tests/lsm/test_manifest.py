@@ -17,17 +17,6 @@ class TestVolatileMutations:
         manifest.remove_bucket(0b1, 1)
         assert manifest.valid_bucket_ids() == {(0, 1)}
 
-    def test_set_bucket_components_creates_if_missing(self):
-        manifest = Manifest("primary")
-        manifest.set_bucket_components(0b10, 2, [5])
-        assert manifest.volatile.buckets[(2, 2)].component_ids == [5]
-
-    def test_set_bucket_components_overwrites(self):
-        manifest = Manifest("primary")
-        manifest.add_bucket(0, 1, [1, 2])
-        manifest.set_bucket_components(0, 1, [3])
-        assert manifest.volatile.buckets[(0, 1)].component_ids == [3]
-
     def test_flat_component_list(self):
         manifest = Manifest("secondary")
         manifest.set_components([1, 2, 3])
@@ -102,7 +91,6 @@ _IDS = st.lists(st.integers(0, 50), max_size=4)
 _MUTATION = st.one_of(
     st.tuples(st.just("add_bucket"), _BUCKET, _IDS),
     st.tuples(st.just("remove_bucket"), _BUCKET),
-    st.tuples(st.just("set_bucket_components"), _BUCKET, _IDS),
     st.tuples(st.just("append_component_id"), _BUCKET, st.integers(0, 50)),
     st.tuples(st.just("set_components"), _IDS),
     st.tuples(st.just("append_flat_component_id"), st.integers(0, 50)),

@@ -1,15 +1,13 @@
-"""Tests for merge policies (size-tiered ratio 1.2, no-merge, full-merge)."""
+"""Tests for merge policies (size-tiered ratio 1.2, no-merge)."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.lsm.merge_policy import (
-    FullMergePolicy,
     MergeCandidate,
     NoMergePolicy,
     SizeTieredMergePolicy,
-    make_merge_policy,
     select_components,
 )
 
@@ -81,33 +79,8 @@ class TestOtherPolicies:
     def test_no_merge_policy_never_merges(self):
         assert NoMergePolicy().select([1, 1, 1, 1, 1]) is None
 
-    def test_full_merge_policy_merges_everything(self):
-        candidate = FullMergePolicy(threshold=3).select([10, 20, 30])
-        assert candidate.start == 0 and candidate.end == 3
 
-    def test_full_merge_policy_below_threshold(self):
-        assert FullMergePolicy(threshold=3).select([10, 20]) is None
-
-    def test_full_merge_rejects_bad_threshold(self):
-        with pytest.raises(ValueError):
-            FullMergePolicy(threshold=1)
-
-
-class TestFactory:
-    def test_factory_names(self):
-        assert isinstance(make_merge_policy("size-tiered"), SizeTieredMergePolicy)
-        assert isinstance(make_merge_policy("tiering"), SizeTieredMergePolicy)
-        assert isinstance(make_merge_policy("none"), NoMergePolicy)
-        assert isinstance(make_merge_policy("full"), FullMergePolicy)
-
-    def test_factory_passes_ratio(self):
-        policy = make_merge_policy("size-tiered", size_ratio=2.0)
-        assert policy.size_ratio == 2.0
-
-    def test_factory_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            make_merge_policy("mystery")
-
+class TestSelectComponents:
     def test_select_components_validates_range(self):
         class BadPolicy:
             def select(self, sizes):

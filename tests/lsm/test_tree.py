@@ -17,7 +17,7 @@ from repro.lsm.bloom import BloomFilter
 from repro.lsm.component import DiskComponent, ReferenceDiskComponent
 from repro.lsm.entry import Entry, sort_key
 from repro.lsm.iterators import merge_runs
-from repro.lsm.merge_policy import FullMergePolicy, NoMergePolicy
+from repro.lsm.merge_policy import MergeCandidate, NoMergePolicy
 from repro.lsm.stats import StorageStats
 from repro.lsm.tree import LSMTree
 
@@ -32,6 +32,13 @@ def small_config(**overrides):
 
 def make_tree(**config_overrides):
     return LSMTree("test", config=small_config(**config_overrides))
+
+
+class MergeEverything:
+    """A merge policy that merges every component once there are two."""
+
+    def select(self, component_sizes):
+        return MergeCandidate(0, len(component_sizes)) if len(component_sizes) >= 2 else None
 
 
 class TestBasicReadWrite:
@@ -153,7 +160,7 @@ class TestMerge:
         assert len(merged) == 0  # tombstone and value both gone
 
     def test_maybe_merge_uses_policy(self):
-        tree = LSMTree("t", config=small_config(), merge_policy=FullMergePolicy(threshold=2))
+        tree = LSMTree("t", config=small_config(), merge_policy=MergeEverything())
         tree.insert(1, "a")
         tree.flush()
         tree.insert(2, "b")
@@ -170,7 +177,7 @@ class TestMerge:
         assert tree.component_count == 5
 
     def test_paused_merges_are_skipped(self):
-        tree = LSMTree("t", config=small_config(), merge_policy=FullMergePolicy(threshold=2))
+        tree = LSMTree("t", config=small_config(), merge_policy=MergeEverything())
         tree.insert(1, "a")
         tree.flush()
         tree.insert(2, "b")

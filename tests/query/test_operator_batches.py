@@ -33,6 +33,7 @@ from repro.query.operators import (
     filter_rows,
     hash_group_by,
     hash_join,
+    limit,
     project,
     scalar_aggregate,
 )
@@ -376,16 +377,21 @@ class TestLimitIsPriced:
             table = db.create_dataset("t", primary_key="k")
             table.insert([{"k": i, "v": i} for i in range(2000)])
 
-            def query():
-                builder = table.query()
-                return builder.filter(lambda row: row["v"] % 2 == 0) if filtered else builder
+            def plan(count=None):
+                def run(context):
+                    rows = context.scan(table.name)
+                    if filtered:
+                        rows = filter_rows(rows, lambda row: row["v"] % 2 == 0, context.operator_stats)
+                    return rows if count is None else limit(rows, count)
 
-            everything = query().execute()
-            limited = query().limit(5).execute()
-        assert len(limited) == 5
-        assert limited.report.records_scanned == everything.report.records_scanned == 2000
-        assert limited.report.per_node_seconds == everything.report.per_node_seconds
-        assert set(limited.report.per_node_seconds) == {"nc0", "nc1"}
+                return run
+
+            _, everything = db.execute("everything", plan())
+            limited_rows, limited = db.execute("limited", plan(5))
+        assert len(limited_rows) == 5
+        assert limited.records_scanned == everything.records_scanned == 2000
+        assert limited.per_node_seconds == everything.per_node_seconds
+        assert set(limited.per_node_seconds) == {"nc0", "nc1"}
 
 
 class TestLookupAccess:

@@ -14,9 +14,7 @@ from repro.api import (
     Schedule,
     WorkloadDriver,
     WorkloadSpec,
-    run_workload,
     steady_schedule,
-    storm_schedule,
 )
 
 
@@ -27,6 +25,18 @@ def config(num_nodes=2):
         lsm=LSMConfig(memory_component_bytes=32 * KIB),
         bucketing=BucketingConfig(max_bucket_bytes=48 * KIB),
         strategy="dynahash",
+    )
+
+
+def storm_schedule(warmup, steady, spike, ramp):
+    """Uniform warmup, steady traffic, a hotspot spike over a one-node add, a ramp."""
+    return Schedule(
+        (
+            Phase(name="warmup", ops=warmup, keys="uniform"),
+            Phase(name="steady", ops=steady),
+            Phase(name="spike", ops=spike, keys="hotspot", rebalance={"add": 1}),
+            Phase(name="ramp", ops=ramp),
+        )
     )
 
 
@@ -78,7 +88,7 @@ class TestPrepare:
 class TestSteadyTraffic:
     def test_op_counts_match_the_phase(self):
         with Database(config()) as db:
-            report = run_workload(db, small_spec())
+            report = WorkloadDriver(db, small_spec()).run()
             (steady,) = report.phases
             assert steady.ops == 60
             assert steady.reads + steady.inserts + steady.updates == 60
@@ -93,7 +103,7 @@ class TestSteadyTraffic:
             schedule=steady_schedule(120),
         )
         with Database(config()) as db:
-            report = run_workload(db, spec)
+            report = WorkloadDriver(db, spec).run()
             (steady,) = report.phases
             assert steady.reads > 0
             assert steady.inserts > 0
@@ -107,7 +117,7 @@ class TestSteadyTraffic:
         sitting in the driver's client-side insert buffer."""
         spec = small_spec(mix="D", keys="latest", schedule=steady_schedule(300))
         with Database(config()) as db:
-            report = run_workload(db, spec)
+            report = WorkloadDriver(db, spec).run()
             (steady,) = report.phases
             assert steady.inserts > 0
             assert steady.reads > 0
@@ -115,7 +125,7 @@ class TestSteadyTraffic:
 
     def test_reads_mostly_hit_the_preloaded_keyspace(self):
         with Database(config()) as db:
-            report = run_workload(db, small_spec(mix="C"))
+            report = WorkloadDriver(db, small_spec(mix="C")).run()
             (steady,) = report.phases
             assert steady.reads == 60
             # Zipfian draws stay within the preloaded keyspace, so every read
@@ -128,13 +138,13 @@ class TestSteadyTraffic:
             schedule=Schedule((Phase(name="capped", ops=10_000, max_seconds=0.05),))
         )
         with Database(config()) as db:
-            report = run_workload(db, spec)
+            report = WorkloadDriver(db, spec).run()
             assert report.phases[0].ops < 10_000
             assert report.phases[0].simulated_seconds >= 0.05
 
     def test_metrics_land_in_the_registry(self):
         with Database(config()) as db:
-            run_workload(db, small_spec())
+            WorkloadDriver(db, small_spec()).run()
             assert db.metrics.counter("ops.total").value > 0
             assert db.metrics.histogram("read", PHASE_STEADY).count > 0
             assert db.metrics.clock.now > 0
@@ -146,21 +156,21 @@ class TestDeterminism:
 
         def run_once():
             with Database(config()) as db:
-                return run_workload(
+                return WorkloadDriver(
                     db,
                     small_spec(
                         schedule=storm_schedule(
                             warmup=20, steady=60, spike=60, ramp=20
                         )
                     ),
-                ).snapshot
+                ).run().snapshot
 
         assert run_once() == run_once()
 
     def test_different_seeds_diverge(self):
         def run_once(seed):
             with Database(config()) as db:
-                return run_workload(db, small_spec(), seed=seed).snapshot
+                return WorkloadDriver(db, small_spec(), seed=seed).run().snapshot
 
         assert run_once(1) != run_once(2)
 
@@ -171,13 +181,13 @@ class TestDeterminism:
 
     def test_explicit_seed_and_report_seed(self):
         with Database(config()) as db:
-            report = run_workload(db, small_spec(), seed=99)
+            report = WorkloadDriver(db, small_spec(), seed=99).run()
             assert report.seed == 99
 
     def test_back_to_back_runs_report_their_own_duration(self):
         with Database(config()) as db:
-            first = run_workload(db, small_spec())
-            second = run_workload(db, small_spec(create_dataset=False))
+            first = WorkloadDriver(db, small_spec()).run()
+            second = WorkloadDriver(db, small_spec(create_dataset=False)).run()
             # The second report covers only its own run, not the session total.
             assert second.simulated_seconds < db.metrics.clock.now
             assert first.simulated_seconds + second.simulated_seconds == (
@@ -186,11 +196,11 @@ class TestDeterminism:
 
     def test_back_to_back_runs_scope_their_percentiles(self):
         with Database(config()) as db:
-            first = run_workload(db, small_spec(mix="A"))
+            first = WorkloadDriver(db, small_spec(mix="A")).run()
             assert first.write_p99_seconds  # the write-heavy run saw writes
             # A read-only second run on the same session must not inherit the
             # first run's write samples into its own percentile fields...
-            second = run_workload(db, small_spec(mix="C", create_dataset=False))
+            second = WorkloadDriver(db, small_spec(mix="C", create_dataset=False)).run()
             assert second.write_p99_seconds == {}
             # ...even though the session registry keeps accumulating.
             assert db.metrics.write_latency(PHASE_STEADY).count > 0
@@ -204,7 +214,7 @@ class TestRebalancePhase:
 
     def test_spike_overlaps_the_resize(self):
         with Database(config()) as db:
-            report = run_workload(db, self.storm())
+            report = WorkloadDriver(db, self.storm()).run()
             spike = report.phase("spike")
             assert spike.rebalance_report is not None
             assert spike.rebalance_report.new_nodes == 3
@@ -212,7 +222,7 @@ class TestRebalancePhase:
 
     def test_writes_are_tagged_rebalance_and_survive(self):
         with Database(config()) as db:
-            report = run_workload(db, self.storm())
+            report = WorkloadDriver(db, self.storm()).run()
             snapshot = report.snapshot
             assert snapshot.histogram_count("update", PHASE_REBALANCE) > 0
             # Concurrent writes were applied, not lost: every preloaded key
@@ -224,7 +234,7 @@ class TestRebalancePhase:
 
     def test_reads_interleave_with_protocol_phases(self):
         with Database(config()) as db:
-            report = run_workload(db, self.storm())
+            report = WorkloadDriver(db, self.storm()).run()
             assert report.snapshot.histogram_count("read", PHASE_REBALANCE) > 0
             spike = report.phase("spike")
             assert spike.reads > 0
@@ -232,7 +242,7 @@ class TestRebalancePhase:
 
     def test_write_p99_reported_per_phase(self):
         with Database(config()) as db:
-            report = run_workload(db, self.storm())
+            report = WorkloadDriver(db, self.storm()).run()
             assert PHASE_STEADY in report.write_p99_seconds
             assert PHASE_REBALANCE in report.write_p99_seconds
             # The mid-rehash replication round trip shows up in the tail.
@@ -243,7 +253,7 @@ class TestRebalancePhase:
 
     def test_summary_mentions_phases(self):
         with Database(config()) as db:
-            text = run_workload(db, self.storm()).summary()
+            text = WorkloadDriver(db, self.storm()).run().summary()
             for name in ("warmup", "steady", "spike", "ramp", "write p99"):
                 assert name in text
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workload import Phase, Schedule, steady_schedule, storm_schedule
+from repro.workload import Phase, Schedule, steady_schedule
 
 
 class TestPhase:
@@ -52,18 +52,3 @@ class TestBuilders:
         schedule = steady_schedule(123)
         assert schedule.names() == ["steady"]
         assert schedule.total_ops == 123
-
-    def test_storm_schedule_shape(self):
-        schedule = storm_schedule(warmup=10, steady=40, spike=30, ramp=5)
-        assert schedule.names() == ["warmup", "steady", "spike", "ramp"]
-        spike = schedule.phases[2]
-        assert spike.rebalance == {"add": 1}  # default: add one node
-        assert spike.keys == "hotspot"
-        assert schedule.phases[0].keys == "uniform"
-        assert schedule.total_ops == 85
-
-    def test_storm_schedule_custom_rebalance(self):
-        schedule = storm_schedule(rebalance={"remove": 1}, spike_keys="zipfian")
-        spike = schedule.phases[2]
-        assert spike.rebalance == {"remove": 1}
-        assert spike.keys == "zipfian"
