@@ -47,10 +47,6 @@ class Bucket(ReferenceCounted):
     def depth(self) -> int:
         return self.bucket_id.depth
 
-    @property
-    def hash_prefix(self) -> int:
-        return self.bucket_id.prefix
-
     def owns_key(self, key: Any, hashed: Optional[int] = None) -> bool:
         """Whether ``key`` hashes into this bucket (``hashed`` is
         ``hash_key(key)`` when the caller already routed on it)."""
@@ -94,9 +90,6 @@ class Bucket(ReferenceCounted):
 
     def maybe_flush(self) -> Optional[DiskComponent]:
         return self.tree.maybe_flush()
-
-    def maybe_merge(self) -> Optional[DiskComponent]:
-        return self.tree.maybe_merge()
 
     @property
     def size_bytes(self) -> int:

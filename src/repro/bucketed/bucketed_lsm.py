@@ -45,10 +45,6 @@ class MaintenanceReport:
     splits: List[SplitResult] = field(default_factory=list)
 
     @property
-    def split_count(self) -> int:
-        return len(self.splits)
-
-    @property
     def idle(self) -> bool:
         """True when the pass flushed, merged and split nothing."""
         return not (
@@ -112,8 +108,9 @@ class BucketedLSMTree:
         self._buckets: Dict[BucketId, Bucket] = {}
         #: Splits are disabled for the duration of a rebalance (Section V-A).
         self.splits_enabled = not self.bucketing_config.static
-        #: Cumulative record of all splits ever performed (for benchmarks).
-        self.split_history: List[SplitResult] = []
+        #: Splits ever performed.  A count, not the results: a result holds
+        #: the retired parent bucket, which must be free to be reclaimed.
+        self.split_count = 0
         #: Lifetime counters of the buckets splits retired, so
         #: :meth:`aggregated_stats` never goes backwards across a split.
         self._retired_stats = StorageStats()
@@ -334,7 +331,7 @@ class BucketedLSMTree:
         self._buckets[result.high_child.bucket_id] = result.high_child
         bucket.deactivate()
         self._retired_stats.add(bucket.tree.stats)
-        self.split_history.append(result)
+        self.split_count += 1
         return result
 
     # ------------------------------------------------- rebalance operations
@@ -350,21 +347,6 @@ class BucketedLSMTree:
         bucket = self.bucket(bucket_id)
         bucket.flush()
         return bucket.snapshot_components()
-
-    def install_bucket(self, bucket_id: BucketId, entries: Iterable[Entry]) -> Bucket:
-        """Create a bucket holding ``entries`` and register it in the local
-        directory (a test and tooling aid: the rebalance receive path is
-        :meth:`StoragePartition.receive_bucket` + :meth:`adopt_bucket`).
-        Installing an already-present bucket is idempotent and returns the
-        existing one.
-        """
-        if bucket_id in self._buckets:
-            return self._buckets[bucket_id]
-        bucket = self._create_bucket(bucket_id)
-        entry_list = list(entries)
-        if entry_list:
-            bucket.tree.add_loaded_component(entry_list)
-        return bucket
 
     def adopt_bucket(self, bucket: Bucket) -> None:
         """Register an externally constructed bucket object (receive path)."""

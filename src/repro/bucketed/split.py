@@ -36,7 +36,9 @@ class SplitResult:
     high_child: Bucket
     #: Bytes flushed by the asynchronous (non-blocking) flush.
     async_flush_bytes: int
-    #: Bytes flushed by the synchronous flush while the bucket was locked.
+    #: Bytes flushed by the synchronous flush while the bucket was locked:
+    #: the only bytes written while readers and writers are blocked, which
+    #: the two-flush approach keeps to the stragglers.
     sync_flush_bytes: int
     #: Number of parent disk components referenced (not copied) by each child.
     referenced_components: int
@@ -44,12 +46,6 @@ class SplitResult:
     @property
     def children(self) -> Tuple[Bucket, Bucket]:
         return (self.low_child, self.high_child)
-
-    @property
-    def blocked_write_bytes(self) -> int:
-        """Bytes written while readers/writers were blocked — the cost the
-        two-flush approach minimises (only the stragglers of step 4)."""
-        return self.sync_flush_bytes
 
 
 def split_bucket(bucket: Bucket, manifest: Optional[Manifest] = None) -> SplitResult:

@@ -66,6 +66,11 @@ class ReferenceCounted:
         """Destroyed components have been reclaimed and must not be touched."""
         return self._destroyed
 
+    def _check_live(self) -> None:
+        """Refuse a read of a reclaimed component (its data is released)."""
+        if self._destroyed:
+            raise ComponentStateError("component already destroyed")
+
     def retain(self) -> None:
         """Pin the component so it cannot be reclaimed while in use."""
         if self._destroyed:
@@ -243,7 +248,9 @@ class MemoryComponent(ReferenceCounted):
 
 
 class DiskComponent(ReferenceCounted):
-    """An immutable sorted run of entries, the unit of LSM disk storage."""
+    """An immutable sorted run of entries, the unit of LSM disk storage: the
+    entries, their keys and their keys' hashes as three aligned columns,
+    released when the component is reclaimed."""
 
     def __init__(
         self,
@@ -287,9 +294,9 @@ class DiskComponent(ReferenceCounted):
         #: anyone reads them.
         self._bloom: Optional[BloomFilter] = bloom
         self._bloom_params = (bloom_bits_per_key, bloom_num_hashes)
-        self._index: Dict[Any, Entry] = dict(zip(self._keys, entry_list, strict=True))
 
     def __len__(self) -> int:
+        self._check_live()
         return len(self._entries)
 
     @property
@@ -298,6 +305,7 @@ class DiskComponent(ReferenceCounted):
 
     @property
     def bloom(self) -> BloomFilter:
+        self._check_live()
         bloom = self._bloom
         if bloom is None:
             bits_per_key, num_hashes = self._bloom_params
@@ -314,10 +322,12 @@ class DiskComponent(ReferenceCounted):
 
     @property
     def min_key(self) -> Optional[Any]:
+        self._check_live()
         return self._keys[0] if self._keys else None
 
     @property
     def max_key(self) -> Optional[Any]:
+        self._check_live()
         return self._keys[-1] if self._keys else None
 
     def may_contain(self, key: Any, hashed: Optional[int] = None) -> bool:
@@ -326,16 +336,29 @@ class DiskComponent(ReferenceCounted):
         ``hashed`` is ``hash_key(key)`` when the caller already has it.
         """
         bloom = self._bloom
-        if bloom is None:
+        if bloom is None:  # not built yet, or released by a reclaim
             bloom = self.bloom
         return bloom.may_contain(key, hashed)
 
     def get(self, key: Any, hashed: Optional[int] = None) -> Optional[Entry]:
-        """Point lookup inside this component (``hashed`` is accepted so a
-        probe calls real and reference components alike; it is not needed)."""
+        """Point lookup by bisection of the sorted keys (``hashed`` is accepted
+        so a probe calls real and reference components alike).  Keys of one
+        shape compare raw as their :func:`sort_key` forms do; a probe that
+        meets the other shape raises ``TypeError`` and is bisected again by
+        :func:`sort_key`, where ``1`` and ``(1,)`` tie (see :func:`sort_order`)."""
         if self._destroyed:
             raise ComponentStateError("component already destroyed")
-        return self._index.get(key)
+        keys = self._keys
+        try:
+            position = bisect_left(keys, key)
+            if keys[position] == key:
+                return self._entries[position]
+        except IndexError:  # past the last key
+            pass
+        except TypeError:
+            start, stop = _key_bounds(keys, key, key)
+            return next((self._entries[i] for i in range(start, stop) if keys[i] == key), None)
+        return None
 
     def _bounds(self, low: Any, high: Any) -> Tuple[int, int]:
         """The ``low <= key <= high`` slice of the sorted run, by bisection."""
@@ -345,8 +368,7 @@ class DiskComponent(ReferenceCounted):
         """The entries with ``low <= key <= high`` in key order and their
         keys: the same slice of both aligned columns.  A destroyed component
         raises :class:`ComponentStateError`."""
-        if self._destroyed:
-            raise ComponentStateError("component already destroyed")
+        self._check_live()
         start, stop = self._bounds(low, high)
         return self._entries[start:stop], self._keys[start:stop]
 
@@ -360,8 +382,7 @@ class DiskComponent(ReferenceCounted):
 
     def entries(self) -> List[Entry]:
         """All entries in key order (used by merges and rebalance scans)."""
-        if self._destroyed:
-            raise ComponentStateError("component already destroyed")
+        self._check_live()
         return list(self._entries)
 
     def hashed_entries(self) -> Tuple[List[Entry], array]:
@@ -369,8 +390,16 @@ class DiskComponent(ReferenceCounted):
         (what a merge or a bucket move carries into the component it builds)."""
         return self.entries(), array("Q", self._hashes)
 
+    def _destroy(self) -> None:
+        """Release the columns and any Bloom filter; only scalars stay."""
+        super()._destroy()
+        self._entries = []
+        self._keys = []
+        self._hashes = array("Q")
+        self._bloom = None
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"DiskComponent(id={self.component_id}, entries={len(self)}, bytes={self._size_bytes})"
+        return f"DiskComponent(id={self.component_id}, entries={len(self._entries)}, bytes={self._size_bytes})"
 
 
 class ReferenceDiskComponent(ReferenceCounted):
@@ -401,13 +430,6 @@ class ReferenceDiskComponent(ReferenceCounted):
     def target(self) -> DiskComponent:
         return self._target
 
-    def _matches(self, key: Any, hashed: Optional[int] = None) -> bool:
-        """True if ``key`` (whose ``hash_key`` is ``hashed``, when the caller
-        already has it) falls in this bucket's slice of the target."""
-        if hashed is None:
-            hashed = hash_key(key)
-        return hashed & self._mask == self.hash_prefix
-
     def __len__(self) -> int:
         return sum(1 for _ in self.scan())
 
@@ -427,15 +449,20 @@ class ReferenceDiskComponent(ReferenceCounted):
         return self._target.size_bytes
 
     def may_contain(self, key: Any, hashed: Optional[int] = None) -> bool:
+        if self._destroyed or self._target._destroyed:
+            raise ComponentStateError("component already destroyed")
         if hashed is None:
             hashed = hash_key(key)
         return hashed & self._mask == self.hash_prefix and self._target.may_contain(key, hashed)
 
     def get(self, key: Any, hashed: Optional[int] = None) -> Optional[Entry]:
-        """Point lookup with the bucket-prefix filtering step."""
-        if self.is_destroyed:
+        """Point lookup with the bucket-prefix filtering step (``hashed`` is
+        ``hash_key(key)`` when the caller already has it)."""
+        if self._destroyed:
             raise ComponentStateError("component already destroyed")
-        if not self._matches(key, hashed):
+        if hashed is None:
+            hashed = hash_key(key)
+        if hashed & self._mask != self.hash_prefix:
             return None
         return self._target.get(key)
 

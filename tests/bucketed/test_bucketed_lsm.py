@@ -1,5 +1,8 @@
 """Tests for the bucketed LSM-tree (local directory of per-bucket LSM-trees)."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from repro.common.config import BucketingConfig, LSMConfig
 from repro.common.errors import BucketNotFoundError, StorageError
 from repro.common.hashutil import hash_key
+from repro.bucketed.bucket import Bucket
 from repro.bucketed.bucketed_lsm import BucketedLSMTree
 from repro.hashing.bucket_id import ROOT_BUCKET, BucketId, covers_exactly
 
@@ -212,12 +216,12 @@ class TestMaintenanceAndSplits:
         tree.enable_splits()
         assert not tree.splits_enabled
 
-    def test_split_history_recorded(self):
+    def test_split_count_recorded(self):
         tree = make_tree(initial_depth=1, max_bucket_bytes=2048, memory_bytes=512)
         for key in range(300):
             land(tree, {key: "x" * 64})
             tree.maintain()
-        assert len(tree.split_history) == tree.bucket_count - 2
+        assert tree.split_count == tree.bucket_count - 2
 
     def test_explicit_split_updates_directory_and_manifest(self):
         tree = make_tree(initial_depth=1)
@@ -229,6 +233,27 @@ class TestMaintenanceAndSplits:
         assert covers_exactly(tree.bucket_ids)
         durable = tree.manifest.valid_bucket_ids(durable=True)
         assert (result.low_child.bucket_id.prefix, result.low_child.depth) in durable
+
+    def test_a_retired_parent_bucket_is_not_pinned(self):
+        tree = make_tree(initial_depth=1)
+        target = tree.bucket_ids[0]
+        parent = tree.bucket(target)
+        for start in (0, 100):  # two disk components, so each child can merge
+            land(tree, {key: "x" * 64 for key in range(start, start + 100)})
+            parent.flush()
+        assert list(parent.scan())  # the tree caches its reconciled run
+        components = parent.tree.disk_components
+        watched = [weakref.ref(parent), weakref.ref(parent.tree)]
+        watched += [weakref.ref(component) for component in components]
+        assert len(components) == 2
+
+        result = tree.split(target)
+        for child in result.children:
+            child.tree.merge_all()  # drops the child's references
+        del parent, components, child, result
+        gc.collect()
+        assert [ref() for ref in watched] == [None] * len(watched)
+        assert tree.split_count == 1
 
 
 class TestRebalanceOperations:
@@ -243,7 +268,7 @@ class TestRebalanceOperations:
             1 for k in range(40) if bucket_id.contains_key(k)
         )
 
-    def test_install_bucket_from_entries(self):
+    def test_adopt_bucket_from_entries(self):
         source = make_tree(initial_depth=1, partition_id=0)
         land(source, {key: f"v{key}" for key in range(60)})
         moving = source.bucket_ids[0]
@@ -255,17 +280,19 @@ class TestRebalanceOperations:
             initial_buckets=[moving.sibling()] if moving.depth else [ROOT_BUCKET],
             lsm_config=LSMConfig(memory_component_bytes=1 << 20),
         )
-        destination.install_bucket(moving, entries)
+        received = Bucket(moving, config=destination.lsm_config)
+        received.tree.add_loaded_component(entries)
+        destination.adopt_bucket(received)
         assert moving in destination.bucket_ids
         for entry in entries:
             assert get(destination, entry.key) == entry.value
 
-    def test_install_bucket_is_idempotent(self):
+    def test_adopt_bucket_is_idempotent(self):
         tree = make_tree(initial_depth=1)
         bucket_id = tree.bucket_ids[0]
         existing = tree.bucket(bucket_id)
-        again = tree.install_bucket(bucket_id, [])
-        assert again is existing
+        tree.adopt_bucket(Bucket(bucket_id))
+        assert tree.bucket(bucket_id) is existing
 
     def test_remove_bucket_is_idempotent_and_reclaims(self):
         tree = make_tree(initial_depth=1)

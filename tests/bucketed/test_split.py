@@ -109,11 +109,12 @@ class TestSplitProtocol:
         manifest.crash_and_recover()
         assert manifest.valid_bucket_ids() == {(0, 0)}
 
-    def test_blocked_write_bytes_is_sync_flush(self):
+    def test_the_locked_flush_writes_nothing_without_racing_writers(self):
         bucket = loaded_bucket(20)
         land(bucket, {500: "straggler"})
         result = split_bucket(bucket)
-        assert result.blocked_write_bytes == result.sync_flush_bytes
+        assert result.async_flush_bytes > 0
+        assert result.sync_flush_bytes == 0
 
     def test_referenced_components_counted(self):
         bucket = loaded_bucket(10)

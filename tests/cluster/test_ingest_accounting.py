@@ -54,7 +54,7 @@ def checked_ingest(db, rows, batch_size):
         return ingest_work(records, stats)
 
     before = {pid: p.stats_snapshot() for pid, p in partitions.items()}
-    splits_before = {pid: len(p.primary.split_history) for pid, p in partitions.items()}
+    splits_before = {pid: p.primary.split_count for pid, p in partitions.items()}
     cost.ingest_work = recording
     try:
         report = db.cluster.feed("t", batch_size=batch_size).ingest(rows)
@@ -66,7 +66,7 @@ def checked_ingest(db, rows, batch_size):
         delta = partition.stats_snapshot().diff(before[pid])
         work = tuple(getattr(delta, name) for name in PRICED)
         assert min(work) >= 0, (pid, work)
-        split = len(partition.primary.split_history) - splits_before[pid]
+        split = partition.primary.split_count - splits_before[pid]
         records = report.per_partition_records[pid]
         # The feed prices partitions in partition order and skips the ones
         # that took no row and whose passes did nothing.

@@ -141,12 +141,12 @@ class TestMaintenance:
         partition = make_partition(initial_depth=0, memory_bytes=4096, max_bucket_bytes=16384)
         for start in range(0, 160, 20):
             upsert(partition, [order_row(key) for key in range(start, start + 20)])
-            if partition.maintain().split_count:  # not yet: the pair below must see it
+            if partition.maintain().splits:  # not yet: the pair below must see it
                 pytest.fail("the bucket split before the measured maintain()")
         before = partition.stats_snapshot()
         upsert(partition, [order_row(key) for key in range(160, 400)])
         report = partition.maintain()
-        if not report.split_count:
+        if not report.splits:
             pytest.fail("the measured maintain() did not split a bucket")
         delta = partition.stats_snapshot().diff(before)
         work = {name: getattr(delta, name) for name in vars(delta)}

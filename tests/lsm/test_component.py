@@ -1,6 +1,9 @@
 """Tests for memory, disk, and reference components and their lifecycle."""
 
+import gc
+import weakref
 from array import array
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -212,6 +215,67 @@ class TestDiskComponent:
         with pytest.raises(ComponentStateError):
             comp.get(1)
 
+    @pytest.mark.parametrize(
+        "read",
+        [
+            pytest.param(lambda comp: comp.may_contain(1), id="may_contain"),
+            pytest.param(lambda comp: comp.bloom, id="bloom"),
+            pytest.param(lambda comp: comp.min_key, id="min_key"),
+            pytest.param(lambda comp: comp.max_key, id="max_key"),
+            pytest.param(len, id="len"),
+        ],
+    )
+    @pytest.mark.parametrize("probed", [False, True], ids=["unprobed", "probed"])
+    def test_every_read_of_a_destroyed_component_raises(self, read, probed):
+        comp = DiskComponent(make_entries([1, 2, 3]))
+        if probed:  # the Bloom filter is built, and released with the rest
+            assert comp.may_contain(1)
+        comp.deactivate()
+        with pytest.raises(ComponentStateError):
+            read(comp)
+
+    def test_a_reclaimed_component_releases_its_data(self):
+        class Row:
+            """A value a weak reference can watch."""
+
+        row = Row()
+        probe = weakref.ref(row)
+        comp = DiskComponent([Entry(key=1, value=row, seqnum=1)])
+        assert comp.may_contain(1)
+        size, component_id = comp.size_bytes, comp.component_id
+        del row
+        comp.deactivate()
+        gc.collect()
+        assert probe() is None
+        assert comp.built_bloom is None
+        assert (comp.size_bytes, comp.component_id) == (size, component_id)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        keys=st.sets(
+            st.one_of(
+                st.integers(-20, 20),
+                st.tuples(st.integers(-3, 3)),
+                st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+            ),
+            max_size=30,
+        ),
+        probes=st.lists(
+            st.one_of(
+                st.integers(-25, 25),
+                st.tuples(st.integers(-4, 4)),
+                st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+            ),
+            max_size=20,
+        ),
+    )
+    def test_point_lookup_answers_as_a_key_to_entry_dict(self, keys, probes):
+        entries = make_entries(keys)
+        comp = DiskComponent(entries)
+        oracle = {entry.key: entry for entry in entries}
+        for key in [*keys, *probes]:
+            assert comp.get(key) is oracle.get(key)
+
     def test_tuple_keys_sort_lexicographically(self):
         comp = DiskComponent(
             [
@@ -221,6 +285,13 @@ class TestDiskComponent:
             ]
         )
         assert [e.key for e in comp.entries()] == [(1, "a"), (1, "b"), (2, "a")]
+
+
+def may_contain_both_sides(reference):
+    """``may_contain`` probes of ``reference`` for a key of its own bucket and
+    for one of the sibling's (which the prefix alone would answer)."""
+    keys = [next(k for k in range(10) if low_bits(hash_key(k), 1) == side) for side in (0, 1)]
+    return [partial(reference.may_contain, key) for key in keys]
 
 
 class TestReferenceDiskComponent:
@@ -293,7 +364,7 @@ class TestReferenceDiskComponent:
         _, ref0, _ = self._split_pair(range(10))
         ref0.deactivate()
         reads = (ref0.scan, ref0.run, ref0.entries, ref0.hashed_entries, ref0.materialize)
-        for read in (*reads, lambda: len(ref0)):
+        for read in (*reads, lambda: len(ref0), *may_contain_both_sides(ref0)):
             with pytest.raises(ComponentStateError):
                 read()  # scan() itself raises: no next() needed
         with pytest.raises(ComponentStateError):
@@ -309,7 +380,7 @@ class TestReferenceDiskComponent:
         parent.release()
         assert parent.is_destroyed and not ref0.is_destroyed
         reads = (ref0.scan, ref0.run, ref0.entries, ref0.hashed_entries, ref0.materialize)
-        for read in (*reads, lambda: len(ref0)):
+        for read in (*reads, lambda: len(ref0), *may_contain_both_sides(ref0)):
             with pytest.raises(ComponentStateError):
                 read()
         with pytest.raises(ComponentStateError):
@@ -420,7 +491,7 @@ class TestHashColumnEquivalence:
             for reference, component in zip(references, real):
                 assert reference.target._hashes is component._hashes
                 assert (reference.hash_prefix, reference.depth) == (
-                    bucket.hash_prefix,
+                    bucket.bucket_id.prefix,
                     bucket.depth,
                 )
                 assert_reads_equal_oracle(reference, low, high)

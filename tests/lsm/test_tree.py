@@ -532,7 +532,7 @@ def restructure(buckets, operation, config):
     if kind == "flush":
         bucket.flush()
     elif kind == "merge":
-        bucket.tree.merge_all() if operation[2] else bucket.maybe_merge()
+        bucket.tree.merge_all() if operation[2] else bucket.tree.maybe_merge()
     elif kind == "split" and bucket.depth < 3:
         buckets[position : position + 1] = split_bucket(bucket).children
     elif kind == "move":
