@@ -316,9 +316,13 @@ class Dataset:
         holds them passes ``hashes``, one per key in key order, and nothing
         is hashed (the workload driver keeps its keys' hashes in a column).
         Each must equal ``hash_key(key)``; it is not checked, and a wrong
-        one routes and probes its key where the key does not live.
+        one routes and probes its key where the key does not live.  A column
+        of another length than ``keys`` raises :class:`ValueError` before any
+        key is routed.
         """
         runtime = self._runtime()
+        if hashes is not None and len(hashes) != len(keys):
+            raise ValueError(f"{len(hashes)} hashes for {len(keys)} keys")
         if not keys:
             return []
         if hashes is None:

@@ -67,6 +67,10 @@ def hash_key(key: Any) -> int:
     if isinstance(key, int):
         return hash64(key)
     if isinstance(key, float):
+        if key.is_integer():
+            # Equal to an int (-1.0 == -1), so it hashes as that int: equal
+            # keys must route and filter alike.
+            return hash_key(int(key))
         # Float hashing is an arithmetic reduction mod 2**61-1, NOT salted by
         # PYTHONHASHSEED (only str/bytes are), so it is process-stable.
         return hash64(hash(key) & _MASK64)  # reprolint: allow[det-builtin-hash] -- hash(float) is unsalted and cross-process stable

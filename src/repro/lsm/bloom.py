@@ -5,6 +5,11 @@ point lookups can skip components that certainly do not contain the key
 (Section II-B).  The simulator uses a real bit-array Bloom filter — not a
 probability model — so lookup behaviour (including false positives) is
 faithful and testable.
+
+A point read bisects a component's sorted run first and asks its filter only
+about a key the run lacks (:meth:`repro.lsm.tree.LSMTree.get_entry`): a
+filter has no false negatives, so for a key the run holds it could only say
+"maybe".  A component builds its filter on its first such miss.
 """
 
 from __future__ import annotations

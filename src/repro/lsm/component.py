@@ -270,7 +270,7 @@ class DiskComponent(ReferenceCounted):
         (a bucket move carries its source component's): the component keeps
         it when its geometry is the one these Bloom parameters give that many
         keys, so its bits are the ones a build would set, and otherwise
-        builds its own on the first probe."""
+        builds its own on the first probe that misses."""
         super().__init__()
         self.component_id = next_component_id()
         entry_list = list(entries)
@@ -289,9 +289,10 @@ class DiskComponent(ReferenceCounted):
             len(entry_list), bloom_bits_per_key, bloom_num_hashes
         ):
             bloom = None
-        #: Built from the column on the first probe (unless carried): a bulk
-        #: load never probes and most components are merged away before
-        #: anyone reads them.
+        #: Built from the column on the first probe that misses (unless
+        #: carried): a read asks the filter only about a key the sorted run
+        #: lacks, a bulk load never probes, and most components are merged
+        #: away before anyone reads them.
         self._bloom: Optional[BloomFilter] = bloom
         self._bloom_params = (bloom_bits_per_key, bloom_num_hashes)
 
@@ -305,6 +306,8 @@ class DiskComponent(ReferenceCounted):
 
     @property
     def bloom(self) -> BloomFilter:
+        """The Bloom filter over the stored keys, built from the hash column
+        when first asked for (by a read, on its first miss here)."""
         self._check_live()
         bloom = self._bloom
         if bloom is None:
@@ -333,7 +336,9 @@ class DiskComponent(ReferenceCounted):
     def may_contain(self, key: Any, hashed: Optional[int] = None) -> bool:
         """Bloom-filter check; False means the key is definitely absent.
 
-        ``hashed`` is ``hash_key(key)`` when the caller already has it.
+        ``hashed`` is ``hash_key(key)`` when the caller already has it.  A
+        read asks only after :meth:`get` missed, so a component that meets
+        only keys it holds never builds its filter.
         """
         bloom = self._bloom
         if bloom is None:  # not built yet, or released by a reclaim
@@ -345,7 +350,9 @@ class DiskComponent(ReferenceCounted):
         so a probe calls real and reference components alike).  Keys of one
         shape compare raw as their :func:`sort_key` forms do; a probe that
         meets the other shape raises ``TypeError`` and is bisected again by
-        :func:`sort_key`, where ``1`` and ``(1,)`` tie (see :func:`sort_order`)."""
+        :func:`sort_key`, where ``1`` and ``(1,)`` tie (see :func:`sort_order`).
+        A probe that meets a key it cannot be ordered against even so
+        (``"a"`` among int keys) equals no stored key: a miss."""
         if self._destroyed:
             raise ComponentStateError("component already destroyed")
         keys = self._keys
@@ -356,7 +363,10 @@ class DiskComponent(ReferenceCounted):
         except IndexError:  # past the last key
             pass
         except TypeError:
-            start, stop = _key_bounds(keys, key, key)
+            try:
+                start, stop = _key_bounds(keys, key, key)
+            except TypeError:
+                return None
             return next((self._entries[i] for i in range(start, stop) if keys[i] == key), None)
         return None
 

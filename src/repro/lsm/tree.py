@@ -350,6 +350,14 @@ class LSMTree:
         ``hashed`` is ``hash_key(key)`` when the caller already routed on it;
         every Bloom filter and reference component the probe reaches shares
         it, and a probe answered by the memory component never needs it.
+
+        Each disk component, newest first, is bisected first and asked its
+        Bloom filter only on a miss: a hit counts as an open (a filter built
+        from the component's own hash column has no false negatives, so the
+        filter-first order would have opened it too), a miss the filter
+        rules out as a skip, and a miss it lets through as an open that found
+        nothing.  The counters are the filter-first order's, exactly, and a
+        component's filter is built on its first miss.
         """
         if self._invalid_buckets and self._is_invalidated(key):
             return None
@@ -364,13 +372,13 @@ class LSMTree:
         if hashed is None:
             hashed = hash_key(key)
         for component in components:
-            if not component.may_contain(key, hashed):
-                stats.bloom_negative_skips += 1
-                continue
             component.retain()
             try:
-                stats.components_opened += 1
                 entry = component.get(key, hashed)
+                if entry is None and not component.may_contain(key, hashed):
+                    stats.bloom_negative_skips += 1
+                    continue
+                stats.components_opened += 1
             finally:
                 component.release()
             if entry is not None:
@@ -387,11 +395,12 @@ class LSMTree:
         opened, in key order.
 
         The memory component answers the whole run in one pass; then each
-        disk component, newest first, is pinned once and probed — reference
-        prefix and Bloom filter first — only for the keys still unresolved.
-        Every key meets the components :meth:`get_entry` would show it, in
-        the same order, so the stats counters end with exactly the totals a
-        loop of :meth:`get_entry` leaves.
+        disk component, newest first, is pinned once and bisected for the keys
+        still unresolved, and only the keys it lacks ask its reference prefix
+        and Bloom filter (as in :meth:`get_entry`).  Every key meets the
+        components :meth:`get_entry` would show it, in the same order, so the
+        stats counters end with exactly the totals a loop of
+        :meth:`get_entry` leaves.
         """
         entries = self.memory.get_many(keys)
         opened = [0] * len(keys)
@@ -407,27 +416,31 @@ class LSMTree:
         for component in self.disk_components:
             if not unresolved:
                 break
-            may_contain = component.may_contain
-            admitted = [p for p in unresolved if may_contain(keys[p], hashes[p])]
-            stats.bloom_negative_skips += len(unresolved) - len(admitted)
-            if not admitted:
-                continue
-            found = 0
+            get = component.get
+            missed = []
             component.retain()
             try:
-                for position in admitted:
-                    stats.components_opened += 1
-                    opened[position] += 1
-                    entry = component.get(keys[position], hashes[position])
-                    if entry is not None:
+                for position in unresolved:
+                    entry = get(keys[position], hashes[position])
+                    if entry is None:
+                        missed.append(position)
+                    else:
                         entries[position] = entry
-                        found += 1
-                        stats.records_read += 1
+                        opened[position] += 1
                         stats.bytes_read += entry.size_bytes
+                hits = len(unresolved) - len(missed)
+                stats.records_read += hits
+                stats.components_opened += hits
+                if missed:
+                    may_contain = component.may_contain
+                    admitted = [p for p in missed if may_contain(keys[p], hashes[p])]
+                    for position in admitted:  # false positives: opened, nothing found
+                        opened[position] += 1
+                    stats.components_opened += len(admitted)
+                    stats.bloom_negative_skips += len(missed) - len(admitted)
             finally:
                 component.release()
-            if found:
-                unresolved = [position for position in unresolved if entries[position] is None]
+            unresolved = missed
         if hidden:
             entries = [None if entry is _HIDDEN else entry for entry in entries]
         return entries, opened
@@ -526,10 +539,6 @@ class LSMTree:
         return self.memory.size_bytes + sum(
             self._component_size(c) for c in self.disk_components
         )
-
-    @property
-    def disk_size_bytes(self) -> int:
-        return sum(self._component_size(c) for c in self.disk_components)
 
     @property
     def component_count(self) -> int:

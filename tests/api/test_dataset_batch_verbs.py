@@ -375,3 +375,72 @@ class TestRunPathEquivalence:
         blocked.unblock()
         assert len(dataset.get_many(keys)) == length
         db.close()
+
+
+class TestHashesColumn:
+    """``get_many(keys, hashes=...)`` takes one hash per key or none."""
+
+    @pytest.mark.parametrize(
+        "length, given",
+        [(1, 0), (3, 2), (300, 299)],
+        ids=["one-key", "short-run", "long-run"],
+    )
+    def test_a_hashes_column_of_another_length_raises_before_any_hook(self, length, given):
+        db, dataset = open_split()
+        db.start_trace()
+        keys = list(range(length))
+        before = storage_stats(db)
+        snapshot = db.metrics.snapshot()
+        with pytest.raises(ValueError, match=f"{given} hashes for {length} keys"):
+            dataset.get_many(keys, hashes=[hash_key(key) for key in keys[:given]])
+        assert storage_stats(db).diff(before) == StorageStats()
+        assert db.metrics.snapshot() == snapshot
+        assert not db.cluster.heat.read_heat()
+        assert all(dataset.get_many(keys, hashes=[hash_key(key) for key in keys]))
+        assert db.cluster.heat.read_heat()
+        db.close()
+
+
+def open_tiny_split(rows=2000):
+    """An int-keyed dataset split many times over (2 KiB memory components,
+    4 KiB bucket cap): its reads meet many real and reference components."""
+    db = Database(
+        ClusterConfig(
+            num_nodes=2,
+            strategy="dynahash",
+            lsm=LSMConfig(memory_component_bytes=2 * KIB),
+            bucketing=BucketingConfig(max_bucket_bytes=4 * KIB),
+        )
+    )
+    dataset = db.create_dataset("t", primary_key="k")
+    dataset.insert([{"k": i, "v": i} for i in range(rows)])
+    return db, dataset
+
+
+class TestKeysNoStoredKeyOrdersAgainst:
+    """A string key among int keys equals none of them: every read path
+    answers it as a miss, whether or not a Bloom filter lets it reach the
+    sorted run."""
+
+    STRAYS = [f"s{i}" for i in range(3000)]
+
+    def test_get_and_get_many_miss(self):
+        db, dataset = open_tiny_split()
+        assert [dataset.get(key) for key in self.STRAYS] == [None] * len(self.STRAYS)
+        assert dataset.get_many(self.STRAYS[:400]) == [None] * 400
+        assert dataset.get_many([7, "s7"]) == [{"k": 7, "v": 7}, None]
+        db.close()
+
+    def test_the_write_paths_old_value_probe_misses(self):
+        db, _ = open_tiny_split()
+        trees = [
+            bucket.tree
+            for partition in db.cluster.dataset("t").partitions.values()
+            for bucket in partition.primary.buckets()
+        ]
+        assert any(
+            isinstance(c, ReferenceDiskComponent) for tree in trees for c in tree.disk_components
+        )
+        for tree in trees:
+            assert [tree.peek(key) for key in self.STRAYS[:50]] == [None] * 50
+        db.close()

@@ -387,9 +387,15 @@ def bloom_builds(monkeypatch):
     return built
 
 
+#: Keys ``open_single_run()`` never stores: a read of them misses every
+#: bucket's component, so it is what asks (and builds) the filters.
+ABSENT = list(range(10_000, 14_000))
+
+
 def open_single_run():
     """A split dataset whose every bucket holds one real disk component and
-    nothing in memory, each component's filter built by a read of every key."""
+    nothing in memory, each component's filter built by a read of keys it
+    lacks (a read of a key it holds never asks the filter)."""
     db = Database(
         ClusterConfig(
             num_nodes=2,
@@ -407,7 +413,9 @@ def open_single_run():
         # One merge of the whole list, a lone reference component included.
         bucket.tree._merge_range(0, bucket.tree.component_count)
         assert [type(c) for c in bucket.tree.disk_components] == [DiskComponent]
-    dataset.get_many(keys)
+    assert all(dataset.get_many(keys))
+    assert not any(b.tree.disk_components[0].built_bloom for b in split_buckets(db))
+    assert not any(dataset.get_many(ABSENT))
     assert all(b.tree.disk_components[0].built_bloom for b in split_buckets(db))
     return db, dataset, keys
 
@@ -415,7 +423,9 @@ def open_single_run():
 class TestMovesCarryTheirBloomFilters:
     """A moved bucket's component keeps the filter its source already built
     when its key set is the source component's; otherwise it builds its own
-    on its first probe, as every component does."""
+    on its first probe that misses, as every component does.  The builds are
+    counted over reads of present keys (which build nothing) and then of
+    absent ones."""
 
     def test_single_run_moves_build_no_filter(self, bloom_builds):
         db, dataset, keys = open_single_run()
@@ -423,6 +433,7 @@ class TestMovesCarryTheirBloomFilters:
         report = db.rebalance(add=1)
         assert sum(r.buckets_moved for r in report.dataset_reports) > 1
         assert all(dataset.get_many(keys))
+        assert not any(dataset.get_many(ABSENT))
         assert bloom_builds == []
         db.close()
 
@@ -437,6 +448,8 @@ class TestMovesCarryTheirBloomFilters:
         assert moved > 1
         live = sorted(set(keys) - set(doomed))
         assert all(dataset.get_many(live))
+        assert bloom_builds == []
+        assert not any(dataset.get_many(ABSENT))
         assert len(bloom_builds) == moved
         db.close()
 
@@ -451,6 +464,8 @@ class TestMovesCarryTheirBloomFilters:
         moved = sum(r.buckets_moved for r in report.dataset_reports)
         assert moved > 1
         assert all(dataset.get_many(keys + fresh))
+        assert bloom_builds == []
+        assert not any(dataset.get_many(ABSENT))
         assert len(bloom_builds) == moved
         db.close()
 

@@ -1,5 +1,6 @@
 """Tests for the LSM-tree index."""
 
+import itertools
 from array import array
 from collections import Counter
 
@@ -378,7 +379,7 @@ class TestSizesAndManifest:
         in_memory = tree.size_bytes
         tree.flush()
         assert tree.size_bytes == pytest.approx(in_memory, rel=0.01)
-        assert tree.disk_size_bytes > 0
+        assert tree.memory.size_bytes == 0 and tree.disk_components[0].size_bytes > 0
 
     def test_force_manifest_records_components(self):
         tree = make_tree()
@@ -448,9 +449,9 @@ def _sequences(write, *others):
 
 
 @st.composite
-def carried_column_cases(draw):
+def carried_column_cases(draw, shapes=_KEY_SHAPES):
     """A key shape's small key pool and an operation sequence over it."""
-    shape = _KEY_SHAPES[draw(st.sampled_from(sorted(_KEY_SHAPES)))]
+    shape = shapes[draw(st.sampled_from(sorted(shapes)))]
     pool = draw(st.lists(shape, min_size=1, max_size=24, unique=True))
     key, index, carry = st.sampled_from(pool), st.integers(0, 7), st.booleans()
     write = st.one_of(
@@ -909,3 +910,190 @@ class TestReconciledDiskRun:
         assert tree._disk_run is not None
         tree.merge_all()
         assert tree._disk_run is None
+
+
+# ------------------------------------------- the probe order of point reads
+
+
+def filter_first_get_entry(tree, key, hashed):
+    """``LSMTree.get_entry`` as it was before reads bisected first, verbatim
+    but for the count it returns: each disk component's reference prefix and
+    Bloom filter first, its sorted run only past them.  Returns the entry
+    and the number of disk components the probe opened."""
+    if tree._invalid_buckets and tree._is_invalidated(key):
+        return None, 0
+    stats = tree.stats
+    entry = tree.memory.get(key)
+    if entry is not None:
+        stats.records_read += 1
+        return entry, 0
+    opened = 0
+    for component in tree.disk_components:
+        if not component.may_contain(key, hashed):
+            stats.bloom_negative_skips += 1
+            continue
+        component.retain()
+        try:
+            stats.components_opened += 1
+            opened += 1
+            entry = component.get(key, hashed)
+        finally:
+            component.release()
+        if entry is not None:
+            stats.records_read += 1
+            stats.bytes_read += entry.size_bytes
+            return entry, opened
+    return None, opened
+
+
+#: The carried-column shapes plus a pool that mixes ``1`` and ``(1,)``.
+_PROBE_SHAPES = {
+    **_KEY_SHAPES,
+    "mixed": st.one_of(st.integers(-3, 12), st.tuples(st.integers(-3, 12))),
+}
+
+#: Keys no pool above holds, some of a type no pool key orders against.
+_ABSENT = [10**30, (99, 99), (99,), "absent", b"absent", 2.5]
+
+
+def equal_twins(key):
+    """``key`` and the keys of other types equal to it (``1``, ``1.0``,
+    ``True``; element by element for a tuple)."""
+    if isinstance(key, tuple):
+        return [tuple(parts) for parts in itertools.product(*map(equal_twins, key))]
+    twins = [key]
+    if isinstance(key, float) and key.is_integer():
+        twins.append(int(key))
+    elif isinstance(key, int) and not isinstance(key, bool):
+        try:
+            if float(key) == key:
+                twins.append(float(key))
+        except OverflowError:
+            pass
+    if isinstance(key, (int, float)) and key in (0, 1):
+        twins.append(bool(key))
+    return twins
+
+
+_SCALAR_KEYS = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.text(max_size=4),
+    st.binary(max_size=4),
+)
+_HASHABLE_KEYS = st.one_of(
+    _SCALAR_KEYS, st.tuples(_SCALAR_KEYS), st.tuples(_SCALAR_KEYS, _SCALAR_KEYS)
+)
+
+
+class TestProbeOrder:
+    """A point read bisects each disk component's sorted run first and asks
+    its Bloom filter only about a key the run lacks.  A filter has no false
+    negatives, so a key the run holds is one the filter-first order opened
+    too: the answers and every counter are the filter-first order's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=carried_column_cases(_PROBE_SHAPES),
+        bits_per_key=st.sampled_from([1, 2, 10]),
+    )
+    def test_reads_match_the_filter_first_order(self, case, bits_per_key):
+        pool, operations = case
+        config = small_config(memory_component_bytes=256, bloom_bits_per_key=bits_per_key)
+        buckets, _ = play(operations, config, carry_hashes=True)
+        probes = [twin for key in pool for twin in equal_twins(key)] + _ABSENT
+        hashes = [hash_key(key) for key in probes]
+        for bucket in buckets:
+            tree = bucket.tree
+            pinned = [c.refcount for c in tree.disk_components]
+            before = tree.stats.snapshot()
+            expected = [filter_first_get_entry(tree, k, h) for k, h in zip(probes, hashes)]
+            oracle_work = tree.stats.diff(before)
+            before = tree.stats.snapshot()
+            looped = []
+            for key, hashed in zip(probes, hashes):
+                opened = tree.stats.components_opened
+                entry = tree.get_entry(key, hashed)
+                looped.append((entry, tree.stats.components_opened - opened))
+            assert same_pairs(looped, expected)
+            assert tree.stats.diff(before) == oracle_work
+            before = tree.stats.snapshot()
+            entries, opened = tree.get_many(probes, hashes)
+            assert same_pairs(list(zip(entries, opened)), expected)
+            assert tree.stats.diff(before) == oracle_work
+            assert [c.refcount for c in tree.disk_components] == pinned
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=_HASHABLE_KEYS, other=_HASHABLE_KEYS)
+    def test_equal_keys_hash_equal(self, key, other):
+        for twin in equal_twins(key):
+            assert twin == key and hash_key(twin) == hash_key(key)
+        if other == key:
+            assert hash_key(other) == hash_key(key)
+
+    def test_integral_floats_hash_as_their_ints(self):
+        assert equal_twins(-1) == [-1, -1.0] and len(equal_twins((1, 0.0))) == 9
+        for key in (-1, -(2**40), 2**61, 2**70, (3, -2)):
+            assert len({hash_key(twin) for twin in equal_twins(key)}) == 1
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        """The key count of every ``BloomFilter.build``, in order."""
+        built = []
+        build = BloomFilter.build.__func__
+
+        def counting(cls, keys, *args, **kwargs):
+            built.append(len(keys))
+            return build(cls, keys, *args, **kwargs)
+
+        monkeypatch.setattr(BloomFilter, "build", classmethod(counting))
+        return built
+
+    def test_a_component_builds_its_filter_on_its_first_miss(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        tree = make_tree()
+        for burst in range(3):
+            for key in range(burst, 30, 3):
+                tree.insert(key, burst)
+            tree.flush()
+        newest, middle, oldest = tree.disk_components
+        # A run of hits: every key is found in the first component probed.
+        hits = newest._keys
+        entries, opened = tree.get_many(hits, [hash_key(key) for key in hits])
+        assert all(entries) and opened == [1] * len(hits)
+        assert builds == []
+        # The first miss builds exactly the filter of the component it missed.
+        assert tree.get_entry(middle._keys[0]) is not None
+        assert builds == [len(newest)]
+        assert (newest.built_bloom is not None, middle.built_bloom, oldest.built_bloom) == (
+            True,
+            None,
+            None,
+        )
+        # The oldest component meets only keys it holds: it never builds one.
+        everything = list(range(30))
+        assert all(tree.get_many(everything, [hash_key(key) for key in everything])[0])
+        assert builds == [len(newest), len(middle)] and oldest.built_bloom is None
+        # Until a key it lacks reaches it.
+        assert tree.get_entry(99) is None
+        assert builds == [len(newest), len(middle), len(oldest)]
+
+    def test_a_hit_through_a_reference_builds_no_filter(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        parent = Bucket(ROOT_BUCKET, config=small_config())
+        for key in range(40):
+            parent.tree.insert(key, "v")
+        parent.flush()
+        for child in parent.split_into():
+            owned = [key for key in range(40) if child.owns_key(key)]
+            assert [child.tree.get(key) for key in owned] == ["v"] * len(owned)
+        assert builds == []
+
+
+def same_pairs(got, expected):
+    """The same ``(entry, opened)`` pairs, each entry the same object."""
+    return len(got) == len(expected) and all(
+        entry is other and count == other_count
+        for (entry, count), (other, other_count) in zip(got, expected)
+    )
