@@ -1,4 +1,5 @@
-"""Scale ladder: bytes held per row, and point reads, at 1e4 and 1e5 rows.
+"""Scale ladder: bytes held per row, point reads and single-row upserts, at
+1e4 and 1e5 rows.
 
 Each rung is a fresh split-config dataset (the e2e suite's *split* shape:
 4 nodes x 2 partitions, 32 KiB memory components, 48 KiB bucket cap) taking
@@ -16,6 +17,13 @@ about a key the component lacks, so few filters are built: the keys the
 builds cover stay under half a key per row read (asking every filter first
 builds about one per row).  The µs per key is printed, not asserted.
 
+Write rung: 200 existing keys are upserted one row per feed call
+(``upsert_each``, the workload driver's update path).  Shape: a feed call
+skips the partitions its earlier passes left idle, so a row costs one
+maintenance pass per partition, whatever the row count, plus one more for
+each pass that did work (a flush, merge or split leaves the partition for the
+call's trailing sweep).  The µs per upsert is printed, not asserted.
+
 Wall rows/s and the 1e6 rung are not measured here.
 """
 
@@ -27,6 +35,7 @@ import tracemalloc
 from conftest import print_figure
 
 from repro.api import KIB, BucketingConfig, ClusterConfig, Database, LSMConfig
+from repro.cluster.partition import StoragePartition
 from repro.common.reporting import format_table
 from repro.lsm.bloom import BloomFilter
 
@@ -38,6 +47,10 @@ MAX_GROWTH = 1.05
 READ_RUN = 4096
 #: Bloom-filter keys built per row read, at most.
 MAX_FILTER_KEYS_PER_READ = 0.5
+#: Partitions of the ladder's cluster (4 nodes x 2).
+PARTITIONS = 8
+#: Existing keys the write rung upserts, one feed call each.
+UPSERTS = 200
 
 
 def load_ladder(rows, seed=2022):
@@ -122,3 +135,48 @@ def test_scale_ladder_reads(benchmark, monkeypatch):
     )
     assert all(found == rows for rows, (_, found, _) in reads.items()), reads
     assert all(keys <= MAX_FILTER_KEYS_PER_READ for _, _, keys in reads.values()), reads
+
+
+def upsert_existing_keys(rows, passes):
+    """``(µs per upsert, passes per row, busy passes per row)`` of
+    ``UPSERTS`` single-row upserts of existing keys; ``passes`` collects
+    whether each maintenance pass they run was idle."""
+    db, dataset, batch, keys = load_ladder(rows)
+    dataset.insert(batch, batch_size=2000)
+    del batch
+    updates = [{"k": key, "payload": f"{key:010d}" + "y" * 54} for key in keys[:UPSERTS]]
+    passes.clear()
+    start = time.perf_counter()
+    reports = dataset.upsert_each(updates)
+    elapsed = time.perf_counter() - start
+    db.close()
+    assert [report.records for report in reports] == [1] * UPSERTS
+    return elapsed / UPSERTS * 1e6, len(passes) / UPSERTS, passes.count(False) / UPSERTS
+
+
+def test_scale_ladder_writes(benchmark, monkeypatch):
+    passes = []
+    maintain = StoragePartition.maintain
+
+    def counting(partition, *args, **kwargs):
+        report = maintain(partition, *args, **kwargs)
+        passes.append(report.idle)
+        return report
+
+    monkeypatch.setattr(StoragePartition, "maintain", counting)
+    writes = benchmark.pedantic(
+        lambda: {rows: upsert_existing_keys(rows, passes) for rows in RUNGS},
+        rounds=1,
+        iterations=1,
+    )
+    print_figure(
+        f"Scale ladder: {UPSERTS} existing keys upserted one row per feed call (split config)",
+        format_table(
+            ["rows", "us/upsert", "maintenance passes per row", "of them busy"],
+            [
+                [rows, round(us, 1), round(per_row, 3), round(busy, 3)]
+                for rows, (us, per_row, busy) in writes.items()
+            ],
+        ),
+    )
+    assert all(per_row <= PARTITIONS + busy for _, per_row, busy in writes.values()), writes

@@ -66,8 +66,11 @@ class MaintenanceReport:
         """Run ``tree``'s merge policy once and count the merge, if any.
 
         The delta is read from three counters around the call, so a pass
-        whose policy picks nothing builds no stats objects.
+        whose policy picks nothing builds no stats objects.  A tree with no
+        disk components returns at once: it has nothing to merge.
         """
+        if not tree.disk_components:
+            return
         stats = tree.stats
         read = stats.bytes_merged_read
         written = stats.bytes_merged_written

@@ -13,7 +13,7 @@ nodes with slowest-node semantics.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..bucketed.bucketed_lsm import MaintenanceReport
 from ..common.hashutil import hash_key
@@ -65,6 +65,20 @@ class DataFeed:
         flushes, merges and splits happen.  A partition that took no row and
         whose passes did nothing costs ``0.0`` without a cost-model call.
 
+        A sweep skips the partitions already *settled* in this call: those
+        whose last pass here reported :attr:`MaintenanceReport.idle` and that
+        no batch has written to since.  Nothing else touches a partition
+        during the call and a pass is a deterministic function of the
+        partition's state, so a pass over an unchanged idle partition would
+        be idle again and change nothing.  The set ends with the call: the
+        feed sees only its own writes, and between calls a delete, another
+        feed or a rebalance may change a partition, and the previous call's
+        last pass may have left work (a pass is one step, not a fixpoint).
+        So the first sweep of a call visits every partition, and a
+        single-row ingest runs one pass per partition.  A pass over a tree
+        with no disk components (every tree of a dataset that fits in
+        memory) sizes no component and asks no merge policy.
+
         ``maintain=False`` skips flush/merge/split scheduling, which some unit
         tests use to control storage state precisely.
         """
@@ -89,6 +103,9 @@ class DataFeed:
         #: The current batch, grouped by target partition (arrival order
         #: within each partition; the partition groups it by bucket tree).
         grouped: Dict[int, List[Tuple[Any, int, Mapping[str, Any]]]] = {}
+        #: Partitions whose last pass in this call was idle and that took no
+        #: row since: a pass over them would change nothing.
+        settled: Set[int] = set()
 
         def land_batch() -> None:
             nonlocal total_bytes
@@ -96,16 +113,22 @@ class DataFeed:
                 # The partition copies and sizes each row once, as it stores it.
                 landed_bytes = sum(partitions[pid].insert_many(routed_rows)[1])
                 records_per_partition[pid] += len(routed_rows)
+                settled.discard(pid)
                 bytes_per_partition[pid] += landed_bytes
                 total_bytes += landed_bytes
             grouped.clear()
 
         def maintain_all() -> None:
-            # Every partition, every batch: ROADMAP item 2(b)'s dirty rule
-            # is what will skip the partitions with nothing to do.
+            # Every partition not settled in this call.  The set is not kept
+            # across calls: the feed does not see what changes a partition
+            # between them, and the previous call's last pass may have left
+            # work.
             for pid, partition in partitions.items():
+                if pid in settled:
+                    continue
                 report = partition.maintain()
                 if report.idle:
+                    settled.add(pid)
                     continue
                 total = work.get(pid)
                 if total is None:

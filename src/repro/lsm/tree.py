@@ -250,8 +250,12 @@ class LSMTree:
         return self._merges_paused
 
     def maybe_merge(self) -> Optional[DiskComponent]:
-        """Run one merge if the policy asks for it; return the new component."""
-        if self._merges_paused:
+        """Run one merge if the policy asks for it; return the new component.
+
+        A tree with no disk components has nothing to merge: it returns
+        before sizing anything or asking the policy.
+        """
+        if self._merges_paused or not self.disk_components:
             return None
         sizes = [self._component_size(c) for c in self.disk_components]
         candidate = select_components(self.merge_policy, sizes)
@@ -536,6 +540,8 @@ class LSMTree:
     @property
     def size_bytes(self) -> int:
         """Estimated total size of the index (memory plus visible disk)."""
+        if not self.disk_components:
+            return self.memory.size_bytes
         return self.memory.size_bytes + sum(
             self._component_size(c) for c in self.disk_components
         )

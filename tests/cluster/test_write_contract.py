@@ -3,9 +3,16 @@
 The cluster is the 8-partition *fits* shape (4 nodes x 2 partitions, no
 splits): a single-row upsert lands on one partition, so it is priced once and
 takes no stats snapshot and no per-partition node lookup.  Every partition
-still runs its maintenance pass after the row's batch and once more at the end
-of the feed; ROADMAP item 2(b)'s dirty rule is the change that will skip the
-passes of partitions with nothing to do.
+runs one maintenance pass after the row's batch.  The feed's trailing sweep
+skips them all: within one ingest call a partition is *settled* once its last
+pass reported idle and no batch has written to it since, and a pass over a
+settled partition would change nothing.  The set ends with the call, because
+the previous call's last pass may have left work, so a run of single-row
+upserts still pays one pass per partition per row.  A pass over a tree with no
+disk components (every tree of this shape) sizes no component and asks no
+merge policy.
+
+A delete call runs one maintenance sweep: one pass per partition.
 
 A bulk batch lands a run at a time: one ``LSMTree.insert_many`` per bucket
 tree it touches plus one for the primary-key index, per partition.  It writes
@@ -27,6 +34,7 @@ from collections import Counter
 import pytest
 
 import repro.hashing.extendible as extendible_module
+import repro.lsm.tree as tree_module
 from repro.api import (
     KIB,
     BucketingConfig,
@@ -39,6 +47,7 @@ from repro.cluster.controller import SimulatedCluster
 from repro.cluster.cost_model import CostModel
 from repro.cluster.partition import StoragePartition
 from repro.common.hashutil import hash_key
+from repro.lsm.component import DiskComponent, ReferenceDiskComponent
 from repro.lsm.stats import StorageStats
 from repro.lsm.tree import LSMTree
 from repro.lsm.wal import LogRecord
@@ -98,10 +107,10 @@ class TestSingleRowUpsert:
         db, dataset = open_fits()
         calls.clear()
         dataset.upsert([{"k": 7, "v": "y" * 64}], batch_size=1)
-        # 16 passes: one per partition after the row's batch and one per
-        # partition at the end of the feed (item 2(b) will lower this).
-        # The idle passes build no stats objects and re-sort no directory.
-        assert calls == {"maintain": 2 * PARTITIONS, "ingest_work": 1}
+        # One pass per partition after the row's batch; every pass is idle,
+        # so the trailing sweep has nothing left to visit.  The idle passes
+        # build no stats objects and re-sort no directory.
+        assert calls == {"maintain": PARTITIONS, "ingest_work": 1}
         db.close()
 
     def test_the_drivers_batched_upserts(self, calls):
@@ -110,7 +119,36 @@ class TestSingleRowUpsert:
         calls.clear()
         reports = dataset.upsert_each(rows)
         assert [report.records for report in reports] == [1] * len(rows)
-        assert calls == {"maintain": 2 * PARTITIONS * len(rows), "ingest_work": len(rows)}
+        # Each row is its own feed call, and no call inherits another's
+        # settled partitions.
+        assert calls == {"maintain": PARTITIONS * len(rows), "ingest_work": len(rows)}
+        db.close()
+
+    def test_a_pass_over_a_fits_partition_sizes_no_component(self, monkeypatch):
+        # No tree of the fits shape holds a disk component, so a pass asks no
+        # merge policy and sizes no disk component.
+        db, dataset = open_fits()
+        counted = Counter()
+        monkeypatch.setattr(
+            tree_module,
+            "select_components",
+            counting(counted, "select_components", tree_module.select_components),
+        )
+        for component in (DiskComponent, ReferenceDiskComponent):
+            size = component.size_bytes.fget
+            monkeypatch.setattr(
+                component, "size_bytes", property(counting(counted, "size_bytes", size))
+            )
+        partitions = db.cluster.dataset("t").partitions.values()
+        assert all(
+            not tree.disk_components
+            for partition in partitions
+            for tree in [bucket.tree for bucket in partition.primary.buckets()]
+            + [partition.primary_key_index]
+        )
+        reports = [partition.maintain() for partition in partitions]
+        assert all(report.idle for report in reports)
+        assert counted == {}
         db.close()
 
     def test_a_row_is_priced_like_before(self):
@@ -127,6 +165,58 @@ class TestSingleRowUpsert:
         assert report.simulated_seconds == expected
         assert (report.splits, report.flush_bytes, report.merge_bytes) == (0, 0, 0)
         assert sorted(report.per_node_seconds) == ["nc0", "nc1", "nc2", "nc3"]
+        db.close()
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Every ``StoragePartition.maintain`` call as ``(partition id, idle)``,
+    in call order."""
+    log = []
+    maintain = StoragePartition.maintain
+
+    def logged(partition, *args, **kwargs):
+        report = maintain(partition, *args, **kwargs)
+        log.append((partition.partition_id, report.idle))
+        return report
+
+    monkeypatch.setattr(StoragePartition, "maintain", logged)
+    return log
+
+
+class TestTrailingSweep:
+    def test_an_exact_multiple_of_the_batch_sweeps_only_unsettled_partitions(self, passes):
+        # The split config's 32 KiB memory components: some partitions flush
+        # in the last batch's sweep and some do not.
+        db = Database(
+            ClusterConfig(
+                num_nodes=4,
+                partitions_per_node=2,
+                lsm=LSMConfig(memory_component_bytes=32 * KIB),
+                bucketing=BucketingConfig(max_bucket_bytes=48 * KIB),
+            ),
+            strategy="dynahash",
+        )
+        dataset = db.create_dataset("t", primary_key="k")
+        dataset.insert([{"k": key, "v": "x" * 64} for key in range(2000)])
+        runtime = db.cluster.dataset("t")
+        batches, batch_size = 5, 400
+        rows = [{"k": key, "v": "w" * 64} for key in range(10_000, 10_000 + batches * batch_size)]
+        for at in range(0, len(rows), batch_size):
+            batch = rows[at : at + batch_size]
+            assert {runtime.partition_of_key(row["k"], hash_key(row["k"])) for row in batch} == set(
+                range(PARTITIONS)
+            )
+        passes.clear()
+        dataset.insert(rows, batch_size=batch_size)
+        # Every batch writes to every partition, so each batch's sweep visits
+        # all of them.  The trailing sweep lands no row and visits only the
+        # partitions whose pass after the last batch did some work.
+        swept = batches * PARTITIONS
+        assert [pid for pid, _ in passes[:swept]] == list(range(PARTITIONS)) * batches
+        busy = [pid for pid, idle in passes[swept - PARTITIONS : swept] if not idle]
+        assert 0 < len(busy) < PARTITIONS
+        assert [pid for pid, _ in passes[swept:]] == busy
         db.close()
 
 
@@ -232,13 +322,14 @@ class TestReadRunLanding:
 
 @pytest.fixture
 def delete_calls(monkeypatch):
-    """Calls of the partition's read verbs and of the tree-level write
-    methods, counted by name."""
+    """Calls of the partition's read verbs, its maintenance pass and the
+    tree-level write method, counted by name."""
     return count_calls(
         monkeypatch,
         (
             (StoragePartition, "lookup_many"),
             (StoragePartition, "lookup"),
+            (StoragePartition, "maintain"),
             (LSMTree, "insert_many"),
         ),
     )
@@ -278,4 +369,6 @@ class TestDeleteLanding:
         assert delete_calls["lookup_many"] == len(touched)
         assert delete_calls["lookup"] == 0
         assert delete_calls["insert_many"] == sum(len(b) + 2 for b in touched.values())
+        # Then one maintenance sweep: one pass per partition.
+        assert delete_calls["maintain"] == PARTITIONS
         db.close()

@@ -18,7 +18,12 @@ from repro.lsm.bloom import BloomFilter
 from repro.lsm.component import DiskComponent, ReferenceDiskComponent
 from repro.lsm.entry import Entry, sort_key
 from repro.lsm.iterators import merge_runs
-from repro.lsm.merge_policy import MergeCandidate, NoMergePolicy
+from repro.lsm.merge_policy import (
+    MergeCandidate,
+    NoMergePolicy,
+    SizeTieredMergePolicy,
+    select_components,
+)
 from repro.lsm.stats import StorageStats
 from repro.lsm.tree import LSMTree
 
@@ -197,6 +202,73 @@ class TestMerge:
         assert tree.stats.merge_count == 1
         assert tree.stats.bytes_merged_read > 0
         assert tree.stats.bytes_merged_written > 0
+
+    def test_a_tree_without_disk_components_sizes_nothing(self, monkeypatch):
+        # maybe_merge and size_bytes return before sizing a component or
+        # asking the policy: there is nothing to merge.
+        asked = []
+        tree = LSMTree("t", config=small_config(), merge_policy=MergeEverything())
+        tree.insert(1, "a")
+        monkeypatch.setattr(tree.merge_policy, "select", asked.append, raising=False)
+        assert tree.maybe_merge() is None
+        assert tree.size_bytes == tree.memory.size_bytes
+        assert asked == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        layout=st.lists(
+            st.one_of(
+                st.tuples(st.just("disk"), st.integers(1, 12), st.integers(0, 40)),
+                st.tuples(st.just("reference"), st.integers(1, 12), st.integers(0, 3)),
+                st.tuples(st.just("empty"), st.just(0), st.just(0)),
+            ),
+            max_size=6,
+        ),
+        policy=st.one_of(
+            st.builds(
+                SizeTieredMergePolicy,
+                size_ratio=st.floats(0.1, 3.0),
+                min_components=st.integers(2, 4),
+                max_components=st.integers(0, 5),
+            ),
+            st.sampled_from([MergeEverything(), NoMergePolicy()]),
+        ),
+    )
+    def test_maybe_merge_is_the_policy_path(self, layout, policy):
+        # Over any disk-component list — references and the empty component
+        # a tombstone-dropping merge leaves included — maybe_merge merges
+        # what the policy picks from the components' sizes, and nothing when
+        # it picks nothing (or the list is empty).
+        def tree_of(layout):
+            tree = LSMTree("t", config=small_config(), merge_policy=policy)
+            seqnums = itertools.count(1)
+            for kind, count, extra in layout:
+                if kind == "empty":
+                    component = DiskComponent([])
+                else:
+                    entries = [
+                        Entry(key, "v" * (extra + key % 5), next(seqnums), tombstone=key % 7 == 0)
+                        for key in range(count * 3)
+                    ]
+                    component = DiskComponent(entries)
+                    if kind == "reference":
+                        component = ReferenceDiskComponent(component, hash_prefix=extra, depth=2)
+                tree.disk_components.append(component)
+            return tree
+
+        def state(tree, merged):
+            return merged is None, tree.stats, [
+                (type(c).__name__, [(e.key, e.value, e.seqnum, e.tombstone) for e in c.entries()])
+                for c in tree.disk_components
+            ]
+
+        merged = tree_of(layout)
+        result = merged.maybe_merge()
+        oracle = tree_of(layout)
+        sizes = [component.size_bytes for component in oracle.disk_components]
+        candidate = select_components(policy, sizes)
+        expected = None if candidate is None else oracle._merge_range(candidate.start, candidate.end)
+        assert state(merged, result) == state(oracle, expected)
 
     def test_merged_victims_are_deactivated(self):
         tree = make_tree()
