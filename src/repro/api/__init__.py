@@ -20,8 +20,8 @@ code needs — so applications, examples, and benches import only ``repro.api``:
         report = db.rebalance(remove=1)
         db.autopilot(policy="cost_aware")  # metrics-driven auto-rebalancing
 
-``Database.attach(cluster)`` wraps an existing :class:`SimulatedCluster`
-(the escape hatch for code that builds clusters directly).
+``db.cluster`` is the escape hatch to the underlying
+:class:`SimulatedCluster`.
 """
 
 from ..cluster.dataset import DatasetSpec, SecondaryIndexSpec
@@ -56,7 +56,6 @@ from ..control import (
     CostAwarePolicy,
     PlanProjection,
     PolicyDecision,
-    ThresholdPolicy,
     WhatIfPlanner,
     available_policies,
     policy_by_name,
@@ -167,7 +166,6 @@ __all__ = [
     "TPCHLoadResult",
     "TPCHWorkload",
     "TableAccess",
-    "ThresholdPolicy",
     "UniformKeys",
     "UnknownDatasetError",
     "WhatIfPlanner",

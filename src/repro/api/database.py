@@ -90,28 +90,6 @@ class Database:
 
     # ------------------------------------------------------------- lifecycle
 
-    @classmethod
-    def open(
-        cls,
-        config: Optional[ClusterConfig] = None,
-        strategy: "Optional[str | object]" = None,
-        **kwargs: Any,
-    ) -> "Database":
-        """Open a new session (alias of the constructor, reads better)."""
-        return cls(config, strategy=strategy, **kwargs)
-
-    @classmethod
-    def attach(cls, cluster: SimulatedCluster) -> "Database":
-        """Wrap an existing cluster (migration path for legacy call sites)."""
-        db = cls.__new__(cls)
-        db._cluster = cluster
-        db._executor = ClusterQueryExecutor(cluster)
-        db._metrics = MetricsRegistry().attach(cluster.events)
-        db._autopilot = None
-        db._trace = None
-        db._closed = False
-        return db
-
     def close(self) -> None:
         """Close the session; later verbs raise :class:`ClusterError`.
 
@@ -322,7 +300,7 @@ class Database:
 
     def autopilot(
         self,
-        policy: "str | object" = "threshold",
+        policy: "str | object" = "cost_aware",
         *,
         policy_options: Optional[Mapping[str, Any]] = None,
         start: bool = True,
@@ -330,9 +308,9 @@ class Database:
     ) -> Autopilot:
         """Attach an autopilot control loop to this session.
 
-        ``policy`` is a registered policy name (``"threshold"``,
-        ``"cost_aware"``; see
-        :func:`repro.control.register_policy`) or a policy instance;
+        ``policy`` is a registered policy name (``"cost_aware"``, the
+        default; see :func:`repro.control.register_policy`) or a policy
+        instance;
         ``policy_options`` are forwarded to the policy factory when a name is
         given, and ``engine_options`` (``check_every_ops``,
         ``cooldown_seconds``, ``hysteresis``, ``dry_run``,

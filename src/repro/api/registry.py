@@ -58,8 +58,8 @@ def resolve_strategy(
             "rebalance_cluster_steps generator); pass an instance or one of: "
             f"{', '.join(available_strategies())}"
         )
-    # A run-to-completion override more derived than the generator it is
-    # drained from would never be called: reject it here, not mid-run.
+    # A legacy run-to-completion override more derived than the generator
+    # would never be called: reject it here, not mid-run.
     mro = type(strategy).__mro__
 
     def defined_at(name: str) -> int:
@@ -68,7 +68,6 @@ def resolve_strategy(
     if defined_at("rebalance_cluster") < defined_at("rebalance_cluster_steps"):
         raise ConfigError(
             f"{strategy!r} overrides rebalance_cluster, which the cluster never calls; "
-            "override the rebalance_cluster_steps generator instead "
-            "(rebalance_cluster is that generator drained)"
+            "override the rebalance_cluster_steps generator instead"
         )
     return strategy

@@ -2,9 +2,9 @@
 
 :class:`SimulatedCluster` is the public facade of the reproduction: it plays
 the role of an AsterixDB cluster (one CC, N NCs with 4 partitions each) and
-exposes dataset creation, feed ingestion, lookups/scans for the query engine,
-and cluster resizing (which delegates to a rebalancing strategy from
-:mod:`repro.rebalance.strategies`).
+exposes dataset creation, feed ingestion, the partitions the query engine
+scans, and cluster resizing as a protocol generator (which delegates to a
+rebalancing strategy from :mod:`repro.rebalance.strategies`).
 
 The CC state mirrors Section II-C / V: per-dataset metadata, the global
 directory of every bucketed dataset, and the metadata WAL whose forced
@@ -30,7 +30,6 @@ from ..common.hashutil import hash_key
 from ..hashing.bucket_id import ROOT_BUCKET, BucketId
 from ..hashing.extendible import GlobalDirectory
 from ..lsm.wal import WriteAheadLog
-from ..sim import drain
 from .cost_model import CostModel
 from .dataset import DatasetSpec, SecondaryIndexSpec
 from .feed import DataFeed, RoutingSnapshot
@@ -348,52 +347,12 @@ class SimulatedCluster:
         """Open a data feed against the dataset's current routing state."""
         return DataFeed(self, dataset_name, batch_size=batch_size)
 
-    # ------------------------------------------------------------ read paths
-
-    def point_lookup(self, dataset_name: str, key: Any) -> Optional[Dict[str, Any]]:
-        """Point lookup by primary key (routes via the current directory).
-
-        Client code should prefer the :mod:`repro.api` handles
-        (``db.dataset(name).get(key)``); this is the internal routing path
-        they share with the query executor.  The deprecated ``ingest`` /
-        ``lookup`` shims were removed in 1.3 — use ``Dataset.insert`` /
-        ``Dataset.get``.
-        """
-        runtime = self.dataset(dataset_name)
-        hashed = hash_key(key)
-        partition_id = runtime.partition_of_key(key, hashed)
-        return runtime.partitions[partition_id].lookup(key, hashed)
-
-    def partitions_by_node(self, dataset_name: str) -> Dict[str, List[StoragePartition]]:
-        """Dataset partitions grouped by node (what the query executor runs over)."""
-        runtime = self.dataset(dataset_name)
-        grouped: Dict[str, List[StoragePartition]] = {}
-        for pid in sorted(runtime.partitions):
-            node = self.node_of_partition(pid)
-            grouped.setdefault(node.node_id, []).append(runtime.partitions[pid])
-        return grouped
-
-    def record_count(self, dataset_name: str) -> int:
-        return self.dataset(dataset_name).record_count()
-
     # ------------------------------------------------------------- rebalance
 
     def next_rebalance_id(self) -> int:
         rid = self._next_rebalance_id
         self._next_rebalance_id += 1
         return rid
-
-    def rebalance_to(
-        self,
-        target_nodes: int,
-        concurrent_rows: Optional[Mapping[str, Any]] = None,
-        fault_injector: Optional[object] = None,
-    ) -> "ClusterRebalanceReport":
-        """Resize the cluster to ``target_nodes`` using the configured strategy.
-
-        This is :meth:`rebalance_to_steps` drained in place.
-        """
-        return drain(self.rebalance_to_steps(target_nodes, concurrent_rows, fault_injector))
 
     def rebalance_to_steps(
         self,
@@ -442,14 +401,6 @@ class SimulatedCluster:
             report=report,
         )
         return report
-
-    def add_nodes(self, count: int = 1) -> "ClusterRebalanceReport":
-        """Scale out by ``count`` nodes (provisions, then rebalances onto them)."""
-        return self.rebalance_to(self.num_nodes + count)
-
-    def remove_nodes(self, count: int = 1) -> "ClusterRebalanceReport":
-        """Scale in by ``count`` nodes (rebalances away, then decommissions)."""
-        return self.rebalance_to(self.num_nodes - count)
 
     # -------------------------------------------------------------- reporting
 

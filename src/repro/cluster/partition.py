@@ -25,8 +25,6 @@ from ..common.config import BucketingConfig, LSMConfig
 from ..common.errors import StorageError
 from ..hashing.bucket_id import BucketId
 from ..lsm.entry import Entry, estimate_value_size
-from ..lsm.bloom import BloomFilter
-from ..lsm.component import DiskComponent
 from ..lsm.iterators import drop_tombstones, merge_runs
 from ..lsm.stats import StorageStats
 from ..lsm.tree import LSMTree
@@ -350,35 +348,16 @@ class StoragePartition:
         """Flush and pin the bucket's disk components (Section V-A snapshot)."""
         return self.primary.snapshot_bucket(bucket_id)
 
-    def scan_bucket_snapshot(
-        self, snapshot_components: List
-    ) -> Tuple[List[Entry], array, Optional[BloomFilter]]:
+    def scan_bucket_snapshot(self, snapshot_components: List) -> Tuple[List[Entry], array]:
         """Materialise the records of a pinned bucket snapshot, newest first
         reconciled (the source-side scan of the data movement phase), with
         the key hashes the snapshot's components already hold, for
-        :meth:`receive_bucket` — and the Bloom filter it can carry.
-
-        That filter is a snapshot component's, when one holds exactly the
-        run's keys and a probe has already built it (``None`` otherwise).
-        When reconciling dropped no tombstone, the run's keys are every
-        snapshot key, so a real disk component as long as the run holds the
-        same key set, and a filter's bits depend on nothing else but its
-        parameters (which the loaded component checks).  A reference
-        component does not qualify: its filter is its target's, built over
-        more keys.
+        :meth:`receive_bucket`.
         """
         reconciled, hashed = merge_runs(
             [c.hashed_entries() for c in snapshot_components], drop_tombstones=False
         )
-        entries, hashed = drop_tombstones(reconciled, hashed)
-        if len(entries) != len(reconciled):
-            return entries, hashed, None
-        for component in snapshot_components:
-            if isinstance(component, DiskComponent) and len(component) == len(entries):
-                bloom = component.built_bloom
-                if bloom is not None:
-                    return entries, hashed, bloom
-        return entries, hashed, None
+        return drop_tombstones(reconciled, hashed)
 
     def release_bucket_snapshot(self, snapshot_components: List) -> None:
         Bucket.release_snapshot(snapshot_components)
@@ -402,14 +381,13 @@ class StoragePartition:
         bucket_id: BucketId,
         entries: Iterable[Entry],
         hashed: Optional[Iterable[int]] = None,
-        bloom: Optional[BloomFilter] = None,
     ) -> PendingReceivedBucket:
         """Store scanned records for a moving bucket, invisible to queries.
 
         ``hashed`` is the key-hash column :meth:`scan_bucket_snapshot` returned
         with ``entries`` (which are then in key order); the loaded component
-        takes it instead of hashing every moved record again, and takes
-        ``bloom``, the filter the scan returned, instead of building its own.
+        takes it instead of hashing every moved record again, and builds
+        its Bloom filter from it on its first miss, like any component.
 
         The records are bulk-loaded into a bucket object that is *not*
         registered in the primary index's local directory, and into
@@ -437,7 +415,7 @@ class StoragePartition:
         entry_list = list(entries)
         if not entry_list:
             return pending
-        pending.bucket.tree.add_loaded_component(entry_list, hashed=hashed, bloom=bloom)
+        pending.bucket.tree.add_loaded_component(entry_list, hashed=hashed)
         for spec in self.dataset.secondary_indexes:
             index = self.secondary_indexes[spec.name]
             secondary_entries = []

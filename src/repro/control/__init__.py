@@ -4,20 +4,22 @@ The paper's core claim is that dynamic hashing makes rebalancing cheap enough
 to do *often*; this package closes the loop from observed load to rebalance
 decisions the way production shared-nothing stores do.  Three layers:
 
-* :class:`ClusterObservation` — a frozen snapshot of what the cluster looks
-  like right now, assembled from the session's
-  :class:`~repro.metrics.MetricsRegistry` and the cluster state;
+* :class:`ClusterObservation` — a frozen snapshot of per-node storage, balance
+  and rebalance phase, assembled from the cluster state and the session's
+  :class:`~repro.metrics.MetricsRegistry`;
 * :class:`AutopilotPolicy` implementations (string-keyed registry mirroring
   the strategy registry) that turn an observation into a
-  :class:`PolicyDecision`, optionally simulating candidate plans through the
-  :class:`WhatIfPlanner` and the cluster cost model;
+  :class:`PolicyDecision`; the built-in :class:`CostAwarePolicy` simulates
+  candidate plans through the :class:`WhatIfPlanner` and the cluster cost
+  model;
 * the :class:`Autopilot` engine — production guardrails (cooldown windows,
   hysteresis, max one rebalance in flight, dry-run mode) around executing the
   decisions through :meth:`repro.api.Database.rebalance`, emitting
   ``autopilot.*`` lifecycle events onto the session bus so metrics and client
   callbacks observe every decision like any other cluster event.
 
-Client code reaches it through ``db.autopilot(policy="cost_aware", ...)``.
+Client code reaches it through ``db.autopilot()`` (``policy="cost_aware"``
+by default).
 """
 
 from .autopilot import Autopilot, AutopilotDecision
@@ -31,7 +33,6 @@ from .policy import (
     AutopilotPolicy,
     CostAwarePolicy,
     PolicyDecision,
-    ThresholdPolicy,
     available_policies,
     policy_by_name,
     register_policy,
@@ -50,7 +51,6 @@ __all__ = [
     "CostAwarePolicy",
     "PlanProjection",
     "PolicyDecision",
-    "ThresholdPolicy",
     "WhatIfPlanner",
     "available_policies",
     "policy_by_name",

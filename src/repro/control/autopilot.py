@@ -71,9 +71,8 @@ class Autopilot:
     db:
         The open session to control.
     policy:
-        Policy instance or registered name (``"threshold"`` or
-        ``"cost_aware"``); ``policy_options`` are forwarded to the factory when
-        a name is given.
+        Policy instance or registered name (``"cost_aware"``, the default);
+        ``policy_options`` are forwarded to the factory when a name is given.
     check_every_ops:
         Evaluate the policy once per this many ``op.*`` events.
     cooldown_seconds:
@@ -90,7 +89,7 @@ class Autopilot:
     def __init__(
         self,
         db: "Database",
-        policy: "str | object" = "threshold",
+        policy: "str | object" = "cost_aware",
         *,
         policy_options: Optional[Mapping[str, Any]] = None,
         check_every_ops: int = 50,

@@ -8,20 +8,17 @@ therefore make identical decisions (the autopilot determinism contract), and
 so tests can compare observations directly.
 
 Everything here is derived from state that is itself deterministic: the
-metrics registry's simulated clock and counters, and the cluster's per-node
-storage accounting.
+metrics registry's simulated clock and rebalance phase, and the cluster's
+per-node storage accounting.  Observations are not written to recordings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TYPE_CHECKING, Tuple
-
-from ..metrics import PHASE_REBALANCE, PHASE_STEADY
+from typing import Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.database import Database
-    from ..metrics.histogram import LatencyHistogram
 
 
 def balance_ratio(values: "Sequence[int]") -> float:
@@ -40,92 +37,33 @@ def balance_ratio(values: "Sequence[int]") -> float:
 
 @dataclass(frozen=True)
 class ClusterObservation:
-    """What the autopilot sees: load, balance, capacity, and tail latency."""
+    """What the autopilot sees: per-node load, balance and capacity."""
 
     #: The metrics clock at capture time (simulated seconds).
     simulated_seconds: float
     num_nodes: int
-    total_partitions: int
-    #: ``(node_id, bytes)`` pairs, sorted by node id.
-    storage_per_node: Tuple[Tuple[str, int], ...]
     total_bytes: int
     max_node_bytes: int
     #: Per-node byte skew, max/mean (1.0 = perfectly balanced).
     node_balance_ratio: float
-    #: Per-partition byte skew across all datasets (hotspot partitions push
-    #: this up well before whole nodes look imbalanced).
-    partition_balance_ratio: float
-    max_partition_bytes: int
-    total_records: int
-    #: Total operations the metrics registry has counted so far.
-    ops_total: int
     #: Whether a rebalance is currently in flight (registry phase).
     in_rebalance: bool
-    rebalances_started: int
-    rebalances_completed: int
-    #: Cumulative p99s in seconds; 0.0 when no samples exist for the phase.
-    steady_write_p99: float
-    steady_read_p99: float
-    rebalance_write_p99: float
-    dataset_names: Tuple[str, ...]
-    #: Cumulative per-bucket op counts, ``(dataset, bucket, count)`` sorted
-    #: by (dataset, bucket).  Populated only while a tracing session's
-    #: `TimelineRecorder` has its heat tracker installed on the cluster
-    #: (empty otherwise), so policies consuming heat must tolerate absence.
-    bucket_read_heat: Tuple[Tuple[str, str, int], ...] = ()
-    bucket_write_heat: Tuple[Tuple[str, str, int], ...] = ()
-    #: ``(node_id, multiplier)`` pairs for nodes currently inside an active
-    #: chaos straggler window.  Populated only while a chaos engine is
-    #: installed on the cluster (empty otherwise) — like heat, policies that
-    #: consume it must tolerate absence.
-    straggler_nodes: Tuple[Tuple[str, float], ...] = ()
 
     @classmethod
     def capture(cls, db: "Database") -> "ClusterObservation":
-        """Snapshot the session's cluster and telemetry state."""
-        cluster = db.cluster
+        """Snapshot the session's per-node storage and rebalance phase."""
+        node_bytes = list(db.cluster.storage_per_node().values())
         metrics = db.metrics
-        storage = tuple(sorted(cluster.storage_per_node().items()))
-        node_bytes = tuple(size for _, size in storage)
-        partition_bytes: dict = {}
-        total_records = 0
-        for name in cluster.dataset_names():
-            runtime = cluster.dataset(name)
-            total_records += runtime.record_count()
-            for pid, partition in runtime.partitions.items():
-                partition_bytes[pid] = partition_bytes.get(pid, 0) + partition.size_bytes
-        per_partition = tuple(partition_bytes[pid] for pid in sorted(partition_bytes))
-        heat = cluster.heat
         return cls(
             simulated_seconds=metrics.clock.now,
-            num_nodes=cluster.num_nodes,
-            total_partitions=cluster.total_partitions,
-            storage_per_node=storage,
+            num_nodes=db.cluster.num_nodes,
             total_bytes=sum(node_bytes),
-            max_node_bytes=max(node_bytes) if node_bytes else 0,
+            max_node_bytes=max(node_bytes, default=0),
             node_balance_ratio=balance_ratio(node_bytes),
-            partition_balance_ratio=balance_ratio(per_partition),
-            max_partition_bytes=max(per_partition) if per_partition else 0,
-            total_records=total_records,
-            ops_total=int(metrics.counter_value("ops.total")),
             in_rebalance=metrics.in_rebalance,
-            rebalances_started=int(metrics.counter_value("rebalance.started")),
-            rebalances_completed=int(metrics.counter_value("rebalance.completed")),
-            steady_write_p99=_p99(metrics.write_latency(PHASE_STEADY)),
-            steady_read_p99=_p99(metrics.latency("read", PHASE_STEADY)),
-            rebalance_write_p99=_p99(metrics.write_latency(PHASE_REBALANCE)),
-            dataset_names=tuple(cluster.dataset_names()),
-            bucket_read_heat=heat.read_heat() if heat is not None else (),
-            bucket_write_heat=heat.write_heat() if heat is not None else (),
-            straggler_nodes=(
-                cluster.chaos.active_stragglers() if cluster.chaos is not None else ()
-            ),
         )
 
     # ------------------------------------------------------------ conveniences
-
-    def mean_node_bytes(self) -> float:
-        return self.total_bytes / self.num_nodes if self.num_nodes else 0.0
 
     def utilization(self, node_capacity_bytes: int) -> float:
         """Peak node utilization against a per-node capacity budget."""
@@ -134,22 +72,11 @@ class ClusterObservation:
         return self.max_node_bytes / node_capacity_bytes
 
     def mean_utilization(self, node_capacity_bytes: int) -> float:
+        """Mean node utilization against a per-node capacity budget."""
         if node_capacity_bytes <= 0:
             raise ValueError("node_capacity_bytes must be positive")
-        return self.mean_node_bytes() / node_capacity_bytes
-
-    def max_bucket_heat(self) -> int:
-        """The hottest single bucket's combined read+write op count.
-
-        Combines both heat tables per (dataset, bucket); 0 when no heat
-        tracker is installed (untraced sessions), so threshold policies can
-        use heat as a strictly additive trigger.
-        """
-        combined: dict = {}
-        for table in (self.bucket_read_heat, self.bucket_write_heat):
-            for dataset, bucket, count in table:
-                combined[(dataset, bucket)] = combined.get((dataset, bucket), 0) + count
-        return max(combined.values(), default=0)
+        mean = self.total_bytes / self.num_nodes if self.num_nodes else 0.0
+        return mean / node_capacity_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -158,6 +85,3 @@ class ClusterObservation:
             f"balance={self.node_balance_ratio:.2f})"
         )
 
-
-def _p99(histogram: "LatencyHistogram") -> float:
-    return histogram.percentile(0.99) if histogram.count else 0.0

@@ -1,24 +1,18 @@
 """Autopilot policies: turning observations into rebalance decisions.
 
 A policy is anything with ``decide(observation, planner) -> PolicyDecision``
-and a ``name``.  Two built-ins cover the production archetypes:
+and a ``name``.  The built-in one, :class:`CostAwarePolicy`, simulates
+candidate plans (re-target, add node, remove node) through the
+:class:`~repro.control.planner.WhatIfPlanner` / cluster cost model and picks
+the cheapest plan whose projected post-move balance clears a bar.
 
-* :class:`ThresholdPolicy` — classic trigger rules: per-node byte skew,
-  hotspot partitions, capacity pressure against a per-node budget, and p99
-  write-latency regression against the first steady baseline it observes.
-* :class:`CostAwarePolicy` — simulates candidate plans (re-target, add node,
-  remove node) through the :class:`~repro.control.planner.WhatIfPlanner` /
-  cluster cost model and picks the cheapest plan whose projected post-move
-  balance clears a bar.
+Policies are registered in a string-keyed registry mirroring the strategy
+registry, so client code writes ``db.autopilot(policy="cost_aware")`` and
+plugs in custom policies with :func:`register_policy`.
 
-Policies are registered in a string-keyed registry mirroring the PR 1
-strategy registry, so client code writes ``db.autopilot(policy="cost_aware")``
-and plugs in custom policies with :func:`register_policy`.
-
-Policies may be stateful (the threshold policy remembers its p99
-baseline); a fresh instance is built per
-autopilot engine, so state never leaks between sessions and two same-seed
-runs traverse identical state sequences.
+A fresh policy instance is built per autopilot engine, so a stateful custom
+policy never leaks state between sessions and two same-seed runs traverse
+identical state sequences.
 """
 
 from __future__ import annotations
@@ -92,168 +86,6 @@ class AutopilotPolicy:
         return f"{type(self).__name__}()"
 
 
-class ThresholdPolicy(AutopilotPolicy):
-    """Trigger rules over skew, hotspots, capacity, and tail latency.
-
-    Parameters
-    ----------
-    skew_threshold:
-        Per-node byte skew (max/mean) above which the policy re-targets the
-        current node set (re-running Algorithm 2 spreads drifted buckets).
-    partition_skew_threshold:
-        Optional per-partition skew trigger — hotspot partitions push this up
-        before whole nodes look imbalanced.  ``None`` disables it.
-    node_capacity_bytes:
-        Per-node capacity budget; ``None`` disables both capacity triggers.
-    capacity_high / capacity_low:
-        Peak utilization above ``capacity_high`` adds ``step`` nodes; mean
-        utilization below ``capacity_low`` removes ``step`` (when the
-        post-removal mean would still sit comfortably under the high mark).
-    p99_regression_factor:
-        Optional: when the cumulative steady write p99 exceeds this multiple
-        of the first non-zero baseline it observed, add a node.
-    hot_bucket_ops:
-        Optional: when any single bucket's combined read+write heat (from
-        the observation's per-bucket heat counters, populated only while a
-        tracing session is attached) exceeds this count, re-target the
-        current node set so Algorithm 2 can spread the hot bucket's
-        neighbours.  ``None`` disables it; untraced sessions report zero
-        heat, so the trigger never fires without a `TimelineRecorder`.
-    """
-
-    name = "Threshold"
-
-    def __init__(
-        self,
-        skew_threshold: float = 1.5,
-        partition_skew_threshold: Optional[float] = None,
-        node_capacity_bytes: Optional[int] = None,
-        capacity_high: float = 0.85,
-        capacity_low: float = 0.25,
-        p99_regression_factor: Optional[float] = None,
-        hot_bucket_ops: Optional[int] = None,
-        step: int = 1,
-        min_nodes: int = 1,
-        max_nodes: Optional[int] = None,
-    ) -> None:
-        if skew_threshold < 1.0:
-            raise ConfigError("skew_threshold must be at least 1.0")
-        if not 0.0 < capacity_low < capacity_high:
-            raise ConfigError("need 0 < capacity_low < capacity_high")
-        if step < 1:
-            raise ConfigError("step must be at least 1")
-        if hot_bucket_ops is not None and hot_bucket_ops < 1:
-            raise ConfigError("hot_bucket_ops must be at least 1")
-        self.skew_threshold = skew_threshold
-        self.partition_skew_threshold = partition_skew_threshold
-        self.node_capacity_bytes = node_capacity_bytes
-        self.capacity_high = capacity_high
-        self.capacity_low = capacity_low
-        self.p99_regression_factor = p99_regression_factor
-        self.hot_bucket_ops = hot_bucket_ops
-        self.step = step
-        self.min_nodes = min_nodes
-        self.max_nodes = max_nodes
-        self._baseline_p99: Optional[float] = None
-
-    def decide(
-        self, observation: ClusterObservation, planner: WhatIfPlanner
-    ) -> PolicyDecision:
-        nodes = observation.num_nodes
-        can_add = self.max_nodes is None or nodes + self.step <= self.max_nodes
-        can_remove = nodes - self.step >= self.min_nodes
-
-        if self.node_capacity_bytes is not None and can_add:
-            peak = observation.utilization(self.node_capacity_bytes)
-            if peak >= self.capacity_high:
-                return PolicyDecision(
-                    ACTION_ADD,
-                    target_nodes=nodes + self.step,
-                    reason=(
-                        f"capacity pressure: peak node utilization "
-                        f"{peak:.2f} >= {self.capacity_high:.2f}"
-                    ),
-                )
-
-        # Both skew triggers re-target the current node set — but only when
-        # Algorithm 2 would actually move buckets.  Skew a rebalance cannot
-        # fix (e.g. one dominant never-split bucket) must not burn an empty
-        # rebalance every cooldown window.
-        if observation.node_balance_ratio > self.skew_threshold:
-            if planner.project(nodes).buckets_moved > 0:
-                return PolicyDecision(
-                    ACTION_RETARGET,
-                    target_nodes=nodes,
-                    reason=(
-                        f"node skew {observation.node_balance_ratio:.2f} > "
-                        f"{self.skew_threshold:.2f}"
-                    ),
-                )
-
-        if self.hot_bucket_ops is not None:
-            hottest = observation.max_bucket_heat()
-            if hottest > self.hot_bucket_ops and planner.project(nodes).buckets_moved > 0:
-                return PolicyDecision(
-                    ACTION_RETARGET,
-                    target_nodes=nodes,
-                    reason=(
-                        f"hot bucket: {hottest} ops on one bucket > "
-                        f"{self.hot_bucket_ops}"
-                    ),
-                )
-
-        if (
-            self.partition_skew_threshold is not None
-            and observation.partition_balance_ratio > self.partition_skew_threshold
-        ):
-            if planner.project(nodes).buckets_moved > 0:
-                return PolicyDecision(
-                    ACTION_RETARGET,
-                    target_nodes=nodes,
-                    reason=(
-                        f"hotspot partition skew {observation.partition_balance_ratio:.2f} > "
-                        f"{self.partition_skew_threshold:.2f}"
-                    ),
-                )
-
-        if self.p99_regression_factor is not None:
-            current = observation.steady_write_p99
-            if self._baseline_p99 is None:
-                if current > 0:
-                    self._baseline_p99 = current
-            elif can_add and current > self.p99_regression_factor * self._baseline_p99:
-                baseline = self._baseline_p99
-                # Re-baseline at the regressed level: the cumulative histogram
-                # can never fall back, so without this one regression episode
-                # would re-fire an add on every evaluation forever.
-                self._baseline_p99 = current
-                return PolicyDecision(
-                    ACTION_ADD,
-                    target_nodes=nodes + self.step,
-                    reason=(
-                        f"steady write p99 regressed {current / baseline:.1f}x "
-                        f"over the {baseline * 1e3:.3f} ms baseline"
-                    ),
-                )
-
-        if self.node_capacity_bytes is not None and can_remove:
-            mean = observation.mean_utilization(self.node_capacity_bytes)
-            after = observation.total_bytes / (
-                (nodes - self.step) * self.node_capacity_bytes
-            )
-            if mean < self.capacity_low and after < self.capacity_high * 0.9:
-                return PolicyDecision(
-                    ACTION_REMOVE,
-                    target_nodes=nodes - self.step,
-                    reason=(
-                        f"underutilized: mean node utilization {mean:.2f} < "
-                        f"{self.capacity_low:.2f}"
-                    ),
-                )
-
-        return no_action("all thresholds clear")
-
-
 class CostAwarePolicy(AutopilotPolicy):
     """Simulate candidate plans and pick the cheapest that restores balance.
 
@@ -288,6 +120,12 @@ class CostAwarePolicy(AutopilotPolicy):
             raise ConfigError("need 0 < capacity_low < capacity_high")
         if max_step < 1:
             raise ConfigError("max_step must be at least 1")
+        if node_capacity_bytes is not None and node_capacity_bytes <= 0:
+            raise ConfigError("node_capacity_bytes must be positive")
+        if min_nodes < 1:
+            raise ConfigError("min_nodes must be at least 1")
+        if max_nodes is not None and max_nodes < min_nodes:
+            raise ConfigError("max_nodes must be at least min_nodes")
         self.balance_bar = balance_bar
         self.node_capacity_bytes = node_capacity_bytes
         self.capacity_high = capacity_high
@@ -474,5 +312,4 @@ def resolve_policy(policy: "str | AutopilotPolicy", **kwargs: Any) -> AutopilotP
     return policy
 
 
-register_policy("threshold", ThresholdPolicy, aliases=("skew", "thresholds"))
 register_policy("cost_aware", CostAwarePolicy, aliases=("costaware", "cost-aware", "cost"))

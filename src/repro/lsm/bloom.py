@@ -14,19 +14,12 @@ filter has no false negatives, so for a key the run holds it could only say
 
 from __future__ import annotations
 
-from typing import Any, Collection, Optional, Sequence, Tuple
+from typing import Any, Collection, Optional, Sequence
 
 from ..common.hashutil import hash_key
 
 #: Flag bytes 0 / 1 to the ASCII digits ``int(..., 2)`` reads.
 _FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _geometry(expected_keys: int, bits_per_key: int, num_hashes: int) -> Tuple[int, int]:
-    """``(num_bits, num_hashes)`` of a filter sized for ``expected_keys``."""
-    if not bits_per_key:
-        return 0, 0
-    return max(8, expected_keys * bits_per_key), num_hashes
 
 
 class BloomFilter:
@@ -49,16 +42,16 @@ class BloomFilter:
     on ints below ``2 * bits``.
     """
 
-    __slots__ = ("_bits", "_num_bits", "_num_hashes", "_num_keys")
+    __slots__ = ("_bits", "_num_bits", "_num_hashes")
 
     def __init__(self, expected_keys: int, bits_per_key: int = 10, num_hashes: int = 7) -> None:
         if expected_keys < 0:
             raise ValueError("expected_keys must be non-negative")
         if bits_per_key < 0 or num_hashes < 0:
             raise ValueError("bloom parameters must be non-negative")
-        self._num_bits, self._num_hashes = _geometry(expected_keys, bits_per_key, num_hashes)
-        self._bits = bytearray((self._num_bits + 7) // 8) if self._num_bits else bytearray()
-        self._num_keys = 0
+        self._num_bits = max(8, expected_keys * bits_per_key) if bits_per_key else 0
+        self._num_hashes = num_hashes if bits_per_key else 0
+        self._bits = bytearray((self._num_bits + 7) // 8)
 
     @classmethod
     def build(
@@ -81,7 +74,6 @@ class BloomFilter:
         elif len(hashed) != len(keys):
             raise ValueError(f"{len(hashed)} hashes for {len(keys)} keys")
         bloom = cls(len(hashed), bits_per_key=bits_per_key, num_hashes=num_hashes)
-        bloom._num_keys = len(hashed)
         num_bits = bloom._num_bits
         if not num_bits:
             return bloom
@@ -104,24 +96,6 @@ class BloomFilter:
         packed = int(flags[::-1].translate(_FLAG_DIGITS), 2)
         bloom._bits = bytearray(packed.to_bytes(len(bloom._bits), "little"))
         return bloom
-
-    def fits(self, num_keys: int, bits_per_key: int, num_hashes: int) -> bool:
-        """True if this filter holds ``num_keys`` keys in the geometry a
-        :meth:`build` over that many keys with these parameters would have:
-        over the same key set, such a build sets exactly these bits."""
-        return self._num_keys == num_keys and (self._num_bits, self._num_hashes) == _geometry(
-            num_keys, bits_per_key, num_hashes
-        )
-
-    @property
-    def num_keys(self) -> int:
-        """Number of keys the filter was built over."""
-        return self._num_keys
-
-    @property
-    def size_bytes(self) -> int:
-        """Size of the underlying bit array (0 when disabled)."""
-        return len(self._bits)
 
     def may_contain(self, key: Any, hashed: Optional[int] = None) -> bool:
         """Return False only if ``key`` was definitely never added.
@@ -149,4 +123,4 @@ class BloomFilter:
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"BloomFilter(keys={self._num_keys}, bits={self._num_bits})"
+        return f"BloomFilter(bits={self._num_bits}, hashes={self._num_hashes})"

@@ -31,7 +31,6 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 from ..common.config import LSMConfig
 from ..common.errors import StorageError
 from ..common.hashutil import hash_key, low_bits
-from .bloom import BloomFilter
 from .component import (
     DiskComponent,
     MemoryComponent,
@@ -293,14 +292,12 @@ class LSMTree:
         self,
         entries: Iterable[Entry],
         hashed: Optional[Iterable[int]],
-        bloom: Optional[BloomFilter] = None,
     ) -> DiskComponent:
         return DiskComponent(
             entries,
             bloom_bits_per_key=self.config.bloom_bits_per_key,
             bloom_num_hashes=self.config.bloom_num_hashes,
             hashed=hashed,
-            bloom=bloom,
         )
 
     def _component_run_for_merge(self, component: AnyDiskComponent) -> Tuple[List[Entry], array]:
@@ -557,7 +554,6 @@ class LSMTree:
         entries: Sequence[Entry],
         newest: bool = False,
         hashed: Optional[Iterable[int]] = None,
-        bloom: Optional[BloomFilter] = None,
     ) -> DiskComponent:
         """Create a disk component directly from scanned data.
 
@@ -567,10 +563,9 @@ class LSMTree:
         present — exactly the ordering Section V-B requires between scanned
         data and replicated log records.  ``hashed`` is the key-hash column
         of ``entries`` when the scan carried it (see :class:`DiskComponent`:
-        the entries must then be in key order), and ``bloom`` a filter the
-        scan's source already built over exactly these keys.
+        the entries must then be in key order).
         """
-        component = self._build_component(entries, hashed, bloom)
+        component = self._build_component(entries, hashed)
         if newest:
             self.disk_components.insert(0, component)
         else:

@@ -39,7 +39,7 @@ from ..hashing.extendible import GlobalDirectory
 from ..hashing.static_bucket import static_buckets, static_directory
 from ..cluster.partition import StoragePartition
 from ..cluster.reports import ClusterRebalanceReport, RebalanceReport
-from ..sim import SimSegment, drain
+from ..sim import SimSegment
 from .operation import ConcurrentWriteLoad, FaultInjector, RebalanceOperation
 from .plan import RebalancePlan, plan_from_directories
 
@@ -71,22 +71,6 @@ class RebalancingStrategy:
         """Strategies may precompute the new directory (ConsistentHash does);
         returning ``None`` lets the operation run Algorithm 2."""
         return None
-
-    def rebalance_cluster(
-        self,
-        cluster: "SimulatedCluster",
-        target_nodes: int,
-        concurrent_rows: Optional[Mapping[str, Sequence[Mapping[str, Any]]]] = None,
-        fault_injector: Optional[FaultInjector] = None,
-    ) -> ClusterRebalanceReport:
-        """Resize the cluster to ``target_nodes``, rebalancing every dataset.
-
-        This is :meth:`rebalance_cluster_steps` drained in place — override
-        that generator, not this method.
-        """
-        return drain(
-            self.rebalance_cluster_steps(cluster, target_nodes, concurrent_rows, fault_injector)
-        )
 
     def rebalance_cluster_steps(
         self,

@@ -702,7 +702,7 @@ class AutopilotSection(_Section):
 
     policy: str = _key(
         _choice("unknown policy {value!r} (registered policies: {choices})", available_policies),
-        "threshold",
+        "cost_aware",
         always=True,
     )
     options: Mapping[str, Any] = _key(_free_table(bytes_suffix="_bytes"), factory=dict)

@@ -12,9 +12,7 @@ cluster's ``heat`` hook.  The hot paths (`Dataset` reads, `DataFeed` writes)
 pay a single ``is not None`` probe when tracing is off, the same bargain as
 ``EventBus.has_subscribers``; when a recorder is attached, each call credits
 its key's *current* bucket, so heat follows the directory across splits and
-moves.  The cumulative counters surface on
-:class:`~repro.control.observation.ClusterObservation` for autopilot
-policies.
+moves.  The cumulative tables land in the recording's ``trace.heat``.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ def drive_full_session(events):
     """Exercise every event-emitting subsystem once; append Events to ``events``."""
     db = Database(small_config(), strategy="dynahash")
     db.on("*", events.append)
-    pilot = db.autopilot(policy="threshold", check_every_ops=50, dry_run=True)
+    pilot = db.autopilot(check_every_ops=50, dry_run=True)
     pilot.start()
 
     traffic = db.create_dataset("traffic", primary_key="id")

@@ -16,8 +16,8 @@ class TestKnownNames:
 
     def test_policy_names_come_from_live_registry(self):
         names = known_policy_names()
-        assert {"threshold", "cost_aware", "skew", "cost-aware"} <= names
-        assert "scheduled" not in names
+        assert {"cost_aware", "cost-aware"} <= names
+        assert "threshold" not in names and "scheduled" not in names
 
 
 class TestResolverCalls:
@@ -61,7 +61,7 @@ class TestKeywordLiterals:
         assert "reg-unknown-policy" in rules_of(
             "pilot = db.autopilot(policy='nope')\n"
         )
-        assert rules_of("pilot = db.autopilot(policy='Threshold')\n") == set()
+        assert rules_of("pilot = db.autopilot(policy='Cost_Aware')\n") == set()
 
 
 class TestLocalRegistrations:
@@ -96,7 +96,7 @@ class TestTomlSpecs:
         spec.write_text(
             '[scenario]\nname = "ok"\n\n'
             '[cluster]\nnodes = 2\nstrategy = "dynahash"\n\n'
-            '[autopilot]\npolicy = "threshold"\n'
+            '[autopilot]\npolicy = "cost_aware"\n'
         )
         assert lint_file(spec, tmp_path) == []
 

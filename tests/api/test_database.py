@@ -91,19 +91,6 @@ class TestSessionLifecycle:
         database.close()
         assert events == ["database.close"]
 
-    def test_attach_wraps_existing_cluster(self):
-        from repro.cluster import SimulatedCluster
-
-        cluster = SimulatedCluster(small_config(), strategy="dynahash")
-        cluster.create_dataset("orders", primary_key="o_orderkey")
-        database = Database.attach(cluster)
-        assert database.dataset_names() == ["orders"]
-        assert database.cluster is cluster
-
-    def test_open_alias(self):
-        database = Database.open(small_config(), strategy="static")
-        assert database.num_nodes == 2
-
     def test_describe_snapshot(self, db):
         db.create_dataset("orders", primary_key="o_orderkey")
         snapshot = db.describe()

@@ -414,59 +414,49 @@ def open_single_run():
         bucket.tree._merge_range(0, bucket.tree.component_count)
         assert [type(c) for c in bucket.tree.disk_components] == [DiskComponent]
     assert all(dataset.get_many(keys))
-    assert not any(b.tree.disk_components[0].built_bloom for b in split_buckets(db))
+    assert not any(b.tree.disk_components[0]._bloom for b in split_buckets(db))
     assert not any(dataset.get_many(ABSENT))
-    assert all(b.tree.disk_components[0].built_bloom for b in split_buckets(db))
+    assert all(b.tree.disk_components[0]._bloom for b in split_buckets(db))
     return db, dataset, keys
 
 
-class TestMovesCarryTheirBloomFilters:
-    """A moved bucket's component keeps the filter its source already built
-    when its key set is the source component's; otherwise it builds its own
-    on its first probe that misses, as every component does.  The builds are
-    counted over reads of present keys (which build nothing) and then of
-    absent ones."""
+class TestMovedBucketsBuildTheirOwnFilters:
+    """A bucket move carries its components' key-hash column, not a Bloom
+    filter: the loaded component builds its filter from that column once, on
+    its first probe that misses, as every component does.  Reads of present
+    keys build nothing, and every key reads as it did at the source."""
 
-    def test_single_run_moves_build_no_filter(self, bloom_builds):
+    @pytest.mark.parametrize("change", ["none", "tombstone", "newer_run"])
+    def test_a_moved_component_builds_its_filter_on_its_first_miss(
+        self, bloom_builds, hash_calls, change
+    ):
         db, dataset, keys = open_single_run()
+        buckets = split_buckets(db)
+        if change == "tombstone":
+            # One tombstone per bucket: the move's snapshot reconciles it away.
+            dataset.delete([bucket.tree.disk_components[0].min_key for bucket in buckets])
+        elif change == "newer_run":
+            fresh = [
+                next(k for k in range(5000, 6000) if bucket.bucket_id.contains_key(k))
+                for bucket in buckets
+            ]
+            db.cluster.feed("t").ingest([{"k": key, "v": "y"} for key in fresh], maintain=False)
+            keys = keys + fresh
+        present = [key for key, row in zip(keys, dataset.get_many(keys)) if row is not None]
+        answers = dataset.get_many(keys + ABSENT)
         bloom_builds.clear()
-        report = db.rebalance(add=1)
-        assert sum(r.buckets_moved for r in report.dataset_reports) > 1
-        assert all(dataset.get_many(keys))
-        assert not any(dataset.get_many(ABSENT))
-        assert bloom_builds == []
-        db.close()
-
-    def test_a_dropped_tombstone_builds_afresh(self, bloom_builds):
-        db, dataset, keys = open_single_run()
-        bloom_builds.clear()
-        # One tombstone per bucket: the move's snapshot reconciles it away.
-        doomed = [bucket.tree.disk_components[0].min_key for bucket in split_buckets(db)]
-        dataset.delete(doomed)
-        report = db.rebalance(add=1)
-        moved = sum(r.buckets_moved for r in report.dataset_reports)
-        assert moved > 1
-        live = sorted(set(keys) - set(doomed))
-        assert all(dataset.get_many(live))
-        assert bloom_builds == []
-        assert not any(dataset.get_many(ABSENT))
-        assert len(bloom_builds) == moved
-        db.close()
-
-    def test_a_newer_run_that_adds_a_key_builds_afresh(self, bloom_builds):
-        db, dataset, keys = open_single_run()
-        bloom_builds.clear()
-        fresh = []
-        for bucket in split_buckets(db):
-            fresh.append(next(k for k in range(5000, 6000) if bucket.bucket_id.contains_key(k)))
-        db.cluster.feed("t").ingest([{"k": key, "v": "y"} for key in fresh], maintain=False)
+        hash_calls.clear()
         report = db.rebalance(add=1)
         moved = sum(r.buckets_moved for r in report.dataset_reports)
         assert moved > 1
-        assert all(dataset.get_many(keys + fresh))
-        assert bloom_builds == []
-        assert not any(dataset.get_many(ABSENT))
+        assert not hash_calls  # the move re-hashes no key
+        assert all(dataset.get_many(present))
+        assert bloom_builds == []  # a hit never asks the filter
+        assert dataset.get_many(keys + ABSENT) == answers
         assert len(bloom_builds) == moved
+        assert sum(bloom_builds) == sum(r.records_moved for r in report.dataset_reports)
+        assert not any(dataset.get_many(ABSENT))
+        assert len(bloom_builds) == moved  # once per moved component
         db.close()
 
 

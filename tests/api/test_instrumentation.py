@@ -143,12 +143,3 @@ class TestDatabaseMetrics:
         assert database.metrics.counter("records.insert").value == 10
         database.cluster.events.emit("op.read", latency_seconds=1.0)
         assert database.metrics.counter("ops.read").value == 0
-
-    def test_attach_wraps_cluster_with_metrics(self):
-        from repro.cluster import SimulatedCluster
-
-        cluster = SimulatedCluster(config(), strategy="dynahash")
-        database = Database.attach(cluster)
-        orders = database.create_dataset("orders", primary_key="o_orderkey")
-        orders.insert(order_rows(5))
-        assert database.metrics.counter("records.insert").value == 5

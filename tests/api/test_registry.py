@@ -84,8 +84,8 @@ class TestResolveStrategy:
 
     def test_run_to_completion_only_strategies_rejected_up_front(self):
         """The cluster only ever calls the ``rebalance_cluster_steps`` generator
-        (drained for run-to-completion), so a strategy that supplies just
-        ``rebalance_cluster`` must fail at resolution, naming the hook —
+        (drained for run-to-completion), so a strategy that supplies just a
+        legacy ``rebalance_cluster`` must fail at resolution, naming the hook —
         not with an AttributeError mid-run, and not by being silently bypassed."""
 
         class DuckTyped:
@@ -110,7 +110,7 @@ class TestResolveStrategy:
                 return (yield from super().rebalance_cluster_steps(cluster, target_nodes, **kwargs))
 
             def rebalance_cluster(self, cluster, target_nodes, **kwargs):
-                return super().rebalance_cluster(cluster, target_nodes, **kwargs)
+                raise AssertionError("never called")
 
         for strategy in (StepsOnly(), Both(), GlobalHashingStrategy()):
             assert resolve_strategy(strategy) is strategy

@@ -8,8 +8,9 @@ paths raise deprecation warnings anymore.  It also pins the deleted
 traffic/autopilot and figure experiment drivers, the bench artifact writer,
 the EXPERIMENTS.md generator, the never-read NC data log, the per-row
 write chain above the LSM tree, and the surface no committed run reached
-(the fluent query builder, the scheduled policy, the merge-policy factory and
-the dead ring/storage helpers).
+(the fluent query builder, the scheduled and threshold policies, the
+merge-policy factory, the dead ring/storage helpers, the Bloom-filter carry
+across bucket moves and the drained twins of the ``Database`` verbs).
 """
 
 import warnings
@@ -54,18 +55,19 @@ class TestShimsRemoved:
 
     def test_internal_feed_path_replaces_ingest(self):
         """``feed(...).ingest(rows)`` is the canonical low-level write path."""
-        cluster = SimulatedCluster(config(), strategy="dynahash")
-        cluster.create_dataset("orders", primary_key="o_orderkey")
-        report = cluster.feed("orders").ingest(order_rows(100))
-        assert report.records == 100
-        assert cluster.point_lookup("orders", 3)["o_custkey"] == 3
+        with Database(config(), strategy="dynahash") as db:
+            orders = db.create_dataset("orders", primary_key="o_orderkey")
+            report = db.cluster.feed("orders").ingest(order_rows(100))
+            assert report.records == 100
+            assert orders.get(3)["o_custkey"] == 3
 
     def test_api_handles_match_the_internal_path(self):
         rows = order_rows(500)
 
-        low_level = SimulatedCluster(config(), strategy="dynahash")
-        low_level.create_dataset("orders", primary_key="o_orderkey")
-        low_report = low_level.feed("orders").ingest(rows)
+        with Database(config(), strategy="dynahash") as low_level:
+            low_level.create_dataset("orders", primary_key="o_orderkey")
+            low_report = low_level.cluster.feed("orders").ingest(rows)
+            low_level_rows = [low_level["orders"].get(key) for key in (0, 123, 499, 10_000)]
 
         with Database(config(), strategy="dynahash") as db:
             orders = db.create_dataset("orders", primary_key="o_orderkey")
@@ -77,8 +79,7 @@ class TestShimsRemoved:
             assert api_report.simulated_seconds == pytest.approx(
                 low_report.simulated_seconds
             )
-            for key in (0, 123, 499, 10_000):
-                assert low_level.point_lookup("orders", key) == orders.get(key)
+            assert low_level_rows == [orders.get(key) for key in (0, 123, 499, 10_000)]
 
 
 class TestStormDriversRemoved:
@@ -259,10 +260,11 @@ class TestUnreachedSurfaceRemoved:
     @pytest.mark.parametrize(
         "module, names",
         [
-            ("repro.api", ["QueryBuilder", "QueryResult", "ScheduledPolicy", "run_workload",
-                           "storm_schedule"]),
-            ("repro.control", ["ScheduledPolicy"]),
-            ("repro.control.policy", ["ScheduledPolicy"]),
+            ("repro.api", ["QueryBuilder", "QueryResult", "ScheduledPolicy", "ThresholdPolicy",
+                           "run_workload", "storm_schedule"]),
+            ("repro.control", ["ScheduledPolicy", "ThresholdPolicy"]),
+            ("repro.control.policy", ["ScheduledPolicy", "ThresholdPolicy"]),
+            ("repro.control.observation", ["_p99"]),
             ("repro.workload", ["run_workload", "storm_schedule"]),
             ("repro.workload.driver", ["run_workload"]),
             ("repro.workload.schedule", ["storm_schedule"]),
@@ -292,7 +294,21 @@ class TestUnreachedSurfaceRemoved:
                 ["remove_node", "node_for_key", "ownership_fractions", "moved_fraction", "copy"],
             ),
             ("repro.lsm.stats:StorageStats", ["reset"]),
-            ("repro.lsm.bloom:BloomFilter", ["add"]),
+            ("repro.lsm.bloom:BloomFilter", ["add", "fits", "num_keys", "size_bytes"]),
+            (
+                "repro.cluster.controller:SimulatedCluster",
+                [
+                    "point_lookup",
+                    "partitions_by_node",
+                    "record_count",
+                    "rebalance_to",
+                    "add_nodes",
+                    "remove_nodes",
+                ],
+            ),
+            ("repro.rebalance.strategies:RebalancingStrategy", ["rebalance_cluster"]),
+            ("repro.api.database:Database", ["open", "attach"]),
+            ("repro.control.observation:ClusterObservation", ["max_bucket_heat", "mean_node_bytes"]),
             ("repro.lsm.manifest:Manifest", ["set_bucket_components"]),
         ],
     )
@@ -309,11 +325,11 @@ class TestUnreachedSurfaceRemoved:
         from repro.control import available_policies, policy_by_name
 
         assert name not in available_policies()
-        with pytest.raises(ConfigError, match="valid choices: cost_aware, threshold"):
+        with pytest.raises(ConfigError, match="valid choices: cost_aware "):
             policy_by_name(name)
 
-    @pytest.mark.parametrize("name", ["scheduled", "cron", "schedule"])
-    def test_spec_naming_the_scheduled_policy_exits_two(self, tmp_path, capsys, name):
+    @pytest.mark.parametrize("name", ["scheduled", "cron", "schedule", "threshold", "skew"])
+    def test_spec_naming_a_removed_policy_exits_two(self, tmp_path, capsys, name):
         from repro.cli import main
 
         path = tmp_path / "scheduled.toml"
@@ -326,6 +342,75 @@ class TestUnreachedSurfaceRemoved:
         assert captured.err.startswith(f"error: {path}: autopilot.policy: unknown policy '{name}'")
         assert len(captured.err.strip().splitlines()) == 1
         assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("name", ["threshold", "skew", "thresholds"])
+    def test_threshold_policy_names_are_unregistered(self, name):
+        from repro.common.errors import ConfigError
+        from repro.control import available_policies, policy_by_name
+
+        assert available_policies() == ["cost_aware"]
+        with pytest.raises(ConfigError, match="unknown autopilot policy"):
+            policy_by_name(name)
+
+    def test_lint_flags_the_threshold_policy(self, tmp_path):
+        """In a spec (``reg-spec-key``) and as a Python literal
+        (``reg-unknown-policy``)."""
+        from repro.analysis import lint_file
+
+        spec = tmp_path / "threshold.toml"
+        spec.write_text('[scenario]\nname = "t"\n[autopilot]\npolicy = "threshold"\n')
+        source = tmp_path / "threshold.py"
+        source.write_text('pilot = db.autopilot(policy="threshold")\n')
+        for path, rule in ((spec, "reg-spec-key"), (source, "reg-unknown-policy")):
+            violations = lint_file(path, tmp_path)
+            assert [(v.rule, v.line) for v in violations] == [(rule, 4 if path is spec else 1)]
+            assert "'threshold'" in violations[0].message
+
+    def test_autopilot_defaults_to_the_cost_aware_policy(self):
+        from repro.control import CostAwarePolicy
+
+        with Database(config(), strategy="dynahash") as db:
+            assert isinstance(db.autopilot().policy, CostAwarePolicy)
+
+    def test_observation_holds_what_the_policy_reads(self, monkeypatch):
+        """A capture reads per-node storage and the rebalance phase only: no
+        record counts, percentiles or heat tables."""
+        import dataclasses
+
+        from repro.cluster.controller import DatasetRuntime
+        from repro.control import ClusterObservation
+
+        assert [field.name for field in dataclasses.fields(ClusterObservation)] == [
+            "simulated_seconds",
+            "num_nodes",
+            "total_bytes",
+            "max_node_bytes",
+            "node_balance_ratio",
+            "in_rebalance",
+        ]
+        with Database(config(), strategy="dynahash") as db:
+            db.create_dataset("orders", primary_key="o_orderkey").insert(order_rows(50))
+
+            def no_counting(runtime):
+                raise AssertionError("capture counted records")
+
+            monkeypatch.setattr(DatasetRuntime, "record_count", no_counting)
+            observation = ClusterObservation.capture(db)
+            assert observation.total_bytes == sum(db.storage_per_node().values())
+
+    def test_moved_bucket_carries_no_bloom_filter(self):
+        import inspect
+
+        from repro.cluster.partition import StoragePartition
+        from repro.lsm.component import DiskComponent
+        from repro.lsm.tree import LSMTree
+
+        for function in (
+            StoragePartition.receive_bucket,
+            LSMTree.add_loaded_component,
+            DiskComponent.__init__,
+        ):
+            assert "bloom" not in inspect.signature(function).parameters
 
 
 class TestNoDeprecationWarnings:
@@ -366,14 +451,14 @@ class TestNoDeprecationWarnings:
             with Database(config(), strategy="dynahash", workload_scale=5e5) as db:
                 load = load_tpch(db, scale_factor=0.0004, tables=("region",))
                 assert load.total_rows > 0
-                assert db.cluster.record_count("region") == load.total_rows
+                assert db["region"].count() == load.total_rows
 
     def test_autopilot_paths_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             with Database(config(), strategy="dynahash") as db:
                 db.create_dataset("orders", primary_key="o_orderkey")
-                pilot = db.autopilot(policy="threshold", check_every_ops=5)
+                pilot = db.autopilot(check_every_ops=5)
                 orders = db.dataset("orders")
                 orders.insert(order_rows(30))
                 for key in range(20):

@@ -56,11 +56,11 @@ def fingerprint(db):
 
 class TestSequentialFaultRecovery:
     def test_every_site_in_turn_converges_to_the_no_fault_state(self):
-        chaos_db = Database.open(small_config(), strategy="dynahash")
+        chaos_db = Database(small_config(), strategy="dynahash")
         chaos_db.create_dataset("orders", primary_key="o_orderkey").upsert_each(
             orders_rows(ROWS)
         )
-        golden_db = Database.open(small_config(), strategy="dynahash")
+        golden_db = Database(small_config(), strategy="dynahash")
         golden_db.create_dataset("orders", primary_key="o_orderkey").upsert_each(
             orders_rows(ROWS)
         )

@@ -114,6 +114,28 @@ class TestRun:
         assert err.startswith(f"error: {path}: scenario: unknown key(s) ['concurrency']")
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "options, fragment",
+        [
+            ('node_capacity_bytes = 0', "node_capacity_bytes must be positive"),
+            ("min_nodes = 0\nmax_nodes = 0", "min_nodes must be at least 1"),
+            ("min_nodes = 3\nmax_nodes = 2", "max_nodes must be at least min_nodes"),
+        ],
+        ids=["zero-capacity", "zero-nodes", "max-below-min"],
+    )
+    def test_unworkable_policy_options_exit_two(self, tmp_path, capsys, options, fragment):
+        # Each used to pass validation: a zero capacity then died with a
+        # traceback at the first evaluation, and zero nodes never acted.
+        path = tmp_path / "policy.toml"
+        path.write_text(
+            SPEC_TEXT + f'[autopilot]\npolicy = "cost_aware"\n[autopilot.options]\n{options}\n'
+        )
+        assert main(["run", str(path), "-q"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: autopilot.options: policy 'cost_aware' rejected")
+        assert fragment in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
     def test_removed_engine_flag_exits_two(self, spec_path, capsys):
         with pytest.raises(SystemExit) as exited:
             main(["run", str(spec_path), "--concurrency", "interleaved"])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Database
 from repro.common.config import BucketingConfig, ClusterConfig, LSMConfig
 from repro.common.errors import (
     ClusterError,
@@ -11,6 +12,7 @@ from repro.common.errors import (
 )
 from repro.cluster.controller import SimulatedCluster
 from repro.cluster.dataset import SecondaryIndexSpec
+from repro.sim import drain
 
 
 def small_config(num_nodes=2, partitions_per_node=2):
@@ -91,13 +93,13 @@ class TestDatasets:
 
 class TestIngestAndLookup:
     def test_ingest_and_point_lookup(self):
-        cluster = SimulatedCluster(small_config())
-        cluster.create_dataset("orders", "o_orderkey")
-        report = cluster.feed("orders").ingest(rows(500))
-        assert report.records == 500
-        assert report.simulated_seconds > 0
-        assert cluster.record_count("orders") == 500
-        assert cluster.point_lookup("orders", 123)["o_custkey"] == 23
+        with Database(small_config()) as db:
+            orders = db.create_dataset("orders", "o_orderkey")
+            report = db.cluster.feed("orders").ingest(rows(500))
+            assert report.records == 500
+            assert report.simulated_seconds > 0
+            assert orders.count() == 500
+            assert orders.get(123)["o_custkey"] == 23
 
     def test_ingest_distributes_across_partitions(self):
         cluster = SimulatedCluster(small_config(num_nodes=2, partitions_per_node=2))
@@ -117,17 +119,10 @@ class TestIngestAndLookup:
         assert report.bottleneck_node in ("nc0", "nc1")
 
     def test_lookup_missing_key(self):
-        cluster = SimulatedCluster(small_config())
-        cluster.create_dataset("orders", "o_orderkey")
-        cluster.feed("orders").ingest(rows(10))
-        assert cluster.point_lookup("orders", 10_000) is None
-
-    def test_partitions_by_node_grouping(self):
-        cluster = SimulatedCluster(small_config(num_nodes=2, partitions_per_node=2))
-        cluster.create_dataset("orders", "o_orderkey")
-        grouped = cluster.partitions_by_node("orders")
-        assert set(grouped.keys()) == {"nc0", "nc1"}
-        assert all(len(partitions) == 2 for partitions in grouped.values())
+        with Database(small_config()) as db:
+            orders = db.create_dataset("orders", "o_orderkey")
+            db.cluster.feed("orders").ingest(rows(10))
+            assert orders.get(10_000) is None
 
     def test_describe(self):
         cluster = SimulatedCluster(small_config())
@@ -190,4 +185,4 @@ class TestProvisionDecommission:
         cluster = SimulatedCluster(small_config())
         cluster.create_dataset("orders", "o_orderkey")
         with pytest.raises(ClusterError):
-            cluster.remove_nodes(1)
+            drain(cluster.rebalance_to_steps(1))

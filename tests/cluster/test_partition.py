@@ -182,7 +182,7 @@ class TestRebalanceSourceSide:
         upsert(partition, [order_row(key) for key in range(40)])
         bucket_id = partition.primary.bucket_ids[0]
         snapshot = partition.snapshot_bucket(bucket_id)
-        entries, hashed, _ = partition.scan_bucket_snapshot(snapshot)
+        entries, hashed = partition.scan_bucket_snapshot(snapshot)
         assert all(bucket_id.contains_key(e.key) for e in entries)
         assert list(hashed) == [hash_key(e.key) for e in entries]
         assert len(entries) == sum(1 for k in range(40) if bucket_id.contains_key(k))
@@ -308,19 +308,20 @@ class TestRebalanceDestinationSide:
 def move_root_half(source, destination):
     """Move bucket ``0/1`` from ``source`` to ``destination`` as the data
     movement phase does; returns the loaded component (``None`` when the
-    bucket was empty) and the filter the scan offered."""
+    bucket was empty)."""
     bucket_id = BucketId(0b0, 1)
     snapshot = source.snapshot_bucket(bucket_id)
-    entries, hashed, bloom = source.scan_bucket_snapshot(snapshot)
-    pending = destination.receive_bucket(bucket_id, entries, hashed, bloom)
+    entries, hashed = source.scan_bucket_snapshot(snapshot)
+    pending = destination.receive_bucket(bucket_id, entries, hashed)
     source.release_bucket_snapshot(snapshot)
     components = pending.bucket.tree.disk_components
-    return (components[-1] if components else None), bloom
+    return components[-1] if components else None
 
 
 class TestMovedBloomFilter:
-    """A moved bucket's loaded component keeps its source's Bloom filter only
-    when that filter is, bit for bit, the one it would build itself."""
+    """A moved bucket's loaded component never takes its source's Bloom
+    filter: it builds its own, from the carried hash column and with the
+    destination's parameters, on its first probe."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -331,7 +332,7 @@ class TestMovedBloomFilter:
         ),
         probed=st.lists(st.booleans(), min_size=4, max_size=4),
     )
-    def test_a_carried_filter_is_the_filter_a_build_makes(self, runs, probed):
+    def test_a_moved_filter_is_the_filter_a_build_makes(self, runs, probed):
         # Overlapping runs of upserts and deletes, each flushed to its own
         # component; some components' filters built by a probe, some not.
         source = make_partition()
@@ -343,31 +344,14 @@ class TestMovedBloomFilter:
             source.primary.flush_all()
             if probe and tree.disk_components:
                 tree.disk_components[0].may_contain(0)
-        loaded, offered = move_root_half(source, make_destination_partition())
+        loaded = move_root_half(source, make_destination_partition())
         if loaded is None:
             return
-        carried = loaded.built_bloom
-        assert carried is offered
-        if carried is not None:
-            eager = BloomFilter.build(loaded._keys)
-            assert bytes(carried._bits) == bytes(eager._bits)
-            assert carried.num_keys == eager.num_keys == len(loaded)
+        assert loaded._bloom is None
+        loaded.may_contain(-1)
+        assert bytes(loaded._bloom._bits) == bytes(BloomFilter.build(loaded._keys)._bits)
 
-    def test_a_single_run_carries_a_built_filter_and_not_an_unbuilt_one(self):
-        for probe in (True, False):
-            source = make_partition()
-            upsert(source, [order_row(key) for key in range(40)])
-            source.primary.flush_all()
-            (component,) = source.primary.bucket(BucketId(0b0, 1)).tree.disk_components
-            if probe:
-                component.may_contain(0)
-            loaded, _ = move_root_half(source, make_destination_partition())
-            if probe:
-                assert loaded.built_bloom is component.built_bloom is not None
-            else:
-                assert loaded.built_bloom is None  # built on its own first probe
-
-    def test_other_bloom_parameters_build_afresh(self):
+    def test_a_built_source_filter_stays_at_the_source(self):
         source = make_partition()
         upsert(source, [order_row(key) for key in range(40)])
         source.primary.flush_all()
@@ -381,6 +365,6 @@ class TestMovedBloomFilter:
             lsm_config=LSMConfig(bloom_bits_per_key=5),
             bucketing_config=BucketingConfig(),
         )
-        loaded, offered = move_root_half(source, destination)
-        assert offered is component.built_bloom and loaded.built_bloom is None
-        assert loaded.bloom.size_bytes == BloomFilter.build(loaded._keys, 5).size_bytes
+        loaded = move_root_half(source, destination)
+        assert component._bloom is not None and loaded._bloom is None
+        assert loaded.bloom._bits == BloomFilter.build(loaded._keys, 5)._bits

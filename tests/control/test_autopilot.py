@@ -26,8 +26,8 @@ from repro.control import (
     ACTION_ADD,
     Autopilot,
     AutopilotPolicy,
+    CostAwarePolicy,
     PolicyDecision,
-    ThresholdPolicy,
 )
 
 
@@ -66,7 +66,7 @@ class TestEngineBasics:
         with Database(config()) as db:
             seen = []
             db.on("autopilot.*", lambda event: seen.append(event.name))
-            pilot = db.autopilot(policy="threshold", check_every_ops=1000)
+            pilot = db.autopilot(check_every_ops=1000)
             assert pilot.active
             pilot.stop()
             assert not pilot.active
@@ -78,13 +78,13 @@ class TestEngineBasics:
 
     def test_database_close_stops_the_engine(self):
         db = Database(config())
-        pilot = db.autopilot(policy="threshold")
+        pilot = db.autopilot()
         db.close()
         assert not pilot.active
 
     def test_attaching_a_new_engine_stops_the_old(self):
         with Database(config()) as db:
-            first = db.autopilot(policy="threshold")
+            first = db.autopilot()
             second = db.autopilot(policy="cost_aware")
             assert not first.active
             assert second.active
@@ -93,17 +93,17 @@ class TestEngineBasics:
     def test_engine_option_validation(self):
         with Database(config()) as db:
             with pytest.raises(ConfigError):
-                Autopilot(db, "threshold", check_every_ops=0)
+                Autopilot(db, check_every_ops=0)
             with pytest.raises(ConfigError):
-                Autopilot(db, "threshold", cooldown_seconds=-1)
+                Autopilot(db, cooldown_seconds=-1)
             with pytest.raises(ConfigError):
-                Autopilot(db, "threshold", hysteresis=0)
+                Autopilot(db, hysteresis=0)
 
     def test_traffic_drives_evaluations(self):
         with Database(config()) as db:
             dataset = db.create_dataset("t", primary_key="k")
             dataset.insert(rows(50))
-            policy = ThresholdPolicy(skew_threshold=100.0)
+            policy = CostAwarePolicy(balance_bar=100.0)
             pilot = db.autopilot(policy=policy, check_every_ops=10)
             for key in range(35):
                 dataset.get(key)

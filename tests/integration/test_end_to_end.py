@@ -40,26 +40,25 @@ def loaded_database(num_nodes, tables=("orders", "lineitem")):
 
 
 @pytest.fixture(scope="module")
-def dynahash_cluster():
-    db, workload, load = loaded_database(4, tables=DEFAULT_TABLES)
-    return db.cluster, workload, load
+def dynahash_database():
+    return loaded_database(4, tables=DEFAULT_TABLES)
 
 
 class TestLoadAndQuery:
-    def test_load_populates_every_table(self, dynahash_cluster):
-        cluster, _workload, load = dynahash_cluster
+    def test_load_populates_every_table(self, dynahash_database):
+        db, _workload, load = dynahash_database
         for table, count in load.row_counts.items():
-            assert cluster.record_count(table) == count
+            assert db[table].count() == count
 
-    def test_dynahash_split_buckets_while_loading(self, dynahash_cluster):
-        cluster, _workload, _load = dynahash_cluster
-        lineitem = cluster.dataset("lineitem")
+    def test_dynahash_split_buckets_while_loading(self, dynahash_database):
+        db, _workload, _load = dynahash_database
+        lineitem = db.cluster.dataset("lineitem")
         bucket_counts = [p.primary.bucket_count for p in lineitem.partitions.values()]
         assert max(bucket_counts) > 1  # the 10GB-style cap split buckets
 
-    def test_q1_and_q6_answers_match_generator_ground_truth(self, dynahash_cluster):
-        cluster, workload, _load = dynahash_cluster
-        executor = ClusterQueryExecutor(cluster)
+    def test_q1_and_q6_answers_match_generator_ground_truth(self, dynahash_database):
+        db, workload, _load = dynahash_database
+        executor = ClusterQueryExecutor(db.cluster)
         q6, _ = executor.execute_plan("q6", q6_plan())
         expected = 0.0
         orders = list(workload.generator.orders())
@@ -72,7 +71,7 @@ class TestLoadAndQuery:
                 expected += row["l_extendedprice"] * row["l_discount"]
         assert q6["revenue"] == pytest.approx(expected, rel=1e-9)
         q1, _ = executor.execute_plan("q1", q1_plan())
-        assert sum(group["count_order"] for group in q1) <= cluster.record_count("lineitem")
+        assert sum(group["count_order"] for group in q1) <= db["lineitem"].count()
 
 
 class TestRepeatedRebalancing:
@@ -81,32 +80,33 @@ class TestRepeatedRebalancing:
         cluster = db.cluster
         executor = ClusterQueryExecutor(cluster)
         baseline, _ = executor.execute_plan("q6", q6_plan())
-        record_counts = {name: cluster.record_count(name) for name in cluster.dataset_names()}
+        record_counts = {dataset.name: dataset.count() for dataset in db.datasets()}
         for target in (3, 2, 3, 4):
-            report = cluster.rebalance_to(target)
+            report = db.rebalance(target)
             assert report.committed
             assert cluster.num_nodes == target
             for name, count in record_counts.items():
-                assert cluster.record_count(name) == count
+                assert db[name].count() == count
         final, _ = ClusterQueryExecutor(cluster).execute_plan("q6", q6_plan())
         assert final["revenue"] == pytest.approx(baseline["revenue"], rel=1e-9)
 
     def test_concurrent_writes_survive_scale_in(self):
         db, workload, _load = loaded_database(3)
-        cluster = db.cluster
-        before = cluster.record_count("lineitem")
+        lineitem = db["lineitem"]
+        before = lineitem.count()
         concurrent = workload.concurrent_lineitem_rows(150)
-        report = cluster.rebalance_to(2, concurrent_rows={"lineitem": concurrent})
+        report = db.rebalance(2, concurrent_rows={"lineitem": concurrent})
         assert report.committed
-        assert cluster.record_count("lineitem") == before + len(concurrent)
+        assert lineitem.count() == before + len(concurrent)
         for row in concurrent[::13]:
             key = (row["l_orderkey"], row["l_linenumber"])
-            assert cluster.point_lookup("lineitem", key) is not None
+            assert lineitem.get(key) is not None
 
     def test_crash_then_recover_then_rebalance_again(self):
         db, _workload, _load = loaded_database(3)
         cluster = db.cluster
-        records = cluster.record_count("lineitem")
+        lineitem = db["lineitem"]
+        records = lineitem.count()
         targets = [pid for node in cluster.nodes[:2] for pid in node.partition_ids]
         operation = RebalanceOperation(
             cluster,
@@ -117,8 +117,8 @@ class TestRepeatedRebalancing:
         with pytest.raises(FaultInjected):
             operation.run()
         RebalanceRecoveryManager(cluster).recover()
-        assert cluster.record_count("lineitem") == records
+        assert lineitem.count() == records
         # The aborted attempt leaves the cluster fully able to rebalance again.
-        report = cluster.rebalance_to(2)
+        report = db.rebalance(2)
         assert report.committed
-        assert cluster.record_count("lineitem") == records
+        assert lineitem.count() == records

@@ -47,7 +47,7 @@ class TestBloomFilter:
 
     def test_build_classmethod(self):
         bloom = BloomFilter.build(["a", "b", "c"])
-        assert bloom.num_keys == 3
+        assert bloom._num_bits == 30  # sized for three keys at 10 bits each
         assert bloom.may_contain("a")
 
     def test_most_absent_keys_are_rejected(self):
@@ -59,7 +59,7 @@ class TestBloomFilter:
     def test_disabled_filter_always_says_maybe(self):
         bloom = BloomFilter(expected_keys=10, bits_per_key=0)
         assert bloom.may_contain("never added")
-        assert bloom.size_bytes == 0
+        assert bloom._bits == bytearray()
 
     def test_rejects_negative_parameters(self):
         with pytest.raises(ValueError):
@@ -70,7 +70,7 @@ class TestBloomFilter:
     def test_size_scales_with_keys(self):
         small = BloomFilter(expected_keys=10)
         large = BloomFilter(expected_keys=10_000)
-        assert large.size_bytes > small.size_bytes
+        assert len(large._bits) > len(small._bits)
 
     def test_string_and_tuple_keys(self):
         bloom = BloomFilter.build([("a", 1), ("b", 2), "plain"])
@@ -94,7 +94,6 @@ class TestBloomFilter:
         expected_bits, expected_may_contain = reference_filter(keys, bits_per_key, num_hashes)
         built = BloomFilter.build(keys, bits_per_key=bits_per_key, num_hashes=num_hashes)
         assert built._bits == expected_bits
-        assert built.num_keys == len(keys)
         for key in keys + probes:
             expected = expected_may_contain(key)
             assert built.may_contain(key) is expected
@@ -104,7 +103,7 @@ class TestBloomFilter:
 
     def test_eight_bit_minimum(self):
         bloom = BloomFilter.build([7], bits_per_key=1, num_hashes=3)
-        assert bloom.size_bytes == 1
+        assert len(bloom._bits) == 1
         assert bloom._bits == reference_filter([7], 1, 3)[0]
         assert bloom.may_contain(7)
 

@@ -562,7 +562,10 @@ def assert_derived_facts_hold(component, config):
         keys, bits_per_key=config.bloom_bits_per_key, num_hashes=config.bloom_num_hashes
     )
     assert component.bloom._bits == eager._bits
-    assert (component.bloom.num_keys, component.bloom.size_bytes) == (len(keys), eager.size_bytes)
+    assert (component.bloom._num_bits, component.bloom._num_hashes) == (
+        eager._num_bits,
+        eager._num_hashes,
+    )
 
 
 def play(operations, config, carry_hashes, observe=None):
@@ -1138,7 +1141,7 @@ class TestProbeOrder:
         # The first miss builds exactly the filter of the component it missed.
         assert tree.get_entry(middle._keys[0]) is not None
         assert builds == [len(newest)]
-        assert (newest.built_bloom is not None, middle.built_bloom, oldest.built_bloom) == (
+        assert (newest._bloom is not None, middle._bloom, oldest._bloom) == (
             True,
             None,
             None,
@@ -1146,7 +1149,7 @@ class TestProbeOrder:
         # The oldest component meets only keys it holds: it never builds one.
         everything = list(range(30))
         assert all(tree.get_many(everything, [hash_key(key) for key in everything])[0])
-        assert builds == [len(newest), len(middle)] and oldest.built_bloom is None
+        assert builds == [len(newest), len(middle)] and oldest._bloom is None
         # Until a key it lacks reaches it.
         assert tree.get_entry(99) is None
         assert builds == [len(newest), len(middle), len(oldest)]

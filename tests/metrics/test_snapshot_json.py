@@ -23,7 +23,7 @@ def populated_registry():
     bus.emit("op.update", latency_seconds=0.008, records=1, dataset="t")
     bus.emit("rebalance.error", target_nodes=4, error="boom")
     bus.emit("node.provision", node="nc3", nodes=4)
-    bus.emit("autopilot.start", policy="Threshold")
+    bus.emit("autopilot.start", policy="CostAware")
     bus.emit("autopilot.decision", action="add", target_nodes=4, outcome="executed")
     return registry
 

@@ -13,6 +13,7 @@ from repro.query.executor import (
     TableAccess,
 )
 from repro.rebalance.strategies import DynaHashStrategy, StaticHashStrategy
+from repro.sim import drain
 from repro.tpch.queries import q1_plan, q3_plan, q6_plan, query_spec
 from repro.tpch.workload import TPCHWorkload
 
@@ -66,7 +67,7 @@ class TestSpecExecution:
         executor = ClusterQueryExecutor(cluster)
         report = executor.execute_spec(query_spec("q1"))
         assert report.simulated_seconds > 0
-        assert report.records_scanned == cluster.record_count("lineitem")
+        assert report.records_scanned == cluster.dataset("lineitem").record_count()
         assert set(report.per_node_seconds) == {"nc0", "nc1"}
 
     def test_index_only_query_reads_less(self, tpch_cluster):
@@ -121,7 +122,7 @@ class TestPlanExecution:
         assert 1 <= len(result) <= 6  # at most 3 returnflags x 2 linestatus
         assert all("sum_qty" in row and row["count_order"] > 0 for row in result)
         assert report.simulated_seconds > 0
-        assert report.records_scanned == cluster.record_count("lineitem")
+        assert report.records_scanned == cluster.dataset("lineitem").record_count()
 
     def test_q6_plan_matches_manual_aggregation(self, tpch_cluster):
         cluster, workload = tpch_cluster
@@ -150,6 +151,6 @@ class TestPlanExecution:
         cluster, _ = loaded_cluster(num_nodes=3, scale=0.0003)
         executor = ClusterQueryExecutor(cluster)
         before, _ = executor.execute_plan("q6", q6_plan())
-        cluster.remove_nodes(1)
+        drain(cluster.rebalance_to_steps(2))
         after, _ = executor.execute_plan("q6", q6_plan())
         assert after["revenue"] == pytest.approx(before["revenue"], rel=1e-9)

@@ -37,6 +37,7 @@ from repro.query.operators import (
     project,
     scalar_aggregate,
 )
+from repro.sim import drain
 from repro.tpch.queries import q1_plan, q3_plan, q6_plan
 from repro.tpch.schema import LINEITEM_INDEX
 
@@ -342,9 +343,9 @@ class TestTpchPlansAgainstTheRowOracles:
         def run_all():
             return {name: executor.execute_plan(name, plan()) for name, plan in plans.items()}
 
-        for step in (None, cluster.remove_nodes, cluster.add_nodes):
-            if step is not None:
-                assert step(1).committed
+        for resize in (0, -1, 1):
+            if resize:
+                assert drain(cluster.rebalance_to_steps(cluster.num_nodes + resize)).committed
             batch = run_all()
             with monkeypatch.context() as patched:
                 install_row_at_a_time(patched)
@@ -361,8 +362,8 @@ class TestTpchPlansAgainstTheRowOracles:
         context = QueryContext(ClusterQueryExecutor(cluster))
         rows = context.scan("orders")
         assert iter(rows) is rows  # an iterator, not a list
-        assert context.records_scanned == cluster.record_count("orders")  # priced at the call
-        assert len(list(rows)) == cluster.record_count("orders")
+        assert context.records_scanned == cluster.dataset("orders").record_count()  # priced at the call
+        assert len(list(rows)) == cluster.dataset("orders").record_count()
         index_rows = context.scan_index("lineitem", LINEITEM_INDEX.name)
         assert iter(index_rows) is index_rows
 

@@ -205,7 +205,7 @@ def resize_with_writes(monkeypatch=None, autopilot=False, rows=51):
     dataset = db.create_dataset("t", primary_key="k")
     dataset.insert([{"k": key, "v": "x" * 64} for key in range(1200)])
     if autopilot:
-        db.autopilot(policy="threshold", check_every_ops=3, dry_run=True)
+        db.autopilot(check_every_ops=3, dry_run=True)
     events = []
     db.on("op.*", events.append)
     report = db.rebalance(

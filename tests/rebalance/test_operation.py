@@ -43,6 +43,12 @@ def build_cluster(num_nodes=4, rows=1200, strategy=None):
     return cluster
 
 
+def routed_get(cluster, key):
+    """Read ``key`` from the partition the current directory routes it to."""
+    runtime = cluster.dataset("orders")
+    return runtime.partitions[runtime.partition_of_key(key)].lookup(key)
+
+
 def target_partitions(cluster, target_nodes):
     return [pid for node in cluster.nodes[:target_nodes] for pid in node.partition_ids]
 
@@ -53,10 +59,10 @@ class TestCommittedRebalance:
         operation = RebalanceOperation(cluster, "orders", target_partitions(cluster, 2))
         report = operation.run()
         assert report.committed
-        assert cluster.record_count("orders") == 900
+        assert cluster.dataset("orders").record_count() == 900
         # Every key is still readable through the new directory.
         for key in range(0, 900, 37):
-            assert cluster.point_lookup("orders", key)["o_custkey"] == key % 1000
+            assert routed_get(cluster, key)["o_custkey"] == key % 1000
         # No bucket remains on the removed node's partitions.
         runtime = cluster.dataset("orders")
         removed_pids = set(cluster.nodes[2].partition_ids)
@@ -96,7 +102,7 @@ class TestCommittedRebalance:
             pid for pid in new_pids if runtime.partitions[pid].record_count() > 0
         ]
         assert populated_new
-        assert cluster.record_count("orders") == 800
+        assert cluster.dataset("orders").record_count() == 800
 
     def test_moved_bucket_cleanup_is_lazy_for_secondary_indexes(self):
         cluster = build_cluster(num_nodes=2, rows=400)
@@ -139,9 +145,9 @@ class TestConcurrentWrites:
         report = operation.run(ConcurrentWriteLoad(rows=concurrent))
         assert report.committed
         assert report.concurrent_writes_applied == 100
-        assert cluster.record_count("orders") == 500
+        assert cluster.dataset("orders").record_count() == 500
         for row in concurrent[::7]:
-            assert cluster.point_lookup("orders", row["o_orderkey"]) is not None
+            assert routed_get(cluster, row["o_orderkey"]) is not None
 
     def test_replicated_records_counted_for_moving_buckets_only(self):
         cluster = build_cluster(num_nodes=2, rows=400)

@@ -39,6 +39,12 @@ def build_cluster(rows=400, num_nodes=2):
     return cluster
 
 
+def routed_get(cluster, key):
+    """Read ``key`` from the partition the current directory routes it to."""
+    runtime = cluster.dataset("orders")
+    return runtime.partitions[runtime.partition_of_key(key)].lookup(key)
+
+
 def target_partitions(cluster, target_nodes):
     return [pid for node in cluster.nodes[:target_nodes] for pid in node.partition_ids]
 
@@ -59,10 +65,10 @@ def dataset_is_consistent(cluster, expected_keys):
     runtime = cluster.dataset("orders")
     assert runtime.blocked is False
     assert all(not p.blocked for p in runtime.partitions.values())
-    count = cluster.record_count("orders")
+    count = runtime.record_count()
     assert count == len(expected_keys)
     for key in list(expected_keys)[:: max(1, len(expected_keys) // 40)]:
-        assert cluster.point_lookup("orders", key) is not None
+        assert routed_get(cluster, key) is not None
     return True
 
 
@@ -269,7 +275,7 @@ class TestPendingAnalysis:
             ("customer", "committed"),
         ]
         assert dataset_is_consistent(cluster, range(200))
-        assert cluster.record_count("customer") == 100
+        assert cluster.dataset("customer").record_count() == 100
 
 
 EXPECTED_ACTION = {

@@ -75,8 +75,8 @@ class TestWorkloadLoader:
         workload = TPCHWorkload(scale_factor=0.0002)
         result = workload.load(cluster, tables=("orders", "lineitem"))
         assert set(result.reports) == {"orders", "lineitem"}
-        assert cluster.record_count("orders") == result.row_counts["orders"]
-        assert cluster.record_count("lineitem") == result.row_counts["lineitem"]
+        assert cluster.dataset("orders").record_count() == result.row_counts["orders"]
+        assert cluster.dataset("lineitem").record_count() == result.row_counts["lineitem"]
         assert result.total_rows == sum(result.row_counts.values())
         assert result.total_simulated_seconds > 0
 

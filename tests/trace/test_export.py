@@ -59,7 +59,7 @@ PAYLOAD = {
             "cat": "autopilot",
             "start": 0.5,
             "dur": 0.0,
-            "attrs": {"action": "none", "policy": "Threshold"},
+            "attrs": {"action": "none", "policy": "CostAware"},
         },
     ],
     "series": [

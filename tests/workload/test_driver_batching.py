@@ -363,7 +363,7 @@ class TestChunkRule:
     def test_autopilot_session_emits_one_batch_per_op(self):
         db = open_db()
         db.create_dataset("t", primary_key="k")
-        db.autopilot(policy="threshold", check_every_ops=50)
+        db.autopilot(check_every_ops=50)
         report, seen = self.run_counting(
             db, WorkloadSpec(dataset="t", initial_records=200, mix="A", default_ops=300)
         )
@@ -376,7 +376,7 @@ class TestChunkRule:
         for driver_cls in (WorkloadDriver, PerOpDriver):
             db = open_db()
             db.create_dataset("t", primary_key="k")
-            pilot = db.autopilot(policy="threshold", check_every_ops=7)
+            pilot = db.autopilot(check_every_ops=7)
             spec = WorkloadSpec(dataset="t", initial_records=200, mix="A", default_ops=300)
             snapshots.append((driver_cls(db, spec).run().snapshot, pilot.decision_trace()))
             db.close()
@@ -389,7 +389,7 @@ class TestChunkRule:
         for driver_cls in (WorkloadDriver, PerOpDriver):
             db = open_db()
             db.create_dataset("t", primary_key="k")
-            pilot = db.autopilot(policy="threshold", check_every_ops=7)
+            pilot = db.autopilot(check_every_ops=7)
             spec = WorkloadSpec(
                 dataset="t", initial_records=400, mix="A", schedule=RESIZE_SCHEDULE
             )
