@@ -124,6 +124,17 @@ class TestIngestAndLookup:
             db.cluster.feed("orders").ingest(rows(10))
             assert orders.get(10_000) is None
 
+    def test_each_node_hosts_its_partitions(self):
+        cluster = SimulatedCluster(small_config(num_nodes=2, partitions_per_node=2))
+        cluster.create_dataset("orders", "o_orderkey")
+        hosted = {
+            node.node_id: [p.partition_id for p in node.dataset_partitions("orders")]
+            for node in cluster.nodes
+        }
+        assert set(hosted) == {"nc0", "nc1"}
+        assert all(len(pids) == 2 for pids in hosted.values())
+        assert sorted(pid for pids in hosted.values() for pid in pids) == cluster.partition_ids()
+
     def test_describe(self):
         cluster = SimulatedCluster(small_config())
         cluster.create_dataset("orders", "o_orderkey")
