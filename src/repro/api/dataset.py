@@ -18,7 +18,6 @@ per *call* — a batched ``insert`` records the batch call's latency, a point
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import (
     Any,
     Dict,
@@ -33,6 +32,7 @@ from typing import (
 )
 
 from ..cluster.dataset import DatasetSpec
+from ..cluster.feed import group_positions
 from ..cluster.reports import IngestReport
 from ..common.errors import UnknownDatasetError
 from ..common.hashutil import hash_key
@@ -204,7 +204,10 @@ class Dataset:
         with one ``StoragePartition.insert_many``.  Missing keys are counted
         but not an error (a tombstone is written either way), and a key
         repeated in one call is counted once in ``records_deleted`` and in
-        ``keys_missing``.
+        ``keys_missing``.  A maintenance sweep over every partition follows;
+        the call is priced as parsing its keys and one round trip, plus the
+        sweep's flushes, merges and splits: the slowest node's busiest
+        partition's storage work (nothing when every pass was idle).
         """
         runtime = self._runtime()
         if (
@@ -215,6 +218,7 @@ class Dataset:
             keys = [keys]
         else:
             keys = list(keys)
+        cost = self.database.cluster.cost
         per_partition: Dict[int, int] = {}
         distinct_keys = 0
         if keys:
@@ -231,13 +235,21 @@ class Dataset:
                 live = len(found) - found.count(None)
                 if live:
                     per_partition[partition.partition_id] = live
-                partition.insert_many(zip(slice_keys, slice_hashes, repeat(None)))
-        for partition in runtime.partitions.values():
-            partition.maintain()
+                partition.insert_many(slice_keys, slice_hashes, None)
+        # The sweep's flushes, merges and splits are the delete's storage
+        # work: each node's busiest partition, and the slowest node, price it.
+        storage_seconds: Dict[int, float] = {}
+        for pid, partition in runtime.partitions.items():
+            done = partition.maintain()
+            if not done.idle:
+                storage_seconds[pid] = cost.storage_work(done.storage_stats()).total_sec
         requested = len(keys)
         deleted = sum(per_partition.values())
-        cost = self.database.cluster.cost
         simulated = cost.parse_time(requested) + cost.rpc_time(2)
+        if storage_seconds:
+            simulated += cost.slowest(
+                cost.node_seconds(storage_seconds, self.database.cluster.partitions_per_node)
+            )
         report = DeleteReport(
             dataset=self.name,
             keys_requested=requested,
@@ -436,18 +448,7 @@ class Dataset:
             owners = runtime.global_directory.partitions_of_hashes(hashes)
         else:
             owners = [hashed % len(partitions) for hashed in hashes]
-        first = owners[0]
-        if owners.count(first) == len(owners):
-            touched = [(partitions[first], None)]
-        else:
-            groups: Dict[int, List[int]] = {}
-            for position, owner in enumerate(owners):
-                group = groups.get(owner)
-                if group is None:
-                    groups[owner] = [position]
-                else:
-                    group.append(position)
-            touched = [(partitions[owner], positions) for owner, positions in groups.items()]
+        touched = [(partitions[owner], positions) for owner, positions in group_positions(owners)]
         for partition, _ in touched:
             if partition.blocked:
                 partition._check_not_blocked()

@@ -314,7 +314,7 @@ class ChaosEngine:
         penalty = 0.0
         if hashed is None:
             hashed = hash_key(key)
-        stale_partition = snapshot.partition_of_hash(hashed)
+        (stale_partition,) = snapshot.partitions_of_hashes((hashed,))
         live_partition = runtime.partition_of_key(key, hashed)
         if stale_partition != live_partition:
             # Wasted hop to the old owner + a directory refresh round trip.

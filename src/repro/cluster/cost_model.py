@@ -149,6 +149,32 @@ class CostModel:
             return 0.0
         return max(per_node_seconds.values())
 
+    def node_seconds(
+        self,
+        partition_seconds: Mapping[int, float],
+        partitions_per_node: int,
+        partition_bytes: Optional[Mapping[int, int]] = None,
+    ) -> Dict[int, float]:
+        """Roll partition seconds up to nodes, keyed by node index (partition
+        ``pid`` sits on node ``pid // partitions_per_node``): a node takes its
+        busiest partition's seconds, since the partitions of one node work
+        in parallel, plus, with ``partition_bytes``, the network time of the
+        bytes its partitions took, since they share the node's link.  Every
+        node with a partition in ``partition_seconds`` is a key."""
+        busiest: Dict[int, float] = {}
+        for pid, seconds in partition_seconds.items():
+            index = pid // partitions_per_node
+            if seconds > busiest.get(index, -1.0):
+                busiest[index] = seconds
+        if partition_bytes:
+            node_bytes: Dict[int, int] = {}
+            for pid, landed in partition_bytes.items():
+                index = pid // partitions_per_node
+                node_bytes[index] = node_bytes.get(index, 0) + landed
+            for index, landed in node_bytes.items():
+                busiest[index] += self.network_time(landed)
+        return busiest
+
     @staticmethod
     def sum_breakdowns(breakdowns: Iterable[WorkBreakdown]) -> WorkBreakdown:
         total = WorkBreakdown()

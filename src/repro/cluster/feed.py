@@ -13,13 +13,33 @@ nodes with slowest-node semantics.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from itertools import islice
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..bucketed.bucketed_lsm import MaintenanceReport
 from ..common.hashutil import hash_key
 from ..lsm.stats import StorageStats
 from .cost_model import CostModel
 from .reports import IngestReport
+
+
+def group_positions(owners: Sequence[int]) -> List[Tuple[int, Optional[List[int]]]]:
+    """The positions of a non-empty run grouped by owner: one ``(owner,
+    positions)`` per distinct owner, in first-touch order, each
+    ``positions`` ascending; ``positions`` is ``None`` when one owner takes
+    the whole run."""
+    first = owners[0]
+    if owners.count(first) == len(owners):
+        return [(first, None)]
+    groups: Dict[int, List[int]] = {}
+    for position, owner in enumerate(owners):
+        group = groups.get(owner)
+        if group is None:
+            groups[owner] = [position]
+        else:
+            group.append(position)
+    return list(groups.items())
 
 
 class DataFeed:
@@ -35,28 +55,33 @@ class DataFeed:
         # The feed works off an immutable snapshot of the routing state; a
         # concurrent rebalance swaps the live directory, not this copy.
         self.routing = self.runtime.routing_snapshot()
-
-    # ---------------------------------------------------------------- routing
-
-    def route(self, record: Mapping[str, Any]) -> int:
-        """Partition id that should store ``record``."""
-        key = self.runtime.spec.primary_key_of(record)
-        return self.routing.partition_of(key)
+        spec = self.runtime.spec
+        #: A row's primary key: a one-field key is read straight off the row,
+        #: a composite one built by ``primary_key_of``.
+        self._key_of = (
+            spec.primary_key_of if spec.has_composite_key else itemgetter(spec.primary_key[0])
+        )
 
     # ----------------------------------------------------------------- ingest
 
     def ingest(self, rows: Iterable[Mapping[str, Any]], maintain: bool = True) -> IngestReport:
         """Ingest ``rows`` and return an :class:`IngestReport`.
 
-        Rows are routed in arrival order but landed **a run per bucket
-        tree**, one batch at a time: primary keys are extracted and hashed
-        once (shared by routing and insertion), each partition receives its
-        slice of the batch through :meth:`StoragePartition.insert_many`,
-        which lands it with one write per touched bucket tree and index,
-        and the maintenance pass still runs on the same
-        every-``batch_size``-rows boundaries.  Each tree receives its rows in
-        arrival order, so the resulting storage state — and therefore the
-        simulated cost — is identical to a row-at-a-time loop.
+        Rows are taken ``batch_size`` at a time (a generator is pulled one
+        batch ahead, no further) and each batch travels as columns: one
+        pass extracts the primary keys (a composite key through
+        ``DatasetSpec.primary_key_of``), one hashes them, one routes the
+        hashes through :meth:`RoutingSnapshot.partitions_of_hashes`, and
+        the heat hook (when set) sees each hash in arrival order.  The
+        batch's positions are grouped by partition in first-touch order and
+        each partition lands its slice — keys, hashes and rows, in arrival
+        order — with one :meth:`StoragePartition.insert_many`, which refuses
+        the slice with nothing written when the partition is blocked, does
+        not own a hash, or has a deactivated memory component.  A
+        maintenance sweep follows every full batch and runs once more at the
+        end, even after a full one.  Each tree receives its rows in arrival
+        order, so the resulting storage state — and therefore the simulated
+        cost — is identical to a row-at-a-time loop.
 
         Each partition's storage work is what its passes report: every
         :class:`MaintenanceReport` that did something is summed into that
@@ -90,33 +115,19 @@ class DataFeed:
         # Storage work per partition, from the passes that reported any.
         work: Dict[int, MaintenanceReport] = {}
         records_per_partition: Dict[int, int] = {pid: 0 for pid in partitions}
-        bytes_per_partition: Dict[int, int] = {pid: 0 for pid in partitions}
+        #: Bytes landed per partition that took any row.
+        bytes_per_partition: Dict[int, int] = {}
         total_records = 0
         total_bytes = 0
-        batch_count = 0
 
-        primary_key_of = self.runtime.spec.primary_key_of
-        partition_of_hash = self.routing.partition_of_hash
+        key_of = self._key_of
+        partitions_of_hashes = self.routing.partitions_of_hashes
         batch_size = self.batch_size
         heat = self.cluster.heat
         dataset_name = self.dataset_name
-        #: The current batch, grouped by target partition (arrival order
-        #: within each partition; the partition groups it by bucket tree).
-        grouped: Dict[int, List[Tuple[Any, int, Mapping[str, Any]]]] = {}
         #: Partitions whose last pass in this call was idle and that took no
         #: row since: a pass over them would change nothing.
         settled: Set[int] = set()
-
-        def land_batch() -> None:
-            nonlocal total_bytes
-            for pid, routed_rows in grouped.items():
-                # The partition copies and sizes each row once, as it stores it.
-                landed_bytes = sum(partitions[pid].insert_many(routed_rows)[1])
-                records_per_partition[pid] += len(routed_rows)
-                settled.discard(pid)
-                bytes_per_partition[pid] += landed_bytes
-                total_bytes += landed_bytes
-            grouped.clear()
 
         def maintain_all() -> None:
             # Every partition not settled in this call.  The set is not kept
@@ -136,54 +147,54 @@ class DataFeed:
                 else:
                     report.merge_into(total)
 
-        for row in rows:
-            key = primary_key_of(row)
-            hashed = hash_key(key)
-            pid = partition_of_hash(hashed)
-            if heat is not None:
-                heat.record_write(dataset_name, hashed)
-            group = grouped.get(pid)
-            if group is None:
-                group = grouped[pid] = []
-            group.append((key, hashed, row))
-            total_records += 1
-            batch_count += 1
-            if batch_count >= batch_size:
-                batch_count = 0
-                land_batch()
-                if maintain:
-                    maintain_all()
-        land_batch()
-        if maintain:
-            maintain_all()
+        source = iter(rows)
+        while True:
+            batch = list(islice(source, batch_size))
+            if batch:
+                keys = list(map(key_of, batch))
+                hashes = list(map(hash_key, keys))
+                if heat is not None:
+                    for hashed in hashes:
+                        heat.record_write(dataset_name, hashed)
+                for pid, positions in group_positions(partitions_of_hashes(hashes)):
+                    columns = (keys, hashes, batch)
+                    if positions is not None:
+                        columns = [list(map(column.__getitem__, positions)) for column in columns]
+                    # The partition copies and sizes each row once, as it stores it.
+                    landed_bytes = sum(partitions[pid].insert_many(*columns)[1])
+                    records_per_partition[pid] += len(columns[0])
+                    settled.discard(pid)
+                    bytes_per_partition[pid] = bytes_per_partition.get(pid, 0) + landed_bytes
+                    total_bytes += landed_bytes
+                total_records += len(batch)
+            if maintain:
+                maintain_all()
+            if len(batch) < batch_size:
+                break
 
         # ------------------------------------------------ cost roll-up
         flush_bytes = 0
         merge_bytes = 0
         splits = 0
-        # Per node (a partition's node is ``pid // partitions_per_node``):
-        # its busiest partition's seconds and the bytes its link carried.
-        partitions_per_node = self.cluster.partitions_per_node
-        busiest: Dict[int, float] = {}
-        node_bytes: Dict[int, int] = {}
+        partition_seconds: Dict[int, float] = {}
         for pid, records in records_per_partition.items():
             done = work.get(pid)
             if done is not None:
                 flush_bytes += done.flush_bytes
                 merge_bytes += done.merge_write_bytes
                 splits += len(done.splits)
-                seconds = cost.ingest_work(records, done.storage_stats()).total_sec
+                partition_seconds[pid] = cost.ingest_work(records, done.storage_stats()).total_sec
             elif records:
-                seconds = cost.ingest_work(records, StorageStats()).total_sec
+                partition_seconds[pid] = cost.ingest_work(records, StorageStats()).total_sec
             else:
-                seconds = 0.0
-            index = pid // partitions_per_node
-            busiest[index] = max(busiest.get(index, 0.0), seconds)
-            node_bytes[index] = node_bytes.get(index, 0) + bytes_per_partition[pid]
+                partition_seconds[pid] = 0.0
+        node_seconds = cost.node_seconds(
+            partition_seconds, self.cluster.partitions_per_node, bytes_per_partition
+        )
         per_node_seconds: Dict[str, float] = {
-            node.node_id: busiest[index] + cost.network_time(node_bytes[index])
+            node.node_id: node_seconds[index]
             for index, node in enumerate(self.cluster.nodes)
-            if index in busiest
+            if index in node_seconds
         }
 
         chaos = self.cluster.chaos
@@ -230,15 +241,14 @@ class RoutingSnapshot:
         self.directory = directory.copy() if directory is not None else None
         self.num_partitions = num_partitions
 
-    def partition_of(self, key: Any) -> int:
-        return self.partition_of_hash(hash_key(key))
-
-    def partition_of_hash(self, hashed: int) -> int:
-        """Route an already-hashed key (the feed hashes once per row and
-        shares the hash with the storage layer)."""
+    def partitions_of_hashes(self, hashes: Sequence[int]) -> List[int]:
+        """The partition each already-hashed key routes to, in order, in one
+        pass (the feed hashes each row once and shares the hash with the
+        storage layer)."""
         if self.mode == "directory":
-            return self.directory.lookup_hash(hashed)[1]
-        return hashed % self.num_partitions
+            return self.directory.partitions_of_hashes(hashes)
+        num_partitions = self.num_partitions
+        return [hashed % num_partitions for hashed in hashes]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         if self.mode == "directory":

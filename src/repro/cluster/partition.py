@@ -109,54 +109,48 @@ class StoragePartition:
 
     def insert_many(
         self,
-        routed_records: Iterable[Tuple[Any, int, Optional[Mapping[str, Any]]]],
+        keys: Sequence[Any],
+        hashes: Sequence[int],
+        records: Optional[Sequence[Mapping[str, Any]]],
     ) -> Tuple[List[Optional[Dict[str, Any]]], List[int]]:
-        """Write a batch of ``(primary_key, key_hash, record)`` triples, a run
-        at a time: a row upserts its record, and a row whose record is
-        ``None`` deletes the key (a tombstone row).
+        """Write a batch given as aligned columns, a run at a time: each
+        row's primary key, its ``hash_key`` and its record.  Every row
+        upserts its record; ``records=None`` makes the batch a run of
+        deletes (tombstone rows), as ``values=None`` is a key-only run in
+        :meth:`LSMTree.insert_many`.
 
         The resulting state — every index's entries and sequence numbers,
         the memory components' hash columns and the stats — is the one
         writing the rows one by one in order leaves.
-        Each record is copied once and that copy sized once, here: the
-        primary entries are born with the sizes.  Every row is routed to its
-        local bucket before anything lands, so a blocked partition, an
-        unowned hash, a bucket a split locked or a deactivated memory
-        component raises with nothing written.  Then each touched bucket
-        tree takes its rows with one :meth:`LSMTree.insert_many`, the
+        Each record is copied once and that copy sized once, here, a column
+        pass each: the primary entries are born with the sizes.  Every row
+        is routed to its local bucket before anything lands, so a blocked
+        partition, an unowned hash, a bucket a split locked or a deactivated
+        memory component raises with nothing written.  Then each touched
+        bucket tree takes its rows with one :meth:`LSMTree.insert_many`, the
         primary-key index all of them with one more, and each secondary
-        index its entries with one; tombstone rows travel in their
-        ``tombstones`` column.  Nothing is logged: the simulator models no
-        NC data log (see :mod:`repro.lsm.wal`).  The data feed, the
-        rebalance's log replicator and ``Dataset.delete`` land each
-        partition's slice of a batch through here, reusing the hash they
-        already computed for routing.
+        index its entries with one.  Nothing is logged: the simulator models
+        no NC data log (see :mod:`repro.lsm.wal`).  The data feed, the
+        rebalance's log replicator, the Hashing baseline's rebuild and
+        ``Dataset.delete`` land each partition's slice of a batch through
+        here, reusing the hashes they already computed for routing.
 
         Returns the partition's copy of each record (``None`` for a
-        tombstone row) and its byte size, in order — what the feed totals
-        and what the replicator forwards and prices.
+        tombstone row) and its byte size (0 for one), in order — what the
+        feed totals and what the replicator forwards and prices.
         """
         if self.blocked:
             self._check_not_blocked()
-        keys: List[Any] = []
-        hashes: List[int] = []
-        stored: List[Optional[Dict[str, Any]]] = []
-        sizes: List[int] = []
-        deletes = False
-        for primary_key, hashed, record in routed_records:
-            keys.append(primary_key)
-            hashes.append(hashed)
-            if record is None:
-                deletes = True
-                stored.append(None)
-                sizes.append(0)
-            else:
-                copy = dict(record)
-                stored.append(copy)
-                sizes.append(estimate_value_size(copy))
         if not keys:
-            return stored, sizes
-        tombstones = [record is None for record in stored] if deletes else None
+            return [], []
+        if records is None:
+            stored: List[Optional[Dict[str, Any]]] = [None] * len(keys)
+            sizes = [0] * len(keys)
+            tombstones: Optional[List[bool]] = [True] * len(keys)
+        else:
+            stored = list(map(dict, records))
+            sizes = list(map(estimate_value_size, stored))
+            tombstones = None
         routes = self.primary.route_many(hashes)
         pk_index = self.primary_key_index
         pk_index.memory.check_writable()

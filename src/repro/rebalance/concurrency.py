@@ -21,8 +21,9 @@ concurrent write rate) can be reproduced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING
 
+from ..cluster.feed import group_positions
 from ..common.hashutil import hash_key
 from ..hashing.bucket_id import BucketId
 from ..lsm.entry import Entry
@@ -61,8 +62,9 @@ class LogReplicator:
         arrival order.
 
         Each row is routed with the *old* directory (feeds hold an immutable
-        copy, Section III): its key is extracted and hashed once.  Each
-        source partition's slice of the window lands through
+        copy, Section III): the window's keys are extracted and hashed once,
+        a column pass each.  Each source partition's slice of the window
+        (its keys, hashes and rows, in arrival order) lands through
         :meth:`~repro.cluster.partition.StoragePartition.insert_many`, which
         copies and sizes every row once; then every row whose bucket is
         moving is replicated, in arrival order, to the destination's pending
@@ -73,40 +75,36 @@ class LogReplicator:
         Only a node log shared by two source partitions interleaves their
         records differently, as it does for a feed batch.
         """
+        if not rows:
+            return []
         primary_key_of = self.runtime.spec.primary_key_of
-        lookup_hash = self.plan.old_directory.lookup_hash
-        moving = self._moving
-        #: source partition -> its slice of the window, as ``insert_many`` takes it.
-        grouped: Dict[int, List[Tuple[Any, int, Mapping[str, Any]]]] = {}
-        #: per row: its source partition, its position in that slice, its move.
-        placed: List[Tuple[int, int, Optional[BucketMove]]] = []
-        for row in rows:
-            key = primary_key_of(row)
-            hashed = hash_key(key)
-            bucket, source = lookup_hash(hashed)
-            group = grouped.get(source)
-            if group is None:
-                group = grouped[source] = []
-            placed.append((source, len(group), moving.get(bucket)))
-            group.append((key, hashed, row))
+        keys = [primary_key_of(row) for row in rows]
+        hashes = list(map(hash_key, keys))
+        #: per row: its ``(bucket, source partition)`` under the old directory.
+        routes = list(map(self.plan.old_directory.lookup_hash, hashes))
         partitions = self.runtime.partitions
-        landed = {
-            source: partitions[source].insert_many(group) for source, group in grouped.items()
-        }
+        stored: List[Optional[Dict[str, Any]]] = [None] * len(rows)
+        sizes = [0] * len(rows)
+        for source, positions in group_positions([source for _, source in routes]):
+            if positions is None:
+                stored, sizes = partitions[source].insert_many(keys, hashes, rows)
+                continue
+            columns = [list(map(column.__getitem__, positions)) for column in (keys, hashes, rows)]
+            landed, landed_sizes = partitions[source].insert_many(*columns)
+            for position, record, size in zip(positions, landed, landed_sizes):
+                stored[position] = record
+                sizes[position] = size
         stats = self.stats
-        stats.concurrent_writes += len(placed)
-        sizes: List[int] = []
-        for source, position, move in placed:
-            stored, row_sizes = landed[source]
-            size = row_sizes[position]
-            sizes.append(size)
+        stats.concurrent_writes += len(rows)
+        moving = self._moving
+        for position, (bucket, _) in enumerate(routes):
+            move = moving.get(bucket)
             if move is None:
                 continue
-            key, hashed, _ = grouped[source][position]
-            entry = Entry(key=key, value=stored[position], seqnum=self._next_seqnum())
+            entry = Entry(key=keys[position], value=stored[position], seqnum=self._next_seqnum())
             partitions[move.destination_partition].apply_replicated_write(
-                move.bucket, entry, hashed
+                move.bucket, entry, hashes[position]
             )
             stats.replicated_records += 1
-            stats.replicated_bytes += size
+            stats.replicated_bytes += sizes[position]
         return sizes

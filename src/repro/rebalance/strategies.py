@@ -333,9 +333,10 @@ class GlobalHashingStrategy(RebalancingStrategy):
         records_moved = 0
         cross_node_records = 0
 
-        #: Each new partition's rows, in arrival order, as ``insert_many`` takes them.
-        loads: Dict[int, List[Tuple[Any, int, Mapping[str, Any]]]] = {
-            pid: [] for pid in new_partitions
+        #: Each new partition's keys, hashes and rows, in arrival order: the
+        #: columns ``insert_many`` takes.
+        loads: Dict[int, Tuple[List[Any], List[int], List[Mapping[str, Any]]]] = {
+            pid: ([], [], []) for pid in new_partitions
         }
         for old_pid, partition in old_partitions.items():
             old_node = cluster.node_of_partition(old_pid).node_id
@@ -344,7 +345,10 @@ class GlobalHashingStrategy(RebalancingStrategy):
                 key = entry.key
                 hashed = hash_key(key)
                 new_pid = target_partitions[hashed % num_new]
-                loads[new_pid].append((key, hashed, entry.value))
+                keys, hashes, values = loads[new_pid]
+                keys.append(key)
+                hashes.append(hashed)
+                values.append(entry.value)
                 new_node = cluster.node_of_partition(new_pid).node_id
                 loaded_records_by_partition[new_pid] = (
                     loaded_records_by_partition.get(new_pid, 0) + 1
@@ -361,13 +365,16 @@ class GlobalHashingStrategy(RebalancingStrategy):
             key = runtime.spec.primary_key_of(row)
             hashed = hash_key(key)
             new_pid = target_partitions[hashed % num_new]
-            loads[new_pid].append((key, hashed, row))
+            keys, hashes, values = loads[new_pid]
+            keys.append(key)
+            hashes.append(hashed)
+            values.append(row)
             loaded_records_by_partition[new_pid] = loaded_records_by_partition.get(new_pid, 0) + 1
             records_moved += 1
         # Nothing runs maintenance before each partition's forced pass, so
         # landing its rows as one batch leaves the state row-by-row would.
         for pid, partition in new_partitions.items():
-            partition.insert_many(loads[pid])
+            partition.insert_many(*loads[pid])
             partition.maintain(force_flush=True)
         # The destination work of global rebalancing goes through the regular
         # insertion path (every record parsed and indexed, then flushed and

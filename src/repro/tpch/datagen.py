@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from .schema import (
     ALL_TABLES,
@@ -46,23 +46,47 @@ _SHIPMODES = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"]
 _INSTRUCTIONS = ["DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN"]
 _CONTAINERS = ["SM CASE", "SM BOX", "MED BAG", "MED BOX", "LG CASE", "LG BOX", "WRAP JAR", "JUMBO PKG"]
 _TYPES = ["STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"]
+_FINISHES = ["ANODIZED", "BURNISHED", "PLATED", "POLISHED", "BRUSHED"]
 _METALS = ["TIN", "NICKEL", "BRASS", "STEEL", "COPPER"]
+_ORDER_STATUSES = ["O", "F", "P"]
+_LINE_STATUSES = ["O", "F"]
+_RETURN_FLAGS = ["R", "A", "N"]
+#: Years a line ships after its order: the same year three times in four.
+_SHIP_LAGS = [0, 0, 0, 1]
 _BRANDS = [f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6)]
 
 
-def _date(rng: random.Random, start_year: int = 1992, end_year: int = 1998) -> str:
-    year = rng.randint(start_year, end_year)
-    month = rng.randint(1, 12)
-    day = rng.randint(1, 28)
+_WORDS = ["carefully", "quickly", "furiously", "ironic", "deposits", "accounts",
+          "requests", "packages", "pending", "final", "express", "regular"]
+
+
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform int in ``[0, n)``, ``n > 0``: CPython's
+    ``Random._randbelow_with_getrandbits``, draw for draw, so
+    ``a + _below(g, b - a + 1)`` is ``rng.randint(a, b)`` and
+    ``s[_below(g, len(s))]`` is ``rng.choice(s)`` for ``g = rng.getrandbits``,
+    without their argument checks and method dispatch."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _date(getrandbits: Callable[[int], int], start_year: int = 1992, end_year: int = 1998) -> str:
+    year = start_year + _below(getrandbits, end_year - start_year + 1)
+    month = 1 + _below(getrandbits, 12)
+    day = 1 + _below(getrandbits, 28)
     return f"{year:04d}-{month:02d}-{day:02d}"
 
 
-def _comment(rng: random.Random, length: int = 24) -> str:
-    words = ["carefully", "quickly", "furiously", "ironic", "deposits", "accounts",
-             "requests", "packages", "pending", "final", "express", "regular"]
+def _comment(getrandbits: Callable[[int], int], length: int = 24) -> str:
     out: List[str] = []
-    while sum(len(w) + 1 for w in out) < length:
-        out.append(rng.choice(words))
+    written = 0  # the joined length so far, plus one
+    while written < length:
+        word = _WORDS[_below(getrandbits, 12)]
+        out.append(word)
+        written += len(word) + 1
     return " ".join(out)
 
 
@@ -95,65 +119,69 @@ class TPCHGenerator:
     # ------------------------------------------------------------ dimensions
 
     def region(self) -> Iterator[Dict]:
-        rng = self._rng("region")
+        g = self._rng("region").getrandbits
         for key, name in enumerate(_REGIONS):
-            yield {"r_regionkey": key, "r_name": name, "r_comment": _comment(rng)}
+            yield {"r_regionkey": key, "r_name": name, "r_comment": _comment(g)}
 
     def nation(self) -> Iterator[Dict]:
-        rng = self._rng("nation")
+        g = self._rng("nation").getrandbits
         for key, (name, region_key) in enumerate(_NATIONS):
             yield {
                 "n_nationkey": key,
                 "n_name": name,
                 "n_regionkey": region_key,
-                "n_comment": _comment(rng),
+                "n_comment": _comment(g),
             }
 
     def supplier(self) -> Iterator[Dict]:
         rng = self._rng("supplier")
+        g = rng.getrandbits
         for key in range(1, self.row_count(SUPPLIER) + 1):
             yield {
                 "s_suppkey": key,
                 "s_name": f"Supplier#{key:09d}",
-                "s_address": _comment(rng, 16),
-                "s_nationkey": rng.randint(0, 24),
-                "s_phone": f"{rng.randint(10, 34)}-{rng.randint(100, 999)}-{rng.randint(100, 999)}-{rng.randint(1000, 9999)}",
+                "s_address": _comment(g, 16),
+                "s_nationkey": _below(g, 25),
+                "s_phone": f"{10 + _below(g, 25)}-{100 + _below(g, 900)}-{100 + _below(g, 900)}-{1000 + _below(g, 9000)}",
                 "s_acctbal": round(rng.uniform(-999.99, 9999.99), 2),
-                "s_comment": _comment(rng),
+                "s_comment": _comment(g),
             }
 
     def customer(self) -> Iterator[Dict]:
         rng = self._rng("customer")
+        g = rng.getrandbits
         for key in range(1, self.row_count(CUSTOMER) + 1):
             yield {
                 "c_custkey": key,
                 "c_name": f"Customer#{key:09d}",
-                "c_address": _comment(rng, 16),
-                "c_nationkey": rng.randint(0, 24),
-                "c_phone": f"{rng.randint(10, 34)}-{rng.randint(100, 999)}-{rng.randint(100, 999)}-{rng.randint(1000, 9999)}",
+                "c_address": _comment(g, 16),
+                "c_nationkey": _below(g, 25),
+                "c_phone": f"{10 + _below(g, 25)}-{100 + _below(g, 900)}-{100 + _below(g, 900)}-{1000 + _below(g, 9000)}",
                 "c_acctbal": round(rng.uniform(-999.99, 9999.99), 2),
-                "c_mktsegment": rng.choice(_SEGMENTS),
-                "c_comment": _comment(rng),
+                "c_mktsegment": _SEGMENTS[_below(g, len(_SEGMENTS))],
+                "c_comment": _comment(g),
             }
 
     def part(self) -> Iterator[Dict]:
         rng = self._rng("part")
+        g = rng.getrandbits
         for key in range(1, self.row_count(PART) + 1):
-            type_name = f"{rng.choice(_TYPES)} {rng.choice(['ANODIZED', 'BURNISHED', 'PLATED', 'POLISHED', 'BRUSHED'])} {rng.choice(_METALS)}"
+            type_name = f"{_TYPES[_below(g, len(_TYPES))]} {_FINISHES[_below(g, len(_FINISHES))]} {_METALS[_below(g, len(_METALS))]}"
             yield {
                 "p_partkey": key,
-                "p_name": f"part {key} {rng.choice(_METALS).lower()}",
-                "p_mfgr": f"Manufacturer#{rng.randint(1, 5)}",
-                "p_brand": rng.choice(_BRANDS),
+                "p_name": f"part {key} {_METALS[_below(g, len(_METALS))].lower()}",
+                "p_mfgr": f"Manufacturer#{1 + _below(g, 5)}",
+                "p_brand": _BRANDS[_below(g, len(_BRANDS))],
                 "p_type": type_name,
-                "p_size": rng.randint(1, 50),
-                "p_container": rng.choice(_CONTAINERS),
+                "p_size": 1 + _below(g, 50),
+                "p_container": _CONTAINERS[_below(g, len(_CONTAINERS))],
                 "p_retailprice": round(900 + (key % 1000) + rng.uniform(0, 100), 2),
-                "p_comment": _comment(rng, 12),
+                "p_comment": _comment(g, 12),
             }
 
     def partsupp(self) -> Iterator[Dict]:
         rng = self._rng("partsupp")
+        g = rng.getrandbits
         num_parts = self.row_count(PART)
         num_suppliers = self.row_count(SUPPLIER)
         per_part = 4
@@ -163,62 +191,64 @@ class TPCHGenerator:
                 yield {
                     "ps_partkey": part_key,
                     "ps_suppkey": supp_key,
-                    "ps_availqty": rng.randint(1, 9999),
+                    "ps_availqty": 1 + _below(g, 9999),
                     "ps_supplycost": round(rng.uniform(1.0, 1000.0), 2),
-                    "ps_comment": _comment(rng, 16),
+                    "ps_comment": _comment(g, 16),
                 }
 
     # ------------------------------------------------------------- fact data
 
     def orders(self) -> Iterator[Dict]:
         rng = self._rng("orders")
+        g = rng.getrandbits
         num_customers = max(1, self.row_count(CUSTOMER))
         for key in range(1, self.row_count(ORDERS) + 1):
-            order_date = _date(rng, 1992, 1998)
+            order_date = _date(g, 1992, 1998)
             yield {
                 "o_orderkey": key,
-                "o_custkey": rng.randint(1, num_customers),
-                "o_orderstatus": rng.choice(["O", "F", "P"]),
+                "o_custkey": 1 + _below(g, num_customers),
+                "o_orderstatus": _ORDER_STATUSES[_below(g, len(_ORDER_STATUSES))],
                 "o_totalprice": round(rng.uniform(850.0, 555000.0), 2),
                 "o_orderdate": order_date,
-                "o_orderpriority": rng.choice(_PRIORITIES),
-                "o_clerk": f"Clerk#{rng.randint(1, 1000):09d}",
+                "o_orderpriority": _PRIORITIES[_below(g, len(_PRIORITIES))],
+                "o_clerk": f"Clerk#{1 + _below(g, 1000):09d}",
                 "o_shippriority": 0,
-                "o_comment": _comment(rng),
+                "o_comment": _comment(g),
             }
 
     def lineitem(self, orders_rows: Optional[List[Dict]] = None) -> Iterator[Dict]:
         """Generate line items; 1-7 per order, dates derived from the order."""
         rng = self._rng("lineitem")
+        g = rng.getrandbits
         num_parts = max(1, self.row_count(PART))
         num_suppliers = max(1, self.row_count(SUPPLIER))
         if orders_rows is None:
             orders_rows = list(self.orders())
         for order in orders_rows:
-            lines = rng.randint(1, 7)
+            lines = 1 + _below(g, 7)
             order_year = int(order["o_orderdate"][:4])
             for line_number in range(1, lines + 1):
-                quantity = rng.randint(1, 50)
+                quantity = 1 + _below(g, 50)
                 extended = round(quantity * rng.uniform(900.0, 2000.0), 2)
-                ship_year = min(1998, order_year + rng.choice([0, 0, 0, 1]))
-                ship_date = f"{ship_year:04d}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}"
+                ship_year = min(1998, order_year + _SHIP_LAGS[_below(g, len(_SHIP_LAGS))])
+                ship_date = f"{ship_year:04d}-{1 + _below(g, 12):02d}-{1 + _below(g, 28):02d}"
                 yield {
                     "l_orderkey": order["o_orderkey"],
                     "l_linenumber": line_number,
-                    "l_partkey": rng.randint(1, num_parts),
-                    "l_suppkey": rng.randint(1, num_suppliers),
+                    "l_partkey": 1 + _below(g, num_parts),
+                    "l_suppkey": 1 + _below(g, num_suppliers),
                     "l_quantity": quantity,
                     "l_extendedprice": extended,
                     "l_discount": round(rng.uniform(0.0, 0.1), 2),
                     "l_tax": round(rng.uniform(0.0, 0.08), 2),
-                    "l_returnflag": rng.choice(["R", "A", "N"]),
-                    "l_linestatus": rng.choice(["O", "F"]),
+                    "l_returnflag": _RETURN_FLAGS[_below(g, len(_RETURN_FLAGS))],
+                    "l_linestatus": _LINE_STATUSES[_below(g, len(_LINE_STATUSES))],
                     "l_shipdate": ship_date,
-                    "l_commitdate": _date(rng, ship_year, min(1998, ship_year + 1)),
-                    "l_receiptdate": _date(rng, ship_year, min(1998, ship_year + 1)),
-                    "l_shipinstruct": rng.choice(_INSTRUCTIONS),
-                    "l_shipmode": rng.choice(_SHIPMODES),
-                    "l_comment": _comment(rng, 10),
+                    "l_commitdate": _date(g, ship_year, min(1998, ship_year + 1)),
+                    "l_receiptdate": _date(g, ship_year, min(1998, ship_year + 1)),
+                    "l_shipinstruct": _INSTRUCTIONS[_below(g, len(_INSTRUCTIONS))],
+                    "l_shipmode": _SHIPMODES[_below(g, len(_SHIPMODES))],
+                    "l_comment": _comment(g, 10),
                 }
 
     # -------------------------------------------------------------- dispatch

@@ -284,10 +284,12 @@ class WorkloadDriver:
         return max(1, round(self.spec.batch_size * scale))
 
     def _row(self, index: int) -> Dict[str, Any]:
-        payload = f"{index:010d}"
-        if self.spec.payload_bytes > len(payload):
-            payload += "x" * (self.spec.payload_bytes - len(payload))
-        return {self.spec.primary_key: index, "payload": payload}
+        """Row ``index``: its key and a payload of the zero-padded index
+        padded with ``x`` to ``payload_bytes`` (never truncated)."""
+        return {
+            self.spec.primary_key: index,
+            "payload": ("%010d" % index).ljust(self.spec.payload_bytes, "x"),
+        }
 
     @property
     def durable_keys(self) -> int:
@@ -316,9 +318,16 @@ class WorkloadDriver:
         self.next_key = dataset.count()
         remaining = self.spec.initial_records - self.next_key
         cluster = self.db.cluster
+        primary_key = self.spec.primary_key
+        width = self.spec.payload_bytes
         while remaining > 0:
             batch = min(remaining, self._draw_batch_target())
-            rows = [self._row(self.next_key + offset) for offset in range(batch)]
+            # The rows ``_row`` builds, one comprehension per batch
+            # (``%``-formatting is about twice as fast as the f-string spec).
+            rows = [
+                {primary_key: index, "payload": ("%010d" % index).ljust(width, "x")}
+                for index in range(self.next_key, self.next_key + batch)
+            ]
             # Preload is setup, not traffic: feed directly (the documented
             # escape hatch) so bulk-load batches do not contaminate the
             # steady-phase write histograms the Figure 7c comparison reads.

@@ -17,6 +17,12 @@ from repro.lsm.component import DiskComponent, ReferenceDiskComponent
 from repro.lsm.stats import StorageStats
 
 
+def partition_of(routing, key):
+    """The partition a routing snapshot sends ``key`` to."""
+    (pid,) = routing.partitions_of_hashes([hash_key(key)])
+    return pid
+
+
 def open_loaded(rows=300, strategy="dynahash"):
     db = Database(
         ClusterConfig(num_nodes=3, partitions_per_node=2, strategy=strategy)
@@ -173,7 +179,7 @@ class TestSplitDatasetEquivalence:
             deleted += runtime.partitions[runtime.partition_of_key(key)].lookup(key) is not None
         for key in keys:
             partition = runtime.partitions[runtime.partition_of_key(key)]
-            partition.insert_many([(key, hash_key(key), None)])
+            partition.insert_many([key], [hash_key(key)], None)
         for partition in runtime.partitions.values():
             partition.maintain()
         assert (report.keys_requested, report.records_deleted) == (len(keys), deleted) == (7, 4)
@@ -327,8 +333,8 @@ class TestRunPathEquivalence:
         (db_a, _, stale, _), (db_b, _, _, _) = moved_pair
         partitions_a = db_a.cluster.dataset("t").partitions
         partitions_b = db_b.cluster.dataset("t").partitions
-        for pid in sorted({stale.partition_of(key) for key in keys}):
-            mine = [key for key in keys if stale.partition_of(key) == pid]
+        for pid in sorted({partition_of(stale, key) for key in keys}):
+            mine = [key for key in keys if partition_of(stale, key) == pid]
             hashes = [hash_key(key) for key in mine]
             a, b = partitions_a[pid], partitions_b[pid]
             before_a, before_b = a.stats_snapshot(), b.stats_snapshot()

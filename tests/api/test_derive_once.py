@@ -28,9 +28,12 @@ from repro.api import (
     WorkloadDriver,
     WorkloadSpec,
 )
+from repro.bucketed.bucketed_lsm import MaintenanceReport
 from repro.chaos import PartitionWindow
 from repro.cluster.dataset import DatasetSpec
+from repro.cluster.feed import RoutingSnapshot
 from repro.cluster.partition import StoragePartition
+from repro.hashing.extendible import GlobalDirectory
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.component import DiskComponent
 from repro.lsm.entry import estimate_value_size
@@ -129,7 +132,9 @@ class TestOneHashPerKey:
         db, dataset = open_split()
         # The trailing maintenance pass hashes whatever it flushes and merges;
         # that is not the per-key path counted here.
-        monkeypatch.setattr(StoragePartition, "maintain", lambda self, force_flush=False: None)
+        monkeypatch.setattr(
+            StoragePartition, "maintain", lambda self, force_flush=False: MaintenanceReport()
+        )
         hash_calls.clear()
         dataset.delete(KEYS)
         # Before the hash was carried down this made 85 calls for these 11
@@ -370,6 +375,46 @@ class TestOneHashPerRecordLifetime:
         for key in KEYS:
             dataset.delete(key)
         assert hash_calls == Counter(KEYS)
+        db.close()
+
+
+class TestBulkIngestDerivesEachColumnOnce:
+    """A bulk ingest of n rows in batches of b travels as columns: it hashes
+    and sizes each row once and routes each batch with one
+    ``partitions_of_hashes`` call, ⌈n/b⌉ in all, with no per-row routing
+    call (``GlobalDirectory.lookup_hash``)."""
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 200, 600, 900])
+    def test_one_hash_one_size_per_row_and_one_route_per_batch(
+        self, hash_calls, monkeypatch, batch_size
+    ):
+        db, dataset = open_split()
+        calls = Counter()
+
+        def counting(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            RoutingSnapshot,
+            "partitions_of_hashes",
+            counting("route", RoutingSnapshot.partitions_of_hashes),
+        )
+        monkeypatch.setattr(
+            GlobalDirectory, "lookup_hash", counting("lookup_hash", GlobalDirectory.lookup_hash)
+        )
+        monkeypatch.setattr(
+            partition_module, "estimate_value_size", counting("size", estimate_value_size)
+        )
+        rows = [{"k": key, "v": "z" * 64} for key in range(10_000, 10_600)]
+        hash_calls.clear()
+        report = dataset.insert(rows, batch_size=batch_size)
+        assert report.records == len(rows)
+        assert hash_calls == Counter(row["k"] for row in rows)
+        assert calls == {"size": len(rows), "route": -(-len(rows) // batch_size)}
         db.close()
 
 

@@ -186,7 +186,7 @@ class TestDataLogRemoved:
         partition = StoragePartition(spec, 0, "nc0", [ROOT_BUCKET])
         assert not hasattr(partition, "wal")
         with pytest.raises(TypeError):
-            partition.insert_many([(1, 1, {"k": 1})], log=False)
+            partition.insert_many([1], [1], [{"k": 1}], log=False)
         assert partition.count_keys() == 0
 
     def test_node_controller_has_no_wal(self):

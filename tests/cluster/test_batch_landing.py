@@ -1,6 +1,7 @@
 """A partition lands a batch a run at a time, and the state is the row loop's.
 
-``StoragePartition.insert_many`` routes every row to its bucket tree first,
+``StoragePartition.insert_many`` takes a batch as aligned columns (keys,
+hashes, records), routes every row to its bucket tree first,
 then hands each touched bucket tree, the primary-key index and each secondary
 index its rows in one ``LSMTree.insert_many``.  The oracle below is the
 row-at-a-time loop it replaced (with the upsert's secondary-index
@@ -69,7 +70,14 @@ def make_partition(secondary, initial=(ROOT_BUCKET,)):
 
 
 def routed(rows):
+    """``(key, hash, row)`` per row, as the row loop takes them."""
     return [(row["k"], hash_key(row["k"]), row) for row in rows]
+
+
+def columns(routed_records):
+    """The same rows as the aligned columns ``insert_many`` takes."""
+    keys, hashes, records = zip(*routed_records)
+    return list(keys), list(hashes), list(records)
 
 
 def row(key, c=0, width=8):
@@ -81,7 +89,7 @@ def split_partition(secondary, splits):
     partition = make_partition(secondary)
     key = 1000
     while partition.primary.bucket_count < (1 << splits):
-        partition.insert_many(routed([row(k, k % 3, 40) for k in range(key, key + 20)]))
+        partition.insert_many(*columns(routed([row(k, k % 3, 40) for k in range(key, key + 20)])))
         partition.maintain()
         key += 20
     return partition
@@ -138,7 +146,7 @@ class TestEquivalence:
         for batch, maintain_after in zip(batches, maintain):
             rows = routed([row(k, c, width) for k, c, width in batch])
             expected = land_row_at_a_time(oracle, rows)
-            assert batched.insert_many(rows) == expected
+            assert batched.insert_many(*columns(rows)) == expected
             assert state(batched) == state(oracle)
             if maintain_after:
                 done, expected_done = batched.maintain(), oracle.maintain()
@@ -156,7 +164,7 @@ class TestEquivalence:
         batched = make_partition(True, initial=buckets)
         rows = routed([row(k, k % 2) for k in range(40)] + [row(k, 3) for k in range(0, 40, 3)])
         assert {hashed & 3 for _, hashed, _ in rows} == {0, 1, 2, 3}
-        assert batched.insert_many(rows) == land_row_at_a_time(oracle, rows)
+        assert batched.insert_many(*columns(rows)) == land_row_at_a_time(oracle, rows)
         assert state(batched) == state(oracle)
 
     def test_a_one_row_batch_is_the_row_loop(self):
@@ -165,20 +173,21 @@ class TestEquivalence:
             for key, c in ((1, 0), (2, 1), (1, 2), (1, 2)):
                 record = row(key, c)
                 (expected,), _ = land_row_at_a_time(oracle, routed([record]))
-                (stored,), _ = single.insert_many(routed([record]))
+                (stored,), _ = single.insert_many(*columns(routed([record])))
                 assert stored == expected and stored is not record
                 assert state(single) == state(oracle)
 
     def test_an_empty_batch_lands_nothing(self):
         partition = make_partition(True)
         before = state(partition)
-        assert partition.insert_many(iter(())) == ([], [])
+        assert partition.insert_many([], [], []) == ([], [])
+        assert partition.insert_many([], [], None) == ([], [])
         assert state(partition) == before
 
 
 def two_bucket_partition():
     partition = make_partition(True, initial=(BucketId(0, 1), BucketId(1, 1)))
-    partition.insert_many(routed([row(k, k % 3) for k in range(20)]))
+    partition.insert_many(*columns(routed([row(k, k % 3) for k in range(20)])))
     return partition
 
 
@@ -192,7 +201,7 @@ class TestRefusedBatchesLandNothing:
     def assert_refused(self, partition, error, rows):
         before = state(partition)
         with pytest.raises(error):
-            partition.insert_many(rows)
+            partition.insert_many(*columns(rows))
         assert state(partition) == before
 
     def test_a_blocked_partition(self):

@@ -16,7 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import BucketingConfig, ClusterConfig, Database, LSMConfig, SecondaryIndexSpec
+from repro.api import (
+    KIB,
+    BucketingConfig,
+    ClusterConfig,
+    Database,
+    LSMConfig,
+    SecondaryIndexSpec,
+)
+from repro.cluster.partition import StoragePartition
 from repro.common.errors import StorageError
 from repro.common.hashutil import hash_key
 
@@ -186,4 +194,53 @@ class TestDeleteContract:
         report = dataset.delete((1, 2))
         assert (report.keys_requested, report.records_deleted) == (2, 2)
         assert dataset.count() == LOADED - 2
+        db.close()
+
+
+class TestDeletesPriceTheirStorageWork:
+    """A delete is priced as parsing its keys and one round trip, plus the
+    storage work of the sweep that follows it: the slowest node's busiest
+    partition's ``storage_work`` over what its pass reported."""
+
+    def delete_recording_passes(self, db, keys, monkeypatch):
+        passes = {}
+        maintain = StoragePartition.maintain
+
+        def recording(partition, force_flush=False):
+            passes[partition.partition_id] = report = maintain(partition, force_flush)
+            return report
+
+        monkeypatch.setattr(StoragePartition, "maintain", recording)
+        return db.dataset("t").delete(keys), passes
+
+    def test_the_sweeps_flushes_merges_and_splits_are_priced(self, monkeypatch):
+        db = Database(
+            ClusterConfig(
+                num_nodes=2,
+                partitions_per_node=1,
+                lsm=LSMConfig(memory_component_bytes=2 * KIB),
+                bucketing=BucketingConfig(max_bucket_bytes=4 * KIB),
+            ),
+            strategy="dynahash",
+        )
+        db.create_dataset("t", primary_key="k").insert(
+            [{"k": key, "v": "x" * 40} for key in range(300)]
+        )
+        report, passes = self.delete_recording_passes(db, range(200), monkeypatch)
+        cost = db.cluster.cost
+        worked = [done for done in passes.values() if not done.idle]
+        assert sum(done.flush_bytes for done in worked) > 0
+        assert sum(len(done.splits) for done in worked) > 0
+        # One partition per node: the slowest node is the busiest partition.
+        storage = max(cost.storage_work(done.storage_stats()).total_sec for done in worked)
+        assert report.simulated_seconds == cost.parse_time(200) + cost.rpc_time(2) + storage
+        assert report.simulated_seconds > cost.parse_time(200) + cost.rpc_time(2)
+        db.close()
+
+    def test_an_idle_sweep_adds_nothing(self, monkeypatch):
+        db, _ = open_db(split=False)
+        report, passes = self.delete_recording_passes(db, [1, 2, 3, 500], monkeypatch)
+        assert len(passes) == 4 and all(done.idle for done in passes.values())
+        cost = db.cluster.cost
+        assert report.simulated_seconds == cost.parse_time(4) + cost.rpc_time(2)
         db.close()

@@ -12,7 +12,7 @@ import pytest
 from repro.common.hashutil import hash_key
 from repro.lsm.component import DiskComponent, ReferenceDiskComponent
 
-from ..api.test_dataset_batch_verbs import open_split
+from ..api.test_dataset_batch_verbs import open_split, partition_of
 
 ROWS = 2800
 
@@ -103,20 +103,20 @@ class TestReportedCountMatchesTheOldOracle:
                 assert done.value.committed
                 break
             for key in keys:
-                partition = runtime.partitions[stale.partition_of(key)]
+                partition = runtime.partitions[partition_of(stale, key)]
                 record, reported, oracle = probe(partition, key)
                 assert reported == oracle
                 # The last segment is yielded after the commit, when moved
                 # buckets have already left their old partition.
-                moved_away = stale.partition_of(key) != runtime.partition_of_key(key)
+                moved_away = partition_of(stale, key) != runtime.partition_of_key(key)
                 assert (record is None) == (key == 9999 or moved_away)
         assert {"initialization", "move", "finalization"} <= set(phases)
         # The directory moved on; a reader still holding the old copy probes
         # the old owner, where the bucket is no longer local: a free miss.
-        moved = [key for key in keys if stale.partition_of(key) != runtime.partition_of_key(key)]
+        moved = [key for key in keys if partition_of(stale, key) != runtime.partition_of_key(key)]
         assert len(moved) > 20
         for key in moved:
-            record, reported, oracle = probe(runtime.partitions[stale.partition_of(key)], key)
+            record, reported, oracle = probe(runtime.partitions[partition_of(stale, key)], key)
             assert record is None and reported == oracle == 0
             live = runtime.partitions[runtime.partition_of_key(key)]
             record, reported, oracle = probe(live, key)

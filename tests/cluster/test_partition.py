@@ -1,5 +1,7 @@
 """Tests for the storage partition (primary + pk + secondary indexes, rebalance hooks)."""
 
+from itertools import groupby
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,12 +52,24 @@ def order_row(key, date="1995-01-01", custkey=7):
 
 def upsert(partition, rows):
     """Land ``rows`` with one ``insert_many``, the partition's one write path."""
-    partition.insert_many((row["o_orderkey"], hash_key(row["o_orderkey"]), row) for row in rows)
+    keys = [row["o_orderkey"] for row in rows]
+    partition.insert_many(keys, list(map(hash_key, keys)), rows)
 
 
 def delete(partition, keys):
     """Land ``keys`` as tombstone rows with one ``insert_many``."""
-    partition.insert_many((key, hash_key(key), None) for key in keys)
+    partition.insert_many(keys, list(map(hash_key, keys)), None)
+
+
+def land(partition, writes):
+    """Land ``(key, record or None)`` writes in order: one ``insert_many``
+    per run of upserts or of deletes."""
+    for deleted, run in groupby(writes, key=lambda write: write[1] is None):
+        run = list(run)
+        if deleted:
+            delete(partition, [key for key, _ in run])
+        else:
+            upsert(partition, [record for _, record in run])
 
 
 class TestWriteAndRead:
@@ -77,15 +91,14 @@ class TestWriteAndRead:
         assert partition.count_keys() == 0
         assert list(partition.scan_secondary("idx_orderdate")) == []
 
-    def test_delete_of_a_row_the_same_batch_wrote(self):
-        # The delete's old record is the batch's earlier row, not the tree's.
+    def test_an_upsert_of_a_row_the_same_batch_wrote(self):
+        # The second upsert's old record is the batch's earlier row, not the
+        # tree's: its secondary key gets the antimatter.
         partition = make_partition()
         upsert(partition, [order_row(2, date="1995-05-05")])
-        partition.insert_many(
-            [(2, hash_key(2), order_row(2, date="1996-06-06")), (2, hash_key(2), None)]
-        )
-        assert partition.lookup(2) is None
-        assert list(partition.scan_secondary("idx_orderdate")) == []
+        upsert(partition, [order_row(2, date="1996-06-06"), order_row(2, date="1997-07-07")])
+        assert partition.lookup(2)["o_orderdate"] == "1997-07-07"
+        assert [e.key for e in partition.scan_secondary("idx_orderdate")] == [("1997-07-07", 2)]
 
     def test_scan_primary_ordered(self):
         partition = make_partition()
@@ -338,9 +351,7 @@ class TestMovedBloomFilter:
         source = make_partition()
         tree = source.primary.bucket(BucketId(0b0, 1)).tree
         for run, probe in zip(runs, probed):
-            source.insert_many(
-                (key, hash_key(key), None if deleted else order_row(key)) for key, deleted in run
-            )
+            land(source, [(key, None if deleted else order_row(key)) for key, deleted in run])
             source.primary.flush_all()
             if probe and tree.disk_components:
                 tree.disk_components[0].may_contain(0)

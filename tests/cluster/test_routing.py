@@ -22,8 +22,15 @@ def modulo(num_partitions):
     return RoutingSnapshot("modulo", num_partitions=num_partitions)
 
 
+def partition_of(routing, key):
+    """The partition a routing snapshot sends ``key`` to."""
+    (pid,) = routing.partitions_of_hashes([hash_key(key)])
+    return pid
+
+
 def moved_fraction(before, after, keys):
-    return sum(1 for key in keys if before.partition_of(key) != after.partition_of(key)) / len(keys)
+    moved = sum(1 for key in keys if partition_of(before, key) != partition_of(after, key))
+    return moved / len(keys)
 
 
 def uneven_directory():
@@ -36,16 +43,16 @@ def uneven_directory():
 class TestModuloRouting:
     def test_partition_in_range(self):
         routing = modulo(8)
-        assert all(0 <= routing.partition_of(key) < 8 for key in range(1000))
+        assert all(0 <= partition_of(routing, key) < 8 for key in range(1000))
 
     def test_deterministic(self):
-        assert modulo(8).partition_of("k") == modulo(8).partition_of("k")
+        assert partition_of(modulo(8), "k") == partition_of(modulo(8), "k")
 
     def test_roughly_uniform(self):
         routing = modulo(4)
         counts = [0] * 4
         for key in range(8000):
-            counts[routing.partition_of(key)] += 1
+            counts[partition_of(routing, key)] += 1
         assert max(counts) / min(counts) < 1.2
 
     def test_invalid_partition_count(self):
@@ -61,14 +68,14 @@ class TestModuloRouting:
 
     @given(st.integers(min_value=1, max_value=64), st.integers())
     def test_partition_always_valid(self, n, key):
-        assert 0 <= modulo(n).partition_of(key) < n
+        assert 0 <= partition_of(modulo(n), key) < n
 
     def test_hashing_spreads_a_contiguous_key_range(self):
         """Keys that would all fall in one range partition spread under hashing."""
         routing = modulo(4)
         counts = [0] * 4
         for key in range(120):
-            counts[routing.partition_of(key)] += 1
+            counts[partition_of(routing, key)] += 1
         assert max(counts) / (sum(counts) / 4) < 2.0
 
 
@@ -77,15 +84,15 @@ class TestDirectoryRouting:
         directory = GlobalDirectory.initial(num_partitions=4, buckets_per_partition=2)
         routing = RoutingSnapshot("directory", directory=directory)
         for key in range(200):
-            assert routing.partition_of(key) == directory.partition_of_key(key)
+            assert partition_of(routing, key) == directory.partition_of_key(key)
 
     def test_snapshot_does_not_see_later_reassignments(self):
         directory = GlobalDirectory.initial(num_partitions=2, buckets_per_partition=2)
         routing = RoutingSnapshot("directory", directory=directory)
-        before = [routing.partition_of(key) for key in range(200)]
+        before = [partition_of(routing, key) for key in range(200)]
         for bucket in directory.buckets_of_partition(0):
             directory.reassign(bucket, 1)
-        assert [routing.partition_of(key) for key in range(200)] == before
+        assert [partition_of(routing, key) for key in range(200)] == before
         assert {directory.partition_of_key(key) for key in range(200)} == {1}
 
     def test_snapshot_needs_a_directory_and_a_known_mode(self):
@@ -119,6 +126,18 @@ class TestDirectoryRouting:
         ]
 
 
+class TestSnapshotRuns:
+    def test_a_run_routes_as_the_directory_or_the_modulo_does(self):
+        directory = uneven_directory()
+        hashes = [hash_key(key) for key in list(range(300)) + ["a", (1, "x")]]
+        by_directory = RoutingSnapshot("directory", directory=directory)
+        assert by_directory.partitions_of_hashes(hashes) == [
+            directory.lookup_hash(hashed)[1] for hashed in hashes
+        ]
+        assert modulo(5).partitions_of_hashes(hashes) == [hashed % 5 for hashed in hashes]
+        assert modulo(5).partitions_of_hashes([]) == by_directory.partitions_of_hashes([]) == []
+
+
 class TestRuntimeRouting:
     @pytest.mark.parametrize(
         "strategy, mode", [("dynahash", "directory"), ("hashing", "modulo")]
@@ -131,7 +150,7 @@ class TestRuntimeRouting:
             snapshot = runtime.routing_snapshot()
             keys = list(range(300)) + ["a", "b", (1, "x")]
             assert [runtime.partition_of_key(key) for key in keys] == [
-                snapshot.partition_of(key) for key in keys
+                partition_of(snapshot, key) for key in keys
             ]
 
     def test_a_supplied_hash_routes_like_the_key(self):

@@ -46,7 +46,7 @@ def write_oracle(replicator, row):
     key = runtime.spec.primary_key_of(row)
     hashed = hash_key(key)
     bucket, source_partition = replicator.plan.old_directory.lookup_hash(hashed)
-    (record,), (size,) = runtime.partitions[source_partition].insert_many([(key, hashed, row)])
+    (record,), (size,) = runtime.partitions[source_partition].insert_many([key], [hashed], [row])
     assert size == estimate_value_size(record)
     replicator.stats.concurrent_writes += 1
     move = replicator._moving.get(bucket)
