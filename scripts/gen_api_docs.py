@@ -25,6 +25,7 @@ import argparse
 import importlib
 import inspect
 import sys
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List
 
@@ -98,7 +99,7 @@ def _public_methods(cls: type) -> List[str]:
     for method_name, member in sorted(members.items()):
         if method_name.startswith("_"):
             continue
-        if isinstance(member, property):
+        if isinstance(member, (property, cached_property)):
             summary = _summary_of(member)
             lines.append(f"- `{method_name}` *(property)*{' — ' + summary if summary else ''}")
             continue

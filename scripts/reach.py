@@ -21,7 +21,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "examples" / "scenarios"
-CEILING = 237  # never-called functions at the last change that moved it
+CEILING = 238  # never-called functions at the last change that moved it
 CANARY = '[scenario]\nname = "canary"\n[workload]\ninitial_records = 10\n[[steps]]\n'
 STORMS = {"traffic_storm": (["trace.enabled=true"], ["ops_per_sec=-0.9"]),  # (axes, gates)
           "chaos_storm": ([], ["routing_miss_rate=0.25", "write_p99_ms[steady]=0.20"])}

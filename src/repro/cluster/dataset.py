@@ -9,7 +9,9 @@ of the secondary key and the primary key (Section II-C).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from functools import cached_property
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from ..common.errors import ConfigError
 
@@ -77,11 +79,14 @@ class DatasetSpec:
     def has_composite_key(self) -> bool:
         return len(self.primary_key) > 1
 
-    def primary_key_of(self, record: Mapping[str, Any]) -> Any:
-        """Extract the primary key value (scalar for single-field keys)."""
-        if len(self.primary_key) == 1:
-            return record[self.primary_key[0]]
-        return tuple(record[field_name] for field_name in self.primary_key)
+    @cached_property
+    def primary_key_of(self) -> Callable[[Mapping[str, Any]], Any]:
+        """The record -> primary key getter, built once per spec.
+
+        ``spec.primary_key_of(record)`` is the key: a scalar for a
+        single-field key, a tuple for a composite one.  Every writer maps
+        it over its batch of records."""
+        return itemgetter(*self.primary_key)
 
     def index_names(self) -> List[str]:
         return [index.name for index in self.secondary_indexes]

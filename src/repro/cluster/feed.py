@@ -14,7 +14,6 @@ nodes with slowest-node semantics.
 from __future__ import annotations
 
 from itertools import islice
-from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..bucketed.bucketed_lsm import MaintenanceReport
@@ -55,12 +54,6 @@ class DataFeed:
         # The feed works off an immutable snapshot of the routing state; a
         # concurrent rebalance swaps the live directory, not this copy.
         self.routing = self.runtime.routing_snapshot()
-        spec = self.runtime.spec
-        #: A row's primary key: a one-field key is read straight off the row,
-        #: a composite one built by ``primary_key_of``.
-        self._key_of = (
-            spec.primary_key_of if spec.has_composite_key else itemgetter(spec.primary_key[0])
-        )
 
     # ----------------------------------------------------------------- ingest
 
@@ -69,10 +62,10 @@ class DataFeed:
 
         Rows are taken ``batch_size`` at a time (a generator is pulled one
         batch ahead, no further) and each batch travels as columns: one
-        pass extracts the primary keys (a composite key through
-        ``DatasetSpec.primary_key_of``), one hashes them, one routes the
-        hashes through :meth:`RoutingSnapshot.partitions_of_hashes`, and
-        the heat hook (when set) sees each hash in arrival order.  The
+        pass extracts the primary keys (``DatasetSpec.primary_key_of``), one
+        hashes them, one routes the hashes through
+        :meth:`RoutingSnapshot.partitions_of_hashes`, and the heat hook
+        (when set) sees each hash in arrival order.  The
         batch's positions are grouped by partition in first-touch order and
         each partition lands its slice — keys, hashes and rows, in arrival
         order — with one :meth:`StoragePartition.insert_many`, which refuses
@@ -120,7 +113,7 @@ class DataFeed:
         total_records = 0
         total_bytes = 0
 
-        key_of = self._key_of
+        key_of = self.runtime.spec.primary_key_of
         partitions_of_hashes = self.routing.partitions_of_hashes
         batch_size = self.batch_size
         heat = self.cluster.heat

@@ -77,8 +77,7 @@ class LogReplicator:
         """
         if not rows:
             return []
-        primary_key_of = self.runtime.spec.primary_key_of
-        keys = [primary_key_of(row) for row in rows]
+        keys = list(map(self.runtime.spec.primary_key_of, rows))
         hashes = list(map(hash_key, keys))
         #: per row: its ``(bucket, source partition)`` under the old directory.
         routes = list(map(self.plan.old_directory.lookup_hash, hashes))

@@ -361,8 +361,9 @@ class GlobalHashingStrategy(RebalancingStrategy):
 
         # Concurrent writes land on the new copy as well (the baseline blocks
         # nothing in our model; it simply redoes them).
+        primary_key_of = runtime.spec.primary_key_of
         for row in concurrent_rows:
-            key = runtime.spec.primary_key_of(row)
+            key = primary_key_of(row)
             hashed = hash_key(key)
             new_pid = target_partitions[hashed % num_new]
             keys, hashes, values = loads[new_pid]

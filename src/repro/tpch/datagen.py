@@ -84,7 +84,7 @@ def _comment(getrandbits: Callable[[int], int], length: int = 24) -> str:
     out: List[str] = []
     written = 0  # the joined length so far, plus one
     while written < length:
-        word = _WORDS[_below(getrandbits, 12)]
+        word = _WORDS[_below(getrandbits, len(_WORDS))]
         out.append(word)
         written += len(word) + 1
     return " ".join(out)

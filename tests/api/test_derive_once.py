@@ -30,7 +30,6 @@ from repro.api import (
 )
 from repro.bucketed.bucketed_lsm import MaintenanceReport
 from repro.chaos import PartitionWindow
-from repro.cluster.dataset import DatasetSpec
 from repro.cluster.feed import RoutingSnapshot
 from repro.cluster.partition import StoragePartition
 from repro.hashing.extendible import GlobalDirectory
@@ -167,9 +166,9 @@ class TestOneHashPerKey:
 
             return wrapper
 
-        monkeypatch.setattr(
-            DatasetSpec, "primary_key_of", counting("key", DatasetSpec.primary_key_of)
-        )
+        # The spec builds its key getter once; count the calls to that getter.
+        spec = db.cluster.dataset("t").spec
+        monkeypatch.setitem(vars(spec), "primary_key_of", counting("key", spec.primary_key_of))
         monkeypatch.setattr(
             partition_module, "estimate_value_size", counting("size", estimate_value_size)
         )

@@ -16,7 +16,6 @@ from repro.api import (
     WorkloadSpec,
     steady_schedule,
 )
-from repro.cluster.feed import DataFeed
 
 
 def config(num_nodes=2):
@@ -84,22 +83,6 @@ class TestPrepare:
             assert db.metrics.counter("ingest.records").value == 120
             assert db.metrics.counter("ops.insert").value == 0
             assert db.metrics.write_latency("steady").count == 0
-
-
-    @pytest.mark.parametrize("payload_bytes", [0, 4, 10, 64])
-    def test_preload_rows_are_the_rows_row_builds(self, monkeypatch, payload_bytes):
-        landed = []
-        ingest = DataFeed.ingest
-
-        def recording(feed, rows, maintain=True):
-            landed.extend(rows)
-            return ingest(feed, rows, maintain)
-
-        monkeypatch.setattr(DataFeed, "ingest", recording)
-        with Database(config()) as db:
-            driver = WorkloadDriver(db, small_spec(batch_size=16, payload_bytes=payload_bytes))
-            driver.prepare()
-            assert landed == [driver._row(index) for index in range(120)]
 
 
 class TestSteadyTraffic:
