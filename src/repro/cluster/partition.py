@@ -137,10 +137,16 @@ class StoragePartition:
 
         Returns the partition's copy of each record (``None`` for a
         tombstone row) and its byte size (0 for one), in order — what the
-        feed totals and what the replicator forwards and prices.
+        feed totals and what the replicator forwards and prices.  A
+        ``hashes`` or ``records`` column of another length than ``keys``
+        raises :class:`ValueError`, before anything lands.
         """
         if self.blocked:
             self._check_not_blocked()
+        if len(hashes) != len(keys):
+            raise ValueError(f"{len(hashes)} hashes for {len(keys)} keys")
+        if records is not None and len(records) != len(keys):
+            raise ValueError(f"{len(records)} records for {len(keys)} keys")
         if not keys:
             return [], []
         if records is None:

@@ -109,8 +109,9 @@ class MemoryComponent(ReferenceCounted):
         self._entries: Dict[Any, Entry] = {}
         #: ``hash_key`` of every key of ``_entries``, in the dict's (insertion)
         #: order, 8 bytes each — kept for as long as every new key arrives
-        #: with its hash; ``None`` once one did not (the flush then hashes the
-        #: keys itself, once, as it always did).
+        #: with its hash; ``None`` once one did not (the flush then hands the
+        #: disk component no column, and it derives one only if something
+        #: reads it).
         self._hashes: Optional[array] = array("Q")
         #: The keys in :func:`sort_key` order and the position of each in the
         #: dict's (insertion) order: made by the first scan or flush that asks,
@@ -171,9 +172,13 @@ class MemoryComponent(ReferenceCounted):
         written, only a *new* key drops the cached sort and grows the hash
         column (a key repeated in the batch is new once), a new key without
         a hash drops the column, and the byte counter grows by every entry.
+        A ``hashes`` column of another length than ``entries`` raises
+        :class:`ValueError`, also before anything is written.
         """
         if not self._active:
             raise ComponentStateError("cannot write to a deactivated memory component")
+        if hashes is not None and len(hashes) != len(entries):
+            raise ValueError(f"{len(hashes)} hashes for {len(entries)} entries")
         table = self._entries
         before = len(table)
         for entry in entries:
@@ -221,14 +226,16 @@ class MemoryComponent(ReferenceCounted):
         """All entries ordered by key."""
         return list(map(self._entries.__getitem__, self._sorted_keys()[0]))
 
-    def sorted_run(self) -> Tuple[List[Entry], array]:
+    def sorted_run(self) -> Tuple[List[Entry], Optional[array]]:
         """What a flush writes out: all entries ordered by key, and the
         ``hash_key`` of each in the same order (the kept column permuted with
-        the sort; keys that arrived without a hash are hashed here)."""
-        keys, order = self._sorted_keys()
+        the sort), or ``None`` when a key arrived without its hash: nothing
+        is hashed here."""
         hashes = self._hashes
-        column = map(hash_key, keys) if hashes is None else map(hashes.__getitem__, order)
-        return self.sorted_entries(), array("Q", column)
+        if hashes is None:
+            return self.sorted_entries(), None
+        order = self._sorted_keys()[1]
+        return self.sorted_entries(), array("Q", map(hashes.__getitem__, order))
 
     def run(self, low: Any = None, high: Any = None) -> Tuple[List[Entry], List[Any]]:
         """The entries with ``low <= key <= high`` in key order and their keys
@@ -250,7 +257,9 @@ class MemoryComponent(ReferenceCounted):
 class DiskComponent(ReferenceCounted):
     """An immutable sorted run of entries, the unit of LSM disk storage: the
     entries, their keys and their keys' hashes as three aligned columns,
-    released when the component is reclaimed."""
+    released when the component is reclaimed.  The hash column is carried
+    in by the builder when it has one; otherwise it is derived from the keys
+    on its first read, and a component nobody asks never hashes a key."""
 
     def __init__(
         self,
@@ -258,25 +267,30 @@ class DiskComponent(ReferenceCounted):
         bloom_bits_per_key: int = 10,
         bloom_num_hashes: int = 7,
         hashed: Optional[Iterable[int]] = None,
+        in_key_order: bool = False,
     ) -> None:
         """``hashed`` is the ``hash_key`` of every entry's key, in order, when
-        the builder carried them here (a flush, a merge, a bucket move).  The
-        entries are then by contract already in :func:`sort_key` order and
-        the constructor neither sorts nor hashes; a column of another length
-        raises :class:`ValueError`.  Without one it does both itself."""
+        the builder carried them here (a flush, a merge, a bucket move); a
+        column of another length raises :class:`ValueError`.  The entries
+        are in :func:`sort_key` order by contract when a column comes with
+        them or ``in_key_order`` is set (a flush or merge of keys that came
+        without their hashes), and are sorted here otherwise.  Nothing is
+        hashed here either way."""
         super().__init__()
         self.component_id = next_component_id()
         entry_list = list(entries)
-        if hashed is None:
+        if hashed is None and not in_key_order:
             entry_list.sort(key=lambda e: sort_key(e.key))
         self._entries: List[Entry] = entry_list
         self._keys: List[Any] = [e.key for e in entry_list]
         #: ``hash_key`` of every stored key, aligned with ``_entries`` and
-        #: ``_keys`` (8 bytes each): what the Bloom build, every reference
-        #: component's prefix filter and the next merge or move read.
-        self._hashes = array("Q", map(hash_key, self._keys) if hashed is None else hashed)
-        if len(self._hashes) != len(entry_list):
-            raise ValueError(f"{len(self._hashes)} hashes for {len(entry_list)} entries")
+        #: ``_keys`` (8 bytes each), as carried in; ``None`` until
+        #: :attr:`_hashes` first derives it.
+        self._column: Optional[array] = None
+        if hashed is not None:
+            column = self._column = array("Q", hashed)
+            if len(column) != len(entry_list):
+                raise ValueError(f"{len(column)} hashes for {len(entry_list)} entries")
         self._size_bytes = total_size_bytes(entry_list)
         #: Built from the column on the first probe that misses: a read asks
         #: the filter only about a key the sorted run lacks, a bulk load never
@@ -292,6 +306,17 @@ class DiskComponent(ReferenceCounted):
     @property
     def size_bytes(self) -> int:
         return self._size_bytes
+
+    @property
+    def _hashes(self) -> array:
+        """The hash column every reader reads — the Bloom build, every
+        reference component's prefix filter, a bucket move: the carried
+        one, or ``hash_key`` of each key, derived on this first read and
+        kept."""
+        column = self._column
+        if column is None:
+            column = self._column = array("Q", map(hash_key, self._keys))
+        return column
 
     @property
     def bloom(self) -> BloomFilter:
@@ -380,15 +405,22 @@ class DiskComponent(ReferenceCounted):
 
     def hashed_entries(self) -> Tuple[List[Entry], array]:
         """:meth:`entries` and the ``hash_key`` of each, in the same order
-        (what a merge or a bucket move carries into the component it builds)."""
+        (what a bucket move carries into the component it builds); the
+        column is derived first if the component has none yet."""
         return self.entries(), array("Q", self._hashes)
+
+    def carried_entries(self) -> Tuple[List[Entry], Optional[array]]:
+        """:meth:`entries` and a copy of the hash column if the component
+        holds one, else ``None``: what a merge carries, deriving nothing."""
+        column = self._column
+        return self.entries(), None if column is None else array("Q", column)
 
     def _destroy(self) -> None:
         """Release the columns and any Bloom filter; only scalars stay."""
         super()._destroy()
         self._entries = []
         self._keys = []
-        self._hashes = array("Q")
+        self._column = None
         self._bloom = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -504,9 +536,13 @@ class ReferenceDiskComponent(ReferenceCounted):
             array("Q", itertools.compress(target._hashes, keep)),
         )
 
+    #: A reference filters on its target's column, so it always has one to
+    #: carry.
+    carried_entries = hashed_entries
+
     def materialize(self, bloom_bits_per_key: int = 10, bloom_num_hashes: int = 7) -> DiskComponent:
         """A real disk component holding only this bucket's entries (a
-        test and debugging aid: merges read :meth:`hashed_entries` directly)."""
+        test and debugging aid: merges read :meth:`carried_entries` directly)."""
         entries, hashed = self.hashed_entries()
         return DiskComponent(entries, bloom_bits_per_key, bloom_num_hashes, hashed=hashed)
 

@@ -75,16 +75,27 @@ def estimate_value_size(value: Any) -> int:
 
 
 def estimate_key_size(key: Any) -> int:
-    """Estimate the serialized size in bytes of a key."""
+    """Estimate the serialized size in bytes of a key.
+
+    A composite key is sized in one loop: its ``int`` and ``str`` parts
+    inline, and only a nested tuple or another kind of part by a call.
+    """
     kind = type(key)
     if kind is int:
         return 8
     if kind is str:
         return len(key)
-    if kind is tuple:
-        return sum(estimate_key_size(part) for part in key)
     if isinstance(key, tuple):
-        return sum(estimate_key_size(part) for part in key)
+        total = 0
+        for part in key:
+            part_kind = type(part)
+            if part_kind is int:
+                total += 8
+            elif part_kind is str:
+                total += len(part)
+            else:
+                total += estimate_key_size(part)
+        return total
     if isinstance(key, str):
         return len(key)
     if isinstance(key, bytes):

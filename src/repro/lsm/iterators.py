@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 from array import array
 from itertools import compress, islice
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, cast
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .entry import Entry, sort_order
 
@@ -112,24 +112,26 @@ def merge_scan(
 
 
 def merge_runs(
-    runs: Sequence[Tuple[Sequence[Entry], Sequence[int]]],
+    runs: Sequence[Tuple[Sequence[Entry], Optional[Sequence[int]]]],
     drop_tombstones: bool,
-) -> Tuple[List[Entry], array]:
-    """Materialise a reconciled merge of runs that carry their key-hash column.
+) -> Tuple[List[Entry], Optional[array]]:
+    """Materialise a reconciled merge of runs and their key-hash columns.
 
     Each run is ``(entries, hashed)`` with ``hashed[i] == hash_key(entries[i].key)``
-    (newest run first).  Returns the merged entries and their hashes in output
-    order.  Used by LSM merges — when the merge includes the oldest component
-    of the tree, ``drop_tombstones`` should be True so deleted records
-    physically disappear; otherwise tombstones are preserved — and by the
-    source-side scan of a bucket move.
+    (newest run first), or ``hashed`` ``None`` for a run that holds no column.
+    Returns the merged entries and their hashes in output order, or ``None``
+    for the hashes when any run had none (no key is hashed here).  Used by
+    LSM merges — when the merge includes the oldest component of the tree,
+    ``drop_tombstones`` should be True so deleted records physically
+    disappear; otherwise tombstones are preserved — and by the source-side
+    scan of a bucket move.
     """
     for entries, hashed in runs:
-        if len(hashed) != len(entries):
+        if hashed is not None and len(hashed) != len(entries):
             raise ValueError(f"{len(hashed)} hashes for {len(entries)} entries")
-    merged, hashes = reconcile(
+    columns = [hashed for _, hashed in runs if hashed is not None]
+    return reconcile(
         [entries for entries, _ in runs],
-        hashes=[hashed for _, hashed in runs],
+        hashes=columns if len(columns) == len(runs) else None,
         include_tombstones=not drop_tombstones,
     )
-    return merged, cast(array, hashes)

@@ -219,7 +219,7 @@ class LSMTree:
         if self.memory.is_empty:
             return None
         entries, hashed = self.memory.sorted_run()
-        component = self._build_component(entries, hashed)
+        component = self._build_component(entries, hashed, in_key_order=True)
         old_memory = self.memory
         self.memory = MemoryComponent()
         old_memory.deactivate()
@@ -272,7 +272,8 @@ class LSMTree:
         victims = self.disk_components[start:end]
         includes_oldest = end == len(self.disk_components)
         runs = [self._component_run_for_merge(c) for c in victims]
-        new_component = self._build_component(*merge_runs(runs, drop_tombstones=includes_oldest))
+        entries, hashed = merge_runs(runs, drop_tombstones=includes_oldest)
+        new_component = self._build_component(entries, hashed, in_key_order=True)
         read_bytes = sum(self._merge_read_bytes(c) for c in victims)
         self.stats.merge_count += 1
         self.stats.bytes_merged_read += read_bytes
@@ -292,22 +293,28 @@ class LSMTree:
         self,
         entries: Iterable[Entry],
         hashed: Optional[Iterable[int]],
+        in_key_order: bool = False,
     ) -> DiskComponent:
         return DiskComponent(
             entries,
             bloom_bits_per_key=self.config.bloom_bits_per_key,
             bloom_num_hashes=self.config.bloom_num_hashes,
             hashed=hashed,
+            in_key_order=in_key_order,
         )
 
-    def _component_run_for_merge(self, component: AnyDiskComponent) -> Tuple[List[Entry], array]:
-        """Entries a merge reads from ``component`` and their key hashes,
-        applying cleanup filters to both."""
-        entries, hashed = component.hashed_entries()
+    def _component_run_for_merge(
+        self, component: AnyDiskComponent
+    ) -> Tuple[List[Entry], Optional[array]]:
+        """Entries a merge reads from ``component`` and their key hashes
+        (``None`` if the component holds no column: none is derived just to
+        be carried), applying cleanup filters to both."""
+        entries, hashed = component.carried_entries()
         if self._invalid_buckets:
             keep = [not self._is_invalidated(e.key) for e in entries]
             entries = list(itertools.compress(entries, keep))
-            hashed = array("Q", itertools.compress(hashed, keep))
+            if hashed is not None:
+                hashed = array("Q", itertools.compress(hashed, keep))
         return entries, hashed
 
     def _merge_read_bytes(self, component: AnyDiskComponent) -> int:

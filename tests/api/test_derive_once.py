@@ -25,17 +25,22 @@ from repro.api import (
     ClusterConfig,
     Database,
     LSMConfig,
+    SecondaryIndexSpec,
     WorkloadDriver,
     WorkloadSpec,
 )
+from repro.bucketed.bucket import Bucket
 from repro.bucketed.bucketed_lsm import MaintenanceReport
 from repro.chaos import PartitionWindow
 from repro.cluster.feed import RoutingSnapshot
 from repro.cluster.partition import StoragePartition
+from repro.hashing.bucket_id import ROOT_BUCKET
 from repro.hashing.extendible import GlobalDirectory
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.component import DiskComponent
 from repro.lsm.entry import estimate_value_size
+from repro.lsm.iterators import merge_runs
+from repro.lsm.tree import LSMTree
 from repro.rebalance.concurrency import LogReplicator
 
 from .test_dataset_batch_verbs import open_split, read_latencies, storage_stats
@@ -545,3 +550,133 @@ class TestReconcileRunAtATime:
         for module in (iterators_module, scan_module):
             source = Path(module.__file__).read_text()
             assert "heapq" not in source, module.__name__
+
+
+def open_indexed():
+    """An empty dataset on ``open_split()``'s configuration with a covering
+    secondary index, whose entry keys are ``(day, k)`` tuples."""
+    db = Database(
+        ClusterConfig(
+            num_nodes=2,
+            partitions_per_node=2,
+            strategy="dynahash",
+            lsm=LSMConfig(memory_component_bytes=32 * KIB),
+            bucketing=BucketingConfig(max_bucket_bytes=48 * KIB),
+        )
+    )
+    dataset = db.create_dataset(
+        "t", primary_key="k", secondary_indexes=[SecondaryIndexSpec("by_day", ("day",), ("v",))]
+    )
+    return db, dataset
+
+
+def indexed_rows(keys):
+    return [
+        {"k": key, "day": f"1995-{key % 12 + 1:02d}-{key % 28 + 1:02d}", "v": "x" * 64}
+        for key in keys
+    ]
+
+
+def secondary_trees(db):
+    return [p.secondary_indexes["by_day"] for p in db.cluster.dataset("t").partitions.values()]
+
+
+def secondary_key_calls(calls):
+    """The ``hash_key`` calls made on secondary entry keys (tuples here)."""
+    return {key: count for key, count in calls.items() if isinstance(key, tuple)}
+
+
+class TestSecondaryKeysAreNeverHashed:
+    """Nothing probes a secondary index by key, so nothing reads its
+    components' hash columns: a flush, a merge and a rebalance's received
+    lists build their components without one, and no secondary key is
+    hashed.  (Before, each of them hashed every key it wrote.)"""
+
+    def test_a_bulk_ingest_hashes_each_row_once(self, hash_calls):
+        db, dataset = open_indexed()
+        rows = indexed_rows(range(2800))
+        hash_calls.clear()
+        dataset.insert(rows, batch_size=32)
+        assert hash_calls == Counter(row["k"] for row in rows)
+        work = [tree.stats for tree in secondary_trees(db)]
+        assert all(stats.flush_count > 1 and stats.merge_count > 0 for stats in work)
+        db.close()
+
+    def test_a_flush_and_a_merge_hash_nothing(self, hash_calls):
+        db, dataset = open_indexed()
+        dataset.insert(indexed_rows(range(2800)), batch_size=32)
+        dataset.insert(indexed_rows(range(2800, 3000)), batch_size=32)
+        for tree in secondary_trees(db):
+            assert len(tree.memory) > 0 and tree.component_count > 0
+            hash_calls.clear()
+            flushed = tree.flush()
+            merged = tree.merge_all()
+            assert not hash_calls
+            assert flushed._column is None and merged._column is None
+        db.close()
+
+    def test_a_rebalance_hashes_no_secondary_key(self, hash_calls, monkeypatch):
+        db, dataset = open_indexed()
+        dataset.insert(indexed_rows(range(2800)), batch_size=32)
+        received = []
+        append = LSMTree.append_to_received_list
+
+        def recording(tree, list_id, entries, hashed=None):
+            component = append(tree, list_id, entries, hashed)
+            received.append(component)
+            return component
+
+        monkeypatch.setattr(LSMTree, "append_to_received_list", recording)
+        hash_calls.clear()
+        for resize in ({"add": 1}, {"remove": 1}):
+            report = db.rebalance(**resize)
+            assert report.committed
+        # Each move received its bucket's secondary entries as one component.
+        assert len(received) >= sum(r.buckets_moved for r in report.dataset_reports) > 0
+        assert not secondary_key_calls(hash_calls)
+        assert all(component._column is None for component in received)
+        assert len(list(dataset.scan())) == 2800
+        db.close()
+
+
+class TestAColumnIsDerivedOnce:
+    """A component built without its hash column derives it on the first
+    read that needs it — a Bloom build, a bucket move — and keeps it."""
+
+    def test_the_first_bloom_build_derives_the_column_and_the_next_read_nothing(
+        self, hash_calls
+    ):
+        db, dataset = open_indexed()
+        dataset.insert(indexed_rows(range(2800)), batch_size=32)
+        for tree in secondary_trees(db):
+            component = tree.disk_components[-1]
+            absent = ("0000-00-00", -1)
+            hashed = hashutil.hash_key(absent)
+            assert component._column is None
+            hash_calls.clear()
+            component.may_contain(absent, hashed)
+            # Hashing a tuple hashes its parts too; count the keys' own calls.
+            assert secondary_key_calls(hash_calls) == Counter(component._keys)
+            hash_calls.clear()
+            component.may_contain(absent, hashed)
+            component.hashed_entries()
+            assert not hash_calls
+        db.close()
+
+    def test_a_move_derives_the_column_once(self, hash_calls):
+        bucket = Bucket(ROOT_BUCKET)
+        keys = list(range(40, 0, -1))
+        for key in keys:
+            bucket.tree.insert(key, "row")  # written without their hashes
+        component = bucket.flush()
+        assert component._column is None
+        for derived in (keys, []):
+            hash_calls.clear()
+            snapshot = bucket.snapshot_components()
+            entries, hashed = merge_runs(
+                [c.hashed_entries() for c in snapshot], drop_tombstones=True
+            )
+            Bucket.release_snapshot(snapshot)
+            assert hash_calls == Counter(derived)
+            assert hashed == component._column
+            assert list(hashed) == list(map(hashutil.hash_key, sorted(keys)))

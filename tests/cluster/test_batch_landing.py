@@ -235,3 +235,22 @@ class TestRefusedBatchesLandNothing:
         unowned = next(k for k in range(40) if not hash_key(k) & 1)
         rows = routed([row(k) for k in owned + [unowned]])
         self.assert_refused(partition, DirectoryError, rows)
+
+    @pytest.mark.parametrize("buckets", [1, 2])
+    @pytest.mark.parametrize("column", ["hashes", "records"])
+    @pytest.mark.parametrize("length", [4, 8])
+    def test_a_column_of_another_length_than_the_keys(self, buckets, column, length):
+        # Two buckets used to store all six rows beside a four-slot column
+        # (lookups found four); one bucket stored them and its first flush
+        # raised IndexError.
+        initial = (ROOT_BUCKET,) if buckets == 1 else (BucketId(0, 1), BucketId(1, 1))
+        partition = make_partition(True, initial=initial)
+        full = dict(zip(("keys", "hashes", "records"), columns(routed(map(row, range(8))))))
+        given = {name: values[:6] for name, values in full.items()}
+        given[column] = full[column][:length]
+        before = state(partition)
+        with pytest.raises(ValueError, match=f"^{length} {column} for 6 keys$"):
+            partition.insert_many(given["keys"], given["hashes"], given["records"])
+        assert state(partition) == before
+        partition.maintain(force_flush=True)
+        assert [partition.lookup(key) for key in full["keys"]] == [None] * 8

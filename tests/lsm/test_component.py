@@ -1,21 +1,26 @@
 """Tests for memory, disk, and reference components and their lifecycle."""
 
 import gc
+import itertools
 import weakref
 from array import array
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.lsm.tree as tree_module
 from repro.bucketed.bucket import Bucket
+from repro.common.config import LSMConfig
 from repro.common.errors import ComponentStateError
 from repro.common.hashutil import hash_key, low_bits
 from repro.hashing.bucket_id import ROOT_BUCKET
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.component import DiskComponent, MemoryComponent, ReferenceDiskComponent
 from repro.lsm.entry import Entry, estimate_value_size
+from repro.lsm.tree import LSMTree
 
 
 def make_entries(keys, seq_start=1, value="v"):
@@ -90,7 +95,12 @@ class TestMemoryComponent:
         assert [e.key for e in mem.scan(high=2)] == [0, 1, 2]
         entries, hashed = mem.sorted_run()
         assert [e.key for e in entries] == list(range(5001))
-        assert list(hashed) == [hash_key(key) for key in range(5001)]
+        # No put carried a hash, so the flush hands on no column and hashes
+        # nothing; the disk component derives one if something reads it.
+        assert hashed is None
+        flushed = DiskComponent(entries, hashed=hashed, in_key_order=True)
+        assert flushed._column is None
+        assert list(flushed._hashes) == [hash_key(key) for key in range(5001)]
         assert sorts == [5000, 5001]
 
     def test_run_is_the_scan_with_its_keys(self):
@@ -112,6 +122,15 @@ class TestMemoryComponent:
         mem.deactivate()
         with pytest.raises(ComponentStateError):
             mem.put(Entry(key=1, value="a", seqnum=1))
+
+    @pytest.mark.parametrize("length", [0, 2, 4])
+    def test_put_many_refuses_a_hash_column_of_another_length(self, length):
+        mem = MemoryComponent()
+        mem.put_many(make_entries([7]), [hash_key(7)])
+        with pytest.raises(ValueError, match=f"^{length} hashes for 3 entries$"):
+            mem.put_many(make_entries([1, 2, 3]), [hash_key(k) for k in range(length)])
+        assert list(mem._entries) == [7] and list(mem._hashes) == [hash_key(7)]
+        assert mem.size_bytes == make_entries([7])[0].size_bytes
 
     def test_is_empty(self):
         mem = MemoryComponent()
@@ -578,6 +597,10 @@ class TestCarriedColumn:
     )
     def test_hashed_entries_is_entries_with_their_hashes(self, case, depth, prefix):
         target = DiskComponent(make_entries(case[0]))
+        # Built without a column: a merge carries none, and hashed_entries
+        # derives the column on this first read.
+        assert target._column is None
+        assert target.carried_entries() == (target.entries(), None)
         for component in (target, ReferenceDiskComponent(target, prefix, depth)):
             entries, hashed = component.hashed_entries()
             assert entries == component.entries()
@@ -595,12 +618,22 @@ class TestCarriedColumn:
     )
     def test_the_memory_component_hands_its_column_to_the_flush(self, keys, puts):
         memory = MemoryComponent()
+        first_carried = {}
         for seqnum, (index, carry) in enumerate(puts if keys else []):
             key = keys[index % len(keys)]  # overwrites included
+            first_carried.setdefault(key, carry)
             memory.put(Entry(key, "v", seqnum), hashed=hash_key(key) if carry else None)
         entries, hashed = memory.sorted_run()
         assert entries == memory.sorted_entries()
-        assert hashed == array("Q", [hash_key(e.key) for e in entries])
+        # The column survives while every new key came with its hash; a new
+        # key without one makes the flush hand on no column at all.
+        if all(first_carried.values()):
+            assert hashed == array("Q", [hash_key(e.key) for e in entries])
+        else:
+            assert hashed is None
+        flushed = DiskComponent(entries, hashed=hashed, in_key_order=True)
+        assert flushed.entries() == entries
+        assert flushed._hashes == array("Q", [hash_key(e.key) for e in entries])
 
     @given(
         key=st.one_of(
@@ -613,3 +646,168 @@ class TestCarriedColumn:
         assert born._size_bytes is not None
         assert born.size_bytes == Entry(key, value, 1).size_bytes
         assert born == Entry(key, value, 1)
+
+
+# ------------------------------------------------------ the column on first read
+#
+# A component built without a column (a flush or merge of keys that came
+# without their hashes, a received list) derives it from its keys when
+# something first reads it.  The oracle is the same history played with a
+# component class that derives its column as it is built, as every component
+# once did: every answer and every stats counter must be the same.
+
+
+class EagerDiskComponent(DiskComponent):
+    """A disk component that hashes its keys as it is built."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        assert len(self._hashes) == len(self._keys)  # the read derives the column
+
+
+_LAZY_KEY_SHAPES = {
+    "int": st.integers(-50, 50),
+    "composite": st.tuples(st.sampled_from(["1992-02-27", "1995-06-17"]), st.tuples(_PART, _PART)),
+}
+
+
+@st.composite
+def lazy_column_histories(draw):
+    """A key pool of one shape and a history over one LSM-tree: writes and
+    deletes with and without their hashes, flushes, merges, received lists
+    (sorted with their column or unsorted without one), lazy-cleanup
+    filters, and reads — point reads, Bloom probes, scans, and a child tree
+    of references to every real component, merged."""
+    shape = _LAZY_KEY_SHAPES[draw(st.sampled_from(sorted(_LAZY_KEY_SHAPES)))]
+    pool = draw(st.lists(shape, min_size=1, max_size=12, unique=True))
+    index = st.integers(0, len(pool) - 1)
+    operation = st.one_of(
+        st.tuples(st.just("write"), index, st.integers(0, 99), st.booleans()),
+        st.tuples(st.just("write"), index, st.integers(0, 99), st.booleans()),
+        st.tuples(st.just("delete"), index, st.booleans()),
+        st.tuples(st.just("flush")),
+        st.tuples(st.just("flush")),
+        st.tuples(st.just("merge"), st.booleans()),
+        st.tuples(st.just("merge"), st.booleans()),
+        st.tuples(
+            st.just("receive"),
+            st.lists(index, min_size=1, max_size=5, unique=True),
+            st.booleans(),
+            st.booleans(),
+        ),
+        st.tuples(st.just("invalidate"), st.integers(0, 3), st.integers(1, 2)),
+        st.tuples(st.just("get"), index),
+        st.tuples(st.just("probe"), index),
+        st.tuples(st.just("scan"), st.none() | index, st.none() | index),
+        st.tuples(st.just("references"), st.integers(0, 3), st.integers(0, 2)),
+    )
+    return pool, draw(st.lists(operation, min_size=8, max_size=40))
+
+
+def _real_components(trees):
+    found = {}
+    for tree in trees:
+        for component in tree.disk_components:
+            real = component.target if isinstance(component, ReferenceDiskComponent) else component
+            found[real.component_id] = real
+    return found.values()
+
+
+def play_history(pool, operations, check=None):
+    """Run ``operations`` over one tree and return everything it answered and
+    the stats of every tree involved; ``check(trees)`` runs after each step."""
+    config = LSMConfig(memory_component_bytes=300, bloom_bits_per_key=10)
+    tree = LSMTree("lazy", config=config)
+    answers, stats, seqnums = [], [], itertools.count(10_000)
+    for operation in operations:
+        kind = operation[0]
+        trees = [tree]
+        if kind == "write":
+            key = pool[operation[1]]
+            tree.insert(key, operation[2], hash_key(key) if operation[3] else None)
+            tree.maybe_flush()
+        elif kind == "delete":
+            key = pool[operation[1]]
+            tree.delete(key, hash_key(key) if operation[2] else None)
+        elif kind == "flush":
+            tree.flush()
+        elif kind == "merge":  # of the memory run too, when there is one
+            tree.flush()
+            merged = tree.merge_all() if operation[1] else tree.maybe_merge()
+            answers.append(None if merged is None else merged.entries())
+        elif kind == "receive":
+            keys, loaded, carry = [pool[i] for i in operation[1]], operation[2], operation[3]
+            entries = [Entry(key, "received", next(seqnums)) for key in keys]
+            hashed = None
+            if carry:  # a moved run: in key order, with its column
+                entries.sort(key=lambda e: _ordered(e.key))
+                hashed = [hash_key(e.key) for e in entries]
+            if loaded:
+                tree.add_loaded_component(entries, hashed=hashed)
+            else:
+                list_id = tree.create_received_list()
+                tree.append_to_received_list(list_id, entries, hashed)
+                tree.install_received_list(list_id)
+        elif kind == "invalidate":
+            tree.invalidate_bucket(operation[1], operation[2])
+        elif kind == "get":
+            answers.append(tree.get_entry(pool[operation[1]]))
+        elif kind == "probe":
+            key = pool[operation[1]]
+            answers.append([c.may_contain(key) for c in tree.disk_components])
+        elif kind == "scan":
+            low, high = (None if i is None else pool[i] for i in operation[1:])
+            answers.append(list(tree.scan(low, high, include_tombstones=True)))
+        elif kind == "references":
+            child = LSMTree("child", config=config)
+            child.disk_components = [
+                ReferenceDiskComponent(real, operation[1], operation[2])
+                for real in _real_components([tree])
+            ]
+            for reference in child.disk_components:
+                entries, hashed = reference.hashed_entries()
+                assert hashed == array("Q", [hash_key(e.key) for e in entries])
+            answers.append([list(child.scan())] + [child.get_entry(key) for key in pool])
+            merged = child.merge_all()
+            answers.append(None if merged is None else merged.entries())
+            trees.append(child)
+            if check is not None:
+                check(trees)
+            stats.append(child.stats)
+            for component in child.disk_components:
+                component.deactivate()
+        if check is not None:
+            check(trees)
+    return answers, stats + [tree.stats]
+
+
+def assert_columns_are_the_keys_hashes(trees):
+    for component in _real_components(trees):
+        if component._column is not None:
+            assert component._column == array("Q", map(hash_key, component._keys))
+        if component._bloom is not None:  # a filter was built: the column was read
+            assert component._column is not None
+
+
+class TestColumnOnFirstRead:
+    @settings(max_examples=150, deadline=None)
+    @given(history=lazy_column_histories())
+    def test_a_lazy_column_answers_as_an_eager_one(self, history):
+        pool, operations = history
+        lazy = play_history(pool, operations, check=assert_columns_are_the_keys_hashes)
+        with mock.patch.object(tree_module, "DiskComponent", EagerDiskComponent):
+            eager = play_history(pool, operations)
+        assert lazy == eager
+
+    def test_a_merge_with_a_column_less_input_carries_no_column(self):
+        tree = LSMTree("mixed", config=LSMConfig(memory_component_bytes=1 << 20))
+        for key in (1, 2):
+            tree.insert(key, "carried", hash_key(key))
+        carried = tree.flush()
+        tree.insert(3, "bare")
+        bare = tree.flush()
+        assert carried._column is not None and bare._column is None
+        merged = tree.merge_all()
+        assert merged._column is None
+        assert merged._keys == [1, 2, 3]
+        assert merged._hashes == array("Q", map(hash_key, [1, 2, 3]))

@@ -1,6 +1,38 @@
 """Tests for entries and size estimation."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.lsm.entry import Entry, estimate_key_size, estimate_value_size, newest
+
+
+def recursive_key_size(key):
+    """The key-size estimate as one recursive call per tuple part."""
+    kind = type(key)
+    if kind is int:
+        return 8
+    if kind is str:
+        return len(key)
+    if kind is tuple:
+        return sum(recursive_key_size(part) for part in key)
+    if isinstance(key, tuple):
+        return sum(recursive_key_size(part) for part in key)
+    if isinstance(key, str):
+        return len(key)
+    if isinstance(key, bytes):
+        return len(key)
+    return 8
+
+
+_KEY_PARTS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.text(max_size=8),
+    st.binary(max_size=8),
+    st.none(),
+)
+_KEYS = st.recursive(_KEY_PARTS, lambda parts: st.lists(parts, max_size=4).map(tuple), max_leaves=12)
 
 
 class TestSizeEstimation:
@@ -37,6 +69,13 @@ class TestSizeEstimation:
 
     def test_key_size_int(self):
         assert estimate_key_size(5) == 8
+
+    def test_key_size_of_the_empty_tuple(self):
+        assert estimate_key_size(()) == 0 == estimate_key_size(((), ((),)))
+
+    @given(key=_KEYS)
+    def test_the_one_loop_key_size_equals_the_recursive_one(self, key):
+        assert estimate_key_size(key) == recursive_key_size(key)
 
 
 class TestEntry:
