@@ -32,23 +32,14 @@ from typing import (
 )
 
 from ..cluster.dataset import DatasetSpec
-from ..cluster.feed import group_positions
+from ..cluster.routing import touched_partitions
 from ..cluster.reports import IngestReport
 from ..common.errors import UnknownDatasetError
 from ..common.hashutil import hash_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.controller import DatasetRuntime
-    from ..cluster.partition import StoragePartition
     from .database import Database
-
-
-#: A run of reads travels the read path as a run (:meth:`Dataset._lookup_run`)
-#: once it averages this many keys per partition; shorter runs go key by key.
-#: Grouping pays only when each bucket tree the run touches answers several
-#: keys in one probe: with one bucket per partition the run path is ahead
-#: from about 4 keys per partition, with eight it only draws level near 32.
-_RUN_KEYS_PER_PARTITION = 16
 
 
 @dataclass
@@ -223,7 +214,8 @@ class Dataset:
         distinct_keys = 0
         if keys:
             hashes = list(map(hash_key, keys))
-            for partition, positions in self._route_run(runtime, hashes):
+            owners = runtime.partitions_of_hashes(hashes)
+            for partition, positions in touched_partitions(runtime.partitions, owners):
                 if positions is None:
                     slice_keys, slice_hashes = keys, hashes
                 else:
@@ -283,26 +275,14 @@ class Dataset:
     def get(self, key: Any) -> Optional[Dict[str, Any]]:
         """Point lookup by primary key (routes via the current directory).
 
-        The key is hashed once, here; routing, the heat hook and the storage
-        probe all share that hash.  The emitted ``op.read`` latency charges
-        the client/CC round trip plus the per-component open overhead and disk
-        pages the probe actually touched (the count the partition reports for
-        the one bucket tree it searched), so lookups get slower as a bucket
-        accumulates unmerged components.
+        A one-key :meth:`get_many` that emits one ``op.read`` sample instead
+        of an ``op.batch``.  The sample charges the client/CC round trip plus
+        the per-component open overhead and disk pages the probe touched, so
+        lookups get slower as a bucket accumulates unmerged components.
         """
-        runtime = self._runtime()
-        hashed = hash_key(key)
-        record, opened = self._lookup_one(runtime, key, hashed)
-        latency = self._probe_latency(opened)
-        chaos = self.database.cluster.chaos
-        if chaos is not None:
-            # Burst windows stretch the client's service time; partition
-            # windows add the retry path's miss/backoff penalty on top.
-            latency = latency * chaos.client_factor() + chaos.routing_penalty(
-                runtime, key, hashed
-            )
-        self._emit_op("read", latency, found=record is not None)
-        return record
+        records, latencies = self._read(self._runtime(), (key,), (hash_key(key),))
+        self._emit_op("read", latencies[0], found=records[0] is not None)
+        return records[0]
 
     def get_many(
         self, keys: "Sequence[Any]", hashes: "Optional[Sequence[int]]" = None
@@ -311,17 +291,15 @@ class Dataset:
 
         The storage work, per-key cost accounting, and resulting telemetry
         are identical to looping :meth:`get` — each key's latency is computed
-        from its own probe's component-open count — but a long run (16 keys
-        or more per partition) travels the read path together: it is routed
-        in one pass and every touched partition answers its keys in one
-        :meth:`~repro.cluster.partition.StoragePartition.lookup_many`; a
-        shorter run goes key by key.  Either way each distinct count is
-        priced once, and the samples travel as a single ``op.batch`` event,
-        which the metrics registry folds in with
-        :meth:`~repro.metrics.MetricsRegistry.observe_op_batch`.  A run that
-        touches a blocked partition raises before any partition is probed.
-        The heat and chaos hooks see the keys in order.  This is the read
-        path of the batched workload driver.
+        from its own probe's component-open count — and the run travels the
+        read path together at any length: routed in one pass, every touched
+        partition checked for a block before anything else, and each touched
+        partition asked once
+        (:meth:`~repro.cluster.partition.StoragePartition.lookup_many`).  A
+        refused run probes nothing and credits no heat.  The samples travel
+        as a single ``op.batch`` event, which the metrics registry folds in
+        with :meth:`~repro.metrics.MetricsRegistry.observe_op_batch`.  This
+        is the read path of the batched workload driver.
 
         The run is hashed once, here, and routing, the heat and chaos hooks
         and the storage probes share the hashes.  A caller that already
@@ -339,13 +317,34 @@ class Dataset:
             return []
         if hashes is None:
             hashes = list(map(hash_key, keys))
-        if len(keys) == 1:
-            record, count = self._lookup_one(runtime, keys[0], hashes[0])
-            records, opened = [record], [count]
-        elif len(keys) < _RUN_KEYS_PER_PARTITION * len(runtime.partitions):
-            records, opened = self._lookup_each(runtime, keys, hashes)
+        records, latencies = self._read(runtime, keys, hashes)
+        self._emit_op_batch("read", latencies)
+        return records
+
+    def _read(
+        self, runtime: "DatasetRuntime", keys: "Sequence[Any]", hashes: "Sequence[int]"
+    ) -> "Tuple[List[Optional[Dict[str, Any]]], List[float]]":
+        """Each key of a non-empty run's record and client-observed latency,
+        in key order: the one read path of :meth:`get` and :meth:`get_many`,
+        whose heat and chaos hooks see the keys in order."""
+        touched = touched_partitions(runtime.partitions, runtime.partitions_of_hashes(hashes))
+        cluster = self.database.cluster
+        heat = cluster.heat
+        if heat is not None:
+            for hashed in hashes:
+                heat.record_read(self.name, hashed)
+        if touched[0][1] is None:  # one partition owns the run
+            records, opened = touched[0][0].lookup_many(keys, hashes)
         else:
-            records, opened = self._lookup_run(runtime, keys, hashes)
+            records = [None] * len(keys)
+            opened = [0] * len(keys)
+            for partition, positions in touched:
+                found, counts = partition.lookup_many(
+                    list(map(keys.__getitem__, positions)), list(map(hashes.__getitem__, positions))
+                )
+                for position, record, count in zip(positions, found, counts):
+                    records[position] = record
+                    opened[position] = count
         # opened -> latency: the charge is a pure function of the count, so
         # each distinct count is priced once.
         first = opened[0]
@@ -355,104 +354,15 @@ class Dataset:
             distinct = set(opened)
             priced = dict(zip(distinct, map(self._probe_latency, distinct)))
             latencies = list(map(priced.__getitem__, opened))
-        chaos = self.database.cluster.chaos
+        chaos = cluster.chaos
         if chaos is not None:
+            # Burst windows stretch the client's service time; partition
+            # windows add the retry path's miss/backoff penalty on top.
             latencies = [
                 latency * chaos.client_factor() + chaos.routing_penalty(runtime, key, hashed)
                 for key, hashed, latency in zip(keys, hashes, latencies)
             ]
-        self._emit_op_batch("read", latencies)
-        return records
-
-    def _lookup_one(
-        self, runtime: "DatasetRuntime", key: Any, hashed: int
-    ) -> "Tuple[Optional[Dict[str, Any]], int]":
-        """One key's record and the disk components its probe opened (the
-        count of the one bucket tree it searched); routing, the heat hook
-        and the storage probe share the key's hash ``hashed``."""
-        heat = self.database.cluster.heat
-        if heat is not None:
-            heat.record_read(self.name, hashed)
-        partition = runtime.partitions[runtime.partition_of_key(key, hashed)]
-        if partition.blocked:
-            partition._check_not_blocked()
-        return partition.primary.lookup(key, hashed)
-
-    def _lookup_each(
-        self, runtime: "DatasetRuntime", keys: "Sequence[Any]", hashes: "Sequence[int]"
-    ) -> "Tuple[List[Optional[Dict[str, Any]]], List[int]]":
-        """:meth:`_lookup_run` key by key, for runs too short to repay its
-        grouping: every key is routed, and its partition checked for a
-        block, before any is probed."""
-        heat = self.database.cluster.heat
-        partitions = runtime.partitions
-        # DatasetRuntime.partition_of_key, bound once per run: the live
-        # directory's lookup_hash, or hash modulo partitions without one.
-        directory = runtime.global_directory if runtime.routing_mode == "directory" else None
-        probes = []
-        for key, hashed in zip(keys, hashes):
-            if heat is not None:
-                heat.record_read(self.name, hashed)
-            if directory is None:
-                partition = partitions[hashed % len(partitions)]
-            else:
-                partition = partitions[directory.lookup_hash(hashed)[1]]
-            if partition.blocked:
-                partition._check_not_blocked()
-            probes.append((partition.primary, key, hashed))
-        records: List[Optional[Dict[str, Any]]] = []
-        opened: List[int] = []
-        for primary, key, hashed in probes:
-            record, count = primary.lookup(key, hashed)
-            records.append(record)
-            opened.append(count)
-        return records, opened
-
-    def _lookup_run(
-        self, runtime: "DatasetRuntime", keys: "Sequence[Any]", hashes: "Sequence[int]"
-    ) -> "Tuple[List[Optional[Dict[str, Any]]], List[int]]":
-        """Each key's record and component-open count, in key order: the
-        run's hashes are seen by the heat hook and routed by
-        :meth:`_route_run`, so every touched partition is checked for a
-        block before any is probed."""
-        heat = self.database.cluster.heat
-        if heat is not None:
-            for hashed in hashes:
-                heat.record_read(self.name, hashed)
-        touched = self._route_run(runtime, hashes)
-        if touched[0][1] is None:  # one partition owns the run
-            return touched[0][0].lookup_many(keys, hashes)
-        records: List[Optional[Dict[str, Any]]] = [None] * len(keys)
-        opened = [0] * len(keys)
-        for partition, positions in touched:
-            found, counts = partition.lookup_many(
-                [keys[p] for p in positions], [hashes[p] for p in positions]
-            )
-            for position, record, count in zip(positions, found, counts):
-                records[position] = record
-                opened[position] = count
-        return records, opened
-
-    @staticmethod
-    def _route_run(
-        runtime: "DatasetRuntime", hashes: "Sequence[int]"
-    ) -> "List[Tuple[StoragePartition, Optional[List[int]]]]":
-        """The partitions a non-empty run of key hashes reaches through the
-        live directory (or hash modulo partitions without one), routed in
-        one pass: one ``(partition, positions)`` per touched partition, in
-        first-touch order, with ``positions`` ``None`` when one partition
-        owns the whole run.  Every touched partition is checked for a block
-        before this returns, so a refused run touches nothing."""
-        partitions = runtime.partitions
-        if runtime.routing_mode == "directory":
-            owners = runtime.global_directory.partitions_of_hashes(hashes)
-        else:
-            owners = [hashed % len(partitions) for hashed in hashes]
-        touched = [(partitions[owner], positions) for owner, positions in group_positions(owners)]
-        for partition, _ in touched:
-            if partition.blocked:
-                partition._check_not_blocked()
-        return touched
+        return records, latencies
 
     def scan(
         self, low: Any = None, high: Any = None, ordered: bool = False
@@ -483,7 +393,9 @@ class Dataset:
         self._emit_op("scan", latency, records=rows)
 
     def count(self) -> int:
-        """Number of live records (served from the partitions' key counts)."""
+        """Number of live records: a reconciling scan of every partition's
+        primary index (``StoragePartition.record_count``), not a stored
+        count, so it costs O(records)."""
         return self._runtime().record_count()
 
     def __len__(self) -> int:

@@ -27,6 +27,13 @@ from .bucket import Bucket
 from .scan import ScanMode, choose_scan_mode, scan_with_mode
 from .split import SplitResult, split_bucket
 
+#: A run of point reads averaging fewer keys than this per local bucket is
+#: probed key by key (:meth:`BucketedLSMTree.lookup_many`): grouped by bucket
+#: it would mostly make groups of one, each paying its own slices, a tree
+#: call and a scatter.  Below it, a run in one tree is ``LSMTree.get_many``'s
+#: own choice (``SHORT_RUN``).
+_GROUPED_KEYS_PER_BUCKET = 4
+
 
 @dataclass
 class MaintenanceReport:
@@ -195,51 +202,60 @@ class BucketedLSMTree:
             routes.append((tree, positions))
         return routes
 
-    def lookup(self, key: Any, hashed: Optional[int] = None) -> Tuple[Optional[Any], int]:
-        """Point lookup that treats "bucket not local" as a miss.
-
-        A stale-directory probe for a moved bucket simply finds nothing,
-        exactly as the partition-level lookup contract requires.  Returns
-        ``(value, opened)``: ``opened`` is the number of disk components the
-        probe opened, read off the one bucket tree it searched, which is what
-        the caller's latency charge needs (0 for a memory-component hit and
-        for a bucket that is not local).
-        """
-        if hashed is None:
-            hashed = hash_key(key)
-        bucket_id = self.directory.try_bucket_for_hash(hashed)
-        if bucket_id is None:
-            return None, 0
-        bucket = self._buckets[bucket_id]
-        bucket._check_access()
-        tree = bucket.tree
-        stats = tree.stats
-        opened_before = stats.components_opened
-        entry = tree.get_entry(key, hashed)
-        opened = stats.components_opened - opened_before
-        if entry is None or entry.tombstone:
-            return None, opened
-        return entry.value, opened
-
     def lookup_many(
         self, keys: Sequence[Any], hashes: Sequence[int]
     ) -> Tuple[List[Optional[Any]], List[int]]:
-        """:meth:`lookup` for a non-empty run of keys (``hashes`` their
-        ``hash_key``): each key's value and its own probe's disk-component
-        count, in key order.
-
-        The run is grouped by local bucket (:meth:`LocalDirectory.group_hashes`);
-        a hash no local bucket owns is a free miss, as in :meth:`lookup`.
-        Every touched bucket passes its access check before any is probed,
-        and each bucket tree answers its keys in one :meth:`LSMTree.get_many`.
-        """
+        """Point lookups of a non-empty run of keys (``hashes`` their
+        ``hash_key``): each key's value (``None`` when absent or deleted)
+        and the disk components its own probe opened, in key order.  A hash
+        no local bucket owns is a miss that opens nothing (a stale probe of
+        a moved bucket); every touched bucket passes its access check before
+        any is probed.  A run averaging fewer than
+        :data:`_GROUPED_KEYS_PER_BUCKET` keys per local bucket is probed key
+        by key (:meth:`LSMTree.get_entry`; a run of one skips even the
+        run's lists); a longer one is grouped by bucket
+        (:meth:`LocalDirectory.group_hashes`) and each touched bucket tree
+        answers its keys in one :meth:`LSMTree.get_many`."""
+        buckets = self._buckets
+        if len(keys) == 1:  # a run of one skips even the run's lists
+            bucket_id = self.directory.try_bucket_for_hash(hashes[0])
+            if bucket_id is None:
+                return [None], [0]
+            bucket = buckets[bucket_id]
+            bucket._check_access()
+            stats = bucket.tree.stats
+            before = stats.components_opened
+            entry = bucket.tree.get_entry(keys[0], hashes[0])
+            value = None if entry is None or entry.tombstone else entry.value
+            return [value], [stats.components_opened - before]
+        if len(keys) < _GROUPED_KEYS_PER_BUCKET * len(buckets):
+            trees: List[Optional[LSMTree]] = []
+            for bucket_id in map(self.directory.try_bucket_for_hash, hashes):
+                if bucket_id is None:
+                    trees.append(None)
+                    continue
+                bucket = buckets[bucket_id]
+                bucket._check_access()
+                trees.append(bucket.tree)
+            values: List[Optional[Any]] = []
+            opened: List[int] = []
+            for tree, key, hashed in zip(trees, keys, hashes):
+                if tree is None:
+                    values.append(None)
+                    opened.append(0)
+                    continue
+                before = tree.stats.components_opened
+                entry = tree.get_entry(key, hashed)
+                values.append(None if entry is None or entry.tombstone else entry.value)
+                opened.append(tree.stats.components_opened - before)
+            return values, opened
         probes = []
         for bucket_id, positions in self.directory.group_hashes(hashes):
             if bucket_id is not None:
-                bucket = self._buckets[bucket_id]
+                bucket = buckets[bucket_id]
                 bucket._check_access()
                 probes.append((bucket.tree, positions))
-        values: List[Optional[Any]] = [None] * len(keys)
+        values = [None] * len(keys)
         opened = [0] * len(keys)
         for tree, positions in probes:
             if positions is None:  # one bucket owns the whole run

@@ -9,16 +9,17 @@
 * :class:`CostModel` — converts physical work into simulated seconds with
   slowest-node semantics.
 * :class:`DataFeed` — AsterixDB-style ingestion jobs with an immutable routing
-  snapshot.
+  snapshot (:class:`RoutingSnapshot`).
 """
 
 from .controller import ClusterController, DatasetRuntime, SimulatedCluster
 from .cost_model import CostModel, TimedPhase, WorkBreakdown
 from .dataset import DatasetSpec, SecondaryIndexSpec
-from .feed import DataFeed, RoutingSnapshot
+from .feed import DataFeed
 from .node import NodeController
 from .partition import PendingReceivedBucket, StoragePartition
 from .reports import ClusterRebalanceReport, IngestReport, QueryReport, RebalanceReport
+from .routing import RoutingSnapshot
 
 __all__ = [
     "ClusterController",

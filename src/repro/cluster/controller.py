@@ -32,10 +32,11 @@ from ..hashing.extendible import GlobalDirectory
 from ..lsm.wal import WriteAheadLog
 from .cost_model import CostModel
 from .dataset import DatasetSpec, SecondaryIndexSpec
-from .feed import DataFeed, RoutingSnapshot
+from .feed import DataFeed
 from .reports import ClusterRebalanceReport
 from .node import NodeController
 from .partition import StoragePartition
+from .routing import RoutingSnapshot, route_hashes
 
 
 @dataclass
@@ -43,10 +44,8 @@ class DatasetRuntime:
     """The CC's live state for one dataset."""
 
     spec: DatasetSpec
-    #: "directory" (StaticHash / DynaHash) or "modulo" (the Hashing baseline).
-    routing_mode: str
     bucketing: BucketingConfig
-    #: bucket -> partition map; None for modulo routing.
+    #: bucket -> partition map; None for modulo routing (the Hashing baseline).
     global_directory: Optional[GlobalDirectory] = None
     #: partition id -> partition object (the single source of truth).
     partitions: Dict[int, StoragePartition] = field(default_factory=dict)
@@ -54,28 +53,29 @@ class DatasetRuntime:
     #: Set during rebalance finalization; feeds and queries check it.
     blocked: bool = False
 
+    @property
+    def routing_mode(self) -> str:
+        """How the dataset routes: ``"directory"`` (StaticHash / DynaHash)
+        or, without a global directory, ``"modulo"`` (the Hashing baseline)."""
+        return "modulo" if self.global_directory is None else "directory"
+
     def routing_snapshot(self) -> RoutingSnapshot:
         """Immutable routing copy taken by feeds and queries (Section III)."""
-        if self.routing_mode == "directory":
-            return RoutingSnapshot("directory", directory=self.global_directory)
-        return RoutingSnapshot("modulo", num_partitions=len(self.partitions))
+        return RoutingSnapshot(self.global_directory, len(self.partitions))
+
+    def partitions_of_hashes(self, hashes: Sequence[int]) -> List[int]:
+        """Route a run of key hashes in one pass through the *live* directory
+        (hash modulo partitions without one), as a :meth:`routing_snapshot`
+        routes on its copy.  Point reads and deletes route through the
+        current state anyway, so they skip the snapshot's directory copy."""
+        return route_hashes(self.global_directory, len(self.partitions), hashes)
 
     def partition_of_key(self, key: Any, hashed: Optional[int] = None) -> int:
-        """Route one key through the *live* directory.
-
-        Point lookups route through the current state anyway, so unlike feeds
-        and queries there is nothing to snapshot — going straight to the live
-        directory skips the per-call directory copy a
-        :meth:`routing_snapshot` would make (this is the hottest routing call
-        in the simulator).  ``hashed`` is ``hash_key(key)`` when the caller
-        already has it: the `Dataset` verbs hash a key once and hand the same
-        hash to routing, the heat hook and the storage probe.
-        """
+        """Route one key: a one-hash :meth:`partitions_of_hashes`.  ``hashed``
+        is ``hash_key(key)`` when the caller already has it."""
         if hashed is None:
             hashed = hash_key(key)
-        if self.routing_mode == "directory":
-            return self.global_directory.lookup_hash(hashed)[1]
-        return hashed % len(self.partitions)
+        return self.partitions_of_hashes((hashed,))[0]
 
     @property
     def total_size_bytes(self) -> int:
@@ -306,7 +306,7 @@ class SimulatedCluster:
     def create_dataset_from_spec(self, spec: DatasetSpec) -> DatasetRuntime:
         routing_mode = self._resolve_routing_mode()
         bucketing = self._resolve_bucketing()
-        runtime = DatasetRuntime(spec=spec, routing_mode=routing_mode, bucketing=bucketing)
+        runtime = DatasetRuntime(spec=spec, bucketing=bucketing)
         if routing_mode == "directory":
             runtime.global_directory = self._initial_directory(bucketing)
         for node in self.nodes:

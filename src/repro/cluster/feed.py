@@ -14,32 +14,14 @@ nodes with slowest-node semantics.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Mapping, Set
 
 from ..bucketed.bucketed_lsm import MaintenanceReport
 from ..common.hashutil import hash_key
 from ..lsm.stats import StorageStats
 from .cost_model import CostModel
 from .reports import IngestReport
-
-
-def group_positions(owners: Sequence[int]) -> List[Tuple[int, Optional[List[int]]]]:
-    """The positions of a non-empty run grouped by owner: one ``(owner,
-    positions)`` per distinct owner, in first-touch order, each
-    ``positions`` ascending; ``positions`` is ``None`` when one owner takes
-    the whole run."""
-    first = owners[0]
-    if owners.count(first) == len(owners):
-        return [(first, None)]
-    groups: Dict[int, List[int]] = {}
-    for position, owner in enumerate(owners):
-        group = groups.get(owner)
-        if group is None:
-            groups[owner] = [position]
-        else:
-            group.append(position)
-    return list(groups.items())
-
+from .routing import touched_partitions
 
 class DataFeed:
     """Routes and ingests records for one dataset."""
@@ -64,13 +46,15 @@ class DataFeed:
         batch ahead, no further) and each batch travels as columns: one
         pass extracts the primary keys (``DatasetSpec.primary_key_of``), one
         hashes them, one routes the hashes through
-        :meth:`RoutingSnapshot.partitions_of_hashes`, and the heat hook
-        (when set) sees each hash in arrival order.  The
-        batch's positions are grouped by partition in first-touch order and
-        each partition lands its slice — keys, hashes and rows, in arrival
-        order — with one :meth:`StoragePartition.insert_many`, which refuses
-        the slice with nothing written when the partition is blocked, does
-        not own a hash, or has a deactivated memory component.  A
+        :meth:`RoutingSnapshot.partitions_of_hashes`, and
+        :func:`touched_partitions` groups the positions by partition in
+        first-touch order, checking each for a block (a refused batch lands
+        and heats nothing).  Then the heat hook (when set) sees each hash in
+        arrival order, and each partition lands its slice — keys, hashes
+        and rows, in arrival order — with one
+        :meth:`StoragePartition.insert_many`, which refuses the slice with
+        nothing written when the partition does not own a hash or has a
+        deactivated memory component.  A
         maintenance sweep follows every full batch and runs once more at the
         end, even after a full one.  Each tree receives its rows in arrival
         order, so the resulting storage state — and therefore the simulated
@@ -146,15 +130,17 @@ class DataFeed:
             if batch:
                 keys = list(map(key_of, batch))
                 hashes = list(map(hash_key, keys))
+                touched = touched_partitions(partitions, partitions_of_hashes(hashes))
                 if heat is not None:
                     for hashed in hashes:
                         heat.record_write(dataset_name, hashed)
-                for pid, positions in group_positions(partitions_of_hashes(hashes)):
+                for partition, positions in touched:
+                    pid = partition.partition_id
                     columns = (keys, hashes, batch)
                     if positions is not None:
                         columns = [list(map(column.__getitem__, positions)) for column in columns]
                     # The partition copies and sizes each row once, as it stores it.
-                    landed_bytes = sum(partitions[pid].insert_many(*columns)[1])
+                    landed_bytes = sum(partition.insert_many(*columns)[1])
                     records_per_partition[pid] += len(columns[0])
                     settled.discard(pid)
                     bytes_per_partition[pid] = bytes_per_partition.get(pid, 0) + landed_bytes
@@ -218,32 +204,3 @@ class DataFeed:
             report=report,
         )
         return report
-
-
-class RoutingSnapshot:
-    """An immutable routing function captured when a feed or query starts."""
-
-    def __init__(self, mode: str, directory: Optional[Any] = None, num_partitions: int = 0) -> None:
-        if mode not in ("directory", "modulo"):
-            raise ValueError(f"unknown routing mode {mode!r}")
-        if mode == "directory" and directory is None:
-            raise ValueError("directory routing needs a directory")
-        if mode == "modulo" and num_partitions < 1:
-            raise ValueError("modulo routing needs a positive partition count")
-        self.mode = mode
-        self.directory = directory.copy() if directory is not None else None
-        self.num_partitions = num_partitions
-
-    def partitions_of_hashes(self, hashes: Sequence[int]) -> List[int]:
-        """The partition each already-hashed key routes to, in order, in one
-        pass (the feed hashes each row once and shares the hash with the
-        storage layer)."""
-        if self.mode == "directory":
-            return self.directory.partitions_of_hashes(hashes)
-        num_partitions = self.num_partitions
-        return [hashed % num_partitions for hashed in hashes]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        if self.mode == "directory":
-            return f"RoutingSnapshot(directory, buckets={len(self.directory)})"
-        return f"RoutingSnapshot(modulo, partitions={self.num_partitions})"

@@ -23,6 +23,7 @@ from ..bucketed.bucket import Bucket
 from ..bucketed.bucketed_lsm import BucketedLSMTree, MaintenanceReport
 from ..common.config import BucketingConfig, LSMConfig
 from ..common.errors import StorageError
+from ..common.hashutil import hash_key
 from ..hashing.bucket_id import BucketId
 from ..lsm.entry import Entry, estimate_value_size
 from ..lsm.iterators import drop_tombstones, merge_runs
@@ -233,29 +234,23 @@ class StoragePartition:
     def lookup(
         self, primary_key: Any, hashed: Optional[int] = None
     ) -> Optional[Dict[str, Any]]:
-        """Point lookup by primary key (searches only the owning bucket).
-
-        Keys whose bucket does not live on this partition return ``None``
-        rather than raising: a query routed with a stale directory copy during
-        a rebalance may probe the old location of a key that already moved.
-        ``hashed`` is ``hash_key(primary_key)`` when the caller already routed
-        on it.  A caller that prices the read takes each probe's
-        disk-component count from :meth:`lookup_many` (or, for one key, from
-        ``BucketedLSMTree.lookup``), which return it next to the record.
-        """
-        if self.blocked:  # probed inline: queries look up per key
-            self._check_not_blocked()
-        return self.primary.lookup(primary_key, hashed)[0]
+        """Point lookup by primary key: a one-key :meth:`lookup_many`,
+        returning only the record.  ``hashed`` is ``hash_key(primary_key)``
+        when the caller already routed on it."""
+        if hashed is None:
+            hashed = hash_key(primary_key)
+        return self.lookup_many((primary_key,), (hashed,))[0][0]
 
     def lookup_many(
         self, primary_keys: Sequence[Any], hashes: Sequence[int]
     ) -> Tuple[List[Optional[Dict[str, Any]]], List[int]]:
-        """:meth:`lookup` for a non-empty run of keys (``hashes`` their
-        ``hash_key``), with ``blocked`` checked once: each key's record and
-        the number of disk components its own probe opened (read off the one
-        bucket tree it searched), in key order.  The `Dataset` read verbs
-        price each key's read from its count.
-        """
+        """Point lookups of a non-empty run of keys (``hashes`` their
+        ``hash_key``), ``blocked`` checked once: each key's record and the
+        number of disk components its own probe opened (read off the one
+        bucket tree it searched), in key order; the `Dataset` read verbs
+        price each key's read from its count.  A key whose bucket is not
+        local is a miss that opens nothing, not an error: a query routed
+        with a stale directory copy may probe where a key used to live."""
         if self.blocked:
             self._check_not_blocked()
         return self.primary.lookup_many(primary_keys, hashes)

@@ -99,7 +99,7 @@ class WhatIfPlanner:
                     projected_bytes[pid] += size
             dataset_bytes = sum(part_bytes.values())
             dataset_records = runtime.record_count()
-            if runtime.routing_mode != "directory" or runtime.global_directory is None:
+            if runtime.global_directory is None:
                 # Hashing baseline: the dataset is recreated hash-partitioned
                 # over the target set, so virtually every record moves and the
                 # result is evenly spread.

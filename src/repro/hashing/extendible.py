@@ -15,10 +15,9 @@ Two directory kinds exist in DynaHash (Section III, Figure 1):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..common.errors import DirectoryError
-from ..common.hashutil import hash_key
 from .bucket_id import BucketId, ROOT_BUCKET, covers_exactly
 
 
@@ -148,13 +147,6 @@ class GlobalDirectory:
         self._slot_route = table  # type: ignore[assignment]
         self._slot_depth = depth
         return self._slot_route
-
-    def lookup_key(self, key: Any) -> Tuple[BucketId, int]:
-        """Route a record key to its (bucket, partition)."""
-        return self.lookup_hash(hash_key(key))
-
-    def partition_of_key(self, key: Any) -> int:
-        return self.lookup_key(key)[1]
 
     def buckets_of_partition(self, partition: int) -> List[BucketId]:
         return sorted(b for b, p in self._assignments.items() if p == partition)
@@ -367,15 +359,6 @@ class LocalDirectory:
         self._slot_route = route
         self._slot_depth = depth
         return route
-
-    def bucket_for_key(self, key: Any) -> BucketId:
-        return self.bucket_for_hash(hash_key(key))
-
-    def owns_key(self, key: Any) -> bool:
-        route = self._slot_route
-        if route is None:
-            route = self._build_slot_route()
-        return (hash_key(key) & ((1 << self._slot_depth) - 1)) in route
 
     def copy(self) -> "LocalDirectory":
         return LocalDirectory(self.partition_id, self.buckets)

@@ -55,6 +55,10 @@ _FALSES = itertools.repeat(False)
 #: Marks a key a lazy-cleanup filter hides while a run of reads is probed.
 _HIDDEN = object()
 
+#: :meth:`LSMTree.get_many` probes a run of fewer keys key by key: probing it
+#: a component at a time would save less than its own set-up costs.
+SHORT_RUN = 4
+
 #: Union type of everything that can sit in a component list.
 AnyDiskComponent = Any  # DiskComponent | ReferenceDiskComponent
 
@@ -408,8 +412,17 @@ class LSMTree:
         and Bloom filter (as in :meth:`get_entry`).  Every key meets the
         components :meth:`get_entry` would show it, in the same order, so the
         stats counters end with exactly the totals a loop of
-        :meth:`get_entry` leaves.
+        :meth:`get_entry` leaves.  A run shorter than :data:`SHORT_RUN`
+        keys is that loop: its set-up would cost more than it saves.
         """
+        if len(keys) < SHORT_RUN:  # a short run skips the run's set-up
+            stats = self.stats
+            entries, opened = [], []
+            for key, hashed in zip(keys, hashes):
+                before = stats.components_opened
+                entries.append(self.get_entry(key, hashed))
+                opened.append(stats.components_opened - before)
+            return entries, opened
         entries = self.memory.get_many(keys)
         opened = [0] * len(keys)
         hidden = 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING
 
-from ..cluster.feed import group_positions
+from ..cluster.routing import touched_partitions
 from ..common.hashutil import hash_key
 from ..hashing.bucket_id import BucketId
 from ..lsm.entry import Entry
@@ -63,8 +63,9 @@ class LogReplicator:
 
         Each row is routed with the *old* directory (feeds hold an immutable
         copy, Section III): the window's keys are extracted and hashed once,
-        a column pass each.  Each source partition's slice of the window
-        (its keys, hashes and rows, in arrival order) lands through
+        a column pass each.  Every source partition the window touches is
+        checked for a block before anything lands; then each one's slice of
+        the window (its keys, hashes and rows, in arrival order) lands through
         :meth:`~repro.cluster.partition.StoragePartition.insert_many`, which
         copies and sizes every row once; then every row whose bucket is
         moving is replicated, in arrival order, to the destination's pending
@@ -84,12 +85,12 @@ class LogReplicator:
         partitions = self.runtime.partitions
         stored: List[Optional[Dict[str, Any]]] = [None] * len(rows)
         sizes = [0] * len(rows)
-        for source, positions in group_positions([source for _, source in routes]):
+        for partition, positions in touched_partitions(partitions, [pid for _, pid in routes]):
             if positions is None:
-                stored, sizes = partitions[source].insert_many(keys, hashes, rows)
+                stored, sizes = partition.insert_many(keys, hashes, rows)
                 continue
             columns = [list(map(column.__getitem__, positions)) for column in (keys, hashes, rows)]
-            landed, landed_sizes = partitions[source].insert_many(*columns)
+            landed, landed_sizes = partition.insert_many(*columns)
             for position, record, size in zip(positions, landed, landed_sizes):
                 stored[position] = record
                 sizes[position] = size

@@ -91,7 +91,7 @@ class BucketHeat:
         runtime = self._cluster.cc.datasets.get(dataset)
         if runtime is None:
             return None
-        if runtime.routing_mode == "directory" and runtime.global_directory is not None:
+        if runtime.global_directory is not None:
             return runtime.global_directory.lookup_hash(hashed)[0].label
         if not runtime.partitions:
             return None

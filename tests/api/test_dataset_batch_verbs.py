@@ -251,18 +251,32 @@ class TestEmitSkipsWithoutSubscribers:
         db.close()
 
 
+def probe_by_key(partition, key, hashed):
+    """One key probed alone on ``partition``: its owning local bucket's tree
+    answers with ``LSMTree.get_entry``; a bucket that is not local is a miss
+    that opens nothing.  Returns the live record (``None`` when absent or
+    deleted) and the disk components the probe opened."""
+    bucket_id = partition.primary.directory.try_bucket_for_hash(hashed)
+    if bucket_id is None:
+        return None, 0
+    tree = partition.primary.bucket(bucket_id).tree
+    before = tree.stats.components_opened
+    entry = tree.get_entry(key, hashed)
+    opened = tree.stats.components_opened - before
+    return (None if entry is None or entry.tombstone else entry.value), opened
+
+
 def get_many_by_key(dataset, keys):
-    """``get_many`` as the per-key loop it replaced: each key is hashed,
-    routed on the live directory and probed alone (``BucketedLSMTree.lookup``,
-    which runs ``LSMTree.get_entry``), priced from its own open count, and the
-    latencies travel as one ``op.batch``."""
+    """``get_many`` as a per-key loop: each key is hashed, routed on the live
+    directory and probed alone (:func:`probe_by_key`), priced from its own
+    open count, and the latencies travel as one ``op.batch``."""
     runtime = dataset._runtime()
     records, latencies = [], []
     for key in keys:
         hashed = hash_key(key)
         partition = runtime.partitions[runtime.partition_of_key(key, hashed)]
         partition._check_not_blocked()
-        record, opened = partition.primary.lookup(key, hashed)
+        record, opened = probe_by_key(partition, key, hashed)
         records.append(record)
         latencies.append(dataset._probe_latency(opened))
     dataset._emit_op_batch("read", latencies)
@@ -300,11 +314,15 @@ def moved_pair():
         db.close()
 
 
-#: Runs short enough to go key by key and long enough to go as a run (the
-#: moved dataset has 6 partitions).
+#: Runs of every length class: one to three keys (every bucket tree takes
+#: fewer keys than ``LSMTree.get_many``'s short-run cut), short runs of 4-20
+#: (a tree may take a few keys or several) and long runs (the moved dataset
+#: has 6 partitions).
 _key = st.one_of(st.sampled_from(NOTABLE_KEYS), st.integers(min_value=-20, max_value=5100))
 keys_runs = st.one_of(
-    st.lists(_key, min_size=1, max_size=12), st.lists(_key, min_size=96, max_size=300)
+    st.lists(_key, min_size=1, max_size=3),
+    st.lists(_key, min_size=4, max_size=20),
+    st.lists(_key, min_size=96, max_size=300),
 )
 
 
@@ -338,10 +356,21 @@ class TestRunPathEquivalence:
             hashes = [hash_key(key) for key in mine]
             a, b = partitions_a[pid], partitions_b[pid]
             before_a, before_b = a.stats_snapshot(), b.stats_snapshot()
-            looped = [a.primary.lookup(key, hashed) for key, hashed in zip(mine, hashes)]
+            looped = [probe_by_key(a, key, hashed) for key, hashed in zip(mine, hashes)]
             records, opened = b.lookup_many(mine, hashes)
             assert list(zip(records, opened)) == looped
             assert b.stats_snapshot().diff(before_b) == a.stats_snapshot().diff(before_a)
+
+    @given(key=_key)
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_get_equals_a_one_key_get_many(self, moved_pair, key):
+        (db_a, ds_a, _, samples_a), (db_b, ds_b, _, samples_b) = moved_pair
+        before_a, before_b = storage_stats(db_a), storage_stats(db_b)
+        del samples_a[:], samples_b[:]
+        assert ds_a.get(key) == ds_b.get_many([key])[0]
+        assert samples_a == samples_b and len(samples_a) == 1
+        assert storage_stats(db_a).diff(before_a) == storage_stats(db_b).diff(before_b)
+        assert db_a.metrics.snapshot() == db_b.metrics.snapshot()
 
     @given(keys=keys_runs)
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -380,6 +409,39 @@ class TestRunPathEquivalence:
         assert db.metrics.snapshot() == snapshot
         blocked.unblock()
         assert len(dataset.get_many(keys)) == length
+        db.close()
+
+
+class TestRefusedCallsCreditNoHeat:
+    """Every partition a read run or a feed batch touches is checked for a
+    block before the heat hook sees any key, so a refused run or batch
+    credits no bucket heat.  Each call here is one run or one batch; an
+    insert refused at a later batch keeps the heat of the batches before it
+    (``tests/cluster/test_feed_batching.py::TestBlockedBatch``)."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda dataset: dataset.get(5),
+            lambda dataset: dataset.get_many([1, 2, 5]),
+            lambda dataset: dataset.get_many(list(range(200))),
+            lambda dataset: dataset.insert([{"k": key, "v": "w"} for key in range(50)]),
+        ],
+        ids=["get", "short-run", "long-run", "insert"],
+    )
+    def test_a_refused_run_or_batch_heats_nothing(self, call):
+        db, dataset = open_loaded()
+        db.start_trace()
+        heat = db.cluster.heat
+        runtime = db.cluster.dataset("t")
+        blocked = runtime.partitions[runtime.partition_of_key(5)]
+        blocked.block()
+        with pytest.raises(StorageError, match="blocked"):
+            call(dataset)
+        assert heat.read_heat() == heat.write_heat() == ()
+        blocked.unblock()
+        call(dataset)
+        assert heat.read_heat() or heat.write_heat()
         db.close()
 
 

@@ -32,7 +32,7 @@ from repro.api import (
 from repro.bucketed.bucket import Bucket
 from repro.bucketed.bucketed_lsm import MaintenanceReport
 from repro.chaos import PartitionWindow
-from repro.cluster.feed import RoutingSnapshot
+from repro.cluster.routing import RoutingSnapshot
 from repro.cluster.partition import StoragePartition
 from repro.hashing.bucket_id import ROOT_BUCKET
 from repro.hashing.extendible import GlobalDirectory

@@ -270,6 +270,8 @@ class TestUnreachedSurfaceRemoved:
             ("repro.workload.schedule", ["storm_schedule"]),
             ("repro.lsm", ["FullMergePolicy", "make_merge_policy"]),
             ("repro.lsm.merge_policy", ["FullMergePolicy", "make_merge_policy"]),
+            ("repro.api.dataset", ["_RUN_KEYS_PER_PARTITION"]),
+            ("repro.cluster.feed", ["group_positions"]),
         ],
     )
     def test_names_are_gone(self, module, names):
@@ -288,7 +290,10 @@ class TestUnreachedSurfaceRemoved:
     @pytest.mark.parametrize(
         "owner, names",
         [
-            ("repro.api.dataset:Dataset", ["query"]),
+            ("repro.api.dataset:Dataset", ["query", "_lookup_one", "_lookup_each", "_lookup_run"]),
+            ("repro.bucketed.bucketed_lsm:BucketedLSMTree", ["lookup"]),
+            ("repro.hashing.extendible:GlobalDirectory", ["lookup_key", "partition_of_key"]),
+            ("repro.hashing.extendible:LocalDirectory", ["bucket_for_key", "owns_key"]),
             (
                 "repro.hashing.consistent:ConsistentHashRing",
                 ["remove_node", "node_for_key", "ownership_fractions", "moved_fraction", "copy"],

@@ -48,9 +48,16 @@ def land(tree, rows):
         bucket_tree.insert_many(keys, values, hashes, tombstones=tombstones, positions=positions)
 
 
+def lookup(tree, key):
+    """A one-key ``lookup_many``: ``key``'s live value (``None`` when absent
+    or deleted) and the disk components its probe opened."""
+    (value,), (opened,) = tree.lookup_many([key], [hash_key(key)])
+    return value, opened
+
+
 def get(tree, key):
     """The live value of ``key`` (``None`` when absent or deleted)."""
-    return tree.lookup(key)[0]
+    return lookup(tree, key)[0]
 
 
 class TestConstruction:
@@ -122,14 +129,14 @@ class TestReadWrite:
         land(tree, {key: key for key in range(40)})
         tree.flush_all()
         land(tree, {100: "memory"})
-        assert tree.lookup(100) == ("memory", 0)
+        assert lookup(tree, 100) == ("memory", 0)
         expected = {3: 3, 100: "memory", 12345: None}
         for key in (3, 100, 12345):
             before = tree.aggregated_stats().components_opened
-            value, opened = tree.lookup(key)
+            value, opened = lookup(tree, key)
             assert opened == tree.aggregated_stats().components_opened - before
             assert value == expected[key]
-        assert tree.lookup(3) == (3, 1)
+        assert lookup(tree, 3) == (3, 1)
 
     def test_lookup_of_a_bucket_that_is_not_local_is_a_free_miss(self):
         tree = make_tree(initial_depth=1)
@@ -138,7 +145,7 @@ class TestReadWrite:
         moved = tree.bucket_for_key(3).bucket_id
         tree.remove_bucket(moved)
         before = tree.aggregated_stats()
-        assert tree.lookup(3) == (None, 0)
+        assert lookup(tree, 3) == (None, 0)
         assert tree.aggregated_stats() == before
 
     def test_bucket_lookup_errors(self):

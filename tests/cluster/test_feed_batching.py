@@ -11,6 +11,7 @@ hash columns, the ``StorageStats``, the number of passes, the heat hook's
 calls and the ``IngestReport`` must be the loop's.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from repro.cluster.dataset import DatasetSpec, SecondaryIndexSpec
 from repro.cluster.partition import StoragePartition
 from repro.cluster.reports import IngestReport
 from repro.common.config import BucketingConfig, LSMConfig
+from repro.common.errors import StorageError
 from repro.common.hashutil import hash_key
 from repro.hashing.bucket_id import ROOT_BUCKET
 from repro.lsm.stats import StorageStats
@@ -280,4 +282,60 @@ class TestGroupedIngest:
         subscription.cancel()
         db.cluster.feed("t", batch_size=32).ingest(rows_for(10))
         assert len(starts) == 1
+        db.close()
+
+
+class TestBlockedBatch:
+    def test_a_batch_reaching_a_blocked_partition_lands_nothing(self):
+        # Every partition a batch touches is checked for a block before any
+        # slice lands: a refused batch writes no row, credits no heat and
+        # counts nothing as ingested.
+        db = Database(ClusterConfig(num_nodes=4, partitions_per_node=2, strategy="dynahash"))
+        dataset = db.create_dataset("t", primary_key="k")
+        dataset.insert([{"k": key, "v": key} for key in range(200)])
+        runtime = db.cluster.dataset("t")
+        blocked = runtime.partitions[runtime.partition_of_key(1099)]
+        rows = [{"k": key, "v": key} for key in range(1000, 1100)]
+        # The batch reaches the blocked partition after others it lands in.
+        reached = [runtime.partition_of_key(row["k"]) for row in rows]
+        assert reached.index(blocked.partition_id) > 0
+        db.start_trace()
+        blocked.block()
+        before = storage(db)
+        with pytest.raises(StorageError, match="blocked"):
+            dataset.insert(rows)
+        blocked.unblock()
+        assert storage(db) == before
+        assert not db.cluster.heat.write_heat()
+        assert runtime.records_ingested == 200
+        assert dataset.count() == 200
+        db.close()
+
+    def test_batches_landed_before_a_refused_one_stay_uncounted(self):
+        # The block check is per batch, not per call: an insert refused at a
+        # later batch keeps the batches that landed before it, with their
+        # heat, and counts none of them (records_ingested, the IngestReport
+        # and op.insert come at the end of the call).  This pins that
+        # behaviour until a refused call is made to land nothing.
+        db = Database(ClusterConfig(num_nodes=4, partitions_per_node=2, strategy="dynahash"))
+        dataset = db.create_dataset("t", primary_key="k")
+        dataset.insert([{"k": key, "v": key} for key in range(200)])
+        runtime = db.cluster.dataset("t")
+        blocked = runtime.partitions[runtime.partition_of_key(1099)]
+        # Rows for the blocked partition come last, so the batches before the
+        # first of them land.
+        keys = sorted(
+            range(1000, 1100), key=lambda key: runtime.partition_of_key(key) == blocked.partition_id
+        )
+        first_blocked = [runtime.partition_of_key(key) for key in keys].index(blocked.partition_id)
+        landed = first_blocked // 8 * 8
+        assert landed > 0
+        db.start_trace()
+        blocked.block()
+        with pytest.raises(StorageError, match="blocked"):
+            dataset.insert([{"k": key, "v": key} for key in keys], batch_size=8)
+        blocked.unblock()
+        assert dataset.count() == 200 + landed
+        assert runtime.records_ingested == 200
+        assert sum(writes for _, _, writes in db.cluster.heat.write_heat()) == landed
         db.close()

@@ -3,8 +3,8 @@
 Modulo routing (``hashed % n``) is what the Hashing and StaticHash baselines
 route through; directory routing (``GlobalDirectory``) is DynaHash's.  Feeds
 and queries route through a :class:`RoutingSnapshot`, point operations
-through the live ``DatasetRuntime.partition_of_key``, and ``Dataset`` runs
-through ``GlobalDirectory.partitions_of_hashes``; all of them must agree.
+and ``Dataset`` runs through the live ``DatasetRuntime.partitions_of_hashes``
+(one key: ``partition_of_key``); all of them must agree.
 """
 
 import pytest
@@ -12,14 +12,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.api import ClusterConfig, Database
-from repro.cluster.controller import RoutingSnapshot
+from repro.cluster.routing import RoutingSnapshot
 from repro.common.hashutil import hash_key
 from repro.hashing.bucket_id import BucketId
 from repro.hashing.extendible import GlobalDirectory
 
 
 def modulo(num_partitions):
-    return RoutingSnapshot("modulo", num_partitions=num_partitions)
+    return RoutingSnapshot(num_partitions=num_partitions)
 
 
 def partition_of(routing, key):
@@ -82,24 +82,26 @@ class TestModuloRouting:
 class TestDirectoryRouting:
     def test_snapshot_routes_through_directory(self):
         directory = GlobalDirectory.initial(num_partitions=4, buckets_per_partition=2)
-        routing = RoutingSnapshot("directory", directory=directory)
+        routing = RoutingSnapshot(directory)
         for key in range(200):
-            assert partition_of(routing, key) == directory.partition_of_key(key)
+            assert partition_of(routing, key) == directory.lookup_hash(hash_key(key))[1]
 
     def test_snapshot_does_not_see_later_reassignments(self):
         directory = GlobalDirectory.initial(num_partitions=2, buckets_per_partition=2)
-        routing = RoutingSnapshot("directory", directory=directory)
+        routing = RoutingSnapshot(directory)
         before = [partition_of(routing, key) for key in range(200)]
         for bucket in directory.buckets_of_partition(0):
             directory.reassign(bucket, 1)
         assert [partition_of(routing, key) for key in range(200)] == before
-        assert {directory.partition_of_key(key) for key in range(200)} == {1}
+        assert {directory.lookup_hash(hash_key(key))[1] for key in range(200)} == {1}
 
-    def test_snapshot_needs_a_directory_and_a_known_mode(self):
+    def test_snapshot_needs_a_directory_or_a_partition_count(self):
+        """Without a directory a snapshot routes by hash modulo its
+        partition count, which must then be positive."""
         with pytest.raises(ValueError):
-            RoutingSnapshot("directory")
+            RoutingSnapshot()
         with pytest.raises(ValueError):
-            RoutingSnapshot("range", num_partitions=4)
+            RoutingSnapshot(None, num_partitions=0)
 
     def test_moving_one_bucket_moves_only_its_keys(self):
         """Scale-out under DynaHash moves whole buckets: the keys that change
@@ -110,8 +112,8 @@ class TestDirectoryRouting:
         after.reassign(moved_bucket, 4)
         keys = range(4000)
         fraction = moved_fraction(
-            RoutingSnapshot("directory", directory=before),
-            RoutingSnapshot("directory", directory=after),
+            RoutingSnapshot(before),
+            RoutingSnapshot(after),
             keys,
         )
         owned = sum(1 for key in keys if moved_bucket.contains_hash(hash_key(key))) / len(keys)
@@ -130,7 +132,7 @@ class TestSnapshotRuns:
     def test_a_run_routes_as_the_directory_or_the_modulo_does(self):
         directory = uneven_directory()
         hashes = [hash_key(key) for key in list(range(300)) + ["a", (1, "x")]]
-        by_directory = RoutingSnapshot("directory", directory=directory)
+        by_directory = RoutingSnapshot(directory)
         assert by_directory.partitions_of_hashes(hashes) == [
             directory.lookup_hash(hashed)[1] for hashed in hashes
         ]

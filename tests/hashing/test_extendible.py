@@ -35,7 +35,7 @@ class TestInitialDirectory:
     def test_single_bucket_directory(self):
         directory = GlobalDirectory.single_bucket(partition=2)
         assert directory.global_depth == 0
-        assert directory.partition_of_key("anything") == 2
+        assert directory.lookup_hash(hash_key("anything"))[1] == 2
 
     def test_rejects_invalid_sizes(self):
         with pytest.raises(DirectoryError):
@@ -52,7 +52,7 @@ class TestRouting:
     def test_every_key_routes_to_exactly_one_partition(self):
         directory = GlobalDirectory.initial(num_partitions=4, buckets_per_partition=2)
         for key in range(500):
-            bucket, partition = directory.lookup_key(key)
+            bucket, partition = directory.lookup_hash(hash_key(key))
             assert bucket.contains_hash(hash_key(key))
             assert directory.partition_of_bucket(bucket) == partition
 
@@ -163,11 +163,9 @@ class TestFromLocalDirectories:
         local0 = LocalDirectory(0, stale.buckets_of_partition(0))
         local0.split_bucket(local0.buckets[0])
         for key in range(300):
-            partition = stale.partition_of_key(key)
-            if partition == 0:
-                assert local0.owns_key(key)
-            else:
-                assert not local0.owns_key(key)
+            partition = stale.lookup_hash(hash_key(key))[1]
+            owned = local0.try_bucket_for_hash(hash_key(key)) is not None
+            assert owned == (partition == 0)
 
 
 class TestLocalDirectory:
@@ -176,8 +174,8 @@ class TestLocalDirectory:
         assert local.local_depth == 1
         assert len(local) == 1
         for key in range(100):
-            if local.owns_key(key):
-                assert local.bucket_for_key(key) == BucketId(0b0, 1)
+            if local.try_bucket_for_hash(hash_key(key)) is not None:
+                assert local.bucket_for_hash(hash_key(key)) == BucketId(0b0, 1)
 
     def test_add_overlapping_bucket_rejected(self):
         local = LocalDirectory(0, [BucketId(0b0, 1)])
@@ -203,9 +201,9 @@ class TestLocalDirectory:
 
     def test_route_miss_raises(self):
         local = LocalDirectory(0, [BucketId(0b0, 1)])
-        missing = next(k for k in range(100) if not local.owns_key(k))
+        missing = next(h for h in map(hash_key, range(100)) if local.try_bucket_for_hash(h) is None)
         with pytest.raises(DirectoryError):
-            local.bucket_for_key(missing)
+            local.bucket_for_hash(missing)
 
     def test_copy_is_independent(self):
         local = LocalDirectory(0, [BucketId(0b0, 1), BucketId(0b1, 1)])
@@ -285,4 +283,5 @@ class TestDirectoryProperties:
         # The refreshed directory and the stale one route every key to the
         # same partition (splits are local to a partition).
         for key in range(50):
-            assert refreshed.partition_of_key(key) == directory.partition_of_key(key)
+            hashed = hash_key(key)
+            assert refreshed.lookup_hash(hashed)[1] == directory.lookup_hash(hashed)[1]

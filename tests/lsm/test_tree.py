@@ -25,7 +25,7 @@ from repro.lsm.merge_policy import (
     select_components,
 )
 from repro.lsm.stats import StorageStats
-from repro.lsm.tree import LSMTree
+from repro.lsm.tree import SHORT_RUN, LSMTree
 
 from .test_iterators import heap_merge_scan, same_objects
 
@@ -1164,6 +1164,53 @@ class TestProbeOrder:
             owned = [key for key in range(40) if child.owns_key(key)]
             assert [child.tree.get(key) for key in owned] == ["v"] * len(owned)
         assert builds == []
+
+
+class TestRunLengths:
+    """``LSMTree.get_many`` is the ``get_entry`` loop at every run length:
+    below its short-run cut it runs that loop, from the cut on it probes the
+    run a component at a time.  Twin trees built by the same operations (so
+    tombstones, reference components and lazy-cleanup filters included)
+    answer runs of lengths on both sides of the cut, one through the loop
+    and one through ``get_many``: the entries, each key's opens, the stats
+    and the Bloom filters built must be the same."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=carried_column_cases(_PROBE_SHAPES),
+        lengths=st.lists(st.integers(1, 2 * SHORT_RUN), min_size=1, max_size=12),
+    )
+    def test_get_many_equals_the_get_entry_loop(self, case, lengths):
+        pool, operations = case
+        config = small_config(memory_component_bytes=256)
+        looped_buckets, _ = play(operations, config, carry_hashes=True)
+        run_buckets, _ = play(operations, config, carry_hashes=True)
+        probes = [twin for key in pool for twin in equal_twins(key)] + _ABSENT
+        for looped_bucket, run_bucket in zip(looped_buckets, run_buckets):
+            looped_tree, run_tree = looped_bucket.tree, run_bucket.tree
+            pinned = [c.refcount for c in run_tree.disk_components]
+            start = 0
+            for length in itertools.cycle(lengths):
+                if start >= len(probes):
+                    break
+                run = probes[start : start + length]
+                start += length
+                hashes = [hash_key(key) for key in run]
+                before = looped_tree.stats.snapshot(), run_tree.stats.snapshot()
+                looped = []
+                for key, hashed in zip(run, hashes):
+                    opened = looped_tree.stats.components_opened
+                    entry = looped_tree.get_entry(key, hashed)
+                    looped.append((entry, looped_tree.stats.components_opened - opened))
+                entries, opened = run_tree.get_many(run, hashes)
+                assert list(zip(entries, opened)) == looped
+                assert run_tree.stats.diff(before[1]) == looped_tree.stats.diff(before[0])
+            assert [c.refcount for c in run_tree.disk_components] == pinned
+        built = [
+            [c._bloom is not None for c in reachable_components(buckets)]
+            for buckets in (looped_buckets, run_buckets)
+        ]
+        assert built[0] == built[1]
 
 
 def same_pairs(got, expected):

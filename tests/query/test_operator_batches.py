@@ -414,7 +414,13 @@ class TestLookupAccess:
         assert report.records_scanned == len(partitions) * (40 // len(partitions))
 
         def key_by_key(partition, keys, hashes):
-            return [partition.lookup(key, hashed) for key, hashed in zip(keys, hashes, strict=True)], []
+            # Each key probed alone, a one-key run of the bucketed primary
+            # index (``StoragePartition.lookup`` is itself a one-key
+            # ``lookup_many``, which this replaces).
+            return [
+                partition.primary.lookup_many([key], [hashed])[0][0]
+                for key, hashed in zip(keys, hashes, strict=True)
+            ], []
 
         monkeypatch.setattr(StoragePartition, "lookup_many", key_by_key)
         assert executor.execute_spec(spec) == report

@@ -33,8 +33,8 @@ def open_channel():
     plan = RebalancePlan(old, new, [BucketMove(moving, 0, 1)])
     runtime.partitions[1].receive_bucket(moving, [])
     replicator = LogReplicator(runtime, plan)
-    moving_keys = [key for key in range(100, 200) if old.lookup_key(key)[1] == 0]
-    staying_keys = [key for key in range(100, 200) if old.lookup_key(key)[1] == 1]
+    moving_keys = [key for key in range(100, 200) if old.lookup_hash(hash_key(key))[1] == 0]
+    staying_keys = [key for key in range(100, 200) if old.lookup_hash(hash_key(key))[1] == 1]
     return runtime, replicator, moving, moving_keys, staying_keys
 
 
@@ -111,7 +111,7 @@ class TestLogReplicator:
         rows = [{"k": key, "v": "concurrent"} for key in (moving_keys[0], staying_keys[0])]
         assert replicator.write_many(rows) == [estimate_value_size(row) for row in rows]
         for row in rows:
-            source = runtime.partitions[runtime.global_directory.lookup_key(row["k"])[1]]
+            source = runtime.partitions[runtime.global_directory.lookup_hash(hash_key(row["k"]))[1]]
             assert source.lookup(row["k"]) == row
         assert replicator.stats.concurrent_writes == 2
         assert replicator.stats.replicated_records == 1
