@@ -187,18 +187,15 @@ class Dataset:
 
         A tuple is one key on a dataset with a composite primary key (an
         iterable of tuples is many keys there); a string is always one key.
-        Deletes land as tombstone rows on the write path: the call is hashed
-        and routed once, every touched partition is checked for a block
-        before anything lands (so a refused call deletes nothing), each
-        touched partition finds the live records among its distinct keys
-        with one ``lookup_many`` and then lands all its keys, in call order,
-        with one ``StoragePartition.insert_many``.  Missing keys are counted
-        but not an error (a tombstone is written either way), and a key
-        repeated in one call is counted once in ``records_deleted`` and in
-        ``keys_missing``.  A maintenance sweep over every partition follows;
-        the call is priced as parsing its keys and one round trip, plus the
-        sweep's flushes, merges and splits: the slowest node's busiest
-        partition's storage work (nothing when every pass was idle).
+        Each key is hashed once; every touched partition is checked for a
+        block before anything is read or lands (a refused call deletes
+        nothing) and counts the live records among its distinct keys with
+        one ``lookup_many``.  Then one :meth:`DataFeed.ingest` of the key and
+        hash columns lands the keys as tombstone rows, in call order, and
+        heats, sweeps and prices them as any write: the report's
+        ``simulated_seconds`` is the feed's.  A missing key is counted, not
+        an error; a key repeated in one call counts once in
+        ``records_deleted`` and in ``keys_missing``.
         """
         runtime = self._runtime()
         if (
@@ -209,51 +206,34 @@ class Dataset:
             keys = [keys]
         else:
             keys = list(keys)
-        cost = self.database.cluster.cost
+        hashes = list(map(hash_key, keys))
         per_partition: Dict[int, int] = {}
         distinct_keys = 0
         if keys:
-            hashes = list(map(hash_key, keys))
             owners = runtime.partitions_of_hashes(hashes)
             for partition, positions in touched_partitions(runtime.partitions, owners):
-                if positions is None:
-                    slice_keys, slice_hashes = keys, hashes
-                else:
-                    slice_keys = [keys[p] for p in positions]
-                    slice_hashes = [hashes[p] for p in positions]
-                distinct = dict(zip(slice_keys, slice_hashes))
+                picked = range(len(keys)) if positions is None else positions
+                distinct = {keys[p]: hashes[p] for p in picked}
                 distinct_keys += len(distinct)
                 found, _ = partition.lookup_many(list(distinct), list(distinct.values()))
                 live = len(found) - found.count(None)
                 if live:
                     per_partition[partition.partition_id] = live
-                partition.insert_many(slice_keys, slice_hashes, None)
-        # The sweep's flushes, merges and splits are the delete's storage
-        # work: each node's busiest partition, and the slowest node, price it.
-        storage_seconds: Dict[int, float] = {}
-        for pid, partition in runtime.partitions.items():
-            done = partition.maintain()
-            if not done.idle:
-                storage_seconds[pid] = cost.storage_work(done.storage_stats()).total_sec
+        landed = self.database.cluster.feed(self.name).ingest(keys=keys, hashes=hashes)
         requested = len(keys)
         deleted = sum(per_partition.values())
-        simulated = cost.parse_time(requested) + cost.rpc_time(2)
-        if storage_seconds:
-            simulated += cost.slowest(
-                cost.node_seconds(storage_seconds, self.database.cluster.partitions_per_node)
-            )
         report = DeleteReport(
             dataset=self.name,
             keys_requested=requested,
             records_deleted=deleted,
             keys_missing=distinct_keys - deleted,
-            simulated_seconds=simulated,
+            simulated_seconds=landed.simulated_seconds,
             per_partition_deletes=per_partition,
         )
         self.database.events.emit(
             "dataset.delete", dataset=self.name, keys=requested, deleted=deleted
         )
-        self._emit_op("delete", simulated, records=requested, deleted=deleted)
+        self._emit_op("delete", report.simulated_seconds, records=requested, deleted=deleted)
         return report
 
     # ------------------------------------------------------------- read path

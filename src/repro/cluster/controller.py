@@ -49,7 +49,6 @@ class DatasetRuntime:
     global_directory: Optional[GlobalDirectory] = None
     #: partition id -> partition object (the single source of truth).
     partitions: Dict[int, StoragePartition] = field(default_factory=dict)
-    records_ingested: int = 0
     #: Set during rebalance finalization; feeds and queries check it.
     blocked: bool = False
 
@@ -66,8 +65,8 @@ class DatasetRuntime:
     def partitions_of_hashes(self, hashes: Sequence[int]) -> List[int]:
         """Route a run of key hashes in one pass through the *live* directory
         (hash modulo partitions without one), as a :meth:`routing_snapshot`
-        routes on its copy.  Point reads and deletes route through the
-        current state anyway, so they skip the snapshot's directory copy."""
+        routes on its copy.  Point reads and a delete's live count route
+        through the current state anyway, skipping the directory copy."""
         return route_hashes(self.global_directory, len(self.partitions), hashes)
 
     def partition_of_key(self, key: Any, hashed: Optional[int] = None) -> int:

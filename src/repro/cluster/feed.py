@@ -3,7 +3,9 @@
 AsterixDB ingests external data through *data feeds* (Section II-C).  A feed
 takes an immutable copy of the dataset's partitioning state when it starts and
 uses it to route every incoming record to its NC partition; maintenance
-(flushes, merges, bucket splits) runs as the data arrives.
+(flushes, merges, bucket splits) runs as the data arrives.  A delete travels
+the same path: its rows are tombstones (antimatter), the LSM's out-of-place
+delete.
 
 The feed also computes the simulated ingestion time: per-partition storage
 work plus the CPU-heavy record parsing, rolled up per node (partitions on the
@@ -13,8 +15,8 @@ nodes with slowest-node semantics.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Any, Dict, Iterable, Mapping, Set
+from itertools import count, islice
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Set
 
 from ..bucketed.bucketed_lsm import MaintenanceReport
 from ..common.hashutil import hash_key
@@ -39,8 +41,19 @@ class DataFeed:
 
     # ----------------------------------------------------------------- ingest
 
-    def ingest(self, rows: Iterable[Mapping[str, Any]], maintain: bool = True) -> IngestReport:
-        """Ingest ``rows`` and return an :class:`IngestReport`.
+    def ingest(
+        self,
+        rows: Optional[Iterable[Mapping[str, Any]]] = None,
+        maintain: bool = True,
+        keys: Optional[Sequence[Any]] = None,
+        hashes: Optional[Sequence[int]] = None,
+    ) -> IngestReport:
+        """Ingest ``rows`` and return an :class:`IngestReport`.  Without
+        ``rows`` the call writes a run of tombstones (a ``Dataset.delete``):
+        ``keys`` and each key's ``hash_key`` in ``hashes`` (not checked)
+        stand for a batch's derived columns, and each partition lands its
+        slice with no record column.  Mixing rows and columns, or a missing
+        or mismatched column, raises :class:`ValueError` before anything.
 
         Rows are taken ``batch_size`` at a time (a generator is pulled one
         batch ahead, no further) and each batch travels as columns: one
@@ -54,11 +67,11 @@ class DataFeed:
         and rows, in arrival order — with one
         :meth:`StoragePartition.insert_many`, which refuses the slice with
         nothing written when the partition does not own a hash or has a
-        deactivated memory component.  A
-        maintenance sweep follows every full batch and runs once more at the
-        end, even after a full one.  Each tree receives its rows in arrival
-        order, so the resulting storage state — and therefore the simulated
-        cost — is identical to a row-at-a-time loop.
+        deactivated memory component.  A maintenance sweep follows every
+        full batch and runs once more at the end, even after a full one.
+        Each tree receives its rows in arrival order, so the resulting
+        storage state — and therefore the simulated cost — is identical to a
+        row-at-a-time loop.
 
         Each partition's storage work is what its passes report: every
         :class:`MaintenanceReport` that did something is summed into that
@@ -73,17 +86,22 @@ class DataFeed:
         during the call and a pass is a deterministic function of the
         partition's state, so a pass over an unchanged idle partition would
         be idle again and change nothing.  The set ends with the call: the
-        feed sees only its own writes, and between calls a delete, another
-        feed or a rebalance may change a partition, and the previous call's
-        last pass may have left work (a pass is one step, not a fixpoint).
-        So the first sweep of a call visits every partition, and a
-        single-row ingest runs one pass per partition.  A pass over a tree
-        with no disk components (every tree of a dataset that fits in
-        memory) sizes no component and asks no merge policy.
+        feed sees only its own writes, and between calls another feed call
+        (a delete is one) or a rebalance may change a partition, and the
+        previous call's last pass may have left work (a pass is one step,
+        not a fixpoint).  So the first sweep of a call visits every
+        partition, and a single-row ingest runs one pass per partition.  A
+        pass over a tree with no disk components (every tree of a dataset
+        that fits in memory) sizes no component and asks no merge policy.
 
         ``maintain=False`` skips flush/merge/split scheduling, which some unit
         tests use to control storage state precisely.
         """
+        if rows is None:
+            if keys is None or hashes is None or len(hashes) != len(keys):
+                raise ValueError("a tombstone run takes a key and a hash column of one length")
+        elif keys is not None or hashes is not None:
+            raise ValueError("ingest takes rows or a key and a hash column, not both")
         events = self.cluster.events
         if events.has_subscribers("ingest.start"):
             events.emit("ingest.start", dataset=self.dataset_name)
@@ -124,31 +142,38 @@ class DataFeed:
                 else:
                     report.merge_into(total)
 
-        source = iter(rows)
-        while True:
-            batch = list(islice(source, batch_size))
-            if batch:
-                keys = list(map(key_of, batch))
-                hashes = list(map(hash_key, keys))
-                touched = touched_partitions(partitions, partitions_of_hashes(hashes))
+        source = iter(() if rows is None else rows)
+        for start in count(0, batch_size):
+            if keys is not None and hashes is not None:
+                # A tombstone batch: the caller's columns, no record column.
+                end = start + batch_size
+                columns: Sequence[Sequence[Any]] = (keys[start:end], hashes[start:end])
+            else:
+                batch = list(islice(source, batch_size))
+                batch_keys = list(map(key_of, batch))
+                columns = (batch_keys, list(map(hash_key, batch_keys)), batch)
+            batch_len = len(columns[0])
+            if batch_len:
+                batch_hashes = columns[1]
+                touched = touched_partitions(partitions, partitions_of_hashes(batch_hashes))
                 if heat is not None:
-                    for hashed in hashes:
+                    for hashed in batch_hashes:
                         heat.record_write(dataset_name, hashed)
                 for partition, positions in touched:
                     pid = partition.partition_id
-                    columns = (keys, hashes, batch)
+                    sliced = columns
                     if positions is not None:
-                        columns = [list(map(column.__getitem__, positions)) for column in columns]
+                        sliced = [list(map(column.__getitem__, positions)) for column in columns]
                     # The partition copies and sizes each row once, as it stores it.
-                    landed_bytes = sum(partition.insert_many(*columns)[1])
-                    records_per_partition[pid] += len(columns[0])
+                    landed_bytes = sum(partition.insert_many(*sliced)[1])
+                    records_per_partition[pid] += len(sliced[0])
                     settled.discard(pid)
                     bytes_per_partition[pid] = bytes_per_partition.get(pid, 0) + landed_bytes
                     total_bytes += landed_bytes
-                total_records += len(batch)
+                total_records += batch_len
             if maintain:
                 maintain_all()
-            if len(batch) < batch_size:
+            if batch_len < batch_size:
                 break
 
         # ------------------------------------------------ cost roll-up
@@ -195,7 +220,6 @@ class DataFeed:
             flush_bytes=flush_bytes,
             merge_bytes=merge_bytes,
         )
-        self.runtime.records_ingested += total_records
         self.cluster.events.emit(
             "ingest.complete",
             dataset=self.dataset_name,

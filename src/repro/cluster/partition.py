@@ -112,13 +112,13 @@ class StoragePartition:
         self,
         keys: Sequence[Any],
         hashes: Sequence[int],
-        records: Optional[Sequence[Mapping[str, Any]]],
+        records: Optional[Sequence[Mapping[str, Any]]] = None,
     ) -> Tuple[List[Optional[Dict[str, Any]]], List[int]]:
         """Write a batch given as aligned columns, a run at a time: each
         row's primary key, its ``hash_key`` and its record.  Every row
-        upserts its record; ``records=None`` makes the batch a run of
-        deletes (tombstone rows), as ``values=None`` is a key-only run in
-        :meth:`LSMTree.insert_many`.
+        upserts its record; without a record column (``records=None``) the
+        batch is a run of deletes (tombstone rows), as ``values=None`` is a
+        key-only run in :meth:`LSMTree.insert_many`.
 
         The resulting state — every index's entries and sequence numbers,
         the memory components' hash columns and the stats — is the one
@@ -132,9 +132,9 @@ class StoragePartition:
         primary-key index all of them with one more, and each secondary
         index its entries with one.  Nothing is logged: the simulator models
         no NC data log (see :mod:`repro.lsm.wal`).  The data feed, the
-        rebalance's log replicator, the Hashing baseline's rebuild and
-        ``Dataset.delete`` land each partition's slice of a batch through
-        here, reusing the hashes they already computed for routing.
+        rebalance's log replicator and the Hashing baseline's rebuild (and so
+        ``Dataset.delete``, a feed call) land each partition's slice of a
+        batch through here, reusing the hashes computed for routing.
 
         Returns the partition's copy of each record (``None`` for a
         tombstone row) and its byte size (0 for one), in order — what the

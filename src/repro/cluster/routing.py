@@ -1,8 +1,8 @@
 """Routing runs of key hashes to storage partitions: through the global
 directory (StaticHash, DynaHash; Section III) or, for a dataset without one
 (the Hashing baseline), by hash modulo the partition count.  Feeds and
-queries route on a :class:`RoutingSnapshot`, point reads and deletes on the
-live directory; both go through :func:`route_hashes`.
+queries route on a :class:`RoutingSnapshot`, point reads and a delete's count
+of live records on the live directory; both go through :func:`route_hashes`.
 """
 
 from __future__ import annotations

@@ -385,7 +385,7 @@ EVENT_FAMILIES: Tuple[EventFamily, ...] = (
             EventSpec(
                 "ingest.complete",
                 required=("dataset", "records", "splits", "report"),
-                description="the feed finished; `report` is the `IngestReport`",
+                description="the feed finished (rows or tombstones); `report` is the `IngestReport`",
             ),
             EventSpec(
                 "dataset.create",

@@ -206,7 +206,7 @@ class ClusterQueryExecutor:
             balanced_share = pipeline_seconds_total / len(per_node_seconds)
             for node_id in per_node_seconds:
                 per_node_seconds[node_id] += balanced_share
-        chaos = getattr(self.cluster, "chaos", None)
+        chaos = self.cluster.chaos
         if chaos is not None:
             per_node_seconds = dict(chaos.scale_node_seconds(per_node_seconds))
         # The final (coordinator-side) combine touches the surviving records
@@ -237,7 +237,7 @@ class ClusterQueryExecutor:
         if hasattr(result, "__iter__") and not isinstance(result, (list, dict, str)):
             result = list(result)
         per_node_seconds = self._roll_up_by_node(context.partition_seconds)
-        chaos = getattr(self.cluster, "chaos", None)
+        chaos = self.cluster.chaos
         if chaos is not None:
             per_node_seconds = dict(chaos.scale_node_seconds(per_node_seconds))
         operator_seconds = cost.operator_time(

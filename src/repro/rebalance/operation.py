@@ -155,15 +155,13 @@ class RebalanceOperation:
         self.old_nodes = cluster.num_nodes
 
     def _emit(self, name: str, **payload: Any) -> None:
-        """Emit a lifecycle event on the cluster's bus (if it has one)."""
-        events = getattr(self.cluster, "events", None)
-        if events is not None:
-            events.emit(
-                name,
-                dataset=self.dataset_name,
-                rebalance_id=self.rebalance_id,
-                **payload,
-            )
+        """Emit a lifecycle event on the cluster's bus."""
+        self.cluster.events.emit(
+            name,
+            dataset=self.dataset_name,
+            rebalance_id=self.rebalance_id,
+            **payload,
+        )
 
     # ------------------------------------------------------------ utilities
 
@@ -292,7 +290,7 @@ class RebalanceOperation:
         per_node_seconds = {
             node: cost.disk_write_time(num_bytes) for node, num_bytes in flush_bytes_by_node.items()
         }
-        chaos = getattr(self.cluster, "chaos", None)
+        chaos = self.cluster.chaos
         if chaos is not None:
             per_node_seconds = dict(chaos.scale_node_seconds(per_node_seconds))
         rpc_seconds = cost.rpc_time(2 * max(1, self.cluster.num_nodes))
@@ -322,7 +320,7 @@ class RebalanceOperation:
         mover = DataMover(self.runtime, partition_nodes)
         replicator = LogReplicator(self.runtime, self.plan)
         work = mover.work
-        chaos = getattr(self.cluster, "chaos", None)
+        chaos = self.cluster.chaos
 
         moves = list(self.plan.moves)
         # Open the log-replication channel for every moving bucket before any
@@ -336,12 +334,11 @@ class RebalanceOperation:
         )
         # Each window's writes land and report as one batch, or one by one
         # while an autopilot counts ops (see SimulatedCluster.autopilot).
-        per_write = getattr(self.cluster, "autopilot", None) is not None
+        per_write = self.cluster.autopilot is not None
 
         # Per-move tracing feed: probed once per phase, so untraced runs pay
         # one cached dict hit for the whole movement loop.
-        bus = getattr(self.cluster, "events", None)
-        trace_moves = bus is not None and bus.has_subscribers("rebalance.bucket_move")
+        trace_moves = self.cluster.events.has_subscribers("rebalance.bucket_move")
 
         per_node_totals: Dict[str, float] = {}
 
@@ -429,8 +426,8 @@ class RebalanceOperation:
         travel in arrival order, so the metrics registry's batch sink records
         exactly what one ``op.update`` per write would.
         """
-        events = getattr(self.cluster, "events", None)
-        publish = events is not None and events.has_subscribers("op.batch")
+        events = self.cluster.events
+        publish = events.has_subscribers("op.batch")
         cost = self.cluster.cost
         parse_seconds = cost.parse_time(1)
         ack_seconds = cost.rpc_time(3)
@@ -496,7 +493,7 @@ class RebalanceOperation:
         prepare_seconds_by_node = {
             node: cost.disk_write_time(b) for node, b in prepare_flush_by_node.items()
         }
-        chaos = getattr(self.cluster, "chaos", None)
+        chaos = self.cluster.chaos
         if chaos is not None:
             prepare_seconds_by_node = dict(chaos.scale_node_seconds(prepare_seconds_by_node))
         blocked_seconds = cost.slowest(prepare_seconds_by_node) + cost.rpc_time(

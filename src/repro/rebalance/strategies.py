@@ -426,7 +426,7 @@ class GlobalHashingStrategy(RebalancingStrategy):
         report.bytes_shipped = int(sum(shipped_by_node.values()))
         report.bytes_loaded = loaded_bytes_total
         report.concurrent_writes_applied = len(concurrent_rows)
-        chaos = getattr(cluster, "chaos", None)
+        chaos = cluster.chaos
         if chaos is not None:
             per_node = dict(chaos.scale_node_seconds(per_node))
         report.per_node_seconds = per_node

@@ -413,10 +413,11 @@ class TestRunPathEquivalence:
 
 
 class TestRefusedCallsCreditNoHeat:
-    """Every partition a read run or a feed batch touches is checked for a
-    block before the heat hook sees any key, so a refused run or batch
-    credits no bucket heat.  Each call here is one run or one batch; an
-    insert refused at a later batch keeps the heat of the batches before it
+    """Every partition a read run or a feed batch (a delete's tombstones
+    are one) touches is checked for a block before the heat hook sees any
+    key, so a refused run or batch credits no bucket heat.  Each call here
+    is one run or one batch; an insert refused at a later batch keeps the
+    heat of the batches before it
     (``tests/cluster/test_feed_batching.py::TestBlockedBatch``)."""
 
     @pytest.mark.parametrize(
@@ -426,8 +427,9 @@ class TestRefusedCallsCreditNoHeat:
             lambda dataset: dataset.get_many([1, 2, 5]),
             lambda dataset: dataset.get_many(list(range(200))),
             lambda dataset: dataset.insert([{"k": key, "v": "w"} for key in range(50)]),
+            lambda dataset: dataset.delete([1, 2, 5]),
         ],
-        ids=["get", "short-run", "long-run", "insert"],
+        ids=["get", "short-run", "long-run", "insert", "delete"],
     )
     def test_a_refused_run_or_batch_heats_nothing(self, call):
         db, dataset = open_loaded()

@@ -109,6 +109,23 @@ class TestLifecycleEvents:
             direct = orders.insert(order_rows(25))
             assert reports[0] is direct
 
+    def test_a_delete_lands_through_the_feed(self):
+        # A delete's tombstones are one feed call: its ingest.* events come
+        # before the delete's own, and the report counts the tombstone rows.
+        with open_db() as db:
+            orders = db.create_dataset("orders", primary_key="o_orderkey")
+            orders.insert(order_rows(50))
+            names = []
+            reports = []
+            db.on("*", lambda event: names.append(event.name))
+            db.on("ingest.complete", lambda event: reports.append(event["report"]))
+            deleted = orders.delete([1, 2, 2, 999])
+        assert names[:4] == ["ingest.start", "ingest.complete", "dataset.delete", "op.delete"]
+        (report,) = reports
+        assert (report.records, report.bytes_ingested) == (4, 0)
+        assert report.simulated_seconds == deleted.simulated_seconds
+        assert db.metrics.counter_value("ingest.records") == 50 + 4
+
     def test_rebalance_event_order(self):
         with open_db() as db:
             orders = db.create_dataset("orders", primary_key="o_orderkey")

@@ -4,10 +4,11 @@ the row loop's.
 ``Dataset.delete`` hashes and routes the whole call once, checks every touched
 partition for a block before anything lands, reads each touched partition's
 distinct keys with one ``lookup_many`` (the live records it reports) and lands
-each partition's keys with one ``StoragePartition.insert_many`` whose rows
-carry ``record=None``.  The oracle below is the row loop that path replaced:
-``LSMTree.delete`` on the key's primary bucket tree and on the primary-key
-index, plus antimatter for the old record's secondary keys.  Every tree's
+the keys as one ``DataFeed.ingest`` of tombstones: each partition's with one
+``StoragePartition.insert_many`` whose rows carry ``record=None``.  The oracle
+below is the row loop that path replaced: ``LSMTree.delete`` on the key's
+primary bucket tree and on the primary-key index, plus antimatter for the old
+record's secondary keys.  Every tree's
 entries, sequence numbers, memory hash columns and stats, the report and what
 reads see afterwards must be the loop's.
 """
@@ -24,9 +25,11 @@ from repro.api import (
     LSMConfig,
     SecondaryIndexSpec,
 )
+from repro.chaos import LoadWindow
 from repro.cluster.partition import StoragePartition
 from repro.common.errors import StorageError
 from repro.common.hashutil import hash_key
+from repro.lsm.stats import StorageStats
 
 from .test_batch_landing import state
 
@@ -198,9 +201,10 @@ class TestDeleteContract:
 
 
 class TestDeletesPriceTheirStorageWork:
-    """A delete is priced as parsing its keys and one round trip, plus the
-    storage work of the sweep that follows it: the slowest node's busiest
-    partition's ``storage_work`` over what its pass reported."""
+    """A delete is priced by the feed's roll-up of its tombstone run: each
+    partition's ``ingest_work`` over the tombstones it took and what its
+    sweep pass reported, each node its busiest partition (a tombstone has no
+    bytes, so no link time), the slowest node, plus one round trip."""
 
     def delete_recording_passes(self, db, keys, monkeypatch):
         passes = {}
@@ -212,6 +216,25 @@ class TestDeletesPriceTheirStorageWork:
 
         monkeypatch.setattr(StoragePartition, "maintain", recording)
         return db.dataset("t").delete(keys), passes
+
+    def feed_price(self, db, keys, passes):
+        """The feed's price of one tombstone batch of ``keys`` whose sweep
+        made ``passes`` (one per partition)."""
+        cost = db.cluster.cost
+        runtime = db.cluster.dataset("t")
+        tombstones = dict.fromkeys(runtime.partitions, 0)
+        for key in keys:
+            tombstones[runtime.partition_of_key(key)] += 1
+        per_node = {}
+        for pid, records in tombstones.items():
+            done = passes[pid]
+            if done.idle and not records:
+                continue
+            stats = StorageStats() if done.idle else done.storage_stats()
+            seconds = cost.ingest_work(records, stats).total_sec
+            node = pid // db.config.partitions_per_node
+            per_node[node] = max(per_node.get(node, 0.0), seconds)
+        return max(per_node.values()) + cost.rpc_time(2), tombstones
 
     def test_the_sweeps_flushes_merges_and_splits_are_priced(self, monkeypatch):
         db = Database(
@@ -231,16 +254,32 @@ class TestDeletesPriceTheirStorageWork:
         worked = [done for done in passes.values() if not done.idle]
         assert sum(done.flush_bytes for done in worked) > 0
         assert sum(len(done.splits) for done in worked) > 0
-        # One partition per node: the slowest node is the busiest partition.
-        storage = max(cost.storage_work(done.storage_stats()).total_sec for done in worked)
-        assert report.simulated_seconds == cost.parse_time(200) + cost.rpc_time(2) + storage
-        assert report.simulated_seconds > cost.parse_time(200) + cost.rpc_time(2)
+        price, tombstones = self.feed_price(db, range(200), passes)
+        assert report.simulated_seconds == price
+        # The sweep's work costs more than parsing the busiest node's keys.
+        parsing = max(cost.ingest_work(n, StorageStats()).total_sec for n in tombstones.values())
+        assert report.simulated_seconds > parsing + cost.rpc_time(2)
         db.close()
 
     def test_an_idle_sweep_adds_nothing(self, monkeypatch):
         db, _ = open_db(split=False)
-        report, passes = self.delete_recording_passes(db, [1, 2, 3, 500], monkeypatch)
+        keys = [1, 2, 3, 500]
+        report, passes = self.delete_recording_passes(db, keys, monkeypatch)
         assert len(passes) == 4 and all(done.idle for done in passes.values())
-        cost = db.cluster.cost
-        assert report.simulated_seconds == cost.parse_time(4) + cost.rpc_time(2)
+        assert report.simulated_seconds == self.feed_price(db, keys, passes)[0]
         db.close()
+
+    def test_a_backpressure_window_stretches_a_delete_as_an_insert(self):
+        prices = []
+        for factor in (None, 3.0):
+            db, dataset = open_db(split=True)
+            if factor is not None:
+                window = LoadWindow(start=0.0, duration=1e9, factor=factor)
+                db.enable_chaos(backpressure=[window])
+            inserted = dataset.insert([{"k": key, "c": 0, "v": "y"} for key in range(300, 340)])
+            deleted = dataset.delete(range(0, 120, 3))
+            prices.append((inserted.simulated_seconds, deleted.simulated_seconds))
+            db.close()
+        (insert, delete), (stretched_insert, stretched_delete) = prices
+        assert stretched_insert == insert * 3.0
+        assert stretched_delete == delete * 3.0

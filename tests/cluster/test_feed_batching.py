@@ -285,6 +285,61 @@ class TestGroupedIngest:
         db.close()
 
 
+class TestTombstoneRun:
+    """Without rows, ``ingest`` lands the caller's key and hash columns as
+    tombstones, batch by batch, as it lands rows."""
+
+    def test_a_tombstone_run_is_swept_per_batch(self):
+        db = open_db()
+        dataset = db.create_dataset("t", primary_key="k")
+        dataset.insert(rows_for(40))
+        landed, swept = [], []
+        for partition in db.cluster.dataset("t").partitions.values():
+            insert_many, maintain = partition.insert_many, partition.maintain
+
+            def counted_insert(keys, hashes, records=None, insert_many=insert_many):
+                assert records is None
+                landed.extend(keys)
+                return insert_many(keys, hashes, records)
+
+            def counted_pass(force_flush=False, maintain=maintain):
+                swept.append(len(landed))
+                return maintain(force_flush)
+
+            partition.insert_many = counted_insert
+            partition.maintain = counted_pass
+        keys = list(range(20))
+        report = db.cluster.feed("t", batch_size=8).ingest(
+            keys=keys, hashes=[hash_key(key) for key in keys]
+        )
+        assert sorted(set(swept)) == [8, 16, 20]
+        assert sorted(landed) == keys
+        assert (report.records, report.bytes_ingested) == (20, 0)
+        assert dataset.count() == 20
+        db.close()
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"rows": rows_for(2), "keys": [0, 1], "hashes": [hash_key(0), hash_key(1)]},
+            {"keys": [0, 1], "hashes": [hash_key(0)]},
+            {"keys": [0]},
+            {},
+        ],
+        ids=["rows-and-columns", "short-hashes", "no-hashes", "nothing"],
+    )
+    def test_mixed_or_mismatched_columns_raise_before_anything(self, columns):
+        db = open_db()
+        db.create_dataset("t", primary_key="k")
+        started = []
+        db.on("ingest.start", started.append)
+        with pytest.raises(ValueError):
+            db.cluster.feed("t").ingest(**columns)
+        assert not started
+        assert db.dataset("t").count() == 0
+        db.close()
+
+
 class TestBlockedBatch:
     def test_a_batch_reaching_a_blocked_partition_lands_nothing(self):
         # Every partition a batch touches is checked for a block before any
@@ -307,15 +362,16 @@ class TestBlockedBatch:
         blocked.unblock()
         assert storage(db) == before
         assert not db.cluster.heat.write_heat()
-        assert runtime.records_ingested == 200
+        assert db.metrics.counter_value("ingest.records") == 200
         assert dataset.count() == 200
         db.close()
 
     def test_batches_landed_before_a_refused_one_stay_uncounted(self):
         # The block check is per batch, not per call: an insert refused at a
         # later batch keeps the batches that landed before it, with their
-        # heat, and counts none of them (records_ingested, the IngestReport
-        # and op.insert come at the end of the call).  This pins that
+        # heat, and reports none of them (ingest.complete, which the
+        # ingest.records counter reads, and op.insert come at the end of the
+        # call).  This pins that
         # behaviour until a refused call is made to land nothing.
         db = Database(ClusterConfig(num_nodes=4, partitions_per_node=2, strategy="dynahash"))
         dataset = db.create_dataset("t", primary_key="k")
@@ -332,10 +388,13 @@ class TestBlockedBatch:
         assert landed > 0
         db.start_trace()
         blocked.block()
+        completed = []
+        db.on("ingest.complete", completed.append)
         with pytest.raises(StorageError, match="blocked"):
             dataset.insert([{"k": key, "v": key} for key in keys], batch_size=8)
         blocked.unblock()
         assert dataset.count() == 200 + landed
-        assert runtime.records_ingested == 200
+        assert not completed
+        assert db.metrics.counter_value("ingest.records") == 200
         assert sum(writes for _, _, writes in db.cluster.heat.write_heat()) == landed
         db.close()

@@ -7,7 +7,7 @@ feed no longer takes.  ``stats_snapshot()`` keeps the counters of the buckets
 a split retires, so its diff around an ingest is the work the ingest did.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import KIB, BucketingConfig, ClusterConfig, Database, LSMConfig, SecondaryIndexSpec
@@ -95,21 +95,41 @@ class TestFeedPricesReportedWork:
                     st.integers(1, 80),
                 ),
                 st.tuples(
-                    st.just("delete"), st.lists(st.integers(0, 1000), max_size=12), st.none()
+                    st.just("delete"), st.lists(st.integers(0, 1000), max_size=80), st.none()
                 ),
             ),
             min_size=1,
             max_size=6,
         )
     )
+    # A delete whose sweep flushes: its work must be in a report too.
+    @example(steps=[("ingest", 0, 300, 80), ("delete", list(range(80)), None)])
     def test_priced_work_equals_the_monotone_stats_diff(self, steps):
+        # Each ingest is checked on its own; over the whole sequence, the work
+        # every ingest.complete report priced (a delete's included) is the
+        # work the storage did.
         db, dataset = open_split()
+        partitions = db.cluster.dataset("t").partitions
+        before = {pid: p.stats_snapshot() for pid, p in partitions.items()}
+        splits_before = {pid: p.primary.split_count for pid, p in partitions.items()}
+        reports = []
+        db.on("ingest.complete", lambda event: reports.append(event["report"]))
         for action, *args in steps:
             if action == "ingest":
                 start, count, batch_size = args
                 checked_ingest(db, [row(key) for key in range(start, start + count)], batch_size)
             else:
                 dataset.delete(args[0])
+        deltas = [p.stats_snapshot().diff(before[pid]) for pid, p in partitions.items()]
+        assert (
+            sum(report.flush_bytes for report in reports),
+            sum(report.merge_bytes for report in reports),
+            sum(report.splits for report in reports),
+        ) == (
+            sum(delta.bytes_flushed for delta in deltas),
+            sum(delta.bytes_merged_written for delta in deltas),
+            sum(p.primary.split_count - splits_before[pid] for pid, p in partitions.items()),
+        )
         db.close()
 
     def test_a_split_prices_its_two_flushes(self, monkeypatch):
